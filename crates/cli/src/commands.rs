@@ -156,16 +156,12 @@ fn build_preprocessor(args: &Args) -> Result<Preprocessor, Box<dyn Error>> {
         return Ok(Preprocessor::identity());
     };
     let mut mask_rules = Vec::new();
-    for rule in rules.split(',').filter(|r| !r.is_empty()) {
-        mask_rules.push(match rule {
-            "ip" => MaskRule::IpAddress,
-            "blk" => MaskRule::BlockId,
-            "core" => MaskRule::CoreId,
-            "num" => MaskRule::Number,
-            "hex" => MaskRule::HexValue,
-            "path" => MaskRule::Path,
-            other => return Err(format!("unknown preprocess rule `{other}`").into()),
-        });
+    for name in rules.split(',').filter(|r| !r.is_empty()) {
+        let rule = MaskRule::ALL
+            .into_iter()
+            .find(|rule| rule.name() == name)
+            .ok_or_else(|| format!("unknown preprocess rule `{name}`"))?;
+        mask_rules.push(rule);
     }
     Ok(Preprocessor::new(mask_rules))
 }
@@ -177,21 +173,27 @@ fn open_output(path: Option<&str>) -> Result<Box<dyn Write>, Box<dyn Error>> {
     })
 }
 
-/// Loads an input corpus for parsing, honoring `--loader`: the
-/// zero-copy mmap loader by default (chunk-parallel when `threads` >
-/// 1 — its output is bit-identical to the sequential build), or the
-/// legacy `read_lines` + [`Corpus::from_lines`] path for comparison.
-/// Both produce byte-identical corpora; the differential suite holds
-/// them equal.
-fn load_corpus(args: &Args, path: Option<&str>, threads: usize) -> Result<Corpus, Box<dyn Error>> {
+/// Loads an input corpus for parsing, masked by `preprocessor`,
+/// honoring `--loader`: the zero-copy mmap loader by default
+/// (chunk-parallel when `threads` > 1 — its output is bit-identical to
+/// the sequential build), which masks each token before interning it,
+/// or the legacy `read_lines` + [`Corpus::from_lines`] path, masked
+/// afterwards by [`Preprocessor::apply`], for comparison. Both produce
+/// byte-identical corpora; the differential suites hold them equal.
+fn load_corpus(
+    args: &Args,
+    path: Option<&str>,
+    preprocessor: &Preprocessor,
+    threads: usize,
+) -> Result<Corpus, Box<dyn Error>> {
     let tokenizer = Tokenizer::default();
     match args.option("loader").unwrap_or("mmap") {
         "mmap" => Ok(match path {
-            Some(path) => Corpus::from_path_parallel(path, &tokenizer, threads)?,
+            Some(path) => Corpus::from_path_masked(path, &tokenizer, preprocessor, threads)?,
             None => {
                 let mut bytes = Vec::new();
                 std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut bytes)?;
-                Corpus::from_bytes_parallel(bytes, &tokenizer, threads)?
+                Corpus::from_bytes_masked(bytes, &tokenizer, preprocessor, threads)?
             }
         }),
         "legacy" => {
@@ -199,7 +201,12 @@ fn load_corpus(args: &Args, path: Option<&str>, threads: usize) -> Result<Corpus
                 Some(path) => read_lines(File::open(path)?)?,
                 None => read_lines(std::io::stdin().lock())?,
             };
-            Ok(Corpus::from_lines(&lines, &tokenizer))
+            let raw = Corpus::from_lines(&lines, &tokenizer);
+            Ok(if preprocessor.rules().is_empty() {
+                raw // `apply` would clone the whole corpus to do nothing
+            } else {
+                preprocessor.apply(&raw)
+            })
         }
         other => Err(format!("unknown --loader `{other}` (expected mmap or legacy)").into()),
     }
@@ -208,13 +215,9 @@ fn load_corpus(args: &Args, path: Option<&str>, threads: usize) -> Result<Corpus
 /// `logmine parse`.
 pub fn parse(args: &Args) -> CliResult {
     let threads: usize = args.parsed_or("threads", 1)?;
-    let corpus = load_corpus(args, args.positional().first().map(String::as_str), threads)?;
     let preprocessor = build_preprocessor(args)?;
-    let corpus = if preprocessor.rules().is_empty() {
-        corpus // `apply` would clone the whole corpus to do nothing
-    } else {
-        preprocessor.apply(&corpus)
-    };
+    let path = args.positional().first().map(String::as_str);
+    let corpus = load_corpus(args, path, &preprocessor, threads)?;
     let parser = build_parser(args)?;
     let parse = if threads > 1 {
         parser.parse_parallel(&corpus, threads)?
@@ -1306,6 +1309,56 @@ mod tests {
         // Drain groups by message shape, so chunk templates coincide and
         // the merged events file matches the sequential one exactly.
         assert_eq!(seq, std::fs::read_to_string(&parallel).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What `logmine metrics dump` prints after a masked parse: one
+    /// `core_preprocess_masked_tokens_total` series per configured rule,
+    /// a rule that never fired included (at zero) — so an operator can
+    /// tell a silent rule from a missing one.
+    #[test]
+    fn parse_publishes_masked_token_counts_per_rule() {
+        let dir = std::env::temp_dir().join(format!("logmine-masked-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("input.log");
+        std::fs::write(
+            &log,
+            "Received blk_1 of size 42 from 10.0.0.1\r\n\nReceived blk_2 of size 7 from 10.0.0.2\n",
+        )
+        .unwrap();
+        let masked = || -> Vec<(String, f64)> {
+            let dump = Exposition::parse(&logparse_obs::global().render());
+            dump.family("core_preprocess_masked_tokens_total")
+                .into_iter()
+                .map(|(labels, value)| (labels.to_owned(), value))
+                .collect()
+        };
+        let count = |series: &[(String, f64)], rule: &str| {
+            let labels = format!("{{rule=\"{rule}\"}}");
+            series.iter().find(|(l, _)| *l == labels).map(|&(_, v)| v)
+        };
+        let before = masked();
+        for loader in ["mmap", "legacy"] {
+            parse(&args(&[
+                "--parser",
+                "iplom",
+                "--preprocess",
+                "blk,core,num",
+                "--loader",
+                loader,
+                "--events-out",
+                dir.join("events").to_str().unwrap(),
+                log.to_str().unwrap(),
+            ]))
+            .unwrap();
+        }
+        let after = masked();
+        let delta = |rule| count(&after, rule).unwrap() - count(&before, rule).unwrap_or(0.0);
+        // Two builds (fused, then legacy + apply) of two lines each.
+        assert_eq!(delta("blk"), 4.0);
+        assert_eq!(delta("num"), 4.0);
+        assert_eq!(delta("core"), 0.0, "a silent rule still has a series");
+        assert_eq!(count(&after, "ip"), None, "unconfigured rules have none");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

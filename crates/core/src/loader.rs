@@ -16,12 +16,17 @@
 //!    boundaries in one SWAR pass, flagging blank lines (skipped, per
 //!    the contract on [`crate::read_lines`]) and lines containing
 //!    non-ASCII bytes.
-//! 3. **Intern** — ASCII lines (the overwhelming majority of machine
-//!    logs) intern each token slice straight into the open
-//!    [`TokenArena`] row: one hash probe per token, no row vector.
+//! 3. **Mask, then intern** — ASCII lines (the overwhelming majority
+//!    of machine logs) hand each trimmed token slice to the build's
+//!    [`Masker`]: a token a [`MaskRule`](crate::MaskRule) claims becomes
+//!    the rule's fixed placeholder symbol and is never interned; every
+//!    other token is interned straight into the open [`TokenArena`] row
+//!    — one hash probe per token, no row vector. Without rules the
+//!    masker is the zero-sized [`Identity`] and the step compiles away.
 //!    Lines with high bytes take the checked slow path — UTF-8
 //!    validation (the same `InvalidData` error `BufRead::lines`
-//!    produces) and the full Unicode tokenizer semantics.
+//!    produces) and the full Unicode tokenizer semantics — and mask per
+//!    token the same way.
 //!
 //! The chunked-parallel build splits the buffer at newline boundaries,
 //! scans each chunk with a thread-local interner/arena, then merges in
@@ -31,7 +36,10 @@
 //! chunks merge in corpus order, the merged table assigns every token
 //! the same id the sequential build would — the parallel corpus is
 //! **bit-identical**, not merely equivalent (the differential suite
-//! asserts this).
+//! asserts this). Masking changes nothing here: a placeholder enters a
+//! chunk's table at its first occurrence like any other token, so ids
+//! are first-occurrence-ordered over the *masked* stream — the corpus
+//! [`Preprocessor::apply`] derives from the unmasked build.
 
 use std::fs::File;
 use std::io::Read;
@@ -45,6 +53,7 @@ use crate::error::ParseError;
 use crate::intern::{Interner, Symbol, TokenArena};
 use crate::mmap::{ascii_str, Mapping};
 use crate::parallel::ParallelDriver;
+use crate::preprocess::{MaskRule, Preprocessor};
 use crate::record::{Corpus, Span};
 use crate::simd::{count_non_blank_lines, find_newline, ScanSink, Scanner};
 use crate::tokenizer::Tokenizer;
@@ -90,29 +99,102 @@ fn invalid_utf8() -> ParseError {
     ))
 }
 
+/// What a build does with a trimmed token before interning it. A
+/// generic parameter of the sink, so the unmasked build carries no
+/// trace of it.
+trait Masker: Copy + Send {
+    /// The rules [`classify`](Masker::classify) indexes into.
+    fn rules(&self) -> &[MaskRule];
+
+    /// The first rule that claims `token`, if any.
+    fn classify(&self, token: &[u8]) -> Option<usize>;
+}
+
+/// Masks nothing; every call folds to a constant.
+#[derive(Clone, Copy)]
+struct Identity;
+
+impl Masker for Identity {
+    fn rules(&self) -> &[MaskRule] {
+        &[]
+    }
+
+    #[inline(always)]
+    fn classify(&self, _token: &[u8]) -> Option<usize> {
+        None
+    }
+}
+
+impl Masker for &Preprocessor {
+    fn rules(&self) -> &[MaskRule] {
+        Preprocessor::rules(self)
+    }
+
+    #[inline]
+    fn classify(&self, token: &[u8]) -> Option<usize> {
+        Preprocessor::classify(self, token)
+    }
+}
+
 /// One chunk's build output (the sequential build is the 1-chunk case).
 struct ChunkOut {
     interner: Interner,
     arena: TokenArena,
     spans: Vec<Span>,
+    /// Tokens each of the masker's rules replaced.
+    masked: Vec<u64>,
+}
+
+/// The token rows under construction: mask-or-intern each token into
+/// the open arena row.
+struct Rows<M> {
+    masker: M,
+    interner: Interner,
+    arena: TokenArena,
+    /// Tokens each of the masker's rules replaced.
+    masked: Vec<u64>,
+}
+
+impl<M: Masker> Rows<M> {
+    fn new(masker: M) -> Rows<M> {
+        Rows {
+            masker,
+            interner: Interner::new(),
+            arena: TokenArena::new(),
+            masked: vec![0; masker.rules().len()],
+        }
+    }
+
+    #[inline(always)]
+    fn push_token(&mut self, token: &str) {
+        let symbol = match self.masker.classify(token.as_bytes()) {
+            Some(rule) => {
+                self.masked[rule] += 1;
+                // Interned like any token, so ids stay first-occurrence-
+                // ordered over the masked stream.
+                self.interner.intern(self.masker.rules()[rule].tag())
+            }
+            None => self.interner.intern_inlined(token),
+        };
+        self.arena.push_symbol(symbol);
+    }
 }
 
 /// The scan sink that performs arena-direct interning.
 ///
 /// Token runs are staged as byte ranges in a reusable scratch vector
 /// (never a per-row allocation); at each `line` event they are either
-/// interned straight into the arena row (pure-ASCII line — `ascii_str`
-/// skips the UTF-8 walk the scanner already did) or discarded in favor
-/// of the checked slow path (line with high bytes).
-struct BuildSink<'a> {
+/// trimmed and pushed straight into the arena row (pure-ASCII line —
+/// `ascii_str` skips the UTF-8 walk the scanner already did) or
+/// discarded in favor of the checked slow path (line with high bytes).
+struct BuildSink<'a, M> {
     /// The chunk being scanned (a sub-slice of the full buffer).
     buf: &'a [u8],
     /// Absolute offset of `buf[0]` in the full buffer.
     base: usize,
     tokenizer: &'a Tokenizer,
     trim: bool,
-    interner: Interner,
-    arena: TokenArena,
+    rows: Rows<M>,
     spans: Vec<Span>,
     /// Raw token runs of the line currently being scanned.
     scratch: Vec<(usize, usize)>,
@@ -127,20 +209,20 @@ fn is_trim_punct(b: u8) -> bool {
     )
 }
 
-impl BuildSink<'_> {
-    fn new<'a>(
+impl<'a, M: Masker> BuildSink<'a, M> {
+    fn new(
         buf: &'a [u8],
         base: usize,
         tokenizer: &'a Tokenizer,
+        masker: M,
         lines_hint: usize,
-    ) -> BuildSink<'a> {
+    ) -> BuildSink<'a, M> {
         BuildSink {
             buf,
             base,
             tokenizer,
             trim: tokenizer.trims_punctuation(),
-            interner: Interner::new(),
-            arena: TokenArena::new(),
+            rows: Rows::new(masker),
             spans: Vec::with_capacity(lines_hint),
             scratch: Vec::new(),
         }
@@ -148,14 +230,15 @@ impl BuildSink<'_> {
 
     fn into_out(self) -> ChunkOut {
         ChunkOut {
-            interner: self.interner,
-            arena: self.arena,
+            interner: self.rows.interner,
+            arena: self.rows.arena,
             spans: self.spans,
+            masked: self.rows.masked,
         }
     }
 }
 
-impl ScanSink for BuildSink<'_> {
+impl<M: Masker> ScanSink for BuildSink<'_, M> {
     #[inline]
     fn token(&mut self, start: usize, end: usize) {
         self.scratch.push((start, end));
@@ -176,8 +259,9 @@ impl ScanSink for BuildSink<'_> {
             self.scratch.clear();
             let content =
                 std::str::from_utf8(&self.buf[start..content_end]).map_err(|_| invalid_utf8())?;
-            self.tokenizer
-                .intern_tokens_into(content, &mut self.interner, &mut self.arena);
+            for token in self.tokenizer.token_slices(content) {
+                self.rows.push_token(token);
+            }
         } else {
             for &(ts, te) in &self.scratch {
                 let (ts, te) = if self.trim {
@@ -193,13 +277,12 @@ impl ScanSink for BuildSink<'_> {
                     (ts, te)
                 };
                 if ts < te {
-                    let symbol = self.interner.intern(ascii_str(&self.buf[ts..te]));
-                    self.arena.push_symbol(symbol);
+                    self.rows.push_token(ascii_str(&self.buf[ts..te]));
                 }
             }
             self.scratch.clear();
         }
-        self.arena.finish_row();
+        self.rows.arena.finish_row();
         self.spans.push(Span {
             start: self.base + start,
             end: self.base + content_end,
@@ -210,16 +293,23 @@ impl ScanSink for BuildSink<'_> {
 }
 
 /// Scans one byte range of the full buffer into a chunk-local output.
-fn build_chunk(
+fn build_chunk<M: Masker>(
     bytes: &[u8],
     range: Range<usize>,
     scanner: &Scanner,
     tokenizer: &Tokenizer,
+    masker: M,
 ) -> Result<ChunkOut, ParseError> {
     // ~40 bytes/line is typical machine-log density; the hint only
     // sizes the first allocation.
     let lines_hint = range.len() / 40 + 1;
-    let mut sink = BuildSink::new(&bytes[range.clone()], range.start, tokenizer, lines_hint);
+    let mut sink = BuildSink::new(
+        &bytes[range.clone()],
+        range.start,
+        tokenizer,
+        masker,
+        lines_hint,
+    );
     scanner.scan(&bytes[range], &mut sink)?;
     Ok(sink.into_out())
 }
@@ -253,11 +343,12 @@ fn chunk_byte_ranges(bytes: &[u8], threads: usize) -> Vec<Range<usize>> {
 /// Runs the per-chunk builds on scoped threads and merges in chunk
 /// order. `None` means a worker died (panicked): the caller falls back
 /// to the sequential build rather than guessing at partial output.
-fn build_parallel(
+fn build_parallel<M: Masker>(
     bytes: &[u8],
     ranges: &[Range<usize>],
     scanner: &Scanner,
     tokenizer: &Tokenizer,
+    masker: M,
 ) -> Option<Result<ChunkOut, ParseError>> {
     let mut slots: Vec<Option<Result<ChunkOut, ParseError>>> = Vec::new();
     slots.resize_with(ranges.len(), || None);
@@ -266,7 +357,7 @@ fn build_parallel(
             .iter()
             .map(|r| {
                 let range = r.clone();
-                scope.spawn(move || build_chunk(bytes, range, scanner, tokenizer))
+                scope.spawn(move || build_chunk(bytes, range, scanner, tokenizer, masker))
             })
             .collect();
         for (slot, handle) in slots.iter_mut().zip(handles) {
@@ -277,6 +368,7 @@ fn build_parallel(
     let mut interner = Interner::new();
     let mut arena = TokenArena::new();
     let mut spans = Vec::new();
+    let mut masked = vec![0u64; masker.rules().len()];
     let mut remap: Vec<Symbol> = Vec::new();
     for slot in slots {
         let chunk = match slot {
@@ -296,6 +388,9 @@ fn build_parallel(
             interner.intern(chunk.interner.resolve(Symbol::from_id(id as u32)))
         }));
         arena.append_remapped(&chunk.arena, &remap);
+        for (total, hits) in masked.iter_mut().zip(chunk.masked) {
+            *total += hits;
+        }
         for s in chunk.spans {
             // Kept-line numbering restarts per chunk; renumber globally.
             let line_no = spans.len() + 1;
@@ -306,6 +401,7 @@ fn build_parallel(
         interner,
         arena,
         spans,
+        masked,
     }))
 }
 
@@ -327,28 +423,44 @@ fn build_metrics(registry: &Registry) -> (Histogram, Counter) {
     )
 }
 
-/// The shared build entry: one buffer in, one corpus out.
+/// Scans and interns `bytes` under one masker: chunk-parallel when the
+/// input splits, sequential otherwise (and when a worker died).
+fn build<M: Masker>(
+    bytes: &[u8],
+    tokenizer: &Tokenizer,
+    masker: M,
+    threads: usize,
+) -> Result<ChunkOut, ParseError> {
+    let scanner = Scanner::for_tokenizer(tokenizer);
+    let ranges = chunk_byte_ranges(bytes, threads);
+    if ranges.len() > 1 {
+        if let Some(result) = build_parallel(bytes, &ranges, &scanner, tokenizer, masker) {
+            return result;
+        }
+    }
+    build_chunk(bytes, 0..bytes.len(), &scanner, tokenizer, masker)
+}
+
+/// The shared build entry: one buffer in, one corpus out. Tokens are
+/// masked by `preprocessor` before they are interned; with no rules
+/// the build is instantiated over [`Identity`] and masks nothing.
 fn build_corpus(
     buffer: Arc<LineBuffer>,
     tokenizer: &Tokenizer,
+    preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
     let registry = logparse_obs::global();
     let (time_hist, lines_total) = build_metrics(registry);
     let span = registry.span_into(time_hist, "core_corpus_build", &[]);
-    let scanner = Scanner::for_tokenizer(tokenizer);
-    let bytes: &[u8] = &buffer;
-    let ranges = chunk_byte_ranges(bytes, threads);
-    let out = if ranges.len() <= 1 {
-        build_chunk(bytes, 0..bytes.len(), &scanner, tokenizer)?
+    let out = if preprocessor.rules().is_empty() {
+        build(&buffer, tokenizer, Identity, threads)?
     } else {
-        match build_parallel(bytes, &ranges, &scanner, tokenizer) {
-            Some(result) => result?,
-            None => build_chunk(bytes, 0..bytes.len(), &scanner, tokenizer)?,
-        }
+        build(&buffer, tokenizer, preprocessor, threads)?
     };
     span.finish();
     lines_total.inc_by(out.spans.len() as u64);
+    preprocessor.publish_masked(registry, &out.masked);
     Ok(Corpus::assemble_mapped(
         buffer,
         out.spans,
@@ -357,23 +469,32 @@ fn build_corpus(
     ))
 }
 
-/// Implementation behind [`Corpus::from_path`] / `from_path_parallel`.
+/// Implementation behind [`Corpus::from_path`] and its parallel and
+/// masked variants.
 pub(crate) fn corpus_from_path(
     path: &Path,
     tokenizer: &Tokenizer,
+    preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
     let buffer = map_or_read(File::open(path)?)?;
-    build_corpus(Arc::new(buffer), tokenizer, threads)
+    build_corpus(Arc::new(buffer), tokenizer, preprocessor, threads)
 }
 
-/// Implementation behind [`Corpus::from_bytes`] / `from_bytes_parallel`.
+/// Implementation behind [`Corpus::from_bytes`] and its parallel and
+/// masked variants.
 pub(crate) fn corpus_from_bytes(
     bytes: Vec<u8>,
     tokenizer: &Tokenizer,
+    preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
-    build_corpus(Arc::new(LineBuffer::Owned(bytes)), tokenizer, threads)
+    build_corpus(
+        Arc::new(LineBuffer::Owned(bytes)),
+        tokenizer,
+        preprocessor,
+        threads,
+    )
 }
 
 /// Counts the lines of `path` a corpus build would keep (non-blank

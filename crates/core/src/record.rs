@@ -6,6 +6,7 @@ use logparse_obs::{Buckets, Histogram, Registry};
 use crate::error::ParseError;
 use crate::intern::{Interner, Symbol, TokenArena};
 use crate::loader::LineBuffer;
+use crate::preprocess::Preprocessor;
 use crate::Tokenizer;
 
 /// A single raw log message.
@@ -60,7 +61,10 @@ pub struct RecordRef<'a> {
     pub line_no: usize,
     /// Raw timestamp text, if the source format carried one.
     pub timestamp: Option<&'a str>,
-    /// Free-text message content (the part that is parsed).
+    /// Free-text message content (the part that is parsed). Always the
+    /// raw text: masking ([`crate::Preprocessor`]) replaces tokens in
+    /// the corpus's symbol rows, never here, so the variables a
+    /// placeholder stands for stay available to structured output.
     pub content: &'a str,
 }
 
@@ -122,7 +126,10 @@ impl Default for Records {
 ///   — the zero-copy loader ([`crate::loader`]): one mmap'd or owned
 ///   buffer, records as byte-range views, tokens interned straight into
 ///   the arena. Output is bit-identical to reading the same file with
-///   [`crate::read_lines`] and calling `from_lines`.
+///   [`crate::read_lines`] and calling `from_lines`. Its
+///   [`from_path_masked`](Corpus::from_path_masked) /
+///   [`from_bytes_masked`](Corpus::from_bytes_masked) variants apply a
+///   [`Preprocessor`]'s rules to each token before it is interned.
 ///
 /// The interner is shared behind an `Arc`: [`slice`](Corpus::slice),
 /// [`select`](Corpus::select) and [`take`](Corpus::take) copy symbol
@@ -241,7 +248,7 @@ impl Corpus {
     /// Returns [`ParseError::Io`] when the file cannot be opened or
     /// read, or when a line is not valid UTF-8.
     pub fn from_path(path: impl AsRef<Path>, tokenizer: &Tokenizer) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_path(path.as_ref(), tokenizer, 1)
+        Corpus::from_path_masked(path, tokenizer, &Preprocessor::identity(), 1)
     }
 
     /// [`from_path`](Corpus::from_path) with a chunked-parallel build:
@@ -258,7 +265,7 @@ impl Corpus {
         tokenizer: &Tokenizer,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_path(path.as_ref(), tokenizer, threads)
+        Corpus::from_path_masked(path, tokenizer, &Preprocessor::identity(), threads)
     }
 
     /// Builds a corpus from an in-memory buffer (e.g. stdin read to
@@ -270,7 +277,7 @@ impl Corpus {
     ///
     /// Returns [`ParseError::Io`] when a line is not valid UTF-8.
     pub fn from_bytes(bytes: Vec<u8>, tokenizer: &Tokenizer) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_bytes(bytes, tokenizer, 1)
+        Corpus::from_bytes_masked(bytes, tokenizer, &Preprocessor::identity(), 1)
     }
 
     /// [`from_bytes`](Corpus::from_bytes) with the chunked-parallel
@@ -284,7 +291,44 @@ impl Corpus {
         tokenizer: &Tokenizer,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_bytes(bytes, tokenizer, threads)
+        Corpus::from_bytes_masked(bytes, tokenizer, &Preprocessor::identity(), threads)
+    }
+
+    /// [`from_path_parallel`](Corpus::from_path_parallel) with masking
+    /// fused into the build: each token is classified by
+    /// `preprocessor`'s rules *before* interning, and a masked token
+    /// becomes its rule's placeholder symbol without ever entering the
+    /// table — one pass, vocabulary proportional to templates rather
+    /// than to variables. The result is bit-identical (symbol ids
+    /// included) to `preprocessor.apply(&Corpus::from_path(..)?)`:
+    /// tokens are masked, [`record`](Corpus::record) content is the raw
+    /// line. A preprocessor without rules costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_path`](Corpus::from_path).
+    pub fn from_path_masked(
+        path: impl AsRef<Path>,
+        tokenizer: &Tokenizer,
+        preprocessor: &Preprocessor,
+        threads: usize,
+    ) -> Result<Corpus, ParseError> {
+        crate::loader::corpus_from_path(path.as_ref(), tokenizer, preprocessor, threads)
+    }
+
+    /// [`from_path_masked`](Corpus::from_path_masked) over an in-memory
+    /// buffer (e.g. stdin read to end).
+    ///
+    /// # Errors
+    ///
+    /// As [`from_bytes`](Corpus::from_bytes).
+    pub fn from_bytes_masked(
+        bytes: Vec<u8>,
+        tokenizer: &Tokenizer,
+        preprocessor: &Preprocessor,
+        threads: usize,
+    ) -> Result<Corpus, ParseError> {
+        crate::loader::corpus_from_bytes(bytes, tokenizer, preprocessor, threads)
     }
 
     /// Assembles a zero-copy corpus from loader output.
@@ -298,6 +342,18 @@ impl Corpus {
             records: Records::Mapped { buffer, spans },
             arena,
             interner,
+        }
+    }
+
+    /// This corpus's records over different token rows (one row per
+    /// record, symbols of `interner`): how [`Preprocessor::apply`]
+    /// swaps in the masked rows.
+    pub(crate) fn with_tokens(&self, arena: TokenArena, interner: Interner) -> Corpus {
+        debug_assert_eq!(arena.rows(), self.len());
+        Corpus {
+            records: self.records.clone(),
+            arena,
+            interner: Arc::new(interner),
         }
     }
 

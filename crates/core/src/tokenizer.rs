@@ -85,8 +85,13 @@ impl Tokenizer {
     }
 
     /// Borrowed token slices of `content`, in order — the zero-copy core
-    /// every tokenize flavour shares.
-    fn token_slices<'s, 'c: 's>(&'s self, content: &'c str) -> impl Iterator<Item = &'c str> + 's {
+    /// every tokenize flavour shares, and the loader's checked slow path
+    /// for lines with non-ASCII bytes (full Unicode separator semantics,
+    /// wide delimiters included).
+    pub(crate) fn token_slices<'s, 'c: 's>(
+        &'s self,
+        content: &'c str,
+    ) -> impl Iterator<Item = &'c str> + 's {
         content
             .split(move |c: char| self.is_separator(c))
             .filter_map(move |raw| {
@@ -124,22 +129,6 @@ impl Tokenizer {
     /// this into its SWAR byte classes.
     pub(crate) fn ascii_delimiter_mask(&self) -> u128 {
         self.ascii_delimiters
-    }
-
-    /// Tokenizes `content` and interns straight into the arena row under
-    /// construction (no intermediate row vector). This is the loader's
-    /// checked slow path for lines with non-ASCII bytes: `token_slices`
-    /// applies the full Unicode separator semantics, including wide
-    /// delimiters. The caller seals the row.
-    pub(crate) fn intern_tokens_into(
-        &self,
-        content: &str,
-        interner: &mut Interner,
-        arena: &mut crate::intern::TokenArena,
-    ) {
-        for t in self.token_slices(content) {
-            arena.push_symbol(interner.intern(t));
-        }
     }
 
     /// Splits `content` and interns every token into `interner`,

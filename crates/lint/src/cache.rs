@@ -27,7 +27,7 @@ use crate::source::Role;
 use std::path::{Path, PathBuf};
 
 /// Bump to retire every existing cache entry.
-const VERSION: &str = "v2";
+const VERSION: &str = "v3";
 
 /// FNV-1a 64-bit, the key hash (stable across runs and platforms).
 pub fn fnv1a(data: &[u8]) -> u64 {

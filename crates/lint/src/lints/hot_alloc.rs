@@ -23,13 +23,14 @@ const NAME: &str = "hot-path-string-alloc";
 const PATTERNS: &[&str] = &[".to_string()", "String::from(", "format!("];
 
 /// Scope: the parsers crate, the parallel driver, and the zero-copy
-/// corpus loader path (scanner, interner, loader) — the loops the
-/// throughput benches measure.
+/// corpus loader path (scanner, masker, interner, loader) — the loops
+/// the throughput benches measure.
 const CORE_HOT_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/loader.rs",
     "crates/core/src/simd.rs",
     "crates/core/src/intern.rs",
+    "crates/core/src/preprocess.rs",
 ];
 
 fn in_scope(file: &SourceFile) -> bool {

@@ -40,6 +40,9 @@ cargo test -q --test parallel_equivalence
 echo "=== differential suite (zero-copy loader vs legacy reader) ==="
 cargo test -q --test loader_differential
 
+echo "=== differential suite (mask-before-intern vs symbol-level apply vs goldens) ==="
+cargo test -q --test preprocess_differential
+
 if [[ "$QUICK" == "1" ]]; then
   # Benches aren't compiled by `cargo test`; make sure the perf harness
   # (the interning throughput runner included) still builds without
@@ -108,6 +111,21 @@ if [[ "$QUICK" == "1" ]]; then
   done
   cmp "$LOADER_DIR/mmap.events" "$LOADER_DIR/legacy.events"
   cmp "$LOADER_DIR/mmap.structured" "$LOADER_DIR/legacy.structured"
+
+  # The same with preprocessing on: the mmap loader masks each token
+  # before interning it, the legacy loader builds from_lines and masks
+  # afterwards at symbol level (Preprocessor::apply).
+  echo "=== preprocess smoke (fused masking vs legacy + apply, byte-identical) ==="
+  for loader in mmap legacy; do
+    cargo run -q --release -p logparse-cli --bin logmine -- \
+      parse --parser iplom --preprocess ip,blk,num --loader "$loader" \
+      --events-out "$LOADER_DIR/$loader.masked.events" \
+      --structured-out "$LOADER_DIR/$loader.masked.structured" \
+      "$LOADER_DIR/corpus.log" >/dev/null
+  done
+  cmp "$LOADER_DIR/mmap.masked.events" "$LOADER_DIR/legacy.masked.events"
+  cmp "$LOADER_DIR/mmap.masked.structured" "$LOADER_DIR/legacy.masked.structured"
+  grep -q '\$BLK' "$LOADER_DIR/mmap.masked.events"
   rm -rf "$LOADER_DIR"
 fi
 
