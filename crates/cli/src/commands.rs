@@ -405,10 +405,9 @@ pub fn serve(args: &Args) -> CliResult {
         let checkpoint = Checkpoint::recover(dir, config.parser, config.shards)?
             .ok_or_else(|| format!("no checkpoint store at {}", dir.display()))?;
         eprintln!(
-            "resuming from {}: {} lines, {} global template id(s)",
+            "resuming from {}: {} lines",
             dir.display(),
-            checkpoint.lines,
-            checkpoint.global.templates.len()
+            checkpoint.lines
         );
         Some(checkpoint)
     } else {
@@ -505,7 +504,7 @@ pub fn store(args: &Args) -> CliResult {
             let recovery = TemplateStore::recover(dir)?;
             println!("store              {}", dir.display());
             println!("shards             {}", recovery.reports.len());
-            println!("id space           {}", recovery.state.len());
+            println!("id space           {}", recovery.state.id_space());
             println!(
                 "canonical          {}",
                 recovery.state.canonical_templates().len()
@@ -564,7 +563,7 @@ pub fn store(args: &Args) -> CliResult {
             println!(
                 "ok: {} shard(s), {} global template id(s), {} record(s) replayed",
                 recovery.reports.len(),
-                recovery.state.len(),
+                recovery.state.id_space(),
                 recovery.replayed_records
             );
             Ok(())

@@ -159,3 +159,26 @@ fn invalid_option_value_fails_cleanly() {
     let text = String::from_utf8(out.stderr).unwrap();
     assert!(text.contains("invalid value"));
 }
+
+/// `store inspect|verify` over the committed parent-written store
+/// (see `crates/store/tests/format_frozen.rs`) print what the commit
+/// that wrote it printed, byte for byte.
+#[test]
+fn store_inspect_and_verify_read_the_frozen_v1_store() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures");
+    let run = |action: &str| {
+        let out = logmine()
+            .current_dir(&fixtures)
+            .args(["store", action, "store_v1"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "store {action} failed");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let frozen = std::fs::read_to_string(fixtures.join("store_v1.inspect.txt")).unwrap();
+    assert_eq!(run("inspect"), frozen);
+    assert_eq!(
+        run("verify"),
+        "ok: 8 shard(s), 30 global template id(s), 72 record(s) replayed\n"
+    );
+}

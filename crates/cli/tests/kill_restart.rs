@@ -1,13 +1,15 @@
 //! Crash-recovery acceptance test: SIGKILL a `logmine serve` run
 //! mid-stream and prove the template store survives — `store verify`
-//! passes, a resumed run picks up the recovered global ids, and every
-//! pre-kill (shard, local) → gid binding is preserved byte-for-byte.
+//! passes, a resumed run picks up the recovered global ids (replaying
+//! the store exactly once), and every pre-kill (shard, local) → gid
+//! binding is preserved byte-for-byte.
 
-use std::io::Write;
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use logparse_store::{MapState, TemplateStore};
+use logparse_store::{Recovery, TemplateStore};
 
 const BIN: &str = env!("CARGO_BIN_EXE_logmine");
 
@@ -82,8 +84,22 @@ fn verify(store: &std::path::Path) -> bool {
         .success()
 }
 
-fn recover(store: &std::path::Path) -> MapState {
-    TemplateStore::recover(store).expect("recover store").state
+fn recover(store: &std::path::Path) -> Recovery {
+    TemplateStore::recover(store).expect("recover store")
+}
+
+/// The first sample of `series` on the child's metrics endpoint.
+fn scrape(addr: &str, series: &str) -> Option<f64> {
+    let out = Command::new(BIN)
+        .args(["metrics", "dump", "--scrape", addr])
+        .output()
+        .expect("run logmine metrics dump");
+    String::from_utf8(out.stdout)
+        .ok()?
+        .lines()
+        .find(|l| l.split(' ').next() == Some(series))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse().ok())
 }
 
 #[test]
@@ -108,19 +124,49 @@ fn sigkill_mid_stream_preserves_the_template_store() {
     // must find zero shards in need of quarantine.
     assert!(verify(&store), "store verify failed after SIGKILL");
     let killed = recover(&store);
-    assert!(!killed.is_empty(), "no templates recovered after SIGKILL");
     assert!(
-        !killed.canonical_templates().is_empty(),
+        killed.state.id_space() > 0,
+        "no templates recovered after SIGKILL"
+    );
+    assert!(
+        !killed.state.canonical_templates().is_empty(),
         "recovered store has no canonical templates"
     );
 
     // Phase 2: resume from the store and stream the rest; a clean EOF
     // shuts the pipeline down through the final checkpoint.
     let mut child = serve_command(&store, &dir.join("events2.jsonl"), true)
+        .args(["--metrics-addr", "127.0.0.1:0"])
+        .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stderr.read_line(&mut line).unwrap() > 0,
+            "resumed serve never printed its metrics address"
+        );
+        if let Some(addr) = line.trim().strip_prefix("metrics listening on ") {
+            break addr.to_owned();
+        }
+    };
     let resumed_sent = feed(&mut child, 2_400..4_000);
     assert_eq!(resumed_sent, 1_600);
+
+    // The resumed run reads its store once: by the time lines flow the
+    // store is open, and the replay counter holds exactly the records
+    // the store held — not twice that.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while scrape(&addr, "ingest_lines_total").unwrap_or(0.0) < 1.0 {
+        assert!(Instant::now() < deadline, "resumed serve routed no line");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        scrape(&addr, "store_replay_records_total"),
+        Some(killed.replayed_records as f64),
+        "the resumed run did not replay its store exactly once"
+    );
     drop(child.stdin.take()); // EOF
     let status = child.wait().unwrap();
     assert!(status.success(), "resumed serve exited with {status}");
@@ -131,15 +177,16 @@ fn sigkill_mid_stream_preserves_the_template_store() {
     assert!(verify(&store), "store verify failed after resumed run");
     let finished = recover(&store);
     assert!(
-        finished.len() >= killed.len(),
+        finished.state.id_space() >= killed.state.id_space(),
         "id space shrank across restart: {} -> {}",
-        killed.len(),
-        finished.len()
+        killed.state.id_space(),
+        finished.state.id_space()
     );
-    for (slot, gid) in &killed.assign {
+    let finished_bindings: BTreeMap<_, _> = finished.state.assignments().collect();
+    for (slot, gid) in killed.state.assignments() {
         assert_eq!(
-            finished.assign.get(slot),
-            Some(gid),
+            finished_bindings.get(&slot),
+            Some(&gid),
             "binding {slot:?} moved across the restart"
         );
     }

@@ -26,6 +26,19 @@
 //! uses rendered template text, the parallel driver uses an unambiguous
 //! structural encoding (so a literal `*` token cannot collide with a
 //! wildcard).
+//!
+//! ## Replay
+//!
+//! The same type is the restart image: [`TemplateMerge::apply`] replays
+//! the [`MergeDelta`] stream a previous run emitted (the durable store
+//! feeds it snapshots and delta logs) and merging then continues on the
+//! result as if the process had never stopped. Replay is *total* — the
+//! records come off a disk, so any ids are accepted: an id past the
+//! table grows it with empty-key **tombstones**, which are never
+//! indexed, counted or listed as templates. Every union, live or
+//! replayed, points the larger root at the smaller, so `parent[i] <= i`
+//! holds by construction and [`TemplateMerge::resolve_root`] terminates
+//! on any input; no replayed record can build a cycle.
 
 use std::collections::HashMap;
 
@@ -97,7 +110,32 @@ pub struct TemplateMerge {
     unions: u64,
     /// Lifetime count of template refinements (a key gaining wildcards).
     refines: u64,
+    /// Replay writes slots without touching `by_key` (records of one
+    /// generation arrive in store-shard order, not emission order, so
+    /// only the final table says which keys are canonical); the next
+    /// merge rebuilds the index first.
+    index_stale: bool,
 }
+
+/// Two merges are equal when they are the same map: the same key in
+/// every slot, the same bindings and the same partition. Raw parent
+/// pointers differ by path halving; the counters and the key index are
+/// bookkeeping, not state.
+impl PartialEq for TemplateMerge {
+    fn eq(&self, other: &Self) -> bool {
+        let root = |parent: &[usize], mut id: usize| {
+            while parent[id] != id {
+                id = parent[id];
+            }
+            id
+        };
+        self.templates == other.templates
+            && self.assign == other.assign
+            && (0..self.parent.len()).all(|id| root(&self.parent, id) == root(&other.parent, id))
+    }
+}
+
+impl Eq for TemplateMerge {}
 
 impl TemplateMerge {
     /// Creates an empty merge.
@@ -105,49 +143,61 @@ impl TemplateMerge {
         TemplateMerge::default()
     }
 
-    /// Rebuilds a merge from previously exported raw state (see
-    /// [`TemplateMerge::raw_templates`], [`TemplateMerge::raw_parents`]
-    /// and [`TemplateMerge::assignments`]). The key index is
-    /// reconstructed from canonical roots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` and `templates` differ in length, or if any
-    /// parent or assigned global id is out of range — exported state is
-    /// expected to round-trip unmodified.
-    pub fn from_parts<I>(templates: Vec<String>, parent: Vec<usize>, assign: I) -> Self
-    where
-        I: IntoIterator<Item = ((usize, usize), usize)>,
-    {
-        assert_eq!(
-            templates.len(),
-            parent.len(),
-            "templates and parent vectors must align"
-        );
-        assert!(
-            parent.iter().all(|&p| p < templates.len()),
-            "parent id out of range"
-        );
-        let assign: HashMap<(usize, usize), usize> = assign.into_iter().collect();
-        assert!(
-            assign.values().all(|&g| g < templates.len()),
-            "assigned global id out of range"
-        );
-        let mut merge = TemplateMerge {
-            templates,
-            parent,
-            by_key: HashMap::new(),
-            assign,
-            unions: 0,
-            refines: 0,
-        };
-        for id in 0..merge.templates.len() {
-            if merge.resolve_root(id) == id {
-                let key = merge.templates[id].clone();
-                merge.by_key.entry(key).or_insert(id);
+    /// Replays one recorded mutation: the write path a restart rebuilds
+    /// the map through, for delta-log records and snapshot slots alike.
+    /// Total — see the [module docs](self#replay). The union/refine
+    /// counters do not move: they count this process's merges, not
+    /// history.
+    pub fn apply(&mut self, delta: &MergeDelta) {
+        match delta {
+            MergeDelta::Insert { gid, key } | MergeDelta::Refine { gid, key } => {
+                self.grow_to(*gid);
+                self.templates[*gid] = key.clone();
+            }
+            MergeDelta::Assign { shard, local, gid } => {
+                self.grow_to(*gid);
+                self.assign.insert((*shard, *local), *gid);
+            }
+            MergeDelta::Union { winner, loser } => {
+                self.grow_to(*winner.max(loser));
+                let a = self.resolve_root(*winner);
+                let b = self.resolve_root(*loser);
+                if a != b {
+                    self.parent[a.max(b)] = a.min(b);
+                }
             }
         }
-        merge
+        self.index_stale = true;
+    }
+
+    /// Grows the table so `gid` is a valid index. New slots are
+    /// self-parented empty-key tombstones — inert unless a later record
+    /// writes them.
+    fn grow_to(&mut self, gid: usize) {
+        while self.templates.len() <= gid {
+            self.parent.push(self.templates.len());
+            self.templates.push(String::new());
+        }
+    }
+
+    /// Rebuilds the key index from the canonical roots, skipping
+    /// tombstones. Two roots left holding one key (their union was lost
+    /// with a quarantined store shard) index the older id.
+    fn reindex(&mut self) {
+        self.by_key.clear();
+        for id in 0..self.templates.len() {
+            if self.is_canonical(id) {
+                self.by_key.entry(self.templates[id].clone()).or_insert(id);
+            }
+        }
+        self.index_stale = false;
+    }
+
+    /// Drops every `(shard, local)` binding `keep` rejects. A restart
+    /// prunes bindings to the local ids its restored parsers still
+    /// have; a pruned group re-unifies by key when it is re-learned.
+    pub fn retain_bindings(&mut self, mut keep: impl FnMut(usize, usize) -> bool) {
+        self.assign.retain(|&(shard, local), _| keep(shard, local));
     }
 
     /// Canonicalizes a global id through the union-find (path halving).
@@ -178,6 +228,9 @@ impl TemplateMerge {
     where
         F: FnMut(MergeDelta),
     {
+        if self.index_stale {
+            self.reindex();
+        }
         for (local, key) in keys.iter().enumerate() {
             match self.assign.get(&(shard, local)).copied() {
                 Some(assigned) => {
@@ -261,17 +314,23 @@ impl TemplateMerge {
         self.templates.len()
     }
 
-    /// Number of canonical (non-aliased) global ids.
+    /// Whether `id` is a canonical root holding a key (not an alias,
+    /// not a tombstone).
+    fn is_canonical(&self, id: usize) -> bool {
+        self.parent[id] == id && !self.templates[id].is_empty()
+    }
+
+    /// Number of canonical (non-aliased, non-tombstone) global ids.
     pub fn canonical_count(&self) -> usize {
         (0..self.parent.len())
-            .filter(|&id| self.parent[id] == id)
+            .filter(|&id| self.is_canonical(id))
             .count()
     }
 
     /// Canonical `(global id, template key)` pairs, id-ascending.
-    pub fn canonical_templates(&mut self) -> Vec<(usize, String)> {
+    pub fn canonical_templates(&self) -> Vec<(usize, String)> {
         (0..self.templates.len())
-            .filter(|&id| self.parent[id] == id)
+            .filter(|&id| self.is_canonical(id))
             .map(|id| (id, self.templates[id].clone()))
             .collect()
     }
@@ -312,6 +371,7 @@ impl TemplateMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn identical_keys_across_shards_share_a_global_id() {
@@ -421,39 +481,208 @@ mod tests {
     }
 
     #[test]
-    fn raw_state_round_trips_through_from_parts() {
-        let mut m = TemplateMerge::new();
-        m.merge_shard(0, &["a *".into(), "b".into()]);
-        m.merge_shard(1, &["b".into(), "c".into()]);
-        m.merge_shard(0, &["a * *".into(), "b".into()]); // refine local 0
-        let rebuilt_assign: Vec<_> = m.assignments().collect();
-        let mut rebuilt = TemplateMerge::from_parts(
-            m.raw_templates().to_vec(),
-            m.raw_parents().to_vec(),
-            rebuilt_assign,
-        );
-        for shard in 0..2 {
-            for local in 0..2 {
-                assert_eq!(rebuilt.resolve(shard, local), m.resolve(shard, local));
-            }
-        }
-        assert_eq!(rebuilt.canonical_templates(), m.canonical_templates());
-        // New shards keep unifying against the restored key index.
-        rebuilt.merge_shard(7, &["c".into()]);
-        assert_eq!(rebuilt.resolve(7, 0), rebuilt.resolve(1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "parent id out of range")]
-    fn from_parts_rejects_corrupt_parents() {
-        TemplateMerge::from_parts(vec!["a".into()], vec![9], []);
-    }
-
-    #[test]
     fn resolve_unknown_pair_is_none() {
         let mut m = TemplateMerge::new();
         m.merge_shard(0, &["a".into()]);
         assert_eq!(m.resolve(0, 1), None);
         assert_eq!(m.resolve(3, 0), None);
+    }
+
+    fn replayed(deltas: &[MergeDelta]) -> TemplateMerge {
+        let mut m = TemplateMerge::new();
+        for delta in deltas {
+            m.apply(delta);
+        }
+        m
+    }
+
+    /// The structural guarantees replay gives on *any* delta stream.
+    fn assert_replay_is_safe(m: &mut TemplateMerge) {
+        for (gid, &up) in m.raw_parents().iter().enumerate() {
+            assert!(up <= gid, "parent[{gid}] = {up} points upward");
+        }
+        for gid in 0..m.id_space() {
+            let root = m.resolve_root(gid); // terminates: parents descend
+            assert_eq!(m.raw_parents()[root], root);
+        }
+        let canonical = m.canonical_templates();
+        assert!(
+            canonical.iter().all(|(_, key)| !key.is_empty()),
+            "tombstones are never served"
+        );
+        assert_eq!(canonical.len(), m.canonical_count());
+        let pairs: Vec<(usize, usize)> = m.assignments().map(|(pair, _)| pair).collect();
+        for (shard, local) in pairs {
+            assert!(m.resolve(shard, local).unwrap() < m.id_space());
+        }
+    }
+
+    #[test]
+    fn replaying_deltas_rebuilds_the_table() {
+        let mut m = replayed(&[
+            MergeDelta::Insert {
+                gid: 0,
+                key: "a <*>".into(),
+            },
+            MergeDelta::Assign {
+                shard: 0,
+                local: 0,
+                gid: 0,
+            },
+            MergeDelta::Insert {
+                gid: 1,
+                key: "b <*>".into(),
+            },
+            MergeDelta::Assign {
+                shard: 1,
+                local: 0,
+                gid: 1,
+            },
+            MergeDelta::Union {
+                winner: 0,
+                loser: 1,
+            },
+            MergeDelta::Refine {
+                gid: 0,
+                key: "ab <*>".into(),
+            },
+        ]);
+        assert_eq!(m.id_space(), 2);
+        assert_eq!(m.resolve_root(1), 0);
+        assert_eq!(m.canonical_templates(), vec![(0, "ab <*>".to_string())]);
+        assert_eq!(m.resolve(1, 0), Some(0));
+        assert_eq!((m.union_count(), m.refine_count()), (0, 0), "history");
+        // New shards unify against the rebuilt key index.
+        m.merge_shard(7, &["ab <*>".into()]);
+        assert_eq!(m.resolve(7, 0), Some(0));
+        assert_eq!(m.id_space(), 2);
+    }
+
+    #[test]
+    fn hostile_deltas_replay_without_panic_cycle_or_served_tombstone() {
+        let union = |winner, loser| MergeDelta::Union { winner, loser };
+        let cases: Vec<Vec<MergeDelta>> = vec![
+            // Ids past an empty table, "winner" the larger one.
+            vec![union(7, 3)],
+            // A pair that, taken literally, is a two-cycle.
+            vec![union(0, 1), union(1, 0)],
+            vec![union(2, 2)],
+            vec![MergeDelta::Assign {
+                shard: 0,
+                local: 5,
+                gid: 12,
+            }],
+        ];
+        for (case, deltas) in cases.iter().enumerate() {
+            let mut m = replayed(deltas);
+            assert_replay_is_safe(&mut m);
+            assert_eq!(m.canonical_count(), 0, "case {case}: only tombstones");
+            // Merging goes on: a fresh key gets a fresh id past the
+            // tombstones, and a bound tombstone heals in place.
+            let before = m.id_space();
+            m.merge_shard(9, &["fresh key".into()]);
+            assert_eq!(m.resolve(9, 0), Some(before), "case {case}");
+            assert_replay_is_safe(&mut m);
+        }
+        let mut m = replayed(&cases[0]);
+        assert_eq!(m.id_space(), 8);
+        assert_eq!(m.resolve_root(7), 3, "the smaller id stays canonical");
+        let mut m = replayed(&cases[3]);
+        assert_eq!(m.id_space(), 13);
+        // Shard 0 re-learns its groups: local 5 heals the tombstone it
+        // was bound to instead of moving to a new id.
+        m.merge_shard(
+            0,
+            &["f0", "f1", "f2", "f3", "f4", "relearned *"].map(String::from),
+        );
+        assert_eq!(m.resolve(0, 5), Some(12), "the binding kept its id");
+        assert!(m
+            .canonical_templates()
+            .contains(&(12, "relearned *".to_string())));
+    }
+
+    /// Decodes a generated announcement: `keys[local]` drawn from a
+    /// six-key alphabet, so re-announcing a local id under another key
+    /// (a refinement) and two ids landing on one key (a collision, hence
+    /// a union) are both common. Keys are never empty — the empty key is
+    /// the tombstone.
+    fn announcement(picks: &[usize]) -> Vec<String> {
+        picks.iter().map(|k| format!("key {k} *")).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        #[test]
+        fn restart_is_invisible(
+            ops in prop::collection::vec(
+                (0usize..3, prop::collection::vec(0usize..6, 1..5)),
+                1..24,
+            ),
+            cut in 0usize..24,
+            store_shards in 1usize..4,
+        ) {
+            let cut = cut.min(ops.len());
+            let mut live = TemplateMerge::new();
+            let mut stream: Vec<Vec<MergeDelta>> = Vec::new();
+            for (shard, picks) in &ops {
+                let mut deltas = Vec::new();
+                live.merge_shard_with(*shard, &announcement(picks), |d| deltas.push(d));
+                stream.push(deltas);
+            }
+
+            // Restart after `cut` announcements: replay what they
+            // emitted, then keep merging. Every later announcement must
+            // emit exactly what the uninterrupted run emitted.
+            let before: Vec<MergeDelta> = stream[..cut].concat();
+            let mut restarted = replayed(&before);
+            for ((shard, picks), expected) in ops[cut..].iter().zip(&stream[cut..]) {
+                let mut deltas = Vec::new();
+                restarted.merge_shard_with(*shard, &announcement(picks), |d| deltas.push(d));
+                prop_assert_eq!(&deltas, expected);
+            }
+            prop_assert_eq!(&restarted, &live);
+            prop_assert_eq!(restarted.canonical_templates(), live.canonical_templates());
+
+            // The store replays a generation shard by shard, not in
+            // emission order: slot writes route by id (a union by its
+            // winner), bindings by pair. Any such stable partition of
+            // the whole stream rebuilds the same image.
+            let all: Vec<MergeDelta> = stream.concat();
+            let route = |delta: &MergeDelta| match delta {
+                MergeDelta::Insert { gid, .. } | MergeDelta::Refine { gid, .. } => gid % store_shards,
+                MergeDelta::Union { winner, .. } => winner % store_shards,
+                MergeDelta::Assign { shard, local, .. } => (shard * 31 + local) % store_shards,
+            };
+            let mut sharded = TemplateMerge::new();
+            for target in 0..store_shards {
+                for delta in all.iter().filter(|d| route(d) == target) {
+                    sharded.apply(delta);
+                }
+            }
+            assert_replay_is_safe(&mut sharded);
+            prop_assert_eq!(&sharded, &live);
+            prop_assert_eq!(sharded.canonical_templates(), live.canonical_templates());
+        }
+
+        #[test]
+        fn arbitrary_deltas_replay_safely(
+            raw in prop::collection::vec((0u8..4, 0usize..16, 0usize..16, 0usize..6), 0..40),
+        ) {
+            let deltas: Vec<MergeDelta> = raw
+                .iter()
+                .map(|&(kind, a, b, k)| match kind {
+                    0 => MergeDelta::Insert { gid: a, key: format!("key {k} *") },
+                    1 => MergeDelta::Refine { gid: a, key: if k == 0 { String::new() } else { format!("key {k} *") } },
+                    2 => MergeDelta::Assign { shard: a % 3, local: b, gid: k * 3 },
+                    _ => MergeDelta::Union { winner: a, loser: b },
+                })
+                .collect();
+            let mut m = replayed(&deltas);
+            assert_replay_is_safe(&mut m);
+            m.merge_shard(0, &announcement(&[0, 1, 2, 3]));
+            m.merge_shard(1, &announcement(&[3, 2]));
+            assert_replay_is_safe(&mut m);
+        }
     }
 }

@@ -14,9 +14,9 @@
 //! a union-find — the smaller (older) id stays canonical, so global ids
 //! are stable for the life of the pipeline and across checkpoints.
 //!
-//! The union-find itself is [`logparse_core::TemplateMerge`], shared
-//! with the batch parallel-parsing driver; this module only adds the
-//! checkpoint import/export around it.
+//! The map is a [`logparse_core::TemplateMerge`], shared with the batch
+//! parallel-parsing driver. A resumed run starts on the one the store
+//! replayed, and compaction snapshots a clone of it.
 //!
 //! ## Windows
 //!
@@ -36,99 +36,19 @@ use logparse_core::{MergeDelta, TemplateMerge};
 use logparse_linalg::Matrix;
 use logparse_mining::PcaDetector;
 use logparse_obs::{AlertEngine, History, HistorySampler};
-use logparse_store::{MapState, TemplateStore};
+use logparse_store::TemplateStore;
 
-use crate::checkpoint::{GlobalMapState, ParserSnapshot};
+use crate::checkpoint::ParserSnapshot;
 use crate::events::{fields, EventLog};
 use crate::json::Json;
 use crate::metrics::{AggregatorMetrics, DriftMetrics, TOP_K};
 use crate::worker::ShardOutput;
 use crate::{IngestError, ParserChoice, WindowScore};
 
-/// Stable `(shard, local) → global` template-id mapping: the shared
-/// [`TemplateMerge`] union-find plus checkpoint import/export.
-#[derive(Debug, Default)]
-pub(crate) struct GlobalMap {
-    inner: TemplateMerge,
-}
-
-impl GlobalMap {
-    pub fn new() -> Self {
-        GlobalMap::default()
-    }
-
-    pub fn from_state(state: &GlobalMapState) -> Self {
-        GlobalMap {
-            inner: TemplateMerge::from_parts(
-                state.templates.clone(),
-                state.parent.clone(),
-                state.assign.iter().map(|&(s, l, g)| ((s, l), g)),
-            ),
-        }
-    }
-
-    /// Folds a shard's current template list into the global map.
-    pub fn merge_shard(&mut self, shard: usize, templates: &[String]) {
-        self.inner.merge_shard(shard, templates);
-    }
-
-    /// [`GlobalMap::merge_shard`], appending every mutation to `deltas`
-    /// in write order — the records the durable store logs.
-    pub fn merge_shard_with(
-        &mut self,
-        shard: usize,
-        templates: &[String],
-        deltas: &mut Vec<MergeDelta>,
-    ) {
-        self.inner
-            .merge_shard_with(shard, templates, |delta| deltas.push(delta));
-    }
-
-    /// The full, unpruned map image for store compaction. Unlike
-    /// [`GlobalMap::export`] nothing is dropped or resolved: the image
-    /// must carry the same slots, bindings and union-find *partition*
-    /// as replaying the appended delta stream would rebuild (raw parent
-    /// pointers may differ by path halving), or compaction would
-    /// silently rewrite history.
-    pub fn export_full(&self) -> MapState {
-        let mut state = MapState::new();
-        for (gid, key) in self.inner.raw_templates().iter().enumerate() {
-            let parent = self.inner.raw_parents().get(gid).copied().unwrap_or(gid);
-            state.set_slot(gid, parent, key.clone());
-        }
-        for ((shard, local), gid) in self.inner.assignments() {
-            state.ensure(gid);
-            state.assign.insert((shard, local), gid);
-        }
-        state
-    }
-
-    /// Resolves a shard-local id to its canonical global id.
-    pub fn resolve(&mut self, shard: usize, local: usize) -> Option<usize> {
-        self.inner.resolve(shard, local)
-    }
-
-    /// Union-find merges performed so far (refinement collisions) — the
-    /// pipeline's merge-conflict signal.
-    pub fn union_count(&self) -> u64 {
-        self.inner.union_count()
-    }
-
-    /// The canonical template string behind a global id, if allocated.
-    pub fn template_of(&mut self, gid: usize) -> Option<String> {
-        let root = self.inner.resolve_root(gid);
-        self.inner.raw_templates().get(root).cloned()
-    }
-
-    /// Number of global ids ever allocated (column space for scoring).
-    pub fn id_space(&self) -> usize {
-        self.inner.id_space()
-    }
-
-    /// Canonical `(global id, template)` pairs, id-ascending.
-    pub fn canonical_templates(&mut self) -> Vec<(usize, String)> {
-        self.inner.canonical_templates()
-    }
+/// The canonical template string behind a global id.
+fn template_of(map: &mut TemplateMerge, gid: usize) -> Option<String> {
+    let root = map.resolve_root(gid);
+    map.raw_templates().get(root).cloned()
 }
 
 /// The quality & drift telemetry bundle: the sample [`History`] ring,
@@ -214,7 +134,7 @@ impl DriftTracker {
     fn window_stats(
         &mut self,
         counts: &[(usize, u32)],
-        map: &mut GlobalMap,
+        map: &mut TemplateMerge,
     ) -> Option<WindowDriftStats> {
         self.quality.as_ref()?;
         // Id merges can alias several gids to one root; drift speaks in
@@ -261,7 +181,7 @@ impl DriftTracker {
         &mut self,
         window_id: u64,
         stats: &WindowDriftStats,
-        map: &mut GlobalMap,
+        map: &mut TemplateMerge,
         drift_metrics: &DriftMetrics,
         events: &EventLog,
     ) {
@@ -324,7 +244,7 @@ impl DriftTracker {
                         ("lines".into(), Json::num(n as f64)),
                         (
                             "template".into(),
-                            map.template_of(gid).map_or(Json::Null, Json::str),
+                            template_of(map, gid).map_or(Json::Null, Json::str),
                         ),
                     ])
                 })
@@ -392,7 +312,9 @@ pub(crate) struct AggregatorConfig {
     pub metrics: AggregatorMetrics,
     /// Drift history + alert engine; `None` when `--no-drift`.
     pub quality: Option<QualityTelemetry>,
-    pub resume: Option<GlobalMapState>,
+    /// The map to start merging on: what the store replayed (a resumed
+    /// run) or an empty one.
+    pub map: TemplateMerge,
     /// Sequence number the router starts at (the resumed checkpoint's
     /// `lines`, or 0 for fresh runs) — keeps window numbering and final
     /// checkpoint line counts continuous across restarts.
@@ -458,14 +380,10 @@ pub(crate) fn run_aggregator(
         events,
         metrics,
         quality,
-        resume,
+        mut map,
         seq_base,
     } = config;
 
-    let mut map = match &resume {
-        Some(state) => GlobalMap::from_state(state),
-        None => GlobalMap::new(),
-    };
     let mut deltas: Vec<MergeDelta> = Vec::new();
     let mut open: HashMap<u64, WindowAcc> = HashMap::new();
     let mut closed: VecDeque<ClosedWindow> = VecDeque::new();
@@ -481,7 +399,7 @@ pub(crate) fn run_aggregator(
 
     let mut score_window = |window_id: u64,
                             acc: WindowAcc,
-                            map: &mut GlobalMap,
+                            map: &mut TemplateMerge,
                             closed: &mut VecDeque<ClosedWindow>,
                             drift: &mut DriftTracker| {
         // The span records close-to-scored latency (row rebuild + PCA +
@@ -500,7 +418,7 @@ pub(crate) fn run_aggregator(
         // window under test lets an extreme burst drag the principal
         // components toward itself and score near zero (self-masking).
         let cols = map.id_space().max(1);
-        let to_row = |counts: &[(usize, u32)], map: &mut GlobalMap| {
+        let to_row = |counts: &[(usize, u32)], map: &mut TemplateMerge| {
             let mut row = vec![0.0; cols];
             for &(gid, n) in counts {
                 row[map.resolve_root(gid)] += n as f64;
@@ -715,23 +633,13 @@ pub(crate) fn run_aggregator(
     })
 }
 
-impl GlobalMap {
-    fn resolve_root(&mut self, gid: usize) -> usize {
-        self.inner.resolve_root(gid)
-    }
-
-    fn canonical_count(&self) -> usize {
-        self.inner.canonical_count()
-    }
-}
-
 /// Folds a shard's templates into the map and, when a store is
 /// attached, logs the exact mutation set durably: appended to the
 /// store's delta logs and flushed, so the merge survives SIGKILL the
 /// moment this returns. (Power-loss durability is upgraded at every
 /// checkpoint's `sync` and at the final `finish`.)
 fn merge_durably(
-    map: &mut GlobalMap,
+    map: &mut TemplateMerge,
     shard: usize,
     templates: &[String],
     store: &mut Option<TemplateStore>,
@@ -740,7 +648,7 @@ fn merge_durably(
     match store.as_mut() {
         Some(store) => {
             deltas.clear();
-            map.merge_shard_with(shard, templates, deltas);
+            map.merge_shard_with(shard, templates, |delta| deltas.push(delta));
             store.append(deltas)?;
             store.flush()?;
         }
@@ -761,7 +669,7 @@ fn write_checkpoint(
     generation: u64,
     lines: u64,
     shards: &[ParserSnapshot],
-    map: &mut GlobalMap,
+    map: &mut TemplateMerge,
     events: &EventLog,
     metrics: &AggregatorMetrics,
 ) -> Result<(), IngestError> {
@@ -798,85 +706,7 @@ fn write_checkpoint(
         },
     );
     if store.should_compact() {
-        store.compact_background(map.export_full())?;
+        store.compact_background(map.clone())?;
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn identical_templates_across_shards_share_a_global_id() {
-        let mut map = GlobalMap::new();
-        map.merge_shard(0, &["send pkt * ok".into(), "disk full".into()]);
-        map.merge_shard(1, &["disk full".into(), "send pkt * ok".into()]);
-        assert_eq!(map.resolve(0, 0), map.resolve(1, 1));
-        assert_eq!(map.resolve(0, 1), map.resolve(1, 0));
-        assert_eq!(map.canonical_templates().len(), 2);
-    }
-
-    #[test]
-    fn refinement_unifies_diverged_ids_and_keeps_the_older_one() {
-        let mut map = GlobalMap::new();
-        // Shard 0 already generalized; shard 1 still has the literal.
-        map.merge_shard(0, &["send pkt * ok".into()]);
-        map.merge_shard(1, &["send pkt 7 ok".into()]);
-        let g0 = map.resolve(0, 0).unwrap();
-        let g1 = map.resolve(1, 0).unwrap();
-        assert_ne!(g0, g1);
-        // Shard 1 sees more traffic and refines to the same string.
-        map.merge_shard(1, &["send pkt * ok".into()]);
-        assert_eq!(map.resolve(1, 0), Some(g0), "older id is canonical");
-        assert_eq!(map.canonical_templates().len(), 1);
-    }
-
-    #[test]
-    fn ids_are_stable_as_templates_refine() {
-        let mut map = GlobalMap::new();
-        map.merge_shard(0, &["job 1 done".into()]);
-        let g = map.resolve(0, 0).unwrap();
-        map.merge_shard(0, &["job * done".into()]);
-        assert_eq!(map.resolve(0, 0), Some(g));
-        assert_eq!(
-            map.canonical_templates(),
-            vec![(g, "job * done".to_string())]
-        );
-    }
-
-    #[test]
-    fn replaying_the_delta_stream_matches_export_full() {
-        let mut map = GlobalMap::new();
-        let mut deltas: Vec<MergeDelta> = Vec::new();
-        map.merge_shard_with(
-            0,
-            &["send pkt 7 ok".into(), "disk full".into()],
-            &mut deltas,
-        );
-        map.merge_shard_with(1, &["send pkt * ok".into()], &mut deltas);
-        // Shard 0 refines local 0 onto shard 1's key: a union.
-        map.merge_shard_with(
-            0,
-            &["send pkt * ok".into(), "disk full".into()],
-            &mut deltas,
-        );
-        let mut replayed = MapState::new();
-        for delta in &deltas {
-            replayed.apply(delta);
-        }
-        let full = map.export_full();
-        assert_eq!(replayed.len(), full.len());
-        assert_eq!(replayed.assign, full.assign);
-        // Same partition (raw parents may differ by path halving) and
-        // the same canonical keys at every root.
-        for gid in 0..full.len() {
-            assert_eq!(
-                replayed.resolve_root(gid),
-                full.resolve_root(gid),
-                "gid {gid}"
-            );
-        }
-        assert_eq!(replayed.canonical_templates(), full.canonical_templates());
-    }
 }

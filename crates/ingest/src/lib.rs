@@ -66,7 +66,7 @@ pub mod signal;
 pub mod source;
 mod worker;
 
-pub use checkpoint::{Checkpoint, GlobalMapState, ParserSnapshot};
+pub use checkpoint::{Checkpoint, ParserSnapshot};
 pub use events::EventLog;
 pub use json::Json;
 pub use pipeline::{run_pipeline, IngestConfig, IngestSummary, WindowScore};

@@ -32,7 +32,7 @@ use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use logparse_core::Tokenizer;
+use logparse_core::{TemplateMerge, Tokenizer};
 use logparse_mining::{PcaDetector, PcaDetectorConfig};
 use logparse_obs::{default_rules, AlertEngine, AlertRule, History, HistorySampler};
 use logparse_store::{StoreConfig, TemplateStore};
@@ -226,10 +226,19 @@ pub fn run_pipeline(
                 config.shards
             )));
         }
+        if config.store_dir.is_none() {
+            return Err(IngestError::Config(
+                "resuming needs store_dir: the global template map is replayed from the store"
+                    .into(),
+            ));
+        }
     }
-    let store = match &config.store_dir {
-        Some(dir) => Some(open_store(dir, config, resume)?),
-        None => None,
+    let (store, map) = match &config.store_dir {
+        Some(dir) => {
+            let (store, map) = open_store(dir, config, resume)?;
+            (Some(store), map)
+        }
+        None => (None, TemplateMerge::new()),
     };
     let events = Arc::new(events);
     let seq_base = resume.map_or(0, |c| c.lines);
@@ -326,7 +335,7 @@ pub fn run_pipeline(
             events: Arc::clone(&events),
             metrics: aggregator_metrics,
             quality,
-            resume: resume.map(|c| c.global.clone()),
+            map,
             seq_base,
         };
         std::thread::Builder::new()
@@ -497,47 +506,45 @@ pub fn run_pipeline(
 }
 
 /// Opens (or creates) the durable template store under `dir` and
-/// reconciles what it recovered with the run's resume intent:
+/// returns it with the template map its snapshots and delta logs
+/// replayed — the map the aggregator keeps merging on, so a run reads
+/// its store exactly once.
 ///
 /// * fresh run, non-empty store — refused: silently appending a new
 ///   run's ids onto another run's template history would corrupt both.
-/// * resumed run, empty store — the store is seeded with a compacted
-///   snapshot of the checkpoint's map, so the restored global ids are
-///   durable before the first new line arrives.
-/// * resumed run, non-empty store — the id spaces must agree (the
-///   checkpoint was recovered from this store, or an exact copy).
-fn open_store(
+/// * resumed run — bindings are pruned to the local ids the restored
+///   parsers actually have; anything beyond (a shard restored empty,
+///   or groups learned after the last blob write) is re-learned and
+///   re-unified by key onto its old global id.
+pub(crate) fn open_store(
     dir: &std::path::Path,
     config: &IngestConfig,
     resume: Option<&Checkpoint>,
-) -> Result<TemplateStore, IngestError> {
+) -> Result<(TemplateStore, TemplateMerge), IngestError> {
     let store_config = StoreConfig {
         compact_log_bytes: config.store_compact_bytes,
         ..StoreConfig::default()
     };
-    let (mut store, recovery) = TemplateStore::open(dir, &store_config)?;
+    let (store, recovery) = TemplateStore::open(dir, &store_config)?;
+    let mut map = recovery.state;
     match resume {
-        None if !recovery.state.is_empty() => Err(IngestError::Config(format!(
-            "template store at {} already holds {} global id(s); resume from it \
-             (logmine serve --resume) or point --checkpoint at a fresh directory",
-            dir.display(),
-            recovery.state.len(),
-        ))),
-        Some(checkpoint) if recovery.state.is_empty() => {
-            store.compact(&checkpoint.global.to_map_state())?;
-            Ok(store)
-        }
-        Some(checkpoint) if recovery.state.len() != checkpoint.global.templates.len() => {
-            Err(IngestError::Config(format!(
-                "template store at {} holds {} global id(s) but the resume checkpoint \
-                 has {} — they describe different runs",
+        Some(checkpoint) => map.retain_bindings(|shard, local| {
+            checkpoint
+                .shards
+                .get(shard)
+                .is_some_and(|snapshot| local < snapshot.group_count())
+        }),
+        None if map.id_space() > 0 => {
+            return Err(IngestError::Config(format!(
+                "template store at {} already holds {} global id(s); resume from it \
+                 (logmine serve --resume) or point --checkpoint at a fresh directory",
                 dir.display(),
-                recovery.state.len(),
-                checkpoint.global.templates.len(),
+                map.id_space(),
             )))
         }
-        _ => Ok(store),
+        None => {}
     }
+    Ok((store, map))
 }
 
 /// Routes a raw line to a shard by event shape (first token + token

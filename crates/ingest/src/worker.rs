@@ -134,7 +134,8 @@ impl ShardParser {
 /// Folds 8-byte chunks with a rotate–xor–multiply instead of
 /// byte-at-a-time FNV: this runs once per line on the parse hot path,
 /// and the chunked fold keeps the drift family's throughput cost inside
-/// the ≤5% bench budget (`pr7_obs_overhead`).
+/// the ≤5% budget (`obs.drift_overhead_pct` on `serve_file_churn` in
+/// `benchmark/run.sh`).
 fn line_hash(line: &str) -> u64 {
     const SEED: u64 = 0x517c_c1b7_2722_0a95;
     let bytes = line.as_bytes();

@@ -11,6 +11,7 @@ use logparse_ingest::{
     run_pipeline, Checkpoint, EventLog, IngestConfig, IngestSummary, Json, MemorySource,
     ParserChoice,
 };
+use logparse_store::TemplateStore;
 
 const WINDOW: usize = 1_000;
 const WINDOWS: usize = 100;
@@ -176,6 +177,8 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
     };
     let part1 = run_pipeline(&mut first, &cp_config, EventLog::disabled(), None).unwrap();
     assert!(part1.checkpoints_written >= 1);
+    let id_space = |dir: &std::path::Path| TemplateStore::recover(dir).unwrap().state.id_space();
+    let id_space_at_checkpoint = id_space(&store_dir);
 
     // …then recover from the store and stream the second half,
     // checkpointing into the same store (the restart path).
@@ -183,6 +186,15 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
         .unwrap()
         .expect("store holds a checkpoint");
     assert_eq!(checkpoint.lines, half as u64);
+    // The map is replayed from the store, so a resume must name one.
+    let mut nothing = MemorySource::new(Vec::new());
+    assert!(run_pipeline(
+        &mut nothing,
+        &config(),
+        EventLog::disabled(),
+        Some(&checkpoint)
+    )
+    .is_err());
     let mut second = MemorySource::new(lines[half..].to_vec());
     let resumed = run_pipeline(
         &mut second,
@@ -212,7 +224,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
         .unwrap();
     assert_eq!(final_cp.lines, lines.len() as u64);
     assert!(
-        final_cp.global.templates.len() >= checkpoint.global.templates.len(),
+        id_space(&store_dir) >= id_space_at_checkpoint,
         "id space shrank across the restart"
     );
 

@@ -23,8 +23,11 @@
 //!   truncated away, anything worse quarantines the shard instead of
 //!   failing the store.
 //!
-//! The ingestion pipeline's `GlobalMap` writes through this store, so
-//! its checkpoint path inherits the durability contract. The fsync
+//! The store holds no map type of its own: recovery replays straight
+//! into a [`logparse_core::TemplateMerge`], the same value the
+//! ingestion aggregator keeps merging on and hands back at compaction.
+//! The aggregator writes through this store, so its checkpoint path
+//! inherits the durability contract. The fsync
 //! helpers ([`write_atomic`], [`sync_dir`]) are exported for the same
 //! reason — any file the pipeline renames into place must also sync
 //! the parent directory, or the rename itself can be lost on power
@@ -38,10 +41,8 @@ pub mod crc;
 pub mod frame;
 mod metrics;
 mod shard;
-mod state;
 mod store;
 
-pub use state::MapState;
 pub use store::{
     BlobRead, Recovery, ShardReport, StoreConfig, TemplateStore, DEFAULT_COMPACT_LOG_BYTES,
     DEFAULT_SHARDS,

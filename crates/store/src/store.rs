@@ -36,9 +36,8 @@ use crate::shard::{
     encode_snapshot, log_name, read_log, read_snapshot, route_assign, route_slot, scan_dir,
     snap_name, ShardWriter, SnapshotData,
 };
-use crate::state::MapState;
 use crate::{sync_dir, write_atomic, StoreError};
-use logparse_core::MergeDelta;
+use logparse_core::{MergeDelta, TemplateMerge};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -99,8 +98,9 @@ pub struct ShardReport {
 /// The outcome of opening or scanning a store.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
-    /// The rebuilt template map (quarantined shards excluded).
-    pub state: MapState,
+    /// The rebuilt template map (quarantined shards excluded), ready to
+    /// keep merging from.
+    pub state: TemplateMerge,
     /// Per-shard detail, indexed by shard.
     pub reports: Vec<ShardReport>,
     /// Total records replayed across all shards.
@@ -313,20 +313,29 @@ fn plan_shard(dir: &Path, shard: usize, shard_count: usize) -> Result<ShardPlan,
 }
 
 /// Builds the global state from per-shard plans: snapshots first
-/// (disjoint slot sets), then logs in generation-major order.
-fn replay(plans: &mut [ShardPlan]) -> MapState {
-    let mut state = MapState::new();
+/// (disjoint slot sets), then logs in generation-major order. A
+/// snapshot slot is an insert plus a union with its parent and a
+/// snapshot assign is an assign, so snapshots and logs replay through
+/// the one [`TemplateMerge::apply`].
+fn replay(plans: &mut [ShardPlan]) -> TemplateMerge {
+    let mut state = TemplateMerge::new();
     for plan in plans.iter_mut() {
         if plan.report.quarantined {
             continue;
         }
         if let Some(snapshot) = &plan.snapshot {
             for (gid, parent, key) in &snapshot.slots {
-                state.set_slot(*gid, *parent, key.clone());
+                state.apply(&MergeDelta::Insert {
+                    gid: *gid,
+                    key: key.clone(),
+                });
+                state.apply(&MergeDelta::Union {
+                    winner: *parent,
+                    loser: *gid,
+                });
             }
-            for (shard, local, gid) in &snapshot.assigns {
-                state.ensure(*gid);
-                state.assign.insert((*shard, *local), *gid);
+            for &(shard, local, gid) in &snapshot.assigns {
+                state.apply(&MergeDelta::Assign { shard, local, gid });
             }
             plan.report.records_replayed += (snapshot.slots.len() + snapshot.assigns.len()) as u64;
         }
@@ -360,7 +369,7 @@ fn replay(plans: &mut [ShardPlan]) -> MapState {
     state
 }
 
-fn summarize(plans: &[ShardPlan], state: MapState) -> Recovery {
+fn summarize(plans: &[ShardPlan], state: TemplateMerge) -> Recovery {
     let reports: Vec<ShardReport> = plans.iter().map(|p| p.report.clone()).collect();
     let replayed_records = reports.iter().map(|r| r.records_replayed).sum();
     let quarantined_shards = reports.iter().filter(|r| r.quarantined).count();
@@ -374,20 +383,21 @@ fn summarize(plans: &[ShardPlan], state: MapState) -> Recovery {
 
 /// The shard's routed portion of a global state — what its snapshot
 /// holds.
-fn shard_portion(state: &MapState, shard: usize, shard_count: usize) -> SnapshotData {
+fn shard_portion(state: &TemplateMerge, shard: usize, shard_count: usize) -> SnapshotData {
     let mut data = SnapshotData::default();
-    for gid in 0..state.templates.len() {
+    let slots = state.raw_templates().iter().zip(state.raw_parents());
+    for (gid, (key, &parent)) in slots.enumerate() {
         if route_slot(gid, shard_count) == shard {
-            let parent = state.parent.get(gid).copied().unwrap_or(gid);
-            let key = state.templates.get(gid).cloned().unwrap_or_default();
-            data.slots.push((gid, parent, key));
+            data.slots.push((gid, parent, key.clone()));
         }
     }
-    for ((worker_shard, local), gid) in &state.assign {
-        if route_assign(*worker_shard, *local, shard_count) == shard {
-            data.assigns.push((*worker_shard, *local, *gid));
+    for ((worker_shard, local), gid) in state.assignments() {
+        if route_assign(worker_shard, local, shard_count) == shard {
+            data.assigns.push((worker_shard, local, gid));
         }
     }
+    // The live binding table is unordered; snapshots are not.
+    data.assigns.sort_unstable();
     data
 }
 
@@ -398,7 +408,7 @@ fn write_generation(
     dir: &Path,
     shard_count: usize,
     generation: u64,
-    state: &MapState,
+    state: &TemplateMerge,
     metrics: &StoreMetrics,
 ) -> io::Result<()> {
     let span =
@@ -464,7 +474,7 @@ struct CompactJob {
     dir: PathBuf,
     shard_count: usize,
     generation: u64,
-    state: MapState,
+    state: TemplateMerge,
 }
 
 /// The lazily-spawned background compactor. One job in flight at a
@@ -750,8 +760,8 @@ impl TemplateStore {
     /// Rotates every shard to generation `G+1` and synchronously
     /// folds `state` into fresh snapshots, deleting older
     /// generations. `state` must be the full map the appended deltas
-    /// built (the caller's live export).
-    pub fn compact(&mut self, state: &MapState) -> Result<(), StoreError> {
+    /// built (the caller's live merge).
+    pub fn compact(&mut self, state: &TemplateMerge) -> Result<(), StoreError> {
         self.drain_background(true)?;
         let next = self.rotate()?;
         write_generation(&self.dir, self.shards, next, state, &self.metrics)?;
@@ -764,7 +774,7 @@ impl TemplateStore {
     /// Returns `false` (and does nothing) if a compaction is already
     /// in flight. Errors from a previous background run surface here
     /// or at [`TemplateStore::finish`].
-    pub fn compact_background(&mut self, state: MapState) -> Result<bool, StoreError> {
+    pub fn compact_background(&mut self, state: TemplateMerge) -> Result<bool, StoreError> {
         self.drain_background(false)?;
         if self.compactor.as_ref().is_some_and(|c| c.in_flight) {
             return Ok(false);
@@ -902,8 +912,8 @@ mod tests {
         ]
     }
 
-    fn expected_state() -> MapState {
-        let mut state = MapState::new();
+    fn expected_state() -> TemplateMerge {
+        let mut state = TemplateMerge::new();
         for delta in sample_deltas() {
             state.apply(&delta);
         }
@@ -914,7 +924,7 @@ mod tests {
     fn fresh_open_append_reopen_round_trips() {
         let dir = temp_store_dir("roundtrip");
         let (mut store, recovery) = TemplateStore::open(&dir, &config(4)).unwrap();
-        assert!(recovery.state.is_empty());
+        assert_eq!(recovery.state.id_space(), 0);
         assert_eq!(recovery.quarantined_shards, 0);
         store.append(&sample_deltas()).unwrap();
         store.flush().unwrap();
@@ -1024,7 +1034,7 @@ mod tests {
         assert!(!report.quarantined);
         // The last delta (a refine) was torn away; the insert stands.
         assert_eq!(
-            recovery.state.templates.get(1).unwrap(),
+            recovery.state.raw_templates().get(1).unwrap(),
             "disconnect <*> after <*> ms"
         );
         store
@@ -1035,7 +1045,10 @@ mod tests {
             .unwrap();
         store.finish().unwrap();
         let (_store, recovery) = TemplateStore::open(&dir, &config(1)).unwrap();
-        assert_eq!(recovery.state.templates.get(1).unwrap(), "re-refined <*>");
+        assert_eq!(
+            recovery.state.raw_templates().get(1).unwrap(),
+            "re-refined <*>"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1059,14 +1072,15 @@ mod tests {
         assert!(dir.join("quarantine").join("shard-0-0").is_dir());
         // Shard 1's slots survive (gids 1 in a 2-shard store).
         assert_eq!(
-            recovery.state.templates.get(1).unwrap(),
+            recovery.state.raw_templates().get(1).unwrap(),
             "disconnect <*> after <*>"
         );
         // Shard 0's slots are tombstoned, not served.
-        assert!(!recovery
+        assert!(recovery
             .state
             .canonical_templates()
-            .contains(&"connection from <*>".to_string()));
+            .iter()
+            .all(|(_, key)| key != "connection from <*>" && !key.is_empty()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1093,7 +1107,7 @@ mod tests {
             "replacement shard is healthy"
         );
         assert_eq!(
-            recovery.state.templates.get(2).unwrap(),
+            recovery.state.raw_templates().get(2).unwrap(),
             "fresh after quarantine"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -1144,7 +1158,7 @@ mod tests {
         )
         .unwrap();
         assert!(!store.should_compact());
-        let mut state = MapState::new();
+        let mut state = TemplateMerge::new();
         for gid in 0..32 {
             let delta = MergeDelta::Insert {
                 gid,

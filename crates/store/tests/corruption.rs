@@ -8,8 +8,8 @@
 
 use std::path::{Path, PathBuf};
 
-use logparse_core::MergeDelta;
-use logparse_store::{MapState, StoreConfig, TemplateStore};
+use logparse_core::{MergeDelta, TemplateMerge};
+use logparse_store::{StoreConfig, TemplateStore};
 use proptest::prelude::*;
 
 const SHARDS: usize = 3;
@@ -58,13 +58,13 @@ fn decode_ops(ops: &[(u8, usize, usize)]) -> Vec<MergeDelta> {
 /// Writes the workload (flushing after every small batch, compacting
 /// once mid-way so snapshots and logs both exist) and returns the
 /// ground-truth state.
-fn build_store(dir: &Path, deltas: &[MergeDelta]) -> MapState {
+fn build_store(dir: &Path, deltas: &[MergeDelta]) -> TemplateMerge {
     let config = StoreConfig {
         shards: SHARDS,
         ..StoreConfig::default()
     };
     let (mut store, _) = TemplateStore::open(dir, &config).expect("open fresh store");
-    let mut truth = MapState::new();
+    let mut truth = TemplateMerge::new();
     let half = deltas.len() / 2;
     for (i, delta) in deltas.iter().enumerate() {
         truth.apply(delta);
@@ -134,16 +134,16 @@ impl Written {
 /// The safety contract after damage: recovery reported `Ok`, dropped
 /// or quarantined whatever it could not verify, and everything it
 /// *did* serve was genuinely written at some point.
-fn assert_recovery_is_safe(recovered: &MapState, written: &Written) {
-    for template in &recovered.templates {
+fn assert_recovery_is_safe(recovered: &TemplateMerge, written: &Written) {
+    for template in recovered.raw_templates() {
         assert!(
             template.is_empty() || written.keys.contains(template),
             "recovery served a never-written template {template:?}"
         );
     }
-    for (slot, gid) in &recovered.assign {
+    for (slot, gid) in recovered.assignments() {
         assert!(
-            written.bindings.contains(&(*slot, *gid)),
+            written.bindings.contains(&(slot, gid)),
             "binding {slot:?} -> {gid} was never written"
         );
     }
@@ -223,12 +223,12 @@ proptest! {
             let config = StoreConfig { shards: SHARDS, ..StoreConfig::default() };
             let (mut store, opened) = TemplateStore::open(&dir, &config).expect("open damaged store");
             assert_recovery_is_safe(&opened.state, &written);
-            let next_gid = opened.state.len();
+            let next_gid = opened.state.id_space();
             store.append(&[MergeDelta::Insert { gid: next_gid, key: "after damage".into() }])
                 .expect("append after repair");
             store.finish().expect("finish after repair");
             let reread = TemplateStore::recover(&dir).expect("recover after repair");
-            prop_assert!(reread.state.templates.contains(&"after damage".to_string()));
+            prop_assert!(reread.state.raw_templates().contains(&"after damage".to_string()));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

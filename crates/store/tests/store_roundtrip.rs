@@ -4,8 +4,8 @@
 
 use std::path::PathBuf;
 
-use logparse_core::MergeDelta;
-use logparse_store::{BlobRead, MapState, StoreConfig, TemplateStore};
+use logparse_core::{MergeDelta, TemplateMerge};
+use logparse_store::{BlobRead, StoreConfig, TemplateStore};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("store-rt-{tag}-{}", std::process::id()));
@@ -15,7 +15,7 @@ fn temp_store(tag: &str) -> PathBuf {
 
 /// A workload touching every delta kind, plus the state it must
 /// recover to.
-fn workload() -> (Vec<MergeDelta>, MapState) {
+fn workload() -> (Vec<MergeDelta>, TemplateMerge) {
     let deltas = vec![
         MergeDelta::Insert {
             gid: 0,
@@ -53,7 +53,7 @@ fn workload() -> (Vec<MergeDelta>, MapState) {
             gid: 2,
         },
     ];
-    let mut expected = MapState::new();
+    let mut expected = TemplateMerge::new();
     for delta in &deltas {
         expected.apply(delta);
     }
@@ -61,21 +61,14 @@ fn workload() -> (Vec<MergeDelta>, MapState) {
 }
 
 /// Recovered state must agree with `expected` on everything observable:
-/// id-space size, canonical partition, bindings, and canonical keys.
-fn assert_equivalent(recovered: &MapState, expected: &MapState) {
-    assert_eq!(recovered.len(), expected.len());
-    assert_eq!(recovered.assign, expected.assign);
+/// slot keys, bindings and canonical partition (`TemplateMerge`'s `==`),
+/// and the canonical template list.
+fn assert_equivalent(recovered: &TemplateMerge, expected: &TemplateMerge) {
+    assert_eq!(recovered, expected);
     assert_eq!(
         recovered.canonical_templates(),
         expected.canonical_templates()
     );
-    for gid in 0..expected.len() {
-        assert_eq!(
-            recovered.templates[recovered.resolve_root(gid)],
-            expected.templates[expected.resolve_root(gid)],
-            "gid {gid} resolves to a different canonical key"
-        );
-    }
 }
 
 #[test]
@@ -83,7 +76,7 @@ fn clean_shutdown_round_trips_every_delta_kind() {
     let dir = temp_store("clean");
     let (deltas, expected) = workload();
     let (mut store, recovery) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
-    assert!(recovery.state.is_empty());
+    assert_eq!(recovery.state.id_space(), 0);
     store.append(&deltas).unwrap();
     store.finish().unwrap();
 
@@ -117,7 +110,7 @@ fn dirty_drop_after_flush_loses_nothing() {
         .unwrap();
     store.finish().unwrap();
     let recovery = TemplateStore::recover(&dir).unwrap();
-    assert_eq!(recovery.state.len(), 4);
+    assert_eq!(recovery.state.id_space(), 4);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -129,7 +122,7 @@ fn compaction_preserves_state_and_advances_the_generation() {
         ..StoreConfig::default()
     };
     let (mut store, _) = TemplateStore::open(&dir, &config).unwrap();
-    let mut expected = MapState::new();
+    let mut expected = TemplateMerge::new();
     for gid in 0..200 {
         let delta = MergeDelta::Insert {
             gid,
@@ -168,7 +161,7 @@ fn compaction_preserves_state_and_advances_the_generation() {
 fn background_compaction_catches_up_on_finish() {
     let dir = temp_store("bg");
     let (mut store, _) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
-    let mut expected = MapState::new();
+    let mut expected = TemplateMerge::new();
     for gid in 0..50 {
         let delta = MergeDelta::Insert {
             gid,

@@ -61,18 +61,35 @@ if [[ "$QUICK" == "1" ]]; then
     exit 1
   fi
 
-  # End-to-end durability smoke: ingest into a template store, then
-  # have the offline verifier re-walk every snapshot/log CRC chain.
-  echo "=== store round-trip (serve --checkpoint + store verify) ==="
-  STORE_DIR="$(mktemp -d)/store"
-  cargo run -q --release -p logparse-cli --bin logmine -- \
-    generate --dataset hdfs --count 5000 |
-    cargo run -q --release -p logparse-cli --bin logmine -- \
-      serve --shards 2 --window 1000 --checkpoint "$STORE_DIR" >/dev/null
-  cargo run -q --release -p logparse-cli --bin logmine -- store verify "$STORE_DIR"
-  cargo run -q --release -p logparse-cli --bin logmine -- store compact "$STORE_DIR" >/dev/null
-  cargo run -q --release -p logparse-cli --bin logmine -- store verify "$STORE_DIR" >/dev/null
-  rm -rf "$(dirname "$STORE_DIR")"
+  # End-to-end durability smoke, the CLI-boundary twin of the ingest
+  # checkpoint-restore test: ingest half a stream into a template
+  # store, resume the other half from it, have the offline verifier
+  # re-walk every snapshot/log CRC chain, and hold the resumed store to
+  # the canonical template count of an uninterrupted run.
+  echo "=== store round-trip (serve --checkpoint, --resume, store verify|inspect|compact) ==="
+  STORE_TMP="$(mktemp -d)"
+  STORE_DIR="$STORE_TMP/store"
+  logmine() { cargo run -q --release -p logparse-cli --bin logmine -- "$@"; }
+  logmine generate --dataset hdfs --count 5000 >"$STORE_TMP/all.log"
+  head -n 2500 "$STORE_TMP/all.log" >"$STORE_TMP/first.log"
+  tail -n 2500 "$STORE_TMP/all.log" >"$STORE_TMP/second.log"
+  serve() { logmine serve "$@" --shards 2 --window 1000 --events-out /dev/null >/dev/null; }
+  serve "$STORE_TMP/first.log" --checkpoint "$STORE_DIR"
+  serve "$STORE_TMP/second.log" --checkpoint "$STORE_DIR" --resume
+  logmine store verify "$STORE_DIR"
+  serve "$STORE_TMP/all.log" --checkpoint "$STORE_TMP/uninterrupted"
+  RESUMED="$(logmine store inspect "$STORE_DIR" | grep '^canonical')"
+  WHOLE="$(logmine store inspect "$STORE_TMP/uninterrupted" | grep '^canonical')"
+  if [[ "$RESUMED" != "$WHOLE" ]]; then
+    echo "resumed store diverged from the uninterrupted run:"
+    echo "  resumed:       $RESUMED"
+    echo "  uninterrupted: $WHOLE"
+    exit 1
+  fi
+  logmine store compact "$STORE_DIR" >/dev/null
+  logmine store verify "$STORE_DIR" >/dev/null
+  unset -f logmine serve
+  rm -rf "$STORE_TMP"
 
   # Jobs-layer chaos smoke: SIGKILL a worker mid-shard via the fault
   # plan, prove the retry converges on output byte-identical to a
