@@ -430,6 +430,8 @@ pub(crate) fn run_aggregator(
             .filter(|(_, _, flagged)| !flagged)
             .map(|(_, counts, _)| to_row(counts, map))
             .collect();
+        metrics.score_train_rows.set(rows.len() as f64);
+        metrics.score_cols.set(cols as f64);
         let score = if rows.len() >= warmup {
             rows.push(to_row(&counts, map));
             let newest = rows.len() - 1;

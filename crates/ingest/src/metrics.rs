@@ -173,6 +173,12 @@ pub(crate) struct AggregatorMetrics {
     /// `ingest_window_score_duration_seconds` — close-to-scored latency
     /// of one window (row rebuild + PCA + thresholding).
     pub score_seconds: Histogram,
+    /// `ingest_score_train_rows` — unflagged history windows the last
+    /// scored window's detector was fitted on.
+    pub score_train_rows: Gauge,
+    /// `ingest_score_cols` — width of the last scoring matrix (the
+    /// global id space).
+    pub score_cols: Gauge,
     /// `ingest_checkpoints_total` — checkpoints persisted.
     pub checkpoints: Counter,
     /// `ingest_checkpoint_write_duration_seconds`.
@@ -209,6 +215,16 @@ impl AggregatorMetrics {
                 "ingest_window_score_duration_seconds",
                 "Latency of scoring one closed window",
                 &Buckets::durations(),
+                &[],
+            ),
+            score_train_rows: registry.gauge(
+                "ingest_score_train_rows",
+                "Unflagged history windows the last window's detector was fitted on",
+                &[],
+            ),
+            score_cols: registry.gauge(
+                "ingest_score_cols",
+                "Columns (global template ids) of the last scoring matrix",
                 &[],
             ),
             checkpoints: registry.counter(
@@ -304,6 +320,8 @@ mod tests {
             "ingest_windows_scored_total",
             "ingest_anomalies_total",
             "ingest_window_score_duration_seconds",
+            "ingest_score_train_rows",
+            "ingest_score_cols",
             "ingest_checkpoints_total",
             "ingest_checkpoint_write_duration_seconds",
             "ingest_drift_template_births_total",

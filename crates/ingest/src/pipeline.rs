@@ -664,6 +664,59 @@ mod tests {
     }
 
     #[test]
+    fn one_wobbling_column_among_forty_templates_never_flags() {
+        // The sibling of the test above on the short-and-wide side: 40
+        // templates over 20 windows, so the detector fits fewer rows than
+        // columns. 38 templates log 5 lines in every window; one logs 0,
+        // 1 or 2 and a partner makes the window up to 200 lines. The
+        // history has rank one, the fit reproduces it exactly, and a
+        // threshold scaled from its (zero or dust) residuals is no
+        // threshold: nothing may be flagged, with TF-IDF (only the
+        // wobbling column survives the weighting) or without.
+        let name = |t: usize| {
+            let letter = |i: usize| (b'a' + i as u8) as char;
+            format!("unit{}{}", letter(t / 8), letter(t % 8))
+        };
+        let mut sample = Vec::new();
+        for window in 0..20usize {
+            let wobble = [1, 2, 1, 0, 1, 1, 2, 0, 1][window % 9];
+            for t in 0..40 {
+                let lines = match t {
+                    0 => wobble,
+                    1 => 10 - wobble,
+                    _ => 5,
+                };
+                for i in 0..lines {
+                    sample.push(format!("{} heartbeat seq {}", name(t), window * 200 + i));
+                }
+            }
+        }
+        assert_eq!(sample.len(), 4_000);
+        for tfidf in [false, true] {
+            let mut source = MemorySource::new(sample.clone());
+            let mut config = IngestConfig {
+                shards: 2,
+                window_size: 200,
+                warmup: 2,
+                ..IngestConfig::default()
+            };
+            config.detector.tfidf = tfidf;
+            let summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+            assert_eq!(summary.templates.len(), 40, "{:?}", summary.templates);
+            let scored: Vec<f64> = summary.windows.iter().filter_map(|w| w.spe).collect();
+            assert!(scored.len() >= 17);
+            // Exact zeros with TF-IDF, ~1e-31 without: squared rounding
+            // error, twenty orders under the aggregator's dust floor.
+            assert!(scored.iter().all(|&spe| spe < 1e-20), "{scored:?}");
+            assert!(
+                summary.anomalies.is_empty(),
+                "tfidf {tfidf}: flagged {:?} on a one-column wobble",
+                summary.anomalies
+            );
+        }
+    }
+
+    #[test]
     fn max_lines_bounds_the_run() {
         let mut source = MemorySource::new(lines(10_000));
         let config = IngestConfig {

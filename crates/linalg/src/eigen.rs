@@ -13,10 +13,13 @@ pub struct Eigen {
 /// Computes the eigendecomposition of a symmetric matrix with the cyclic
 /// Jacobi rotation method.
 ///
-/// Jacobi is the right tool here: the covariance matrices of event-count
-/// data are small (one row/column per event type, ≤ a few hundred),
-/// symmetric and dense, and Jacobi's unconditional numerical stability
-/// beats the faster-but-trickier QR variants at this size.
+/// Jacobi is the right tool here: the Gram matrices [`crate::Pca`] hands
+/// it are small (the *smaller* side of the event-count matrix: one
+/// row/column per event type for a batch session matrix, one per window
+/// for a streaming history — ≤ a few hundred either way), symmetric and
+/// dense, and Jacobi's unconditional numerical stability beats the
+/// faster-but-trickier QR variants at this size. It is cubic, so the
+/// caller picking the smaller side is what keeps it cheap.
 ///
 /// The sweep stops when every off-diagonal element falls below `1e-12 ×`
 /// the Frobenius norm, or after 100 sweeps.

@@ -1,12 +1,15 @@
 //! Minimal dense linear algebra for the `logmine` workspace.
 //!
 //! The PCA-based anomaly detector of Xu et al. (SOSP'09) — the log-mining
-//! task reproduced in the DSN'16 study — needs only small dense matrices
-//! (the event-count matrix has one column per event type, at most a few
-//! hundred), a symmetric eigendecomposition, and two pieces of Gaussian
-//! statistics (the inverse normal CDF and the Jackson–Mudholkar Q-statistic
-//! threshold). This crate implements exactly that, with no external
-//! dependencies.
+//! task reproduced in the DSN'16 study — needs only small dense symmetric
+//! eigenproblems, and two pieces of Gaussian statistics (the inverse
+//! normal CDF and the Jackson–Mudholkar Q-statistic threshold). "Small"
+//! is a property of the *smaller* side of the event-count matrix, and
+//! [`Pca`] decomposes that side: a batch session matrix is hundreds of
+//! thousands of rows by tens of event types, a streaming window history
+//! is at most a few dozen rows by hundreds of templates, and either way
+//! the matrix handed to [`jacobi_eigen`] has at most a few hundred rows.
+//! This crate implements exactly that, with no external dependencies.
 //!
 //! # Example
 //!

@@ -10,6 +10,13 @@
 //!    `SPE = ‖y_a‖² = ‖(I − PPᵀ) y‖²` against the *anomaly space* `S_a`;
 //! 4. flags sessions with `SPE > Q_α`, the Jackson–Mudholkar threshold at
 //!    confidence `1 − α` (the paper uses `α = 0.001`).
+//!
+//! Cost: [`Pca`] eigendecomposes the smaller of the data's two Gram
+//! matrices, so one detection is `O(m³ + n·d·m)` with `m = min(n, d)` for
+//! `n` fitted rows of `d` event types — `d³` on the paper's batch matrix
+//! (575 k sessions × ~30 events), `n³` on a streaming window history (at
+//! most 64 windows × hundreds of templates). The verdicts do not depend
+//! on which one it was.
 
 use logparse_linalg::{q_statistic_threshold, Matrix, Pca};
 
@@ -137,6 +144,11 @@ impl PcaDetector {
     /// Holding the candidate rows out of the fit (but not out of TF-IDF
     /// weighting, which is per-column and robust) removes that
     /// self-masking.
+    ///
+    /// A stream's history is short and wide (fewer fitted rows than
+    /// columns); the fit then runs in sample space and costs
+    /// `O(rows³ + rows²·cols)` — linear, not cubic, in the number of
+    /// templates.
     ///
     /// # Panics
     ///
@@ -280,6 +292,99 @@ mod tests {
             held_out.flagged
         );
         assert!(held_out.spe[last] > held_out.threshold);
+    }
+
+    /// What `detect_with_holdout` did while `Pca` knew only the `d × d`
+    /// covariance, rebuilt from public linalg pieces: the reference the
+    /// sample-space fit must agree with. Returns `(spe, threshold)`.
+    fn covariance_side_reference(
+        config: &PcaDetectorConfig,
+        counts: &Matrix,
+        holdout: usize,
+    ) -> (Vec<f64>, f64) {
+        let data = if config.tfidf {
+            tfidf_weight(counts)
+        } else {
+            counts.clone()
+        };
+        let train: Vec<Vec<f64>> = (0..data.rows() - holdout)
+            .map(|i| data.row(i).to_vec())
+            .collect();
+        let train = Matrix::from_rows(&train);
+        let mean = train.column_means();
+        let eigen = logparse_linalg::jacobi_eigen(&train.covariance());
+        let total: f64 = eigen.values.iter().filter(|&&v| v > 0.0).sum();
+        let mut kept = 0;
+        let mut acc = 0.0;
+        while total > 0.0 && acc / total < config.variance_fraction {
+            acc += eigen.values[kept].max(0.0);
+            kept += 1;
+        }
+        let spe = (0..data.rows())
+            .map(|i| {
+                let centred: Vec<f64> = data.row(i).iter().zip(&mean).map(|(y, m)| y - m).collect();
+                let mut residual = centred.clone();
+                for v in &eigen.vectors[..kept] {
+                    let projection: f64 = centred.iter().zip(v).map(|(a, b)| a * b).sum();
+                    for (r, c) in residual.iter_mut().zip(v) {
+                        *r -= projection * c;
+                    }
+                }
+                residual.iter().map(|v| v * v).sum()
+            })
+            .collect();
+        (
+            spe,
+            q_statistic_threshold(&eigen.values[kept..], config.alpha),
+        )
+    }
+
+    /// A window history as `serve` sees it: 16 windows × 48 templates
+    /// (fewer rows than columns), a few templates that only occur in
+    /// some windows so TF-IDF has something to weigh, and a last window
+    /// that is either ordinary or a burst on a template never seen.
+    fn window_history(burst: bool) -> Matrix {
+        let mut rows: Vec<Vec<f64>> = (0..16usize)
+            .map(|r| {
+                (0..48usize)
+                    .map(|c| {
+                        if c == 47 || (c % 6 == 5 && (r + c) % 3 == 0) {
+                            0.0
+                        } else {
+                            (3 + c % 9 + (r * 7 + c * 13) % 5) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        if burst {
+            rows[15] = vec![0.0; 48];
+            rows[15][47] = 400.0;
+        }
+        Matrix::from_rows(&rows)
+    }
+
+    #[test]
+    fn sample_space_fit_flags_what_the_covariance_fit_flagged() {
+        for tfidf in [true, false] {
+            for burst in [true, false] {
+                let config = PcaDetectorConfig {
+                    tfidf,
+                    ..Default::default()
+                };
+                let counts = window_history(burst);
+                assert!(counts.rows() - 1 < counts.cols());
+                let report = PcaDetector::new(config.clone()).detect_with_holdout(&counts, 1);
+                let (spe, threshold) = covariance_side_reference(&config, &counts, 1);
+                let flagged: Vec<usize> = (0..spe.len()).filter(|&i| spe[i] > threshold).collect();
+                assert_eq!(report.flagged, flagged, "tfidf {tfidf} burst {burst}");
+                assert_eq!(report.flagged.contains(&15), burst, "tfidf {tfidf}");
+                assert!((report.threshold - threshold).abs() <= 1e-9 * threshold);
+                for (a, b) in report.spe.iter().zip(&spe) {
+                    assert!((a - b).abs() <= 1e-9 * (1.0 + b), "{a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,9 @@ cargo test -q --test loader_differential
 echo "=== differential suite (mask-before-intern vs symbol-level apply vs goldens) ==="
 cargo test -q --test preprocess_differential
 
+echo "=== differential suite (dual vs primal PCA) ==="
+cargo test -q -p logparse-linalg dual_matches_primal
+
 if [[ "$QUICK" == "1" ]]; then
   # Benches aren't compiled by `cargo test`; make sure the perf harness
   # (the interning throughput runner included) still builds without

@@ -22,9 +22,10 @@ fn symmetric_matrix() -> impl Strategy<Value = Matrix> {
     })
 }
 
-/// Arbitrary data matrices (rows ≥ 2).
+/// Arbitrary data matrices (rows ≥ 2), wide enough that some have fewer
+/// rows than columns and `Pca` fits them in sample space.
 fn data_matrix() -> impl Strategy<Value = Matrix> {
-    (2usize..12, 1usize..5).prop_flat_map(|(rows, cols)| {
+    (2usize..12, 1usize..24).prop_flat_map(|(rows, cols)| {
         prop::collection::vec(-100.0f64..100.0, rows * cols).prop_map(move |data| {
             let rows_vec: Vec<Vec<f64>> = data.chunks(cols).map(<[f64]>::to_vec).collect();
             Matrix::from_rows(&rows_vec)
