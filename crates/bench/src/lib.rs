@@ -1,18 +1,14 @@
-//! Benchmark harness for the `logmine` workspace.
+//! Experiment runners for the `logmine` workspace.
 //!
-//! This crate carries no library code of its own; it hosts
-//!
-//! * **table/figure binaries** (`src/bin/`) — `table1`, `table2`,
-//!   `table3`, `fig2`, `fig3`, `critical_events`, `preprocess_ablation`,
-//!   `mining_tasks` — each regenerating one artifact of the paper via
-//!   [`logparse_eval::experiments`] and printing a paper-style table.
-//!   Run with `cargo run -p logparse-bench --release --bin <name>`;
-//!   every binary accepts an optional `--quick` flag for a reduced-size
-//!   run.
-//! * **Criterion benches** (`benches/`) — `parser_scaling` (Fig. 2's
-//!   companion), `parser_accuracy_cost` (Table II's runtime),
-//!   `mining_pipeline` (Table III's stages), `preprocess` and
-//!   `tokenizer` (substrate throughput).
+//! This crate carries no library code of its own; it hosts the
+//! **table/figure binaries** (`src/bin/`) — `table1`, `table2`,
+//! `table3`, `fig2`, `fig3`, `critical_events`, `preprocess_ablation`,
+//! `mining_tasks` — each regenerating one artifact of the paper via
+//! [`logparse_eval::experiments`] and printing a paper-style table.
+//! Run with `cargo run -p logparse-bench --release --bin <name>`;
+//! every binary accepts an optional `--quick` flag for a reduced-size
+//! run. Throughput is measured by the repository benchmark
+//! (`bash benchmark/run.sh`), not here.
 
 #![forbid(unsafe_code)]
 

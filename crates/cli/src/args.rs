@@ -1,6 +1,6 @@
-//! A small hand-rolled argument parser: `--key value` flags, `--flag`
-//! booleans, and positional arguments, collected in order. Keeps the
-//! toolkit free of CLI dependencies.
+//! A small hand-rolled argument parser: `--key value` options, `--flag`
+//! booleans, and positional arguments, collected in order; any other
+//! `--word` is an error. Keeps the toolkit free of CLI dependencies.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,8 +25,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Option names that take a value; anything else starting with `--` is a
-/// boolean flag.
+/// Option names that take a value.
 const VALUED: &[&str] = &[
     "parser",
     "dataset",
@@ -44,7 +43,6 @@ const VALUED: &[&str] = &[
     "alpha",
     "components",
     "threads",
-    "loader",
     // `serve` options
     "listen",
     "shards",
@@ -77,12 +75,25 @@ const VALUED: &[&str] = &[
     "attempt",
 ];
 
+/// Boolean flag names. With [`VALUED`] this is every `--word` a
+/// subcommand reads, so a typo fails instead of silently turning the
+/// option's value into a positional argument.
+const FLAGS: &[&str] = &[
+    "follow",
+    "labels",
+    "no-alerts",
+    "no-drift",
+    "resume",
+    "traces",
+];
+
 impl Args {
     /// Parses raw arguments (without the program name).
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] when a valued option is missing its value.
+    /// Returns [`ArgError`] when a valued option is missing its value or
+    /// a `--name` is neither a valued option nor a flag.
     pub fn parse<I, S>(raw: I) -> Result<Args, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -97,8 +108,10 @@ impl Args {
                         .next()
                         .ok_or_else(|| ArgError(format!("option --{name} needs a value")))?;
                     args.options.insert(name.to_owned(), value);
-                } else {
+                } else if FLAGS.contains(&name) {
                     args.flags.push(name.to_owned());
+                } else {
+                    return Err(ArgError(format!("unknown option --{name}")));
                 }
             } else if arg == "-j" {
                 // Conventional short alias for `--threads`.
@@ -149,10 +162,17 @@ mod tests {
 
     #[test]
     fn mixes_options_flags_and_positionals() {
-        let args = Args::parse(["--parser", "iplom", "--quick", "input.log"]).unwrap();
+        let args = Args::parse(["--parser", "iplom", "--labels", "input.log"]).unwrap();
         assert_eq!(args.option("parser"), Some("iplom"));
-        assert!(args.has_flag("quick"));
+        assert!(args.has_flag("labels"));
         assert_eq!(args.positional(), ["input.log"]);
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        // Taken as a flag, `--thread` would leave `4` as the input file.
+        let err = Args::parse(["--thread", "4", "app.log"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --thread");
     }
 
     #[test]

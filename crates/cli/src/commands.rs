@@ -5,8 +5,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use logparse_core::{
-    read_lines, write_events_file, write_structured_file, Corpus, LogParser, MaskRule,
-    Preprocessor, Tokenizer,
+    write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor, Tokenizer,
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
@@ -29,7 +28,7 @@ logmine — log parsing toolkit (DSN'16 reproduction)
 USAGE:
   logmine parse    --parser NAME [--preprocess RULES] [--support F]
                    [--clusters K] [--seed N] [--threshold T]
-                   [--threads N | -j N] [--loader mmap|legacy]
+                   [--threads N | -j N]
                    [--events-out FILE] [--structured-out FILE] [FILE]
   logmine generate --dataset NAME --count N [--seed N] [--labels]
   logmine evaluate --dataset NAME --parser NAME [--sample N] [--seed N]
@@ -173,43 +172,24 @@ fn open_output(path: Option<&str>) -> Result<Box<dyn Write>, Box<dyn Error>> {
     })
 }
 
-/// Loads an input corpus for parsing, masked by `preprocessor`,
-/// honoring `--loader`: the zero-copy mmap loader by default
-/// (chunk-parallel when `threads` > 1 — its output is bit-identical to
-/// the sequential build), which masks each token before interning it,
-/// or the legacy `read_lines` + [`Corpus::from_lines`] path, masked
-/// afterwards by [`Preprocessor::apply`], for comparison. Both produce
-/// byte-identical corpora; the differential suites hold them equal.
+/// Loads the input corpus for parsing — `path`, or stdin read to end —
+/// masking each token by `preprocessor` before it is interned. The
+/// build is chunk-parallel when `threads` > 1, with output bit-identical
+/// to the sequential build.
 fn load_corpus(
-    args: &Args,
     path: Option<&str>,
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, Box<dyn Error>> {
     let tokenizer = Tokenizer::default();
-    match args.option("loader").unwrap_or("mmap") {
-        "mmap" => Ok(match path {
-            Some(path) => Corpus::from_path_masked(path, &tokenizer, preprocessor, threads)?,
-            None => {
-                let mut bytes = Vec::new();
-                std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut bytes)?;
-                Corpus::from_bytes_masked(bytes, &tokenizer, preprocessor, threads)?
-            }
-        }),
-        "legacy" => {
-            let lines = match path {
-                Some(path) => read_lines(File::open(path)?)?,
-                None => read_lines(std::io::stdin().lock())?,
-            };
-            let raw = Corpus::from_lines(&lines, &tokenizer);
-            Ok(if preprocessor.rules().is_empty() {
-                raw // `apply` would clone the whole corpus to do nothing
-            } else {
-                preprocessor.apply(&raw)
-            })
+    Ok(match path {
+        Some(path) => Corpus::from_path_masked(path, &tokenizer, preprocessor, threads)?,
+        None => {
+            let mut bytes = Vec::new();
+            std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut bytes)?;
+            Corpus::from_bytes_masked(bytes, &tokenizer, preprocessor, threads)?
         }
-        other => Err(format!("unknown --loader `{other}` (expected mmap or legacy)").into()),
-    }
+    })
 }
 
 /// `logmine parse`.
@@ -217,7 +197,7 @@ pub fn parse(args: &Args) -> CliResult {
     let threads: usize = args.parsed_or("threads", 1)?;
     let preprocessor = build_preprocessor(args)?;
     let path = args.positional().first().map(String::as_str);
-    let corpus = load_corpus(args, path, &preprocessor, threads)?;
+    let corpus = load_corpus(path, &preprocessor, threads)?;
     let parser = build_parser(args)?;
     let parse = if threads > 1 {
         parser.parse_parallel(&corpus, threads)?
@@ -1337,25 +1317,21 @@ mod tests {
             series.iter().find(|(l, _)| *l == labels).map(|&(_, v)| v)
         };
         let before = masked();
-        for loader in ["mmap", "legacy"] {
-            parse(&args(&[
-                "--parser",
-                "iplom",
-                "--preprocess",
-                "blk,core,num",
-                "--loader",
-                loader,
-                "--events-out",
-                dir.join("events").to_str().unwrap(),
-                log.to_str().unwrap(),
-            ]))
-            .unwrap();
-        }
+        parse(&args(&[
+            "--parser",
+            "iplom",
+            "--preprocess",
+            "blk,core,num",
+            "--events-out",
+            dir.join("events").to_str().unwrap(),
+            log.to_str().unwrap(),
+        ]))
+        .unwrap();
         let after = masked();
         let delta = |rule| count(&after, rule).unwrap() - count(&before, rule).unwrap_or(0.0);
-        // Two builds (fused, then legacy + apply) of two lines each.
-        assert_eq!(delta("blk"), 4.0);
-        assert_eq!(delta("num"), 4.0);
+        // One build of two lines.
+        assert_eq!(delta("blk"), 2.0);
+        assert_eq!(delta("num"), 2.0);
         assert_eq!(delta("core"), 0.0, "a silent rule still has a series");
         assert_eq!(count(&after, "ip"), None, "unconfigured rules have none");
         let _ = std::fs::remove_dir_all(&dir);

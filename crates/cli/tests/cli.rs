@@ -160,6 +160,67 @@ fn invalid_option_value_fails_cleanly() {
     assert!(text.contains("invalid value"));
 }
 
+#[test]
+fn unknown_option_fails_naming_it() {
+    let out = logmine()
+        .args(["parse", "--loader", "legacy", "input.log"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(text.contains("unknown option --loader"), "{text}");
+}
+
+/// `parse` over `fixtures/loader_v1/corpus.log` (300 generated hdfs
+/// lines, a UTF-8 high-byte line, a CRLF run, a whitespace-only line, no
+/// final newline) writes, from a file and from stdin, the bytes the
+/// `BufRead::lines` + `Corpus::from_lines` loader of the commit before
+/// its removal wrote.
+#[test]
+fn loader_v1_goldens_hold_from_file_and_stdin() {
+    let fixtures =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/loader_v1");
+    let corpus = fixtures.join("corpus.log");
+    let out_dir = std::env::temp_dir().join(format!("logmine-loader-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let cases: [(&str, &[&str]); 2] = [
+        ("drain.j4", &["--parser", "drain", "-j", "4"]),
+        (
+            "iplom.masked",
+            &["--parser", "iplom", "--preprocess", "ip,blk,num"],
+        ),
+    ];
+    for (golden, options) in cases {
+        for from_stdin in [false, true] {
+            let events = out_dir.join("events");
+            let structured = out_dir.join("structured");
+            let mut command = logmine();
+            command
+                .arg("parse")
+                .args(options)
+                .arg("--events-out")
+                .arg(&events)
+                .arg("--structured-out")
+                .arg(&structured);
+            if from_stdin {
+                command.stdin(std::fs::File::open(&corpus).unwrap());
+            } else {
+                command.arg(&corpus);
+            }
+            let out = command.output().unwrap();
+            assert!(out.status.success(), "{golden} (stdin: {from_stdin})");
+            for (written, kind) in [(&events, "events"), (&structured, "structured")] {
+                assert_eq!(
+                    std::fs::read(written).unwrap(),
+                    std::fs::read(fixtures.join(format!("{golden}.{kind}"))).unwrap(),
+                    "{golden}.{kind} (stdin: {from_stdin})"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
 /// `store inspect|verify` over the committed parent-written store
 /// (see `crates/store/tests/format_frozen.rs`) print what the commit
 /// that wrote it printed, byte for byte.

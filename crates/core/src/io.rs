@@ -1,42 +1,15 @@
-//! Readers and writers for the toolkit's standard file formats.
+//! Writers for the toolkit's standard output formats.
 //!
 //! The paper defines a common contract for all parsers: the input is a
-//! plain text file with one raw log message per line; the output is a pair
-//! of files — the *events file* (one template per line, labelled
-//! `Event1..EventN`) and the *structured log* (one line per message:
-//! line number, optional timestamp, event label).
+//! plain text file with one raw log message per line (read by
+//! [`crate::loader`]); the output is a pair of files — the *events file*
+//! (one template per line, labelled `Event1..EventN`) and the
+//! *structured log* (one line per message: line number, timestamp
+//! column, event label).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 
 use crate::{Corpus, Parse, ParseError};
-
-/// Reads raw log lines from any reader (pass `&mut reader` to keep
-/// ownership). Trailing newlines are stripped.
-///
-/// **Skip-blank contract** (the canonical statement — the zero-copy
-/// loader behind [`Corpus::from_path`](crate::Corpus::from_path)
-/// implements the same rule and the differential suite holds the two
-/// equal): a line is skipped iff every byte of it is ASCII whitespace
-/// (space, `\t`, `\n`, `\v`, `\f`, `\r`). Lines whose only content is
-/// non-ASCII whitespace (e.g. U+00A0) are *kept*; the tokenizer then
-/// decides what, if anything, they tokenize to. The probe is a byte
-/// test, not a `char` walk — a line with any non-whitespace byte is
-/// kept without decoding it.
-///
-/// # Errors
-///
-/// Returns [`ParseError::Io`] on read failure.
-pub fn read_lines<R: Read>(reader: R) -> Result<Vec<String>, ParseError> {
-    let buf = BufReader::new(reader);
-    let mut lines = Vec::new();
-    for line in buf.lines() {
-        let line = line?;
-        if !crate::simd::is_blank_line(&line) {
-            lines.push(line);
-        }
-    }
-    Ok(lines)
-}
 
 /// Writes the events file: `EventN<TAB>template` per line, in event-id
 /// order.
@@ -51,9 +24,10 @@ pub fn write_events_file<W: Write>(parse: &Parse, mut writer: W) -> Result<(), P
     Ok(())
 }
 
-/// Writes the structured log: `line_no<TAB>timestamp<TAB>EventN` per
-/// message, with `-` for a missing timestamp and `Outlier` for messages
-/// no event claimed.
+/// Writes the structured log: `line_no<TAB>-<TAB>EventN` per message,
+/// with `Outlier` for messages no event claimed. The middle column is
+/// the timestamp slot of the format; whole lines are parsed as content,
+/// so it is always `-`.
 ///
 /// # Errors
 ///
@@ -64,11 +38,10 @@ pub fn write_structured_file<W: Write>(
     mut writer: W,
 ) -> Result<(), ParseError> {
     for (i, assignment) in parse.assignments().iter().enumerate() {
-        let record = corpus.record(i);
-        let ts = record.timestamp.unwrap_or("-");
+        let line_no = corpus.record(i).line_no;
         match assignment {
-            Some(event) => writeln!(writer, "{}\t{}\t{}", record.line_no, ts, event)?,
-            None => writeln!(writer, "{}\t{}\tOutlier", record.line_no, ts)?,
+            Some(event) => writeln!(writer, "{line_no}\t-\t{event}")?,
+            None => writeln!(writer, "{line_no}\t-\tOutlier")?,
         }
     }
     Ok(())
@@ -78,13 +51,6 @@ pub fn write_structured_file<W: Write>(
 mod tests {
     use super::*;
     use crate::{ParseBuilder, Template, Tokenizer};
-
-    #[test]
-    fn read_lines_skips_blank_lines() {
-        let input = "first\n\n  \nsecond\n";
-        let lines = read_lines(input.as_bytes()).unwrap();
-        assert_eq!(lines, vec!["first", "second"]);
-    }
 
     #[test]
     fn events_file_is_one_template_per_line() {

@@ -52,7 +52,7 @@ mod tokenizer;
 
 pub use error::ParseError;
 pub use intern::{Interner, Symbol, TokenArena};
-pub use io::{read_lines, write_events_file, write_structured_file};
+pub use io::{write_events_file, write_structured_file};
 pub use loader::{count_corpus_lines, FileLines};
 pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{ParallelDriver, ParallelReport};

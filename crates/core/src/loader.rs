@@ -1,10 +1,9 @@
 //! Zero-copy corpus construction: mmap'd (or whole-buffer) input, one
 //! SWAR scan, arena-direct interning.
 //!
-//! [`Corpus::from_lines`] pays one `String` per line and one
-//! `Vec<Symbol>` per row before a parser ever runs. This module is the
-//! allocation-free replacement behind [`Corpus::from_path`] /
-//! [`Corpus::from_bytes`]:
+//! This module is how a log file or stream becomes a [`Corpus`], behind
+//! [`Corpus::from_path`] / [`Corpus::from_bytes`] — no `String` per
+//! line, no `Vec<Symbol>` per row:
 //!
 //! 1. **Buffer** — the file is mapped read-only ([`crate::mmap`]); when
 //!    mapping is unavailable (stdin, empty files, non-unix, a failing
@@ -13,9 +12,9 @@
 //!    behind an `Arc` — records are byte-range views into it, never
 //!    per-line strings.
 //! 2. **Scan** — [`crate::simd::Scanner`] finds newline and token
-//!    boundaries in one SWAR pass, flagging blank lines (skipped, per
-//!    the contract on [`crate::read_lines`]) and lines containing
-//!    non-ASCII bytes.
+//!    boundaries in one SWAR pass, flagging blank lines (all ASCII
+//!    whitespace; skipped, per the skip-blank contract in
+//!    [`crate::simd`]) and lines containing non-ASCII bytes.
 //! 3. **Mask, then intern** — ASCII lines (the overwhelming majority
 //!    of machine logs) hand each trimmed token slice to the build's
 //!    [`Masker`]: a token a [`MaskRule`](crate::MaskRule) claims becomes
@@ -58,12 +57,13 @@ use crate::record::{Corpus, Span};
 use crate::simd::{count_non_blank_lines, find_newline, ScanSink, Scanner};
 use crate::tokenizer::Tokenizer;
 
-/// The single backing buffer of a zero-copy corpus: either a private
-/// read-only mapping of the input file or the file's bytes read into
-/// memory once. Records reference ranges of it.
+/// The single backing buffer of a corpus: either a private read-only
+/// mapping of the input file or bytes held in memory. Records reference
+/// ranges of it.
 #[derive(Debug)]
 pub(crate) enum LineBuffer {
-    /// Bytes owned in memory (stdin, fallback reads, `from_bytes`).
+    /// Bytes owned in memory (stdin, fallback reads, `from_bytes`,
+    /// `from_lines`).
     Owned(Vec<u8>),
     /// A read-only file mapping.
     Mapped(Mapping),
@@ -498,9 +498,10 @@ pub(crate) fn corpus_from_bytes(
 }
 
 /// Counts the lines of `path` a corpus build would keep (non-blank
-/// lines, per the contract on [`crate::read_lines`]) without building
-/// anything: one mmap/read plus one SWAR pass, no interning, no record
-/// materialization. Job coordinators size shard manifests with this.
+/// lines, per the skip-blank contract in [`crate::simd`]) without
+/// building anything: one mmap/read plus one SWAR pass, no interning, no
+/// record materialization. Job coordinators size shard manifests with
+/// this.
 ///
 /// # Errors
 ///

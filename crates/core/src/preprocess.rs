@@ -493,12 +493,11 @@ mod tests {
     #[test]
     fn apply_keeps_records_and_masks_only_tokens() {
         let corpus = Corpus::from_records(
-            [LogRecord::with_timestamp(5, "t0", "delete blk_1 now")],
+            [LogRecord::new(5, "delete blk_1 now")],
             &Tokenizer::default(),
         );
         let masked = Preprocessor::new(vec![MaskRule::BlockId]).apply(&corpus);
         assert_eq!(masked.record(0).line_no, 5);
-        assert_eq!(masked.record(0).timestamp, Some("t0"));
         // Content is the raw line; the variable survives for output.
         assert_eq!(masked.record(0).content, "delete blk_1 now");
         assert_eq!(masked.tokens(0), ["delete", "$BLK", "now"]);

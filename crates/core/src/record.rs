@@ -13,44 +13,27 @@ use crate::Tokenizer;
 ///
 /// Only the free-text *content* field participates in parsing, matching the
 /// paper's setup ("only the parts of free-text log message contents are
-/// used in evaluating the log parsing methods"); the timestamp is carried
-/// through to the structured output untouched.
+/// used in evaluating the log parsing methods").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     /// 1-based position of the message in its source file.
     pub line_no: usize,
-    /// Raw timestamp text, if the source format carried one.
-    pub timestamp: Option<String>,
     /// Free-text message content (the part that is parsed).
     pub content: String,
 }
 
 impl LogRecord {
-    /// Creates a record with content only (no timestamp).
+    /// Creates a record.
     pub fn new(line_no: usize, content: impl Into<String>) -> Self {
         LogRecord {
             line_no,
-            timestamp: None,
-            content: content.into(),
-        }
-    }
-
-    /// Creates a record carrying a timestamp.
-    pub fn with_timestamp(
-        line_no: usize,
-        timestamp: impl Into<String>,
-        content: impl Into<String>,
-    ) -> Self {
-        LogRecord {
-            line_no,
-            timestamp: Some(timestamp.into()),
             content: content.into(),
         }
     }
 }
 
-/// A borrowed view of one record, independent of how the corpus stores
-/// it (owned strings or byte ranges into a shared buffer).
+/// A borrowed view of one record: a line number and a byte range of the
+/// corpus's buffer.
 ///
 /// This is what [`Corpus::record`] and [`Corpus::records`] hand out.
 /// Call [`to_owned`](RecordRef::to_owned) when an owned [`LogRecord`]
@@ -59,8 +42,6 @@ impl LogRecord {
 pub struct RecordRef<'a> {
     /// 1-based position of the message in its source file.
     pub line_no: usize,
-    /// Raw timestamp text, if the source format carried one.
-    pub timestamp: Option<&'a str>,
     /// Free-text message content (the part that is parsed). Always the
     /// raw text: masking ([`crate::Preprocessor`]) replaces tokens in
     /// the corpus's symbol rows, never here, so the variables a
@@ -71,11 +52,7 @@ pub struct RecordRef<'a> {
 impl RecordRef<'_> {
     /// Materializes an owned record (allocates).
     pub fn to_owned(&self) -> LogRecord {
-        LogRecord {
-            line_no: self.line_no,
-            timestamp: self.timestamp.map(str::to_owned),
-            content: self.content.to_owned(),
-        }
+        LogRecord::new(self.line_no, self.content)
     }
 }
 
@@ -89,24 +66,6 @@ pub(crate) struct Span {
     pub(crate) line_no: usize,
 }
 
-/// Record storage: either materialized strings (the classic
-/// [`Corpus::from_lines`] path, and any path that carries timestamps)
-/// or byte-range views into the zero-copy loader's single buffer.
-#[derive(Debug, Clone)]
-enum Records {
-    Owned(Vec<LogRecord>),
-    Mapped {
-        buffer: Arc<LineBuffer>,
-        spans: Vec<Span>,
-    },
-}
-
-impl Default for Records {
-    fn default() -> Self {
-        Records::Owned(Vec::new())
-    }
-}
-
 /// An in-memory log corpus: raw records plus their interned tokenizations.
 ///
 /// A `Corpus` is what parsers consume. Tokenization *and interning*
@@ -118,18 +77,22 @@ impl Default for Records {
 /// [`interner`](Corpus::interner) only when rendering output;
 /// [`tokens`](Corpus::tokens) remains as the resolved string view.
 ///
-/// Two construction families exist:
+/// Storage is one shape however the corpus was built: a single shared
+/// byte buffer and one `(start, end, line_no)` span per record into it.
+/// There are two ways in:
 ///
-/// * [`from_lines`](Corpus::from_lines) / [`from_records`](Corpus::from_records)
-///   — owned strings in, one `LogRecord` per message;
 /// * [`from_path`](Corpus::from_path) / [`from_bytes`](Corpus::from_bytes)
-///   — the zero-copy loader ([`crate::loader`]): one mmap'd or owned
-///   buffer, records as byte-range views, tokens interned straight into
-///   the arena. Output is bit-identical to reading the same file with
-///   [`crate::read_lines`] and calling `from_lines`. Its
+///   — a log file or stream, through [`crate::loader`]: the buffer is
+///   the mmap'd file (or the bytes as given), blank lines are skipped,
+///   tokens are interned straight into the arena. The
 ///   [`from_path_masked`](Corpus::from_path_masked) /
 ///   [`from_bytes_masked`](Corpus::from_bytes_masked) variants apply a
 ///   [`Preprocessor`]'s rules to each token before it is interned.
+/// * [`from_lines`](Corpus::from_lines) / [`from_records`](Corpus::from_records)
+///   — lines already in memory (dataset generators, tests): every line
+///   is kept, blank ones included, so caller-side arrays stay
+///   index-aligned; the lines are copied into one owned buffer and
+///   tokenized by the char-level [`Tokenizer`].
 ///
 /// The interner is shared behind an `Arc`: [`slice`](Corpus::slice),
 /// [`select`](Corpus::select) and [`take`](Corpus::take) copy symbol
@@ -148,11 +111,18 @@ impl Default for Records {
 /// assert_eq!(corpus.symbols(0)[..2], corpus.symbols(1)[..2]);
 /// assert_ne!(corpus.symbols(0)[2], corpus.symbols(1)[2]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Corpus {
-    records: Records,
+    buffer: Arc<LineBuffer>,
+    spans: Vec<Span>,
     arena: TokenArena,
     interner: Arc<Interner>,
+}
+
+impl Default for Corpus {
+    fn default() -> Self {
+        Corpus::new()
+    }
 }
 
 /// Resolves the intern-time and arena-size histogram handles for corpus
@@ -178,70 +148,81 @@ fn intern_histograms(registry: &Registry) -> (Histogram, Histogram) {
 impl Corpus {
     /// Creates an empty corpus.
     pub fn new() -> Self {
-        Corpus {
-            records: Records::Owned(Vec::new()),
-            arena: TokenArena::new(),
-            interner: Arc::new(Interner::new()),
-        }
+        Corpus::assemble_mapped(
+            Arc::new(LineBuffer::Owned(Vec::new())),
+            Vec::new(),
+            TokenArena::new(),
+            Arc::new(Interner::new()),
+        )
     }
 
     /// Builds a corpus from raw content lines, tokenizing each with
-    /// `tokenizer`. Line numbers are assigned sequentially from 1.
+    /// `tokenizer`. Every line becomes a record (blank lines too) and
+    /// line numbers are assigned sequentially from 1.
     pub fn from_lines<I, S>(lines: I, tokenizer: &Tokenizer) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let registry = logparse_obs::global();
-        let (time_hist, size_hist) = intern_histograms(registry);
-        let span = registry.span_into(time_hist, "core_intern_build", &[]);
-        let mut records = Vec::new();
-        let mut interner = Interner::new();
-        let mut arena = TokenArena::new();
-        for (idx, line) in lines.into_iter().enumerate() {
-            let content = line.as_ref();
-            arena.push_row(tokenizer.tokenize_interned(content, &mut interner));
-            records.push(LogRecord::new(idx + 1, content));
-        }
-        span.finish();
-        size_hist.observe(arena.token_count() as f64);
-        Corpus {
-            records: Records::Owned(records),
-            arena,
-            interner: Arc::new(interner),
-        }
+        let numbered = lines.into_iter().enumerate().map(|(i, line)| (i + 1, line));
+        Corpus::from_numbered_lines(numbered, tokenizer)
     }
 
-    /// Builds a corpus from pre-constructed records.
+    /// Builds a corpus from pre-constructed records, keeping their line
+    /// numbers.
     pub fn from_records<I>(records: I, tokenizer: &Tokenizer) -> Self
     where
         I: IntoIterator<Item = LogRecord>,
     {
+        let numbered = records.into_iter().map(|r| (r.line_no, r.content));
+        Corpus::from_numbered_lines(numbered, tokenizer)
+    }
+
+    /// The body of [`from_lines`](Corpus::from_lines) and
+    /// [`from_records`](Corpus::from_records): appends each line's bytes
+    /// to one owned buffer and tokenizes it with the char-level
+    /// [`Tokenizer`] — not the loader's byte scanner, which the
+    /// differential suite checks against this path.
+    fn from_numbered_lines<S: AsRef<str>>(
+        lines: impl Iterator<Item = (usize, S)>,
+        tokenizer: &Tokenizer,
+    ) -> Self {
         let registry = logparse_obs::global();
         let (time_hist, size_hist) = intern_histograms(registry);
         let span = registry.span_into(time_hist, "core_intern_build", &[]);
-        let records: Vec<LogRecord> = records.into_iter().collect();
+        let mut bytes = Vec::new();
+        let mut spans = Vec::new();
         let mut interner = Interner::new();
         let mut arena = TokenArena::new();
-        for record in &records {
-            arena.push_row(tokenizer.tokenize_interned(&record.content, &mut interner));
+        for (line_no, line) in lines {
+            let content = line.as_ref();
+            arena.push_row(tokenizer.tokenize_interned(content, &mut interner));
+            let start = bytes.len();
+            bytes.extend_from_slice(content.as_bytes());
+            spans.push(Span {
+                start,
+                end: bytes.len(),
+                line_no,
+            });
         }
         span.finish();
         size_hist.observe(arena.token_count() as f64);
-        Corpus {
-            records: Records::Owned(records),
+        Corpus::assemble_mapped(
+            Arc::new(LineBuffer::Owned(bytes)),
+            spans,
             arena,
-            interner: Arc::new(interner),
-        }
+            Arc::new(interner),
+        )
     }
 
     /// Builds a corpus from a log file with the zero-copy loader: the
     /// file is mmap'd (or read once into a single buffer when mapping
     /// is unavailable), scanned with the SWAR line/token scanner, and
     /// interned directly into the token arena — no per-line `String`,
-    /// no per-row `Vec`. Blank lines are skipped per the contract on
-    /// [`crate::read_lines`]; output is bit-identical to
-    /// `Corpus::from_lines(read_lines(File::open(path)?)?, tokenizer)`.
+    /// no per-row `Vec`. A line is skipped iff every byte of it is ASCII
+    /// whitespace (the skip-blank contract in [`crate::simd`]); output
+    /// is bit-identical to [`from_lines`](Corpus::from_lines) over the
+    /// remaining `BufRead::lines` of the file.
     ///
     /// # Errors
     ///
@@ -331,7 +312,8 @@ impl Corpus {
         crate::loader::corpus_from_bytes(bytes, tokenizer, preprocessor, threads)
     }
 
-    /// Assembles a zero-copy corpus from loader output.
+    /// Assembles a corpus from a buffer, the spans of its records and
+    /// their token rows (one row per span).
     pub(crate) fn assemble_mapped(
         buffer: Arc<LineBuffer>,
         spans: Vec<Span>,
@@ -339,7 +321,8 @@ impl Corpus {
         interner: Arc<Interner>,
     ) -> Corpus {
         Corpus {
-            records: Records::Mapped { buffer, spans },
+            buffer,
+            spans,
             arena,
             interner,
         }
@@ -351,7 +334,8 @@ impl Corpus {
     pub(crate) fn with_tokens(&self, arena: TokenArena, interner: Interner) -> Corpus {
         debug_assert_eq!(arena.rows(), self.len());
         Corpus {
-            records: self.records.clone(),
+            buffer: Arc::clone(&self.buffer),
+            spans: self.spans.clone(),
             arena,
             interner: Arc::new(interner),
         }
@@ -359,10 +343,7 @@ impl Corpus {
 
     /// Number of messages in the corpus.
     pub fn len(&self) -> usize {
-        match &self.records {
-            Records::Owned(records) => records.len(),
-            Records::Mapped { spans, .. } => spans.len(),
-        }
+        self.spans.len()
     }
 
     /// Returns `true` when the corpus holds no messages.
@@ -376,25 +357,12 @@ impl Corpus {
     ///
     /// Panics if `index >= self.len()`.
     pub fn record(&self, index: usize) -> RecordRef<'_> {
-        match &self.records {
-            Records::Owned(records) => {
-                let r = &records[index];
-                RecordRef {
-                    line_no: r.line_no,
-                    timestamp: r.timestamp.as_deref(),
-                    content: &r.content,
-                }
-            }
-            Records::Mapped { buffer, spans } => {
-                let span = spans[index];
-                RecordRef {
-                    line_no: span.line_no,
-                    timestamp: None,
-                    // Validated at build (ASCII-classified by the
-                    // scanner or UTF-8-checked on the slow path).
-                    content: std::str::from_utf8(&buffer[span.start..span.end]).unwrap_or(""),
-                }
-            }
+        let span = self.spans[index];
+        RecordRef {
+            line_no: span.line_no,
+            // Validated at build (ASCII-classified by the scanner,
+            // UTF-8-checked on its slow path, or copied from a `str`).
+            content: std::str::from_utf8(&self.buffer[span.start..span.end]).unwrap_or(""),
         }
     }
 
@@ -443,28 +411,20 @@ impl Corpus {
 
     /// Returns a new corpus containing only the messages at `indices`
     /// (in the given order). Useful for the paper's 2 000-message samples.
-    /// The token table is shared, symbol rows are copied (and a
-    /// zero-copy corpus shares its backing buffer).
+    /// The token table and the backing buffer are shared, symbol rows
+    /// are copied.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn select(&self, indices: &[usize]) -> Corpus {
-        let records = match &self.records {
-            Records::Owned(records) => {
-                Records::Owned(indices.iter().map(|&i| records[i].clone()).collect())
-            }
-            Records::Mapped { buffer, spans } => Records::Mapped {
-                buffer: Arc::clone(buffer),
-                spans: indices.iter().map(|&i| spans[i]).collect(),
-            },
-        };
         let mut arena = TokenArena::new();
         for &i in indices {
             arena.push_row(self.arena.row(i).iter().copied());
         }
         Corpus {
-            records,
+            buffer: Arc::clone(&self.buffer),
+            spans: indices.iter().map(|&i| self.spans[i]).collect(),
             arena,
             interner: Arc::clone(&self.interner),
         }
@@ -472,7 +432,8 @@ impl Corpus {
 
     /// Returns a new corpus holding the contiguous `range` of messages.
     /// Used by the parallel driver to hand each worker its chunk; the
-    /// token table is shared (no string cloning), symbol rows are copied.
+    /// token table and the backing buffer are shared (no string
+    /// cloning), symbol rows are copied.
     ///
     /// # Panics
     ///
@@ -482,15 +443,9 @@ impl Corpus {
         for i in range.clone() {
             arena.push_row(self.arena.row(i).iter().copied());
         }
-        let records = match &self.records {
-            Records::Owned(records) => Records::Owned(records[range].to_vec()),
-            Records::Mapped { buffer, spans } => Records::Mapped {
-                buffer: Arc::clone(buffer),
-                spans: spans[range].to_vec(),
-            },
-        };
         Corpus {
-            records,
+            buffer: Arc::clone(&self.buffer),
+            spans: self.spans[range].to_vec(),
             arena,
             interner: Arc::clone(&self.interner),
         }
@@ -505,8 +460,8 @@ impl Corpus {
 
 impl PartialEq for Corpus {
     /// Corpora compare by *content*: equal records and equal token
-    /// text. Symbol ids and record storage are representation — a
-    /// zero-copy corpus equals the owned corpus with the same lines,
+    /// text. Symbol ids and buffer offsets are representation — a
+    /// corpus loaded from a file equals one built from the same lines,
     /// and a slice shares its parent's (larger) interner, so rows are
     /// compared resolved unless the two corpora share one table.
     fn eq(&self, other: &Self) -> bool {
@@ -548,6 +503,15 @@ mod tests {
         let c = corpus();
         assert_eq!(c.record(0).line_no, 1);
         assert_eq!(c.record(2).line_no, 3);
+    }
+
+    #[test]
+    fn from_lines_keeps_blank_lines() {
+        let c = Corpus::from_lines(["a", "", "  ", "b"], &Tokenizer::default());
+        assert_eq!(c.len(), 4);
+        assert!(c.symbols(1).is_empty());
+        assert_eq!(c.record(2).content, "  ");
+        assert_eq!(c.record(3).line_no, 4);
     }
 
     #[test]
@@ -631,15 +595,8 @@ mod tests {
     #[test]
     fn from_records_tokenizes_content() {
         let t = Tokenizer::default();
-        let c = Corpus::from_records(
-            [LogRecord::with_timestamp(
-                7,
-                "2008-11-11 03:40:58",
-                "Receiving block blk_1",
-            )],
-            &t,
-        );
-        assert_eq!(c.record(0).timestamp, Some("2008-11-11 03:40:58"));
+        let c = Corpus::from_records([LogRecord::new(7, "Receiving block blk_1")], &t);
+        assert_eq!(c.record(0).line_no, 7);
         assert_eq!(c.tokens(0), &["Receiving", "block", "blk_1"]);
     }
 
@@ -651,7 +608,6 @@ mod tests {
         assert_eq!(zero_copy, owned);
         assert_eq!(zero_copy.record(1).line_no, 2);
         assert_eq!(zero_copy.record(1).content, "alpha gamma");
-        assert_eq!(zero_copy.record(1).timestamp, None);
         // Bit-identical representation, not just content equality.
         assert_eq!(zero_copy.symbols(1), owned.symbols(1));
         assert_eq!(zero_copy.interner().len(), owned.interner().len());
@@ -677,7 +633,6 @@ mod tests {
             owned,
             LogRecord {
                 line_no: 2,
-                timestamp: None,
                 content: "alpha gamma".into()
             }
         );

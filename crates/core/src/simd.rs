@@ -2,8 +2,7 @@
 //! corpus loader.
 //!
 //! The loader's hot loop must find, in one pass over the input buffer,
-//! every newline, every token boundary, whether each line is blank
-//! (all ASCII whitespace — see the contract on [`crate::read_lines`]),
+//! every newline, every token boundary, whether each line is blank,
 //! and whether it contains any non-ASCII byte (which routes the line to
 //! the checked slow path). [`Scanner::scan`] does all four eight bytes
 //! at a time: each `u64` word is classified into per-byte masks
@@ -11,6 +10,15 @@
 //! arithmetic, the masks are compressed to 8-bit movemasks, and a
 //! small event walk over the set bits emits token and line events to a
 //! [`ScanSink`].
+//!
+//! **Skip-blank contract** (the canonical statement; the corpus loader
+//! and [`count_non_blank_lines`] drop exactly the lines flagged here): a
+//! line is blank iff every byte of it is ASCII whitespace (space, `\t`,
+//! `\n`, `\v`, `\f`, `\r`). Lines whose only content is non-ASCII
+//! whitespace (e.g. U+00A0) are *kept*; the tokenizer then decides what,
+//! if anything, they tokenize to. The probe is a byte test, not a `char`
+//! walk — a line with any non-whitespace byte is kept without decoding
+//! it.
 //!
 //! Two exactness notes, because the classic tricks are *approximate*:
 //!
@@ -75,7 +83,7 @@ fn movemask(m: u64) -> u32 {
 
 /// `0x80` in every ASCII-whitespace lane: `0x09..=0x0D` (tab, LF,
 /// vertical tab, form feed, CR) plus `0x20` (space). This is exactly
-/// the byte set of the blank-line contract on [`crate::read_lines`].
+/// the byte set of the skip-blank contract in the module docs.
 #[inline]
 fn ws_lanes(v: u64) -> u64 {
     (ge_lanes(v, 0x09) & !ge_lanes(v, 0x0e)) | eq_lanes(v, splat(b' '))
@@ -87,14 +95,6 @@ fn ws_lanes(v: u64) -> u64 {
 #[inline]
 pub(crate) fn is_ascii_ws(b: u8) -> bool {
     matches!(b, 0x09..=0x0d | b' ')
-}
-
-/// Is every byte of `line` ASCII whitespace? Short-circuits at the
-/// first content byte, so on kept lines this probes one byte. The
-/// blank-line contract both loaders cite lives on [`crate::read_lines`].
-#[inline]
-pub(crate) fn is_blank_line(line: &str) -> bool {
-    line.bytes().all(is_ascii_ws)
 }
 
 /// Index of the first `\n` at or after `from`, SWAR-accelerated.

@@ -4,11 +4,9 @@
 //! [`analyze`] lexes a file once and runs every *line-local* lint plus
 //! the flow extraction ([`crate::flow`]). The resulting
 //! [`FileAnalysis`] is self-contained — findings, metric sites, pragma
-//! coverage, and function summaries, but no source text — which is what
-//! makes the incremental cache ([`crate::cache`]) possible: a warm run
-//! deserializes `FileAnalysis` values and goes straight to the
-//! workspace passes (call graph, lock graph, durability, metric
-//! cross-check, suppression).
+//! coverage, and function summaries, but no source text — and is all
+//! the workspace passes read (call graph, lock graph, durability,
+//! metric cross-check, suppression).
 
 use crate::flow::{self, FnFlow};
 use crate::lints::{self, metric_hygiene::MetricSite, Finding};
@@ -29,7 +27,7 @@ pub struct PragmaInfo {
     pub covered: Vec<u32>,
 }
 
-/// The cacheable analysis of one source file.
+/// The analysis of one source file.
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// Workspace-relative path, forward slashes.

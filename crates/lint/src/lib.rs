@@ -4,11 +4,11 @@
 //! `cargo clippy` checks Rust; this crate checks *this repository*: the
 //! contracts the streaming pipeline, the parallel driver and the obs
 //! layer rely on but no compiler knows about. It is built — like the
-//! workspace's vendored `rand`/`proptest`/`criterion` shims — entirely
-//! on `std`: a hand-rolled surface lexer ([`lexer`]) produces a masked
-//! code view per file, line-oriented lints walk it, and a flow layer
-//! ([`flow`] → [`callgraph`]) lifts it to a workspace call graph for
-//! the inter-procedural lints.
+//! workspace's vendored `rand`/`proptest` shims — entirely on `std`: a
+//! hand-rolled surface lexer ([`lexer`]) produces a masked code view per
+//! file, line-oriented lints walk it, and a flow layer ([`flow`] →
+//! [`callgraph`]) lifts it to a workspace call graph for the
+//! inter-procedural lints.
 //!
 //! # Lint catalog
 //!
@@ -18,7 +18,7 @@
 //! | `unsafe-allowlist` | error | `unsafe` only in `ingest/src/signal.rs`; crate roots forbid `unsafe_code` |
 //! | `lock-channel-hold` | warning | no blocking send/recv/I-O while a lock guard is live |
 //! | `obs-metric-hygiene` | error | metric families: literal names, one owner site, documented in DESIGN.md |
-//! | `timing-discipline` | warning | `Instant::now()` only inside the obs/criterion substrates |
+//! | `timing-discipline` | warning | `Instant::now()` only inside the obs substrate |
 //! | `hot-path-string-alloc` | warning | no `to_string`/`String::from`/`format!` in loop bodies of `parsers`/the parallel driver |
 //! | `lock-order-cycle` | warning | no lock-order cycles across the workspace call graph (potential deadlock) |
 //! | `durability-discipline` | error | create/write→rename publish paths fsync file *and* directory, or name their flush tier |
@@ -47,15 +47,13 @@
 //! Exit code 0 when clean, 1 on findings at error level (warnings are
 //! promoted under `--deny warnings`), 2 on usage or I/O errors. This is
 //! a stage of `scripts/check.sh`; the committed tree stays clean.
-//! `--stats` prints phase timings and cache effectiveness (per-file
-//! analyses are cached under `target/lint-cache`, keyed by content
-//! hash); `--sarif <path>` additionally writes a SARIF 2.1.0 report.
+//! `--stats` prints phase timings and call-graph coverage;
+//! `--sarif <path>` additionally writes a SARIF 2.1.0 report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod cache;
 pub mod callgraph;
 pub mod flow;
 pub mod lexer;
@@ -68,22 +66,18 @@ use analysis::FileAnalysis;
 use lints::{Finding, Severity};
 use std::path::Path;
 
-/// Phase timings and cache counters reported by `--stats`.
+/// Phase timings and workspace counters reported by `--stats`.
 #[derive(Debug, Default, Clone)]
 pub struct Stats {
     /// Source files analyzed.
     pub files: usize,
-    /// Files served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files analyzed from scratch (and written back to the cache).
-    pub cache_misses: usize,
     /// Functions in the workspace symbol table.
     pub functions: usize,
     /// Call sites resolved to a workspace function.
     pub resolved_calls: usize,
     /// Call sites in the explicit unresolved bucket.
     pub unresolved_calls: usize,
-    /// Milliseconds spent lexing + line-local linting (or cache reads).
+    /// Milliseconds spent lexing + line-local linting.
     pub analyze_ms: u128,
     /// Milliseconds spent on graph construction + workspace passes.
     pub graph_ms: u128,
@@ -154,16 +148,11 @@ pub fn finish(
 
 /// Walks the workspace at `root` and lints every source file.
 pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    run_workspace_stats(root, None).map(|(f, _)| f)
+    run_workspace_stats(root).map(|(f, _)| f)
 }
 
-/// [`run_workspace`], with per-file results served from (and written
-/// back to) the incremental cache at `cache_dir` when given, plus phase
-/// timings.
-pub fn run_workspace_stats(
-    root: &Path,
-    cache_dir: Option<&Path>,
-) -> std::io::Result<(Vec<Finding>, Stats)> {
+/// [`run_workspace`], plus phase timings.
+pub fn run_workspace_stats(root: &Path) -> std::io::Result<(Vec<Finding>, Stats)> {
     let t_total = phase_clock();
     let files = workspace::collect(root)?;
     let design_text = std::fs::read_to_string(root.join("DESIGN.md")).ok();
@@ -174,23 +163,10 @@ pub fn run_workspace_stats(
         files: files.len(),
         ..Stats::default()
     };
-    let mut analyses = Vec::with_capacity(files.len());
-    for (rel, text) in &files {
-        match cache_dir.and_then(|d| cache::load(d, rel, text)) {
-            Some(a) => {
-                stats.cache_hits += 1;
-                analyses.push(a);
-            }
-            None => {
-                let a = analysis::analyze(rel, text);
-                if let Some(d) = cache_dir {
-                    cache::save(d, rel, text, &a);
-                }
-                stats.cache_misses += 1;
-                analyses.push(a);
-            }
-        }
-    }
+    let analyses: Vec<FileAnalysis> = files
+        .iter()
+        .map(|(rel, text)| analysis::analyze(rel, text))
+        .collect();
     stats.analyze_ms = t_analyze.elapsed().as_millis();
 
     let t_graph = phase_clock();

@@ -56,8 +56,8 @@ pub enum MetricKind {
     Series,
 }
 
-/// One literal-named call site, extracted per file so the workspace
-/// cross-check can run over cached per-file results.
+/// One literal-named call site, extracted per file for the workspace
+/// cross-check.
 #[derive(Debug, Clone)]
 pub struct MetricSite {
     /// Namespace category.
@@ -113,7 +113,7 @@ pub fn check(files: &[SourceFile], design: Option<(&str, &str)>) -> Vec<Finding>
 }
 
 /// Extracts one file's literal-named call sites, plus the findings for
-/// non-literal names. Line-local, so results cache per file.
+/// non-literal names.
 pub fn extract(file: &SourceFile) -> (Vec<MetricSite>, Vec<Finding>) {
     let mut sites = Vec::new();
     let mut out = Vec::new();

@@ -109,7 +109,7 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
     (
         "timing-discipline",
         Severity::Warn,
-        "Instant::now() only inside the obs/criterion instrumentation layers",
+        "Instant::now() only inside the obs instrumentation layer",
     ),
     (
         "hot-path-string-alloc",
@@ -141,15 +141,6 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
 /// True when `name` is a lint `lint:allow` may reference.
 pub fn known_lint(name: &str) -> bool {
     CATALOG.iter().any(|(n, _, _)| *n == name)
-}
-
-/// The catalog's `&'static str` for `name`, used when rehydrating
-/// findings from the analysis cache.
-pub fn static_name(name: &str) -> Option<&'static str> {
-    CATALOG
-        .iter()
-        .find(|(n, _, _)| *n == name)
-        .map(|(n, _, _)| *n)
 }
 
 /// Hot-path scope shared by panic-freedom and lock-channel-hold.

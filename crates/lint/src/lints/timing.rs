@@ -8,22 +8,22 @@
 //! mean.
 //!
 //! `Instant::now()` is therefore flagged in library code everywhere
-//! except the two instrumentation substrates themselves (`obs`, and the
-//! vendored `criterion` bench shim). Binaries, benches, examples and
-//! tests are exempt. Sites that *feed* an obs histogram directly (the
-//! per-batch worker timer) document themselves with a pragma.
+//! except the instrumentation substrate itself (`obs`). Binaries,
+//! benches, examples and tests are exempt. Sites that *feed* an obs
+//! histogram directly (the per-batch worker timer) document themselves
+//! with a pragma.
 
 use super::{code_lines, find_all, Finding, Severity};
 use crate::source::{Role, SourceFile};
 
 const NAME: &str = "timing-discipline";
 
-/// Crates that *are* the instrumentation layer.
-const SUBSTRATE: &[&str] = &["obs", "criterion"];
+/// The crate that *is* the instrumentation layer.
+const SUBSTRATE: &str = "obs";
 
 /// Runs the lint over one file.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
-    if file.role != Role::Lib || SUBSTRATE.contains(&file.crate_name.as_str()) {
+    if file.role != Role::Lib || file.crate_name == SUBSTRATE {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -60,7 +60,6 @@ mod tests {
     fn substrate_tests_and_bins_are_exempt() {
         for rel in [
             "crates/obs/src/span.rs",
-            "crates/criterion/src/lib.rs",
             "crates/bench/src/bin/table1.rs",
             "tests/end_to_end.rs",
         ] {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! logparse-lint --workspace [--root PATH] [--json] [--deny warnings]
-//!               [--stats] [--sarif PATH] [--no-cache] [PATH…]
+//!               [--stats] [--sarif PATH] [PATH…]
 //! logparse-lint --list
 //! ```
 //!
@@ -10,10 +10,7 @@
 //! workspace-relative path starts with one of them; analysis always
 //! covers the whole workspace so cross-file lints stay sound.
 //!
-//! Per-file analyses are cached under `<root>/target/lint-cache`
-//! (content-hash keyed; `--no-cache` bypasses it). `--stats` prints
-//! phase timings, cache hit counts and call-graph coverage to stderr so
-//! CI logs show cache effectiveness.
+//! `--stats` prints phase timings and call-graph coverage to stderr.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +25,6 @@ struct Args {
     deny_warnings: bool,
     list: bool,
     stats: bool,
-    no_cache: bool,
     sarif: Option<PathBuf>,
     only: Vec<String>,
 }
@@ -40,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
         deny_warnings: false,
         list: false,
         stats: false,
-        no_cache: false,
         sarif: None,
         only: Vec::new(),
     };
@@ -64,7 +59,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--list" => args.list = true,
             "--stats" => args.stats = true,
-            "--no-cache" => args.no_cache = true,
             "--sarif" => {
                 args.sarif = Some(PathBuf::from(
                     it.next()
@@ -82,8 +76,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: logparse-lint [--workspace] [--root PATH] [--json] \
-                     [--deny warnings] [--stats] [--sarif PATH] [--no-cache] \
-                     [--list] [PATH…]";
+                     [--deny warnings] [--stats] [--sarif PATH] [--list] [PATH…]";
 
 fn main() -> ExitCode {
     let args = match parse_args() {
@@ -103,13 +96,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let cache_dir = args.root.join("target/lint-cache");
-    let cache = if args.no_cache {
-        None
-    } else {
-        Some(cache_dir.as_path())
-    };
-    let (mut findings, stats) = match run_workspace_stats(&args.root, cache) {
+    let (mut findings, stats) = match run_workspace_stats(&args.root) {
         Ok(out) => out,
         Err(e) => {
             eprintln!(
@@ -138,11 +125,9 @@ fn main() -> ExitCode {
     }
     if args.stats {
         eprintln!(
-            "lint --stats: {} files ({} cache hits, {} misses), {} fns, \
+            "lint --stats: {} files, {} fns, \
              calls {} resolved / {} unresolved, analyze {}ms + graph {}ms = {}ms",
             stats.files,
-            stats.cache_hits,
-            stats.cache_misses,
             stats.functions,
             stats.resolved_calls,
             stats.unresolved_calls,

@@ -1,16 +1,14 @@
-//! End-to-end regressions for the incremental cache and the SARIF
-//! emitter: a warm second run over a mini on-disk workspace is served
-//! entirely from cache with identical findings, an edit invalidates
-//! exactly the edited file, and the SARIF document has the 2.1.0
-//! shape CI-side viewers expect.
+//! End-to-end regression for the SARIF emitter: the document written
+//! for a mini on-disk workspace has the 2.1.0 shape CI-side viewers
+//! expect.
 
 use std::path::{Path, PathBuf};
 
 use logparse_lint::report::sarif;
-use logparse_lint::run_workspace_stats;
+use logparse_lint::run_workspace;
 
 fn temp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lint-cache-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("lint-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -36,44 +34,10 @@ fn mini_workspace(root: &Path) {
 }
 
 #[test]
-fn warm_run_hits_cache_and_edit_invalidates_one_file() {
-    let root = temp("warm");
-    mini_workspace(&root);
-    let cache = root.join("lint-cache");
-
-    let (cold_findings, cold) = run_workspace_stats(&root, Some(&cache)).unwrap();
-    assert_eq!(cold.files, 2);
-    assert_eq!(cold.cache_hits, 0, "{cold:?}");
-    assert_eq!(cold.cache_misses, 2, "{cold:?}");
-    assert_eq!(cold_findings.len(), 1, "{cold_findings:?}");
-    assert_eq!(cold_findings[0].lint, "timing-discipline");
-
-    let (warm_findings, warm) = run_workspace_stats(&root, Some(&cache)).unwrap();
-    assert_eq!(warm.cache_hits, 2, "{warm:?}");
-    assert_eq!(warm.cache_misses, 0, "{warm:?}");
-    assert_eq!(
-        warm_findings, cold_findings,
-        "cached analysis must reproduce the cold findings exactly"
-    );
-
-    // Edit one file: exactly one entry goes stale.
-    std::fs::write(
-        root.join("crates/demo/src/lib.rs"),
-        "#![forbid(unsafe_code)]\npub fn add(a: u32, b: u32) -> u32 { a.wrapping_add(b) }\n",
-    )
-    .unwrap();
-    let (_, edited) = run_workspace_stats(&root, Some(&cache)).unwrap();
-    assert_eq!(edited.cache_hits, 1, "{edited:?}");
-    assert_eq!(edited.cache_misses, 1, "{edited:?}");
-
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn sarif_document_has_the_2_1_0_shape() {
     let root = temp("sarif");
     mini_workspace(&root);
-    let (findings, _) = run_workspace_stats(&root, None).unwrap();
+    let findings = run_workspace(&root).unwrap();
     assert!(!findings.is_empty());
     let doc = sarif(&findings, true);
 

@@ -4,7 +4,7 @@
 //! systematic timing, and the streaming pipeline the ROADMAP grows
 //! toward cannot be operated without per-stage visibility. This crate is
 //! the one instrumentation substrate both sides share, built — like the
-//! workspace's vendored `rand`/`criterion` shims — entirely on `std`, so
+//! workspace's vendored `rand`/`proptest` shims — entirely on `std`, so
 //! the offline build needs nothing from a registry:
 //!
 //! * **[`Registry`]** — a lock-sharded store of named metric families:

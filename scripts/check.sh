@@ -37,8 +37,11 @@ cargo test --workspace -q
 echo "=== differential suite (sequential vs parallel) ==="
 cargo test -q --test parallel_equivalence
 
-echo "=== differential suite (zero-copy loader vs legacy reader) ==="
+echo "=== differential suite (zero-copy loader vs BufRead reference) ==="
 cargo test -q --test loader_differential
+
+echo "=== loader goldens (parent-frozen loader_v1) ==="
+cargo test -q -p logparse-cli --test cli loader_v1_goldens_hold_from_file_and_stdin
 
 echo "=== differential suite (mask-before-intern vs symbol-level apply vs goldens) ==="
 cargo test -q --test preprocess_differential
@@ -47,12 +50,6 @@ echo "=== differential suite (dual vs primal PCA) ==="
 cargo test -q -p logparse-linalg dual_matches_primal
 
 if [[ "$QUICK" == "1" ]]; then
-  # Benches aren't compiled by `cargo test`; make sure the perf harness
-  # (the interning throughput runner included) still builds without
-  # paying for a measurement run.
-  echo "=== cargo bench --no-run (benches compile) ==="
-  cargo bench --workspace --no-run -q
-
   # Alert-rule smoke: the default rule set replayed over the canned
   # drifting history must parse cleanly and fire the churn alert.
   echo "=== logmine alerts check (default rules vs canned drift fixture) ==="
@@ -112,41 +109,6 @@ if [[ "$QUICK" == "1" ]]; then
   cmp "$JOBS_DIR/parse.events" "$JOBS_DIR/jobs.events"
   grep -q '"event":"agent_retrying"' "$JOBS_DIR/job/events.jsonl"
   rm -rf "$JOBS_DIR"
-
-  # Loader differential smoke at the CLI boundary: the mmap and legacy
-  # loaders must hand every parser-visible byte over identically, so
-  # the events and structured outputs of `logmine parse` are compared
-  # with cmp across both --loader flavors (CRLF + blank lines included).
-  echo "=== loader smoke (--loader mmap vs --loader legacy, byte-identical) ==="
-  LOADER_DIR="$(mktemp -d)"
-  cargo run -q --release -p logparse-cli --bin logmine -- \
-    generate --dataset hdfs --count 3000 >"$LOADER_DIR/corpus.log"
-  printf 'tail no newline\r\n   \r\nlast line' >>"$LOADER_DIR/corpus.log"
-  for loader in mmap legacy; do
-    cargo run -q --release -p logparse-cli --bin logmine -- \
-      parse --parser drain -j 4 --loader "$loader" \
-      --events-out "$LOADER_DIR/$loader.events" \
-      --structured-out "$LOADER_DIR/$loader.structured" \
-      "$LOADER_DIR/corpus.log" >/dev/null
-  done
-  cmp "$LOADER_DIR/mmap.events" "$LOADER_DIR/legacy.events"
-  cmp "$LOADER_DIR/mmap.structured" "$LOADER_DIR/legacy.structured"
-
-  # The same with preprocessing on: the mmap loader masks each token
-  # before interning it, the legacy loader builds from_lines and masks
-  # afterwards at symbol level (Preprocessor::apply).
-  echo "=== preprocess smoke (fused masking vs legacy + apply, byte-identical) ==="
-  for loader in mmap legacy; do
-    cargo run -q --release -p logparse-cli --bin logmine -- \
-      parse --parser iplom --preprocess ip,blk,num --loader "$loader" \
-      --events-out "$LOADER_DIR/$loader.masked.events" \
-      --structured-out "$LOADER_DIR/$loader.masked.structured" \
-      "$LOADER_DIR/corpus.log" >/dev/null
-  done
-  cmp "$LOADER_DIR/mmap.masked.events" "$LOADER_DIR/legacy.masked.events"
-  cmp "$LOADER_DIR/mmap.masked.structured" "$LOADER_DIR/legacy.masked.structured"
-  grep -q '\$BLK' "$LOADER_DIR/mmap.masked.events"
-  rm -rf "$LOADER_DIR"
 fi
 
 if [[ "$DEEP" == "1" ]]; then

@@ -2,8 +2,7 @@
 //! the `logmine` facade.
 
 use logmine::core::{
-    read_lines, write_events_file, write_structured_file, Corpus, LogParser, MaskRule,
-    Preprocessor, Tokenizer,
+    write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor, Tokenizer,
 };
 use logmine::datasets::{hdfs, zookeeper};
 use logmine::eval::{pairwise_f_measure, tune, ParserKind};
@@ -18,8 +17,7 @@ fn file_roundtrip_matches_in_memory_parse() {
         raw.push_str(data.corpus.record(i).content);
         raw.push('\n');
     }
-    let lines = read_lines(raw.as_bytes()).unwrap();
-    let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
+    let corpus = Corpus::from_bytes(raw.into_bytes(), &Tokenizer::default()).unwrap();
     assert_eq!(corpus, data.corpus);
 
     let parse = Iplom::default().parse(&corpus).unwrap();

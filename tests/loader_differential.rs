@@ -1,12 +1,13 @@
 //! Differential suite for the zero-copy corpus loader.
 //!
 //! `Corpus::from_path` (mmap + SWAR scanner + arena-direct interning)
-//! replaces `read_lines` + `Corpus::from_lines` on every batch path, so
-//! its contract is *bit-identity*, not mere equivalence: the corpus it
-//! builds must have the same records, the same symbol ids in the same
-//! arena rows, and the same interner contents as the legacy pipeline —
-//! and therefore every parser must produce byte-identical events and
-//! structured output from either loader.
+//! replaced `BufRead::lines` + skip-blank + `Corpus::from_lines` on
+//! every batch path, so its contract is *bit-identity*, not mere
+//! equivalence: the corpus it builds must have the same records, the
+//! same symbol ids in the same arena rows, and the same interner
+//! contents as that pipeline — kept here as `legacy_corpus`, the
+//! reference — and therefore every parser must produce byte-identical
+//! events and structured output from either.
 //!
 //! The fixtures target the places a scanner can silently diverge from
 //! `BufRead::lines` + skip-blank semantics:
@@ -20,12 +21,11 @@
 //!   chunk splitter must cut only at newlines, and the chunk-order
 //!   interner merge must reproduce sequential symbol ids exactly).
 
-use std::io::Write as _;
+use std::io::{BufRead as _, Write as _};
 use std::path::PathBuf;
 
 use logmine::core::{
-    count_corpus_lines, read_lines, write_events_file, write_structured_file, Corpus, LogParser,
-    Tokenizer,
+    count_corpus_lines, write_events_file, write_structured_file, Corpus, LogParser, Tokenizer,
 };
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Slct, Spell};
 use proptest::prelude::*;
@@ -43,14 +43,18 @@ fn fixture_file(tag: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// The legacy pipeline: buffered line reading + owned-record interning.
+/// The legacy pipeline: buffered line reading, lines of nothing but
+/// ASCII whitespace dropped, char-level tokenization.
 fn legacy_corpus(bytes: &[u8]) -> Corpus {
-    let lines = read_lines(bytes).expect("fixtures are valid UTF-8");
-    Corpus::from_lines(&lines, &Tokenizer::default())
+    let lines = bytes
+        .lines()
+        .map(|line| line.expect("fixtures are valid UTF-8"))
+        .filter(|line| !line.bytes().all(|b| matches!(b, 0x09..=0x0d | b' ')));
+    Corpus::from_lines(lines, &Tokenizer::default())
 }
 
 /// Asserts two corpora are bit-identical: same records (line numbers,
-/// timestamps, content), same symbol ids row by row, same vocabulary.
+/// content), same symbol ids row by row, same vocabulary.
 fn assert_bit_identical(a: &Corpus, b: &Corpus, context: &str) {
     assert_eq!(a.len(), b.len(), "{context}: corpus length");
     for i in 0..a.len() {
@@ -148,7 +152,7 @@ fn chunk_straddle_bytes() -> Vec<u8> {
 
 /// Tentpole bit-identity: for every fixture, `from_path`,
 /// `from_path_parallel`, `from_bytes`, and `from_bytes_parallel` all
-/// reproduce the legacy `read_lines` + `from_lines` corpus exactly.
+/// reproduce the legacy `BufRead::lines` + `from_lines` corpus exactly.
 #[test]
 fn every_loader_entry_point_is_bit_identical_to_the_legacy_pipeline() {
     let tok = Tokenizer::default();
