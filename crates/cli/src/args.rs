@@ -131,18 +131,27 @@ impl Args {
         self.options.get(name).map(String::as_str)
     }
 
+    /// The value of `--name` parsed as `T`, if given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] when the value does not parse.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+        self.option(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| ArgError(format!("invalid value `{raw}` for --{name}")))
+            })
+            .transpose()
+    }
+
     /// The value of `--name` parsed as `T`, or `default` when absent.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] when the value does not parse.
     pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.option(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError(format!("invalid value `{raw}` for --{name}"))),
-        }
+        Ok(self.parsed(name)?.unwrap_or(default))
     }
 
     /// Whether the boolean `--name` flag was given.

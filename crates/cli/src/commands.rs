@@ -9,14 +9,15 @@ use logparse_core::{
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
-use logparse_ingest::jobs as jobproto;
 use logparse_ingest::{
-    file_source, run_pipeline, stdin_source, Checkpoint, EventLog, FileTailSource, IngestConfig,
+    file_source, run_pipeline, stdin_source, Checkpoint, FileTailSource, IngestConfig,
     ParserChoice, TcpSource,
 };
+use logparse_jobs::protocol as jobproto;
 use logparse_jobs::{run_job, JobConfig};
 use logparse_mining::{event_count_matrix, truth_count_matrix, PcaDetector, PcaDetectorConfig};
-use logparse_parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Slct, Spell};
+use logparse_obs::Journal;
+use logparse_parsers::{batch_parser, Lke, LogSig, Slct};
 use logparse_store::{StoreConfig, TemplateStore};
 
 use crate::args::Args;
@@ -114,30 +115,37 @@ column i being the sample at window i; `#` comments are ignored.";
 
 type CliResult = Result<(), Box<dyn Error>>;
 
-/// Builds the requested parser with per-method options.
+/// Builds the requested parser: [`batch_parser`]'s configuration — the
+/// one `jobs` workers build — unless the method has tuning flags, which
+/// are overlaid on its builder (whose own defaults are the same).
 fn build_parser(args: &Args) -> Result<Box<dyn LogParser>, Box<dyn Error>> {
     let name = args.option("parser").unwrap_or("iplom");
-    let seed: u64 = args.parsed_or("seed", 0)?;
     Ok(match name.to_ascii_lowercase().as_str() {
         "slct" => {
-            let support: f64 = args.parsed_or("support", 0.001)?;
-            Box::new(Slct::builder().support_fraction(support).build())
+            let mut builder = Slct::builder();
+            if let Some(support) = args.parsed("support")? {
+                builder = builder.support_fraction(support);
+            }
+            Box::new(builder.build())
         }
-        "iplom" => Box::new(Iplom::default()),
-        "lke" => match args.option("threshold") {
-            Some(raw) => Box::new(Lke::builder().fixed_threshold(raw.parse()?).build()),
-            None => Box::new(Lke::default()),
-        },
+        "lke" => {
+            let mut builder = Lke::builder();
+            if let Some(threshold) = args.parsed("threshold")? {
+                builder = builder.fixed_threshold(threshold);
+            }
+            Box::new(builder.build())
+        }
         "logsig" => {
-            let clusters: usize = args.parsed_or("clusters", 16)?;
-            Box::new(LogSig::builder().clusters(clusters).seed(seed).build())
+            let mut builder = LogSig::builder();
+            if let Some(clusters) = args.parsed("clusters")? {
+                builder = builder.clusters(clusters);
+            }
+            if let Some(seed) = args.parsed("seed")? {
+                builder = builder.seed(seed);
+            }
+            Box::new(builder.build())
         }
-        "drain" => Box::new(Drain::default()),
-        "spell" => Box::new(Spell::default()),
-        "ael" => Box::new(Ael::default()),
-        "lenma" => Box::new(LenMa::default()),
-        "logmine" => Box::new(LogMine::default()),
-        other => return Err(format!("unknown parser `{other}`").into()),
+        _ => batch_parser(name).ok_or_else(|| format!("unknown parser `{name}`"))?,
     })
 }
 
@@ -197,8 +205,9 @@ pub fn parse(args: &Args) -> CliResult {
     let threads: usize = args.parsed_or("threads", 1)?;
     let preprocessor = build_preprocessor(args)?;
     let path = args.positional().first().map(String::as_str);
-    let corpus = load_corpus(path, &preprocessor, threads)?;
+    // Before the corpus: a mistyped name should not cost the load.
     let parser = build_parser(args)?;
+    let corpus = load_corpus(path, &preprocessor, threads)?;
     let parse = if threads > 1 {
         parser.parse_parallel(&corpus, threads)?
     } else {
@@ -397,12 +406,12 @@ pub fn serve(args: &Args) -> CliResult {
         Some(path) => {
             let max_mb: u64 = args.parsed_or("events-max-mb", 0u64)?;
             if max_mb > 0 {
-                EventLog::rotating(std::path::Path::new(path), max_mb * 1024 * 1024, 3)?
+                Journal::rotating(std::path::Path::new(path), max_mb * 1024 * 1024, 3)?
             } else {
-                EventLog::new(Box::new(BufWriter::new(File::create(path)?)))
+                Journal::new(Box::new(BufWriter::new(File::create(path)?)))
             }
         }
-        None => EventLog::new(Box::new(std::io::stderr())),
+        None => Journal::new(Box::new(std::io::stderr())),
     };
     logparse_ingest::signal::install_handlers();
 
@@ -588,11 +597,7 @@ fn build_job_config(
         workers: args.parsed_or("workers", shards)?,
         max_retries: args.parsed_or("max-retries", 3u32)?,
         backoff_ms: args.parsed_or("backoff-ms", 100u64)?,
-        task_timeout_ms: args
-            .option("task-timeout-ms")
-            .map(str::parse)
-            .transpose()
-            .map_err(|_| "invalid value for --task-timeout-ms")?,
+        task_timeout_ms: args.parsed("task-timeout-ms")?,
         worker_exe: std::env::current_exe()?,
     })
 }
@@ -792,16 +797,8 @@ pub fn jobs(args: &Args) -> CliResult {
 /// `logmine worker` — the per-shard entry point `jobs run` spawns.
 pub fn worker(args: &Args) -> CliResult {
     let job_dir = args.option("job-dir").ok_or("worker needs --job-dir DIR")?;
-    let task: usize = args
-        .option("task")
-        .ok_or("worker needs --task N")?
-        .parse()
-        .map_err(|_| "invalid value for --task")?;
-    let attempt: u32 = args
-        .option("attempt")
-        .ok_or("worker needs --attempt N")?
-        .parse()
-        .map_err(|_| "invalid value for --attempt")?;
+    let task: usize = args.parsed("task")?.ok_or("worker needs --task N")?;
+    let attempt: u32 = args.parsed("attempt")?.ok_or("worker needs --attempt N")?;
     jobproto::run_job_worker(std::path::Path::new(job_dir), task, attempt)?;
     Ok(())
 }

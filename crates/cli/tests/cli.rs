@@ -243,3 +243,16 @@ fn store_inspect_and_verify_read_the_frozen_v1_store() {
         "ok: 8 shard(s), 30 global template id(s), 72 record(s) replayed\n"
     );
 }
+
+/// The parser is resolved before the corpus is loaded: a mistyped name
+/// is reported as such, at once, even when the input cannot be read.
+#[test]
+fn unknown_parser_fails_before_the_corpus_is_loaded() {
+    let out = logmine()
+        .args(["parse", "--parser", "nope", "/nonexistent/big.log"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(text.contains("unknown parser `nope`"), "{text}");
+}

@@ -4,7 +4,9 @@
 //! coordinator and prove the resumed run completes every shard exactly
 //! once; poison a shard and prove it lands in the dead-letter queue
 //! after exactly its attempt budget, with a replayable record that
-//! `jobs dlq retry` turns back into the clean-run output.
+//! `jobs dlq retry` turns back into the clean-run output. Last, the
+//! same crash and poison plans (and `serve`) against the bytes the
+//! parent binary wrote for them — the parent-frozen wire goldens.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -264,4 +266,159 @@ fn coordinator_sigkill_resumes_without_duplicates() {
             "task {task} completed {completions} times:\n{journal}"
         );
     }
+}
+
+/// A mistyped `--parser` fails before anything binds the job directory
+/// to it — no manifest, no worker — and the directory then takes a
+/// correct run. (It used to spawn a worker per attempt, dead-letter
+/// every shard and leave the directory answering only for the typo.)
+#[test]
+fn unknown_parser_fails_before_the_job_dir_is_bound() {
+    let (dir, corpus) = scratch("typo");
+    let job_dir = dir.join("job");
+    let events = dir.join("jobs.events");
+    let out = Command::new(BIN)
+        .args(["jobs", "run", "--parser", "nope", "-j", "2", "--job-dir"])
+        .args([&job_dir, &corpus])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "a typo must fail the run");
+    assert!(stderr(&out).contains("unknown batch parser `nope`"));
+    assert!(!job_dir.exists(), "nothing started, nothing written");
+
+    let truth = parse_ground_truth(&dir, &corpus);
+    let out = jobs_run(&dir, &corpus, &job_dir, &events).output().unwrap();
+    assert!(out.status.success(), "jobs run failed: {}", stderr(&out));
+    assert_identical(&truth, &events);
+}
+
+// Wire goldens: what the PR 17 binary (816653f — the last with a journal
+// `Value` type, a second number formatter, a hand-mirrored `reduce` and
+// the protocol inside `logparse-ingest`) wrote into
+// `crates/jobs/tests/fixtures/jobs_v1`, run beside the corpus so the
+// recorded paths are relative:
+//
+//   logmine generate --dataset hdfs --count 300 --seed 42 > corpus.log
+//   LOGPARSE_FAULT=worker:1@1:crash_after:0 logmine jobs run corpus.log \
+//       --job-dir job --parser drain -j 4 --backoff-ms 5 --events-out jobs.events
+//   (again, over a copy of job/: what it appended)  > resume.events.jsonl
+//   LOGPARSE_FAULT=worker:2:corrupt (same command) --job-dir poisoned
+//   logmine serve corpus.log --shards 1 --window 25 --events-out events_v1.jsonl
+//
+// (`events_v1.jsonl` lives in `crates/ingest/tests/fixtures`.) This
+// binary must write the same bytes for the same commands; blanked first
+// is only what two runs of one binary disagree on.
+
+/// Minted or measured per run.
+const PER_RUN: [&str; 3] = ["run_id", "ts_mono_ns", "elapsed_ms"];
+
+fn golden(file: &str) -> PathBuf {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    crates.join("jobs/tests/fixtures/jobs_v1").join(file)
+}
+
+fn read(path: impl AsRef<Path>) -> String {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Replaces the value of each of `keys` with `_`, textually — the
+/// fixture's bytes are never re-serialised by the code under test.
+fn blank(text: &str, keys: &[&str]) -> Vec<String> {
+    let blank_line = |line: &str| {
+        let mut line = line.to_owned();
+        for key in keys {
+            let marker = format!("\"{key}\":");
+            if let Some(at) = line.find(&marker) {
+                let start = at + marker.len();
+                let len = line[start..].find([',', '}']).expect("value ends");
+                line.replace_range(start..start + len, "_");
+            }
+        }
+        line
+    };
+    text.lines().map(blank_line).collect()
+}
+
+/// A fresh four-worker job's journal (or DLQ record) as an order-free
+/// set of lines: its events interleave by timing, and its retry jitter
+/// (`agent_retrying`'s `backoff_ms`) is drawn from the fresh `job_id`.
+fn job_events(path: PathBuf) -> Vec<String> {
+    let per_job = [&PER_RUN[..], &["job_id", "pid", "seq", "backoff_ms"]].concat();
+    let mut lines = blank(&read(path), &per_job);
+    lines.sort();
+    lines
+}
+
+#[test]
+fn jobs_v1_job_dirs_resume_and_are_rewritten_byte_for_byte() {
+    let (dir, _) = scratch("golden");
+    let mut copy = Command::new("cp");
+    copy.arg("-r")
+        .args([golden("corpus.log"), golden("job")])
+        .arg(&dir);
+    assert!(copy.status().unwrap().success());
+    let run = |job_dir: &str, fault: &str| {
+        let [corpus, events] = ["corpus.log", "jobs.events"].map(Path::new);
+        jobs_run(&dir, corpus, Path::new(job_dir), events)
+            .env("LOGPARSE_FAULT", fault)
+            .output()
+            .unwrap()
+    };
+    // The parent-written directory resumes as a no-op: the parent's
+    // reduce, its incarnation of the journal kept byte for byte, and
+    // appended to it what the parent's own resume appended.
+    let out = run("job", "");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stderr(&out).contains("(resumed): 4/4 task(s)"));
+    assert_identical(&dir.join("jobs.events"), &golden("jobs.events"));
+    let journal = lifecycle(&dir.join("job"));
+    let appended = journal.strip_prefix(read(golden("job/events.jsonl")).as_str());
+    assert_eq!(
+        blank(appended.expect("appended"), &PER_RUN),
+        blank(&read(golden("resume.events.jsonl")), &PER_RUN)
+    );
+
+    // A fresh run under the same fault, then one whose shard 2 publishes
+    // garbage on every attempt: the dead-letter record and trail.
+    std::fs::remove_file(dir.join("jobs.events")).unwrap();
+    assert!(run("fresh", "worker:1@1:crash_after:0").status.success());
+    assert_identical(&dir.join("jobs.events"), &golden("jobs.events"));
+    assert!(!run("poisoned", "worker:2:corrupt").status.success());
+    for task in 0..4 {
+        let file = format!("out/task-{task}.json");
+        assert_identical(&dir.join("fresh").join(&file), &golden("job").join(&file));
+    }
+    for (ours, parents) in [
+        ("fresh/events.jsonl", "job/events.jsonl"),
+        ("poisoned/events.jsonl", "poisoned/events.jsonl"),
+        ("poisoned/dlq/task-2.json", "poisoned/dlq/task-2.json"),
+    ] {
+        assert_eq!(
+            job_events(dir.join(ours)),
+            job_events(golden(parents)),
+            "{ours}"
+        );
+    }
+}
+
+/// One shard: every event but the first and last comes from the
+/// aggregator thread, and a file source never idles into a timed flush,
+/// so order and batch boundaries are reproducible.
+#[test]
+fn events_v1_serve_reproduces_the_parents_journal() {
+    let (dir, _) = scratch("serve");
+    let out = Command::new(BIN)
+        .args(["serve", "corpus.log", "--shards", "1", "--window", "25"])
+        .arg("--events-out")
+        .arg(dir.join("events.jsonl"))
+        .current_dir(golden(""))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    let parents = golden("../../../../ingest/tests/fixtures/events_v1.jsonl");
+    assert_eq!(
+        blank(&read(dir.join("events.jsonl")), &PER_RUN),
+        blank(&read(parents), &PER_RUN)
+    );
 }

@@ -55,7 +55,7 @@ pub use intern::{Interner, Symbol, TokenArena};
 pub use io::{write_events_file, write_structured_file};
 pub use loader::{count_corpus_lines, FileLines};
 pub use merge::{MergeDelta, TemplateMerge};
-pub use parallel::{ParallelDriver, ParallelReport};
+pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};
 pub use parser::{EventId, LogParser, Parse, ParseBuilder};
 pub use preprocess::{MaskRule, Preprocessor};
 pub use record::{Corpus, LogRecord, RecordRef};

@@ -178,7 +178,7 @@ impl ParallelDriver {
             &[("parser", parser.name())],
         );
         let span = logparse_obs::global().span_into(merge_hist, "parallel_merge", &[]);
-        let parse = merge_chunks(&healthy, &ranges, corpus.len());
+        let parse = merge_chunks(healthy, &ranges, corpus.len());
         span.finish();
 
         let merged_events = parse.event_count();
@@ -254,11 +254,16 @@ fn parse_chunks<P: LogParser + ?Sized>(
 }
 
 /// Folds per-chunk parses into one global parse, merging templates by
-/// structural key in chunk order. The distributed job reducer
-/// (`logparse-jobs`) mirrors this fold over per-process shard results,
-/// which is what makes `jobs run -j N` byte-identical to
-/// `parse_parallel(corpus, N)`.
-fn merge_chunks(chunk_parses: &[Parse], ranges: &[Range<usize>], len: usize) -> Parse {
+/// [`Template::structural_key`] in chunk order; chunk `i` covers corpus
+/// range `ranges[i]` of `len` lines. A lone chunk is returned unmerged:
+/// one chunk is exactly the sequential parse. The distributed job
+/// reducer (`logparse-jobs`) calls this too, over shard results read
+/// back from disk, which is what makes `jobs run -j N` byte-identical
+/// to `parse_parallel(corpus, N)`.
+pub fn merge_chunks(mut chunk_parses: Vec<Parse>, ranges: &[Range<usize>], len: usize) -> Parse {
+    if chunk_parses.len() == 1 {
+        return chunk_parses.swap_remove(0);
+    }
     let mut merge = TemplateMerge::new();
     // Batch chunks announce each (chunk, local) exactly once, so the
     // merge never takes the refinement path, global ids come out dense
@@ -266,7 +271,11 @@ fn merge_chunks(chunk_parses: &[Parse], ranges: &[Range<usize>], len: usize) -> 
     // (chunk, local) — an unannounced id simply stays unassigned.
     let mut templates: Vec<Template> = Vec::new();
     for (chunk, parse) in chunk_parses.iter().enumerate() {
-        let keys: Vec<String> = parse.templates().iter().map(merge_key).collect();
+        let keys: Vec<String> = parse
+            .templates()
+            .iter()
+            .map(Template::structural_key)
+            .collect();
         merge.merge_shard(chunk, &keys);
         for (local, template) in parse.templates().iter().enumerate() {
             let Some(gid) = merge.resolve(chunk, local) else {
@@ -281,18 +290,14 @@ fn merge_chunks(chunk_parses: &[Parse], ranges: &[Range<usize>], len: usize) -> 
     let mut assignments: Vec<Option<EventId>> = vec![None; len];
     for ((chunk, parse), range) in chunk_parses.iter().enumerate().zip(ranges) {
         for (offset, assigned) in parse.assignments().iter().enumerate() {
-            assignments[range.start + offset] =
-                assigned.and_then(|event| merge.resolve(chunk, event.index()).map(EventId));
+            // Checked: a shard result read back from disk may claim a
+            // range the corpus does not have.
+            if let Some(slot) = assignments.get_mut(range.start + offset) {
+                *slot = assigned.and_then(|event| merge.resolve(chunk, event.index()).map(EventId));
+            }
         }
     }
     Parse::new(templates, assignments)
-}
-
-/// Unambiguous structural key for a template — now provided by
-/// [`Template::structural_key`] so the parallel driver and the
-/// distributed job reducer share one encoding.
-fn merge_key(template: &Template) -> String {
-    template.structural_key()
 }
 
 #[cfg(test)]
@@ -433,17 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_key_distinguishes_literal_star_from_wildcard() {
+    fn structural_key_distinguishes_literal_star_from_wildcard() {
         let wildcard = Template::new(vec![TemplateToken::literal("a"), TemplateToken::Wildcard]);
         let literal_star = Template::new(vec![
             TemplateToken::literal("a"),
             TemplateToken::literal("*"),
         ]);
         assert_eq!(wildcard.to_string(), literal_star.to_string());
-        assert_ne!(merge_key(&wildcard), merge_key(&literal_star));
+        assert_ne!(wildcard.structural_key(), literal_star.structural_key());
         let open = Template::with_open_tail(vec![TemplateToken::literal("a")]);
         let closed = Template::new(vec![TemplateToken::literal("a")]);
-        assert_ne!(merge_key(&open), merge_key(&closed));
+        assert_ne!(open.structural_key(), closed.structural_key());
     }
 
     #[test]

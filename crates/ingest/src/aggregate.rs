@@ -35,12 +35,10 @@ use std::sync::Arc;
 use logparse_core::{MergeDelta, TemplateMerge};
 use logparse_linalg::Matrix;
 use logparse_mining::PcaDetector;
-use logparse_obs::{AlertEngine, History, HistorySampler};
+use logparse_obs::{AlertEngine, History, HistorySampler, Journal, Json};
 use logparse_store::TemplateStore;
 
 use crate::checkpoint::ParserSnapshot;
-use crate::events::{fields, EventLog};
-use crate::json::Json;
 use crate::metrics::{AggregatorMetrics, DriftMetrics, TOP_K};
 use crate::worker::ShardOutput;
 use crate::{IngestError, ParserChoice, WindowScore};
@@ -183,7 +181,7 @@ impl DriftTracker {
         stats: &WindowDriftStats,
         map: &mut TemplateMerge,
         drift_metrics: &DriftMetrics,
-        events: &EventLog,
+        events: &Journal,
     ) {
         let Some(quality) = self.quality.as_mut() else {
             return;
@@ -225,14 +223,17 @@ impl DriftTracker {
 
         events.emit(
             "drift_window",
-            fields! {
-                "window" => Json::num(window_id as f64),
-                "births" => Json::usize(stats.births),
-                "churn" => Json::num(stats.churn),
-                "singleton_fraction" => Json::num(stats.singleton_fraction),
-                "param_cardinality_max" => Json::usize(stats.param_cardinality_max),
-                "merge_conflicts" => Json::num(stats.new_conflicts as f64),
-            },
+            &[
+                ("window", Json::num(window_id as f64)),
+                ("births", Json::usize(stats.births)),
+                ("churn", Json::num(stats.churn)),
+                ("singleton_fraction", Json::num(stats.singleton_fraction)),
+                (
+                    "param_cardinality_max",
+                    Json::usize(stats.param_cardinality_max),
+                ),
+                ("merge_conflicts", Json::num(stats.new_conflicts as f64)),
+            ],
         );
         let top_json = Json::Arr(
             stats
@@ -252,10 +253,7 @@ impl DriftTracker {
         );
         events.emit(
             "window_top",
-            fields! {
-                "window" => Json::num(window_id as f64),
-                "top" => top_json,
-            },
+            &[("window", Json::num(window_id as f64)), ("top", top_json)],
         );
         let exemplars = std::mem::take(&mut self.exemplars);
         if stats.births > 0 {
@@ -263,12 +261,12 @@ impl DriftTracker {
                 let gid = map.resolve(shard, local);
                 events.emit(
                     "drift_exemplar",
-                    fields! {
-                        "window" => Json::num(window_id as f64),
-                        "shard" => Json::usize(shard),
-                        "gid" => gid.map_or(Json::Null, Json::usize),
-                        "line" => Json::str(line),
-                    },
+                    &[
+                        ("window", Json::num(window_id as f64)),
+                        ("shard", Json::usize(shard)),
+                        ("gid", gid.map_or(Json::Null, Json::usize)),
+                        ("line", Json::str(line)),
+                    ],
                 );
             }
         }
@@ -280,17 +278,14 @@ impl DriftTracker {
                 } else {
                     "alert_resolved"
                 },
-                fields! {
-                    "rule" => Json::str(transition.rule),
-                    "series" => Json::str(transition.series),
-                    "value" => if transition.value.is_finite() {
-                        Json::num(transition.value)
-                    } else {
-                        Json::Null
-                    },
-                    "threshold" => Json::num(transition.threshold),
-                    "window" => Json::num(window_id as f64),
-                },
+                &[
+                    ("rule", Json::str(transition.rule)),
+                    ("series", Json::str(transition.series)),
+                    // Non-finite (a series with no sample yet) prints `null`.
+                    ("value", Json::num(transition.value)),
+                    ("threshold", Json::num(transition.threshold)),
+                    ("window", Json::num(window_id as f64)),
+                ],
             );
         }
     }
@@ -308,7 +303,7 @@ pub(crate) struct AggregatorConfig {
     /// Owned by the aggregator thread: it appends merge deltas, writes
     /// checkpoint blobs, triggers compaction and closes it at shutdown.
     pub store: Option<TemplateStore>,
-    pub events: Arc<EventLog>,
+    pub events: Arc<Journal>,
     pub metrics: AggregatorMetrics,
     /// Drift history + alert engine; `None` when `--no-drift`.
     pub quality: Option<QualityTelemetry>,
@@ -480,22 +475,22 @@ pub(crate) fn run_aggregator(
         }
         events.emit(
             "window_scored",
-            fields! {
-                "window" => Json::num(score.window as f64),
-                "lines" => Json::usize(score.lines),
-                "spe" => score.spe.map_or(Json::Null, Json::num),
-                "threshold" => score.threshold.map_or(Json::Null, Json::num),
-                "anomalous" => Json::Bool(score.anomalous),
-            },
+            &[
+                ("window", Json::num(score.window as f64)),
+                ("lines", Json::usize(score.lines)),
+                ("spe", score.spe.map_or(Json::Null, Json::num)),
+                ("threshold", score.threshold.map_or(Json::Null, Json::num)),
+                ("anomalous", Json::Bool(score.anomalous)),
+            ],
         );
         if score.anomalous {
             events.emit(
                 "anomaly_flagged",
-                fields! {
-                    "window" => Json::num(score.window as f64),
-                    "spe" => score.spe.map_or(Json::Null, Json::num),
-                    "threshold" => score.threshold.map_or(Json::Null, Json::num),
-                },
+                &[
+                    ("window", Json::num(score.window as f64)),
+                    ("spe", score.spe.map_or(Json::Null, Json::num)),
+                    ("threshold", score.threshold.map_or(Json::Null, Json::num)),
+                ],
             );
             anomalies.push(score.window);
         }
@@ -523,11 +518,11 @@ pub(crate) fn run_aggregator(
                 metrics.global_templates.set(canonical as f64);
                 events.emit(
                     "batch_parsed",
-                    fields! {
-                        "shard" => Json::usize(batch.shard),
-                        "lines" => Json::usize(batch.entries.len()),
-                        "groups" => Json::usize(canonical),
-                    },
+                    &[
+                        ("shard", Json::usize(batch.shard)),
+                        ("lines", Json::usize(batch.entries.len())),
+                        ("groups", Json::usize(canonical)),
+                    ],
                 );
                 for (seq, local) in batch.entries {
                     let Some(gid) = map.resolve(batch.shard, local) else {
@@ -672,7 +667,7 @@ fn write_checkpoint(
     lines: u64,
     shards: &[ParserSnapshot],
     map: &mut TemplateMerge,
-    events: &EventLog,
+    events: &Journal,
     metrics: &AggregatorMetrics,
 ) -> Result<(), IngestError> {
     {
@@ -700,12 +695,12 @@ fn write_checkpoint(
     metrics.checkpoints.inc();
     events.emit(
         "snapshot_written",
-        fields! {
-            "path" => Json::str(store.dir().display().to_string()),
-            "generation" => Json::num(generation as f64),
-            "lines" => Json::num(lines as f64),
-            "templates" => Json::usize(map.id_space()),
-        },
+        &[
+            ("path", Json::str(store.dir().display().to_string())),
+            ("generation", Json::num(generation as f64)),
+            ("lines", Json::num(lines as f64)),
+            ("templates", Json::usize(map.id_space())),
+        ],
     );
     if store.should_compact() {
         store.compact_background(map.clone())?;

@@ -25,8 +25,8 @@ use std::path::Path;
 use logparse_parsers::{DrainTreeState, SpellStateSnapshot, StreamingDrain, StreamingSpell};
 use logparse_store::{BlobRead, TemplateStore};
 
-use crate::json::Json;
 use crate::{IngestError, ParserChoice};
+use logparse_obs::Json;
 
 /// The exported state of one shard's streaming parser.
 #[derive(Debug, Clone, PartialEq)]

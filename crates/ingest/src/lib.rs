@@ -25,11 +25,10 @@
 //!   mutation streams into per-shard delta logs; a restored pipeline
 //!   groups future lines exactly as the original would have, and
 //!   global template ids survive restarts byte-for-byte.
-//! * **Event log** ([`EventLog`]) — JSONL operational events
-//!   (`ingest_started`, `batch_parsed`, `window_scored`,
-//!   `anomaly_flagged`, `snapshot_written`, `shutdown_complete`, and
-//!   the quality family: `drift_window`, `drift_exemplar`,
-//!   `window_top`, `alert_firing`, `alert_resolved`).
+//! * **Event log** — JSONL operational events (`ingest_started` …
+//!   `shutdown_complete`, the quality family `drift_window` …
+//!   `alert_resolved`) appended to the [`logparse_obs::Journal`] handed
+//!   to [`run_pipeline`], which documents the vocabulary.
 //! * **Quality & drift telemetry** ([`IngestConfig::drift`]) — per
 //!   window the aggregator publishes template birth rate, churn,
 //!   singleton fraction, parameter-cardinality and merge-conflict
@@ -40,14 +39,15 @@
 //! # Example
 //!
 //! ```
-//! use logparse_ingest::{run_pipeline, EventLog, IngestConfig, MemorySource};
+//! use logparse_ingest::{run_pipeline, IngestConfig, MemorySource};
+//! use logparse_obs::Journal;
 //!
 //! let lines: Vec<String> = (0..2_000)
 //!     .map(|i| format!("block {} replicated to node {}", i, i % 7))
 //!     .collect();
 //! let mut source = MemorySource::new(lines);
 //! let config = IngestConfig { window_size: 200, warmup: 3, ..IngestConfig::default() };
-//! let summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+//! let summary = run_pipeline(&mut source, &config, Journal::disabled(), None).unwrap();
 //! assert_eq!(summary.lines, 2_000);
 //! assert_eq!(summary.templates.len(), 1); // "block * replicated to node *"
 //! ```
@@ -57,9 +57,6 @@
 
 mod aggregate;
 pub mod checkpoint;
-mod events;
-pub mod jobs;
-mod json;
 mod metrics;
 mod pipeline;
 pub mod signal;
@@ -67,8 +64,6 @@ pub mod source;
 mod worker;
 
 pub use checkpoint::{Checkpoint, ParserSnapshot};
-pub use events::EventLog;
-pub use json::Json;
 pub use pipeline::{run_pipeline, IngestConfig, IngestSummary, WindowScore};
 pub use signal::StopFlag;
 pub use source::{

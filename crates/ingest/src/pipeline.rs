@@ -34,13 +34,13 @@ use std::time::{Duration, Instant};
 
 use logparse_core::{TemplateMerge, Tokenizer};
 use logparse_mining::{PcaDetector, PcaDetectorConfig};
-use logparse_obs::{default_rules, AlertEngine, AlertRule, History, HistorySampler};
+use logparse_obs::{
+    default_rules, AlertEngine, AlertRule, Fnv1a, History, HistorySampler, Journal, Json,
+};
 use logparse_store::{StoreConfig, TemplateStore};
 
 use crate::aggregate::{run_aggregator, AggregatorConfig, QualityTelemetry};
 use crate::checkpoint::{Checkpoint, ParserSnapshot};
-use crate::events::{fields, EventLog};
-use crate::json::Json;
 use crate::metrics::StageMetrics;
 use crate::signal::StopFlag;
 use crate::source::{LogSource, SourceItem};
@@ -204,10 +204,32 @@ pub struct IngestSummary {
 /// was called) requests shutdown — in every case after draining all
 /// in-flight batches. `resume` restarts from a checkpoint written by a
 /// previous run with the same parser and shard count.
+///
+/// Every operational transition is appended to `events` as one JSON
+/// object per line, after the journal's own header fields (`event`,
+/// `seq`, `run_id`, `ts_mono_ns`, `elapsed_ms`, `rot`), so a run can be
+/// monitored — and replayed in tests — with ordinary line tools:
+///
+/// | `event`             | emitted when                                       |
+/// |---------------------|----------------------------------------------------|
+/// | `ingest_started`    | the pipeline finished setup and starts reading     |
+/// | `batch_parsed`      | a shard worker finished one batch                  |
+/// | `window_scored`     | a tumbling window closed and was scored            |
+/// | `anomaly_flagged`   | a scored window exceeded the detector threshold    |
+/// | `drift_window`      | per-window quality stats (births, churn, …)        |
+/// | `drift_exemplar`    | a raw line evidencing a window's template births   |
+/// | `window_top`        | the window's top-K templates by arrival count      |
+/// | `alert_firing`      | an alert rule crossed its `for N windows` breach   |
+/// | `alert_resolved`    | a firing rule saw N consecutive clear windows      |
+/// | `snapshot_written`  | a checkpoint was persisted to disk                 |
+/// | `shutdown_complete` | all shards drained and the pipeline exited         |
+///
+/// The journal is flushed after `shutdown_complete`, so a
+/// SIGTERM-drained run always ends with a complete log on disk.
 pub fn run_pipeline(
     source: &mut dyn LogSource,
     config: &IngestConfig,
-    events: EventLog,
+    events: Journal,
     resume: Option<&Checkpoint>,
 ) -> Result<IngestSummary, IngestError> {
     config.validate()?;
@@ -277,14 +299,14 @@ pub fn run_pipeline(
     };
     events.emit(
         "ingest_started",
-        fields! {
-            "source" => Json::str(source.describe()),
-            "parser" => Json::str(config.parser.name()),
-            "shards" => Json::usize(config.shards),
-            "batch_size" => Json::usize(config.batch_size),
-            "window_size" => Json::usize(config.window_size),
-            "resumed_lines" => Json::num(seq_base as f64),
-        },
+        &[
+            ("source", Json::str(source.describe())),
+            ("parser", Json::str(config.parser.name())),
+            ("shards", Json::usize(config.shards)),
+            ("batch_size", Json::usize(config.batch_size)),
+            ("window_size", Json::usize(config.window_size)),
+            ("resumed_lines", Json::num(seq_base as f64)),
+        ],
     );
 
     // Spawn shards.
@@ -478,14 +500,14 @@ pub fn run_pipeline(
     let lines = seq - seq_base;
     events.emit(
         "shutdown_complete",
-        fields! {
-            "lines" => Json::num(lines as f64),
-            "batches" => Json::num(outcome.batches as f64),
-            "windows" => Json::usize(outcome.windows.len()),
-            "templates" => Json::usize(outcome.templates.len()),
-            "anomalies" => Json::usize(outcome.anomalies.len()),
-            "checkpoints" => Json::num(outcome.checkpoints_written as f64),
-        },
+        &[
+            ("lines", Json::num(lines as f64)),
+            ("batches", Json::num(outcome.batches as f64)),
+            ("windows", Json::usize(outcome.windows.len())),
+            ("templates", Json::usize(outcome.templates.len())),
+            ("anomalies", Json::usize(outcome.anomalies.len())),
+            ("checkpoints", Json::num(outcome.checkpoints_written as f64)),
+        ],
     );
     // The journal buffers; push the tail out so a drained shutdown
     // (including the SIGTERM path) leaves a complete event log on disk
@@ -563,13 +585,10 @@ fn route(line: &str, shards: usize) -> usize {
     } else {
         1 + words.count()
     };
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for b in first.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash ^= count as u64;
-    hash = hash.wrapping_mul(0x100000001b3);
+    let hash = Fnv1a::new()
+        .bytes(first.as_bytes())
+        .word(count as u64)
+        .finish();
     (hash % shards as u64) as usize
 }
 
@@ -602,6 +621,13 @@ mod tests {
             hit.iter().filter(|&&h| h).count() >= 2,
             "shape routing collapsed to one shard"
         );
+        // A checkpoint's per-shard parser state is only valid under the
+        // routing that built it. Values from the hand-rolled loop
+        // `Fnv1a` replaced.
+        let line = "Receiving block blk_1 src: /10.0.0.1";
+        let placed = [2, 3, 4, 5, 7, 8, 16].map(|shards| route(line, shards));
+        assert_eq!(placed, [0, 1, 0, 4, 2, 0, 0]);
+        assert_eq!((route("", 8), route("   ", 8)), (7, 7));
     }
 
     #[test]
@@ -613,7 +639,7 @@ mod tests {
             warmup: 3,
             ..IngestConfig::default()
         };
-        let summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+        let summary = run_pipeline(&mut source, &config, Journal::disabled(), None).unwrap();
         assert_eq!(summary.lines, 5_000);
         assert_eq!(summary.shard_lines.iter().sum::<usize>(), 5_000);
         assert_eq!(summary.windows.len(), 10);
@@ -654,7 +680,7 @@ mod tests {
             warmup: 2,
             ..IngestConfig::default()
         };
-        let summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+        let summary = run_pipeline(&mut source, &config, Journal::disabled(), None).unwrap();
         assert!(summary.windows.iter().any(|w| w.spe.is_some()));
         assert!(
             summary.anomalies.is_empty(),
@@ -701,7 +727,7 @@ mod tests {
                 ..IngestConfig::default()
             };
             config.detector.tfidf = tfidf;
-            let summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+            let summary = run_pipeline(&mut source, &config, Journal::disabled(), None).unwrap();
             assert_eq!(summary.templates.len(), 40, "{:?}", summary.templates);
             let scored: Vec<f64> = summary.windows.iter().filter_map(|w| w.spe).collect();
             assert!(scored.len() >= 17);
@@ -723,7 +749,7 @@ mod tests {
             max_lines: Some(1_234),
             ..IngestConfig::default()
         };
-        let summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+        let summary = run_pipeline(&mut source, &config, Journal::disabled(), None).unwrap();
         assert_eq!(summary.lines, 1_234);
     }
 
@@ -746,7 +772,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             stop.request();
         });
-        let summary = run_pipeline(&mut Endless(0), &config, EventLog::disabled(), None).unwrap();
+        let summary = run_pipeline(&mut Endless(0), &config, Journal::disabled(), None).unwrap();
         assert!(
             summary.lines > 0,
             "ingested nothing before the stop request"
@@ -776,7 +802,7 @@ mod tests {
                 ..IngestConfig::default()
             },
         ] {
-            assert!(run_pipeline(&mut source, &config, EventLog::disabled(), None).is_err());
+            assert!(run_pipeline(&mut source, &config, Journal::disabled(), None).is_err());
         }
     }
 }

@@ -154,9 +154,9 @@ fn line_hash(line: &str) -> u64 {
 }
 
 /// Pass-through hasher for [`FingerprintSet`]: the keys are already
-/// FNV-1a fingerprints from [`line_hash`], so running them through
-/// SipHash again would double the per-line hashing cost on the parse
-/// hot path for no dispersion gain.
+/// 64-bit fingerprints from [`line_hash`]'s rotate–xor–multiply fold,
+/// so running them through SipHash again would double the per-line
+/// hashing cost on the parse hot path for no dispersion gain.
 #[derive(Debug, Default)]
 struct FingerprintHasher(u64);
 

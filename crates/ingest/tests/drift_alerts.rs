@@ -7,7 +7,8 @@
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-use logparse_ingest::{run_pipeline, EventLog, IngestConfig, Json, MemorySource};
+use logparse_ingest::{run_pipeline, IngestConfig, MemorySource};
+use logparse_obs::{Journal, Json};
 
 /// A journal sink the test can read back after the run.
 #[derive(Clone, Default)]
@@ -54,7 +55,7 @@ fn churn_alert_fires_and_resolves_over_a_drifting_corpus() {
     let mut source = MemorySource::new(corpus);
 
     let sink = Shared::default();
-    let events = EventLog::new(Box::new(sink.clone()));
+    let events = Journal::new(Box::new(sink.clone()));
     let config = IngestConfig {
         shards: 2,
         window_size: 100,
@@ -128,7 +129,7 @@ fn churn_alert_fires_and_resolves_over_a_drifting_corpus() {
 #[test]
 fn no_drift_flag_suppresses_quality_telemetry() {
     let sink = Shared::default();
-    let events = EventLog::new(Box::new(sink.clone()));
+    let events = Journal::new(Box::new(sink.clone()));
     let mut source = MemorySource::new(stable_lines(600, 0));
     let config = IngestConfig {
         shards: 2,

@@ -8,9 +8,9 @@ use std::sync::{Arc, Mutex};
 
 use logparse_datasets::hdfs;
 use logparse_ingest::{
-    run_pipeline, Checkpoint, EventLog, IngestConfig, IngestSummary, Json, MemorySource,
-    ParserChoice,
+    run_pipeline, Checkpoint, IngestConfig, IngestSummary, MemorySource, ParserChoice,
 };
+use logparse_obs::{Journal, Json};
 use logparse_store::TemplateStore;
 
 const WINDOW: usize = 1_000;
@@ -79,7 +79,7 @@ fn hundred_thousand_lines_through_four_shards() {
     let summary = run_pipeline(
         &mut source,
         &config(),
-        EventLog::new(Box::new(sink.clone())),
+        Journal::new(Box::new(sink.clone())),
         None,
     )
     .unwrap();
@@ -167,7 +167,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
 
     // Reference: one uninterrupted run.
     let mut full = MemorySource::new(lines.clone());
-    let reference = run_pipeline(&mut full, &config(), EventLog::disabled(), None).unwrap();
+    let reference = run_pipeline(&mut full, &config(), Journal::disabled(), None).unwrap();
 
     // Interrupted run: first half, checkpoint at shutdown…
     let mut first = MemorySource::new(lines[..half].to_vec());
@@ -175,7 +175,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
         store_dir: Some(store_dir.clone()),
         ..config()
     };
-    let part1 = run_pipeline(&mut first, &cp_config, EventLog::disabled(), None).unwrap();
+    let part1 = run_pipeline(&mut first, &cp_config, Journal::disabled(), None).unwrap();
     assert!(part1.checkpoints_written >= 1);
     let id_space = |dir: &std::path::Path| TemplateStore::recover(dir).unwrap().state.id_space();
     let id_space_at_checkpoint = id_space(&store_dir);
@@ -191,7 +191,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
     assert!(run_pipeline(
         &mut nothing,
         &config(),
-        EventLog::disabled(),
+        Journal::disabled(),
         Some(&checkpoint)
     )
     .is_err());
@@ -199,7 +199,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
     let resumed = run_pipeline(
         &mut second,
         &cp_config,
-        EventLog::disabled(),
+        Journal::disabled(),
         Some(&checkpoint),
     )
     .unwrap();
@@ -259,7 +259,7 @@ fn periodic_checkpoints_are_written_during_the_run() {
     let summary = run_pipeline(
         &mut source,
         &cfg,
-        EventLog::new(Box::new(sink.clone())),
+        Journal::new(Box::new(sink.clone())),
         None,
     )
     .unwrap();
@@ -282,7 +282,7 @@ fn periodic_checkpoints_are_written_during_the_run() {
     // A fresh (non-resumed) run must refuse to reuse the populated
     // store rather than silently interleaving two id histories.
     let mut again = MemorySource::new(vec!["one more line".to_string()]);
-    assert!(run_pipeline(&mut again, &cfg, EventLog::disabled(), None).is_err());
+    assert!(run_pipeline(&mut again, &cfg, Journal::disabled(), None).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -347,7 +347,7 @@ fn churn_config() -> IngestConfig {
 /// equal, `spe` and `threshold` within 1e-6 relative.
 ///
 /// Not byte-equal, because the parent was not byte-equal with itself:
-/// the journal prints f64 at `{:?}` precision and global-id order varies
+/// the journal prints f64 at full `{}` precision and global-id order varies
 /// with cross-shard arrival, so the column order of the scoring matrix —
 /// hence the last digits of every sum over it — was never reproducible
 /// (six parent runs differed by up to 2.6e-9 relative). `~` marks the
@@ -385,7 +385,7 @@ fn window_scores_match_the_parent_frozen_fixture() {
         ("churn", churn_stream(), churn_config()),
     ] {
         let mut source = MemorySource::new(lines);
-        let mut summary = run_pipeline(&mut source, &config, EventLog::disabled(), None).unwrap();
+        let mut summary = run_pipeline(&mut source, &config, Journal::disabled(), None).unwrap();
         // Windows are listed in closing order, which the burst perturbs.
         summary.windows.sort_by_key(|w| w.window);
         let rows = &expected[name];

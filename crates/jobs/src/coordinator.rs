@@ -3,8 +3,8 @@
 //! shard results into one [`Parse`].
 //!
 //! All decisions live in the pure [`Scheduler`]; this module is the
-//! effectful shell around it — process spawning, the work-dir protocol
-//! of `logparse_ingest::jobs`, journal events, and metrics. Crash
+//! effectful shell around it — process spawning, the work-dir
+//! [`protocol`](crate::protocol), journal events, and metrics. Crash
 //! safety comes entirely from the protocol's durable artifacts:
 //!
 //! * the manifest and per-task attempt counters live in a
@@ -26,17 +26,16 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use logparse_core::{count_corpus_lines, EventId, Parse, Template, TemplateMerge};
-use logparse_ingest::jobs::{
-    dlq_dir, events_path, kill_self, out_dir, state_dir, DlqRecord, FaultPlan, JobManifest,
-    ResultRead, ShardResult,
-};
-use logparse_ingest::IngestError;
-use logparse_obs::journal::{mint_run_id, Value};
-use logparse_obs::Journal;
+use logparse_core::{count_corpus_lines, merge_chunks, EventId, Parse};
+use logparse_obs::journal::mint_run_id;
+use logparse_obs::{Journal, Json};
 use logparse_store::{sync_dir, BlobRead, StoreConfig, TemplateStore};
 
 use crate::metrics::JobMetrics;
+use crate::protocol::{
+    dlq_dir, events_path, job_parser, kill_self, out_dir, state_dir, DlqRecord, FaultPlan,
+    JobManifest, ResultRead, ShardResult,
+};
 use crate::scheduler::{Action, FailureDisposition, Scheduler, TaskSeed};
 use crate::JobError;
 
@@ -149,11 +148,11 @@ fn absorb_failure(
     journal.emit(
         "agent_failed",
         &[
-            ("job_id", Value::str(manifest.job_id.clone())),
-            ("task", Value::Num(task as f64)),
-            ("attempt", Value::Num(f64::from(attempt))),
-            ("failure_reason", Value::str(reason)),
-            ("retry_eligible", Value::Bool(retry_eligible)),
+            ("job_id", Json::str(manifest.job_id.clone())),
+            ("task", Json::usize(task)),
+            ("attempt", Json::num(attempt)),
+            ("failure_reason", Json::str(reason)),
+            ("retry_eligible", Json::Bool(retry_eligible)),
         ],
     );
     match disposition {
@@ -164,10 +163,10 @@ fn absorb_failure(
             journal.emit(
                 "agent_retrying",
                 &[
-                    ("job_id", Value::str(manifest.job_id.clone())),
-                    ("task", Value::Num(task as f64)),
-                    ("attempt", Value::Num(f64::from(next_attempt))),
-                    ("backoff_ms", Value::Num(backoff_ms as f64)),
+                    ("job_id", Json::str(manifest.job_id.clone())),
+                    ("task", Json::usize(task)),
+                    ("attempt", Json::num(next_attempt)),
+                    ("backoff_ms", Json::Num(backoff_ms as f64)),
                 ],
             );
             metrics.task_retries.inc();
@@ -184,10 +183,10 @@ fn absorb_failure(
             journal.emit(
                 "task_dead_lettered",
                 &[
-                    ("job_id", Value::str(manifest.job_id.clone())),
-                    ("task", Value::Num(task as f64)),
-                    ("attempts", Value::Num(f64::from(attempts))),
-                    ("failure_reason", Value::str(reason)),
+                    ("job_id", Json::str(manifest.job_id.clone())),
+                    ("task", Json::usize(task)),
+                    ("attempts", Json::num(attempts)),
+                    ("failure_reason", Json::str(reason)),
                 ],
             );
             metrics.tasks_dead_lettered.inc();
@@ -232,6 +231,9 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     if config.max_retries == 0 {
         return Err(JobError::Config("max-retries must be at least 1".into()));
     }
+    // Before the manifest binds the directory to the name: a typo must
+    // not cost a worker per attempt and leave an unusable job behind.
+    job_parser(&config.parser)?;
     std::fs::create_dir_all(&config.job_dir)?;
     std::fs::create_dir_all(out_dir(&config.job_dir))?;
     std::fs::create_dir_all(dlq_dir(&config.job_dir))?;
@@ -302,18 +304,18 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     journal.emit(
         "job_started",
         &[
-            ("job_id", Value::str(manifest.job_id.clone())),
-            ("parser", Value::str(manifest.parser.clone())),
+            ("job_id", Json::str(manifest.job_id.clone())),
+            ("parser", Json::str(manifest.parser.clone())),
             (
                 "corpus",
-                Value::str(manifest.corpus.to_string_lossy().into_owned()),
+                Json::str(manifest.corpus.to_string_lossy().into_owned()),
             ),
-            ("lines", Value::Num(manifest.lines as f64)),
-            ("tasks", Value::Num(tasks as f64)),
-            ("workers", Value::Num(config.workers as f64)),
-            ("max_retries", Value::Num(f64::from(manifest.max_retries))),
-            ("backoff_ms", Value::Num(manifest.backoff_ms as f64)),
-            ("resumed", Value::Bool(resumed)),
+            ("lines", Json::usize(manifest.lines)),
+            ("tasks", Json::usize(tasks)),
+            ("workers", Json::usize(config.workers)),
+            ("max_retries", Json::num(manifest.max_retries)),
+            ("backoff_ms", Json::Num(manifest.backoff_ms as f64)),
+            ("resumed", Json::Bool(resumed)),
         ],
     );
 
@@ -326,8 +328,8 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                 journal.emit(
                     "task_recovered",
                     &[
-                        ("job_id", Value::str(manifest.job_id.clone())),
-                        ("task", Value::Num(task as f64)),
+                        ("job_id", Json::str(manifest.job_id.clone())),
+                        ("task", Json::usize(task)),
                     ],
                 );
             }
@@ -356,10 +358,10 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
             journal.emit(
                 "task_dead_lettered",
                 &[
-                    ("job_id", Value::str(manifest.job_id.clone())),
-                    ("task", Value::Num(task as f64)),
-                    ("attempts", Value::Num(f64::from(used))),
-                    ("failure_reason", Value::str(reason)),
+                    ("job_id", Json::str(manifest.job_id.clone())),
+                    ("task", Json::usize(task)),
+                    ("attempts", Json::num(used)),
+                    ("failure_reason", Json::str(reason)),
                 ],
             );
             metrics.tasks_dead_lettered.inc();
@@ -442,9 +444,9 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                     journal.emit(
                         "task_completed",
                         &[
-                            ("job_id", Value::str(manifest.job_id.clone())),
-                            ("task", Value::Num(worker.task as f64)),
-                            ("attempt", Value::Num(f64::from(worker.attempt))),
+                            ("job_id", Json::str(manifest.job_id.clone())),
+                            ("task", Json::usize(worker.task)),
+                            ("attempt", Json::num(worker.attempt)),
                         ],
                     );
                     metrics.tasks_completed.inc();
@@ -486,9 +488,9 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                     journal.emit(
                         "task_assigned",
                         &[
-                            ("job_id", Value::str(manifest.job_id.clone())),
-                            ("task", Value::Num(task as f64)),
-                            ("attempt", Value::Num(f64::from(attempt))),
+                            ("job_id", Json::str(manifest.job_id.clone())),
+                            ("task", Json::usize(task)),
+                            ("attempt", Json::num(attempt)),
                         ],
                     );
                     let spawned = Command::new(&config.worker_exe)
@@ -508,10 +510,10 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                             journal.emit(
                                 "agent_started",
                                 &[
-                                    ("job_id", Value::str(manifest.job_id.clone())),
-                                    ("task", Value::Num(task as f64)),
-                                    ("attempt", Value::Num(f64::from(attempt))),
-                                    ("pid", Value::Num(f64::from(child.id()))),
+                                    ("job_id", Json::str(manifest.job_id.clone())),
+                                    ("task", Json::usize(task)),
+                                    ("attempt", Json::num(attempt)),
+                                    ("pid", Json::num(child.id())),
                                 ],
                             );
                             running.push(RunningWorker {
@@ -559,34 +561,34 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
             match ShardResult::load(&config.job_dir, &manifest, task) {
                 ResultRead::Ok(result) => results.push(result),
                 ResultRead::Missing => {
-                    return Err(JobError::Protocol(IngestError::Checkpoint(format!(
+                    return Err(JobError::Protocol(format!(
                         "task {task} completed but its result file vanished"
-                    ))))
+                    )))
                 }
                 ResultRead::Corrupt(reason) => {
-                    return Err(JobError::Protocol(IngestError::Checkpoint(format!(
+                    return Err(JobError::Protocol(format!(
                         "task {task} result no longer validates: {reason}"
-                    ))))
+                    )))
                 }
             }
         }
-        Some(reduce(manifest.lines, &results))
+        Some(reduce(manifest.lines, results))
     } else {
         None
     };
     journal.emit(
         "job_finished",
         &[
-            ("job_id", Value::str(manifest.job_id.clone())),
-            ("completed", Value::Num(completed.len() as f64)),
-            ("dead_lettered", Value::Num(dead_lettered.len() as f64)),
+            ("job_id", Json::str(manifest.job_id.clone())),
+            ("completed", Json::usize(completed.len())),
+            ("dead_lettered", Json::usize(dead_lettered.len())),
             (
                 "templates",
                 parse
                     .as_ref()
-                    .map_or(Value::Null, |p| Value::Num(p.event_count() as f64)),
+                    .map_or(Json::Null, |p| Json::usize(p.event_count())),
             ),
-            ("retries", Value::Num(retries_this_run as f64)),
+            ("retries", Json::Num(retries_this_run as f64)),
         ],
     );
     journal.flush();
@@ -603,49 +605,21 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
 }
 
 /// Folds shard results (sorted by task) into one global [`Parse`] —
-/// the reduce step. This mirrors the in-process parallel driver's
-/// merge exactly: templates unify by [`Template::structural_key`] in
-/// task order, and with a single shard the merge is skipped entirely
-/// (just as `ParallelDriver` hands back the lone chunk parse), so
-/// `jobs run` with N shards is byte-identical to `parse_parallel`
-/// with N chunks.
-pub fn reduce(lines: usize, results: &[ShardResult]) -> Parse {
-    if results.len() <= 1 {
-        let Some(only) = results.first() else {
-            return Parse::new(Vec::new(), vec![None; lines]);
-        };
-        let assignments = only
-            .assignments
-            .iter()
-            .map(|slot| slot.map(EventId))
-            .collect();
-        return Parse::new(only.templates.clone(), assignments);
-    }
-    let mut merge = TemplateMerge::new();
-    let mut templates: Vec<Template> = Vec::new();
-    for result in results {
-        let keys: Vec<String> = result
-            .templates
-            .iter()
-            .map(Template::structural_key)
-            .collect();
-        merge.merge_shard(result.task, &keys);
-        for (local, template) in result.templates.iter().enumerate() {
-            let Some(gid) = merge.resolve(result.task, local) else {
-                continue;
-            };
-            if gid == templates.len() {
-                templates.push(template.clone());
-            }
-        }
-    }
-    let mut assignments: Vec<Option<EventId>> = vec![None; lines];
-    for result in results {
-        for (offset, assigned) in result.assignments.iter().enumerate() {
-            if let Some(slot) = assignments.get_mut(result.start + offset) {
-                *slot = assigned.and_then(|local| merge.resolve(result.task, local).map(EventId));
-            }
-        }
-    }
-    Parse::new(templates, assignments)
+/// the reduce step: each result becomes the chunk [`Parse`] its worker
+/// held, and [`merge_chunks`] — the in-process parallel driver's own
+/// merge — does the rest, so `jobs run` with N shards is byte-identical
+/// to `parse_parallel` with N chunks by construction.
+pub fn reduce(lines: usize, results: Vec<ShardResult>) -> Parse {
+    let ranges: Vec<_> = results
+        .iter()
+        .map(|result| result.start..result.start + result.assignments.len())
+        .collect();
+    let chunk_parses = results
+        .into_iter()
+        .map(|result| {
+            let assignments = result.assignments.into_iter().map(|slot| slot.map(EventId));
+            Parse::new(result.templates, assignments.collect())
+        })
+        .collect();
+    merge_chunks(chunk_parses, &ranges, lines)
 }

@@ -9,9 +9,9 @@
 //! processes — the unit of failure an operator actually loses (OOM
 //! kills, node reboots, `kill -9`). The split of responsibilities:
 //!
-//! * **`logparse_ingest::jobs`** — the work-dir *protocol*: manifest,
-//!   shard results, DLQ records, the fault injector, and the worker
-//!   entry point (`logmine worker`).
+//! * **[`protocol`]** — the work-dir *protocol*: manifest, shard
+//!   results, DLQ records, the fault injector, and the worker entry
+//!   point (`logmine worker`).
 //! * **[`Scheduler`]** — the pure state machine: who runs next,
 //!   retry-vs-dead-letter, exponential backoff with deterministic
 //!   jitter. Property-tested without spawning a single process.
@@ -20,8 +20,9 @@
 //!   `agent_started`, `agent_failed`, `agent_retrying`,
 //!   `task_completed`, `task_dead_lettered`, `job_finished` — all
 //!   correlated by `job_id`), publish `jobs_*` metrics, and [`reduce`]
-//!   the shard results with the exact merge `ParallelDriver` uses, so
-//!   the distributed answer is byte-identical to the in-process one.
+//!   the shard results through the merge `ParallelDriver` itself calls
+//!   ([`logparse_core::merge_chunks`]), so the distributed answer is
+//!   byte-identical to the in-process one.
 //!
 //! # Crash safety
 //!
@@ -37,24 +38,26 @@
 
 mod coordinator;
 mod metrics;
+pub mod protocol;
 mod scheduler;
 
 pub use coordinator::{reduce, run_job, JobConfig, JobOutcome};
 pub use metrics::JobMetrics;
 pub use scheduler::{Action, FailureDisposition, Scheduler, TaskSeed, TaskState};
 
-use logparse_ingest::IngestError;
-
-/// Errors the coordinator can surface.
+/// Errors the coordinator and the worker can surface.
 #[derive(Debug)]
 pub enum JobError {
     /// An I/O failure spawning, reaping, or reading job artifacts.
     Io(std::io::Error),
-    /// An invalid configuration (bad shard count, manifest mismatch,
-    /// malformed fault plan, scheduler bookkeeping violation).
+    /// An invalid configuration (bad shard count, unknown parser,
+    /// manifest mismatch, malformed fault plan, scheduler bookkeeping
+    /// violation).
     Config(String),
-    /// A work-dir protocol failure (corrupt manifest or state blob).
-    Protocol(IngestError),
+    /// A work-dir protocol failure: a corrupt manifest, state blob or
+    /// dead-letter record, a vanished result, a shard that no longer
+    /// parses.
+    Protocol(String),
 }
 
 impl std::fmt::Display for JobError {
@@ -62,7 +65,7 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::Io(e) => write!(f, "I/O error: {e}"),
             JobError::Config(msg) => write!(f, "job configuration error: {msg}"),
-            JobError::Protocol(e) => write!(f, "job protocol error: {e}"),
+            JobError::Protocol(msg) => write!(f, "job protocol error: {msg}"),
         }
     }
 }
@@ -71,8 +74,7 @@ impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JobError::Io(e) => Some(e),
-            JobError::Protocol(e) => Some(e),
-            JobError::Config(_) => None,
+            JobError::Config(_) | JobError::Protocol(_) => None,
         }
     }
 }
@@ -83,24 +85,18 @@ impl From<std::io::Error> for JobError {
     }
 }
 
-impl From<IngestError> for JobError {
-    fn from(e: IngestError) -> Self {
-        match e {
-            IngestError::Io(e) => JobError::Io(e),
-            IngestError::Config(msg) => JobError::Config(msg),
-            other => JobError::Protocol(other),
-        }
-    }
-}
-
 impl From<logparse_core::ParseError> for JobError {
     fn from(e: logparse_core::ParseError) -> Self {
-        JobError::from(IngestError::from(e))
+        JobError::Protocol(format!("parser error: {e}"))
     }
 }
 
 impl From<logparse_store::StoreError> for JobError {
     fn from(e: logparse_store::StoreError) -> Self {
-        JobError::from(IngestError::from(e))
+        match e {
+            logparse_store::StoreError::Io(e) => JobError::Io(e),
+            logparse_store::StoreError::Corrupt(msg) => JobError::Protocol(msg),
+            logparse_store::StoreError::Config(msg) => JobError::Config(msg),
+        }
     }
 }

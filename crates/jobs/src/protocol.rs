@@ -1,15 +1,15 @@
 //! Work-dir protocol for distributed map-reduce parse jobs.
 //!
-//! `logparse-jobs` coordinates N worker **processes** over a shared job
+//! The coordinator drives N worker **processes** over a shared job
 //! directory instead of a wire protocol: every hand-off is a file whose
 //! visibility is governed by atomic rename, so a SIGKILL on either side
 //! of the hand-off leaves the directory in a state the next coordinator
-//! incarnation can interpret unambiguously. This module is the half the
-//! worker process needs — the directory layout, the job manifest, the
-//! per-shard result format, the deterministic fault injector, and the
-//! worker entry point the `logmine worker` subcommand calls. The
-//! coordinator side (scheduling, retries, the dead-letter queue, the
-//! reduce) lives in the `logparse-jobs` crate.
+//! incarnation can interpret unambiguously. This module is what both
+//! sides agree on — the directory layout, the job manifest, the
+//! per-shard result format, the deterministic fault injector — and the
+//! worker entry point the `logmine worker` subcommand calls. Scheduling,
+//! retries, the dead-letter queue and the reduce are the
+//! [coordinator](crate::run_job)'s.
 //!
 //! # Directory layout
 //!
@@ -24,10 +24,11 @@
 //!
 //! A task is **complete** iff `out/task-<i>.json` exists and validates;
 //! it is **dead-lettered** iff `dlq/task-<i>.json` exists. Workers write
-//! results through a pid-suffixed temp file plus rename, so an orphan
-//! worker (its coordinator killed mid-job) racing a retried attempt of
-//! the same task cannot tear the result — both write identical bytes
-//! (the parse is deterministic) and the last rename wins.
+//! results through [`write_atomic`]'s pid-suffixed temp file plus
+//! rename, so an orphan worker (its coordinator killed mid-job) racing
+//! a retried attempt of the same task cannot tear the result — both
+//! write identical bytes (the parse is deterministic) and the last
+//! rename wins.
 //!
 //! # Fault injection
 //!
@@ -41,17 +42,15 @@
 //! two task completions). Faults are deterministic functions of
 //! `(task, attempt)` — the same plan always fails the same way.
 
-use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use logparse_core::{Corpus, LogParser, ParallelDriver, Template, TemplateToken, Tokenizer};
-use logparse_parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Slct, Spell};
-use logparse_store::{sync_dir, BlobRead, TemplateStore};
+use logparse_obs::Json;
+use logparse_parsers::batch_parser;
+use logparse_store::{sync_dir, write_atomic, BlobRead, TemplateStore};
 
-use crate::json::Json;
-use crate::IngestError;
+use crate::JobError;
 
 /// Environment variable holding the [`FaultPlan`] for chaos tests.
 pub const FAULT_ENV: &str = "LOGPARSE_FAULT";
@@ -86,26 +85,14 @@ pub fn dlq_record_path(job_dir: &Path, task: usize) -> PathBuf {
     dlq_dir(job_dir).join(format!("task-{task}.json"))
 }
 
-/// Writes `bytes` to `path` via a **pid-suffixed** temp file + rename +
-/// directory fsync. Unlike `logparse_store::write_atomic` (fixed `.tmp`
-/// suffix), two processes writing the same path concurrently — an
-/// orphan worker racing a retry — cannot collide on the temp name.
-fn write_atomic_racing(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-    })?;
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(file_name);
-    tmp_name.push(format!(".{}.tmp", std::process::id()));
-    let tmp = parent.join(tmp_name);
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_dir(parent)
+/// Atomically publishes `bytes` as `path`, a file in one of the job's
+/// sub-directories, which is created and pinned first: the rename
+/// fsyncs inside that directory, not its own entry in `job_dir`, and a
+/// result or dead letter must not vanish with it on power loss.
+fn publish(job_dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), JobError> {
+    std::fs::create_dir_all(path.parent().unwrap_or(job_dir))?;
+    sync_dir(job_dir)?;
+    Ok(write_atomic(path, bytes)?)
 }
 
 /// The immutable description of a job, persisted as the `job` blob in
@@ -185,28 +172,26 @@ impl JobManifest {
     }
 
     /// Persists the manifest into the job's state store.
-    pub fn save(&self, store: &TemplateStore) -> Result<(), IngestError> {
+    pub fn save(&self, store: &TemplateStore) -> Result<(), JobError> {
         store.put_blob("job", self.to_json().to_string().as_bytes())?;
         Ok(())
     }
 
     /// Loads the manifest from a job directory; `Ok(None)` when the
     /// state store has no (valid) manifest blob yet.
-    pub fn load(job_dir: &Path) -> Result<Option<JobManifest>, IngestError> {
+    pub fn load(job_dir: &Path) -> Result<Option<JobManifest>, JobError> {
         match TemplateStore::read_blob(&state_dir(job_dir), "job")? {
             BlobRead::Ok(bytes) => {
                 let text = String::from_utf8(bytes)
-                    .map_err(|_| IngestError::Checkpoint("job manifest is not UTF-8".into()))?;
+                    .map_err(|_| JobError::Protocol("job manifest is not UTF-8".into()))?;
                 let doc = Json::parse(&text)
-                    .map_err(|e| IngestError::Checkpoint(format!("job manifest: {e}")))?;
+                    .map_err(|e| JobError::Protocol(format!("job manifest: {e}")))?;
                 JobManifest::from_json(&doc)
                     .map(Some)
-                    .map_err(IngestError::Checkpoint)
+                    .map_err(JobError::Protocol)
             }
             BlobRead::Missing => Ok(None),
-            BlobRead::Corrupt => Err(IngestError::Checkpoint(
-                "job manifest blob is corrupt".into(),
-            )),
+            BlobRead::Corrupt => Err(JobError::Protocol("job manifest blob is corrupt".into())),
         }
     }
 
@@ -318,7 +303,9 @@ impl ShardResult {
         ])
     }
 
-    /// Deserializes the object form.
+    /// Deserializes the object form. Every assignment must name one of
+    /// the result's own templates, so [`reduce`](crate::reduce) can
+    /// rebuild the worker's [`Parse`](logparse_core::Parse) from it.
     pub fn from_json(doc: &Json) -> Result<ShardResult, String> {
         let task = doc
             .get("task")
@@ -347,7 +334,17 @@ impl ShardResult {
                     .map(Some)
                     .ok_or("assignment is neither null nor an index".to_owned()),
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<Option<usize>>, _>>()?;
+        if let Some(id) = assignments
+            .iter()
+            .flatten()
+            .find(|&&id| id >= templates.len())
+        {
+            return Err(format!(
+                "assignment {id} names none of {} template(s)",
+                templates.len()
+            ));
+        }
         Ok(ShardResult {
             task,
             start,
@@ -357,16 +354,9 @@ impl ShardResult {
     }
 
     /// Atomically publishes the result as `out/task-<i>.json`.
-    pub fn write(&self, job_dir: &Path) -> Result<(), IngestError> {
-        std::fs::create_dir_all(out_dir(job_dir))?;
-        // Pin `out/` itself: the rename below fsyncs inside the
-        // directory, not the directory's own entry in job_dir.
-        sync_dir(job_dir)?;
-        write_atomic_racing(
-            &result_path(job_dir, self.task),
-            self.to_json().to_string().as_bytes(),
-        )?;
-        Ok(())
+    pub fn write(&self, job_dir: &Path) -> Result<(), JobError> {
+        let bytes = self.to_json().to_string();
+        publish(job_dir, &result_path(job_dir, self.task), bytes.as_bytes())
     }
 
     /// Reads and validates `task`'s result against the manifest: the
@@ -460,55 +450,35 @@ impl DlqRecord {
     }
 
     /// Atomically publishes the record as `dlq/task-<i>.json`.
-    pub fn write(&self, job_dir: &Path) -> Result<(), IngestError> {
-        std::fs::create_dir_all(dlq_dir(job_dir))?;
-        // Pin `dlq/` itself — a dead letter that vanishes with its
-        // directory on power loss would silently unrecord the failure.
-        sync_dir(job_dir)?;
-        write_atomic_racing(
+    pub fn write(&self, job_dir: &Path) -> Result<(), JobError> {
+        let bytes = self.to_json().to_string();
+        publish(
+            job_dir,
             &dlq_record_path(job_dir, self.task),
-            self.to_json().to_string().as_bytes(),
-        )?;
-        Ok(())
+            bytes.as_bytes(),
+        )
     }
 
     /// Loads `task`'s dead-letter record, `Ok(None)` when absent.
-    pub fn load(job_dir: &Path, task: usize) -> Result<Option<DlqRecord>, IngestError> {
+    pub fn load(job_dir: &Path, task: usize) -> Result<Option<DlqRecord>, JobError> {
         let path = dlq_record_path(job_dir, task);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(err.into()),
         };
-        let doc = Json::parse(&text)
-            .map_err(|e| IngestError::Checkpoint(format!("dlq record {}: {e}", path.display())))?;
-        DlqRecord::from_json(&doc)
+        Json::parse(&text)
+            .and_then(|doc| DlqRecord::from_json(&doc))
             .map(Some)
-            .map_err(|e| IngestError::Checkpoint(format!("dlq record {}: {e}", path.display())))
+            .map_err(|e| JobError::Protocol(format!("dlq record {}: {e}", path.display())))
     }
 }
 
-/// Builds a batch parser by name with the same defaults the
-/// `logmine parse` command uses when no tuning flags are given —
-/// worker processes must agree with the in-process reference run for
-/// the differential byte-identity contract to hold.
-pub fn build_batch_parser(name: &str) -> Result<Box<dyn LogParser>, IngestError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "slct" => Box::new(Slct::builder().support_fraction(0.001).build()),
-        "iplom" => Box::new(Iplom::default()),
-        "lke" => Box::new(Lke::default()),
-        "logsig" => Box::new(LogSig::builder().clusters(16).seed(0).build()),
-        "drain" => Box::new(Drain::default()),
-        "spell" => Box::new(Spell::default()),
-        "ael" => Box::new(Ael::default()),
-        "lenma" => Box::new(LenMa::default()),
-        "logmine" => Box::new(LogMine::default()),
-        other => {
-            return Err(IngestError::Config(format!(
-                "unknown batch parser `{other}`"
-            )))
-        }
-    })
+/// The batch parser a job names, at `logmine parse`'s defaults — workers
+/// must agree with the in-process reference run for the differential
+/// byte-identity contract to hold.
+pub(crate) fn job_parser(name: &str) -> Result<Box<dyn LogParser>, JobError> {
+    batch_parser(name).ok_or_else(|| JobError::Config(format!("unknown batch parser `{name}`")))
 }
 
 /// What a matched fault makes the process do.
@@ -605,9 +575,9 @@ impl FaultPlan {
     /// Reads the plan from [`FAULT_ENV`]; unset means no faults, an
     /// unparsable value is a configuration error (a chaos test with a
     /// typo must fail loudly, not run clean).
-    pub fn from_env() -> Result<FaultPlan, IngestError> {
+    pub fn from_env() -> Result<FaultPlan, JobError> {
         match std::env::var(FAULT_ENV) {
-            Ok(text) => FaultPlan::parse(&text).map_err(IngestError::Config),
+            Ok(text) => FaultPlan::parse(&text).map_err(JobError::Config),
             Err(_) => Ok(FaultPlan::none()),
         }
     }
@@ -656,14 +626,13 @@ pub fn kill_self() -> ! {
 /// here: a crash bound inside the chunk SIGKILLs the process before
 /// the result is published, a hang stalls before parsing, a corrupt
 /// fault publishes garbage and exits cleanly.
-pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), IngestError> {
-    let manifest = JobManifest::load(job_dir)?.ok_or_else(|| {
-        IngestError::Config(format!("no job manifest under {}", job_dir.display()))
-    })?;
+pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), JobError> {
+    let manifest = JobManifest::load(job_dir)?
+        .ok_or_else(|| JobError::Config(format!("no job manifest under {}", job_dir.display())))?;
     let fault = FaultPlan::from_env()?.worker_fault(task, attempt);
     let ranges = manifest.ranges();
     let range = ranges.get(task).cloned().ok_or_else(|| {
-        IngestError::Config(format!(
+        JobError::Config(format!(
             "task {task} out of range for {} shard(s)",
             manifest.shards
         ))
@@ -672,10 +641,7 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), I
         std::thread::sleep(Duration::from_millis(ms));
     }
     if let Some(FaultAction::Corrupt) = fault {
-        std::fs::create_dir_all(out_dir(job_dir))?;
-        sync_dir(job_dir)?;
-        write_atomic_racing(&result_path(job_dir, task), b"{ not json")?;
-        return Ok(());
+        return publish(job_dir, &result_path(job_dir, task), b"{ not json");
     }
     if let Some(FaultAction::CrashAfter(bound)) = fault {
         if bound < range.len() {
@@ -684,14 +650,14 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), I
     }
     let corpus = Corpus::from_path(&manifest.corpus, &Tokenizer::default())?;
     if corpus.len() != manifest.lines {
-        return Err(IngestError::Config(format!(
+        return Err(JobError::Config(format!(
             "corpus {} has {} line(s), manifest says {}",
             manifest.corpus.display(),
             corpus.len(),
             manifest.lines
         )));
     }
-    let parser = build_batch_parser(&manifest.parser)?;
+    let parser = job_parser(&manifest.parser)?;
     let piece = corpus.slice(range.clone());
     let parse = parser.parse(&piece)?;
     ShardResult::from_parse(task, range.start, &parse).write(job_dir)?;
@@ -764,21 +730,30 @@ mod tests {
             ResultRead::Missing
         ));
 
-        // A result whose coverage disagrees with the chunk is Corrupt.
-        let wrong = ShardResult {
-            assignments: vec![Some(0)],
-            ..result.clone()
-        };
-        wrong.write(&dir).unwrap();
-        assert!(matches!(
-            ShardResult::load(&dir, &m, 1),
-            ResultRead::Corrupt(_)
-        ));
-        std::fs::write(result_path(&dir, 1), "{ not json").unwrap();
-        assert!(matches!(
-            ShardResult::load(&dir, &m, 1),
-            ResultRead::Corrupt(_)
-        ));
+        // A result whose coverage disagrees with the chunk, or with an
+        // assignment that names no template (which `reduce` would trip
+        // over), is Corrupt.
+        let past_the_end = vec![Some(0), None, Some(2), Some(0), Some(0)];
+        for assignments in [vec![Some(0)], past_the_end] {
+            let wrong = ShardResult {
+                assignments,
+                ..result.clone()
+            };
+            wrong.write(&dir).unwrap();
+            assert!(matches!(
+                ShardResult::load(&dir, &m, 1),
+                ResultRead::Corrupt(_)
+            ));
+        }
+        // Damage costs a retry, never the coordinator: 200 000 open
+        // brackets used to recurse `Json::parse` off the stack.
+        for damaged in ["{ not json".to_owned(), "[".repeat(200_000)] {
+            std::fs::write(result_path(&dir, 1), &damaged).unwrap();
+            assert!(matches!(
+                ShardResult::load(&dir, &m, 1),
+                ResultRead::Corrupt(_)
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -824,6 +799,11 @@ mod tests {
         assert_eq!(DlqRecord::load(&dir, 3).unwrap(), None);
         record.write(&dir).unwrap();
         assert_eq!(DlqRecord::load(&dir, 3).unwrap(), Some(record));
+        std::fs::write(dlq_record_path(&dir, 3), "[".repeat(200_000)).unwrap();
+        assert!(matches!(
+            DlqRecord::load(&dir, 3),
+            Err(JobError::Protocol(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -878,7 +858,7 @@ mod tests {
         }
         let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
         let ranges = ParallelDriver::chunk_ranges(40, 4);
-        let parser = build_batch_parser("drain").unwrap();
+        let parser = job_parser("drain").unwrap();
         for (task, range) in ranges.iter().enumerate() {
             let ResultRead::Ok(result) = ShardResult::load(&dir, &m, task) else {
                 panic!("task {task} did not complete");
@@ -895,15 +875,5 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn build_batch_parser_matches_the_cli_roster() {
-        for name in [
-            "slct", "iplom", "lke", "logsig", "drain", "spell", "ael", "lenma", "logmine",
-        ] {
-            assert!(build_batch_parser(name).is_ok(), "{name}");
-        }
-        assert!(build_batch_parser("nope").is_err());
     }
 }

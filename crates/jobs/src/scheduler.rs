@@ -23,6 +23,8 @@
 //!   once the exponential saturates).
 //! * At most `workers` tasks are running at any moment.
 
+use logparse_obs::Fnv1a;
+
 /// Where a task stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
@@ -124,15 +126,10 @@ fn jitter(seed: u64, task: usize, attempt: u32, bound: u64) -> u64 {
     if bound == 0 {
         return 0;
     }
-    let mut hash: u64 = 0xcbf29ce484222325 ^ seed;
-    for byte in (task as u64)
-        .to_le_bytes()
-        .into_iter()
-        .chain(u64::from(attempt).to_le_bytes())
-    {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
+    let hash = Fnv1a::seeded(seed)
+        .bytes(&(task as u64).to_le_bytes())
+        .bytes(&u64::from(attempt).to_le_bytes())
+        .finish();
     hash % (bound.saturating_add(1))
 }
 
@@ -382,6 +379,11 @@ mod tests {
                 i + 1
             );
         }
+        // A pure function of the job id. Values from the hand-rolled
+        // loop `Fnv1a` replaced.
+        let seed = 0xba41_36d1_c510_7724;
+        assert_eq!((jitter(seed, 2, 3, 100), jitter(0, 2, 3, 100)), (53, 89));
+        assert_eq!(jitter(seed, 2, 3, u64::MAX), 11_027_018_866_446_876_256);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 
 use std::path::PathBuf;
 
-use logparse_ingest::jobs::{DlqRecord, ShardResult};
+use logparse_jobs::protocol::{DlqRecord, ShardResult};
 
 fn temp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ingest-dur-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("jobs-dur-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

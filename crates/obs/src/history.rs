@@ -60,12 +60,7 @@ impl History {
     }
 
     fn shard(&self, series: &str) -> &Mutex<HashMap<String, VecDeque<f64>>> {
-        // FNV-1a keeps the hash dependency-free and stable across runs.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in series.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
+        let hash = crate::Fnv1a::new().bytes(series.as_bytes()).finish();
         // The modulo keeps the index in range of the SHARDS-sized Vec.
         &self.shards[(hash as usize) % SHARDS]
     }

@@ -30,70 +30,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
+use crate::json::{write_string, Json};
 use crate::metrics::Counter;
+use crate::Fnv1a;
 
 /// Events between forced flushes.
 const FLUSH_EVERY: u64 = 32;
 /// Maximum time a buffered event may wait before being flushed.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(200);
-
-/// A scalar JSON value for journal fields.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A JSON string (escaped on write).
-    Str(String),
-    /// A finite number (non-finite values serialize as `null`).
-    Num(f64),
-    /// A boolean.
-    Bool(bool),
-    /// JSON `null`.
-    Null,
-    /// Pre-rendered JSON, written verbatim — the escape hatch for
-    /// callers with their own JSON values (the ingest event log).
-    Raw(String),
-}
-
-impl Value {
-    /// Convenience constructor for string values.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Value::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
-            }
-            Value::Num(n) if n.is_finite() => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{n:.0}"));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Value::Num(_) => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Null => out.push_str("null"),
-            Value::Raw(json) => out.push_str(json),
-        }
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 /// A size-capped file sink: once the current file would exceed
 /// `max_bytes`, it is rotated to `<path>.1` (existing rotations
@@ -221,13 +165,12 @@ pub fn mint_run_id() -> String {
         .duration_since(SystemTime::UNIX_EPOCH)
         .map_or(0, |d| d.as_nanos() as u64);
     let pid = std::process::id() as u64;
-    // FNV-1a over the two sources so close-together pids/timestamps
-    // still produce visually distinct ids.
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for b in nanos.to_le_bytes().iter().chain(pid.to_le_bytes().iter()) {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
+    // Hashed so close-together pids/timestamps still produce visually
+    // distinct ids.
+    let hash = Fnv1a::new()
+        .bytes(&nanos.to_le_bytes())
+        .bytes(&pid.to_le_bytes())
+        .finish();
     format!("{hash:016x}")
 }
 
@@ -289,11 +232,11 @@ impl Journal {
     /// Appends one event; `fields` follow the header fields. Sink errors
     /// are swallowed — the monitored program must not die because
     /// monitoring went away.
-    pub fn emit(&self, event: &str, fields: &[(&str, Value)]) {
+    pub fn emit(&self, event: &str, fields: &[(&str, Json)]) {
         let mut line = String::with_capacity(128);
-        line.push_str("{\"event\":\"");
-        escape_into(event, &mut line);
-        line.push_str("\",\"seq\":");
+        line.push_str("{\"event\":");
+        write_string(event, &mut line);
+        line.push_str(",\"seq\":");
         // Poison recovery: a panic mid-write elsewhere leaves at worst a
         // torn line; monitoring must keep running regardless.
         // lint:allow(lock-channel-hold): this mutex exists to serialize the buffered writer — the I/O below is the guarded resource, and no other lock or channel is touched while it is held
@@ -316,9 +259,9 @@ impl Journal {
         line.push_str(",\"rot\":");
         line.push_str(&self.rotation.load(Ordering::Relaxed).to_string());
         for (key, value) in fields {
-            line.push_str(",\"");
-            escape_into(key, &mut line);
-            line.push_str("\":");
+            line.push(',');
+            write_string(key, &mut line);
+            line.push(':');
             value.write(&mut line);
         }
         line.push_str("}\n");
@@ -372,14 +315,14 @@ mod tests {
     fn events_carry_header_fields_in_order() {
         let sink = Shared::default();
         let journal = Journal::with_run_id(Box::new(sink.clone()), "00deadbeef00cafe".into());
-        journal.emit("started", &[("shards", Value::Num(4.0))]);
+        journal.emit("started", &[("shards", Json::usize(4))]);
         journal.emit(
             "scored",
             &[
-                ("spe", Value::Num(1.5)),
-                ("anomalous", Value::Bool(false)),
-                ("note", Value::str("a \"quoted\" word")),
-                ("missing", Value::Null),
+                ("spe", Json::Num(1.5)),
+                ("anomalous", Json::Bool(false)),
+                ("note", Json::str("a \"quoted\" word")),
+                ("missing", Json::Null),
             ],
         );
         journal.flush();
@@ -395,6 +338,33 @@ mod tests {
         assert!(lines[1].contains("\"anomalous\":false"));
         assert!(lines[1].contains("\"note\":\"a \\\"quoted\\\" word\""));
         assert!(lines[1].contains("\"missing\":null"));
+        // One JSON object per line, whatever the field types.
+        for (seq, line) in lines.iter().enumerate() {
+            let parsed = Json::parse(line).unwrap();
+            assert_eq!(header_num(&parsed, "seq"), seq);
+            assert!(parsed.get("elapsed_ms").unwrap().as_usize().is_some());
+        }
+    }
+
+    /// The same `f64` prints the same bytes as a top-level event field
+    /// and nested inside an array — on the three inputs the journal's
+    /// and the value tree's separate formatters used to disagree on.
+    #[test]
+    fn numbers_print_alike_at_every_depth() {
+        let sink = Shared::default();
+        let journal = Journal::new(Box::new(sink.clone()));
+        for (n, printed) in [
+            (3.2e-9, "0.0000000032"),
+            (-0.0, "-0"),
+            (9.1e15, "9100000000000000"),
+        ] {
+            let nested = Json::Arr(vec![Json::Num(n)]);
+            journal.emit("n", &[("top", Json::Num(n)), ("in", nested)]);
+            journal.flush();
+            let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+            let tail = format!("\"top\":{printed},\"in\":[{printed}]}}\n");
+            assert!(text.ends_with(&tail), "{text}");
+        }
     }
 
     #[test]
@@ -410,20 +380,18 @@ mod tests {
     fn ts_mono_is_nondecreasing() {
         let sink = Shared::default();
         let journal = Journal::new(Box::new(sink.clone()));
+        assert_eq!(journal.run_id().len(), 16);
         for _ in 0..5 {
             journal.emit("tick", &[]);
         }
         journal.flush();
-        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
-        let stamps: Vec<u128> = text
-            .lines()
-            .map(|l| {
-                let rest = l.split("\"ts_mono_ns\":").nth(1).unwrap();
-                rest.split(',').next().unwrap().parse().unwrap()
-            })
-            .collect();
-        for pair in stamps.windows(2) {
-            assert!(pair[0] <= pair[1]);
+        let events = parsed_lines(&sink);
+        for event in &events {
+            let run_id = event.get("run_id").unwrap().as_str();
+            assert_eq!(run_id, Some(journal.run_id()));
+        }
+        for pair in events.windows(2) {
+            assert!(header_num(&pair[0], "ts_mono_ns") <= header_num(&pair[1], "ts_mono_ns"));
         }
     }
 
@@ -485,7 +453,7 @@ mod tests {
         let path = dir.join("journal.jsonl");
         let journal = Journal::rotating(&path, 512, 1).unwrap();
         for _ in 0..64 {
-            journal.emit("tick", &[("pad", Value::str("some event payload text"))]);
+            journal.emit("tick", &[("pad", Json::str("some event payload text"))]);
         }
         journal.flush();
         drop(journal);
@@ -500,17 +468,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Parses a header field's numeric value out of a JSONL line.
-    fn header_num(line: &str, key: &str) -> u128 {
-        let marker = format!("\"{key}\":");
-        let rest = line.split(&marker).nth(1).unwrap_or_else(|| {
-            panic!("line missing {key}: {line}");
-        });
-        rest.split([',', '}'])
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap_or_else(|_| panic!("unparsable {key} in {line}"))
+    /// A header field's numeric value.
+    fn header_num(event: &Json, key: &str) -> usize {
+        let value = event.get(key).and_then(Json::as_usize);
+        value.unwrap_or_else(|| panic!("no integer {key} in {event}"))
+    }
+
+    /// Every line the sink received, parsed.
+    fn parsed_lines(sink: &Shared) -> Vec<Json> {
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        text.lines().map(|l| Json::parse(l).unwrap()).collect()
     }
 
     #[test]
@@ -521,7 +488,7 @@ mod tests {
         // Tiny cap + flush after every event forces many rollovers.
         let journal = Journal::rotating(&path, 256, 4).unwrap();
         for i in 0..48 {
-            journal.emit("tick", &[("n", Value::Num(i as f64))]);
+            journal.emit("tick", &[("n", Json::usize(i))]);
             journal.flush();
         }
         drop(journal);
@@ -533,13 +500,14 @@ mod tests {
             }
         }
         text.push_str(&std::fs::read_to_string(&path).unwrap());
-        let mut events: Vec<(u128, u128, u128)> = text
+        let mut events: Vec<(usize, usize, usize)> = text
             .lines()
             .map(|l| {
+                let l = Json::parse(l).unwrap();
                 (
-                    header_num(l, "seq"),
-                    header_num(l, "ts_mono_ns"),
-                    header_num(l, "rot"),
+                    header_num(&l, "seq"),
+                    header_num(&l, "ts_mono_ns"),
+                    header_num(&l, "rot"),
                 )
             })
             .collect();
@@ -571,7 +539,7 @@ mod tests {
                 let journal = Arc::clone(&journal);
                 std::thread::spawn(move || {
                     for i in 0..200 {
-                        journal.emit("tick", &[("t", Value::Num((t * 1000 + i) as f64))]);
+                        journal.emit("tick", &[("t", Json::usize(t * 1000 + i))]);
                     }
                 })
             })
@@ -580,9 +548,8 @@ mod tests {
             t.join().unwrap();
         }
         journal.flush();
-        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
-        let mut events: Vec<(u128, u128)> = text
-            .lines()
+        let mut events: Vec<(usize, usize)> = parsed_lines(&sink)
+            .iter()
             .map(|l| (header_num(l, "seq"), header_num(l, "ts_mono_ns")))
             .collect();
         assert_eq!(events.len(), 800);
@@ -620,11 +587,7 @@ mod tests {
         let journal = Journal::new(Box::new(sink.clone()));
         journal.emit("tick", &[]);
         journal.flush();
-        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
-        assert!(
-            text.contains(",\"rot\":0,") || text.contains(",\"rot\":0}"),
-            "{text}"
-        );
+        assert_eq!(header_num(&parsed_lines(&sink)[0], "rot"), 0);
     }
 
     #[test]
@@ -640,9 +603,8 @@ mod tests {
             "5 quick events should not flush per event (saw {flushes_before_drop})"
         );
         drop(journal);
-        assert!(
-            sink.0.lock().unwrap().1 > flushes_before_drop,
-            "drop must flush"
-        );
+        let (writes, flushes) = *sink.0.lock().unwrap();
+        assert!(flushes > flushes_before_drop, "drop must flush");
+        assert!(writes > 0, "the buffered events reach the sink");
     }
 }

@@ -1,10 +1,12 @@
-//! Minimal JSON reading/writing for checkpoints and the JSONL event
-//! log.
+//! The workspace's one JSON: value tree, parser, writer, string
+//! escaper and number rule, shared by the [`Journal`](crate::Journal)'s
+//! event fields, the ingest checkpoint blobs and the jobs work-dir
+//! protocol.
 //!
-//! The workspace builds offline and deliberately carries no serde; the
-//! ingest pipeline only needs a small, deterministic JSON subset —
-//! objects keep insertion order so identical states serialize to
-//! identical bytes, which the checkpoint round-trip tests rely on.
+//! The workspace builds offline and deliberately carries no serde; a
+//! small, deterministic subset is all it needs — objects keep insertion
+//! order so identical states serialize to identical bytes, which the
+//! checkpoint round-trip and wire-golden tests rely on.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -91,7 +93,8 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact wire form (no whitespace) to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -123,11 +126,13 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Total on any input: malformed text,
+    /// including arrays/objects nested more than 64 deep, is an `Err`.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -149,17 +154,20 @@ impl fmt::Display for Json {
     }
 }
 
+/// The one number rule, at every nesting depth: `f64`'s `Display` —
+/// the shortest decimal that parses back to the same value, no
+/// fraction on integral values (`4`, not `4.0`), never an exponent.
 fn write_number(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        out.push_str("null"); // JSON has no NaN/Inf
-    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
     } else {
-        let _ = write!(out, "{n:?}");
+        out.push_str("null"); // JSON has no NaN/Inf
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// The one string escaper: `s` quoted, with `"`, `\\` and control
+/// characters escaped.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -177,9 +185,16 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document this workspace writes has 4 levels (Drain's `leaves`); the
+/// cap turns a hostile or damaged file into an `Err` where unbounded
+/// recursion would overflow the stack and abort the process.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -212,11 +227,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nested deeper than {MAX_DEPTH} at {}", self.pos));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
@@ -270,6 +295,9 @@ impl<'a> Parser<'a> {
                                 self.expect_byte(b'\\')?;
                                 self.expect_byte(b'u')?;
                                 let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(format!("unpaired surrogate \\u{unit:04x}"));
+                                }
                                 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
                             } else {
                                 unit
@@ -410,5 +438,21 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+        // A high surrogate needs a low one: below the range the
+        // subtraction used to underflow (a panic under overflow checks,
+        // U+2441 without), above it the sum named the wrong character.
+        for low in ["\\u0041", "\\ue000", "\\ud800", ""] {
+            assert!(Json::parse(&format!("\"\\ud800{low}\"")).is_err(), "{low}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + "{}" + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH - 1)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+        // Depth counts open containers, not containers seen.
+        assert!(Json::parse(&format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH))).is_ok());
     }
 }

@@ -21,6 +21,9 @@
 //! * **[`Journal`]** — a buffered JSONL event log with `run_id` and
 //!   monotonic timestamps, flushed on drop so drained shutdowns never
 //!   truncate the event stream.
+//! * **[`Json`] and [`Fnv1a`]** — the one JSON (journal fields,
+//!   checkpoint blobs, the jobs protocol) and the one hash (shard
+//!   routing, store placement, retry jitter) every layer above shares.
 //!
 //! # Example
 //!
@@ -55,20 +58,24 @@
 #![warn(missing_docs)]
 
 mod alerts;
+mod fnv;
 mod histogram;
 mod history;
 mod http;
 pub mod journal;
+mod json;
 mod metrics;
 mod registry;
 pub mod rules;
 mod span;
 
 pub use alerts::{AlertEngine, AlertTransition};
+pub use fnv::Fnv1a;
 pub use histogram::{Buckets, Histogram, HistogramSnapshot};
 pub use history::{History, HistorySampler};
 pub use http::{serve_metrics, MetricsServer};
 pub use journal::{Journal, RotatingFile};
+pub use json::Json;
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, MetricKind, Registry};
 pub use rules::{default_rules, default_rules_text, parse_rules, AlertRule};

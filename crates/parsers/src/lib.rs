@@ -93,9 +93,31 @@ pub fn extension_parsers() -> Vec<Box<dyn LogParser>> {
     ]
 }
 
+/// The batch parser called `name` (case-insensitive), at its default
+/// configuration: the one roster and the one set of defaults behind
+/// `logmine parse --parser NAME` and every `logmine jobs` worker, which
+/// must agree for a distributed run to equal the in-process one.
+pub fn batch_parser(name: &str) -> Option<Box<dyn LogParser>> {
+    study_parsers()
+        .into_iter()
+        .chain(extension_parsers())
+        .find(|parser| parser.name().eq_ignore_ascii_case(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn batch_parser_matches_the_cli_roster() {
+        for name in [
+            "slct", "iplom", "lke", "logsig", "drain", "spell", "ael", "lenma", "LogMine",
+        ] {
+            let parser = batch_parser(name).unwrap_or_else(|| panic!("{name}"));
+            assert!(parser.name().eq_ignore_ascii_case(name));
+        }
+        assert!(batch_parser("nope").is_none());
+    }
 
     #[test]
     fn study_parsers_are_the_papers_four() {

@@ -110,14 +110,19 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 /// The rename is atomic, so readers observe either the old file or
 /// the complete new one — never a torn write — and the directory
 /// fsync pins the rename itself to disk (rename alone does not
-/// survive power loss on ext4).
+/// survive power loss on ext4). The temp file is hidden and carries
+/// the writer's pid (`.<name>.<pid>.tmp`), so two processes publishing
+/// the same path — an orphaned job worker racing its retry — never
+/// share a temp file; the last rename wins. One a killed writer leaves
+/// behind is removed when the store is next opened.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(file_name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
     let tmp = parent.join(tmp_name);
     {
         let mut file = File::create(&tmp)?;
@@ -126,6 +131,21 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
     std::fs::rename(&tmp, path)?;
     sync_dir(parent)
+}
+
+/// Removes the temp files a [`write_atomic`] killed between create and
+/// rename left in `dir`: named per pid, no later write would reuse or
+/// replace them. For a directory's single writer, before it writes — a
+/// live peer's temp file looks the same.
+pub(crate) fn sweep_temps(dir: &Path) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().map(|name| name.to_string_lossy());
+        if name.is_some_and(|name| name.starts_with('.') && name.ends_with(".tmp")) {
+            std::fs::remove_file(&path)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -141,10 +161,11 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second, longer payload").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second, longer payload");
-        assert!(
-            !dir.join("file.bin.tmp").exists(),
-            "temp file must not linger"
-        );
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["file.bin"], "temp file must not linger");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,6 +25,7 @@
 use crate::codec::{FileHeader, Payload, FORMAT_VERSION};
 use crate::frame::{append_record, Frame, FrameReader};
 use logparse_core::MergeDelta;
+use logparse_obs::Fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -50,13 +51,10 @@ pub(crate) fn route_slot(gid: usize, shards: usize) -> usize {
 /// the same binding after a restart land in the same log and replay
 /// in write order.
 pub(crate) fn route_assign(shard: usize, local: usize, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for half in [shard as u64, local as u64] {
-        for byte in half.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let hash = Fnv1a::new()
+        .bytes(&(shard as u64).to_le_bytes())
+        .bytes(&(local as u64).to_le_bytes())
+        .finish();
     (hash % shards.max(1) as u64) as usize
 }
 
@@ -508,6 +506,9 @@ mod tests {
             }
         }
         assert_eq!(route_slot(13, 4), 1);
+        // Placement is persisted: a store replays under the hash that
+        // wrote it. Values from the hand-rolled loop `Fnv1a` replaced.
+        assert_eq!((route_assign(3, 17, 8), route_assign(0, 0, 8)), (7, 5));
     }
 
     #[test]

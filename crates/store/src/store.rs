@@ -36,7 +36,7 @@ use crate::shard::{
     encode_snapshot, log_name, read_log, read_snapshot, route_assign, route_slot, scan_dir,
     snap_name, ShardWriter, SnapshotData,
 };
-use crate::{sync_dir, write_atomic, StoreError};
+use crate::{sweep_temps, sync_dir, write_atomic, StoreError};
 use logparse_core::{MergeDelta, TemplateMerge};
 use std::fs;
 use std::io;
@@ -555,8 +555,9 @@ impl TemplateStore {
 
     /// Opens (creating if necessary) the store at `dir`, recovering
     /// whatever state its snapshots and logs hold. Quarantines
-    /// unrecoverable shards, truncates torn log tails, and leaves
-    /// every shard ready for appends.
+    /// unrecoverable shards, truncates torn log tails, removes temp
+    /// files a killed writer left, and leaves every shard ready for
+    /// appends.
     pub fn open(dir: &Path, config: &StoreConfig) -> Result<(TemplateStore, Recovery), StoreError> {
         if config.shards == 0 {
             return Err(StoreError::Config("store needs at least one shard".into()));
@@ -569,6 +570,7 @@ impl TemplateStore {
         if let Some(parent) = dir.parent().filter(|p| !p.as_os_str().is_empty()) {
             sync_dir(parent)?;
         }
+        sweep_temps(dir)?;
         let shards = if TemplateStore::is_store(dir) {
             read_manifest(dir)?
         } else {
@@ -592,6 +594,7 @@ impl TemplateStore {
                 metrics.quarantined_shards.inc();
             }
             fs::create_dir_all(&sdir)?;
+            sweep_temps(&sdir)?;
             match plan.resume {
                 Some((log_generation, valid_prefix)) if log_generation == generation => {
                     writers.push(ShardWriter::resume(
@@ -929,11 +932,17 @@ mod tests {
         store.append(&sample_deltas()).unwrap();
         store.flush().unwrap();
         store.finish().unwrap();
+        // What a writer SIGKILLed before its rename leaves behind.
+        let orphans = [".meta.blob.7.tmp", "shard-3/.snap-1.snap.7.tmp"].map(|name| dir.join(name));
+        for orphan in &orphans {
+            fs::write(orphan, b"half a write").unwrap();
+        }
 
         let (_store, recovery) = TemplateStore::open(&dir, &config(4)).unwrap();
         assert_eq!(recovery.state, expected_state());
         assert_eq!(recovery.replayed_records, sample_deltas().len() as u64);
         assert_eq!(recovery.quarantined_shards, 0);
+        assert!(!orphans.iter().any(|orphan| orphan.exists()));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -237,17 +237,9 @@ proptest! {
 /// A stable per-case directory suffix derived from the generated
 /// inputs (the proptest shim does not expose the case index).
 fn proptest_case_id(ops: &[(u8, usize, usize)], a: usize, b: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut h = logparse_obs::Fnv1a::new();
     for &(k, x, y) in ops {
-        mix(k as u64);
-        mix(x as u64);
-        mix(y as u64);
+        h = h.word(k as u64).word(x as u64).word(y as u64);
     }
-    mix(a as u64);
-    mix(b as u64);
-    h
+    h.word(a as u64).word(b as u64).finish()
 }

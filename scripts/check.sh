@@ -43,6 +43,15 @@ cargo test -q --test loader_differential
 echo "=== loader goldens (parent-frozen loader_v1) ==="
 cargo test -q -p logparse-cli --test cli loader_v1_goldens_hold_from_file_and_stdin
 
+# What the PR 17 binary wrote for a crashed-and-retried job, a poisoned
+# one and a `serve` run, rewritten byte for byte; and the benchmark
+# harness, which links the crates by pinned signature (its README),
+# checked here so a break fails locally, not in the benchmark run (it
+# writes only the git-ignored benchmark/target/).
+echo "=== wire goldens (parent-frozen jobs_v1, events_v1) ==="
+cargo test -q -p logparse-cli --test jobs_chaos -- jobs_v1 events_v1
+cargo check -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "=== differential suite (mask-before-intern vs symbol-level apply vs goldens) ==="
 cargo test -q --test preprocess_differential
 
