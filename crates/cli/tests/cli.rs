@@ -256,3 +256,100 @@ fn unknown_parser_fails_before_the_corpus_is_loaded() {
     let text = String::from_utf8(out.stderr).unwrap();
     assert!(text.contains("unknown parser `nope`"), "{text}");
 }
+
+/// `serve` cuts lines in one place, so its four entry points — a file,
+/// stdin, `--follow` and `--listen` — make the same lines of the same
+/// hostile bytes: a CRLF run, a blank and a whitespace-only line,
+/// multi-byte characters, invalid UTF-8 and a line over the length cap.
+/// Everything printed after the `source` line and every event after
+/// `ingest_started`, journal header fields aside, is identical.
+#[test]
+fn serve_entry_points_agree_on_hostile_bytes() {
+    use std::io::{BufRead, BufReader, Read};
+
+    let dir = std::env::temp_dir().join(format!("logmine-line-contract-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut fixture = b"alpha 1\r\nalpha 2\r\n\n  \t \n".to_vec();
+    fixture.extend_from_slice("naïve café\n".as_bytes());
+    fixture.extend_from_slice(b"bad \xff\xfe bytes\n");
+    fixture.extend_from_slice(&vec![b'x'; logparse_core::MAX_LINE_BYTES + 10]);
+    fixture.push(b'\n');
+    let log = dir.join("hostile.log");
+    std::fs::write(&log, &fixture).unwrap();
+
+    // One shard, and a flush interval no run reaches: one batch, so the
+    // event sequence does not depend on how the bytes arrived.
+    let serve = |entry: &str| {
+        let events = dir.join(format!("{entry}.jsonl"));
+        let mut command = logmine();
+        command
+            .args([
+                "serve",
+                "--shards",
+                "1",
+                "--window",
+                "4",
+                "--max-lines",
+                "7",
+            ])
+            .args(["--flush-ms", "600000", "--events-out"])
+            .arg(&events)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
+        match entry {
+            "file" => command.arg(&log),
+            "stdin" => command.stdin(std::fs::File::open(&log).unwrap()),
+            "follow" => command.arg(&log).arg("--follow"),
+            _ => command.args(["--listen", "127.0.0.1:0"]),
+        };
+        let mut child = command.spawn().unwrap();
+        if entry == "listen" {
+            let mut line = String::new();
+            BufReader::new(child.stderr.take().unwrap())
+                .read_line(&mut line)
+                .unwrap();
+            let addr = line.trim().strip_prefix("listening on ").expect(&line);
+            let mut peer = std::net::TcpStream::connect(addr).unwrap();
+            peer.write_all(&fixture).unwrap();
+        }
+        let mut stdout = String::new();
+        child
+            .stdout
+            .take()
+            .unwrap()
+            .read_to_string(&mut stdout)
+            .unwrap();
+        assert!(child.wait().unwrap().success(), "{entry}");
+        let (source, summary) = stdout.split_once('\n').unwrap();
+        assert!(source.starts_with("source "), "{entry}: {source}");
+        let journal = std::fs::read_to_string(&events).unwrap();
+        let events: Vec<String> = journal
+            .lines()
+            .filter(|event| !event.contains(r#""event":"ingest_started""#))
+            .map(|event| {
+                let (name, rest) = event.split_once(r#","seq":"#).unwrap();
+                let (_, rest) = rest.split_once(r#","rot":"#).unwrap();
+                format!(
+                    "{name}{}",
+                    rest.trim_start_matches(|c: char| c.is_ascii_digit())
+                )
+            })
+            .collect();
+        (summary.to_owned(), events)
+    };
+
+    let (summary, events) = serve("file");
+    assert!(summary.starts_with("lines             7\n"), "{summary}");
+    assert!(events[0].starts_with(r#"{"event":"batch_parsed""#));
+    assert!(events
+        .iter()
+        .any(|e| e.contains(r#""line":"bad �� bytes""#)));
+    assert!(events.last().unwrap().contains("shutdown_complete"));
+    for entry in ["stdin", "follow", "listen"] {
+        let (other_summary, other_events) = serve(entry);
+        assert_eq!(other_summary, summary, "{entry}");
+        assert_eq!(other_events, events, "{entry}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -53,7 +53,7 @@ mod tokenizer;
 pub use error::ParseError;
 pub use intern::{Interner, Symbol, TokenArena};
 pub use io::{write_events_file, write_structured_file};
-pub use loader::{count_corpus_lines, FileLines};
+pub use loader::{count_corpus_lines, LineDamage, LineFramer, MAX_LINE_BYTES};
 pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};
 pub use parser::{EventId, LogParser, Parse, ParseBuilder};

@@ -511,72 +511,119 @@ pub fn count_corpus_lines(path: impl AsRef<Path>) -> Result<usize, ParseError> {
     Ok(count_non_blank_lines(&buffer))
 }
 
-/// A zero-copy line reader over a whole file: the streaming ingest
-/// file source's replacement for `BufReader::read_line`.
-///
-/// Yields **every** line (blank lines included — streaming semantics,
-/// unlike the corpus loaders) with the terminating `\n`/`\r\n`
-/// stripped; a final line at EOF keeps any trailing `\r`, matching
-/// `BufRead::lines`. Lines borrow from the mapping, so the only copy
-/// happens when a caller materializes the line (e.g. into a
-/// `SourceItem::Line`).
-#[derive(Debug)]
-pub struct FileLines {
-    buffer: LineBuffer,
-    pos: usize,
+/// The longest line, in bytes, a [`LineFramer`] delivers whole.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Bytes [`LineFramer::fill_from`] asks its reader for at a time.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Lines a [`LineFramer`] repaired rather than delivered as sent.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LineDamage {
+    /// Lines holding invalid UTF-8, each bad sequence now U+FFFD.
+    pub invalid_utf8: u64,
+    /// Lines over [`MAX_LINE_BYTES`], delivered cut to that length.
+    pub too_long: u64,
 }
 
-impl FileLines {
-    /// Opens `path`, mapping it when possible.
+/// The streaming line cutter: bytes in as they arrive, lines out. Every
+/// `logmine serve` entry point cuts its lines here and nowhere else,
+/// under the stream column of DESIGN.md's *Line contract* table: blank
+/// lines kept, one `\r` stripped before `\n`, a line decoded only once
+/// complete, invalid UTF-8 and over-long lines repaired and counted,
+/// never refused.
+///
+/// Callers [`pop`](LineFramer::pop) until `None`, then
+/// [`fill_from`](LineFramer::fill_from) their reader; read that way the
+/// framer holds one capped line plus one chunk at most, whatever it is
+/// sent.
+#[derive(Debug, Default)]
+pub struct LineFramer {
+    /// `buf[head..end]` is undelivered input; the rest is spare room.
+    buf: Vec<u8>,
+    head: usize,
+    end: usize,
+    /// `buf[head..scanned]` is known to hold no `\n`.
+    scanned: usize,
+}
+
+impl LineFramer {
+    /// Appends one read of at most a chunk from `reader` and returns
+    /// its size; `0` is the reader's end of stream.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error when the file cannot be opened
-    /// or (on the fallback path) read.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<FileLines> {
-        let buffer = match map_or_read(File::open(path.as_ref())?) {
-            Ok(buffer) => buffer,
-            Err(ParseError::Io(e)) => return Err(e),
-            Err(other) => return Err(std::io::Error::other(other.to_string())),
+    /// Whatever `reader` returned, `Interrupted` retried.
+    pub fn fill_from(&mut self, reader: &mut impl Read) -> std::io::Result<usize> {
+        // Undelivered input slides to the front, then exactly one chunk
+        // of room opens behind it: the allocation is the bound above.
+        self.buf.copy_within(self.head..self.end, 0);
+        self.scanned -= self.head;
+        self.end -= self.head;
+        self.head = 0;
+        let len = self.end + READ_CHUNK;
+        self.buf.reserve_exact(len.saturating_sub(self.buf.len()));
+        self.buf.resize(len, 0);
+        let read = loop {
+            match reader.read(&mut self.buf[self.end..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                result => break result?,
+            }
         };
-        Ok(FileLines { buffer, pos: 0 })
+        self.end += read;
+        Ok(read)
     }
 
-    /// The next line, or `None` at EOF. A line that is not valid UTF-8
-    /// yields the same `InvalidData` error `BufRead::lines` would (and
-    /// skips past that line, so pulling can continue).
-    #[allow(clippy::should_implement_trait)] // lending: borrows from self
-    pub fn next_line(&mut self) -> Option<std::io::Result<&str>> {
-        let bytes: &[u8] = &self.buffer;
-        if self.pos >= bytes.len() {
+    /// The next complete line, or `None` until more bytes arrive.
+    pub fn pop(&mut self, damage: &mut LineDamage) -> Option<String> {
+        let Some(nl) = find_newline(&self.buf[..self.end], self.scanned) else {
+            // Of a line already over the cap, only enough is kept for
+            // `decode` to see that it is: two bytes, as the coming `\n`
+            // may strip a `\r`.
+            self.end = self.end.min(self.head + MAX_LINE_BYTES + 2);
+            self.scanned = self.end;
             return None;
-        }
-        let start = self.pos;
-        let (next, content_end) = match find_newline(bytes, start) {
-            Some(nl) => (
-                nl + 1,
-                if nl > start && bytes[nl - 1] == b'\r' {
-                    nl - 1
-                } else {
-                    nl
-                },
-            ),
-            None => (bytes.len(), bytes.len()),
         };
-        self.pos = next;
-        match std::str::from_utf8(&bytes[start..content_end]) {
-            Ok(line) => Some(Ok(line)),
-            Err(_) => Some(Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            ))),
-        }
+        let line = &self.buf[self.head..nl];
+        self.head = nl + 1;
+        self.scanned = self.head;
+        Some(decode(line.strip_suffix(b"\r").unwrap_or(line), damage))
     }
+
+    /// The unterminated tail at end of stream (EOF, connection close,
+    /// rotation), trailing `\r` kept, if there is one; the framer is
+    /// empty afterwards. Call once [`pop`](LineFramer::pop) has returned
+    /// `None`.
+    pub fn finish(&mut self, damage: &mut LineDamage) -> Option<String> {
+        let LineFramer { buf, head, end, .. } = std::mem::take(self);
+        (head < end).then(|| decode(&buf[head..end], damage))
+    }
+}
+
+/// One line's bytes as the `String` delivered for it: cut to
+/// [`MAX_LINE_BYTES`] on a character boundary, invalid UTF-8 replaced,
+/// either repair counted.
+fn decode(mut line: &[u8], damage: &mut LineDamage) -> String {
+    if line.len() > MAX_LINE_BYTES {
+        damage.too_long += 1;
+        let mut cut = MAX_LINE_BYTES;
+        // A character is at most four bytes: three continuation bytes
+        // back at the latest, the cut is on its first.
+        while cut > MAX_LINE_BYTES - 3 && line[cut] & 0xc0 == 0x80 {
+            cut -= 1;
+        }
+        line = &line[..cut];
+    }
+    let text = String::from_utf8_lossy(line);
+    damage.invalid_utf8 += u64::from(matches!(text, std::borrow::Cow::Owned(_)));
+    text.into_owned()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::BufRead as _;
 
     fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("logparse-loader-{}", std::process::id()));
@@ -612,25 +659,149 @@ mod tests {
         assert_eq!(count_corpus_lines(&path).unwrap(), 3);
     }
 
-    #[test]
-    fn file_lines_yields_every_line_with_endings_stripped() {
-        let path = write_temp("lines.log", b"one\r\ntwo\n\nthree");
-        let mut lines = FileLines::open(&path).unwrap();
-        let mut seen = Vec::new();
-        while let Some(line) = lines.next_line() {
-            seen.push(line.unwrap().to_owned());
+    /// Reads `bytes` into `framer` the way every source does — a chunk
+    /// once no complete line is held — popping the lines onto `out`.
+    fn feed(framer: &mut LineFramer, bytes: &[u8], damage: &mut LineDamage, out: &mut Vec<String>) {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            framer.fill_from(&mut rest).unwrap();
+            out.extend(std::iter::from_fn(|| framer.pop(damage)));
         }
-        assert_eq!(seen, ["one", "two", "", "three"]);
+    }
+
+    /// The lines of `pieces` fed one after another, tail included.
+    fn lines_of(pieces: &[&[u8]]) -> (Vec<String>, LineDamage) {
+        let (mut framer, mut damage, mut lines) = Default::default();
+        for piece in pieces {
+            feed(&mut framer, piece, &mut damage, &mut lines);
+        }
+        lines.extend(framer.finish(&mut damage));
+        (lines, damage)
     }
 
     #[test]
-    fn file_lines_reports_invalid_utf8_and_recovers() {
-        let path = write_temp("bad.log", b"ok\n\xff\xfe\nfine\n");
-        let mut lines = FileLines::open(&path).unwrap();
-        assert_eq!(lines.next_line().unwrap().unwrap(), "ok");
-        let err = lines.next_line().unwrap().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(lines.next_line().unwrap().unwrap(), "fine");
-        assert!(lines.next_line().is_none());
+    fn framer_yields_every_line_with_endings_stripped() {
+        let (seen, damage) = lines_of(&[b"one\r\ntwo\n\nthree"]);
+        assert_eq!(seen, ["one", "two", "", "three"]);
+        assert_eq!(damage, LineDamage::default());
+    }
+
+    #[test]
+    fn framer_cuts_an_over_long_line_on_a_character_boundary() {
+        // The cap falls after the first byte of the last `é`.
+        let mut line = vec![b'x'; MAX_LINE_BYTES - 3];
+        line.extend_from_slice("ééé tail".as_bytes());
+        let cases: [(&[u8], &[&str]); 2] = [(b"\r\nnext\n", &["next"]), (b"", &[])];
+        for (terminator, after) in cases {
+            let (seen, damage) = lines_of(&[&line, terminator]);
+            assert_eq!(seen[0].len(), MAX_LINE_BYTES - 1);
+            assert!(seen[0].ends_with("xxé"));
+            assert_eq!(seen[1..], *after);
+            assert_eq!((damage.invalid_utf8, damage.too_long), (0, 1));
+        }
+        // Exactly at the cap is not over it, CRLF or not — and a `\r`
+        // that is the line's last kept byte is not mistaken for one.
+        let at_cap = vec![b'x'; MAX_LINE_BYTES];
+        let (seen, damage) = lines_of(&[&at_cap, b"\r", b"\n"]);
+        assert_eq!((seen[0].len(), seen.len()), (MAX_LINE_BYTES, 1));
+        assert_eq!(damage, LineDamage::default());
+        let (seen, damage) = lines_of(&[&at_cap, b"\rmore", b"\n"]);
+        assert_eq!((seen[0].len(), seen.len()), (MAX_LINE_BYTES, 1));
+        assert_eq!(damage.too_long, 1);
+    }
+
+    #[test]
+    fn framer_memory_is_bounded_whatever_arrives() {
+        const CHUNK: usize = 64 << 10;
+        const TOTAL: usize = 64 << 20;
+        let bound = MAX_LINE_BYTES + 2 * CHUNK;
+        let (mut framer, mut damage, mut lines) = Default::default();
+
+        // A peer that never sends a newline: nothing past the cap is
+        // kept, and the capped line goes out when the stream ends.
+        for _ in 0..TOTAL / CHUNK {
+            feed(&mut framer, &[b'A'; CHUNK], &mut damage, &mut lines);
+            assert!(framer.buf.capacity() <= bound, "{}", framer.buf.capacity());
+        }
+        assert_eq!(lines, Vec::<String>::new());
+        let capped = framer.finish(&mut damage).unwrap();
+        assert_eq!((capped.len(), damage.too_long), (MAX_LINE_BYTES, 1));
+
+        // 40-byte lines, chunk edges inside them.
+        const LINES: usize = 100_000;
+        let stream: Vec<u8> = (0..LINES)
+            .flat_map(|i| format!("{i:039}\n").into_bytes())
+            .collect();
+        let mut next = 0;
+        for chunk in stream.chunks(CHUNK).cycle().take(TOTAL / CHUNK) {
+            feed(&mut framer, chunk, &mut damage, &mut lines);
+            for line in lines.drain(..) {
+                assert_eq!(line.parse(), Ok(next % LINES));
+                next += 1;
+            }
+            assert!(framer.buf.capacity() <= bound, "{}", framer.buf.capacity());
+        }
+        assert!(next > TOTAL / 41);
+    }
+
+    /// The one-shot statement of the contract: split at `\n`, strip one
+    /// `\r` from terminated lines, keep a non-empty tail as it is,
+    /// decode lossily.
+    fn reference_lines(bytes: &[u8]) -> Vec<String> {
+        let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        let tail = pieces.pop().filter(|tail| !tail.is_empty());
+        pieces
+            .into_iter()
+            .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+            .chain(tail)
+            .map(|line| String::from_utf8_lossy(line).into_owned())
+            .collect()
+    }
+
+    /// Bytes dense in what a framer can get wrong: terminators, lone
+    /// `\r`, whole and broken multi-byte characters.
+    fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(b"\n".to_vec()),
+                Just(b"\r\n".to_vec()),
+                Just(b"\r".to_vec()),
+                Just("é".as_bytes().to_vec()),
+                Just("€".as_bytes().to_vec()),
+                Just("🪵".as_bytes().to_vec()),
+                (0x80u8..=0xff).prop_map(|b| vec![b]),
+                "[ -~]{0,12}".prop_map(String::into_bytes),
+            ],
+            0..40,
+        )
+        .prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        /// However the bytes are cut into pushes — byte by byte, inside
+        /// a character, between `\r` and `\n` — the lines are the ones
+        /// the whole buffer holds.
+        #[test]
+        fn framer_lines_do_not_depend_on_chunking(
+            bytes in hostile_bytes(),
+            cuts in proptest::collection::vec(1usize..9, 0..400),
+        ) {
+            let mut pieces = Vec::new();
+            let mut rest = &bytes[..];
+            // Past the last cut, the remainder goes in whole.
+            for cut in cuts.into_iter().chain([usize::MAX]) {
+                let (piece, after) = rest.split_at(cut.min(rest.len()));
+                pieces.push(piece);
+                rest = after;
+            }
+            let (lines, damage) = lines_of(&pieces);
+            prop_assert_eq!(&lines, &reference_lines(&bytes));
+            let repaired = lines.iter().filter(|l| l.contains('\u{fffd}')).count();
+            prop_assert_eq!(damage, LineDamage { invalid_utf8: repaired as u64, too_long: 0 });
+            if std::str::from_utf8(&bytes).is_ok() {
+                let buffered: Vec<String> = bytes.lines().map(Result::unwrap).collect();
+                prop_assert_eq!(&lines, &buffered);
+            }
+        }
     }
 }

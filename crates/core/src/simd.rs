@@ -18,7 +18,8 @@
 //! whitespace (e.g. U+00A0) are *kept*; the tokenizer then decides what,
 //! if anything, they tokenize to. The probe is a byte test, not a `char`
 //! walk — a line with any non-whitespace byte is kept without decoding
-//! it.
+//! it. This is the batch rule; `serve` keeps blank lines, and DESIGN.md's
+//! *Line contract* table sets the two side by side.
 //!
 //! Two exactness notes, because the classic tricks are *approximate*:
 //!

@@ -67,8 +67,8 @@ pub use checkpoint::{Checkpoint, ParserSnapshot};
 pub use pipeline::{run_pipeline, IngestConfig, IngestSummary, WindowScore};
 pub use signal::StopFlag;
 pub use source::{
-    file_source, stdin_source, FileTailSource, LogSource, MappedFileSource, MemorySource,
-    ReaderSource, SourceItem, TcpSource,
+    file_source, stdin_source, FileTailSource, LogSource, MemorySource, ReaderSource, SourceItem,
+    TcpSource,
 };
 
 use logparse_core::ParseError;

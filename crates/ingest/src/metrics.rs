@@ -19,6 +19,10 @@ pub(crate) struct RouterMetrics {
     pub lines: Counter,
     /// `ingest_source_idle_polls_total` — polls that found no data.
     pub idle_polls: Counter,
+    /// `ingest_source_damaged_lines_total{reason="invalid_utf8"}`.
+    pub invalid_utf8_lines: Counter,
+    /// `ingest_source_damaged_lines_total{reason="too_long"}`.
+    pub too_long_lines: Counter,
     /// `ingest_batches_routed_total{shard}`.
     pub batches_routed: Vec<Counter>,
     /// `ingest_backpressure_stalls_total{shard}` — sends that found the
@@ -260,6 +264,13 @@ impl StageMetrics {
         // Family names stay string literals at their registration call
         // so the obs-metric-hygiene lint can cross-check them against
         // DESIGN.md's Observability table.
+        let damaged_lines = |reason| {
+            registry.counter(
+                "ingest_source_damaged_lines_total",
+                "Lines the source delivered repaired: invalid UTF-8 replaced, or cut at the length cap",
+                &[("reason", reason)],
+            )
+        };
         StageMetrics {
             router: RouterMetrics {
                 lines: registry.counter(
@@ -272,6 +283,8 @@ impl StageMetrics {
                     "Source polls that found no data available",
                     &[],
                 ),
+                invalid_utf8_lines: damaged_lines("invalid_utf8"),
+                too_long_lines: damaged_lines("too_long"),
                 batches_routed: (0..shards)
                     .map(|s| {
                         registry.counter(
@@ -309,6 +322,7 @@ mod tests {
         for family in [
             "ingest_lines_total",
             "ingest_source_idle_polls_total",
+            "ingest_source_damaged_lines_total",
             "ingest_batches_routed_total",
             "ingest_backpressure_stalls_total",
             "ingest_queue_depth",

@@ -32,7 +32,7 @@ use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use logparse_core::{TemplateMerge, Tokenizer};
+use logparse_core::{LineDamage, TemplateMerge};
 use logparse_mining::{PcaDetector, PcaDetectorConfig};
 use logparse_obs::{
     default_rules, AlertEngine, AlertRule, Fnv1a, History, HistorySampler, Journal, Json,
@@ -59,17 +59,12 @@ pub struct IngestConfig {
     pub batch_size: usize,
     /// Maximum time a partial batch may wait before being flushed.
     pub flush_interval: Duration,
-    /// Bounded depth (in batches) of each shard's input channel.
-    pub queue_depth: usize,
     /// Lines per tumbling window fed to the detector.
     pub window_size: usize,
     /// Closed windows kept as scoring history (the detector's matrix).
     pub history: usize,
     /// Closed windows required before scoring starts (≥ 2).
     pub warmup: usize,
-    /// Per-shard lines between full template-list refreshes to the
-    /// aggregator (snapshot merging cadence).
-    pub refresh_every: usize,
     /// Directory of the durable template store checkpoints are written
     /// into (created on first use); `None` disables checkpointing.
     pub store_dir: Option<std::path::PathBuf>,
@@ -83,12 +78,8 @@ pub struct IngestConfig {
     pub max_lines: Option<u64>,
     /// PCA detector settings.
     pub detector: PcaDetectorConfig,
-    /// Tokenizer applied by shard workers.
-    pub tokenizer: Tokenizer,
     /// Cooperative stop flag (signal handlers set a process-global one).
     pub stop: StopFlag,
-    /// Sleep between polls when the source is idle.
-    pub idle_sleep: Duration,
     /// Per-window quality & drift telemetry: the history ring, the
     /// `ingest_drift_*` family, exemplar capture and alert evaluation.
     /// Cheap (a few hashes per line, a few hundred samples of memory);
@@ -104,6 +95,12 @@ pub struct IngestConfig {
 /// `series × 256 × 8` bytes.
 const HISTORY_CAPACITY: usize = 256;
 
+/// Bounded depth (in batches) of each shard's input channel.
+const QUEUE_DEPTH: usize = 8;
+
+/// Sleep between polls when the source is idle.
+const IDLE_SLEEP: Duration = Duration::from_millis(5);
+
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
@@ -111,19 +108,15 @@ impl Default for IngestConfig {
             shards: 2,
             batch_size: 64,
             flush_interval: Duration::from_millis(200),
-            queue_depth: 8,
             window_size: 1_000,
             history: 64,
             warmup: 8,
-            refresh_every: 5_000,
             store_dir: None,
             store_compact_bytes: logparse_store::DEFAULT_COMPACT_LOG_BYTES,
             checkpoint_every: 0,
             max_lines: None,
             detector: PcaDetectorConfig::default(),
-            tokenizer: Tokenizer::default(),
             stop: StopFlag::new(),
-            idle_sleep: Duration::from_millis(5),
             drift: true,
             alert_rules: default_rules(),
         }
@@ -139,9 +132,6 @@ impl IngestConfig {
         if self.batch_size == 0 {
             return bad("batch_size must be >= 1");
         }
-        if self.queue_depth == 0 {
-            return bad("queue_depth must be >= 1");
-        }
         if self.window_size == 0 {
             return bad("window_size must be >= 1");
         }
@@ -150,9 +140,6 @@ impl IngestConfig {
         }
         if self.history < self.warmup {
             return bad("history must be >= warmup");
-        }
-        if self.refresh_every == 0 {
-            return bad("refresh_every must be >= 1");
         }
         Ok(())
     }
@@ -318,27 +305,14 @@ pub fn run_pipeline(
             Some(checkpoint) => ShardParser::restore(&checkpoint.shards[shard])?,
             None => ShardParser::new(config.parser),
         };
-        let (tx, rx) = mpsc::sync_channel(config.queue_depth);
+        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         shard_txs.push(tx);
         let out = result_tx.clone();
-        let tokenizer = config.tokenizer.clone();
-        let refresh_every = config.refresh_every;
         let drift = config.drift;
         shard_handles.push(
             std::thread::Builder::new()
                 .name(format!("ingest-shard-{shard}"))
-                .spawn(move || {
-                    run_worker(
-                        shard,
-                        parser,
-                        tokenizer,
-                        refresh_every,
-                        drift,
-                        metrics,
-                        rx,
-                        out,
-                    )
-                })
+                .spawn(move || run_worker(shard, parser, drift, metrics, rx, out))
                 .map_err(IngestError::Io)?,
         );
     }
@@ -407,6 +381,13 @@ pub fn run_pipeline(
         match source.next_item() {
             Ok(SourceItem::Line(line)) => {
                 router_metrics.lines.inc();
+                let damage = source.take_damage();
+                if damage != LineDamage::default() {
+                    router_metrics
+                        .invalid_utf8_lines
+                        .inc_by(damage.invalid_utf8);
+                    router_metrics.too_long_lines.inc_by(damage.too_long);
+                }
                 let shard = route(&line, config.shards);
                 if pending[shard].is_empty() {
                     // lint:allow(timing-discipline): flush-interval bookkeeping for batch aging, not a measurement — nothing is recorded from this clock
@@ -468,7 +449,7 @@ pub fn run_pipeline(
                         }
                     }
                 }
-                std::thread::sleep(config.idle_sleep);
+                std::thread::sleep(IDLE_SLEEP);
             }
             Ok(SourceItem::Eof) => break,
             Err(e) => {

@@ -5,12 +5,17 @@
 //! the stop flag and comes back) and `Eof` (the stream is finished —
 //! drain and shut down). Long blocking waits live *outside* the trait
 //! contract so graceful shutdown stays responsive.
+//!
+//! What a line is — DESIGN.md's *Line contract* table — is decided in
+//! one place, [`LineFramer`]: every source fed bytes reads one chunk
+//! into its framer when that holds no complete line, and pops otherwise.
 
-use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, ErrorKind, Read};
+use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+
+use logparse_core::{LineDamage, LineFramer};
 
 /// One pull from a source.
 #[derive(Debug, PartialEq, Eq)]
@@ -31,6 +36,12 @@ pub trait LogSource: Send {
 
     /// A short human-readable description for the event log.
     fn describe(&self) -> String;
+
+    /// Lines delivered repaired since the last call; the router
+    /// publishes them as `ingest_source_damaged_lines_total{reason}`.
+    fn take_damage(&mut self) -> LineDamage {
+        LineDamage::default()
+    }
 }
 
 /// An in-memory source — tests and benchmarks.
@@ -61,69 +72,49 @@ impl LogSource for MemorySource {
     }
 }
 
-/// Wraps any buffered reader (stdin, a finished file): lines until EOF.
+/// Wraps any reader (stdin, a finished file, a FIFO): lines until EOF.
 pub struct ReaderSource<R> {
     reader: R,
     label: String,
+    framer: LineFramer,
+    damage: LineDamage,
 }
 
-impl<R: BufRead + Send> ReaderSource<R> {
+impl<R: Read + Send> ReaderSource<R> {
     /// Streams lines from `reader`; `label` names it in the event log.
     pub fn new(reader: R, label: impl Into<String>) -> Self {
         ReaderSource {
             reader,
             label: label.into(),
+            framer: LineFramer::default(),
+            damage: LineDamage::default(),
         }
     }
 }
 
 /// The process's stdin as a source.
-pub fn stdin_source() -> ReaderSource<BufReader<io::Stdin>> {
-    ReaderSource::new(BufReader::new(io::stdin()), "stdin")
-}
-
-/// A whole file as a finite source (no tailing), read zero-copy: the
-/// file is mapped once ([`logparse_core::FileLines`]) and each line is
-/// a view into the mapping until `next_item` materializes it as a
-/// [`SourceItem::Line`] — no `BufReader` copy, no read syscalls in the
-/// pull loop. Yields every line, blanks included, with `\n`/`\r\n`
-/// stripped, exactly like [`ReaderSource`] over the same file.
-pub struct MappedFileSource {
-    lines: logparse_core::FileLines,
-    label: String,
+pub fn stdin_source() -> ReaderSource<io::Stdin> {
+    ReaderSource::new(io::stdin(), "stdin")
 }
 
 /// A whole file as a finite source (no tailing).
-pub fn file_source(path: impl Into<PathBuf>) -> io::Result<MappedFileSource> {
+pub fn file_source(path: impl Into<PathBuf>) -> io::Result<ReaderSource<File>> {
     let path = path.into();
-    Ok(MappedFileSource {
-        lines: logparse_core::FileLines::open(&path)?,
-        label: format!("file:{}", path.display()),
-    })
+    Ok(ReaderSource::new(
+        File::open(&path)?,
+        format!("file:{}", path.display()),
+    ))
 }
 
-impl LogSource for MappedFileSource {
+impl<R: Read + Send> LogSource for ReaderSource<R> {
     fn next_item(&mut self) -> io::Result<SourceItem> {
-        match self.lines.next_line() {
-            Some(Ok(line)) => Ok(SourceItem::Line(line.to_owned())),
-            Some(Err(e)) => Err(e),
-            None => Ok(SourceItem::Eof),
-        }
-    }
-
-    fn describe(&self) -> String {
-        self.label.clone()
-    }
-}
-
-impl<R: BufRead + Send> LogSource for ReaderSource<R> {
-    fn next_item(&mut self) -> io::Result<SourceItem> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line)? {
-            0 => Ok(SourceItem::Eof),
-            _ => {
-                trim_newline(&mut line);
-                Ok(SourceItem::Line(line))
+        loop {
+            if let Some(line) = self.framer.pop(&mut self.damage) {
+                return Ok(SourceItem::Line(line));
+            }
+            if self.framer.fill_from(&mut self.reader)? == 0 {
+                let tail = self.framer.finish(&mut self.damage);
+                return Ok(tail.map_or(SourceItem::Eof, SourceItem::Line));
             }
         }
     }
@@ -131,14 +122,9 @@ impl<R: BufRead + Send> LogSource for ReaderSource<R> {
     fn describe(&self) -> String {
         self.label.clone()
     }
-}
 
-fn trim_newline(line: &mut String) {
-    if line.ends_with('\n') {
-        line.pop();
-        if line.ends_with('\r') {
-            line.pop();
-        }
+    fn take_damage(&mut self) -> LineDamage {
+        std::mem::take(&mut self.damage)
     }
 }
 
@@ -152,10 +138,11 @@ fn trim_newline(line: &mut String) {
 /// [`SourceItem::Idle`].
 pub struct FileTailSource {
     path: PathBuf,
-    reader: Option<BufReader<File>>,
+    file: Option<File>,
     offset: u64,
     identity: Option<FileIdentity>,
-    pending: String,
+    framer: LineFramer,
+    damage: LineDamage,
 }
 
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -183,10 +170,11 @@ impl FileTailSource {
     pub fn new(path: impl Into<PathBuf>) -> Self {
         FileTailSource {
             path: path.into(),
-            reader: None,
+            file: None,
             offset: 0,
             identity: None,
-            pending: String::new(),
+            framer: LineFramer::default(),
+            damage: LineDamage::default(),
         }
     }
 
@@ -194,9 +182,8 @@ impl FileTailSource {
         match File::open(&self.path) {
             Ok(file) => {
                 self.identity = Some(identity_of(&file)?);
-                self.reader = Some(BufReader::new(file));
+                self.file = Some(file);
                 self.offset = 0;
-                self.pending.clear();
                 Ok(true)
             }
             Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
@@ -228,31 +215,27 @@ impl FileTailSource {
 
 impl LogSource for FileTailSource {
     fn next_item(&mut self) -> io::Result<SourceItem> {
-        if self.reader.is_none() && !self.open()? {
+        if self.file.is_none() && !self.open()? {
             return Ok(SourceItem::Idle);
         }
-        let Some(reader) = self.reader.as_mut() else {
+        let Some(file) = self.file.as_mut() else {
             return Ok(SourceItem::Idle);
         };
-        let mut chunk = String::new();
-        let read = reader.read_line(&mut chunk)?;
-        self.offset += read as u64;
-        if read > 0 {
-            self.pending.push_str(&chunk);
-            if self.pending.ends_with('\n') {
-                let mut line = std::mem::take(&mut self.pending);
-                trim_newline(&mut line);
+        loop {
+            if let Some(line) = self.framer.pop(&mut self.damage) {
                 return Ok(SourceItem::Line(line));
             }
-            // A partial line (writer mid-append): keep accumulating.
-            return Ok(SourceItem::Idle);
+            let read = self.framer.fill_from(file)?;
+            self.offset += read as u64;
+            if read == 0 {
+                break;
+            }
         }
-        // At EOF of the current file: has it been rotated away?
+        // At EOF of the current file, perhaps inside a line the writer
+        // is still appending: has it been rotated away?
         if self.rotated()? {
-            self.reader = None; // reopen (or idle) on the next pull
-            if !self.pending.is_empty() {
-                let mut line = std::mem::take(&mut self.pending);
-                trim_newline(&mut line);
+            self.file = None; // reopen (or idle) on the next pull
+            if let Some(line) = self.framer.finish(&mut self.damage) {
                 return Ok(SourceItem::Line(line));
             }
         }
@@ -262,27 +245,36 @@ impl LogSource for FileTailSource {
     fn describe(&self) -> String {
         format!("tail:{}", self.path.display())
     }
+
+    fn take_damage(&mut self) -> LineDamage {
+        std::mem::take(&mut self.damage)
+    }
 }
 
 /// A line-protocol TCP source: clients connect and write newline-framed
-/// log lines; the source interleaves lines from all live connections.
+/// log lines; the source interleaves lines from all live connections,
+/// each connection's in the order it sent them.
 ///
 /// The listener and all connections run non-blocking; when nothing is
 /// readable the source reports [`SourceItem::Idle`]. Closed connections
 /// are dropped silently (their final unterminated line, if any, is
 /// delivered). The source itself never reports `Eof` — a TCP ingest runs
 /// until the pipeline is asked to stop.
+///
+/// Nothing is read while a connection still holds a complete line: what
+/// the pipeline has not taken stays in the kernel's socket buffer, and
+/// that filling up is what slows the peer down.
 pub struct TcpSource {
     listener: TcpListener,
     addr: SocketAddr,
     conns: Vec<Conn>,
-    ready: VecDeque<String>,
     next_conn: usize,
+    damage: LineDamage,
 }
 
 struct Conn {
     stream: TcpStream,
-    buf: Vec<u8>,
+    framer: LineFramer,
 }
 
 impl TcpSource {
@@ -295,8 +287,8 @@ impl TcpSource {
             listener,
             addr,
             conns: Vec::new(),
-            ready: VecDeque::new(),
             next_conn: 0,
+            damage: LineDamage::default(),
         })
     }
 
@@ -312,7 +304,7 @@ impl TcpSource {
                     stream.set_nonblocking(true)?;
                     self.conns.push(Conn {
                         stream,
-                        buf: Vec::new(),
+                        framer: LineFramer::default(),
                     });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
@@ -322,74 +314,59 @@ impl TcpSource {
         }
     }
 
-    /// Reads whatever is available on one connection; returns false when
-    /// the connection is finished and should be dropped.
-    fn pump(conn: &mut Conn, ready: &mut VecDeque<String>) -> bool {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    if !conn.buf.is_empty() {
-                        ready.push_back(String::from_utf8_lossy(&conn.buf).into_owned());
-                        conn.buf.clear();
-                    }
-                    return false;
-                }
-                Ok(n) => {
-                    for &b in &chunk[..n] {
-                        if b == b'\n' {
-                            let mut line = std::mem::take(&mut conn.buf);
-                            if line.last() == Some(&b'\r') {
-                                line.pop();
-                            }
-                            ready.push_back(String::from_utf8_lossy(&line).into_owned());
-                        } else {
-                            conn.buf.push(b);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false, // reset by peer etc.: drop it
+    /// A complete line some connection already holds. Round-robin, a
+    /// chunk's worth at a time: the cursor moves on when its connection
+    /// runs dry, so one chatty client cannot starve the rest.
+    fn pop_held(&mut self) -> Option<String> {
+        for _ in 0..self.conns.len() {
+            self.next_conn %= self.conns.len();
+            if let Some(line) = self.conns[self.next_conn].framer.pop(&mut self.damage) {
+                return Some(line);
             }
+            self.next_conn += 1;
         }
+        None
     }
 }
 
 impl LogSource for TcpSource {
     fn next_item(&mut self) -> io::Result<SourceItem> {
-        if let Some(line) = self.ready.pop_front() {
+        if let Some(line) = self.pop_held() {
             return Ok(SourceItem::Line(line));
         }
         self.accept_new()?;
-        // Round-robin across connections so one chatty client cannot
-        // starve the rest.
         let mut i = 0;
         while i < self.conns.len() {
-            let idx = (self.next_conn + i) % self.conns.len();
-            if !Self::pump(&mut self.conns[idx], &mut self.ready) {
-                self.conns.swap_remove(idx);
-                continue;
+            let conn = &mut self.conns[i];
+            match conn.framer.fill_from(&mut conn.stream) {
+                Ok(0) => {
+                    let tail = conn.framer.finish(&mut self.damage);
+                    self.conns.swap_remove(i);
+                    if let Some(line) = tail {
+                        return Ok(SourceItem::Line(line));
+                    }
+                }
+                Ok(_) => i += 1,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => i += 1,
+                Err(_) => drop(self.conns.swap_remove(i)), // reset by peer etc.
             }
-            i += 1;
         }
-        if !self.conns.is_empty() {
-            self.next_conn = (self.next_conn + 1) % self.conns.len();
-        }
-        Ok(match self.ready.pop_front() {
-            Some(line) => SourceItem::Line(line),
-            None => SourceItem::Idle,
-        })
+        Ok(self.pop_held().map_or(SourceItem::Idle, SourceItem::Line))
     }
 
     fn describe(&self) -> String {
         format!("tcp:{}", self.addr)
+    }
+
+    fn take_damage(&mut self) -> LineDamage {
+        std::mem::take(&mut self.damage)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logparse_core::MAX_LINE_BYTES;
     use std::io::Write;
 
     #[test]
@@ -411,8 +388,21 @@ mod tests {
     }
 
     #[test]
-    fn mapped_file_source_matches_reader_semantics() {
-        let dir = std::env::temp_dir().join(format!("ingest-mapped-{}", std::process::id()));
+    fn reader_source_replaces_and_counts_invalid_utf8() {
+        let data = io::Cursor::new(b"ok 1\n\xff\xfe bad\nfine 2\n".to_vec());
+        let mut s = ReaderSource::new(data, "cursor");
+        for expected in ["ok 1", "\u{fffd}\u{fffd} bad", "fine 2"] {
+            assert_eq!(s.next_item().unwrap(), SourceItem::Line(expected.into()));
+        }
+        let damage = s.take_damage();
+        assert_eq!((damage.invalid_utf8, damage.too_long), (1, 0));
+        assert_eq!(s.next_item().unwrap(), SourceItem::Eof);
+        assert_eq!(s.take_damage(), LineDamage::default());
+    }
+
+    #[test]
+    fn file_source_matches_reader_semantics() {
+        let dir = std::env::temp_dir().join(format!("ingest-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("src.log");
         std::fs::write(&path, b"one\r\ntwo\n\nthree").unwrap();
@@ -446,8 +436,19 @@ mod tests {
             .open(&path)
             .unwrap();
         writeln!(f, "third").unwrap();
-        drop(f);
         assert_eq!(tail.next_item().unwrap(), SourceItem::Line("third".into()));
+
+        // A flush that lands inside a character: the half-written line
+        // waits, undecoded, for its other half.
+        f.write_all(b"caf\xc3").unwrap();
+        assert_eq!(tail.next_item().unwrap(), SourceItem::Idle);
+        f.write_all(b"\xa9 ok\n").unwrap();
+        drop(f);
+        assert_eq!(
+            tail.next_item().unwrap(),
+            SourceItem::Line("caf\u{e9} ok".into())
+        );
+        assert_eq!(tail.take_damage(), LineDamage::default());
 
         // Rename rotation: old file moved away, new file at the path.
         std::fs::rename(&path, dir.join("app.log.1")).unwrap();
@@ -474,6 +475,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Pulls until `want` lines arrived, sleeping through `Idle` (for
+    /// ten seconds at most).
+    fn pull_lines(src: &mut TcpSource, want: usize) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut idle = 0;
+        while lines.len() < want && idle < 5_000 {
+            match src.next_item().unwrap() {
+                SourceItem::Line(l) => lines.push(l),
+                SourceItem::Idle => {
+                    idle += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                SourceItem::Eof => unreachable!("tcp sources never EOF"),
+            }
+        }
+        lines
+    }
+
     #[test]
     fn tcp_source_interleaves_clients() {
         let mut src = TcpSource::bind("127.0.0.1:0").unwrap();
@@ -487,20 +506,55 @@ mod tests {
         drop(a);
         drop(b);
 
-        let mut lines = Vec::new();
-        for _ in 0..200 {
-            match src.next_item().unwrap() {
-                SourceItem::Line(l) => lines.push(l),
-                SourceItem::Idle => {
-                    if lines.len() >= 3 {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                SourceItem::Eof => unreachable!("tcp sources never EOF"),
-            }
-        }
+        let mut lines = pull_lines(&mut src, 3);
         lines.sort();
         assert_eq!(lines, vec!["alpha one", "alpha two", "beta one"]);
+
+        // Interleaved, never reordered: each client's lines arrive in
+        // the order it sent them.
+        let senders: Vec<_> = ["left", "right"]
+            .into_iter()
+            .map(|name| {
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    for i in 0..2_000 {
+                        writeln!(stream, "{name} {i}").unwrap();
+                    }
+                })
+            })
+            .collect();
+        let lines = pull_lines(&mut src, 4_000);
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        for name in ["left", "right"] {
+            let seen: Vec<&str> = lines
+                .iter()
+                .filter_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .collect();
+            let sent: Vec<String> = (0..2_000).map(|i| i.to_string()).collect();
+            assert_eq!(seen, sent, "{name}");
+        }
+    }
+
+    #[test]
+    fn tcp_source_caps_a_line_that_never_ends() {
+        let mut src = TcpSource::bind("127.0.0.1:0").unwrap();
+        let addr = src.local_addr();
+        let sender = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&vec![b'A'; 3 * MAX_LINE_BYTES]).unwrap();
+            stream.write_all(b"\nnext\n").unwrap();
+        });
+        let lines = pull_lines(&mut src, 2);
+        sender.join().unwrap();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].len() == MAX_LINE_BYTES && lines[0].bytes().all(|b| b == b'A'));
+        assert_eq!(lines[1], "next");
+        for _ in 0..20 {
+            assert_eq!(src.next_item().unwrap(), SourceItem::Idle);
+        }
+        let damage = src.take_damage();
+        assert_eq!((damage.invalid_utf8, damage.too_long), (0, 1));
     }
 }

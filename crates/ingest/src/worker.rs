@@ -58,6 +58,10 @@ const EXEMPLAR_CAP: usize = 16;
 /// alert always has room to fire before the estimate pins.
 const PARAM_CARD_CAP: usize = 8_192;
 
+/// Lines a shard parses between full template-list refreshes to the
+/// aggregator when no group was born (snapshot merging cadence).
+const REFRESH_EVERY: usize = 5_000;
+
 /// One parsed batch: sequence numbers mapped to shard-local group ids.
 #[derive(Debug)]
 pub(crate) struct ParsedBatch {
@@ -186,17 +190,15 @@ type FingerprintSet = HashSet<u64, BuildHasherDefault<FingerprintHasher>>;
 /// disconnects. With `drift` enabled the worker additionally tracks a
 /// distinct-line set per group (parameter-cardinality proxy) and captures
 /// one exemplar raw line per newborn group for the journal.
-#[allow(clippy::too_many_arguments)] // internal spawn site mirroring shard wiring
 pub(crate) fn run_worker(
     shard: usize,
     mut parser: ShardParser,
-    tokenizer: Tokenizer,
-    refresh_every: usize,
     drift: bool,
     metrics: WorkerMetrics,
     input: Receiver<ShardInput>,
     output: Sender<ShardOutput>,
 ) {
+    let tokenizer = Tokenizer::default();
     let mut observed = 0usize;
     let mut sent_groups = 0usize;
     let mut lines_since_refresh = 0usize;
@@ -239,7 +241,7 @@ pub(crate) fn run_worker(
                 observed += batch.len();
                 lines_since_refresh += batch.len();
                 let grew = parser.group_count() > sent_groups;
-                let templates = if grew || lines_since_refresh >= refresh_every {
+                let templates = if grew || lines_since_refresh >= REFRESH_EVERY {
                     sent_groups = parser.group_count();
                     lines_since_refresh = 0;
                     Some(parser.template_strings())
@@ -302,8 +304,6 @@ mod tests {
             run_worker(
                 1,
                 ShardParser::new(ParserChoice::Drain),
-                Tokenizer::default(),
-                1000,
                 true,
                 WorkerMetrics::new(1, "drain"),
                 in_rx,
@@ -370,8 +370,6 @@ mod tests {
             run_worker(
                 0,
                 ShardParser::new(ParserChoice::Drain),
-                Tokenizer::default(),
-                1_000_000,
                 true,
                 WorkerMetrics::new(0, "drain"),
                 in_rx,
@@ -409,8 +407,6 @@ mod tests {
             run_worker(
                 0,
                 ShardParser::new(ParserChoice::Drain),
-                Tokenizer::default(),
-                1000,
                 false,
                 WorkerMetrics::new(0, "drain"),
                 in_rx,

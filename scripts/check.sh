@@ -43,6 +43,10 @@ cargo test -q --test loader_differential
 echo "=== loader goldens (parent-frozen loader_v1) ==="
 cargo test -q -p logparse-cli --test cli loader_v1_goldens_hold_from_file_and_stdin
 
+echo "=== stream line contract (file, stdin, tail, TCP agree on hostile bytes) ==="
+cargo test -q -p logparse-core --lib framer_lines_do_not_depend_on_chunking
+cargo test -q -p logparse-cli --test cli serve_entry_points_agree_on_hostile_bytes
+
 # What the PR 17 binary wrote for a crashed-and-retried job, a poisoned
 # one and a `serve` run, rewritten byte for byte; and the benchmark
 # harness, which links the crates by pinned signature (its README),
