@@ -5,7 +5,8 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use logparse_core::{
-    write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor, Tokenizer,
+    write_events_file, write_structured_file, write_structured_lines, Corpus, LogParser, MaskRule,
+    Preprocessor, Tokenizer,
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
@@ -634,9 +635,10 @@ fn run_job_and_report(config: &JobConfig, args: &Args) -> CliResult {
     let mut events_out = open_output(args.option("events-out"))?;
     write_events_file(&parse, &mut events_out)?;
     if let Some(path) = args.option("structured-out") {
-        let corpus = Corpus::from_path(&config.corpus, &Tokenizer::default())?;
+        // A file-built corpus numbers its kept lines from 1, so the
+        // reduced parse alone says what `parse` would write.
         let mut structured = BufWriter::new(File::create(path)?);
-        write_structured_file(&corpus, &parse, &mut structured)?;
+        write_structured_lines(1..=parse.len(), &parse, &mut structured)?;
     }
     Ok(())
 }

@@ -4,9 +4,12 @@
 //! coordinator and prove the resumed run completes every shard exactly
 //! once; poison a shard and prove it lands in the dead-letter queue
 //! after exactly its attempt budget, with a replayable record that
-//! `jobs dlq retry` turns back into the clean-run output. Last, the
-//! same crash and poison plans (and `serve`) against the bytes the
-//! parent binary wrote for them — the parent-frozen wire goldens.
+//! `jobs dlq retry` turns back into the clean-run output. Workers build
+//! only their own bytes of the corpus, so a corpus that changed under a
+//! job is refused before anything is spawned, and a line that cannot be
+//! loaded costs its own shard alone. Last, the same crash and poison
+//! plans (and `serve`) against the bytes the parent binary wrote for
+//! them — the parent-frozen wire goldens.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -292,6 +295,81 @@ fn unknown_parser_fails_before_the_job_dir_is_bound() {
     assert_identical(&truth, &events);
 }
 
+/// A corpus appended to since the job began fails the resume with one
+/// message, before any event is journalled or attempt counted. (Every
+/// worker used to load it, refuse it, and burn its task's whole budget
+/// into the DLQ.)
+#[test]
+fn resume_refuses_a_corpus_that_grew_before_spawning_anything() {
+    let (dir, corpus) = scratch("grew");
+    let job_dir = dir.join("job");
+    let events = dir.join("jobs.events");
+    let out = jobs_run(&dir, &corpus, &job_dir, &events)
+        .env("LOGPARSE_FAULT", "coordinator:exit_after:2")
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "coordinator was SIGKILLed");
+    let attempts =
+        |task: usize| std::fs::read(job_dir.join(format!("state/attempts-{task}.blob"))).unwrap();
+    let before: Vec<_> = (0..4).map(attempts).collect();
+    let journal = lifecycle(&job_dir);
+    let grown = read(&corpus) + "one more line\n";
+    std::fs::write(&corpus, &grown).unwrap();
+
+    let resumed = jobs_run(&dir, &corpus, &job_dir, &events).output().unwrap();
+    assert!(!resumed.status.success(), "a grown corpus must fail");
+    let said = stderr(&resumed);
+    let lengths = format!(
+        "is {} byte(s) long, manifest says {}",
+        grown.len(),
+        grown.len() - "one more line\n".len()
+    );
+    assert!(said.contains(&lengths), "{said}");
+    assert_eq!(lifecycle(&job_dir), journal, "nothing journalled");
+    assert_eq!((0..4).map(attempts).collect::<Vec<_>>(), before);
+    assert!(!job_dir.join("dlq/task-0.json").exists());
+}
+
+/// A line the loader refuses fails the shard that holds it — its
+/// attempts, its dead letter, the loader's own words — while the other
+/// shards complete. (Every worker used to build the whole file, so one
+/// bad line failed every shard on every attempt.)
+#[test]
+fn a_bad_line_poisons_its_own_shard_only() {
+    let (dir, corpus) = scratch("badline");
+    let mut bytes = std::fs::read(&corpus).unwrap();
+    // Line 702 of 1 200 is in shard 2 of 4; same length, one bad byte.
+    let at = bytes.windows(11).position(|w| w == b"session 702").unwrap();
+    bytes[at] = 0xff;
+    std::fs::write(&corpus, bytes).unwrap();
+    let job_dir = dir.join("job");
+    let out = jobs_run(&dir, &corpus, &job_dir, &dir.join("jobs.events"))
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "one shard cannot be loaded");
+
+    let journal = lifecycle(&job_dir);
+    assert_eq!(events_of(&journal, "task_completed").len(), 3, "{journal}");
+    let failures = events_of(&journal, "agent_failed");
+    assert_eq!(failures.len(), 3, "one shard's budget:\n{journal}");
+    assert!(failures.iter().all(|event| event.contains("\"task\":2")));
+    let record = read(job_dir.join("dlq/task-2.json"));
+    assert!(
+        record.contains("stream did not contain valid UTF-8"),
+        "{record}"
+    );
+    let status = Command::new(BIN)
+        .args(["jobs", "status", "--job-dir"])
+        .arg(&job_dir)
+        .output()
+        .unwrap();
+    let table = String::from_utf8_lossy(&status.stdout).into_owned();
+    assert!(
+        table.contains("3 completed, 1 dead-lettered, 0 pending"),
+        "{table}"
+    );
+}
+
 // Wire goldens: what the PR 17 binary (816653f — the last with a journal
 // `Value` type, a second number formatter, a hand-mirrored `reduce` and
 // the protocol inside `logparse-ingest`) wrote into
@@ -315,6 +393,18 @@ const PER_RUN: [&str; 3] = ["run_id", "ts_mono_ns", "elapsed_ms"];
 fn golden(file: &str) -> PathBuf {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     crates.join("jobs/tests/fixtures/jobs_v1").join(file)
+}
+
+/// A scratch directory holding copies of the parent's corpus and the
+/// job directory it finished.
+fn golden_copy(tag: &str) -> PathBuf {
+    let (dir, _) = scratch(tag);
+    let mut copy = Command::new("cp");
+    copy.arg("-r")
+        .args([golden("corpus.log"), golden("job")])
+        .arg(&dir);
+    assert!(copy.status().unwrap().success());
+    dir
 }
 
 fn read(path: impl AsRef<Path>) -> String {
@@ -352,12 +442,7 @@ fn job_events(path: PathBuf) -> Vec<String> {
 
 #[test]
 fn jobs_v1_job_dirs_resume_and_are_rewritten_byte_for_byte() {
-    let (dir, _) = scratch("golden");
-    let mut copy = Command::new("cp");
-    copy.arg("-r")
-        .args([golden("corpus.log"), golden("job")])
-        .arg(&dir);
-    assert!(copy.status().unwrap().success());
+    let dir = golden_copy("golden");
     let run = |job_dir: &str, fault: &str| {
         let [corpus, events] = ["corpus.log", "jobs.events"].map(Path::new);
         jobs_run(&dir, corpus, Path::new(job_dir), events)
@@ -400,6 +485,33 @@ fn jobs_v1_job_dirs_resume_and_are_rewritten_byte_for_byte() {
             "{ours}"
         );
     }
+}
+
+/// The same parent-written directory with one task still to run: its
+/// `job` blob has no cuts, so the coordinator and the worker it spawns
+/// each complete it from the corpus, and the shard built from its bytes
+/// alone is the one the parent's worker sliced out of the whole file.
+#[test]
+fn jobs_v1_job_dir_with_a_pending_task_runs_it_to_completion() {
+    let dir = golden_copy("golden-pending");
+    std::fs::remove_file(dir.join("job/out/task-2.json")).unwrap();
+
+    let [corpus, events] = ["corpus.log", "jobs.events"].map(Path::new);
+    let out = jobs_run(&dir, corpus, Path::new("job"), events)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stderr(&out).contains("(resumed): 4/4 task(s)"));
+    assert_identical(&dir.join("jobs.events"), &golden("jobs.events"));
+    assert_identical(
+        &dir.join("job/out/task-2.json"),
+        &golden("job/out/task-2.json"),
+    );
+    let journal = lifecycle(&dir.join("job"));
+    let appended = journal.strip_prefix(read(golden("job/events.jsonl")).as_str());
+    let appended = appended.expect("appended");
+    assert_eq!(events_of(appended, "task_recovered").len(), 3);
+    assert_eq!(events_of(appended, "task_completed").len(), 1);
 }
 
 /// One shard: every event but the first and last comes from the

@@ -35,10 +35,23 @@ pub fn write_events_file<W: Write>(parse: &Parse, mut writer: W) -> Result<(), P
 pub fn write_structured_file<W: Write>(
     corpus: &Corpus,
     parse: &Parse,
+    writer: W,
+) -> Result<(), ParseError> {
+    write_structured_lines(corpus.records().map(|r| r.line_no), parse, writer)
+}
+
+/// [`write_structured_file`] from the messages' line numbers alone, for
+/// a caller that holds a [`Parse`] but not the corpus it came from.
+///
+/// # Errors
+///
+/// Returns [`ParseError::Io`] on write failure.
+pub fn write_structured_lines<W: Write>(
+    line_numbers: impl IntoIterator<Item = usize>,
+    parse: &Parse,
     mut writer: W,
 ) -> Result<(), ParseError> {
-    for (i, assignment) in parse.assignments().iter().enumerate() {
-        let line_no = corpus.record(i).line_no;
+    for (line_no, assignment) in line_numbers.into_iter().zip(parse.assignments()) {
         match assignment {
             Some(event) => writeln!(writer, "{line_no}\t-\t{event}")?,
             None => writeln!(writer, "{line_no}\t-\tOutlier")?,
@@ -72,10 +85,14 @@ mod tests {
         let e = b.add_template(Template::from_pattern("a b"));
         b.assign(0, e);
         let mut out = Vec::new();
-        write_structured_file(&corpus, &b.build(), &mut out).unwrap();
+        let parse = b.build();
+        write_structured_file(&corpus, &parse, &mut out).unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "1\t-\tEvent1\n2\t-\tOutlier\n"
         );
+        let mut renumbered = Vec::new();
+        write_structured_lines(7..=8, &parse, &mut renumbered).unwrap();
+        assert_eq!(renumbered, b"7\t-\tEvent1\n8\t-\tOutlier\n");
     }
 }

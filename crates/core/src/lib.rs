@@ -52,8 +52,10 @@ mod tokenizer;
 
 pub use error::ParseError;
 pub use intern::{Interner, Symbol, TokenArena};
-pub use io::{write_events_file, write_structured_file};
-pub use loader::{count_corpus_lines, LineDamage, LineFramer, MAX_LINE_BYTES};
+pub use io::{write_events_file, write_structured_file, write_structured_lines};
+pub use loader::{
+    corpus_cuts, count_corpus_lines, CorpusCuts, LineDamage, LineFramer, MAX_LINE_BYTES,
+};
 pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};
 pub use parser::{EventId, LogParser, Parse, ParseBuilder};

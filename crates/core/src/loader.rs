@@ -41,7 +41,7 @@
 //! [`Preprocessor::apply`] derives from the unmasked build.
 
 use std::fs::File;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -54,7 +54,7 @@ use crate::mmap::{ascii_str, Mapping};
 use crate::parallel::ParallelDriver;
 use crate::preprocess::{MaskRule, Preprocessor};
 use crate::record::{Corpus, Span};
-use crate::simd::{count_non_blank_lines, find_newline, ScanSink, Scanner};
+use crate::simd::{count_non_blank_lines, find_newline, kept_line_starts, ScanSink, Scanner};
 use crate::tokenizer::Tokenizer;
 
 /// The single backing buffer of a corpus: either a private read-only
@@ -450,14 +450,26 @@ fn build_corpus(
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
+    measured_build(buffer, preprocessor, |bytes| {
+        if preprocessor.rules().is_empty() {
+            build(bytes, tokenizer, Identity, threads)
+        } else {
+            build(bytes, tokenizer, preprocessor, threads)
+        }
+    })
+}
+
+/// Runs `build` over `buffer` under the corpus-build span and counters
+/// and wraps its output and the buffer into the corpus.
+fn measured_build(
+    buffer: Arc<LineBuffer>,
+    preprocessor: &Preprocessor,
+    build: impl FnOnce(&[u8]) -> Result<ChunkOut, ParseError>,
+) -> Result<Corpus, ParseError> {
     let registry = logparse_obs::global();
     let (time_hist, lines_total) = build_metrics(registry);
     let span = registry.span_into(time_hist, "core_corpus_build", &[]);
-    let out = if preprocessor.rules().is_empty() {
-        build(&buffer, tokenizer, Identity, threads)?
-    } else {
-        build(&buffer, tokenizer, preprocessor, threads)?
-    };
+    let out = build(&buffer)?;
     span.finish();
     lines_total.inc_by(out.spans.len() as u64);
     preprocessor.publish_masked(registry, &out.masked);
@@ -497,11 +509,137 @@ pub(crate) fn corpus_from_bytes(
     )
 }
 
+/// Refuses a byte range that is not inside a file of `file_len` bytes.
+fn check_range(range: &Range<usize>, file_len: usize) -> Result<(), ParseError> {
+    if range.start <= range.end && range.end <= file_len {
+        return Ok(());
+    }
+    Err(ParseError::InvalidConfig {
+        parameter: "bytes",
+        reason: format!(
+            "range {}..{} is not inside a file of {file_len} byte(s)",
+            range.start, range.end
+        ),
+    })
+}
+
+/// Builds the kept lines of bytes `range` of a file `file_len` long,
+/// numbered from `lines_before + 1`. `buffer` holds the file from byte
+/// `offset` on — at least from the byte before the range, which says
+/// whether the range begins a line — and spans index into it.
+fn build_range(
+    buffer: LineBuffer,
+    offset: usize,
+    range: Range<usize>,
+    file_len: usize,
+    tokenizer: &Tokenizer,
+    lines_before: usize,
+) -> Result<Corpus, ParseError> {
+    let local = range.start - offset..range.end - offset;
+    let line_start = |at: usize| at == 0 || buffer[at - 1] == b'\n';
+    if !line_start(local.start) || !(range.end == file_len || line_start(local.end)) {
+        return Err(ParseError::InvalidConfig {
+            parameter: "bytes",
+            reason: format!(
+                "range {}..{} does not start and end at a line start",
+                range.start, range.end
+            ),
+        });
+    }
+    measured_build(Arc::new(buffer), &Preprocessor::identity(), |bytes| {
+        let scanner = Scanner::for_tokenizer(tokenizer);
+        let mut out = build_chunk(bytes, local, &scanner, tokenizer, Identity)?;
+        for span in &mut out.spans {
+            span.line_no += lines_before;
+        }
+        Ok(out)
+    })
+}
+
+/// Implementation behind [`Corpus::from_path_range`]: the file is
+/// mapped and only the range's pages are touched; a file that cannot be
+/// mapped goes through [`corpus_from_reader_range`].
+pub(crate) fn corpus_from_path_range(
+    path: &Path,
+    tokenizer: &Tokenizer,
+    range: Range<usize>,
+    lines_before: usize,
+) -> Result<Corpus, ParseError> {
+    let file = File::open(path)?;
+    let Some(map) = Mapping::of_file(&file) else {
+        return corpus_from_reader_range(file, tokenizer, range, lines_before);
+    };
+    let file_len = map.len();
+    check_range(&range, file_len)?;
+    let buffer = LineBuffer::Mapped(map);
+    build_range(buffer, 0, range, file_len, tokenizer, lines_before)
+}
+
+/// Implementation behind [`Corpus::from_reader_range`]: one seek and one
+/// read of the range (and the byte before it), never the whole input.
+pub(crate) fn corpus_from_reader_range(
+    mut reader: impl Read + Seek,
+    tokenizer: &Tokenizer,
+    range: Range<usize>,
+    lines_before: usize,
+) -> Result<Corpus, ParseError> {
+    let file_len = usize::try_from(reader.seek(SeekFrom::End(0))?).unwrap_or(usize::MAX);
+    check_range(&range, file_len)?;
+    let offset = range.start.saturating_sub(1);
+    reader.seek(SeekFrom::Start(offset as u64))?;
+    let mut bytes = vec![0; range.end - offset];
+    reader.read_exact(&mut bytes)?;
+    let buffer = LineBuffer::Owned(bytes);
+    build_range(buffer, offset, range, file_len, tokenizer, lines_before)
+}
+
+/// Where a corpus file splits into chunks of whole lines: what a job
+/// coordinator writes into its manifest so that each worker builds its
+/// own bytes and nothing else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CorpusCuts {
+    /// Lines a corpus build would keep (as [`count_corpus_lines`]).
+    pub lines: usize,
+    /// Chunk `k` of [`ParallelDriver::chunk_ranges`]`(lines, chunks)` is
+    /// the kept lines of bytes `cuts[k]..cuts[k + 1]`: the first cut is
+    /// 0, the last the file's length, and each one between the offset at
+    /// which its chunk's first kept line begins — so no cut splits a
+    /// line, and the blank lines between two chunks go to the earlier.
+    pub cuts: Vec<usize>,
+}
+
+/// Counts the kept lines of `path` and cuts it into `chunks` chunks in
+/// two SWAR passes over one mmap/read: no interning, no record
+/// materialization, no UTF-8 check.
+///
+/// # Errors
+///
+/// Returns [`ParseError::Io`] when the file cannot be opened or read.
+pub fn corpus_cuts(path: impl AsRef<Path>, chunks: usize) -> Result<CorpusCuts, ParseError> {
+    let buffer = map_or_read(File::open(path.as_ref())?)?;
+    let lines = count_non_blank_lines(&buffer);
+    let mut firsts = ParallelDriver::chunk_ranges(lines, chunks)
+        .into_iter()
+        .skip(1)
+        .map(|range| range.start)
+        .peekable();
+    let mut cuts = vec![0];
+    let mut line = 0usize;
+    kept_line_starts(&buffer, |start| {
+        if firsts.next_if_eq(&line).is_some() {
+            cuts.push(start);
+        }
+        line += 1;
+    });
+    cuts.push(buffer.len());
+    Ok(CorpusCuts { lines, cuts })
+}
+
 /// Counts the lines of `path` a corpus build would keep (non-blank
 /// lines, per the skip-blank contract in [`crate::simd`]) without
 /// building anything: one mmap/read plus one SWAR pass, no interning, no
-/// record materialization. Job coordinators size shard manifests with
-/// this.
+/// record materialization. ([`corpus_cuts`] is this plus the byte
+/// offsets a job coordinator shards by.)
 ///
 /// # Errors
 ///
@@ -657,6 +795,20 @@ mod tests {
     fn count_corpus_lines_skips_blanks() {
         let path = write_temp("count.log", b"one\n\n  \ntwo\nthree");
         assert_eq!(count_corpus_lines(&path).unwrap(), 3);
+    }
+
+    #[test]
+    fn cuts_fall_at_the_first_kept_line_of_each_chunk() {
+        // Kept: " a" at 1, "b" at 9, "c" at 11; the blank run before
+        // "b" stays with the chunk that ends there.
+        let path = write_temp("cuts.log", b"\n a\r\n\n  \nb\nc\n\n");
+        let cuts = |chunks| corpus_cuts(&path, chunks).unwrap();
+        assert_eq!((cuts(1).lines, cuts(1).cuts), (3, vec![0, 14]));
+        assert_eq!(cuts(2).cuts, [0, 11, 14]);
+        assert_eq!(cuts(3).cuts, [0, 9, 11, 14]);
+        assert_eq!(cuts(8), cuts(3), "more chunks than lines");
+        let blank = corpus_cuts(write_temp("blank.log", b" \n\n"), 4).unwrap();
+        assert_eq!((blank.lines, blank.cuts), (0, vec![0, 3]));
     }
 
     /// Reads `bytes` into `framer` the way every source does — a chunk

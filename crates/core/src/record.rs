@@ -312,6 +312,47 @@ impl Corpus {
         crate::loader::corpus_from_bytes(bytes, tokenizer, preprocessor, threads)
     }
 
+    /// Builds the corpus of one byte range of a log file — the kept
+    /// lines of `bytes`, numbered from `lines_before + 1` — at the cost
+    /// of that range alone: the file is mapped and only the range's
+    /// pages are read. When `bytes` is a chunk of [`corpus_cuts`] and
+    /// `lines_before` that chunk's first line index, the result equals
+    /// `Corpus::from_path(path)?.slice(chunk)`: same records, same line
+    /// numbers, same tokens (symbol ids are the range's own).
+    ///
+    /// [`corpus_cuts`]: crate::corpus_cuts
+    ///
+    /// # Errors
+    ///
+    /// As [`from_path`](Corpus::from_path), for the lines of the range;
+    /// [`ParseError::InvalidConfig`] when `bytes` is not inside the file
+    /// or does not start and end at a line start (offset 0, the file's
+    /// end, or just past a `\n`).
+    pub fn from_path_range(
+        path: impl AsRef<Path>,
+        tokenizer: &Tokenizer,
+        bytes: std::ops::Range<usize>,
+        lines_before: usize,
+    ) -> Result<Corpus, ParseError> {
+        crate::loader::corpus_from_path_range(path.as_ref(), tokenizer, bytes, lines_before)
+    }
+
+    /// [`from_path_range`](Corpus::from_path_range) over any seekable
+    /// input, and what it does for a file that cannot be mapped: one
+    /// seek, then one read of the range and the byte before it.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_path_range`](Corpus::from_path_range).
+    pub fn from_reader_range(
+        reader: impl std::io::Read + std::io::Seek,
+        tokenizer: &Tokenizer,
+        bytes: std::ops::Range<usize>,
+        lines_before: usize,
+    ) -> Result<Corpus, ParseError> {
+        crate::loader::corpus_from_reader_range(reader, tokenizer, bytes, lines_before)
+    }
+
     /// Assembles a corpus from a buffer, the spans of its records and
     /// their token rows (one row per span).
     pub(crate) fn assemble_mapped(

@@ -12,7 +12,7 @@
 //! [`ScanSink`].
 //!
 //! **Skip-blank contract** (the canonical statement; the corpus loader
-//! and [`count_non_blank_lines`] drop exactly the lines flagged here): a
+//! and [`kept_line_starts`] drop exactly the lines flagged here): a
 //! line is blank iff every byte of it is ASCII whitespace (space, `\t`,
 //! `\n`, `\v`, `\f`, `\r`). Lines whose only content is non-ASCII
 //! whitespace (e.g. U+00A0) are *kept*; the tokenizer then decides what,
@@ -387,12 +387,13 @@ impl Scanner {
     }
 }
 
-/// Counts the lines of `buf` a corpus build would keep: segments
-/// between newlines (plus a non-empty EOF tail) containing at least one
-/// byte that is not ASCII whitespace. One SWAR pass, no events.
-pub(crate) fn count_non_blank_lines(buf: &[u8]) -> usize {
+/// Calls `kept` with the offset at which each line of `buf` a corpus
+/// build would keep begins, in buffer order: segments between newlines
+/// (plus a non-empty EOF tail) containing at least one byte that is not
+/// ASCII whitespace. One SWAR pass, no events.
+pub(crate) fn kept_line_starts(buf: &[u8], mut kept: impl FnMut(usize)) {
     let len = buf.len();
-    let mut count = 0usize;
+    let mut line_start = 0usize;
     let mut nonws = false;
     let nl_splat = splat(b'\n');
     let mut base = 0usize;
@@ -417,10 +418,11 @@ pub(crate) fn count_non_blank_lines(buf: &[u8]) -> usize {
         while nls != 0 {
             let j = nls.trailing_zeros();
             if nonws || nonws8 & ((1u32 << j) - (1u32 << e)) != 0 {
-                count += 1;
+                kept(line_start);
             }
             nonws = false;
             e = j + 1;
+            line_start = base + e as usize;
             nls &= nls - 1;
         }
         if nonws8 >> e != 0 {
@@ -429,8 +431,15 @@ pub(crate) fn count_non_blank_lines(buf: &[u8]) -> usize {
         base += 8;
     }
     if nonws {
-        count += 1;
+        kept(line_start);
     }
+}
+
+/// Counts the lines of `buf` a corpus build would keep (see
+/// [`kept_line_starts`]).
+pub(crate) fn count_non_blank_lines(buf: &[u8]) -> usize {
+    let mut count = 0usize;
+    kept_line_starts(buf, |_| count += 1);
     count
 }
 
@@ -664,8 +673,11 @@ mod tests {
         fn count_agrees_with_line_events(buf in corpus_bytes()) {
             let scanner = Scanner::for_tokenizer(&Tokenizer::default());
             let events = swar_events(&scanner, &buf);
-            let kept = events.lines.iter().filter(|l| !l.2).count();
-            prop_assert_eq!(count_non_blank_lines(&buf), kept);
+            let kept: Vec<usize> = events.lines.iter().filter(|l| !l.2).map(|l| l.0).collect();
+            prop_assert_eq!(count_non_blank_lines(&buf), kept.len());
+            let mut starts = Vec::new();
+            kept_line_starts(&buf, |start| starts.push(start));
+            prop_assert_eq!(starts, kept);
         }
 
         #[test]

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use logparse_core::{count_corpus_lines, merge_chunks, EventId, Parse};
+use logparse_core::{corpus_cuts, merge_chunks, EventId, Parse};
 use logparse_obs::journal::mint_run_id;
 use logparse_obs::{Journal, Json};
 use logparse_store::{sync_dir, BlobRead, StoreConfig, TemplateStore};
@@ -50,7 +50,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(5);
 pub struct JobConfig {
     /// The job directory (created if absent; resumed if populated).
     pub job_dir: PathBuf,
-    /// The corpus file workers read and slice.
+    /// The corpus file; each worker builds its own byte range of it.
     pub corpus: PathBuf,
     /// Batch parser name (`drain`, `iplom`, `slct`, …).
     pub parser: String,
@@ -259,13 +259,17 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     let (manifest, resumed) = match JobManifest::load(&config.job_dir)? {
         Some(existing) => {
             validate_manifest(&existing, config)?;
-            (existing, true)
+            // Before anything is spawned or journalled: against a corpus
+            // that changed since the job began, every attempt of every
+            // open task would fail the same way.
+            (existing.against_corpus()?, true)
         }
         None => {
-            // One mmap + SWAR count pass — no record materialization
-            // just to size the shard manifest.
-            let lines = count_corpus_lines(&config.corpus)?;
-            if lines == 0 {
+            // Two SWAR passes over one mapping size the manifest and cut
+            // it — no record materialization, here or (past its own
+            // shard) in any worker.
+            let measured = corpus_cuts(&config.corpus, config.shards)?;
+            if measured.lines == 0 {
                 return Err(JobError::Config(format!(
                     "corpus {} is empty",
                     config.corpus.display()
@@ -275,7 +279,8 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                 job_id: mint_run_id(),
                 parser: config.parser.clone(),
                 corpus: config.corpus.clone(),
-                lines,
+                lines: measured.lines,
+                cuts: measured.cuts,
                 shards: config.shards,
                 max_retries: config.max_retries,
                 backoff_ms: config.backoff_ms,
@@ -320,9 +325,12 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     );
 
     // Rebuild the scheduler from the durable artifacts (no-op for a
-    // fresh directory: everything stays Fresh).
-    for task in 0..tasks {
-        if let ResultRead::Ok(_) = ShardResult::load(&config.job_dir, &manifest, task) {
+    // fresh directory: everything stays Fresh). A result is read and
+    // validated once, here or on reap, and kept for the reduce.
+    let mut results: Vec<Option<ShardResult>> = vec![None; tasks];
+    for (task, kept) in results.iter_mut().enumerate() {
+        if let ResultRead::Ok(result) = ShardResult::load(&config.job_dir, &manifest, task) {
+            *kept = Some(result);
             sched.restore(task, TaskSeed::Completed);
             if resumed {
                 journal.emit(
@@ -419,7 +427,10 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
             let failure = match status {
                 Ok(status) if status.success() => {
                     match ShardResult::load(&config.job_dir, &manifest, worker.task) {
-                        ResultRead::Ok(_) => None,
+                        ResultRead::Ok(result) => {
+                            results[worker.task] = Some(result);
+                            None
+                        }
                         ResultRead::Missing => {
                             Some("worker exited cleanly without publishing a result".to_owned())
                         }
@@ -556,23 +567,10 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
 
     let (completed, dead_lettered) = sched.terminal();
     let parse = if dead_lettered.is_empty() {
-        let mut results = Vec::with_capacity(tasks);
-        for task in 0..tasks {
-            match ShardResult::load(&config.job_dir, &manifest, task) {
-                ResultRead::Ok(result) => results.push(result),
-                ResultRead::Missing => {
-                    return Err(JobError::Protocol(format!(
-                        "task {task} completed but its result file vanished"
-                    )))
-                }
-                ResultRead::Corrupt(reason) => {
-                    return Err(JobError::Protocol(format!(
-                        "task {task} result no longer validates: {reason}"
-                    )))
-                }
-            }
-        }
-        Some(reduce(manifest.lines, results))
+        let results = results.into_iter().enumerate().map(|(task, result)| {
+            result.ok_or_else(|| JobError::Config(format!("scheduler lost track of task {task}")))
+        });
+        Some(reduce(manifest.lines, results.collect::<Result<_, _>>()?))
     } else {
         None
     };

@@ -9,9 +9,11 @@
 //! processes — the unit of failure an operator actually loses (OOM
 //! kills, node reboots, `kill -9`). The split of responsibilities:
 //!
-//! * **[`protocol`]** — the work-dir *protocol*: manifest, shard
-//!   results, DLQ records, the fault injector, and the worker entry
-//!   point (`logmine worker`).
+//! * **[`protocol`]** — the work-dir *protocol*: the manifest (line
+//!   count, and the newline-aligned byte cuts the corpus is sharded
+//!   by), shard results, DLQ records, the fault injector, and the worker
+//!   entry point (`logmine worker`), which builds only its own byte
+//!   range of the corpus.
 //! * **[`Scheduler`]** — the pure state machine: who runs next,
 //!   retry-vs-dead-letter, exponential backoff with deterministic
 //!   jitter. Property-tested without spawning a single process.
@@ -20,7 +22,8 @@
 //!   `agent_started`, `agent_failed`, `agent_retrying`,
 //!   `task_completed`, `task_dead_lettered`, `job_finished` — all
 //!   correlated by `job_id`), publish `jobs_*` metrics, and [`reduce`]
-//!   the shard results through the merge `ParallelDriver` itself calls
+//!   the shard results — each read and validated once, on reap or on
+//!   resume recovery — through the merge `ParallelDriver` itself calls
 //!   ([`logparse_core::merge_chunks`]), so the distributed answer is
 //!   byte-identical to the in-process one.
 //!

@@ -15,7 +15,8 @@
 //!
 //! ```text
 //! job-dir/
-//!   state/            template store: `job` manifest blob and
+//!   state/            template store: `job` manifest blob (parser,
+//!                     corpus, its line count and byte cuts) and
 //!                     `attempts-<task>` counters (crash-safe blobs)
 //!   out/task-<i>.json completed shard results (atomic rename)
 //!   dlq/task-<i>.json dead-letter records for poison shards
@@ -29,6 +30,16 @@
 //! a retried attempt of the same task cannot tear the result — both
 //! write identical bytes (the parse is deterministic) and the last
 //! rename wins.
+//!
+//! # Shards are byte ranges
+//!
+//! Task `k` is chunk `k` of `ParallelDriver::chunk_ranges(lines,
+//! shards)` — and, so that a worker need not build the file to find it,
+//! the manifest also carries where each chunk's bytes begin
+//! ([`JobManifest::cuts`], from [`logparse_core::corpus_cuts`]). A worker
+//! builds `cuts[k]..cuts[k + 1]` and nothing else, and checks what it can
+//! see of the corpus against the manifest: the file's length, that its
+//! range starts and ends at a line start, the range's kept-line count.
 //!
 //! # Fault injection
 //!
@@ -45,7 +56,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use logparse_core::{Corpus, LogParser, ParallelDriver, Template, TemplateToken, Tokenizer};
+use logparse_core::{
+    corpus_cuts, Corpus, LogParser, ParallelDriver, ParseError, Template, TemplateToken, Tokenizer,
+};
 use logparse_obs::Json;
 use logparse_parsers::batch_parser;
 use logparse_store::{sync_dir, write_atomic, BlobRead, TemplateStore};
@@ -106,10 +119,17 @@ pub struct JobManifest {
     pub job_id: String,
     /// Batch parser name (`drain`, `iplom`, `slct`, …).
     pub parser: String,
-    /// The corpus file every worker reads and slices.
+    /// The corpus file; each worker builds its own byte range of it.
     pub corpus: PathBuf,
     /// Line count of the corpus when the job was created.
     pub lines: usize,
+    /// Task `k` is the lines of bytes `cuts[k]..cuts[k + 1]` of the
+    /// corpus ([`logparse_core::CorpusCuts::cuts`]): every cut a line
+    /// start, the last one the corpus's length in bytes when the job was
+    /// created. Empty in a manifest written before workers built byte
+    /// ranges, until [`against_corpus`](JobManifest::against_corpus)
+    /// fills it.
+    pub cuts: Vec<usize>,
     /// Number of map tasks (= chunk count; determines the result).
     pub shards: usize,
     /// Attempt budget per task, first try included: a task whose
@@ -130,19 +150,32 @@ impl JobManifest {
                 Json::str(self.corpus.to_string_lossy().into_owned()),
             ),
             ("lines".into(), Json::usize(self.lines)),
+            (
+                "cuts".into(),
+                Json::Arr(self.cuts.iter().copied().map(Json::usize).collect()),
+            ),
             ("shards".into(), Json::usize(self.shards)),
             ("max_retries".into(), Json::usize(self.max_retries as usize)),
             ("backoff_ms".into(), Json::usize(self.backoff_ms as usize)),
         ])
     }
 
-    /// Deserializes the object form, rejecting missing fields.
+    /// Deserializes the object form, rejecting missing fields; only
+    /// `cuts` may be absent (see
+    /// [`against_corpus`](JobManifest::against_corpus)).
     pub fn from_json(doc: &Json) -> Result<JobManifest, String> {
         let field = |key: &str| {
             doc.get(key)
                 .ok_or_else(|| format!("manifest missing `{key}`"))
         };
-        Ok(JobManifest {
+        let cuts = match doc.get("cuts") {
+            None => Vec::new(),
+            Some(cuts) => cuts
+                .as_arr()
+                .and_then(|cuts| cuts.iter().map(Json::as_usize).collect())
+                .ok_or("manifest `cuts` not an array of integers")?,
+        };
+        let manifest = JobManifest {
             job_id: field("job_id")?
                 .as_str()
                 .ok_or("manifest `job_id` not a string")?
@@ -159,6 +192,7 @@ impl JobManifest {
             lines: field("lines")?
                 .as_usize()
                 .ok_or("manifest `lines` not an integer")?,
+            cuts,
             shards: field("shards")?
                 .as_usize()
                 .ok_or("manifest `shards` not an integer")?,
@@ -168,7 +202,15 @@ impl JobManifest {
             backoff_ms: field("backoff_ms")?
                 .as_usize()
                 .ok_or("manifest `backoff_ms` not an integer")? as u64,
-        })
+        };
+        let (cuts, tasks) = (&manifest.cuts, manifest.ranges().len());
+        let well_formed = cuts.len() == tasks + 1 && cuts.first() == Some(&0) && cuts.is_sorted();
+        if !cuts.is_empty() && !well_formed {
+            return Err(format!(
+                "manifest `cuts` {cuts:?} do not bound {tasks} task(s)"
+            ));
+        }
+        Ok(manifest)
     }
 
     /// Persists the manifest into the job's state store.
@@ -200,6 +242,35 @@ impl JobManifest {
     /// distributed result byte-identical to `parse_parallel`.
     pub fn ranges(&self) -> Vec<std::ops::Range<usize>> {
         ParallelDriver::chunk_ranges(self.lines, self.shards)
+    }
+
+    /// The manifest checked against the corpus as it is now, which both
+    /// the coordinator and a worker do before they rely on it. A manifest
+    /// read from a job directory older than the cuts is completed by the
+    /// pass that writes them into a new one, over a corpus that must
+    /// still have the line count it was sharded by; then the corpus must
+    /// be as long as the last cut says — not appended to, truncated or
+    /// replaced since the job was created.
+    pub fn against_corpus(mut self) -> Result<JobManifest, JobError> {
+        let corpus = self.corpus.display();
+        if self.cuts.is_empty() {
+            let measured = corpus_cuts(&self.corpus, self.shards)?;
+            if measured.lines != self.lines {
+                return Err(JobError::Config(format!(
+                    "corpus {corpus} has {} line(s), manifest says {}",
+                    measured.lines, self.lines
+                )));
+            }
+            self.cuts = measured.cuts;
+        }
+        let bytes = std::fs::metadata(&self.corpus)?.len();
+        let expected = self.cuts.last().copied().unwrap_or(0);
+        if bytes != expected as u64 {
+            return Err(JobError::Config(format!(
+                "corpus {corpus} is {bytes} byte(s) long, manifest says {expected}"
+            )));
+        }
+        Ok(self)
     }
 }
 
@@ -616,11 +687,11 @@ pub fn kill_self() -> ! {
     std::process::abort();
 }
 
-/// The `logmine worker` entry point: parses one chunk of the job's
-/// corpus and atomically publishes the [`ShardResult`]. The slice
-/// taken and the parser built are exactly those of the in-process
-/// [`ParallelDriver`], so the published result is byte-equivalent to
-/// the corresponding chunk of `parse_parallel`.
+/// The `logmine worker` entry point: builds one chunk of the job's
+/// corpus from its bytes alone, parses it and atomically publishes the
+/// [`ShardResult`]. The lines built and the parser built are exactly
+/// those of the in-process [`ParallelDriver`], so the published result
+/// is byte-equivalent to the corresponding chunk of `parse_parallel`.
 ///
 /// Faults from [`FAULT_ENV`] matching `(task, attempt)` are applied
 /// here: a crash bound inside the chunk SIGKILLs the process before
@@ -628,7 +699,11 @@ pub fn kill_self() -> ! {
 /// fault publishes garbage and exits cleanly.
 pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), JobError> {
     let manifest = JobManifest::load(job_dir)?
-        .ok_or_else(|| JobError::Config(format!("no job manifest under {}", job_dir.display())))?;
+        .ok_or_else(|| JobError::Config(format!("no job manifest under {}", job_dir.display())))?
+        // A corpus that is not the one the manifest cut is refused: by
+        // its length here, then by a cut that is no longer a line start
+        // or a range that no longer holds its lines.
+        .against_corpus()?;
     let fault = FaultPlan::from_env()?.worker_fault(task, attempt);
     let ranges = manifest.ranges();
     let range = ranges.get(task).cloned().ok_or_else(|| {
@@ -648,18 +723,30 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), J
             kill_self();
         }
     }
-    let corpus = Corpus::from_path(&manifest.corpus, &Tokenizer::default())?;
-    if corpus.len() != manifest.lines {
+    let bytes = manifest.cuts[task]..manifest.cuts[task + 1];
+    let piece = Corpus::from_path_range(
+        &manifest.corpus,
+        &Tokenizer::default(),
+        bytes.clone(),
+        range.start,
+    )
+    .map_err(|err| match err {
+        ParseError::InvalidConfig { reason, .. } => {
+            JobError::Config(format!("corpus {}: {reason}", manifest.corpus.display()))
+        }
+        other => other.into(),
+    })?;
+    if piece.len() != range.len() {
         return Err(JobError::Config(format!(
-            "corpus {} has {} line(s), manifest says {}",
+            "bytes {}..{} of corpus {} hold {} line(s), manifest says {}",
+            bytes.start,
+            bytes.end,
             manifest.corpus.display(),
-            corpus.len(),
-            manifest.lines
+            piece.len(),
+            range.len()
         )));
     }
-    let parser = job_parser(&manifest.parser)?;
-    let piece = corpus.slice(range.clone());
-    let parse = parser.parse(&piece)?;
+    let parse = job_parser(&manifest.parser)?.parse(&piece)?;
     ShardResult::from_parse(task, range.start, &parse).write(job_dir)?;
     Ok(())
 }
@@ -676,25 +763,24 @@ mod tests {
         dir
     }
 
+    /// A manifest as a directory older than the cuts holds it.
     fn manifest(dir: &Path, lines: usize, shards: usize) -> JobManifest {
         JobManifest {
             job_id: "cafe0123cafe0123".into(),
             parser: "drain".into(),
             corpus: dir.join("corpus.log"),
             lines,
+            cuts: Vec::new(),
             shards,
             max_retries: 2,
             backoff_ms: 50,
         }
     }
 
-    #[test]
-    fn manifest_round_trips_through_the_state_store() {
-        let dir = temp_job("manifest");
-        let m = manifest(&dir, 100, 4);
-        assert!(JobManifest::load(&dir).unwrap().is_none());
+    /// Saves `m` as `dir`'s `job` blob.
+    fn persist(dir: &Path, m: &JobManifest) {
         let (store, _) = TemplateStore::open(
-            &state_dir(&dir),
+            &state_dir(dir),
             &StoreConfig {
                 shards: 1,
                 ..StoreConfig::default()
@@ -703,7 +789,38 @@ mod tests {
         .unwrap();
         m.save(&store).unwrap();
         store.finish().unwrap();
+    }
+
+    #[test]
+    fn manifest_round_trips_through_the_state_store() {
+        let dir = temp_job("manifest");
+        let m = JobManifest {
+            cuts: vec![0, 700, 1400, 2100, 2800],
+            ..manifest(&dir, 100, 4)
+        };
+        assert!(JobManifest::load(&dir).unwrap().is_none());
+        persist(&dir, &m);
         assert_eq!(JobManifest::load(&dir).unwrap(), Some(m));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_cuts_may_be_absent_but_not_malformed() {
+        let dir = temp_job("cuts");
+        let cut = JobManifest {
+            cuts: vec![0, 10, 25],
+            ..manifest(&dir, 9, 2)
+        };
+        let doc = cut.to_json().to_string();
+        let with = |cuts: &str| Json::parse(&doc.replace("\"cuts\":[0,10,25]", cuts)).unwrap();
+        assert_eq!(JobManifest::from_json(&with("\"cuts\":[0,10,25]")), Ok(cut));
+        // What every binary before the cuts wrote.
+        let old = JobManifest::from_json(&with("\"x\":0")).unwrap();
+        assert_eq!(old, manifest(&dir, 9, 2));
+        for bad in ["[0,10]", "[1,10,25]", "[0,30,25]", "[0,10,-1]", "7"] {
+            let err = JobManifest::from_json(&with(&format!("\"cuts\":{bad}")));
+            assert!(err.is_err(), "{bad} must not load");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -841,21 +958,15 @@ mod tests {
             .map(|i| format!("send pkt {i} to node {}", i % 3))
             .collect();
         std::fs::write(dir.join("corpus.log"), lines.join("\n") + "\n").unwrap();
-        let m = manifest(&dir, 40, 4);
-        let (store, _) = TemplateStore::open(
-            &state_dir(&dir),
-            &StoreConfig {
-                shards: 1,
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
-        m.save(&store).unwrap();
-        store.finish().unwrap();
-
-        for task in 0..4 {
+        // Cut, and as a directory older than the cuts left it.
+        let m = manifest(&dir, 40, 4).against_corpus().unwrap();
+        assert_eq!((m.cuts.len(), m.cuts[0]), (5, 0));
+        persist(&dir, &m);
+        for task in 0..3 {
             run_job_worker(&dir, task, 1).unwrap();
         }
+        persist(&dir, &manifest(&dir, 40, 4));
+        run_job_worker(&dir, 3, 1).unwrap();
         let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
         let ranges = ParallelDriver::chunk_ranges(40, 4);
         let parser = job_parser("drain").unwrap();
@@ -874,6 +985,54 @@ mod tests {
                     .collect::<Vec<_>>()
             );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn worker_refuses_a_corpus_that_is_not_the_manifests() {
+        let dir = temp_job("refuse");
+        let corpus = dir.join("corpus.log");
+        let text: String = (0..8).map(|i| format!("send pkt {i} ok\n")).collect();
+        std::fs::write(&corpus, &text).unwrap();
+        let m = manifest(&dir, 8, 2).against_corpus().unwrap();
+        assert_eq!(m.cuts, [0, text.len() / 2, text.len()]);
+        persist(&dir, &m);
+        let refusal = |text: &str, task: usize| {
+            std::fs::write(&corpus, text).unwrap();
+            match run_job_worker(&dir, task, 1) {
+                Err(JobError::Config(reason)) => reason,
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+
+        // Appended to: both lengths named, by either worker.
+        let longer = text.clone() + "one more\n";
+        for task in 0..2 {
+            let reason = refusal(&longer, task);
+            assert!(reason.contains(&format!("is {} byte(s) long", longer.len())));
+            assert!(reason.contains(&format!("manifest says {}", text.len())));
+        }
+        // As long as it was, but the second cut is inside a line now...
+        let shifted = text.replacen("send pkt 3 ok\nsend pkt", "send pkt 3 ok send\npkt", 1);
+        for task in 0..2 {
+            assert!(refusal(&shifted, task).contains("does not start and end at a line start"));
+        }
+        // ...or the cuts hold and a line between them went blank.
+        let blanked = text.replacen("send pkt 1 ok", "             ", 1);
+        let reason = refusal(&blanked, 0);
+        assert!(
+            reason.contains("hold 3 line(s), manifest says 4"),
+            "{reason}"
+        );
+        run_job_worker(&dir, 1, 1).expect("the other shard is as it was");
+
+        // An older directory is held to the line count it recorded.
+        persist(&dir, &manifest(&dir, 8, 2));
+        let reason = refusal(&longer, 0);
+        assert!(
+            reason.contains("has 9 line(s), manifest says 8"),
+            "{reason}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

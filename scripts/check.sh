@@ -40,6 +40,9 @@ cargo test -q --test parallel_equivalence
 echo "=== differential suite (zero-copy loader vs BufRead reference) ==="
 cargo test -q --test loader_differential
 
+echo "=== job cuts (no cut splits a line; a byte-range build is the slice of the whole) ==="
+cargo test -q --test loader_differential byte_range
+
 echo "=== loader goldens (parent-frozen loader_v1) ==="
 cargo test -q -p logparse-cli --test cli loader_v1_goldens_hold_from_file_and_stdin
 
@@ -113,13 +116,16 @@ if [[ "$QUICK" == "1" ]]; then
     generate --dataset hdfs --count 3000 >"$JOBS_DIR/corpus.log"
   cargo run -q --release -p logparse-cli --bin logmine -- \
     parse --parser drain -j 4 --events-out "$JOBS_DIR/parse.events" \
+    --structured-out "$JOBS_DIR/parse.structured" \
     "$JOBS_DIR/corpus.log" 2>/dev/null
   LOGPARSE_FAULT="worker:1@1:crash_after:0" \
     cargo run -q --release -p logparse-cli --bin logmine -- \
     jobs run "$JOBS_DIR/corpus.log" --job-dir "$JOBS_DIR/job" \
     --parser drain -j 4 --backoff-ms 5 \
-    --events-out "$JOBS_DIR/jobs.events" 2>/dev/null
+    --events-out "$JOBS_DIR/jobs.events" \
+    --structured-out "$JOBS_DIR/jobs.structured" 2>/dev/null
   cmp "$JOBS_DIR/parse.events" "$JOBS_DIR/jobs.events"
+  cmp "$JOBS_DIR/parse.structured" "$JOBS_DIR/jobs.structured"
   grep -q '"event":"agent_retrying"' "$JOBS_DIR/job/events.jsonl"
   rm -rf "$JOBS_DIR"
 fi

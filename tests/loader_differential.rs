@@ -19,13 +19,17 @@
 //!   a line is dropped iff every byte is ASCII whitespace);
 //! * lines straddling the parallel loader's chunk boundaries (the
 //!   chunk splitter must cut only at newlines, and the chunk-order
-//!   interner merge must reproduce sequential symbol ids exactly).
+//!   interner merge must reproduce sequential symbol ids exactly);
+//! * the cuts a job coordinator shards a file by (`corpus_cuts`) and the
+//!   byte-range builds its workers run on them (`from_path_range`): no
+//!   cut inside a line, and each range the slice of the whole build.
 
-use std::io::{BufRead as _, Write as _};
+use std::io::{BufRead as _, Cursor, Read, Seek, SeekFrom, Write as _};
 use std::path::PathBuf;
 
 use logmine::core::{
-    count_corpus_lines, write_events_file, write_structured_file, Corpus, LogParser, Tokenizer,
+    corpus_cuts, count_corpus_lines, write_events_file, write_structured_file, Corpus, LogParser,
+    ParallelDriver, ParseError, Tokenizer,
 };
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Slct, Spell};
 use proptest::prelude::*;
@@ -240,8 +244,124 @@ fn chunk_straddling_lines_survive_the_parallel_build() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A seekable input that records which of its bytes were read.
+struct Watched {
+    inner: Cursor<Vec<u8>>,
+    /// Lowest and one past the highest offset read, and bytes in all.
+    touched: Option<(usize, usize)>,
+    read: usize,
+}
+
+impl Read for Watched {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let at = self.inner.position() as usize;
+        let n = self.inner.read(buf)?;
+        if n > 0 {
+            let (low, high) = self.touched.unwrap_or((at, at + n));
+            self.touched = Some((low.min(at), high.max(at + n)));
+            self.read += n;
+        }
+        Ok(n)
+    }
+}
+
+impl Seek for Watched {
+    fn seek(&mut self, to: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(to)
+    }
+}
+
+/// Text dense in what a cut can get wrong: blank runs, CRLF, a lone
+/// `\r`, multi-byte characters (the checked slow path), and often no
+/// final newline.
+fn cuttable_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        prop_oneof![
+            Just("\n".to_owned()),
+            Just("\n".to_owned()),
+            Just("\r\n".to_owned()),
+            Just("\r".to_owned()),
+            Just(" \t".to_owned()),
+            Just("é=€ ".to_owned()),
+            "[ -~]{1,12}",
+        ],
+        0..80,
+    )
+    .prop_map(|pieces| pieces.concat().into_bytes())
+}
+
+/// A range a worker must never be handed is an error, not a corpus of
+/// torn lines; an empty file (which cannot be mapped) has one range.
+#[test]
+fn a_byte_range_off_the_line_grid_is_refused() {
+    let tok = Tokenizer::default();
+    let path = fixture_file("grid", b"one 1\ntwo 2\r\n\nthree 3");
+    for (range, lines) in [(0..6, 1), (6..13, 1), (6..14, 1), (14..21, 1), (0..21, 3)] {
+        let built = Corpus::from_path_range(&path, &tok, range.clone(), 0).unwrap();
+        assert_eq!(built.len(), lines, "{range:?}");
+    }
+    let backwards = std::ops::Range { start: 6, end: 0 };
+    for range in [1..6, 0..5, 6..12, 15..21, 0..22, 22..22, backwards] {
+        let refused = Corpus::from_path_range(&path, &tok, range.clone(), 0);
+        assert!(
+            matches!(refused, Err(ParseError::InvalidConfig { .. })),
+            "{range:?}"
+        );
+    }
+    let empty = fixture_file("grid-empty", b"");
+    assert!(Corpus::from_path_range(&empty, &tok, 0..0, 0)
+        .unwrap()
+        .is_empty());
+    assert!(Corpus::from_path_range(&empty, &tok, 0..1, 0).is_err());
+    for path in [path, empty] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The cuts a job is sharded by, and the builds its workers run on
+    /// them: every cut a line start, chunk `k` of the line split exactly
+    /// the kept lines between cuts `k` and `k + 1`, and a corpus built
+    /// from those bytes alone — mapped, or sought and read — the slice
+    /// of the whole-file build: records, line numbers, resolved tokens.
+    #[test]
+    fn byte_range_builds_are_slices_of_the_whole_build(
+        bytes in cuttable_bytes(),
+        shards in 1usize..10,
+    ) {
+        let tok = Tokenizer::default();
+        let path = fixture_file("cuts", &bytes);
+        let whole = Corpus::from_path(&path, &tok).unwrap();
+        let measured = corpus_cuts(&path, shards).unwrap();
+        let ranges = ParallelDriver::chunk_ranges(whole.len(), shards);
+        prop_assert_eq!(measured.lines, whole.len());
+        prop_assert_eq!(measured.cuts.len(), ranges.len() + 1);
+        prop_assert_eq!(measured.cuts[0], 0);
+        prop_assert_eq!(measured.cuts[ranges.len()], bytes.len());
+
+        for (k, range) in ranges.iter().enumerate() {
+            let cut = measured.cuts[k]..measured.cuts[k + 1];
+            prop_assert!(cut.start == 0 || bytes[cut.start - 1] == b'\n', "cut {} splits a line", cut.start);
+            prop_assert!(k == 0 || cut.start > measured.cuts[k - 1]);
+            prop_assert_eq!(legacy_corpus(&bytes[cut.clone()]).len(), range.len());
+
+            let expected = whole.slice(range.clone());
+            let mapped = Corpus::from_path_range(&path, &tok, cut.clone(), range.start).unwrap();
+            prop_assert_eq!(&mapped, &expected);
+
+            // What a file that cannot be mapped costs: its range and the
+            // byte before it, nothing else of the file.
+            let mut input = Watched { inner: Cursor::new(bytes.clone()), touched: None, read: 0 };
+            let sought = Corpus::from_reader_range(&mut input, &tok, cut.clone(), range.start).unwrap();
+            prop_assert_eq!(&sought, &expected);
+            let (low, high) = input.touched.unwrap_or((cut.start, cut.end));
+            prop_assert!(low + 1 >= cut.start && high <= cut.end, "read {low}..{high} for {cut:?}");
+            prop_assert!(input.read <= cut.len() + 1);
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
     /// Random printable-ASCII + whitespace byte soup: `from_bytes` (and
     /// its parallel variant at an adversarial thread count) always
