@@ -25,6 +25,7 @@ use logparse_mining::{truth_count_matrix, PcaDetector, PcaDetectorConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::RunOptions;
 use crate::{fmt_count, TextTable};
 
 /// Which event class the corruption targets.
@@ -185,6 +186,26 @@ pub fn render(points: &[CriticalPoint]) -> TextTable {
     table
 }
 
+const PAPER_CLAIM: &str = "\
+paper claim: \"4% errors in parsing could even cause an order of magnitude
+performance degradation in log mining\" — observe the false-alarm column of
+the critical target versus the non-critical control at equal error rates,
+and note how small the overall error fraction stays.
+";
+
+/// Stdout of the `critical_events` experiment: the ablation at the
+/// default 5 000 blocks (`--quick`: 1 000).
+pub fn report(options: &RunOptions) -> String {
+    let mut config = CriticalConfig::default();
+    if options.quick {
+        config.blocks = 1_000;
+    }
+    format!(
+        "Finding 6 ablation: merge errors on critical vs. non-critical events\n\n{}\n{PAPER_CLAIM}",
+        render(&run(&config))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +244,12 @@ mod tests {
         let points = run(&config(3000, 5));
         let baseline = fa(&points, CorruptionTarget::Critical, 0.0).max(1);
         let corrupted = fa(&points, CorruptionTarget::Critical, 1.0);
-        assert!(
-            corrupted >= 10 * baseline,
-            "critical: {corrupted} vs baseline {baseline}"
-        );
         let control = fa(&points, CorruptionTarget::NonCritical, 1.0);
         assert!(
-            corrupted >= 5 * control.max(1),
-            "critical {corrupted} vs non-critical {control}"
+            corrupted >= 10 * baseline && corrupted >= 5 * control.max(1),
+            "Finding 6 — mining is sensitive to critical events: {corrupted} false alarms with \
+             the critical events misparsed, {baseline} at baseline, {control} with the same \
+             errors on a non-critical event"
         );
     }
 

@@ -11,6 +11,7 @@
 use logparse_datasets::study_datasets;
 use logparse_parsers::extension_parsers;
 
+use super::{RunOptions, SEED};
 use crate::{fmt_f2, pairwise_f_measure, TextTable};
 
 /// Accuracy of one extension parser on one dataset.
@@ -69,6 +70,21 @@ pub fn render(points: &[ExtensionPoint]) -> TextTable {
         table.add_row(row);
     }
     table
+}
+
+const CONTEXT: &str = "\
+context: these are the parsers the authors' follow-on LogPAI toolkit added
+after the study; compare with the tuned Table II rows of the original four.
+";
+
+/// Stdout of the `extensions` experiment: the extension parsers on
+/// 2 000-message samples (`--quick`: 500).
+pub fn report(options: &RunOptions) -> String {
+    let sample = if options.quick { 500 } else { 2_000 };
+    format!(
+        "Extension parsers (default configs, raw messages): F-measure\n\n{}\n{CONTEXT}",
+        render(&run(sample, SEED))
+    )
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use logparse_datasets::study_datasets;
 
+use super::{series_table, size_cap, RunOptions, FIGURE_DATASETS};
 use crate::{tune, ParserKind, TextTable};
 
 /// One timing measurement.
@@ -61,17 +62,6 @@ impl Default for Fig2Config {
     }
 }
 
-impl Fig2Config {
-    /// The per-method size cap (`usize::MAX` for uncapped methods).
-    fn cap(&self, kind: ParserKind) -> usize {
-        match kind {
-            ParserKind::Lke => self.lke_cap,
-            ParserKind::LogSig => self.logsig_cap,
-            _ => usize::MAX,
-        }
-    }
-}
-
 /// Runs the timing sweep.
 pub fn run(config: &Fig2Config) -> Vec<TimingPoint> {
     let max_size = config.sizes.iter().copied().max().unwrap_or(0);
@@ -82,35 +72,26 @@ pub fn run(config: &Fig2Config) -> Vec<TimingPoint> {
         for &kind in &ParserKind::ALL {
             let tuned = tune(kind, &sample);
             for &size in &config.sizes {
-                if size > config.cap(kind) {
-                    points.push(TimingPoint {
-                        dataset: spec.name(),
-                        parser: kind,
-                        size,
-                        seconds: None,
-                    });
-                    continue;
-                }
-                let corpus = full.corpus.take(size);
-                let parser = tuned.instantiate(0);
+                let attempted = size <= size_cap(kind, config.lke_cap, config.logsig_cap);
                 // Timing goes through the obs span layer, so the sweep
                 // and any live pipeline share one histogram family
                 // (`obs_span_duration_seconds{span="parser_parse"}`).
                 // Parallel runs time the whole chunk+merge driver (which
                 // records its own chunk/merge histograms internally).
-                let seconds = if config.threads > 1 {
-                    // lint:allow(timing-discipline): the parallel driver records its own chunk/merge histograms; this outer clock is the experiment's reported end-to-end number
-                    let start = std::time::Instant::now();
-                    parser
-                        .parse_parallel(&corpus, config.threads)
-                        .ok()
-                        .map(|_| start.elapsed().as_secs_f64())
-                } else {
-                    parser
-                        .timed_parse(&corpus)
-                        .ok()
-                        .map(|(_, d)| d.as_secs_f64())
-                };
+                let seconds = attempted
+                    .then(|| full.corpus.take(size))
+                    .and_then(|corpus| {
+                        let parser = tuned.instantiate(0);
+                        if config.threads > 1 {
+                            // lint:allow(timing-discipline): the parallel driver records its own chunk/merge histograms; this outer clock is the experiment's reported end-to-end number
+                            let start = std::time::Instant::now();
+                            let parsed = parser.parse_parallel(&corpus, config.threads).ok();
+                            parsed.map(|_| start.elapsed().as_secs_f64())
+                        } else {
+                            let timed = parser.timed_parse(&corpus).ok();
+                            timed.map(|(_, d)| d.as_secs_f64())
+                        }
+                    });
                 points.push(TimingPoint {
                     dataset: spec.name(),
                     parser: kind,
@@ -125,29 +106,11 @@ pub fn run(config: &Fig2Config) -> Vec<TimingPoint> {
 
 /// Renders one dataset's timings as a series table (columns = sizes).
 pub fn render(points: &[TimingPoint], dataset: &str) -> TextTable {
-    let mut sizes: Vec<usize> = points
-        .iter()
-        .filter(|p| p.dataset == dataset)
-        .map(|p| p.size)
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut headers = vec!["Parser".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("{s}")));
-    let mut table = TextTable::new(headers);
-    for kind in ParserKind::ALL {
-        let mut row = vec![kind.name().to_string()];
-        for &size in &sizes {
-            let cell = points
-                .iter()
-                .find(|p| p.dataset == dataset && p.parser == kind && p.size == size)
-                .and_then(|p| p.seconds)
-                .map_or_else(|| "-".to_string(), |s| format!("{s:.3}s"));
-            row.push(cell);
-        }
-        table.add_row(row);
-    }
-    table
+    let series = || points.iter().filter(|p| p.dataset == dataset);
+    series_table(series().map(|p| p.size), |kind, size| {
+        let point = series().find(|p| p.parser == kind && p.size == size)?;
+        point.seconds.map(|s| format!("{s:.3}s"))
+    })
 }
 
 /// Fits `log(time) ≈ a·log(n) + b` over a method's measured points and
@@ -176,6 +139,43 @@ pub fn scaling_exponent(points: &[TimingPoint], dataset: &str, parser: ParserKin
         return None;
     }
     Some((n * sxy - sx * sy) / denom)
+}
+
+const PAPER_SHAPE: &str = "\
+paper shape: SLCT and IPLoM linear (minutes for 10m lines); LogSig linear with
+a large constant (2+ hours for 10m HDFS lines); LKE O(n^2), unable to finish
+BGL4m/HDFS10m in reasonable time (points missing).
+";
+
+/// [`run`] at the scale `options` selects: the default sweep to 40 000
+/// messages (`--quick`: to 4 000, LKE capped at 1 000).
+pub fn run_at(options: &RunOptions) -> Vec<TimingPoint> {
+    let mut config = Fig2Config {
+        threads: options.threads,
+        ..Fig2Config::default()
+    };
+    if options.quick {
+        config.sizes = vec![400, 1_000, 4_000];
+        config.lke_cap = 1_000;
+    }
+    run(&config)
+}
+
+/// Stdout of the `fig2` experiment: one timing table and the fitted
+/// scaling exponents per dataset.
+pub fn report(options: &RunOptions) -> String {
+    let points = run_at(options);
+    let mut out =
+        "Fig. 2: Running Time of Log Parsing Methods on Datasets in Different Size\n".to_string();
+    for dataset in FIGURE_DATASETS {
+        out += &format!("\n({dataset})\n{}", render(&points, dataset));
+        for kind in ParserKind::ALL {
+            if let Some(a) = scaling_exponent(&points, dataset, kind) {
+                out += &format!("  {} empirical scaling exponent: {a:.2}\n", kind.name());
+            }
+        }
+    }
+    out + "\n" + PAPER_SHAPE
 }
 
 #[cfg(test)]

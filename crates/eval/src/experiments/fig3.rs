@@ -9,6 +9,7 @@
 
 use logparse_datasets::study_datasets;
 
+use super::{series_table, size_cap, RunOptions, FIGURE_DATASETS};
 use crate::{pairwise_f_measure, tune, ParserKind, TextTable};
 
 /// One accuracy measurement of the sweep.
@@ -52,17 +53,6 @@ impl Default for Fig3Config {
     }
 }
 
-impl Fig3Config {
-    /// The per-method size cap (`usize::MAX` for uncapped methods).
-    fn cap(&self, kind: ParserKind) -> usize {
-        match kind {
-            ParserKind::Lke => self.lke_cap,
-            ParserKind::LogSig => self.logsig_cap,
-            _ => usize::MAX,
-        }
-    }
-}
-
 /// Runs the accuracy-stability sweep.
 pub fn run(config: &Fig3Config) -> Vec<AccuracyPoint> {
     let max_size = config.sizes.iter().copied().max().unwrap_or(0);
@@ -74,21 +64,11 @@ pub fn run(config: &Fig3Config) -> Vec<AccuracyPoint> {
             // Parameters frozen from the sample, as in the paper.
             let tuned = tune(kind, &sample);
             for &size in &config.sizes {
-                if size > config.cap(kind) {
-                    points.push(AccuracyPoint {
-                        dataset: spec.name(),
-                        parser: kind,
-                        size,
-                        f1: None,
-                    });
-                    continue;
-                }
-                let subset = full.take(size);
-                let parser = tuned.instantiate(0);
-                let f1 = parser
-                    .parse(&subset.corpus)
-                    .ok()
-                    .map(|parse| pairwise_f_measure(&subset.labels, &parse.cluster_labels()).f1);
+                let attempted = size <= size_cap(kind, config.lke_cap, config.logsig_cap);
+                let f1 = attempted.then(|| full.take(size)).and_then(|subset| {
+                    let parse = tuned.instantiate(0).parse(&subset.corpus).ok()?;
+                    Some(pairwise_f_measure(&subset.labels, &parse.cluster_labels()).f1)
+                });
                 points.push(AccuracyPoint {
                     dataset: spec.name(),
                     parser: kind,
@@ -103,29 +83,11 @@ pub fn run(config: &Fig3Config) -> Vec<AccuracyPoint> {
 
 /// Renders one dataset's accuracy series (columns = sizes).
 pub fn render(points: &[AccuracyPoint], dataset: &str) -> TextTable {
-    let mut sizes: Vec<usize> = points
-        .iter()
-        .filter(|p| p.dataset == dataset)
-        .map(|p| p.size)
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut headers = vec!["Parser".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("{s}")));
-    let mut table = TextTable::new(headers);
-    for kind in ParserKind::ALL {
-        let mut row = vec![kind.name().to_string()];
-        for &size in &sizes {
-            let cell = points
-                .iter()
-                .find(|p| p.dataset == dataset && p.parser == kind && p.size == size)
-                .and_then(|p| p.f1)
-                .map_or_else(|| "-".to_string(), |f| format!("{f:.2}"));
-            row.push(cell);
-        }
-        table.add_row(row);
-    }
-    table
+    let series = || points.iter().filter(|p| p.dataset == dataset);
+    series_table(series().map(|p| p.size), |kind, size| {
+        let point = series().find(|p| p.parser == kind && p.size == size)?;
+        point.f1.map(|f| format!("{f:.2}"))
+    })
 }
 
 /// Accuracy spread (max − min F1) of a method across the sweep — the
@@ -147,6 +109,48 @@ pub fn consistency_spread(
     let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let min = values.iter().copied().fold(f64::INFINITY, f64::min);
     Some(max - min)
+}
+
+const PAPER_SHAPE: &str = "\
+paper shape: IPLoM consistent in most cases; SLCT consistent except HPC; LKE
+volatile; LogSig consistent on event-poor datasets, varying on BGL/HPC.
+";
+
+/// [`run`] at the scale `options` selects: parameters tuned on 2 000
+/// messages, sizes to 40 000 (`--quick`: tuned on 1 000, sizes to 4 000,
+/// LKE capped at 1 000).
+pub fn run_at(options: &RunOptions) -> Vec<AccuracyPoint> {
+    let mut config = Fig3Config::default();
+    if options.quick {
+        config.sizes = vec![400, 1_000, 4_000];
+        config.tuning_sample = 1_000;
+        config.lke_cap = 1_000;
+    } else {
+        config.sizes.push(40_000);
+    }
+    run(&config)
+}
+
+/// Stdout of the `fig3` experiment for the points [`run_at`] returned:
+/// one accuracy table and the per-parser spreads per dataset.
+pub fn report_of(points: &[AccuracyPoint]) -> String {
+    let mut out =
+        "Fig. 3: Parsing Accuracy on Datasets in Different Size (params tuned on sample)\n"
+            .to_string();
+    for dataset in FIGURE_DATASETS {
+        out += &format!("\n({dataset})\n{}", render(points, dataset));
+        for kind in ParserKind::ALL {
+            if let Some(s) = consistency_spread(points, dataset, kind) {
+                out += &format!("  {} accuracy spread across sizes: {s:.2}\n", kind.name());
+            }
+        }
+    }
+    out + "\n" + PAPER_SHAPE
+}
+
+/// Stdout of the `fig3` experiment.
+pub fn report(options: &RunOptions) -> String {
+    report_of(&run_at(options))
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use logparse_core::{Corpus, LogParser, Tokenizer};
 use logparse_datasets::hdfs;
 use logparse_mining::{sequences_by_session, verify_deployment, FsmModel};
 
+use super::RunOptions;
 use crate::{fmt_count, tune, ParserKind, TextTable};
 
 /// One row: a parser's effect on both sequence-based mining tasks.
@@ -165,6 +166,26 @@ pub fn render(rows: &[MiningTaskRow]) -> TextTable {
         ]);
     }
     table
+}
+
+const INTERPRETATION: &str = "\
+interpretation: a parser that splits events fabricates novel sequences
+(flagged sessions above ground truth = wasted inspection; extra FSM edges =
+spurious model branches); one that merges them hides real regressions.
+";
+
+/// Stdout of the `mining_tasks` experiment: both tasks on the default
+/// 1 000 dev / 2 000 prod blocks (`--quick`: 300 / 600).
+pub fn report(options: &RunOptions) -> String {
+    let mut config = MiningTasksConfig::default();
+    if options.quick {
+        config.dev_blocks = 300;
+        config.prod_blocks = 600;
+    }
+    format!(
+        "Mining-task generality: deployment verification & FSM model construction\n\n{}\n{INTERPRETATION}",
+        render(&run(&config))
+    )
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 use logparse_core::{MaskRule, Preprocessor};
 use logparse_datasets::{bgl, LabeledCorpus};
 
+use super::{RunOptions, SEED};
 use crate::{fmt_f2, pairwise_f_measure, tune, ParserKind, TextTable};
 
 /// One measurement: a parser's accuracy under one rule subset.
@@ -84,6 +85,22 @@ pub fn render(points: &[AblationPoint]) -> TextTable {
     table
 }
 
+const PAPER_REFERENCE: &str = "\
+paper: preprocessing improves SLCT and LogSig dramatically on BGL
+(0.61->0.94 and 0.26->0.98) but not IPLoM, which normalizes internally
+(0.99->0.99).
+";
+
+/// Stdout of the `preprocess_ablation` experiment: the ablation on a
+/// 2 000-message BGL sample (`--quick`: 500).
+pub fn report(options: &RunOptions) -> String {
+    let sample = if options.quick { 500 } else { 2_000 };
+    format!(
+        "Finding 2 ablation: BGL parsing accuracy by preprocessing rule subset\n\n{}\n{PAPER_REFERENCE}",
+        render(&run(sample, SEED))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +132,8 @@ mod tests {
         };
         assert!(
             get("core") > get("none") + 0.2,
-            "core {} vs none {}",
+            "Finding 2 — simple domain-knowledge preprocessing improves accuracy: LogSig on BGL \
+             {:.2} with core ids masked, {:.2} raw",
             get("core"),
             get("none")
         );

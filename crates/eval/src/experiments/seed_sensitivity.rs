@@ -10,6 +10,7 @@
 
 use logparse_datasets::study_datasets;
 
+use super::{RunOptions, SEED};
 use crate::{pairwise_f_measure, tune, ParserKind, TextTable};
 
 /// Per-dataset seed statistics for LogSig.
@@ -95,6 +96,21 @@ pub fn render(stats: &[SeedStats]) -> TextTable {
         ]);
     }
     table
+}
+
+const CONTEXT: &str = "\
+the study reports 10-run averages (§IV-A); the spread column shows how
+much a single unlucky seed can deviate from that average.
+";
+
+/// Stdout of the `seed_sensitivity` experiment: LogSig over 10 seeds on
+/// 2 000-message samples (`--quick`: 5 seeds on 500).
+pub fn report(options: &RunOptions) -> String {
+    let (sample, seeds) = if options.quick { (500, 5) } else { (2_000, 10) };
+    format!(
+        "LogSig accuracy across {seeds} random initializations\n\n{}\n{CONTEXT}",
+        render(&run(sample, seeds, SEED))
+    )
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use logparse_core::LogParser;
 use logparse_datasets::study_datasets;
 use logparse_parsers::{Drain, Iplom, Lke, Slct, Spell};
 
+use super::RunOptions;
 use crate::{pairwise_f_measure, TextTable};
 
 /// One (dataset, parser, thread-count) measurement.
@@ -189,6 +190,34 @@ pub fn render(points: &[SpeedupPoint], dataset: &str) -> TextTable {
         table.add_row(row);
     }
     table
+}
+
+const LEGEND: &str = "\
+agree = worst-case pairwise F-measure of the parallel grouping against the
+sequential grouping across thread counts (1.000 = identical partition).
+On a single core only superlinear methods can beat 1.00x: chunking divides
+their work (k chunks of n/k cost n^2/k for LKE), while linear methods need
+real cores to gain and pay a small merge overhead here.
+";
+
+/// Stdout of the `speedup` experiment: the sweep at the default 20 000
+/// messages (`--quick`: 2 000, small enough that the O(n²) LKE is
+/// included and shows the algorithmic speedup of chunking).
+pub fn report(options: &RunOptions) -> String {
+    let mut config = SpeedupConfig::default();
+    if options.quick {
+        config.size = 2_000;
+    }
+    let points = run(&config);
+    let mut out = "Parallel parsing speedup (chunked driver vs sequential baseline)\n".to_string();
+    for dataset in &config.datasets {
+        out += &format!(
+            "\n({dataset}, {} messages)\n{}",
+            config.size,
+            render(&points, dataset)
+        );
+    }
+    out + "\n" + LEGEND
 }
 
 #[cfg(test)]

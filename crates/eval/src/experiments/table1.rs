@@ -9,6 +9,7 @@
 
 use logparse_datasets::{study_datasets, LabeledCorpus};
 
+use super::{RunOptions, SEED};
 use crate::{fmt_count, TextTable};
 
 /// The paper's reference numbers for one dataset (Table I).
@@ -142,6 +143,20 @@ pub fn render(rows: &[DatasetSummary]) -> TextTable {
         ]);
     }
     table
+}
+
+/// Stdout of the `table1` experiment: Table I at paper sizes / 1 000
+/// (`--quick`: / 10 000) and the generated total beside the paper's.
+pub fn report(options: &RunOptions) -> String {
+    let divisor = if options.quick { 10_000 } else { 1_000 };
+    let rows = run(divisor, SEED);
+    format!(
+        "Table I: Summary of the system log datasets (synthetic, paper sizes / {divisor})\n\n\
+         {}\npaper total: {} lines; generated total: {} lines\n",
+        render(&rows),
+        fmt_count(PAPER_TOTAL_LOGS),
+        fmt_count(rows.iter().map(|r| r.generated_logs).sum()),
+    )
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 use logparse_datasets::hdfs::{self, HdfsSessions};
 use logparse_datasets::LabeledCorpus;
 
+use super::RunOptions;
 use crate::{fmt_count, pairwise_f_measure, tune, ParserKind, TextTable};
 use logparse_mining::{event_count_matrix, truth_count_matrix, PcaDetector, PcaDetectorConfig};
 
@@ -169,6 +170,30 @@ pub fn render(rows: &[Table3Row], anomalies: usize) -> TextTable {
         ]);
     }
     table
+}
+
+const PAPER_REFERENCE: &str = "\
+paper reference (16,838 anomalies):
+SLCT          0.83  18,450  10,935 (64%)  7,515 (40%)
+LogSig        0.87  11,091  10,678 (63%)    413 (3.7%)
+IPLoM         0.99  10,998  10,720 (63%)    278 (2.5%)
+Ground truth  1.00  11,473  11,195 (66%)    278 (2.4%)
+";
+
+/// Stdout of the `table3` experiment: Table III at the default 5 000
+/// blocks (`--quick`: 1 000).
+pub fn report(options: &RunOptions) -> String {
+    let mut config = Table3Config::default();
+    if options.quick {
+        config.blocks = 1_000;
+    }
+    let (rows, anomalies) = run(&config);
+    format!(
+        "Table III: Anomaly Detection with Different Log Parsing Methods ({} Anomalies)\n\n\
+         {}\n{PAPER_REFERENCE}",
+        fmt_count(anomalies),
+        render(&rows, anomalies)
+    )
 }
 
 #[cfg(test)]

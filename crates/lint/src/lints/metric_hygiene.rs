@@ -22,8 +22,8 @@
 //! [`History::replay`] is deliberately exempt — it is the *import*
 //! surface for runtime names (fixture replay, `logmine alerts check`).
 //!
-//! Scope: library code outside test regions. Binaries, benches,
-//! examples and tests consume metrics, they do not define them.
+//! Scope: library code outside test regions. Binaries, examples and
+//! tests consume metrics, they do not define them.
 
 use super::{Finding, Severity};
 use crate::source::{Role, SourceFile};
@@ -486,7 +486,7 @@ History series:
              h.record_sample(\"y\", 1.0); }\n}\n",
         );
         fs.push(SourceFile::new(
-            "crates/bench/src/bin/b.rs",
+            "crates/eval/src/bin/experiments.rs",
             "fn main() { global().counter(\"y_total\", \"\", &[]); }\n",
         ));
         let out = check(&fs, Some(("DESIGN.md", "## Observability\n")));

@@ -12,7 +12,7 @@
 //!   panic mid-job).
 //! * Only [`Role::Lib`](crate::source::Role::Lib) code outside
 //!   `#[cfg(test)]` regions is checked unless a lint says otherwise —
-//!   tests, benches, examples and binaries may panic and time freely.
+//!   tests, examples and binaries may panic and time freely.
 
 pub mod durability;
 pub mod hot_alloc;

@@ -9,9 +9,9 @@
 //!
 //! `Instant::now()` is therefore flagged in library code everywhere
 //! except the instrumentation substrate itself (`obs`). Binaries,
-//! benches, examples and tests are exempt. Sites that *feed* an obs
-//! histogram directly (the per-batch worker timer) document themselves
-//! with a pragma.
+//! examples and tests are exempt. Sites that *feed* an obs histogram
+//! directly (the per-batch worker timer) document themselves with a
+//! pragma.
 
 use super::{code_lines, find_all, Finding, Severity};
 use crate::source::{Role, SourceFile};
@@ -60,7 +60,7 @@ mod tests {
     fn substrate_tests_and_bins_are_exempt() {
         for rel in [
             "crates/obs/src/span.rs",
-            "crates/bench/src/bin/table1.rs",
+            "crates/eval/src/bin/experiments.rs",
             "tests/end_to_end.rs",
         ] {
             let f = check(&SourceFile::new(rel, "fn f() { Instant::now(); }\n"));

@@ -4,8 +4,8 @@
 use crate::lexer::{lex, Lexed};
 
 /// What kind of target a file belongs to. Several lints only apply to
-/// library code — test, bench, example and binary targets are expected
-/// to index, unwrap and time freely.
+/// library code — test, example and binary targets are expected to
+/// index, unwrap and time freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// `src/**` of a library crate.
@@ -14,8 +14,6 @@ pub enum Role {
     Bin,
     /// `tests/**` integration tests.
     Test,
-    /// `benches/**`.
-    Bench,
     /// `examples/**`.
     Example,
 }
@@ -231,8 +229,6 @@ fn role_of(rel: &str) -> Role {
     let has = |seg: &str| parts.contains(&seg);
     if has("tests") {
         Role::Test
-    } else if has("benches") {
-        Role::Bench
     } else if has("examples") {
         Role::Example
     } else if has("bin") || parts.last() == Some(&"main.rs") {
@@ -265,7 +261,7 @@ mod tests {
         );
         assert_eq!(SourceFile::new("tests/end_to_end.rs", "").role, Role::Test);
         assert_eq!(
-            SourceFile::new("crates/bench/src/bin/table1.rs", "").role,
+            SourceFile::new("crates/eval/src/bin/experiments.rs", "").role,
             Role::Bin
         );
         assert_eq!(

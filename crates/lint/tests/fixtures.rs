@@ -181,9 +181,8 @@ fn timing_discipline_fires_in_lib_code_only() {
     assert_eq!(out[0].severity, Severity::Warn);
 
     for exempt_rel in [
-        "crates/bench/src/bin/fixture.rs", // binaries may time freely
-        "crates/obs/src/fixture.rs",       // the instrumentation substrate itself
-        "crates/eval/benches/fixture.rs",  // benches
+        "crates/eval/src/bin/experiments.rs", // binaries may time freely
+        "crates/obs/src/fixture.rs",          // the instrumentation substrate itself
     ] {
         let out = lint_as(exempt_rel, "timing/violation.rs");
         assert!(out.is_empty(), "{exempt_rel}: {out:?}");
@@ -206,9 +205,8 @@ fn hot_path_string_alloc_fires_in_parser_loops_only() {
     );
 
     for exempt_rel in [
-        "crates/eval/src/fixture.rs",        // not a hot-path scope
-        "crates/core/src/record.rs",         // core outside the driver
-        "crates/parsers/benches/fixture.rs", // benches allocate freely
+        "crates/eval/src/fixture.rs", // not a hot-path scope
+        "crates/core/src/record.rs",  // core outside the driver
     ] {
         let out = lint_as(exempt_rel, "hot_alloc/violation.rs");
         assert!(out.is_empty(), "{exempt_rel}: {out:?}");

@@ -65,6 +65,16 @@ cargo test -q --test preprocess_differential
 echo "=== differential suite (dual vs primal PCA) ==="
 cargo test -q -p logparse-linalg dual_matches_primal
 
+# Every pinned experiment's report against results/quick byte for byte,
+# and one assertion per finding; the full gate repeats the pins at paper
+# scale against results/ (about six minutes). A mismatch leaves what the
+# run printed in target/paper_pins/; ./run_experiments.sh regenerates.
+echo "=== paper pins (results/quick, six findings) ==="
+cargo test -q -p logparse-eval --test paper_pins
+if [[ "$QUICK" == "0" ]]; then
+  cargo test -q -p logparse-eval --test paper_pins -- --ignored
+fi
+
 if [[ "$QUICK" == "1" ]]; then
   # Alert-rule smoke: the default rule set replayed over the canned
   # drifting history must parse cleanly and fire the churn alert.
