@@ -148,6 +148,7 @@ fn serve_exposes_pipeline_metrics_and_drains_on_sigterm() {
         "ingest_parsed_lines_total",
         "ingest_parse_duration_seconds",
         "ingest_shard_groups",
+        "ingest_shard_vocabulary",
         "ingest_template_merges_total",
         "ingest_global_templates",
         "ingest_windows_scored_total",

@@ -37,7 +37,7 @@ pub fn write_structured_file<W: Write>(
     parse: &Parse,
     writer: W,
 ) -> Result<(), ParseError> {
-    write_structured_lines(corpus.records().map(|r| r.line_no), parse, writer)
+    write_structured_lines(corpus.line_numbers(), parse, writer)
 }
 
 /// [`write_structured_file`] from the messages' line numbers alone, for

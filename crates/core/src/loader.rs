@@ -283,11 +283,8 @@ impl<M: Masker> ScanSink for BuildSink<'_, M> {
             self.scratch.clear();
         }
         self.rows.arena.finish_row();
-        self.spans.push(Span {
-            start: self.base + start,
-            end: self.base + content_end,
-            line_no: self.spans.len() + 1,
-        });
+        self.spans
+            .push(Span::new(self.base + start, self.base + content_end)?);
         Ok(())
     }
 }
@@ -391,11 +388,7 @@ fn build_parallel<M: Masker>(
         for (total, hits) in masked.iter_mut().zip(chunk.masked) {
             *total += hits;
         }
-        for s in chunk.spans {
-            // Kept-line numbering restarts per chunk; renumber globally.
-            let line_no = spans.len() + 1;
-            spans.push(Span { line_no, ..s });
-        }
+        spans.extend(chunk.spans);
     }
     Some(Ok(ChunkOut {
         interner,
@@ -450,7 +443,7 @@ fn build_corpus(
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
-    measured_build(buffer, preprocessor, |bytes| {
+    measured_build(buffer, preprocessor, 0, |bytes| {
         if preprocessor.rules().is_empty() {
             build(bytes, tokenizer, Identity, threads)
         } else {
@@ -460,10 +453,12 @@ fn build_corpus(
 }
 
 /// Runs `build` over `buffer` under the corpus-build span and counters
-/// and wraps its output and the buffer into the corpus.
+/// and wraps its output and the buffer into the corpus, whose lines are
+/// numbered from `lines_before + 1`.
 fn measured_build(
     buffer: Arc<LineBuffer>,
     preprocessor: &Preprocessor,
+    lines_before: usize,
     build: impl FnOnce(&[u8]) -> Result<ChunkOut, ParseError>,
 ) -> Result<Corpus, ParseError> {
     let registry = logparse_obs::global();
@@ -476,6 +471,7 @@ fn measured_build(
     Ok(Corpus::assemble_mapped(
         buffer,
         out.spans,
+        lines_before + 1,
         out.arena,
         Arc::new(out.interner),
     ))
@@ -546,13 +542,10 @@ fn build_range(
             ),
         });
     }
-    measured_build(Arc::new(buffer), &Preprocessor::identity(), |bytes| {
+    let unmasked = &Preprocessor::identity();
+    measured_build(Arc::new(buffer), unmasked, lines_before, |bytes| {
         let scanner = Scanner::for_tokenizer(tokenizer);
-        let mut out = build_chunk(bytes, local, &scanner, tokenizer, Identity)?;
-        for span in &mut out.spans {
-            span.line_no += lines_before;
-        }
-        Ok(out)
+        build_chunk(bytes, local, &scanner, tokenizer, Identity)
     })
 }
 

@@ -56,14 +56,52 @@ impl RecordRef<'_> {
     }
 }
 
-/// Byte range of one kept line in a shared [`LineBuffer`], plus its
-/// assigned line number (kept-line index + 1 at build; preserved
-/// verbatim by [`Corpus::slice`] / [`Corpus::select`]).
+/// Byte range of one kept line in a shared [`LineBuffer`]: 12 bytes a
+/// record (a 64-bit start for files past 4 GiB, a 32-bit length), which
+/// is why a single line stops short of 4 GiB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub(crate) struct Span {
-    pub(crate) start: usize,
-    pub(crate) end: usize,
-    pub(crate) line_no: usize,
+    start: u64,
+    len: u32,
+}
+
+impl Span {
+    /// The span of bytes `start..end`.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData`, naming `start`, when the line is 4 GiB or longer.
+    #[inline]
+    pub(crate) fn new(start: usize, end: usize) -> Result<Span, ParseError> {
+        match u32::try_from(end - start) {
+            Ok(len) => Ok(Span {
+                start: start as u64,
+                len,
+            }),
+            Err(_) => Err(ParseError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("line at byte offset {start} is 4 GiB or longer"),
+            ))),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// The line numbers of a corpus's records. Every loader-built corpus
+/// numbers its kept lines consecutively, and so does every contiguous
+/// slice of one, so only a hand-picked selection stores them.
+#[derive(Debug, Clone)]
+enum LineNumbers {
+    /// Record `i` is line `first + i`.
+    From(usize),
+    /// Record `i` is line `listed[i]` ([`Corpus::select`],
+    /// [`Corpus::from_records`]).
+    Listed(Vec<usize>),
 }
 
 /// An in-memory log corpus: raw records plus their interned tokenizations.
@@ -78,7 +116,9 @@ pub(crate) struct Span {
 /// [`tokens`](Corpus::tokens) remains as the resolved string view.
 ///
 /// Storage is one shape however the corpus was built: a single shared
-/// byte buffer and one `(start, end, line_no)` span per record into it.
+/// byte buffer and one `(start, length)` span per record into it; line
+/// numbers are the first one plus the index unless records were picked
+/// by hand.
 /// There are two ways in:
 ///
 /// * [`from_path`](Corpus::from_path) / [`from_bytes`](Corpus::from_bytes)
@@ -115,6 +155,7 @@ pub(crate) struct Span {
 pub struct Corpus {
     buffer: Arc<LineBuffer>,
     spans: Vec<Span>,
+    lines: LineNumbers,
     arena: TokenArena,
     interner: Arc<Interner>,
 }
@@ -151,6 +192,7 @@ impl Corpus {
         Corpus::assemble_mapped(
             Arc::new(LineBuffer::Owned(Vec::new())),
             Vec::new(),
+            1,
             TokenArena::new(),
             Arc::new(Interner::new()),
         )
@@ -159,34 +201,44 @@ impl Corpus {
     /// Builds a corpus from raw content lines, tokenizing each with
     /// `tokenizer`. Every line becomes a record (blank lines too) and
     /// line numbers are assigned sequentially from 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a single line is 4 GiB or longer.
     pub fn from_lines<I, S>(lines: I, tokenizer: &Tokenizer) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let numbered = lines.into_iter().enumerate().map(|(i, line)| (i + 1, line));
-        Corpus::from_numbered_lines(numbered, tokenizer)
+        Corpus::from_contents(lines.into_iter(), tokenizer)
     }
 
     /// Builds a corpus from pre-constructed records, keeping their line
     /// numbers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a single record's content is 4 GiB or longer.
     pub fn from_records<I>(records: I, tokenizer: &Tokenizer) -> Self
     where
         I: IntoIterator<Item = LogRecord>,
     {
-        let numbered = records.into_iter().map(|r| (r.line_no, r.content));
-        Corpus::from_numbered_lines(numbered, tokenizer)
+        let mut numbers = Vec::new();
+        let contents = records.into_iter().map(|record| {
+            numbers.push(record.line_no);
+            record.content
+        });
+        let mut corpus = Corpus::from_contents(contents, tokenizer);
+        corpus.lines = LineNumbers::Listed(numbers);
+        corpus
     }
 
     /// The body of [`from_lines`](Corpus::from_lines) and
-    /// [`from_records`](Corpus::from_records): appends each line's bytes
-    /// to one owned buffer and tokenizes it with the char-level
-    /// [`Tokenizer`] — not the loader's byte scanner, which the
-    /// differential suite checks against this path.
-    fn from_numbered_lines<S: AsRef<str>>(
-        lines: impl Iterator<Item = (usize, S)>,
-        tokenizer: &Tokenizer,
-    ) -> Self {
+    /// [`from_records`](Corpus::from_records), numbering from 1: appends
+    /// each line's bytes to one owned buffer and tokenizes it with the
+    /// char-level [`Tokenizer`] — not the loader's byte scanner, which
+    /// the differential suite checks against this path.
+    fn from_contents<S: AsRef<str>>(lines: impl Iterator<Item = S>, tokenizer: &Tokenizer) -> Self {
         let registry = logparse_obs::global();
         let (time_hist, size_hist) = intern_histograms(registry);
         let span = registry.span_into(time_hist, "core_intern_build", &[]);
@@ -194,22 +246,22 @@ impl Corpus {
         let mut spans = Vec::new();
         let mut interner = Interner::new();
         let mut arena = TokenArena::new();
-        for (line_no, line) in lines {
+        for line in lines {
             let content = line.as_ref();
             arena.push_row(tokenizer.tokenize_interned(content, &mut interner));
             let start = bytes.len();
             bytes.extend_from_slice(content.as_bytes());
-            spans.push(Span {
-                start,
-                end: bytes.len(),
-                line_no,
-            });
+            match Span::new(start, bytes.len()) {
+                Ok(kept) => spans.push(kept),
+                Err(e) => panic!("{e}"),
+            }
         }
         span.finish();
         size_hist.observe(arena.token_count() as f64);
         Corpus::assemble_mapped(
             Arc::new(LineBuffer::Owned(bytes)),
             spans,
+            1,
             arena,
             Arc::new(interner),
         )
@@ -353,17 +405,20 @@ impl Corpus {
         crate::loader::corpus_from_reader_range(reader, tokenizer, bytes, lines_before)
     }
 
-    /// Assembles a corpus from a buffer, the spans of its records and
-    /// their token rows (one row per span).
+    /// Assembles a corpus from a buffer, the spans of its records —
+    /// lines `first_line`, `first_line + 1`, … — and their token rows
+    /// (one row per span).
     pub(crate) fn assemble_mapped(
         buffer: Arc<LineBuffer>,
         spans: Vec<Span>,
+        first_line: usize,
         arena: TokenArena,
         interner: Arc<Interner>,
     ) -> Corpus {
         Corpus {
             buffer,
             spans,
+            lines: LineNumbers::From(first_line),
             arena,
             interner,
         }
@@ -377,6 +432,7 @@ impl Corpus {
         Corpus {
             buffer: Arc::clone(&self.buffer),
             spans: self.spans.clone(),
+            lines: self.lines.clone(),
             arena,
             interner: Arc::new(interner),
         }
@@ -398,13 +454,25 @@ impl Corpus {
     ///
     /// Panics if `index >= self.len()`.
     pub fn record(&self, index: usize) -> RecordRef<'_> {
-        let span = self.spans[index];
         RecordRef {
-            line_no: span.line_no,
+            line_no: self.line_no(index),
             // Validated at build (ASCII-classified by the scanner,
             // UTF-8-checked on its slow path, or copied from a `str`).
-            content: std::str::from_utf8(&self.buffer[span.start..span.end]).unwrap_or(""),
+            content: std::str::from_utf8(&self.buffer[self.spans[index].range()]).unwrap_or(""),
         }
+    }
+
+    fn line_no(&self, index: usize) -> usize {
+        match &self.lines {
+            LineNumbers::From(first) => first + index,
+            LineNumbers::Listed(listed) => listed[index],
+        }
+    }
+
+    /// Every record's line number, without touching a record's bytes
+    /// (the structured writer needs nothing else of the corpus).
+    pub(crate) fn line_numbers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|index| self.line_no(index))
     }
 
     /// The token sequence of the message at `index`, resolved to string
@@ -428,8 +496,9 @@ impl Corpus {
     }
 
     /// The corpus's token table. Symbols from [`symbols`](Corpus::symbols)
-    /// resolve here; parsers that need a private extendable table clone
-    /// it (cheap: refcount bumps).
+    /// resolve here; parsers that need a private extendable table lay
+    /// one over [`shared_interner`](Corpus::shared_interner) with
+    /// [`Interner::over`] (nothing is copied).
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
@@ -466,6 +535,7 @@ impl Corpus {
         Corpus {
             buffer: Arc::clone(&self.buffer),
             spans: indices.iter().map(|&i| self.spans[i]).collect(),
+            lines: LineNumbers::Listed(indices.iter().map(|&i| self.line_no(i)).collect()),
             arena,
             interner: Arc::clone(&self.interner),
         }
@@ -486,6 +556,10 @@ impl Corpus {
         }
         Corpus {
             buffer: Arc::clone(&self.buffer),
+            lines: match &self.lines {
+                LineNumbers::From(first) => LineNumbers::From(first + range.start),
+                LineNumbers::Listed(listed) => LineNumbers::Listed(listed[range.clone()].to_vec()),
+            },
             spans: self.spans[range].to_vec(),
             arena,
             interner: Arc::clone(&self.interner),
@@ -664,6 +738,36 @@ mod tests {
         let sel = c.select(&[2, 0]);
         assert_eq!(sel.record(0).content, "e f");
         assert_eq!(sel.record(1).line_no, 1);
+    }
+
+    #[test]
+    fn a_span_is_twelve_bytes_and_refuses_a_4_gib_line_by_offset() {
+        assert_eq!(std::mem::size_of::<Span>(), 12);
+        let far = 5usize << 32;
+        let span = Span::new(far, far + u32::MAX as usize).unwrap();
+        assert_eq!(span.range(), far..far + u32::MAX as usize);
+        let error = Span::new(far, far + (1 << 32)).unwrap_err();
+        assert!(matches!(&error, ParseError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData));
+        assert_eq!(
+            error.to_string(),
+            format!("i/o error: line at byte offset {far} is 4 GiB or longer")
+        );
+    }
+
+    #[test]
+    fn line_numbers_follow_records_through_slice_and_select() {
+        let t = Tokenizer::default();
+        let records = [9, 4, 7, 5].map(|n| LogRecord::new(n, format!("line {n}")));
+        let listed = Corpus::from_records(records, &t);
+        let numbers = |c: &Corpus| c.records().map(|r| r.line_no).collect::<Vec<_>>();
+        assert_eq!(numbers(&listed), [9, 4, 7, 5]);
+        assert_eq!(numbers(&listed.slice(1..3)), [4, 7]);
+        assert_eq!(numbers(&listed.select(&[3, 0])), [5, 9]);
+        let run = Corpus::from_bytes(b"a\n\nb\nc\nd\n".to_vec(), &t).unwrap();
+        assert_eq!(numbers(&run.slice(1..4)), [2, 3, 4]);
+        assert_eq!(numbers(&run.slice(1..4).slice(1..3)), [3, 4]);
+        assert_eq!(numbers(&run.slice(1..4).select(&[2, 0])), [4, 2]);
+        assert_eq!(numbers(&run.select(&[3, 1]).slice(1..2)), [2]);
     }
 
     #[test]

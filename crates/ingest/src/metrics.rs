@@ -42,6 +42,9 @@ pub(crate) struct WorkerMetrics {
     pub parse_seconds: Histogram,
     /// `ingest_shard_groups{shard}` — the parser's current group count.
     pub groups: Gauge,
+    /// `ingest_shard_vocabulary{shard}` — distinct tokens the parser's
+    /// interner holds; it never shrinks, and the shard's memory follows it.
+    pub vocabulary: Gauge,
     /// Shared with the router's `ingest_queue_depth{shard}`.
     pub queue_depth: Gauge,
 }
@@ -66,6 +69,11 @@ impl WorkerMetrics {
             groups: registry.gauge(
                 "ingest_shard_groups",
                 "Template groups currently held by each shard's parser",
+                &[("shard", &shard_label)],
+            ),
+            vocabulary: registry.gauge(
+                "ingest_shard_vocabulary",
+                "Distinct tokens interned by each shard's parser since it started",
                 &[("shard", &shard_label)],
             ),
             queue_depth: registry.gauge(
@@ -329,6 +337,7 @@ mod tests {
             "ingest_parsed_lines_total",
             "ingest_parse_duration_seconds",
             "ingest_shard_groups",
+            "ingest_shard_vocabulary",
             "ingest_template_merges_total",
             "ingest_global_templates",
             "ingest_windows_scored_total",

@@ -13,6 +13,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use logparse_core::Tokenizer;
+use logparse_obs::word_fold;
 use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
 
 use crate::checkpoint::ParserSnapshot;
@@ -119,6 +120,13 @@ impl ShardParser {
         }
     }
 
+    pub fn vocabulary(&self) -> usize {
+        match self {
+            ShardParser::Drain(p) => p.vocabulary(),
+            ShardParser::Spell(p) => p.vocabulary(),
+        }
+    }
+
     pub fn template_strings(&self) -> Vec<String> {
         match self {
             ShardParser::Drain(p) => p.templates().iter().map(|t| t.to_string()).collect(),
@@ -134,33 +142,13 @@ impl ShardParser {
     }
 }
 
-/// Distinct-line fingerprint for the parameter-cardinality estimate.
-/// Folds 8-byte chunks with a rotate–xor–multiply instead of
-/// byte-at-a-time FNV: this runs once per line on the parse hot path,
-/// and the chunked fold keeps the drift family's throughput cost inside
-/// the ≤5% budget (`obs.drift_overhead_pct` on `serve_file_churn` in
-/// `benchmark/run.sh`).
-fn line_hash(line: &str) -> u64 {
-    const SEED: u64 = 0x517c_c1b7_2722_0a95;
-    let bytes = line.as_bytes();
-    let mut hash = 0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(chunk);
-        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(buf)).wrapping_mul(SEED);
-    }
-    let mut tail = u64::from(bytes.len() as u8);
-    for byte in chunks.remainder() {
-        tail = (tail << 8) | u64::from(*byte);
-    }
-    (hash.rotate_left(5) ^ tail).wrapping_mul(SEED)
-}
-
 /// Pass-through hasher for [`FingerprintSet`]: the keys are already
-/// 64-bit fingerprints from [`line_hash`]'s rotate–xor–multiply fold,
-/// so running them through SipHash again would double the per-line
-/// hashing cost on the parse hot path for no dispersion gain.
+/// 64-bit line fingerprints from [`word_fold`] (eight bytes a round, not
+/// byte-at-a-time FNV: it runs once per line on the parse hot path, and
+/// that keeps the drift family's throughput cost inside the ≤5% budget,
+/// `obs.drift_overhead_pct` on `serve_file_churn` in
+/// `benchmark/run.sh`), so running them through SipHash again would
+/// double the per-line hashing cost for no dispersion gain.
 #[derive(Debug, Default)]
 struct FingerprintHasher(u64);
 
@@ -229,7 +217,7 @@ pub(crate) fn run_worker(
                         }
                         let seen = &mut param_seen[local];
                         if seen.len() < PARAM_CARD_CAP {
-                            seen.insert(line_hash(line));
+                            seen.insert(word_fold(line.as_bytes()));
                         }
                     }
                 }
@@ -238,6 +226,7 @@ pub(crate) fn run_worker(
                     .observe_duration(parse_started.elapsed());
                 metrics.parsed_lines.inc_by(batch.len() as u64);
                 metrics.groups.set(parser.group_count() as f64);
+                metrics.vocabulary.set(parser.vocabulary() as f64);
                 observed += batch.len();
                 lines_since_refresh += batch.len();
                 let grew = parser.group_count() > sent_groups;

@@ -21,9 +21,11 @@
 //! * **[`Journal`]** — a buffered JSONL event log with `run_id` and
 //!   monotonic timestamps, flushed on drop so drained shutdowns never
 //!   truncate the event stream.
-//! * **[`Json`] and [`Fnv1a`]** — the one JSON (journal fields,
-//!   checkpoint blobs, the jobs protocol) and the one hash (shard
-//!   routing, store placement, retry jitter) every layer above shares.
+//! * **[`Json`], [`Fnv1a`] and [`word_fold`]** — the one JSON (journal
+//!   fields, checkpoint blobs, the jobs protocol), the one persistent
+//!   hash (shard routing, store placement, retry jitter) and the one
+//!   in-process word-at-a-time fold (token interning, line fingerprints)
+//!   every layer above shares.
 //!
 //! # Example
 //!
@@ -70,7 +72,7 @@ pub mod rules;
 mod span;
 
 pub use alerts::{AlertEngine, AlertTransition};
-pub use fnv::Fnv1a;
+pub use fnv::{word_fold, Fnv1a};
 pub use histogram::{Buckets, Histogram, HistogramSnapshot};
 pub use history::{History, HistorySampler};
 pub use http::{serve_metrics, MetricsServer};

@@ -169,8 +169,8 @@ fn similarity(template: &[Option<Symbol>], tokens: &[Symbol]) -> f64 {
 pub(crate) struct DrainTree {
     config: Drain,
     /// The token table behind every symbol in the tree. Batch parsing
-    /// seeds it with a clone of the corpus interner; streaming grows it
-    /// one token at a time.
+    /// lays it over the corpus interner; streaming grows it one token
+    /// at a time.
     interner: Interner,
     /// Cached "contains an ASCII digit" flag per symbol id; extended
     /// lazily as the interner grows, so the digit scan runs once per
@@ -201,8 +201,8 @@ impl DrainTree {
     }
 
     /// Validates the configuration and creates a tree whose symbol table
-    /// starts as `interner` — the batch entry point, seeded with a clone
-    /// of the corpus table so corpus symbols are directly routable.
+    /// starts as `interner` — the batch entry point, laid over the
+    /// corpus table so corpus symbols are directly routable.
     pub(crate) fn with_interner(config: Drain, mut interner: Interner) -> Result<Self, ParseError> {
         if !(0.0..=1.0).contains(&config.similarity) {
             return Err(ParseError::InvalidConfig {
@@ -419,9 +419,10 @@ impl LogParser for Drain {
     }
 
     fn parse(&self, corpus: &Corpus) -> Result<Parse, ParseError> {
-        // Seed the tree with the corpus symbol table: routing then runs
-        // on the corpus's own symbols with zero per-token hashing.
-        let mut tree = DrainTree::with_interner(self.clone(), corpus.interner().clone())?;
+        // Lay the tree's table over the corpus's: routing then runs on
+        // the corpus's own symbols with zero per-token hashing.
+        let interner = Interner::over(corpus.shared_interner());
+        let mut tree = DrainTree::with_interner(self.clone(), interner)?;
         for idx in 0..corpus.len() {
             tree.observe_symbols(corpus.symbols(idx));
         }

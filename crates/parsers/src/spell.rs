@@ -197,8 +197,8 @@ impl SpellState {
     }
 
     /// Validates the configuration and creates a state whose symbol
-    /// table starts as `interner` — the batch entry point, seeded with a
-    /// clone of the corpus table so corpus symbols are directly usable.
+    /// table starts as `interner` — the batch entry point, laid over the
+    /// corpus table so corpus symbols are directly usable.
     pub(crate) fn with_interner(config: Spell, interner: Interner) -> Result<Self, ParseError> {
         if !(0.0..=1.0).contains(&config.tau) {
             return Err(ParseError::InvalidConfig {
@@ -339,9 +339,10 @@ impl LogParser for Spell {
     }
 
     fn parse(&self, corpus: &Corpus) -> Result<Parse, ParseError> {
-        // Seed the state with the corpus symbol table: the LCS loops
-        // then run on the corpus's own symbols with zero token hashing.
-        let mut state = SpellState::with_interner(self.clone(), corpus.interner().clone())?;
+        // Lay the state's table over the corpus's: the LCS loops then
+        // run on the corpus's own symbols with zero token hashing.
+        let interner = Interner::over(corpus.shared_interner());
+        let mut state = SpellState::with_interner(self.clone(), interner)?;
         let mut assignment: Vec<Option<usize>> = Vec::with_capacity(corpus.len());
         for idx in 0..corpus.len() {
             let tokens = corpus.symbols(idx);

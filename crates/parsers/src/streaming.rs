@@ -43,6 +43,11 @@ pub trait StreamingParser {
     /// Number of groups discovered so far.
     fn group_count(&self) -> usize;
 
+    /// Distinct tokens the parser has interned so far. Nothing is ever
+    /// forgotten, so on a stream with fresh parameters in every line
+    /// this — not the group count — is what the parser's memory follows.
+    fn vocabulary(&self) -> usize;
+
     /// The current template of group `id`, or `None` if out of range.
     fn template(&self, id: usize) -> Option<Template>;
 
@@ -120,6 +125,10 @@ impl StreamingParser for StreamingDrain {
         self.tree.group_count()
     }
 
+    fn vocabulary(&self) -> usize {
+        self.tree.interner().len()
+    }
+
     fn template(&self, id: usize) -> Option<Template> {
         self.tree.group_template(id).map(|slots| {
             let interner = self.tree.interner();
@@ -192,6 +201,10 @@ impl StreamingParser for StreamingSpell {
 
     fn group_count(&self) -> usize {
         self.state.group_count()
+    }
+
+    fn vocabulary(&self) -> usize {
+        self.state.interner().len()
     }
 
     fn template(&self, id: usize) -> Option<Template> {
@@ -303,6 +316,9 @@ mod tests {
             }
             fn group_count(&self) -> usize {
                 3 // over-reported: only id 1 actually has a template
+            }
+            fn vocabulary(&self) -> usize {
+                0
             }
             fn template(&self, id: usize) -> Option<Template> {
                 (id == 1).then(|| Template::from_pattern("only *"))

@@ -37,6 +37,12 @@ cargo test --workspace -q
 echo "=== differential suite (sequential vs parallel) ==="
 cargo test -q --test parallel_equivalence
 
+# The token table against a HashMap over vocabularies built to collide,
+# an overlay against a deep clone, and the mean walk of a new token as a
+# count (the low-bit home slot this replaced walked 232 on `id=<hex>`).
+echo "=== interner (model, overlay, probe length) ==="
+cargo test -q -p logparse-core --lib intern::tests
+
 echo "=== differential suite (zero-copy loader vs BufRead reference) ==="
 cargo test -q --test loader_differential
 
