@@ -366,14 +366,15 @@ fn build_ingest_config(args: &Args) -> Result<IngestConfig, Box<dyn Error>> {
         alert_rules,
         shards: args.parsed_or("shards", defaults.shards)?,
         batch_size: args.parsed_or("batch-size", defaults.batch_size)?,
-        flush_interval: std::time::Duration::from_millis(args.parsed_or("flush-ms", 200u64)?),
+        flush_interval: std::time::Duration::from_millis(
+            args.parsed_or("flush-ms", defaults.flush_interval.as_millis() as u64)?,
+        ),
         window_size: args.parsed_or("window", defaults.window_size)?,
         history: args.parsed_or("history", defaults.history)?,
         warmup: args.parsed_or("warmup", defaults.warmup)?,
         store_dir: args.option("checkpoint").map(std::path::PathBuf::from),
-        store_compact_bytes: args
-            .parsed_or("compact-bytes", logparse_store::DEFAULT_COMPACT_LOG_BYTES)?,
-        checkpoint_every: args.parsed_or("checkpoint-every", 0u64)?,
+        store_compact_bytes: args.parsed_or("compact-bytes", defaults.store_compact_bytes)?,
+        checkpoint_every: args.parsed_or("checkpoint-every", defaults.checkpoint_every)?,
         max_lines: args
             .option("max-lines")
             .map(str::parse)

@@ -11,12 +11,12 @@
 //!    way there is exactly one buffer for the whole corpus, shared
 //!    behind an `Arc` — records are byte-range views into it, never
 //!    per-line strings.
-//! 2. **Scan** — [`crate::simd::Scanner`] finds newline and token
+//! 2. **Scan** — [`crate::simd::scan`] finds newline and token
 //!    boundaries in one SWAR pass, flagging blank lines (all ASCII
 //!    whitespace; skipped, per the skip-blank contract in
 //!    [`crate::simd`]) and lines containing non-ASCII bytes.
 //! 3. **Mask, then intern** — ASCII lines (the overwhelming majority
-//!    of machine logs) hand each trimmed token slice to the build's
+//!    of machine logs) hand each token slice to the build's
 //!    [`Masker`]: a token a [`MaskRule`](crate::MaskRule) claims becomes
 //!    the rule's fixed placeholder symbol and is never interned; every
 //!    other token is interned straight into the open [`TokenArena`] row
@@ -24,8 +24,9 @@
 //!    masker is the zero-sized [`Identity`] and the step compiles away.
 //!    Lines with high bytes take the checked slow path — UTF-8
 //!    validation (the same `InvalidData` error `BufRead::lines`
-//!    produces) and the full Unicode tokenizer semantics — and mask per
-//!    token the same way.
+//!    produces) and the char-level [`Tokenizer`], for which U+00A0 or
+//!    U+3000 separates tokens as a space does — and mask per token the
+//!    same way.
 //!
 //! The chunked-parallel build splits the buffer at newline boundaries,
 //! scans each chunk with a thread-local interner/arena, then merges in
@@ -54,7 +55,7 @@ use crate::mmap::{ascii_str, Mapping};
 use crate::parallel::ParallelDriver;
 use crate::preprocess::{MaskRule, Preprocessor};
 use crate::record::{Corpus, Span};
-use crate::simd::{count_non_blank_lines, find_newline, kept_line_starts, ScanSink, Scanner};
+use crate::simd::{count_non_blank_lines, find_newline, kept_line_starts, scan, ScanSink};
 use crate::tokenizer::Tokenizer;
 
 /// The single backing buffer of a corpus: either a private read-only
@@ -99,7 +100,7 @@ fn invalid_utf8() -> ParseError {
     ))
 }
 
-/// What a build does with a trimmed token before interning it. A
+/// What a build does with a token before interning it. A
 /// generic parameter of the sink, so the unmasked build carries no
 /// trace of it.
 trait Masker: Copy + Send {
@@ -184,44 +185,25 @@ impl<M: Masker> Rows<M> {
 ///
 /// Token runs are staged as byte ranges in a reusable scratch vector
 /// (never a per-row allocation); at each `line` event they are either
-/// trimmed and pushed straight into the arena row (pure-ASCII line —
-/// `ascii_str` skips the UTF-8 walk the scanner already did) or
-/// discarded in favor of the checked slow path (line with high bytes).
+/// pushed straight into the arena row (pure-ASCII line — `ascii_str`
+/// skips the UTF-8 walk the scanner already did) or discarded in favor
+/// of the checked slow path (line with high bytes).
 struct BuildSink<'a, M> {
     /// The chunk being scanned (a sub-slice of the full buffer).
     buf: &'a [u8],
     /// Absolute offset of `buf[0]` in the full buffer.
     base: usize,
-    tokenizer: &'a Tokenizer,
-    trim: bool,
     rows: Rows<M>,
     spans: Vec<Span>,
     /// Raw token runs of the line currently being scanned.
     scratch: Vec<(usize, usize)>,
 }
 
-/// Is `b` in the tokenizer's trim-punctuation set (`: , ; ( ) [ ] " '`)?
-#[inline]
-fn is_trim_punct(b: u8) -> bool {
-    matches!(
-        b,
-        b':' | b',' | b';' | b'(' | b')' | b'[' | b']' | b'"' | b'\''
-    )
-}
-
 impl<'a, M: Masker> BuildSink<'a, M> {
-    fn new(
-        buf: &'a [u8],
-        base: usize,
-        tokenizer: &'a Tokenizer,
-        masker: M,
-        lines_hint: usize,
-    ) -> BuildSink<'a, M> {
+    fn new(buf: &'a [u8], base: usize, masker: M, lines_hint: usize) -> BuildSink<'a, M> {
         BuildSink {
             buf,
             base,
-            tokenizer,
-            trim: tokenizer.trims_punctuation(),
             rows: Rows::new(masker),
             spans: Vec::with_capacity(lines_hint),
             scratch: Vec::new(),
@@ -252,33 +234,18 @@ impl<M: Masker> ScanSink for BuildSink<'_, M> {
         has_high: bool,
     ) -> Result<(), ParseError> {
         if blank {
-            self.scratch.clear();
             return Ok(());
         }
         if has_high {
             self.scratch.clear();
             let content =
                 std::str::from_utf8(&self.buf[start..content_end]).map_err(|_| invalid_utf8())?;
-            for token in self.tokenizer.token_slices(content) {
+            for token in Tokenizer::new().token_slices(content) {
                 self.rows.push_token(token);
             }
         } else {
             for &(ts, te) in &self.scratch {
-                let (ts, te) = if self.trim {
-                    let (mut s, mut e) = (ts, te);
-                    while s < e && is_trim_punct(self.buf[s]) {
-                        s += 1;
-                    }
-                    while e > s && is_trim_punct(self.buf[e - 1]) {
-                        e -= 1;
-                    }
-                    (s, e)
-                } else {
-                    (ts, te)
-                };
-                if ts < te {
-                    self.rows.push_token(ascii_str(&self.buf[ts..te]));
-                }
+                self.rows.push_token(ascii_str(&self.buf[ts..te]));
             }
             self.scratch.clear();
         }
@@ -293,21 +260,13 @@ impl<M: Masker> ScanSink for BuildSink<'_, M> {
 fn build_chunk<M: Masker>(
     bytes: &[u8],
     range: Range<usize>,
-    scanner: &Scanner,
-    tokenizer: &Tokenizer,
     masker: M,
 ) -> Result<ChunkOut, ParseError> {
     // ~40 bytes/line is typical machine-log density; the hint only
     // sizes the first allocation.
     let lines_hint = range.len() / 40 + 1;
-    let mut sink = BuildSink::new(
-        &bytes[range.clone()],
-        range.start,
-        tokenizer,
-        masker,
-        lines_hint,
-    );
-    scanner.scan(&bytes[range], &mut sink)?;
+    let mut sink = BuildSink::new(&bytes[range.clone()], range.start, masker, lines_hint);
+    scan(&bytes[range], &mut sink)?;
     Ok(sink.into_out())
 }
 
@@ -343,8 +302,6 @@ fn chunk_byte_ranges(bytes: &[u8], threads: usize) -> Vec<Range<usize>> {
 fn build_parallel<M: Masker>(
     bytes: &[u8],
     ranges: &[Range<usize>],
-    scanner: &Scanner,
-    tokenizer: &Tokenizer,
     masker: M,
 ) -> Option<Result<ChunkOut, ParseError>> {
     let mut slots: Vec<Option<Result<ChunkOut, ParseError>>> = Vec::new();
@@ -354,7 +311,7 @@ fn build_parallel<M: Masker>(
             .iter()
             .map(|r| {
                 let range = r.clone();
-                scope.spawn(move || build_chunk(bytes, range, scanner, tokenizer, masker))
+                scope.spawn(move || build_chunk(bytes, range, masker))
             })
             .collect();
         for (slot, handle) in slots.iter_mut().zip(handles) {
@@ -418,20 +375,14 @@ fn build_metrics(registry: &Registry) -> (Histogram, Counter) {
 
 /// Scans and interns `bytes` under one masker: chunk-parallel when the
 /// input splits, sequential otherwise (and when a worker died).
-fn build<M: Masker>(
-    bytes: &[u8],
-    tokenizer: &Tokenizer,
-    masker: M,
-    threads: usize,
-) -> Result<ChunkOut, ParseError> {
-    let scanner = Scanner::for_tokenizer(tokenizer);
+fn build<M: Masker>(bytes: &[u8], masker: M, threads: usize) -> Result<ChunkOut, ParseError> {
     let ranges = chunk_byte_ranges(bytes, threads);
     if ranges.len() > 1 {
-        if let Some(result) = build_parallel(bytes, &ranges, &scanner, tokenizer, masker) {
+        if let Some(result) = build_parallel(bytes, &ranges, masker) {
             return result;
         }
     }
-    build_chunk(bytes, 0..bytes.len(), &scanner, tokenizer, masker)
+    build_chunk(bytes, 0..bytes.len(), masker)
 }
 
 /// The shared build entry: one buffer in, one corpus out. Tokens are
@@ -439,15 +390,14 @@ fn build<M: Masker>(
 /// the build is instantiated over [`Identity`] and masks nothing.
 fn build_corpus(
     buffer: Arc<LineBuffer>,
-    tokenizer: &Tokenizer,
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
     measured_build(buffer, preprocessor, 0, |bytes| {
         if preprocessor.rules().is_empty() {
-            build(bytes, tokenizer, Identity, threads)
+            build(bytes, Identity, threads)
         } else {
-            build(bytes, tokenizer, preprocessor, threads)
+            build(bytes, preprocessor, threads)
         }
     })
 }
@@ -481,28 +431,21 @@ fn measured_build(
 /// masked variants.
 pub(crate) fn corpus_from_path(
     path: &Path,
-    tokenizer: &Tokenizer,
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
     let buffer = map_or_read(File::open(path)?)?;
-    build_corpus(Arc::new(buffer), tokenizer, preprocessor, threads)
+    build_corpus(Arc::new(buffer), preprocessor, threads)
 }
 
 /// Implementation behind [`Corpus::from_bytes`] and its parallel and
 /// masked variants.
 pub(crate) fn corpus_from_bytes(
     bytes: Vec<u8>,
-    tokenizer: &Tokenizer,
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
-    build_corpus(
-        Arc::new(LineBuffer::Owned(bytes)),
-        tokenizer,
-        preprocessor,
-        threads,
-    )
+    build_corpus(Arc::new(LineBuffer::Owned(bytes)), preprocessor, threads)
 }
 
 /// Refuses a byte range that is not inside a file of `file_len` bytes.
@@ -528,7 +471,6 @@ fn build_range(
     offset: usize,
     range: Range<usize>,
     file_len: usize,
-    tokenizer: &Tokenizer,
     lines_before: usize,
 ) -> Result<Corpus, ParseError> {
     let local = range.start - offset..range.end - offset;
@@ -544,8 +486,7 @@ fn build_range(
     }
     let unmasked = &Preprocessor::identity();
     measured_build(Arc::new(buffer), unmasked, lines_before, |bytes| {
-        let scanner = Scanner::for_tokenizer(tokenizer);
-        build_chunk(bytes, local, &scanner, tokenizer, Identity)
+        build_chunk(bytes, local, Identity)
     })
 }
 
@@ -554,25 +495,23 @@ fn build_range(
 /// mapped goes through [`corpus_from_reader_range`].
 pub(crate) fn corpus_from_path_range(
     path: &Path,
-    tokenizer: &Tokenizer,
     range: Range<usize>,
     lines_before: usize,
 ) -> Result<Corpus, ParseError> {
     let file = File::open(path)?;
     let Some(map) = Mapping::of_file(&file) else {
-        return corpus_from_reader_range(file, tokenizer, range, lines_before);
+        return corpus_from_reader_range(file, range, lines_before);
     };
     let file_len = map.len();
     check_range(&range, file_len)?;
     let buffer = LineBuffer::Mapped(map);
-    build_range(buffer, 0, range, file_len, tokenizer, lines_before)
+    build_range(buffer, 0, range, file_len, lines_before)
 }
 
 /// Implementation behind [`Corpus::from_reader_range`]: one seek and one
 /// read of the range (and the byte before it), never the whole input.
 pub(crate) fn corpus_from_reader_range(
     mut reader: impl Read + Seek,
-    tokenizer: &Tokenizer,
     range: Range<usize>,
     lines_before: usize,
 ) -> Result<Corpus, ParseError> {
@@ -583,7 +522,7 @@ pub(crate) fn corpus_from_reader_range(
     let mut bytes = vec![0; range.end - offset];
     reader.read_exact(&mut bytes)?;
     let buffer = LineBuffer::Owned(bytes);
-    build_range(buffer, offset, range, file_len, tokenizer, lines_before)
+    build_range(buffer, offset, range, file_len, lines_before)
 }
 
 /// Where a corpus file splits into chunks of whole lines: what a job

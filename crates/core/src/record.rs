@@ -198,9 +198,9 @@ impl Corpus {
         )
     }
 
-    /// Builds a corpus from raw content lines, tokenizing each with
-    /// `tokenizer`. Every line becomes a record (blank lines too) and
-    /// line numbers are assigned sequentially from 1.
+    /// Builds a corpus from raw content lines, tokenizing each at char
+    /// level with `tokenizer`. Every line becomes a record (blank lines
+    /// too) and line numbers are assigned sequentially from 1.
     ///
     /// # Panics
     ///
@@ -248,7 +248,11 @@ impl Corpus {
         let mut arena = TokenArena::new();
         for line in lines {
             let content = line.as_ref();
-            arena.push_row(tokenizer.tokenize_interned(content, &mut interner));
+            arena.push_row(
+                tokenizer
+                    .token_slices(content)
+                    .map(|token| interner.intern(token)),
+            );
             let start = bytes.len();
             bytes.extend_from_slice(content.as_bytes());
             match Span::new(start, bytes.len()) {
@@ -275,6 +279,11 @@ impl Corpus {
     /// whitespace (the skip-blank contract in [`crate::simd`]); output
     /// is bit-identical to [`from_lines`](Corpus::from_lines) over the
     /// remaining `BufRead::lines` of the file.
+    ///
+    /// There is one token rule, so the `&Tokenizer` this and the other
+    /// loader constructors take selects nothing; the parameter stays
+    /// while `benchmark/` pins these signatures (ROADMAP, `[benchmark]`
+    /// re-baseline).
     ///
     /// # Errors
     ///
@@ -342,11 +351,11 @@ impl Corpus {
     /// As [`from_path`](Corpus::from_path).
     pub fn from_path_masked(
         path: impl AsRef<Path>,
-        tokenizer: &Tokenizer,
+        _tokenizer: &Tokenizer,
         preprocessor: &Preprocessor,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_path(path.as_ref(), tokenizer, preprocessor, threads)
+        crate::loader::corpus_from_path(path.as_ref(), preprocessor, threads)
     }
 
     /// [`from_path_masked`](Corpus::from_path_masked) over an in-memory
@@ -357,11 +366,11 @@ impl Corpus {
     /// As [`from_bytes`](Corpus::from_bytes).
     pub fn from_bytes_masked(
         bytes: Vec<u8>,
-        tokenizer: &Tokenizer,
+        _tokenizer: &Tokenizer,
         preprocessor: &Preprocessor,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_bytes(bytes, tokenizer, preprocessor, threads)
+        crate::loader::corpus_from_bytes(bytes, preprocessor, threads)
     }
 
     /// Builds the corpus of one byte range of a log file — the kept
@@ -382,11 +391,11 @@ impl Corpus {
     /// end, or just past a `\n`).
     pub fn from_path_range(
         path: impl AsRef<Path>,
-        tokenizer: &Tokenizer,
+        _tokenizer: &Tokenizer,
         bytes: std::ops::Range<usize>,
         lines_before: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_path_range(path.as_ref(), tokenizer, bytes, lines_before)
+        crate::loader::corpus_from_path_range(path.as_ref(), bytes, lines_before)
     }
 
     /// [`from_path_range`](Corpus::from_path_range) over any seekable
@@ -398,11 +407,11 @@ impl Corpus {
     /// As [`from_path_range`](Corpus::from_path_range).
     pub fn from_reader_range(
         reader: impl std::io::Read + std::io::Seek,
-        tokenizer: &Tokenizer,
+        _tokenizer: &Tokenizer,
         bytes: std::ops::Range<usize>,
         lines_before: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_reader_range(reader, tokenizer, bytes, lines_before)
+        crate::loader::corpus_from_reader_range(reader, bytes, lines_before)
     }
 
     /// Assembles a corpus from a buffer, the spans of its records —

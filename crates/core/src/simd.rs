@@ -4,19 +4,21 @@
 //! The loader's hot loop must find, in one pass over the input buffer,
 //! every newline, every token boundary, whether each line is blank,
 //! and whether it contains any non-ASCII byte (which routes the line to
-//! the checked slow path). [`Scanner::scan`] does all four eight bytes
-//! at a time: each `u64` word is classified into per-byte masks
-//! (whitespace / newline / separator / high) with branch-free lane
-//! arithmetic, the masks are compressed to 8-bit movemasks, and a
-//! small event walk over the set bits emits token and line events to a
-//! [`ScanSink`].
+//! the checked slow path). [`scan`] does all four eight bytes at a
+//! time: each `u64` word is classified into per-byte masks (whitespace /
+//! newline / high) with branch-free lane arithmetic, the masks are
+//! compressed to 8-bit movemasks, and a small event walk over the set
+//! bits emits token and line events to a [`ScanSink`]. A token is a
+//! maximal run of non-whitespace bytes — the one token rule
+//! ([`crate::Tokenizer`]) restricted to ASCII, where the two coincide;
+//! lines with high bytes are re-tokenized by the caller at char level.
 //!
 //! **Skip-blank contract** (the canonical statement; the corpus loader
 //! and [`kept_line_starts`] drop exactly the lines flagged here): a
 //! line is blank iff every byte of it is ASCII whitespace (space, `\t`,
 //! `\n`, `\v`, `\f`, `\r`). Lines whose only content is non-ASCII
-//! whitespace (e.g. U+00A0) are *kept*; the tokenizer then decides what,
-//! if anything, they tokenize to. The probe is a byte test, not a `char`
+//! whitespace (e.g. U+00A0) are *kept*, with the empty token row the
+//! char-level rule gives them. The probe is a byte test, not a `char`
 //! walk — a line with any non-whitespace byte is kept without decoding
 //! it. This is the batch rule; `serve` keeps blank lines, and DESIGN.md's
 //! *Line contract* table sets the two side by side.
@@ -32,14 +34,10 @@
 //!   products land on pairwise-distinct bits (no carries), so the top
 //!   byte is the exact 8-bit mask.
 //!
-//! [`Scanner::scan_scalar`] is the independent byte-at-a-time
-//! reference implementation: it doubles as the fallback for exotic
-//! tokenizer configurations (more extra ASCII delimiters than the SWAR
-//! path splats) and as the oracle the property tests compare the SWAR
-//! path against.
+//! The tests keep an independent byte-at-a-time `scan_scalar` as the
+//! oracle the property tests hold [`scan`] to.
 
 use crate::error::ParseError;
-use crate::tokenizer::Tokenizer;
 
 /// High (sign) bit of every lane.
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -90,14 +88,6 @@ fn ws_lanes(v: u64) -> u64 {
     (ge_lanes(v, 0x09) & !ge_lanes(v, 0x0e)) | eq_lanes(v, splat(b' '))
 }
 
-/// Is `b` ASCII whitespace (`char::is_whitespace` restricted to ASCII —
-/// note this includes vertical tab, which `u8::is_ascii_whitespace`
-/// omits)?
-#[inline]
-pub(crate) fn is_ascii_ws(b: u8) -> bool {
-    matches!(b, 0x09..=0x0d | b' ')
-}
-
 /// Index of the first `\n` at or after `from`, SWAR-accelerated.
 pub(crate) fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
     let mut base = from.min(buf.len());
@@ -125,27 +115,22 @@ pub(crate) fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
         .map(|i| base + i)
 }
 
-/// Byte-class flags for the scalar scan path.
-const CLASS_WS: u8 = 1;
-const CLASS_NL: u8 = 2;
-const CLASS_SEP: u8 = 4;
-const CLASS_HIGH: u8 = 8;
-
-/// Receives the event stream of a [`Scanner`] pass.
+/// Receives the event stream of a [`scan`] pass.
 ///
 /// Events arrive in buffer order: zero or more `token` calls for a
-/// line's raw separator-delimited runs, then one `line` call closing
+/// line's whitespace-delimited runs, then one `line` call closing
 /// it. Token runs are never empty and never cross lines. Offsets are
 /// relative to the scanned slice.
 pub(crate) trait ScanSink {
-    /// A maximal run of non-separator bytes, `buf[start..end)`.
+    /// A maximal run of non-whitespace bytes, `buf[start..end)`.
     fn token(&mut self, start: usize, end: usize);
 
     /// End of a line whose content is `buf[start..content_end)` (the
     /// terminating `\n` and a `\r` immediately before it are excluded;
     /// a final line at EOF keeps any trailing `\r`, matching
-    /// `BufRead::lines`). `blank` ⇔ every content byte is ASCII
-    /// whitespace; `has_high` ⇔ some content byte is `>= 0x80`.
+    /// `BufRead::lines`). `blank` ⇔ the line had no token, that is,
+    /// every content byte is ASCII whitespace; `has_high` ⇔ some
+    /// content byte is `>= 0x80`.
     fn line(
         &mut self,
         start: usize,
@@ -155,236 +140,105 @@ pub(crate) trait ScanSink {
     ) -> Result<(), ParseError>;
 }
 
-/// A compiled line/token scanner for one tokenizer configuration.
-#[derive(Debug, Clone)]
-pub(crate) struct Scanner {
-    /// Byte classes for the scalar path.
-    class: [u8; 256],
-    /// Splatted non-whitespace extra ASCII delimiters for the SWAR path.
-    extras: Vec<u64>,
-    /// SWAR is used when the extra-delimiter set fits a few splats;
-    /// beyond that the per-word cost outgrows the table walk.
-    swar: bool,
-}
+/// Scans `buf` a word at a time, emitting token and line events into
+/// `sink`: classify eight bytes into movemasks, then walk only the
+/// *boundary* bits (typical log text has ~1–2 per word). State — the
+/// current line start, the open token, the line's blank/high flags —
+/// carries across words, so tokens and lines may span any number of
+/// words.
+pub(crate) fn scan<S: ScanSink>(buf: &[u8], sink: &mut S) -> Result<(), ParseError> {
+    const NONE: usize = usize::MAX;
+    let len = buf.len();
+    let mut line_start = 0usize;
+    let mut token_start = NONE;
+    let mut has_token = false;
+    let mut high = false;
+    let nl_splat = splat(b'\n');
 
-/// Past this many extra ASCII delimiters the SWAR word loop pays more
-/// per word than the scalar class table does per byte.
-const MAX_SWAR_EXTRAS: usize = 4;
-
-impl Scanner {
-    /// Compiles the scanner for `tokenizer`'s ASCII delimiter set. Wide
-    /// (non-ASCII) delimiters need no compilation: any line containing
-    /// one has high bytes and is re-tokenized on the checked slow path.
-    pub(crate) fn for_tokenizer(tokenizer: &Tokenizer) -> Scanner {
-        let mask = tokenizer.ascii_delimiter_mask();
-        let mut class = [0u8; 256];
-        let mut extras = Vec::new();
-        for b in 0..=255u8 {
-            if is_ascii_ws(b) {
-                class[b as usize] |= CLASS_WS | CLASS_SEP;
-            }
-            if b == b'\n' {
-                class[b as usize] |= CLASS_NL;
-            }
-            if b >= 0x80 {
-                class[b as usize] |= CLASS_HIGH;
-            } else if mask >> b & 1 == 1 {
-                class[b as usize] |= CLASS_SEP;
-                if !is_ascii_ws(b) {
-                    extras.push(splat(b));
-                }
-            }
-        }
-        let swar = extras.len() <= MAX_SWAR_EXTRAS;
-        Scanner {
-            class,
-            extras,
-            swar,
-        }
-    }
-
-    /// Scans `buf`, emitting token and line events into `sink`.
-    pub(crate) fn scan<S: ScanSink>(&self, buf: &[u8], sink: &mut S) -> Result<(), ParseError> {
-        if self.swar {
-            self.scan_swar(buf, sink)
+    let mut base = 0usize;
+    while base < len {
+        let n = (len - base).min(8) as u32;
+        let v = if n == 8 {
+            u64::from_le_bytes(buf[base..base + 8].try_into().unwrap_or_default())
         } else {
-            self.scan_scalar(buf, sink)
-        }
-    }
+            // Tail word: zero padding, masked out of every class
+            // below (`valid`), so pad bytes emit no events.
+            let mut word = [0u8; 8];
+            word[..n as usize].copy_from_slice(&buf[base..]);
+            u64::from_le_bytes(word)
+        };
+        let valid: u32 = if n == 8 { 0xff } else { (1u32 << n) - 1 };
+        let ws8 = movemask(ws_lanes(v)) & valid;
+        let nl8 = movemask(eq_lanes(v, nl_splat)) & valid;
+        let high8 = movemask(v & HI) & valid;
+        let tok8 = !ws8 & valid;
 
-    /// The byte-at-a-time reference scan: one class-table load per
-    /// byte. Semantically identical to [`scan_swar`](Scanner::scan_swar)
-    /// — the property tests hold the two to byte-identical event
-    /// streams — and used directly when the delimiter set is too large
-    /// for the SWAR splats.
-    pub(crate) fn scan_scalar<S: ScanSink>(
-        &self,
-        buf: &[u8],
-        sink: &mut S,
-    ) -> Result<(), ParseError> {
-        const NONE: usize = usize::MAX;
-        let mut line_start = 0usize;
-        let mut token_start = NONE;
-        let mut nonws = false;
-        let mut high = false;
-        for (i, &b) in buf.iter().enumerate() {
-            let class = self.class[b as usize];
-            if class & CLASS_NL != 0 {
-                if token_start != NONE {
-                    sink.token(token_start, i);
-                    token_start = NONE;
-                }
-                let mut content_end = i;
-                if content_end > line_start && buf[content_end - 1] == b'\r' {
-                    content_end -= 1;
-                }
-                sink.line(line_start, content_end, !nonws, high)?;
-                line_start = i + 1;
-                nonws = false;
-                high = false;
-            } else if class & CLASS_SEP != 0 {
-                if token_start != NONE {
-                    sink.token(token_start, i);
-                    token_start = NONE;
-                }
-                if class & CLASS_WS == 0 {
-                    nonws = true;
-                }
-            } else {
-                if class & CLASS_HIGH != 0 {
-                    high = true;
-                }
-                nonws = true;
-                if token_start == NONE {
-                    token_start = i;
-                }
+        // Whole word inside a token: one branch, no event walk.
+        if ws8 == 0 {
+            if token_start == NONE {
+                token_start = base;
+                has_token = true;
             }
+            high |= high8 != 0;
+            base += 8;
+            continue;
         }
-        if token_start != NONE {
-            sink.token(token_start, buf.len());
-        }
-        if line_start < buf.len() {
-            sink.line(line_start, buf.len(), !nonws, high)?;
-        }
-        Ok(())
-    }
 
-    /// The word-at-a-time scan: classify eight bytes into movemasks,
-    /// then walk only the *boundary* bits (typical log text has ~1–2
-    /// per word). State — the current line start, the open token, the
-    /// line's blank/high flags — carries across words, so tokens and
-    /// lines may span any number of words.
-    pub(crate) fn scan_swar<S: ScanSink>(
-        &self,
-        buf: &[u8],
-        sink: &mut S,
-    ) -> Result<(), ParseError> {
-        const NONE: usize = usize::MAX;
-        let len = buf.len();
-        let mut line_start = 0usize;
-        let mut token_start = NONE;
-        let mut nonws = false;
-        let mut high = false;
-        let nl_splat = splat(b'\n');
-
-        let mut base = 0usize;
-        while base < len {
-            let n = (len - base).min(8) as u32;
-            let v = if n == 8 {
-                u64::from_le_bytes(buf[base..base + 8].try_into().unwrap_or_default())
-            } else {
-                // Tail word: zero padding, masked out of every class
-                // below (`valid`), so pad bytes emit no events.
-                let mut word = [0u8; 8];
-                word[..n as usize].copy_from_slice(&buf[base..]);
-                u64::from_le_bytes(word)
-            };
-            let valid: u32 = if n == 8 { 0xff } else { (1u32 << n) - 1 };
-            let ws = ws_lanes(v);
-            let mut sep = ws;
-            for &d in &self.extras {
-                sep |= eq_lanes(v, d);
-            }
-            let ws8 = movemask(ws) & valid;
-            let sep8 = movemask(sep) & valid;
-            let nl8 = movemask(eq_lanes(v, nl_splat)) & valid;
-            let high8 = movemask(v & HI) & valid;
-            let tok8 = !sep8 & valid;
-            let nonws8 = !ws8 & valid;
-
-            // Whole word inside a token: one branch, no event walk.
-            if sep8 == 0 {
-                if token_start == NONE {
-                    token_start = base;
+        let mut e: u32 = 0;
+        while e < n {
+            if token_start == NONE {
+                // Bytes from `e` to the next token bit are whitespace;
+                // a newline among them ends the line first.
+                let rest = (tok8 | nl8) >> e;
+                if rest == 0 {
+                    break;
                 }
-                nonws = true;
-                high |= high8 != 0;
-                base += 8;
-                continue;
-            }
-
-            let mut e: u32 = 0;
-            while e < n {
-                if token_start == NONE {
-                    // Bytes from `e` to the next token/newline bit are
-                    // non-newline separators.
-                    let rest = (tok8 | nl8) >> e;
-                    if rest == 0 {
-                        if nonws8 >> e != 0 {
-                            nonws = true;
-                        }
-                        break;
+                let j = e + rest.trailing_zeros();
+                if nl8 >> j & 1 == 1 {
+                    let abs = base + j as usize;
+                    let mut content_end = abs;
+                    if content_end > line_start && buf[content_end - 1] == b'\r' {
+                        content_end -= 1;
                     }
-                    let j = e + rest.trailing_zeros();
-                    if nonws8 & ((1u32 << j) - (1u32 << e)) != 0 {
-                        nonws = true;
-                    }
-                    if nl8 >> j & 1 == 1 {
-                        let abs = base + j as usize;
-                        let mut content_end = abs;
-                        if content_end > line_start && buf[content_end - 1] == b'\r' {
-                            content_end -= 1;
-                        }
-                        sink.line(line_start, content_end, !nonws, high)?;
-                        line_start = abs + 1;
-                        nonws = false;
-                        high = false;
-                        e = j + 1;
-                    } else {
-                        token_start = base + j as usize;
-                        e = j;
-                    }
+                    sink.line(line_start, content_end, !has_token, high)?;
+                    line_start = abs + 1;
+                    has_token = false;
+                    high = false;
+                    e = j + 1;
                 } else {
-                    // Token open: the next separator bit closes it.
-                    let seps = sep8 >> e;
-                    nonws = true;
-                    if seps == 0 {
-                        if high8 >> e != 0 {
-                            high = true;
-                        }
-                        break;
-                    }
-                    let j = e + seps.trailing_zeros();
-                    if high8 & ((1u32 << j) - (1u32 << e)) != 0 {
-                        high = true;
-                    }
-                    sink.token(token_start, base + j as usize);
-                    token_start = NONE;
+                    token_start = base + j as usize;
+                    has_token = true;
                     e = j;
                 }
+            } else {
+                // Token open: the next whitespace bit closes it.
+                let seps = ws8 >> e;
+                if seps == 0 {
+                    if high8 >> e != 0 {
+                        high = true;
+                    }
+                    break;
+                }
+                let j = e + seps.trailing_zeros();
+                if high8 & ((1u32 << j) - (1u32 << e)) != 0 {
+                    high = true;
+                }
+                sink.token(token_start, base + j as usize);
+                token_start = NONE;
+                e = j;
             }
-            base += 8;
         }
-        if token_start != NONE {
-            sink.token(token_start, len);
-        }
-        if line_start < len {
-            // Final line without a trailing newline: content runs to
-            // EOF, keeping any trailing `\r` (BufRead::lines parity).
-            sink.line(line_start, len, !nonws, high)?;
-        }
-        Ok(())
+        base += 8;
     }
+    if token_start != NONE {
+        sink.token(token_start, len);
+    }
+    if line_start < len {
+        // Final line without a trailing newline: content runs to
+        // EOF, keeping any trailing `\r` (BufRead::lines parity).
+        sink.line(line_start, len, !has_token, high)?;
+    }
+    Ok(())
 }
 
 /// Calls `kept` with the offset at which each line of `buf` a corpus
@@ -472,15 +326,63 @@ mod tests {
         }
     }
 
-    fn swar_events(scanner: &Scanner, buf: &[u8]) -> Events {
+    /// Is `b` ASCII whitespace (`char::is_whitespace` restricted to
+    /// ASCII — note this includes vertical tab, which
+    /// `u8::is_ascii_whitespace` omits)?
+    fn is_ascii_ws(b: u8) -> bool {
+        matches!(b, 0x09..=0x0d | b' ')
+    }
+
+    /// The byte-at-a-time reference scan, written from the contract and
+    /// sharing nothing with [`scan`].
+    fn scan_scalar<S: ScanSink>(buf: &[u8], sink: &mut S) -> Result<(), ParseError> {
+        const NONE: usize = usize::MAX;
+        let mut line_start = 0usize;
+        let mut token_start = NONE;
+        let mut nonws = false;
+        let mut high = false;
+        for (i, &b) in buf.iter().enumerate() {
+            if is_ascii_ws(b) {
+                if token_start != NONE {
+                    sink.token(token_start, i);
+                    token_start = NONE;
+                }
+                if b == b'\n' {
+                    let mut content_end = i;
+                    if content_end > line_start && buf[content_end - 1] == b'\r' {
+                        content_end -= 1;
+                    }
+                    sink.line(line_start, content_end, !nonws, high)?;
+                    line_start = i + 1;
+                    nonws = false;
+                    high = false;
+                }
+            } else {
+                high |= b >= 0x80;
+                nonws = true;
+                if token_start == NONE {
+                    token_start = i;
+                }
+            }
+        }
+        if token_start != NONE {
+            sink.token(token_start, buf.len());
+        }
+        if line_start < buf.len() {
+            sink.line(line_start, buf.len(), !nonws, high)?;
+        }
+        Ok(())
+    }
+
+    fn swar_events(buf: &[u8]) -> Events {
         let mut e = Events::default();
-        scanner.scan_swar(buf, &mut e).unwrap();
+        scan(buf, &mut e).unwrap();
         e
     }
 
-    fn scalar_events(scanner: &Scanner, buf: &[u8]) -> Events {
+    fn scalar_events(buf: &[u8]) -> Events {
         let mut e = Events::default();
-        scanner.scan_scalar(buf, &mut e).unwrap();
+        scan_scalar(buf, &mut e).unwrap();
         e
     }
 
@@ -551,7 +453,6 @@ mod tests {
 
     #[test]
     fn swar_and_scalar_agree_on_handwritten_corpora() {
-        let scanner = Scanner::for_tokenizer(&Tokenizer::default());
         let cases: &[&[u8]] = &[
             b"",
             b"\n",
@@ -571,8 +472,8 @@ mod tests {
         ];
         for case in cases {
             assert_eq!(
-                swar_events(&scanner, case),
-                scalar_events(&scanner, case),
+                swar_events(case),
+                scalar_events(case),
                 "case {:?}",
                 String::from_utf8_lossy(case)
             );
@@ -580,47 +481,15 @@ mod tests {
     }
 
     #[test]
-    fn extra_delimiters_split_in_both_paths() {
-        let t = Tokenizer::new()
-            .with_extra_delimiter('=')
-            .with_extra_delimiter(',');
-        let scanner = Scanner::for_tokenizer(&t);
-        assert!(scanner.swar);
-        let buf = b"x=1,y=22\n===\n";
-        let events = swar_events(&scanner, buf);
-        assert_eq!(events, scalar_events(&scanner, buf));
-        assert_eq!(events.tokens, vec![(0, 1), (2, 3), (4, 5), (6, 8)]);
-        // `===` is all separators but not whitespace: kept, zero tokens.
-        assert_eq!(
-            events.lines,
-            vec![(0, 8, false, false), (9, 12, false, false)]
-        );
-    }
-
-    #[test]
-    fn oversized_delimiter_sets_fall_back_to_scalar() {
-        let mut t = Tokenizer::new();
-        for d in ['=', ',', ':', ';', '|'] {
-            t = t.with_extra_delimiter(d);
-        }
-        let scanner = Scanner::for_tokenizer(&t);
-        assert!(!scanner.swar, "five extras exceed the splat budget");
-        let mut events = Events::default();
-        scanner.scan(b"a=b|c", &mut events).unwrap();
-        assert_eq!(events.tokens, vec![(0, 1), (2, 3), (4, 5)]);
-    }
-
-    #[test]
     fn blank_and_high_flags_are_per_line() {
-        let scanner = Scanner::for_tokenizer(&Tokenizer::default());
         let buf = "ascii\n \t\n\u{3b1}\nmore\n".as_bytes();
-        let events = swar_events(&scanner, buf);
+        let events = swar_events(buf);
         let flags: Vec<(bool, bool)> = events.lines.iter().map(|l| (l.2, l.3)).collect();
         assert_eq!(
             flags,
             vec![(false, false), (true, false), (false, true), (false, false)]
         );
-        assert_eq!(events, scalar_events(&scanner, buf));
+        assert_eq!(events, scalar_events(buf));
     }
 
     #[test]
@@ -638,8 +507,8 @@ mod tests {
         }
     }
 
-    /// Strategy: mostly structure-rich bytes (whitespace, newlines,
-    /// delimiters, token bytes, high bytes) so boundaries are dense.
+    /// Strategy: mostly structure-rich bytes (all six whitespace bytes,
+    /// token bytes, high bytes) so boundaries are dense.
     fn corpus_bytes() -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(
             prop_oneof![
@@ -647,8 +516,8 @@ mod tests {
                 Just(b' '),
                 Just(b'\t'),
                 Just(b'\r'),
-                Just(b'='),
-                Just(b','),
+                Just(0x0bu8),
+                Just(0x0cu8),
                 Just(0xc3u8),
                 Just(0xa9u8),
                 0u8..=255,
@@ -659,20 +528,13 @@ mod tests {
 
     proptest! {
         #[test]
-        fn swar_scan_matches_scalar_reference(buf in corpus_bytes(), extras in 0usize..3) {
-            let mut t = Tokenizer::new();
-            for d in ['=', ','].iter().take(extras) {
-                t = t.with_extra_delimiter(*d);
-            }
-            let scanner = Scanner::for_tokenizer(&t);
-            prop_assert!(scanner.swar);
-            prop_assert_eq!(swar_events(&scanner, &buf), scalar_events(&scanner, &buf));
+        fn swar_scan_matches_scalar_reference(buf in corpus_bytes()) {
+            prop_assert_eq!(swar_events(&buf), scalar_events(&buf));
         }
 
         #[test]
         fn count_agrees_with_line_events(buf in corpus_bytes()) {
-            let scanner = Scanner::for_tokenizer(&Tokenizer::default());
-            let events = swar_events(&scanner, &buf);
+            let events = swar_events(&buf);
             let kept: Vec<usize> = events.lines.iter().filter(|l| !l.2).map(|l| l.0).collect();
             prop_assert_eq!(count_non_blank_lines(&buf), kept.len());
             let mut starts = Vec::new();

@@ -306,11 +306,11 @@ impl Checkpoint {
         };
         let (parser, generation, lines, shard_count) = match &meta {
             Some(doc) => {
-                let parser = match doc.get("parser").and_then(Json::as_str) {
-                    Some("drain") => ParserChoice::Drain,
-                    Some("spell") => ParserChoice::Spell,
-                    _ => parser,
-                };
+                let parser = doc
+                    .get("parser")
+                    .and_then(Json::as_str)
+                    .and_then(|name| name.parse().ok())
+                    .unwrap_or(parser);
                 (
                     parser,
                     doc.get("generation").and_then(Json::as_f64).unwrap_or(0.0) as u64,
@@ -349,14 +349,10 @@ mod tests {
     use logparse_core::MergeDelta;
     use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
 
-    fn toks(s: &str) -> Vec<&str> {
-        s.split_whitespace().collect()
-    }
-
     fn sample_checkpoint() -> Checkpoint {
         let mut drain = StreamingDrain::default();
         for line in ["send pkt 1 ok", "send pkt 2 ok", "disk full on sda1"] {
-            drain.observe(&toks(line));
+            drain.observe(line);
         }
         Checkpoint {
             parser: ParserChoice::Drain,
@@ -396,7 +392,7 @@ mod tests {
         assert_eq!(round_trip(&drain), drain);
         let mut spell = StreamingSpell::default();
         for line in ["job 1 done", "job 2 done", "link up"] {
-            spell.observe(&toks(line));
+            spell.observe(line);
         }
         let spell = ParserSnapshot::Spell(spell.snapshot());
         assert_eq!(round_trip(&spell), spell);

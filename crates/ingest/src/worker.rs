@@ -12,8 +12,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
-use logparse_core::Tokenizer;
-use logparse_obs::word_fold;
+use logparse_obs::{word_fold, Fnv1a};
 use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
 
 use crate::checkpoint::ParserSnapshot;
@@ -106,10 +105,10 @@ impl ShardParser {
         })
     }
 
-    pub fn observe(&mut self, tokens: &[&str]) -> usize {
+    pub fn observe(&mut self, line: &str) -> usize {
         match self {
-            ShardParser::Drain(p) => p.observe(tokens),
-            ShardParser::Spell(p) => p.observe(tokens),
+            ShardParser::Drain(p) => p.observe(line),
+            ShardParser::Spell(p) => p.observe(line),
         }
     }
 
@@ -162,12 +161,9 @@ impl std::hash::Hasher for FingerprintHasher {
     }
 
     // Only u64 fingerprints are ever hashed, but stay total: fold any
-    // other input FNV-style rather than panicking on a contract slip.
+    // other input through FNV-1a rather than panicking on a contract slip.
     fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = Fnv1a::seeded(self.0).bytes(bytes).finish();
     }
 }
 
@@ -186,7 +182,6 @@ pub(crate) fn run_worker(
     input: Receiver<ShardInput>,
     output: Sender<ShardOutput>,
 ) {
-    let tokenizer = Tokenizer::default();
     let mut observed = 0usize;
     let mut sent_groups = 0usize;
     let mut lines_since_refresh = 0usize;
@@ -202,11 +197,8 @@ pub(crate) fn run_worker(
                 let mut entries = Vec::with_capacity(batch.len());
                 let mut exemplars = Vec::new();
                 for (seq, line) in &batch {
-                    // Zero-copy: the parser interns what it keeps, so the
-                    // worker never allocates per-token strings.
-                    let tokens = tokenizer.tokenize_refs(line);
                     let before = parser.group_count();
-                    let local = parser.observe(&tokens);
+                    let local = parser.observe(line);
                     entries.push((*seq, local));
                     if drift {
                         if parser.group_count() > before && exemplars.len() < EXEMPLAR_CAP {

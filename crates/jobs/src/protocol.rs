@@ -747,6 +747,11 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), J
         )));
     }
     let parse = job_parser(&manifest.parser)?.parse(&piece)?;
+    // The result is built from the parse alone. With the chunk's corpus
+    // (mapping, arena, token table) released first, serializing reuses
+    // that memory: the worker is at its peak from here to its exit
+    // instead of climbing a further ~2.3 MiB in its last few ms.
+    drop(piece);
     ShardResult::from_parse(task, range.start, &parse).write(job_dir)?;
     Ok(())
 }

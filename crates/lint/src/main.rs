@@ -1,7 +1,7 @@
 //! Command line for the workspace linter.
 //!
 //! ```text
-//! logparse-lint --workspace [--root PATH] [--json] [--deny warnings]
+//! logparse-lint --workspace [--root PATH] [--deny warnings]
 //!               [--stats] [--sarif PATH] [PATH…]
 //! logparse-lint --list
 //! ```
@@ -21,7 +21,6 @@ use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    json: bool,
     deny_warnings: bool,
     list: bool,
     stats: bool,
@@ -32,7 +31,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        json: false,
         deny_warnings: false,
         list: false,
         stats: false,
@@ -47,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
                 args.root =
                     PathBuf::from(it.next().ok_or_else(|| "--root needs a path".to_string())?);
             }
-            "--json" => args.json = true,
             "--deny" => {
                 let what = it
                     .next()
@@ -75,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-const USAGE: &str = "usage: logparse-lint [--workspace] [--root PATH] [--json] \
+const USAGE: &str = "usage: logparse-lint [--workspace] [--root PATH] \
                      [--deny warnings] [--stats] [--sarif PATH] [--list] [PATH…]";
 
 fn main() -> ExitCode {
@@ -118,11 +115,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if args.json {
-        print!("{}", report::json(&findings));
-    } else {
-        print!("{}", report::human(&findings, args.deny_warnings));
-    }
+    print!("{}", report::human(&findings, args.deny_warnings));
     if args.stats {
         eprintln!(
             "lint --stats: {} files, {} fns, \

@@ -1,5 +1,5 @@
-//! Finding output: rustc-style human text, a JSON array, and SARIF
-//! 2.1.0 for code-scanning upload.
+//! Finding output: rustc-style human text, and SARIF 2.1.0 for
+//! code-scanning upload.
 
 use crate::lints::{Finding, Severity, CATALOG};
 use std::fmt::Write;
@@ -27,28 +27,6 @@ pub fn human(findings: &[Finding], deny_warnings: bool) -> String {
         "lint: {} finding(s): {errors} error(s), {warnings} warning(s)",
         findings.len()
     );
-    out
-}
-
-/// Renders findings as a JSON array (hand-rolled; the crate is
-/// dependency-free by design).
-pub fn json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lint\":{},\"severity\":{},\"path\":{},\"line\":{},\"message\":{}}}",
-            escape(f.lint),
-            escape(f.severity.label()),
-            escape(&f.rel),
-            f.line,
-            escape(&f.message)
-        );
-    }
-    out.push_str("]\n");
     out
 }
 
@@ -139,9 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes() {
-        let j = json(&sample());
-        assert!(j.contains("\\\"quoted\\\""), "{j}");
-        assert!(j.starts_with('[') && j.trim_end().ends_with(']'));
+    fn sarif_escapes_quotes() {
+        let s = sarif(&sample(), false);
+        assert!(s.contains("\\\"quoted\\\""), "{s}");
     }
 }

@@ -255,6 +255,12 @@ impl DrainTree {
         &self.interner
     }
 
+    /// The same table, for a streaming caller to intern a line's tokens
+    /// into before [`observe_symbols`](DrainTree::observe_symbols).
+    pub(crate) fn interner_mut(&mut self) -> &mut Interner {
+        &mut self.interner
+    }
+
     /// Exports the complete incremental state, deterministically ordered
     /// (leaves sorted by `(length, path)`), for checkpointing.
     pub(crate) fn export_state(&self) -> DrainTreeState {
@@ -330,13 +336,6 @@ impl DrainTree {
         tree.refresh_digit_flags();
         tree.observed = state.observed;
         Ok(tree)
-    }
-
-    /// Routes one message of raw tokens through the tree (streaming
-    /// entry point): interns each token, then routes by symbol.
-    pub(crate) fn observe(&mut self, tokens: &[&str]) -> usize {
-        let symbols: Vec<Symbol> = tokens.iter().map(|t| self.interner.intern(t)).collect();
-        self.observe_symbols(&symbols)
     }
 
     /// Routes one message through the tree, joining or creating a group.
@@ -537,12 +536,16 @@ mod tests {
     #[test]
     fn group_ids_are_creation_ordered() {
         let mut tree = DrainTree::new(Drain::default()).unwrap();
-        fn toks(s: &str) -> Vec<&str> {
-            s.split_whitespace().collect()
-        }
-        assert_eq!(tree.observe(&toks("a b")), 0);
-        assert_eq!(tree.observe(&toks("c d e")), 1);
-        assert_eq!(tree.observe(&toks("a b")), 0);
+        let mut observe = |line: &str| {
+            let row: Vec<Symbol> = line
+                .split_whitespace()
+                .map(|t| tree.interner_mut().intern(t))
+                .collect();
+            tree.observe_symbols(&row)
+        };
+        assert_eq!(observe("a b"), 0);
+        assert_eq!(observe("c d e"), 1);
+        assert_eq!(observe("a b"), 0);
         assert_eq!(tree.group_count(), 2);
         assert!(tree.group_template(0).is_some());
         assert!(tree.group_template(9).is_none());

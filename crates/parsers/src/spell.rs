@@ -229,6 +229,12 @@ impl SpellState {
         &self.interner
     }
 
+    /// The same table, for a streaming caller to intern a line's tokens
+    /// into before [`observe_symbols`](SpellState::observe_symbols).
+    pub(crate) fn interner_mut(&mut self) -> &mut Interner {
+        &mut self.interner
+    }
+
     /// Exports the complete incremental state for checkpointing.
     pub(crate) fn export_state(&self) -> SpellStateSnapshot {
         SpellStateSnapshot {
@@ -264,12 +270,6 @@ impl SpellState {
             .collect();
         rebuilt.observed = state.observed;
         Ok(rebuilt)
-    }
-
-    /// Interns a raw message and assigns it (streaming entry point).
-    pub(crate) fn observe(&mut self, tokens: &[&str]) -> usize {
-        let symbols: Vec<Symbol> = tokens.iter().map(|t| self.interner.intern(t)).collect();
-        self.observe_symbols(&symbols)
     }
 
     /// Assigns the next message to an LCS object (creating one if
@@ -410,10 +410,6 @@ mod tests {
         Corpus::from_lines(lines, &Tokenizer::default())
     }
 
-    fn toks(s: &str) -> Vec<&str> {
-        s.split_whitespace().collect()
-    }
-
     fn sym(interner: &mut Interner, s: &str) -> Vec<Symbol> {
         s.split_whitespace().map(|t| interner.intern(t)).collect()
     }
@@ -502,8 +498,12 @@ mod tests {
     #[test]
     fn streaming_observe_interns_and_matches_batch_grouping() {
         let mut state = SpellState::new(Spell::default()).unwrap();
-        let a = state.observe(&toks("job 17 finished ok"));
-        let b = state.observe(&toks("job 23 finished ok"));
+        let mut observe = |line: &str| {
+            let row = sym(state.interner_mut(), line);
+            state.observe_symbols(&row)
+        };
+        let a = observe("job 17 finished ok");
+        let b = observe("job 23 finished ok");
         assert_eq!(a, b);
         let skel = state.group_skeleton(a).unwrap().to_vec();
         let resolved: Vec<&str> = skel.iter().map(|&s| state.interner().resolve(s)).collect();

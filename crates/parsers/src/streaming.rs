@@ -14,14 +14,14 @@
 //! use logparse_parsers::{StreamingDrain, StreamingParser};
 //!
 //! let mut parser = StreamingDrain::default();
-//! let a = parser.observe(&["send", "pkt", "7"]);
-//! let b = parser.observe(&["send", "pkt", "9"]);
+//! let a = parser.observe("send pkt 7");
+//! let b = parser.observe("send pkt 9");
 //! assert_eq!(a, b); // same event, recognized online
 //! assert_eq!(parser.group_count(), 1);
 //! assert_eq!(parser.template(a).unwrap().to_string(), "send pkt *");
 //! ```
 
-use logparse_core::{ParseError, Template, TemplateToken};
+use logparse_core::{ParseError, Symbol, Template, TemplateToken, Tokenizer};
 
 use crate::drain::{DrainTree, DrainTreeState};
 use crate::spell::{SpellState, SpellStateSnapshot};
@@ -36,9 +36,10 @@ use crate::{Drain, Spell};
 pub trait StreamingParser {
     /// Assigns the next message to a group, creating one if needed.
     ///
-    /// Tokens are borrowed string slices: the parser interns what it
-    /// needs to keep, so callers never allocate per-message `String`s.
-    fn observe(&mut self, tokens: &[&str]) -> usize;
+    /// `line` is the message content; the parser splits it by the one
+    /// token rule ([`Tokenizer`]) and interns the tokens, so a caller
+    /// carries nothing but the line.
+    fn observe(&mut self, line: &str) -> usize;
 
     /// Number of groups discovered so far.
     fn group_count(&self) -> usize;
@@ -68,6 +69,8 @@ pub trait StreamingParser {
 #[derive(Debug)]
 pub struct StreamingDrain {
     tree: DrainTree,
+    /// The current line's symbols; reused, so a line allocates nothing.
+    row: Vec<Symbol>,
 }
 
 impl Default for StreamingDrain {
@@ -92,6 +95,7 @@ impl StreamingDrain {
         StreamingDrain {
             // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
             tree: DrainTree::new_untracked(config).expect("valid Drain configuration"),
+            row: Vec::new(),
         }
     }
 
@@ -112,13 +116,15 @@ impl StreamingDrain {
     pub fn restore(state: &DrainTreeState) -> Result<Self, ParseError> {
         Ok(StreamingDrain {
             tree: DrainTree::from_state(state)?,
+            row: Vec::new(),
         })
     }
 }
 
 impl StreamingParser for StreamingDrain {
-    fn observe(&mut self, tokens: &[&str]) -> usize {
-        self.tree.observe(tokens)
+    fn observe(&mut self, line: &str) -> usize {
+        Tokenizer::new().tokenize_interned(line, self.tree.interner_mut(), &mut self.row);
+        self.tree.observe_symbols(&self.row)
     }
 
     fn group_count(&self) -> usize {
@@ -149,6 +155,8 @@ impl StreamingParser for StreamingDrain {
 #[derive(Debug)]
 pub struct StreamingSpell {
     state: SpellState,
+    /// The current line's symbols; reused, so a line allocates nothing.
+    row: Vec<Symbol>,
 }
 
 impl Default for StreamingSpell {
@@ -171,6 +179,7 @@ impl StreamingSpell {
         StreamingSpell {
             // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
             state: SpellState::new_untracked(config).expect("valid Spell configuration"),
+            row: Vec::new(),
         }
     }
 
@@ -190,13 +199,15 @@ impl StreamingSpell {
     pub fn restore(state: &SpellStateSnapshot) -> Result<Self, ParseError> {
         Ok(StreamingSpell {
             state: SpellState::from_state(state)?,
+            row: Vec::new(),
         })
     }
 }
 
 impl StreamingParser for StreamingSpell {
-    fn observe(&mut self, tokens: &[&str]) -> usize {
-        self.state.observe(tokens)
+    fn observe(&mut self, line: &str) -> usize {
+        Tokenizer::new().tokenize_interned(line, self.state.interner_mut(), &mut self.row);
+        self.state.observe_symbols(&self.row)
     }
 
     fn group_count(&self) -> usize {
@@ -224,16 +235,12 @@ impl StreamingParser for StreamingSpell {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<&str> {
-        s.split_whitespace().collect()
-    }
-
     #[test]
     fn drain_streams_consistent_ids() {
         let mut p = StreamingDrain::default();
-        let a = p.observe(&toks("conn from 10.0.0.1 ok"));
-        let b = p.observe(&toks("conn from 10.0.0.2 ok"));
-        let c = p.observe(&toks("disk full on sda1"));
+        let a = p.observe("conn from 10.0.0.1 ok");
+        let b = p.observe("conn from 10.0.0.2 ok");
+        let c = p.observe("disk full on sda1");
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(p.group_count(), 2);
@@ -242,17 +249,17 @@ mod tests {
     #[test]
     fn drain_templates_refine_over_time() {
         let mut p = StreamingDrain::default();
-        let g = p.observe(&toks("send pkt 1 ok"));
+        let g = p.observe("send pkt 1 ok");
         assert_eq!(p.template(g).unwrap().to_string(), "send pkt 1 ok");
-        p.observe(&toks("send pkt 2 ok"));
+        p.observe("send pkt 2 ok");
         assert_eq!(p.template(g).unwrap().to_string(), "send pkt * ok");
     }
 
     #[test]
     fn spell_streams_lcs_groups() {
         let mut p = StreamingSpell::default();
-        let a = p.observe(&toks("job 17 finished ok"));
-        let b = p.observe(&toks("job 23 finished ok"));
+        let a = p.observe("job 17 finished ok");
+        let b = p.observe("job 23 finished ok");
         assert_eq!(a, b);
         let t = p.template(a).unwrap().to_string();
         assert!(t.contains("job") && t.contains("finished"), "{t}");
@@ -260,23 +267,16 @@ mod tests {
 
     #[test]
     fn streaming_drain_matches_batch_drain() {
-        use logparse_core::{Corpus, LogParser, Tokenizer};
-        let lines = [
-            "alpha beta 1",
-            "alpha beta 2",
-            "gamma delta epsilon",
-            "alpha beta 3",
-            "gamma delta zeta",
-        ];
-        let corpus = Corpus::from_lines(lines, &Tokenizer::default());
+        use logparse_core::LogParser;
+        let corpus = logparse_datasets::hdfs::generate(300, 7).corpus;
         let batch = Drain::default().parse(&corpus).unwrap();
         let mut stream = StreamingDrain::default();
         let ids: Vec<usize> = (0..corpus.len())
-            .map(|i| stream.observe(&corpus.tokens(i)))
+            .map(|i| stream.observe(corpus.record(i).content))
             .collect();
         // Same grouping structure (up to id naming).
-        for i in 0..lines.len() {
-            for j in 0..lines.len() {
+        for i in 0..corpus.len() {
+            for j in 0..corpus.len() {
                 assert_eq!(
                     batch.assignments()[i] == batch.assignments()[j],
                     ids[i] == ids[j],
@@ -290,8 +290,8 @@ mod tests {
     #[test]
     fn templates_snapshot_is_dense() {
         let mut p = StreamingDrain::default();
-        p.observe(&toks("a b"));
-        p.observe(&toks("c d e"));
+        p.observe("a b");
+        p.observe("c d e");
         assert_eq!(p.templates().len(), 2);
         assert!(p.template(5).is_none());
     }
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn empty_message_gets_its_own_group() {
         let mut p = StreamingDrain::default();
-        let g = p.observe(&[]);
+        let g = p.observe("");
         assert_eq!(p.group_count(), 1);
         assert_eq!(p.template(g).unwrap().len(), 0);
     }
@@ -311,7 +311,7 @@ mod tests {
     fn templates_tolerates_sparse_implementations() {
         struct Sparse;
         impl StreamingParser for Sparse {
-            fn observe(&mut self, _tokens: &[&str]) -> usize {
+            fn observe(&mut self, _line: &str) -> usize {
                 0
             }
             fn group_count(&self) -> usize {
@@ -338,7 +338,7 @@ mod tests {
             "disk full on sda1",
             "conn from 10.0.0.3 failed",
         ] {
-            p.observe(&toks(line));
+            p.observe(line);
         }
         let snap = p.snapshot();
         let mut q = StreamingDrain::restore(&snap).unwrap();
@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(q.snapshot(), snap);
         // The restored parser routes future messages identically.
         for line in ["conn from 10.9.9.9 ok", "totally new event shape"] {
-            assert_eq!(p.observe(&toks(line)), q.observe(&toks(line)), "{line}");
+            assert_eq!(p.observe(line), q.observe(line), "{line}");
         }
         assert_eq!(p.templates(), q.templates());
     }
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn drain_restore_rejects_corrupt_snapshots() {
         let mut p = StreamingDrain::default();
-        p.observe(&toks("a b c"));
+        p.observe("a b c");
         let mut snap = p.snapshot();
         snap.leaves[0].2.push(99); // dangling group id
         assert!(StreamingDrain::restore(&snap).is_err());
@@ -367,14 +367,14 @@ mod tests {
     fn spell_snapshot_restore_round_trips() {
         let mut p = StreamingSpell::default();
         for line in ["job 17 finished ok", "job 23 finished ok", "mount sda1 ro"] {
-            p.observe(&toks(line));
+            p.observe(line);
         }
         let snap = p.snapshot();
         let mut q = StreamingSpell::restore(&snap).unwrap();
         assert_eq!(p.templates(), q.templates());
         assert_eq!(q.snapshot(), snap);
         for line in ["job 31 finished ok", "umount sda1"] {
-            assert_eq!(p.observe(&toks(line)), q.observe(&toks(line)), "{line}");
+            assert_eq!(p.observe(line), q.observe(line), "{line}");
         }
     }
 
@@ -384,7 +384,7 @@ mod tests {
         // one group and no member list, so the snapshot stays tiny.
         let mut p = StreamingDrain::default();
         for i in 0..100_000 {
-            p.observe(&toks(&format!("send pkt {i} ok")));
+            p.observe(&format!("send pkt {i} ok"));
         }
         assert_eq!(p.group_count(), 1);
         let snap = p.snapshot();

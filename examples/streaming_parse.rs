@@ -7,21 +7,19 @@
 //! cargo run --release --example streaming_parse
 //! ```
 
-use logmine::core::Tokenizer;
 use logmine::datasets::zookeeper;
 use logmine::parsers::{StreamingDrain, StreamingParser, StreamingSpell};
 
 fn main() {
-    let tokenizer = Tokenizer::default();
     let data = zookeeper::generate(2_000, 11);
 
     let mut drain = StreamingDrain::default();
     let mut spell = StreamingSpell::default();
 
     for i in 0..data.len() {
-        let tokens = tokenizer.tokenize_refs(data.corpus.record(i).content);
-        drain.observe(&tokens);
-        spell.observe(&tokens);
+        let line = data.corpus.record(i).content;
+        drain.observe(line);
+        spell.observe(line);
         if [10, 100, 1000, data.len() - 1].contains(&i) {
             println!(
                 "after {:4} messages: Drain knows {:3} events, Spell {:3}",

@@ -31,53 +31,44 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== logparse-lint (project invariants, warnings denied) ==="
 cargo run -q -p logparse-lint -- --workspace --deny warnings --stats --sarif target/lint.sarif
 
+# One run of every suite. What the named ones pin, so a failure below is
+# read against the right contract:
+#   tests/parallel_equivalence       sequential vs parallel parse
+#   core intern::tests               the token table against a HashMap over
+#                                    vocabularies built to collide, an overlay
+#                                    against a deep clone, a new token's mean
+#                                    walk as a count
+#   tests/loader_differential        zero-copy loader vs the BufRead reference;
+#                                    job cuts (no cut splits a line, a
+#                                    byte-range build is the slice of the whole)
+#   cli loader_v1_goldens_hold_…     parent-frozen loader_v1 outputs
+#   core framer_lines_do_not_…, cli serve_entry_points_agree_…
+#                                    the stream line contract: file, stdin,
+#                                    tail and TCP agree on hostile bytes
+#   cli jobs_chaos (jobs_v1, events_v1)
+#                                    what the PR 17 binary wrote for a crashed-
+#                                    and-retried job, a poisoned one and a
+#                                    `serve` run, rewritten byte for byte
+#   tests/preprocess_differential    mask-before-intern vs symbol-level apply
+#                                    vs goldens
+#   linalg dual_matches_primal       dual vs primal PCA
+#   eval paper_pins                  every pinned experiment's report against
+#                                    results/quick byte for byte, one assertion
+#                                    per finding; a mismatch leaves what the
+#                                    run printed in target/paper_pins/, and
+#                                    ./run_experiments.sh regenerates
 echo "=== cargo test ==="
 cargo test --workspace -q
 
-echo "=== differential suite (sequential vs parallel) ==="
-cargo test -q --test parallel_equivalence
-
-# The token table against a HashMap over vocabularies built to collide,
-# an overlay against a deep clone, and the mean walk of a new token as a
-# count (the low-bit home slot this replaced walked 232 on `id=<hex>`).
-echo "=== interner (model, overlay, probe length) ==="
-cargo test -q -p logparse-core --lib intern::tests
-
-echo "=== differential suite (zero-copy loader vs BufRead reference) ==="
-cargo test -q --test loader_differential
-
-echo "=== job cuts (no cut splits a line; a byte-range build is the slice of the whole) ==="
-cargo test -q --test loader_differential byte_range
-
-echo "=== loader goldens (parent-frozen loader_v1) ==="
-cargo test -q -p logparse-cli --test cli loader_v1_goldens_hold_from_file_and_stdin
-
-echo "=== stream line contract (file, stdin, tail, TCP agree on hostile bytes) ==="
-cargo test -q -p logparse-core --lib framer_lines_do_not_depend_on_chunking
-cargo test -q -p logparse-cli --test cli serve_entry_points_agree_on_hostile_bytes
-
-# What the PR 17 binary wrote for a crashed-and-retried job, a poisoned
-# one and a `serve` run, rewritten byte for byte; and the benchmark
-# harness, which links the crates by pinned signature (its README),
-# checked here so a break fails locally, not in the benchmark run (it
-# writes only the git-ignored benchmark/target/).
-echo "=== wire goldens (parent-frozen jobs_v1, events_v1) ==="
-cargo test -q -p logparse-cli --test jobs_chaos -- jobs_v1 events_v1
+# The benchmark harness links the crates by pinned signature (its
+# README); checked here so a break fails locally, not in the benchmark
+# run (it writes only the git-ignored benchmark/target/).
+echo "=== benchmark harness builds against the pinned API ==="
 cargo check -q --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "=== differential suite (mask-before-intern vs symbol-level apply vs goldens) ==="
-cargo test -q --test preprocess_differential
-
-echo "=== differential suite (dual vs primal PCA) ==="
-cargo test -q -p logparse-linalg dual_matches_primal
-
-# Every pinned experiment's report against results/quick byte for byte,
-# and one assertion per finding; the full gate repeats the pins at paper
-# scale against results/ (about six minutes). A mismatch leaves what the
-# run printed in target/paper_pins/; ./run_experiments.sh regenerates.
-echo "=== paper pins (results/quick, six findings) ==="
-cargo test -q -p logparse-eval --test paper_pins
 if [[ "$QUICK" == "0" ]]; then
+  # The pins again at paper scale against results/ (about six minutes).
+  echo "=== paper pins at paper scale (results/) ==="
   cargo test -q -p logparse-eval --test paper_pins -- --ignored
 fi
 

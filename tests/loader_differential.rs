@@ -363,12 +363,17 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Random printable-ASCII + whitespace byte soup: `from_bytes` (and
-    /// its parallel variant at an adversarial thread count) always
-    /// reproduces the legacy pipeline bit-for-bit.
+    /// Random printable-ASCII + whitespace soup — all six ASCII
+    /// whitespace bytes (`\n` and `\r` through the separator too), and
+    /// U+00A0 and U+3000, which send a line down the char-level path:
+    /// `from_bytes` (and its parallel variant at an adversarial thread
+    /// count) always reproduces the legacy pipeline bit-for-bit, and a
+    /// kept line's tokens are its `split_whitespace`, whichever scanner
+    /// path it took. (The class holds the characters themselves; the
+    /// word ranges keep about half of a line token text.)
     #[test]
     fn from_bytes_matches_the_legacy_pipeline_on_arbitrary_text(
-        lines in prop::collection::vec("[ -~\\t\\x0b\\x0c]{0,40}", 0..60),
+        lines in prop::collection::vec("[ -~a-zA-Z0-9_\t\x0b\x0c\r\u{a0}\u{3000}]{0,40}", 0..60),
         crlf in prop_oneof![Just(false), Just(true)],
         trailing in prop_oneof![Just(false), Just(true)],
         threads in 1usize..9,
@@ -384,6 +389,10 @@ proptest! {
 
         let owned = Corpus::from_bytes(bytes.clone(), &tok).unwrap();
         prop_assert_eq!(&owned, &legacy);
+        for i in 0..legacy.len() {
+            let line = legacy.record(i).content;
+            prop_assert_eq!(owned.tokens(i), line.split_whitespace().collect::<Vec<_>>(), "line {:?}", line);
+        }
 
         let par = Corpus::from_bytes_parallel(bytes, &tok, threads).unwrap();
         prop_assert_eq!(&par, &legacy);

@@ -31,7 +31,7 @@ impl LogParser for StreamingBatch {
             _ => Box::new(StreamingSpell::default()),
         };
         let groups: Vec<usize> = (0..corpus.len())
-            .map(|i| parser.observe(&corpus.tokens(i)))
+            .map(|i| parser.observe(corpus.record(i).content))
             .collect();
         let mut builder = ParseBuilder::new(corpus.len());
         let mut events = std::collections::HashMap::new();

@@ -32,9 +32,10 @@ use proptest::prelude::*;
 
 /// What a scanner-level masker can silently get wrong: CRLF, a bare
 /// `\r` at EOF, a whitespace-only line, lines with high bytes (the
-/// checked slow path masks too), punctuation-wrapped variables (masked
-/// only after the tokenizer's trim), and a raw token that already
-/// equals a placeholder (it must share the placeholder's symbol).
+/// checked slow path masks too), punctuation-wrapped variables (the
+/// punctuation is part of the token a rule sees), and a raw token that
+/// already equals a placeholder (it must share the placeholder's
+/// symbol).
 const EDGE: &[u8] = b"Receiving block blk_-562 src: (10.0.0.1): dest: /10.0.0.2:50010\r\n\
 Receiving block blk_77 src: (10.0.0.3): dest: /10.0.0.4:50010\r\n\
  \t \r\n\
@@ -56,25 +57,12 @@ fn lines_to_bytes(corpus: &Corpus) -> Vec<u8> {
     out
 }
 
-/// The input files, each with the tokenizer it is read under.
-fn fixtures() -> Vec<(&'static str, Vec<u8>, Tokenizer)> {
+/// The input files.
+fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     vec![
-        (
-            "hdfs300",
-            lines_to_bytes(&hdfs::generate(300, 9).corpus),
-            Tokenizer::default(),
-        ),
-        (
-            "bgl300",
-            lines_to_bytes(&bgl::generate(300, 9).corpus),
-            Tokenizer::default(),
-        ),
-        ("edge", EDGE.to_vec(), Tokenizer::default()),
-        (
-            "edge_trim",
-            EDGE.to_vec(),
-            Tokenizer::new().with_trimmed_punctuation(),
-        ),
+        ("hdfs300", lines_to_bytes(&hdfs::generate(300, 9).corpus)),
+        ("bgl300", lines_to_bytes(&bgl::generate(300, 9).corpus)),
+        ("edge", EDGE.to_vec()),
     ]
 }
 
@@ -155,7 +143,8 @@ fn fused_build_and_symbol_level_apply_match_the_goldens() {
     let dir = std::env::temp_dir().join(format!("preprocess-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut missing = Vec::new();
-    for (fixture, bytes, tokenizer) in fixtures() {
+    let tokenizer = Tokenizer::default();
+    for (fixture, bytes) in fixtures() {
         let raw = Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap();
         let path = dir.join(fixture);
         std::fs::write(&path, &bytes).unwrap();
@@ -188,8 +177,8 @@ fn fused_build_and_symbol_level_apply_match_the_goldens() {
 #[test]
 #[ignore = "writes tests/fixtures/preprocess; run explicitly"]
 fn regenerate() {
-    for (fixture, bytes, tokenizer) in fixtures() {
-        let raw = Corpus::from_bytes(bytes, &tokenizer).unwrap();
+    for (fixture, bytes) in fixtures() {
+        let raw = Corpus::from_bytes(bytes, &Tokenizer::default()).unwrap();
         for (rules, pre) in rule_sets() {
             let path = golden_path(fixture, rules);
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -221,18 +210,14 @@ fn chunk_straddle_bytes() -> Vec<u8> {
 #[test]
 fn fused_build_is_identical_at_any_thread_count() {
     let bytes = chunk_straddle_bytes();
-    for tokenizer in [
-        Tokenizer::default(),
-        Tokenizer::new().with_trimmed_punctuation(),
-    ] {
-        let raw = Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap();
-        for (rules, pre) in rule_sets() {
-            let applied = pre.apply(&raw);
-            for threads in [1usize, 2, 7] {
-                let fused =
-                    Corpus::from_bytes_masked(bytes.clone(), &tokenizer, &pre, threads).unwrap();
-                assert_bit_identical(&fused, &applied, &format!("{rules} at {threads} threads"));
-            }
+    let tokenizer = Tokenizer::default();
+    let raw = Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap();
+    for (rules, pre) in rule_sets() {
+        let applied = pre.apply(&raw);
+        for threads in [1usize, 2, 7] {
+            let fused =
+                Corpus::from_bytes_masked(bytes.clone(), &tokenizer, &pre, threads).unwrap();
+            assert_bit_identical(&fused, &applied, &format!("{rules} at {threads} threads"));
         }
     }
 }
@@ -294,21 +279,16 @@ fn arbitrary_rules() -> impl Strategy<Value = Preprocessor> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On arbitrary log-like text, ASCII and UTF-8, under either
-    /// tokenizer, any rule order and any thread count: masking while
-    /// building equals masking what was built.
+    /// On arbitrary log-like text, ASCII and UTF-8, under any rule
+    /// order and any thread count: masking while building equals
+    /// masking what was built.
     #[test]
     fn fused_build_equals_apply_on_arbitrary_text(
         bytes in arbitrary_text(),
         pre in arbitrary_rules(),
-        trim in prop_oneof![Just(false), Just(true)],
         threads in 1usize..5,
     ) {
-        let tokenizer = if trim {
-            Tokenizer::new().with_trimmed_punctuation()
-        } else {
-            Tokenizer::default()
-        };
+        let tokenizer = Tokenizer::default();
         let applied = pre.apply(&Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap());
         let fused = Corpus::from_bytes_masked(bytes, &tokenizer, &pre, threads).unwrap();
         prop_assert_eq!(&fused, &applied);
