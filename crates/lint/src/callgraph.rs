@@ -13,8 +13,9 @@
 //!
 //! Anything else — std/vendored callees, ambiguous names — lands in the
 //! **unresolved bucket**, which is counted and surfaced via `--stats`
-//! so the graph lints stay sound-by-report: the analysis never guesses
-//! an edge, and it tells you how much of the call surface it covered.
+//! so `durability-discipline` stays sound-by-report: the analysis
+//! never guesses an edge, and it tells you how much of the call surface
+//! it covered.
 
 use crate::analysis::FileAnalysis;
 use std::collections::HashMap;

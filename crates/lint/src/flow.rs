@@ -1,17 +1,12 @@
 //! Per-file flow extraction: the symbol table and function summaries
-//! the inter-procedural lints consume.
+//! `durability-discipline` consumes.
 //!
 //! The existing lexer gives a masked code view; this module lifts it
 //! one level: every `fn` item (with its `impl` owner, when any) becomes
 //! a [`FnFlow`] carrying
 //!
 //! * **call sites** — callee name plus a qualifier (`Type::`, method
-//!   receiver, or bare), each annotated with the set of lock guards
-//!   live at the call;
-//! * **lock acquisitions** — `…lock()` / `.read()` / `.write()` sites
-//!   identified by their *receiver text* (so `shards[i]` and
-//!   `shards[j]` stay distinct locks), plus the locally observed
-//!   acquisition-order pairs;
+//!   receiver, or bare);
 //! * **durability facts** — lines that rename, create directories,
 //!   create/write files, `sync_all`/`sync_data`, or `sync_dir`.
 //!
@@ -21,16 +16,6 @@
 //! it counts, it never silently guesses.
 
 use crate::source::SourceFile;
-
-/// One lock-acquisition site inside a function body.
-#[derive(Debug, Clone)]
-pub struct LockAcquire {
-    /// Normalized receiver text (`self.` stripped), the lock's local
-    /// identity. Scoped per file by the graph layer.
-    pub id: String,
-    /// 1-based line of the acquisition.
-    pub line: u32,
-}
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -44,8 +29,6 @@ pub struct CallSite {
     pub self_recv: bool,
     /// 1-based line of the call.
     pub line: u32,
-    /// Indices into [`FnFlow::acquires`] of guards live at this call.
-    pub locks_held: Vec<u32>,
 }
 
 /// The flow summary of one non-test `fn` item.
@@ -58,18 +41,10 @@ pub struct FnFlow {
     pub owner: String,
     /// 1-based line of the `fn` keyword.
     pub start_line: u32,
-    /// 1-based line of the body's closing brace.
-    pub end_line: u32,
     /// Byte span of the body (inclusive `{` … `}`) in the masked view.
     pub body_span: (usize, usize),
     /// Every call site, in source order.
     pub calls: Vec<CallSite>,
-    /// Every lock acquisition, in source order.
-    pub acquires: Vec<LockAcquire>,
-    /// Locally observed order: `(a, b)` means the guard from acquire
-    /// `a` was still live when acquire `b` happened (indices into
-    /// [`FnFlow::acquires`]).
-    pub lock_pairs: Vec<(u32, u32)>,
     /// Lines calling `fs::rename`.
     pub renames: Vec<u32>,
     /// Lines calling `create_dir`/`create_dir_all`.
@@ -82,8 +57,6 @@ pub struct FnFlow {
     /// helper).
     pub dir_syncs: Vec<u32>,
 }
-
-const ACQUIRE: &[&str] = &[".lock()", ".read()", ".write()"];
 
 /// Keywords that look like calls when followed by `(`.
 const NOT_CALLS: &[&str] = &[
@@ -229,7 +202,6 @@ fn fn_spans(file: &SourceFile, masked: &str, impls: &[(usize, usize, String)]) -
             name,
             owner,
             start_line,
-            end_line: file.line_of_offset(end.min(masked.len().saturating_sub(1))),
             body_span: (open, end),
             ..FnFlow::default()
         });
@@ -237,40 +209,22 @@ fn fn_spans(file: &SourceFile, masked: &str, impls: &[(usize, usize, String)]) -
     out
 }
 
-/// A live lock guard during the body walk.
-struct Live {
-    ident: String,
-    acq: u32,
-    depth: i32,
-}
-
 /// Walks one body (skipping `children` spans of nested fns), recording
-/// calls, lock events and durability facts into `flow`.
+/// calls and durability facts into `flow`.
 fn walk_body(file: &SourceFile, masked: &str, flow: &mut FnFlow, children: &[(usize, usize)]) {
     let bytes = masked.as_bytes();
     let (start, end) = flow.body_span;
-    let mut depth: i32 = 0;
-    let mut live: Vec<Live> = Vec::new();
     let mut i = start;
     while i <= end && i < bytes.len() {
         if let Some(&(_, ce)) = children.iter().find(|&&(cs, _)| cs == i) {
             i = ce + 1;
             continue;
         }
-        let b = bytes[i];
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                live.retain(|g| g.depth <= depth);
+        // A call site: an identifier directly before the `(`.
+        if bytes[i] == b'(' {
+            if let Some((name, qual, self_recv)) = call_head(masked, i) {
+                record_call(flow, file.line_of_offset(i), &name, qual, self_recv);
             }
-            b'(' => {
-                // A call site: an identifier directly before the `(`.
-                if let Some((name, qual, self_recv)) = call_head(masked, i) {
-                    handle_call(file, masked, flow, &mut live, i, &name, qual, self_recv);
-                }
-            }
-            _ => {}
         }
         i += 1;
     }
@@ -311,19 +265,7 @@ fn call_head(masked: &str, open: usize) -> Option<(String, String, bool)> {
     Some((name.to_string(), String::new(), false))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_call(
-    file: &SourceFile,
-    masked: &str,
-    flow: &mut FnFlow,
-    live: &mut Vec<Live>,
-    open: usize,
-    name: &str,
-    qual: String,
-    self_recv: bool,
-) {
-    let line = file.line_of_offset(open);
-
+fn record_call(flow: &mut FnFlow, line: u32, name: &str, qual: String, self_recv: bool) {
     // Durability facts.
     match (qual.as_str(), name) {
         ("fs", "rename") => flow.renames.push(line),
@@ -344,147 +286,12 @@ fn handle_call(
         flow.dir_syncs.push(line);
     }
 
-    // `drop(guard)` retires a live guard by name.
-    if qual.is_empty() && name == "drop" {
-        let bytes = masked.as_bytes();
-        let close = match_paren(bytes, open);
-        let arg = masked[open + 1..close.min(masked.len())].trim();
-        live.retain(|g| g.ident != arg);
-    }
-
-    // Lock acquisition: `.lock()` / `.read()` / `.write()` with no
-    // arguments (the `Mutex`/`RwLock` API — `io::Read::read` and
-    // `io::Write::write` always take arguments).
-    let is_acquire = qual == "."
-        && ACQUIRE
-            .iter()
-            .any(|p| &p[1..p.len() - 2] == name && masked[open..].starts_with("()"));
-    if is_acquire {
-        // The receiver identifies the lock. Offset of the `.`:
-        let dot = open - name.len() - 1;
-        if let Some(id) = receiver_text(masked, dot) {
-            let idx = flow.acquires.len() as u32;
-            for g in live.iter() {
-                flow.lock_pairs.push((g.acq, idx));
-            }
-            flow.acquires.push(LockAcquire { id, line });
-            // A `let` binding keeps the guard live; a bare chain
-            // releases the temporary at the end of the statement.
-            if let Some(ident) = stmt_let_ident(masked, dot) {
-                let depth = brace_depth(masked.as_bytes(), flow.body_span.0, dot);
-                live.push(Live {
-                    ident,
-                    acq: idx,
-                    depth,
-                });
-            }
-        }
-        return; // `.lock()` itself is not a resolvable workspace call.
-    }
-
     flow.calls.push(CallSite {
         callee: name.to_string(),
         qual,
         self_recv,
         line,
-        locks_held: live.iter().map(|g| g.acq).collect(),
     });
-}
-
-/// The receiver expression ending at the `.` at `dot`, normalized:
-/// whitespace removed, leading `self.`/`&`/`*` stripped. Walks back
-/// across newlines so multiline method chains keep their receiver.
-fn receiver_text(masked: &str, dot: usize) -> Option<String> {
-    let bytes = masked.as_bytes();
-    let mut i = dot;
-    loop {
-        // Skip whitespace (method chains may break across lines).
-        let mut k = i;
-        while k > 0 && (bytes[k - 1] as char).is_whitespace() {
-            k -= 1;
-        }
-        if k == 0 {
-            i = 0;
-            break;
-        }
-        match bytes[k - 1] {
-            // `shards[i]` / `global()`: consume the group, then loop so
-            // the identifier in front of it is consumed too.
-            b']' => i = rmatch(bytes, k - 1, b'[', b']'),
-            b')' => i = rmatch(bytes, k - 1, b'(', b')'),
-            // `.` / `::` connectors between segments.
-            b'.' => i = k - 1,
-            b':' if k >= 2 && bytes[k - 2] == b':' => i = k - 2,
-            b if b.is_ascii_alphanumeric() || b == b'_' => {
-                let mut j = k;
-                while j > 0 && (bytes[j - 1].is_ascii_alphanumeric() || bytes[j - 1] == b'_') {
-                    j -= 1;
-                }
-                i = j;
-                // An identifier extends the chain only through a
-                // connector in front of it; anything else ends it.
-                let mut k2 = j;
-                while k2 > 0 && (bytes[k2 - 1] as char).is_whitespace() {
-                    k2 -= 1;
-                }
-                if k2 > 0 && bytes[k2 - 1] == b'.' {
-                    i = k2 - 1;
-                } else if k2 >= 2 && bytes[k2 - 1] == b':' && bytes[k2 - 2] == b':' {
-                    i = k2 - 2;
-                } else {
-                    break;
-                }
-            }
-            _ => {
-                i = k;
-                break;
-            }
-        }
-    }
-    let raw: String = masked[i..dot]
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    let raw = raw.trim_start_matches(['&', '*']);
-    let raw = raw.strip_prefix("self.").unwrap_or(raw);
-    if raw.is_empty() || raw == "self" {
-        return None;
-    }
-    Some(raw.to_string())
-}
-
-/// The `let` identifier of the statement containing `off`, if any.
-fn stmt_let_ident(masked: &str, off: usize) -> Option<String> {
-    let bytes = masked.as_bytes();
-    let mut i = off;
-    while i > 0 && !matches!(bytes[i - 1], b';' | b'{' | b'}') {
-        i -= 1;
-    }
-    let stmt = &masked[i..off];
-    let after = stmt.split("let ").nth(1)?;
-    let after = after.trim_start();
-    let after = after.strip_prefix("mut ").unwrap_or(after);
-    let ident: String = after
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    if ident.is_empty() {
-        None
-    } else {
-        Some(ident)
-    }
-}
-
-fn brace_depth(bytes: &[u8], from: usize, to: usize) -> i32 {
-    let mut d = 0;
-    for &b in &bytes[from..to.min(bytes.len())] {
-        match b {
-            b'{' => d += 1,
-            b'}' => d -= 1,
-            _ => {}
-        }
-    }
-    d
 }
 
 /// Every offset of `kw` in `masked` at identifier boundaries.
@@ -559,44 +366,6 @@ fn match_brace(bytes: &[u8], open: usize) -> usize {
     bytes.len().saturating_sub(1)
 }
 
-/// Offset of the `)` matching the `(` at `open` (or EOF).
-fn match_paren(bytes: &[u8], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < bytes.len() {
-        match bytes[j] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    bytes.len().saturating_sub(1)
-}
-
-/// Offset of the `open` matching the `close` at `at`, walking backward.
-fn rmatch(bytes: &[u8], at: usize, open: u8, close: u8) -> usize {
-    let mut depth = 0usize;
-    let mut j = at + 1;
-    while j > 0 {
-        j -= 1;
-        if bytes[j] == close {
-            depth += 1;
-        } else if bytes[j] == open {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,31 +412,6 @@ mod tests {
         assert!(!calls.iter().any(|c| c.0 == "Some"), "{calls:?}");
         assert!(!calls.iter().any(|c| c.0 == "if"), "{calls:?}");
         assert_eq!(f[0].renames, vec![4]);
-    }
-
-    #[test]
-    fn lock_order_pairs_and_receivers() {
-        let f = flows(
-            "fn f(&self) {\n    let a = self.registry.lock().unwrap();\n    \
-             let b = JOURNAL\n        .lock()\n        .unwrap();\n    use_both(&a, &b);\n}\n",
-        );
-        let ids: Vec<&str> = f[0].acquires.iter().map(|a| a.id.as_str()).collect();
-        assert_eq!(ids, vec!["registry", "JOURNAL"], "{f:?}");
-        assert_eq!(f[0].lock_pairs, vec![(0, 1)]);
-        // Both guards live at the call.
-        let call = f[0].calls.iter().find(|c| c.callee == "use_both").unwrap();
-        assert_eq!(call.locks_held, vec![0, 1]);
-    }
-
-    #[test]
-    fn guard_scope_drop_and_index_receivers() {
-        let f = flows(
-            "fn f(&self) {\n    {\n        let a = shards[i].lock().unwrap();\n    }\n    \
-             let b = shards[j].lock().unwrap();\n    drop(b);\n    let c = shards[j].lock().unwrap();\n}\n",
-        );
-        let ids: Vec<&str> = f[0].acquires.iter().map(|a| a.id.as_str()).collect();
-        assert_eq!(ids, vec!["shards[i]", "shards[j]", "shards[j]"]);
-        assert!(f[0].lock_pairs.is_empty(), "{:?}", f[0].lock_pairs);
     }
 
     #[test]

@@ -7,28 +7,26 @@
 //! workspace's vendored `rand`/`proptest` shims — entirely on `std`: a
 //! hand-rolled surface lexer ([`lexer`]) produces a masked code view per
 //! file, line-oriented lints walk it, and a flow layer ([`flow`] →
-//! [`callgraph`]) lifts it to a workspace call graph for the
-//! inter-procedural lints.
+//! [`callgraph`]) lifts it to a workspace call graph for
+//! `durability-discipline`.
 //!
 //! # Lint catalog
 //!
 //! | lint | severity | invariant |
 //! |------|----------|-----------|
 //! | `panic-freedom` | error (index sub-check: warn) | no `unwrap`/`expect`/`panic!`/literal index in hot-path crates |
-//! | `unsafe-allowlist` | error | `unsafe` only in `ingest/src/signal.rs`; crate roots forbid `unsafe_code` |
-//! | `lock-channel-hold` | warning | no blocking send/recv/I-O while a lock guard is live |
+//! | `unsafe-allowlist` | error | `unsafe` only in `ingest/src/signal.rs` and `core/src/mmap.rs`; crate roots forbid `unsafe_code` |
 //! | `obs-metric-hygiene` | error | metric families: literal names, one owner site, documented in DESIGN.md |
 //! | `timing-discipline` | warning | `Instant::now()` only inside the obs substrate |
 //! | `hot-path-string-alloc` | warning | no `to_string`/`String::from`/`format!` in loop bodies of `parsers`/the parallel driver |
-//! | `lock-order-cycle` | warning | no lock-order cycles across the workspace call graph (potential deadlock) |
 //! | `durability-discipline` | error | create/write→rename publish paths fsync file *and* directory, or name their flush tier |
-//! | `thread-leak` | warning | every spawned thread's handle is joined or carries a reasoned detach pragma |
 //! | `bad-pragma` | error | suppressions must name a known lint and carry a reason |
 //!
 //! # Suppression
 //!
 //! A finding is suppressed by a comment pragma on the same line, the
-//! line above, or (for lock findings) the guard's acquisition line:
+//! line above, or (for `durability-discipline`) the offending
+//! function's `fn` line:
 //!
 //! ```text
 //! // lint:allow(timing-discipline): feeds ingest_parse_duration_seconds directly
@@ -47,8 +45,7 @@
 //! Exit code 0 when clean, 1 on findings at error level (warnings are
 //! promoted under `--deny warnings`), 2 on usage or I/O errors. This is
 //! a stage of `scripts/check.sh`; the committed tree stays clean.
-//! `--stats` prints phase timings and call-graph coverage;
-//! `--sarif <path>` additionally writes a SARIF 2.1.0 report.
+//! `--stats` prints phase timings and call-graph coverage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,29 +101,28 @@ pub fn run_files(files: &[(String, String)], design: Option<(&str, &str)>) -> Ve
 }
 
 /// The workspace passes over per-file analyses: crate-root checks, the
-/// metric cross-check, the call-graph lints, pragma suppression and
-/// ordering.
+/// metric cross-check, durability over the call graph, pragma
+/// suppression and ordering.
 pub fn finish(
     analyses: &[FileAnalysis],
     graph: &callgraph::Graph,
     design: Option<(&str, &str)>,
 ) -> Vec<Finding> {
-    let rels: Vec<String> = analyses.iter().map(|a| a.rel.clone()).collect();
+    let rels: Vec<String> = analyses.iter().map(|a| a.file.rel.clone()).collect();
     let roots = workspace::crate_roots(&rels);
 
     let mut findings = Vec::new();
     for a in analyses {
         findings.extend(a.findings.iter().cloned());
-        if roots.contains(&a.rel) {
+        if roots.contains(&a.file.rel) {
             findings.extend(a.root_findings.iter().cloned());
         }
     }
     let sites: Vec<(&str, &[lints::metric_hygiene::MetricSite])> = analyses
         .iter()
-        .map(|a| (a.rel.as_str(), a.metric_sites.as_slice()))
+        .map(|a| (a.file.rel.as_str(), a.metric_sites.as_slice()))
         .collect();
     findings.extend(lints::metric_hygiene::cross_check_all(&sites, design));
-    findings.extend(lints::lock_order::check(analyses, graph));
     findings.extend(lints::durability::check(analyses, graph));
 
     // Pragma suppression: a finding survives unless the file that
@@ -136,8 +132,8 @@ pub fn finish(
         if f.lint == "bad-pragma" {
             return true;
         }
-        match analyses.iter().find(|a| a.rel == f.rel) {
-            Some(a) => !a.suppressed(f.lint, f.line, &f.also_allow_at),
+        match analyses.iter().find(|a| a.file.rel == f.rel) {
+            Some(a) => !a.file.suppressed(f.lint, f.line, &f.also_allow_at),
             None => true,
         }
     });

@@ -24,7 +24,7 @@
 use super::{Finding, Severity};
 use crate::analysis::FileAnalysis;
 use crate::callgraph::{FnRef, Graph};
-use crate::source::Role;
+use crate::source::{Role, SourceFile};
 use std::collections::HashMap;
 
 const NAME: &str = "durability-discipline";
@@ -40,8 +40,12 @@ struct RenameWitness {
     line: u32,
 }
 
-fn in_scope(a: &FileAnalysis) -> bool {
-    a.role == Role::Lib && matches!(a.crate_name.as_str(), "store" | "jobs" | "ingest" | "obs")
+fn in_scope(file: &SourceFile) -> bool {
+    file.role == Role::Lib
+        && matches!(
+            file.crate_name.as_str(),
+            "store" | "jobs" | "ingest" | "obs"
+        )
 }
 
 /// Runs the lint over the analyzed workspace.
@@ -49,7 +53,7 @@ pub fn check(analyses: &[FileAnalysis], graph: &Graph) -> Vec<Finding> {
     let reach = rename_reachability(analyses, graph);
     let mut out = Vec::new();
     for (fi, a) in analyses.iter().enumerate() {
-        if !in_scope(a) {
+        if !in_scope(&a.file) {
             continue;
         }
         for (fj, f) in a.flow.iter().enumerate() {
@@ -68,7 +72,7 @@ pub fn check(analyses: &[FileAnalysis], graph: &Graph) -> Vec<Finding> {
                     let mut fnd = Finding {
                         lint: NAME,
                         severity: Severity::Error,
-                        rel: a.rel.clone(),
+                        rel: a.file.rel.clone(),
                         line: first_rename,
                         message: format!(
                             "`{}` publishes by rename (line {first_rename}) but {}; a rename is \
@@ -98,7 +102,7 @@ pub fn check(analyses: &[FileAnalysis], graph: &Graph) -> Vec<Finding> {
                 out.push(Finding {
                     lint: NAME,
                     severity: Severity::Error,
-                    rel: a.rel.clone(),
+                    rel: a.file.rel.clone(),
                     line: f.create_dirs[0],
                     message: format!(
                         "`{}` creates directories (line {}) on a durable publish path — it \
@@ -129,7 +133,7 @@ fn rename_reachability(analyses: &[FileAnalysis], graph: &Graph) -> HashMap<FnRe
                     (fi, fj),
                     RenameWitness {
                         chain: Vec::new(),
-                        rel: a.rel.clone(),
+                        rel: a.file.rel.clone(),
                         line,
                     },
                 );
@@ -150,7 +154,8 @@ fn rename_reachability(analyses: &[FileAnalysis], graph: &Graph) -> HashMap<FnRe
                     }
                     let call = &f.calls[ci];
                     let target = &analyses[callee.0].flow[callee.1];
-                    let mut chain = vec![format!("`{}` ({}:{})", target.name, a.rel, call.line)];
+                    let mut chain =
+                        vec![format!("`{}` ({}:{})", target.name, a.file.rel, call.line)];
                     chain.extend(w.chain.iter().cloned());
                     Some(RenameWitness {
                         chain,

@@ -94,24 +94,6 @@ const SERIES: Category = Category {
     table: "Observability history-series table",
 };
 
-/// Runs the workspace-level hygiene check. `design` is the
-/// workspace-relative path and content of DESIGN.md, when present.
-pub fn check(files: &[SourceFile], design: Option<(&str, &str)>) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut per_file: Vec<(String, Vec<MetricSite>)> = Vec::new();
-    for file in files {
-        let (sites, findings) = extract(file);
-        out.extend(findings);
-        per_file.push((file.rel.clone(), sites));
-    }
-    let borrowed: Vec<(&str, &[MetricSite])> = per_file
-        .iter()
-        .map(|(rel, s)| (rel.as_str(), s.as_slice()))
-        .collect();
-    out.extend(cross_check_all(&borrowed, design));
-    out
-}
-
 /// Extracts one file's literal-named call sites, plus the findings for
 /// non-literal names.
 pub fn extract(file: &SourceFile) -> (Vec<MetricSite>, Vec<Finding>) {
@@ -382,8 +364,20 @@ History series:
 | `app_ghost_series` | nowhere | documented only |
 ";
 
-    fn files(src: &str) -> Vec<SourceFile> {
-        vec![SourceFile::new("crates/obs/src/m.rs", src)]
+    /// Lints `files` through the production path (`extract` per file,
+    /// then `cross_check_all`), keeping this lint's findings.
+    fn check(files: &[(&str, &str)], design: Option<(&str, &str)>) -> Vec<Finding> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, text)| (rel.to_string(), text.to_string()))
+            .collect();
+        let mut out = crate::run_files(&files, design);
+        out.retain(|f| f.lint == NAME);
+        out
+    }
+
+    fn files(src: &str) -> Vec<(&'static str, &str)> {
+        vec![("crates/obs/src/m.rs", src)]
     }
 
     #[test]
@@ -485,7 +479,7 @@ History series:
             "#[cfg(test)]\nmod tests {\n fn f(r: &R) { r.counter(\"x_total\", \"\", &[]); \
              h.record_sample(\"y\", 1.0); }\n}\n",
         );
-        fs.push(SourceFile::new(
+        fs.push((
             "crates/eval/src/bin/experiments.rs",
             "fn main() { global().counter(\"y_total\", \"\", &[]); }\n",
         ));

@@ -2,30 +2,19 @@
 //!
 //! Each lint is a function from source files to [`Finding`]s; the
 //! runner in [`crate::run_files`] applies pragma suppression and
-//! ordering. Scope conventions shared by several lints:
-//!
-//! * **hot-path crates** — `parsers`, `ingest`, `obs`, `store`, `jobs`,
-//!   plus `crates/core/src/parallel.rs` (the parallel driver): the code
-//!   the streaming pipeline and the parallel driver execute per
-//!   line/batch (the store sits on the per-batch durability path; the
-//!   jobs coordinator supervises long-running work and must never
-//!   panic mid-job).
-//! * Only [`Role::Lib`](crate::source::Role::Lib) code outside
-//!   `#[cfg(test)]` regions is checked unless a lint says otherwise —
-//!   tests, examples and binaries may panic and time freely.
+//! ordering. Only [`Role::Lib`](crate::source::Role::Lib) code outside
+//! `#[cfg(test)]` regions is checked unless a lint says otherwise —
+//! tests, examples and binaries may panic and time freely.
 
 pub mod durability;
 pub mod hot_alloc;
-pub mod lock_hold;
-pub mod lock_order;
 pub mod metric_hygiene;
 pub mod panic_freedom;
 pub mod pragmas;
-pub mod thread_leak;
 pub mod timing;
 pub mod unsafe_allowlist;
 
-use crate::source::{Role, SourceFile};
+use crate::source::SourceFile;
 
 /// How a finding counts toward the exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -60,7 +49,7 @@ pub struct Finding {
     /// Human explanation.
     pub message: String,
     /// Extra anchor lines whose pragmas also suppress this finding
-    /// (e.g. a lock guard's acquisition line).
+    /// (`durability-discipline`'s `fn` declaration line).
     pub also_allow_at: Vec<u32>,
 }
 
@@ -94,12 +83,7 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
     (
         "unsafe-allowlist",
         Severity::Error,
-        "unsafe only in ingest/src/signal.rs; crate roots must forbid unsafe_code",
-    ),
-    (
-        "lock-channel-hold",
-        Severity::Warn,
-        "no blocking send/recv or I/O while a Mutex/RwLock guard is live",
+        "unsafe only in ingest/src/signal.rs and core/src/mmap.rs; crate roots must forbid unsafe_code",
     ),
     (
         "obs-metric-hygiene",
@@ -117,19 +101,9 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
         "no to_string/String::from/format! in loop bodies of parsers or the parallel driver",
     ),
     (
-        "lock-order-cycle",
-        Severity::Warn,
-        "no lock-order cycles across the workspace call graph (potential deadlock)",
-    ),
-    (
         "durability-discipline",
         Severity::Error,
         "create/write->rename publish paths fsync file and directory, or name their flush tier",
-    ),
-    (
-        "thread-leak",
-        Severity::Warn,
-        "every thread::spawn/Builder::spawn handle is joined or carries a reasoned detach pragma",
     ),
     (
         "bad-pragma",
@@ -141,17 +115,6 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
 /// True when `name` is a lint `lint:allow` may reference.
 pub fn known_lint(name: &str) -> bool {
     CATALOG.iter().any(|(n, _, _)| *n == name)
-}
-
-/// Hot-path scope shared by panic-freedom and lock-channel-hold.
-pub fn is_hot_path(file: &SourceFile) -> bool {
-    if file.role != Role::Lib {
-        return false;
-    }
-    matches!(
-        file.crate_name.as_str(),
-        "parsers" | "ingest" | "obs" | "store" | "jobs"
-    ) || file.rel == "crates/core/src/parallel.rs"
 }
 
 /// Yields `(line_no, masked_line)` for every non-test line of `file`.

@@ -1,8 +1,12 @@
 //! `panic-freedom`: hot-path library code must not contain reachable
 //! panic sites.
 //!
-//! Flagged in hot-path crates (see [`super::is_hot_path`]), outside
-//! test regions:
+//! Flagged in hot-path crates — `parsers`, `ingest`, `obs`, `store`,
+//! `jobs`, plus `crates/core/src/parallel.rs` (the parallel driver): the
+//! code the streaming pipeline and the parallel driver execute per
+//! line/batch (the store sits on the per-batch durability path; the
+//! jobs coordinator supervises long-running work and must never panic
+//! mid-job) — outside test regions:
 //!
 //! * `.unwrap()` / `.expect(` — convert to `Result`/`Option`
 //!   propagation, `unwrap_or_else(PoisonError::into_inner)` for lock
@@ -14,10 +18,18 @@
 //!   (they are pervasively bounds-derived), so this sub-check is a
 //!   warning while the panic-macro sub-check is an error.
 
-use super::{code_lines, find_all, is_hot_path, Finding, Severity};
-use crate::source::SourceFile;
+use super::{code_lines, find_all, Finding, Severity};
+use crate::source::{Role, SourceFile};
 
 const NAME: &str = "panic-freedom";
+
+fn is_hot_path(file: &SourceFile) -> bool {
+    file.role == Role::Lib
+        && (matches!(
+            file.crate_name.as_str(),
+            "parsers" | "ingest" | "obs" | "store" | "jobs"
+        ) || file.rel == "crates/core/src/parallel.rs")
+}
 
 const CALLS: &[(&str, &str)] = &[
     (".unwrap()", "`unwrap()` can panic"),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! logparse-lint --workspace [--root PATH] [--deny warnings]
-//!               [--stats] [--sarif PATH] [PATH…]
+//!               [--stats] [PATH…]
 //! logparse-lint --list
 //! ```
 //!
@@ -24,7 +24,6 @@ struct Args {
     deny_warnings: bool,
     list: bool,
     stats: bool,
-    sarif: Option<PathBuf>,
     only: Vec<String>,
 }
 
@@ -34,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         deny_warnings: false,
         list: false,
         stats: false,
-        sarif: None,
         only: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -56,12 +54,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--list" => args.list = true,
             "--stats" => args.stats = true,
-            "--sarif" => {
-                args.sarif = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--sarif needs a path".to_string())?,
-                ));
-            }
             "--help" | "-h" => {
                 return Err(String::new());
             }
@@ -73,7 +65,21 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: logparse-lint [--workspace] [--root PATH] \
-                     [--deny warnings] [--stats] [--sarif PATH] [--list] [PATH…]";
+                     [--deny warnings] [--stats] [--list] [PATH…]";
+
+/// The `--list` output: one line per catalog lint, names padded to the
+/// longest so the severity column lines up.
+fn catalog_listing() -> String {
+    let width = CATALOG
+        .iter()
+        .map(|(name, _, _)| name.len())
+        .max()
+        .unwrap_or(0);
+    CATALOG
+        .iter()
+        .map(|(name, severity, what)| format!("{name:<width$} {:<8} {what}\n", severity.label()))
+        .collect()
+}
 
 fn main() -> ExitCode {
     let args = match parse_args() {
@@ -88,9 +94,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        for (name, severity, what) in CATALOG {
-            println!("{name:<20} {:<8} {what}", severity.label());
-        }
+        print!("{}", catalog_listing());
         return ExitCode::SUCCESS;
     }
     let (mut findings, stats) = match run_workspace_stats(&args.root) {
@@ -105,15 +109,6 @@ fn main() -> ExitCode {
     };
     if !args.only.is_empty() {
         findings.retain(|f| args.only.iter().any(|p| f.rel.starts_with(p.as_str())));
-    }
-    if let Some(path) = &args.sarif {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(path, report::sarif(&findings, args.deny_warnings)) {
-            eprintln!("lint: cannot write SARIF to {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
     }
     print!("{}", report::human(&findings, args.deny_warnings));
     if args.stats {
@@ -133,5 +128,27 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn listing_aligns_the_severity_column() {
+        let listing = catalog_listing();
+        let lines: Vec<&str> = listing.lines().collect();
+        assert_eq!(lines.len(), CATALOG.len());
+        let width = CATALOG.iter().map(|(n, _, _)| n.len()).max().unwrap();
+        for (line, (name, severity, _)) in lines.iter().zip(CATALOG) {
+            assert_eq!(line[..width].trim_end(), *name, "{line}");
+            let label = severity.label();
+            assert_eq!(
+                line[width..width + label.len() + 2],
+                format!(" {label} "),
+                "{line}"
+            );
+        }
     }
 }

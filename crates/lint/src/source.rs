@@ -114,8 +114,8 @@ impl SourceFile {
     /// pragma. A pragma covers its own line and the next *code* line
     /// (comment-only and blank lines in between are skipped, so a
     /// multi-line reason still reaches its target). `extra_lines` lets
-    /// a lint bless a whole region from one anchor (lock guards accept
-    /// a pragma on the acquisition line).
+    /// a finding accept a pragma at another anchor
+    /// (`durability-discipline` accepts one on the `fn` line).
     pub fn suppressed(&self, lint: &str, n: u32, extra_lines: &[u32]) -> bool {
         self.pragmas.iter().any(|p| {
             p.lint == lint
@@ -295,5 +295,19 @@ mod tests {
         // Reason missing: parsed but never suppresses.
         assert!(f.pragmas[2].reason.is_empty());
         assert!(!f.suppressed("x", 5, &[]));
+    }
+
+    #[test]
+    fn pragma_coverage_spans_own_and_next_code_line() {
+        let f = SourceFile::new(
+            "crates/ingest/src/x.rs",
+            "// lint:allow(panic-freedom): documented invariant\n\n\
+             fn f(v: &[u32]) -> u32 { v[0] }\n",
+        );
+        assert!(f.suppressed("panic-freedom", 1, &[]));
+        assert!(f.suppressed("panic-freedom", 3, &[]), "blank line skipped");
+        assert!(!f.suppressed("panic-freedom", 4, &[]));
+        assert!(!f.suppressed("timing-discipline", 3, &[]));
+        assert!(f.suppressed("panic-freedom", 99, &[3]), "extras route");
     }
 }

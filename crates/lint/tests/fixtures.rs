@@ -24,7 +24,7 @@ fn lint_as(rel: &str, fixture_name: &str) -> Vec<Finding> {
 }
 
 /// Lints several fixtures together — the multi-file shape the
-/// call-graph lints need.
+/// call-graph lint needs.
 fn lint_many(files: &[(&str, &str)]) -> Vec<Finding> {
     let loaded: Vec<(String, String)> = files
         .iter()
@@ -116,28 +116,6 @@ fn crate_roots_must_forbid_unsafe_code() {
 }
 
 #[test]
-fn lock_hold_fires_on_send_under_guard_and_respects_scope_and_pragma() {
-    let out = lint_as("crates/ingest/src/fixture.rs", "lock_hold/violation.rs");
-    assert_eq!(lint_names(&out), vec!["lock-channel-hold"], "{out:?}");
-    assert!(out[0].message.contains("channel send"), "{out:?}");
-    assert!(
-        !out[0].also_allow_at.is_empty(),
-        "carries its acquisition anchor"
-    );
-
-    let scoped = lint_as("crates/ingest/src/fixture.rs", "lock_hold/clean.rs");
-    assert!(
-        scoped.is_empty(),
-        "guard scope closed before send: {scoped:?}"
-    );
-    let blessed = lint_as("crates/ingest/src/fixture.rs", "lock_hold/blessed.rs");
-    assert!(
-        blessed.is_empty(),
-        "acquisition-line pragma blesses the scope: {blessed:?}"
-    );
-}
-
-#[test]
 fn metric_hygiene_cross_checks_code_against_design() {
     let design = fixture("metric_hygiene/design.md");
     let files = vec![(
@@ -219,41 +197,6 @@ fn hot_path_string_alloc_fires_in_parser_loops_only() {
 }
 
 #[test]
-fn lock_order_cycle_fires_across_files_with_witness() {
-    let out = lint_many(&[
-        ("crates/obs/src/fixture.rs", "lock_order/violation_a.rs"),
-        ("crates/store/src/fixture.rs", "lock_order/violation_b.rs"),
-    ]);
-    assert_eq!(lint_names(&out), vec!["lock-order-cycle"], "{out:?}");
-    assert_eq!(out[0].severity, Severity::Warn);
-    let m = &out[0].message;
-    assert!(m.contains("lock-order cycle"), "{m}");
-    assert!(m.contains("`REG`") && m.contains("`JOURNAL`"), "{m}");
-    // The witness path must cross files: the forward edge calls into
-    // the other fixture and names both acquisition sites.
-    assert!(
-        m.contains("calls `take_journal` (crates/obs/src/fixture.rs:"),
-        "{m}"
-    );
-    assert!(m.contains("crates/store/src/fixture.rs:"), "{m}");
-}
-
-#[test]
-fn lock_order_consistent_twin_and_blessed_twin_are_clean() {
-    let clean = lint_many(&[
-        ("crates/obs/src/fixture.rs", "lock_order/clean_a.rs"),
-        ("crates/store/src/fixture.rs", "lock_order/clean_b.rs"),
-    ]);
-    assert!(clean.is_empty(), "consistent order: {clean:?}");
-
-    let blessed = lint_many(&[
-        ("crates/obs/src/fixture.rs", "lock_order/blessed_a.rs"),
-        ("crates/store/src/fixture.rs", "lock_order/blessed_b.rs"),
-    ]);
-    assert!(blessed.is_empty(), "pragma on the hold site: {blessed:?}");
-}
-
-#[test]
 fn durability_discipline_fires_on_unsynced_rename() {
     let out = lint_as("crates/store/src/fixture.rs", "durability/violation.rs");
     assert_eq!(lint_names(&out), vec!["durability-discipline"], "{out:?}");
@@ -300,27 +243,6 @@ fn durability_clean_and_blessed_twins_are_silent() {
     assert!(clean.is_empty(), "{clean:?}");
     let blessed = lint_as("crates/store/src/fixture.rs", "durability/blessed.rs");
     assert!(blessed.is_empty(), "flush-tier pragma: {blessed:?}");
-}
-
-#[test]
-fn thread_leak_fires_on_dropped_handles_and_respects_pragma() {
-    let out = lint_as("crates/obs/src/fixture.rs", "thread_leak/violation.rs");
-    assert_eq!(
-        lint_names(&out),
-        vec!["thread-leak", "thread-leak"],
-        "{out:?}"
-    );
-    assert!(out[0].message.contains("discarded"), "{}", out[0].message);
-    assert!(out[1].message.contains("`handle`"), "{}", out[1].message);
-
-    let clean = lint_as("crates/obs/src/fixture.rs", "thread_leak/clean.rs");
-    assert!(clean.is_empty(), "{clean:?}");
-    let blessed = lint_as("crates/obs/src/fixture.rs", "thread_leak/blessed.rs");
-    assert!(blessed.is_empty(), "detach pragma: {blessed:?}");
-
-    // Binaries manage their own lifetimes; the lint is library-scoped.
-    let bin = lint_as("crates/cli/src/bin/fixture.rs", "thread_leak/violation.rs");
-    assert!(bin.is_empty(), "{bin:?}");
 }
 
 #[test]

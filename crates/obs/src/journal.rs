@@ -239,7 +239,6 @@ impl Journal {
         line.push_str(",\"seq\":");
         // Poison recovery: a panic mid-write elsewhere leaves at worst a
         // torn line; monitoring must keep running regardless.
-        // lint:allow(lock-channel-hold): this mutex exists to serialize the buffered writer — the I/O below is the guarded resource, and no other lock or channel is touched while it is held
         let mut sink = self
             .sink
             .lock()
@@ -276,7 +275,6 @@ impl Journal {
 
     /// Flushes any buffered events to the sink.
     pub fn flush(&self) {
-        // lint:allow(lock-channel-hold): same writer-serialization lock as emit() — flushing is what the guard is for
         let mut sink = self
             .sink
             .lock()
