@@ -53,7 +53,6 @@ const VALUED: &[&str] = &[
     "warmup",
     "checkpoint",
     "checkpoint-every",
-    "compact-bytes",
     "events-max-mb",
     "max-lines",
     "metrics-addr",

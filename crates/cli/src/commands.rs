@@ -39,8 +39,7 @@ USAGE:
   logmine serve    [FILE] [--follow] [--listen ADDR] [--parser drain|spell]
                    [--shards N] [--batch-size N] [--flush-ms MS]
                    [--window N] [--history N] [--warmup N]
-                   [--checkpoint DIR [--checkpoint-every N] [--resume]
-                    [--compact-bytes N]]
+                   [--checkpoint DIR [--checkpoint-every N] [--resume]]
                    [--max-lines N] [--events-out FILE [--events-max-mb MB]]
                    [--alpha A] [--components K] [--metrics-addr ADDR]
                    [--alert-rules FILE] [--no-alerts] [--no-drift]
@@ -373,7 +372,6 @@ fn build_ingest_config(args: &Args) -> Result<IngestConfig, Box<dyn Error>> {
         history: args.parsed_or("history", defaults.history)?,
         warmup: args.parsed_or("warmup", defaults.warmup)?,
         store_dir: args.option("checkpoint").map(std::path::PathBuf::from),
-        store_compact_bytes: args.parsed_or("compact-bytes", defaults.store_compact_bytes)?,
         checkpoint_every: args.parsed_or("checkpoint-every", defaults.checkpoint_every)?,
         max_lines: args
             .option("max-lines")
@@ -752,18 +750,11 @@ fn jobs_dlq_retry(args: &Args) -> CliResult {
         println!("dead-letter queue is empty; nothing to retry");
         return Ok(());
     }
-    let (store, _) = TemplateStore::open(
-        &jobproto::state_dir(&job_dir),
-        &StoreConfig {
-            shards: 1,
-            ..StoreConfig::default()
-        },
-    )?;
+    jobproto::prepare_state_dir(&job_dir)?;
     for record in &records {
-        store.put_blob(&format!("attempts-{}", record.task), b"0")?;
+        jobproto::save_attempts(&job_dir, record.task, 0)?;
         std::fs::remove_file(jobproto::dlq_record_path(&job_dir, record.task))?;
     }
-    store.finish()?;
     eprintln!(
         "requeued {} dead-lettered task(s): {}",
         records.len(),

@@ -244,6 +244,49 @@ fn store_inspect_and_verify_read_the_frozen_v1_store() {
     );
 }
 
+/// `store compact` over a copy of the same store folds it into one new
+/// generation that `store verify` accepts and that holds the id space
+/// and canonical templates the frozen inspection reports.
+#[test]
+fn store_compact_keeps_the_frozen_v1_store_verifiable_and_whole() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures");
+    let dir = std::env::temp_dir().join(format!("logmine-store-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let copied = Command::new("cp")
+        .arg("-r")
+        .arg(fixtures.join("store_v1"))
+        .arg(&dir)
+        .status()
+        .unwrap();
+    assert!(copied.success());
+    let run = |action: &str| {
+        let out = logmine()
+            .current_dir(&dir)
+            .args(["store", action, "store_v1"])
+            .output()
+            .unwrap();
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "store {action} failed: {said}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    assert_eq!(
+        run("compact"),
+        "compacted 8 shard(s) at generation 2: 72 log record(s) folded into snapshots\n"
+    );
+    run("verify");
+    let totals = |inspection: &str| -> Vec<String> {
+        let totals = inspection
+            .lines()
+            .filter(|line| line.starts_with("id space") || line.starts_with("canonical"));
+        totals.map(str::to_owned).collect()
+    };
+    let frozen = std::fs::read_to_string(fixtures.join("store_v1.inspect.txt")).unwrap();
+    assert_eq!(totals(&run("inspect")), totals(&frozen));
+    assert_eq!(totals(&frozen).len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The parser is resolved before the corpus is loaded: a mistyped name
 /// is reported as such, at once, even when the input cannot be read.
 #[test]

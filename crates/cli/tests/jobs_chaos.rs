@@ -135,6 +135,45 @@ fn worker_sigkill_retries_to_identical_output() {
     }
 }
 
+/// A job's `state/` holds its blobs and nothing else: the manifest and
+/// one attempt counter per task. A temp file left there by a write
+/// killed before its rename is swept by the next run before it writes.
+#[test]
+fn job_state_holds_only_blobs_and_a_resume_sweeps_stale_temps() {
+    let (dir, corpus) = scratch("state");
+    let job_dir = dir.join("job");
+    let events = dir.join("jobs.events");
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(job_dir.join("state"))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let blobs = [
+        "attempts-0",
+        "attempts-1",
+        "attempts-2",
+        "attempts-3",
+        "job",
+    ]
+    .map(|name| format!("{name}.blob"));
+    let out = jobs_run(&dir, &corpus, &job_dir, &events).output().unwrap();
+    assert!(out.status.success(), "jobs run failed: {}", stderr(&out));
+    assert_eq!(listing(), blobs);
+
+    let stale = job_dir.join("state/.attempts-1.blob.4242.tmp");
+    std::fs::write(stale, b"half a write").unwrap();
+    let resumed = jobs_run(&dir, &corpus, &job_dir, &events).output().unwrap();
+    let said = stderr(&resumed);
+    assert!(
+        resumed.status.success() && said.contains("(resumed)"),
+        "{said}"
+    );
+    assert_eq!(listing(), blobs);
+}
+
 /// A shard that crashes on every attempt consumes exactly its attempt
 /// budget, then lands in the DLQ with a replayable record, and the
 /// whole trail carries the job's correlation id.

@@ -16,7 +16,7 @@
 //!
 //! The map is a [`logparse_core::TemplateMerge`], shared with the batch
 //! parallel-parsing driver. A resumed run starts on the one the store
-//! replayed, and compaction snapshots a clone of it.
+//! replayed, and compaction snapshots it.
 //!
 //! ## Windows
 //!
@@ -36,7 +36,7 @@ use logparse_core::{MergeDelta, TemplateMerge};
 use logparse_linalg::Matrix;
 use logparse_mining::PcaDetector;
 use logparse_obs::{AlertEngine, History, HistorySampler, Journal, Json};
-use logparse_store::TemplateStore;
+use logparse_store::{write_blob, TemplateStore};
 
 use crate::checkpoint::ParserSnapshot;
 use crate::metrics::{AggregatorMetrics, DriftMetrics, TOP_K};
@@ -561,8 +561,7 @@ pub(crate) fn run_aggregator(
                     let snapshots: Vec<ParserSnapshot> = slots.into_iter().flatten().collect();
                     if let Some(store) = store.as_mut() {
                         write_checkpoint(
-                            store, parser, generation, lines, &snapshots, &mut map, &events,
-                            &metrics,
+                            store, parser, generation, lines, &snapshots, &map, &events, &metrics,
                         )?;
                         checkpoints_written += 1;
                     }
@@ -606,15 +605,14 @@ pub(crate) fn run_aggregator(
             checkpoints_written,
             lines,
             &final_snapshots,
-            &mut map,
+            &map,
             &events,
             &metrics,
         )?;
         checkpoints_written += 1;
     }
-    // The consuming close: waits out any background compaction and
-    // fsyncs every delta log, upgrading the run's tail from
-    // SIGKILL-durable to power-loss-durable.
+    // The consuming close: fsyncs every delta log, upgrading the run's
+    // tail from SIGKILL-durable to power-loss-durable.
     if let Some(store) = store {
         store.finish()?;
     }
@@ -657,8 +655,8 @@ fn merge_durably(
 /// Persists one checkpoint into the store: parser snapshots and run
 /// metadata as blobs, then an fsync of every delta log so everything
 /// the checkpoint describes is power-loss-durable. When a shard log
-/// has outgrown the compaction threshold, a background compaction
-/// folds the current map into fresh snapshots.
+/// has outgrown [`logparse_store::COMPACT_LOG_BYTES`], the store then
+/// folds the current map into fresh snapshots before this returns.
 #[allow(clippy::too_many_arguments)] // internal helper mirroring checkpoint state
 fn write_checkpoint(
     store: &mut TemplateStore,
@@ -666,7 +664,7 @@ fn write_checkpoint(
     generation: u64,
     lines: u64,
     shards: &[ParserSnapshot],
-    map: &mut TemplateMerge,
+    map: &TemplateMerge,
     events: &Journal,
     metrics: &AggregatorMetrics,
 ) -> Result<(), IngestError> {
@@ -677,7 +675,8 @@ fn write_checkpoint(
             &[],
         );
         for (shard, snapshot) in shards.iter().enumerate() {
-            store.put_blob(
+            write_blob(
+                store.dir(),
                 &format!("parser-{shard}"),
                 snapshot.to_json().to_string().as_bytes(),
             )?;
@@ -689,7 +688,7 @@ fn write_checkpoint(
             ("lines".into(), Json::num(lines as f64)),
             ("shards".into(), Json::usize(shards.len())),
         ]);
-        store.put_blob("meta", meta.to_string().as_bytes())?;
+        write_blob(store.dir(), "meta", meta.to_string().as_bytes())?;
         store.sync()?;
     }
     metrics.checkpoints.inc();
@@ -703,7 +702,82 @@ fn write_checkpoint(
         ],
     );
     if store.should_compact() {
-        store.compact_background(map.clone())?;
+        store.compact(map)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::Checkpoint;
+    use crate::metrics::StageMetrics;
+    use crate::pipeline::open_store;
+    use logparse_parsers::StreamingDrain;
+    use logparse_store::COMPACT_LOG_BYTES;
+
+    /// `store_compaction_runs_total` in the process registry.
+    fn compaction_runs() -> u64 {
+        logparse_obs::global()
+            .counter("store_compaction_runs_total", "", &[])
+            .get()
+    }
+
+    /// Sorted `((shard, local), gid)` bindings.
+    fn bindings(map: &TemplateMerge) -> Vec<((usize, usize), usize)> {
+        let mut bindings: Vec<_> = map.assignments().collect();
+        bindings.sort_unstable();
+        bindings
+    }
+
+    #[test]
+    fn a_checkpoint_past_the_log_threshold_compacts_and_resumes_identically() {
+        let dir = std::env::temp_dir().join(format!("ingest-agg-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, mut map) = open_store(&dir, None).unwrap();
+        let mut store = Some(store);
+        // Worker shard 0 announces templates 32 at a time until one store
+        // shard's log has passed the threshold.
+        let padding = "x".repeat((COMPACT_LOG_BYTES / 64) as usize);
+        let (mut keys, mut deltas) = (Vec::new(), Vec::new());
+        while !store.as_ref().is_some_and(TemplateStore::should_compact) {
+            let next = keys.len();
+            keys.extend((next..next + 32).map(|i| format!("event {i} {padding}")));
+            merge_durably(&mut map, 0, &keys, &mut store, &mut deltas).unwrap();
+        }
+        let mut store = store.unwrap();
+
+        // A parser snapshot that knows every local id, so a resume keeps
+        // every binding.
+        let mut drain = StreamingDrain::default().snapshot();
+        drain.groups = vec![Vec::new(); keys.len()];
+        let snapshots = vec![ParserSnapshot::Drain(drain)];
+        let metrics = StageMetrics::new(1, "drain").aggregator;
+        let (generation, runs) = (store.generation(), compaction_runs());
+        write_checkpoint(
+            &mut store,
+            ParserChoice::Drain,
+            0,
+            keys.len() as u64,
+            &snapshots,
+            &map,
+            &Journal::disabled(),
+            &metrics,
+        )
+        .unwrap();
+        assert_eq!(store.generation(), generation + 1);
+        assert_eq!(compaction_runs(), runs + 1);
+        assert!(!store.should_compact(), "the logs restarted empty");
+        store.finish().unwrap();
+
+        let checkpoint = Checkpoint::recover(&dir, ParserChoice::Drain, 1)
+            .unwrap()
+            .expect("the store holds a checkpoint");
+        assert_eq!(checkpoint.shards, snapshots);
+        let (store, resumed) = open_store(&dir, Some(&checkpoint)).unwrap();
+        store.finish().unwrap();
+        assert_eq!(resumed.canonical_templates(), map.canonical_templates());
+        assert_eq!(bindings(&resumed), bindings(&map));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

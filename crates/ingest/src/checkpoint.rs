@@ -23,7 +23,7 @@
 use std::path::Path;
 
 use logparse_parsers::{DrainTreeState, SpellStateSnapshot, StreamingDrain, StreamingSpell};
-use logparse_store::{BlobRead, TemplateStore};
+use logparse_store::{read_blob, BlobRead, TemplateStore};
 
 use crate::{IngestError, ParserChoice};
 use logparse_obs::Json;
@@ -288,17 +288,21 @@ impl Checkpoint {
     ///   `(shard, local)` bindings) — the shard re-learns its templates
     ///   and re-unifies them by key onto their old global ids;
     /// * a missing/corrupt `meta` blob restarts line/window numbering
-    ///   at zero with `fallback_shards` empty parsers, keeping every
-    ///   template the store recovered.
+    ///   at zero with `shards` empty parsers, keeping every template
+    ///   the store recovered.
+    ///
+    /// `shards` is the shard count the resuming pipeline is configured
+    /// with. A `meta` blob recording another count is refused before
+    /// anything is sized by it — the pipeline could not resume from it.
     pub fn recover(
         dir: &Path,
         parser: ParserChoice,
-        fallback_shards: usize,
+        shards: usize,
     ) -> Result<Option<Self>, IngestError> {
         if !TemplateStore::is_store(dir) {
             return Ok(None);
         }
-        let meta = match TemplateStore::read_blob(dir, "meta")? {
+        let meta = match read_blob(dir, "meta")? {
             BlobRead::Ok(bytes) => String::from_utf8(bytes)
                 .ok()
                 .and_then(|text| Json::parse(&text).ok()),
@@ -315,29 +319,32 @@ impl Checkpoint {
                     parser,
                     doc.get("generation").and_then(Json::as_f64).unwrap_or(0.0) as u64,
                     doc.get("lines").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                    doc.get("shards")
-                        .and_then(Json::as_usize)
-                        .unwrap_or(fallback_shards),
+                    doc.get("shards").and_then(Json::as_usize).unwrap_or(shards),
                 )
             }
-            None => (parser, 0, 0, fallback_shards),
+            None => (parser, 0, 0, shards),
         };
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let snapshot = match TemplateStore::read_blob(dir, &format!("parser-{shard}"))? {
+        if shard_count != shards {
+            return Err(IngestError::Config(format!(
+                "checkpoint has {shard_count} shards, config asks for {shards}"
+            )));
+        }
+        let mut snapshots = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let snapshot = match read_blob(dir, &format!("parser-{shard}"))? {
                 BlobRead::Ok(bytes) => String::from_utf8(bytes)
                     .ok()
                     .and_then(|text| Json::parse(&text).ok())
                     .and_then(|doc| ParserSnapshot::from_json(parser, &doc).ok()),
                 BlobRead::Missing | BlobRead::Corrupt => None,
             };
-            shards.push(snapshot.unwrap_or_else(|| ParserSnapshot::empty(parser)));
+            snapshots.push(snapshot.unwrap_or_else(|| ParserSnapshot::empty(parser)));
         }
         Ok(Some(Checkpoint {
             parser,
             generation,
             lines,
-            shards,
+            shards: snapshots,
         }))
     }
 }
@@ -345,9 +352,10 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{open_store, IngestConfig};
+    use crate::pipeline::open_store;
     use logparse_core::MergeDelta;
     use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
+    use logparse_store::write_blob;
 
     fn sample_checkpoint() -> Checkpoint {
         let mut drain = StreamingDrain::default();
@@ -415,12 +423,12 @@ mod tests {
             TemplateStore::open(dir, &logparse_store::StoreConfig::default()).unwrap();
         store.append(&sample_map()).unwrap();
         for (shard, snapshot) in cp.shards.iter().enumerate() {
-            store
-                .put_blob(
-                    &format!("parser-{shard}"),
-                    snapshot.to_json().to_string().as_bytes(),
-                )
-                .unwrap();
+            write_blob(
+                dir,
+                &format!("parser-{shard}"),
+                snapshot.to_json().to_string().as_bytes(),
+            )
+            .unwrap();
         }
         let meta = Json::Obj(vec![
             ("version".into(), Json::usize(1)),
@@ -429,14 +437,14 @@ mod tests {
             ("lines".into(), Json::num(cp.lines as f64)),
             ("shards".into(), Json::usize(cp.shards.len())),
         ]);
-        store.put_blob("meta", meta.to_string().as_bytes()).unwrap();
+        write_blob(dir, "meta", meta.to_string().as_bytes()).unwrap();
         store.finish().unwrap();
         cp
     }
 
     /// The map a pipeline resuming from `checkpoint` would start on.
     fn resumed_map(dir: &std::path::Path, checkpoint: &Checkpoint) -> logparse_core::TemplateMerge {
-        let (store, map) = open_store(dir, &IngestConfig::default(), Some(checkpoint)).unwrap();
+        let (store, map) = open_store(dir, Some(checkpoint)).unwrap();
         store.finish().unwrap();
         map
     }
@@ -505,6 +513,28 @@ mod tests {
         // keeps every template the store holds.
         let map = resumed_map(&dir, &recovered);
         assert_eq!(map.canonical_count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_refuses_a_meta_shard_count_the_config_does_not_ask_for() {
+        let dir = store_dir("shard-count");
+        populated_store(&dir);
+        // `1e300` is CRC-valid JSON that `as_usize` saturates to
+        // `usize::MAX`; it must be refused, not used to size anything.
+        for (recorded, read_as) in [("1e300", usize::MAX), ("3", 3)] {
+            let meta = format!(
+                "{{\"version\":1,\"parser\":\"drain\",\"generation\":3,\"lines\":1234,\"shards\":{recorded}}}"
+            );
+            write_blob(&dir, "meta", meta.as_bytes()).unwrap();
+            match Checkpoint::recover(&dir, ParserChoice::Drain, 2) {
+                Err(IngestError::Config(msg)) => assert_eq!(
+                    msg,
+                    format!("checkpoint has {read_as} shards, config asks for 2")
+                ),
+                other => panic!("shards {recorded}: expected a config error, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -68,9 +68,6 @@ pub struct IngestConfig {
     /// Directory of the durable template store checkpoints are written
     /// into (created on first use); `None` disables checkpointing.
     pub store_dir: Option<std::path::PathBuf>,
-    /// Per-shard delta-log size (bytes) at which the store compacts
-    /// its logs into fresh snapshots in the background.
-    pub store_compact_bytes: u64,
     /// Routed lines between periodic checkpoints; 0 = final only.
     pub checkpoint_every: u64,
     /// Stop after this many lines (useful for bounded serves); `None`
@@ -112,7 +109,6 @@ impl Default for IngestConfig {
             history: 64,
             warmup: 8,
             store_dir: None,
-            store_compact_bytes: logparse_store::DEFAULT_COMPACT_LOG_BYTES,
             checkpoint_every: 0,
             max_lines: None,
             detector: PcaDetectorConfig::default(),
@@ -244,7 +240,7 @@ pub fn run_pipeline(
     }
     let (store, map) = match &config.store_dir {
         Some(dir) => {
-            let (store, map) = open_store(dir, config, resume)?;
+            let (store, map) = open_store(dir, resume)?;
             (Some(store), map)
         }
         None => (None, TemplateMerge::new()),
@@ -521,14 +517,9 @@ pub fn run_pipeline(
 ///   re-unified by key onto its old global id.
 pub(crate) fn open_store(
     dir: &std::path::Path,
-    config: &IngestConfig,
     resume: Option<&Checkpoint>,
 ) -> Result<(TemplateStore, TemplateMerge), IngestError> {
-    let store_config = StoreConfig {
-        compact_log_bytes: config.store_compact_bytes,
-        ..StoreConfig::default()
-    };
-    let (store, recovery) = TemplateStore::open(dir, &store_config)?;
+    let (store, recovery) = TemplateStore::open(dir, &StoreConfig::default())?;
     let mut map = recovery.state;
     match resume {
         Some(checkpoint) => map.retain_bindings(|shard, local| {

@@ -7,8 +7,8 @@
 //! [`protocol`](crate::protocol), journal events, and metrics. Crash
 //! safety comes entirely from the protocol's durable artifacts:
 //!
-//! * the manifest and per-task attempt counters live in a
-//!   `logparse-store` state store (CRC-framed, atomically renamed);
+//! * the manifest and per-task attempt counters are CRC-framed blobs
+//!   in `state/`, published by atomic rename;
 //! * a task counts as complete **iff** its `out/task-<i>.json`
 //!   validates against the manifest, and as dead **iff** its
 //!   `dlq/task-<i>.json` exists;
@@ -29,12 +29,12 @@ use std::time::{Duration, Instant};
 use logparse_core::{corpus_cuts, merge_chunks, EventId, Parse};
 use logparse_obs::journal::mint_run_id;
 use logparse_obs::{Journal, Json};
-use logparse_store::{sync_dir, BlobRead, StoreConfig, TemplateStore};
+use logparse_store::sync_dir;
 
 use crate::metrics::JobMetrics;
 use crate::protocol::{
-    dlq_dir, events_path, job_parser, kill_self, out_dir, state_dir, DlqRecord, FaultPlan,
-    JobManifest, ResultRead, ShardResult,
+    dlq_dir, events_path, job_parser, kill_self, load_attempts, out_dir, prepare_state_dir,
+    save_attempts, DlqRecord, FaultPlan, JobManifest, ResultRead, ShardResult,
 };
 use crate::scheduler::{Action, FailureDisposition, Scheduler, TaskSeed};
 use crate::JobError;
@@ -98,22 +98,6 @@ struct RunningWorker {
     child: Child,
     started: Instant,
     spawned_at_ms: u64,
-}
-
-/// Reads how many attempts of `task` previous coordinator incarnations
-/// persisted. Missing or corrupt counters read as 0 — the benign
-/// direction (a lost counter grants attempts, it never steals them).
-fn attempts_used(job_dir: &Path, task: usize) -> Result<u32, JobError> {
-    let name = format!("attempts-{task}");
-    Ok(
-        match TemplateStore::read_blob(&state_dir(job_dir), &name)? {
-            BlobRead::Ok(bytes) => String::from_utf8(bytes)
-                .ok()
-                .and_then(|text| text.trim().parse().ok())
-                .unwrap_or(0),
-            BlobRead::Missing | BlobRead::Corrupt => 0,
-        },
-    )
 }
 
 /// Drains whatever the worker wrote to its piped stderr (bounded by the
@@ -234,12 +218,12 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     // Before the manifest binds the directory to the name: a typo must
     // not cost a worker per attempt and leave an unusable job behind.
     job_parser(&config.parser)?;
-    std::fs::create_dir_all(&config.job_dir)?;
     std::fs::create_dir_all(out_dir(&config.job_dir))?;
     std::fs::create_dir_all(dlq_dir(&config.job_dir))?;
-    // Every publish below (results, DLQ records, store state) renames
+    // Every publish below (results, DLQ records, state blobs) renames
     // into these directories; fsync their entries now so a power loss
     // cannot erase the job layout the durable publishes rely on.
+    // `prepare_state_dir` adds `state/` and syncs `job_dir` itself.
     if let Some(parent) = config
         .job_dir
         .parent()
@@ -247,14 +231,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     {
         sync_dir(parent)?;
     }
-    sync_dir(&config.job_dir)?;
-    let (store, _recovery) = TemplateStore::open(
-        &state_dir(&config.job_dir),
-        &StoreConfig {
-            shards: 1,
-            ..StoreConfig::default()
-        },
-    )?;
+    prepare_state_dir(&config.job_dir)?;
 
     let (manifest, resumed) = match JobManifest::load(&config.job_dir)? {
         Some(existing) => {
@@ -285,7 +262,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                 max_retries: config.max_retries,
                 backoff_ms: config.backoff_ms,
             };
-            manifest.save(&store)?;
+            manifest.save(&config.job_dir)?;
             (manifest, false)
         }
     };
@@ -347,7 +324,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
             sched.restore(task, TaskSeed::DeadLettered);
             continue;
         }
-        let used = attempts_used(&config.job_dir, task)?;
+        let used = load_attempts(&config.job_dir, task)?;
         if used == 0 {
             continue;
         }
@@ -495,7 +472,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                     // Durable *before* the process exists: a coordinator
                     // SIGKILL between here and the spawn costs at most
                     // one attempt, never grants an extra one.
-                    store.put_blob(&format!("attempts-{task}"), attempt.to_string().as_bytes())?;
+                    save_attempts(&config.job_dir, task, attempt)?;
                     journal.emit(
                         "task_assigned",
                         &[
@@ -590,7 +567,6 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
         ],
     );
     journal.flush();
-    store.finish()?;
     Ok(JobOutcome {
         job_id: manifest.job_id,
         resumed,

@@ -93,13 +93,3 @@ impl From<logparse_core::ParseError> for JobError {
         JobError::Protocol(format!("parser error: {e}"))
     }
 }
-
-impl From<logparse_store::StoreError> for JobError {
-    fn from(e: logparse_store::StoreError) -> Self {
-        match e {
-            logparse_store::StoreError::Io(e) => JobError::Io(e),
-            logparse_store::StoreError::Corrupt(msg) => JobError::Protocol(msg),
-            logparse_store::StoreError::Config(msg) => JobError::Config(msg),
-        }
-    }
-}

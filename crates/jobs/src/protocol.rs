@@ -15,9 +15,9 @@
 //!
 //! ```text
 //! job-dir/
-//!   state/            template store: `job` manifest blob (parser,
-//!                     corpus, its line count and byte cuts) and
-//!                     `attempts-<task>` counters (crash-safe blobs)
+//!   state/            CRC-framed blobs: `job.blob`, the manifest
+//!                     (parser, corpus, its line count and byte cuts),
+//!                     and the `attempts-<task>.blob` counters
 //!   out/task-<i>.json completed shard results (atomic rename)
 //!   dlq/task-<i>.json dead-letter records for poison shards
 //!   events.jsonl      appended journal of job lifecycle events
@@ -61,16 +61,49 @@ use logparse_core::{
 };
 use logparse_obs::Json;
 use logparse_parsers::batch_parser;
-use logparse_store::{sync_dir, write_atomic, BlobRead, TemplateStore};
+use logparse_store::{read_blob, sweep_temps, sync_dir, write_atomic, write_blob, BlobRead};
 
 use crate::JobError;
 
 /// Environment variable holding the [`FaultPlan`] for chaos tests.
 pub const FAULT_ENV: &str = "LOGPARSE_FAULT";
 
-/// The job's durable state store (manifest + attempt counters).
+/// The job's durable state: the manifest and attempt-counter blobs.
 pub fn state_dir(job_dir: &Path) -> PathBuf {
     job_dir.join("state")
+}
+
+/// Creates `state/`, pins its entry in `job_dir`, and removes the temp
+/// files a blob write killed before its rename left there. For the
+/// directory's one writer — the coordinator, or `jobs dlq retry` before
+/// it starts one — before it writes.
+pub fn prepare_state_dir(job_dir: &Path) -> Result<(), JobError> {
+    let dir = state_dir(job_dir);
+    std::fs::create_dir_all(&dir)?;
+    sync_dir(job_dir)?;
+    Ok(sweep_temps(&dir)?)
+}
+
+/// Persists how many attempts of `task` have been started, as the
+/// `attempts-<task>` blob.
+pub fn save_attempts(job_dir: &Path, task: usize, attempts: u32) -> Result<(), JobError> {
+    let (name, count) = (format!("attempts-{task}"), attempts.to_string());
+    Ok(write_blob(&state_dir(job_dir), &name, count.as_bytes())?)
+}
+
+/// Reads how many attempts of `task` earlier coordinator incarnations
+/// started. Missing or corrupt counters read as 0 — the benign
+/// direction (a lost counter grants attempts, it never steals them).
+pub fn load_attempts(job_dir: &Path, task: usize) -> Result<u32, JobError> {
+    Ok(
+        match read_blob(&state_dir(job_dir), &format!("attempts-{task}"))? {
+            BlobRead::Ok(bytes) => String::from_utf8(bytes)
+                .ok()
+                .and_then(|text| text.trim().parse().ok())
+                .unwrap_or(0),
+            BlobRead::Missing | BlobRead::Corrupt => 0,
+        },
+    )
 }
 
 /// Where completed shard results land.
@@ -109,7 +142,7 @@ fn publish(job_dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), JobError> {
 }
 
 /// The immutable description of a job, persisted as the `job` blob in
-/// the state store before any worker is spawned. Resume validates the
+/// `state/` before any worker is spawned. Resume validates the
 /// stored manifest against the requested configuration — a job
 /// directory answers for exactly one `(corpus, parser, shards)` triple.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,16 +246,16 @@ impl JobManifest {
         Ok(manifest)
     }
 
-    /// Persists the manifest into the job's state store.
-    pub fn save(&self, store: &TemplateStore) -> Result<(), JobError> {
-        store.put_blob("job", self.to_json().to_string().as_bytes())?;
-        Ok(())
+    /// Persists the manifest as `job_dir`'s `job` blob.
+    pub fn save(&self, job_dir: &Path) -> Result<(), JobError> {
+        let bytes = self.to_json().to_string();
+        Ok(write_blob(&state_dir(job_dir), "job", bytes.as_bytes())?)
     }
 
-    /// Loads the manifest from a job directory; `Ok(None)` when the
-    /// state store has no (valid) manifest blob yet.
+    /// Loads the manifest from a job directory; `Ok(None)` when
+    /// `state/` holds no manifest blob yet.
     pub fn load(job_dir: &Path) -> Result<Option<JobManifest>, JobError> {
-        match TemplateStore::read_blob(&state_dir(job_dir), "job")? {
+        match read_blob(&state_dir(job_dir), "job")? {
             BlobRead::Ok(bytes) => {
                 let text = String::from_utf8(bytes)
                     .map_err(|_| JobError::Protocol("job manifest is not UTF-8".into()))?;
@@ -759,7 +792,6 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), J
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_store::StoreConfig;
 
     fn temp_job(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("jobs-proto-{tag}-{}", std::process::id()));
@@ -784,20 +816,12 @@ mod tests {
 
     /// Saves `m` as `dir`'s `job` blob.
     fn persist(dir: &Path, m: &JobManifest) {
-        let (store, _) = TemplateStore::open(
-            &state_dir(dir),
-            &StoreConfig {
-                shards: 1,
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
-        m.save(&store).unwrap();
-        store.finish().unwrap();
+        prepare_state_dir(dir).unwrap();
+        m.save(dir).unwrap();
     }
 
     #[test]
-    fn manifest_round_trips_through_the_state_store() {
+    fn manifest_round_trips_through_the_state_blob() {
         let dir = temp_job("manifest");
         let m = JobManifest {
             cuts: vec![0, 700, 1400, 2100, 2800],

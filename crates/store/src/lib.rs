@@ -15,9 +15,12 @@
 //!   (`delta-<gen>.log`) of template mutations ([`MergeDelta`]:
 //!   insert / assign / refinement / union). Restart = load the newest
 //!   valid snapshot, replay the logs.
-//! * **Compaction** — logs are periodically folded into fresh
-//!   snapshots (inline or on a background thread), bounding both log
-//!   length and restart time.
+//! * **Compaction** — once a shard's log passes [`COMPACT_LOG_BYTES`],
+//!   the next checkpoint folds the logs into fresh snapshots inline,
+//!   bounding both log length and restart time.
+//! * **Blobs** — [`write_blob`] / [`read_blob`] keep small CRC-framed
+//!   documents beside the logs: a checkpoint's parser states and
+//!   metadata, and a job's manifest and attempt counters.
 //! * **Corruption detection** — every record is CRC-framed
 //!   ([`frame`]); a torn tail (the normal SIGKILL outcome) is
 //!   truncated away, anything worse quarantines the shard instead of
@@ -28,10 +31,10 @@
 //! ingestion aggregator keeps merging on and hands back at compaction.
 //! The aggregator writes through this store, so its checkpoint path
 //! inherits the durability contract. The fsync
-//! helpers ([`write_atomic`], [`sync_dir`]) are exported for the same
-//! reason — any file the pipeline renames into place must also sync
-//! the parent directory, or the rename itself can be lost on power
-//! failure.
+//! helpers ([`write_atomic`], [`sync_dir`], [`sweep_temps`]) are
+//! exported for the same reason — any file the pipeline renames into
+//! place must also sync the parent directory, or the rename itself can
+//! be lost on power failure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,8 +47,8 @@ mod shard;
 mod store;
 
 pub use store::{
-    BlobRead, Recovery, ShardReport, StoreConfig, TemplateStore, DEFAULT_COMPACT_LOG_BYTES,
-    DEFAULT_SHARDS,
+    read_blob, write_blob, BlobRead, Recovery, ShardReport, StoreConfig, TemplateStore,
+    COMPACT_LOG_BYTES, DEFAULT_SHARDS,
 };
 
 use std::fmt;
@@ -114,7 +117,9 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 /// the writer's pid (`.<name>.<pid>.tmp`), so two processes publishing
 /// the same path — an orphaned job worker racing its retry — never
 /// share a temp file; the last rename wins. One a killed writer leaves
-/// behind is removed when the store is next opened.
+/// behind is removed by the directory's next single writer through
+/// [`sweep_temps`]: [`TemplateStore::open`] for a store, the job
+/// coordinator for its `state/`.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let file_name = path
@@ -137,7 +142,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// rename left in `dir`: named per pid, no later write would reuse or
 /// replace them. For a directory's single writer, before it writes — a
 /// live peer's temp file looks the same.
-pub(crate) fn sweep_temps(dir: &Path) -> io::Result<()> {
+pub fn sweep_temps(dir: &Path) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         let name = path.file_name().map(|name| name.to_string_lossy());

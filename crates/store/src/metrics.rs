@@ -10,7 +10,7 @@
 use logparse_obs::{global, Buckets, Counter, Gauge, Histogram};
 
 /// Store-wide metric handles.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StoreMetrics {
     /// `store_snapshot_seconds` — latency of writing one full
     /// snapshot generation (all shards).

@@ -5,8 +5,8 @@
 //! snapshot files and `delta-<gen>.log` append-only logs. Generation
 //! numbers pair them: snapshot `G` captures all state up to the
 //! moment log `G` was opened, so restart loads snapshot `G` and
-//! replays logs `G..` — older generations are garbage the compactor
-//! removes.
+//! replays logs `G..` — older generations are garbage that
+//! [`TemplateStore::compact`](crate::TemplateStore::compact) deletes.
 //!
 //! Validation contracts enforced here:
 //!

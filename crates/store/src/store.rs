@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! MANIFEST             one framed record: magic, version, shard count
-//! <name>.blob          framed auxiliary blobs (checkpoint metadata)
+//! <name>.blob          framed auxiliary blobs ([`write_blob`]: the
+//!                      checkpoint's parser states and metadata)
 //! shard-<i>/
 //!   snap-<g>.snap      full snapshot of shard i at generation g
 //!   delta-<g>.log      appends since snapshot g
@@ -41,31 +42,26 @@ use logparse_core::{MergeDelta, TemplateMerge};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::thread;
 
 /// Default number of store shards fixed at creation.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Default per-shard log size that triggers compaction (1 MiB).
-pub const DEFAULT_COMPACT_LOG_BYTES: u64 = 1 << 20;
+/// Per-shard delta-log size at which [`TemplateStore::should_compact`]
+/// answers true (1 MiB).
+pub const COMPACT_LOG_BYTES: u64 = 1 << 20;
 
-/// Store creation / compaction tuning.
+/// Store creation settings.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Store shards to create (ignored when opening an existing
     /// store — the manifest's count wins).
     pub shards: usize,
-    /// Per-shard delta-log size at which [`TemplateStore::should_compact`]
-    /// starts answering true.
-    pub compact_log_bytes: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             shards: DEFAULT_SHARDS,
-            compact_log_bytes: DEFAULT_COMPACT_LOG_BYTES,
         }
     }
 }
@@ -166,10 +162,6 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("MANIFEST")
 }
 
-fn other_error(msg: String) -> StoreError {
-    StoreError::Io(io::Error::other(msg))
-}
-
 /// Decodes the single framed record a manifest or blob file holds.
 fn read_single_record(bytes: &[u8]) -> Option<Vec<u8>> {
     let mut reader = FrameReader::new(bytes);
@@ -181,6 +173,34 @@ fn read_single_record(bytes: &[u8]) -> Option<Vec<u8>> {
         Frame::Eof => Some(payload),
         _ => None,
     }
+}
+
+/// Stores `bytes` as the blob `<dir>/<name>.blob` (a checkpoint's parser
+/// state and metadata, a job's manifest and attempt counters) atomically
+/// and durably, CRC-framed like every other record.
+pub fn write_blob(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let mut framed = Vec::with_capacity(bytes.len() + 16);
+    append_record(&mut framed, bytes);
+    write_atomic(&dir.join(format!("{name}.blob")), &framed)
+}
+
+/// Reads the blob `<dir>/<name>.blob`, verifying its checksum. A blob
+/// that exists but carries an empty payload is reported as
+/// [`BlobRead::Corrupt`], not `Ok` — every writer in this codebase
+/// frames a non-empty serialized document, so an empty payload means
+/// the producer was interrupted or misbehaved, and treating it as
+/// readable used to let recovery silently degrade to a fresh state
+/// (indistinguishable from `Missing` to the caller).
+pub fn read_blob(dir: &Path, name: &str) -> io::Result<BlobRead> {
+    let bytes = match fs::read(dir.join(format!("{name}.blob"))) {
+        Ok(bytes) => bytes,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(BlobRead::Missing),
+        Err(err) => return Err(err),
+    };
+    Ok(match read_single_record(&bytes) {
+        Some(payload) if !payload.is_empty() => BlobRead::Ok(payload),
+        _ => BlobRead::Corrupt,
+    })
 }
 
 fn read_manifest(dir: &Path) -> Result<usize, StoreError> {
@@ -401,35 +421,6 @@ fn shard_portion(state: &TemplateMerge, shard: usize, shard_count: usize) -> Sna
     data
 }
 
-/// Writes generation `generation` snapshots for every shard and
-/// removes all older generations. The shared body of inline and
-/// background compaction.
-fn write_generation(
-    dir: &Path,
-    shard_count: usize,
-    generation: u64,
-    state: &TemplateMerge,
-    metrics: &StoreMetrics,
-) -> io::Result<()> {
-    let span =
-        logparse_obs::global().span_into(metrics.snapshot_seconds.clone(), "store_snapshot", &[]);
-    for shard in 0..shard_count {
-        let data = shard_portion(state, shard, shard_count);
-        let bytes = encode_snapshot(shard, shard_count, generation, &data);
-        write_atomic(&shard_dir(dir, shard).join(snap_name(generation)), &bytes)?;
-        // Cleanup below leaves this snapshot as the shard's only one.
-        if let Some(gauge) = metrics.disk_snapshot.get(shard) {
-            gauge.set(bytes.len() as f64);
-        }
-    }
-    span.finish();
-    for shard in 0..shard_count {
-        cleanup_shard(dir, shard, generation)?;
-    }
-    metrics.compaction_runs.inc();
-    Ok(())
-}
-
 /// Removes snapshot and log generations older than `keep_from`.
 fn cleanup_shard(dir: &Path, shard: usize, keep_from: u64) -> io::Result<()> {
     let sdir = shard_dir(dir, shard);
@@ -470,71 +461,13 @@ fn quarantine_shard(dir: &Path, shard: usize) -> Result<(), StoreError> {
     )))
 }
 
-struct CompactJob {
-    dir: PathBuf,
-    shard_count: usize,
-    generation: u64,
-    state: TemplateMerge,
-}
-
-/// The lazily-spawned background compactor. One job in flight at a
-/// time; results come back over `done` and are surfaced at the next
-/// compaction request or at [`TemplateStore::finish`].
-struct Compactor {
-    jobs: Option<mpsc::Sender<CompactJob>>,
-    done: mpsc::Receiver<Result<(), String>>,
-    handle: Option<thread::JoinHandle<()>>,
-    in_flight: bool,
-}
-
-impl Compactor {
-    fn spawn(metrics: StoreMetrics) -> Compactor {
-        let (jobs_tx, jobs_rx) = mpsc::channel::<CompactJob>();
-        let (done_tx, done_rx) = mpsc::channel();
-        let handle = thread::spawn(move || {
-            while let Ok(job) = jobs_rx.recv() {
-                let result = write_generation(
-                    &job.dir,
-                    job.shard_count,
-                    job.generation,
-                    &job.state,
-                    &metrics,
-                )
-                .map_err(|err| err.to_string());
-                if done_tx.send(result).is_err() {
-                    return;
-                }
-            }
-        });
-        Compactor {
-            jobs: Some(jobs_tx),
-            done: done_rx,
-            handle: Some(handle),
-            in_flight: false,
-        }
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        // Closing the job channel ends the worker loop; join after,
-        // never before, or the drop would deadlock.
-        self.jobs = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// A durable sharded template store.
 pub struct TemplateStore {
     dir: PathBuf,
     shards: usize,
-    compact_log_bytes: u64,
     generation: u64,
     writers: Vec<ShardWriter>,
     metrics: StoreMetrics,
-    compactor: Option<Compactor>,
 }
 
 impl std::fmt::Debug for TemplateStore {
@@ -634,11 +567,9 @@ impl TemplateStore {
             TemplateStore {
                 dir: dir.to_path_buf(),
                 shards,
-                compact_log_bytes: config.compact_log_bytes.max(1),
                 generation,
                 writers,
                 metrics,
-                compactor: None,
             },
             recovery,
         ))
@@ -721,150 +652,55 @@ impl TemplateStore {
         Ok(())
     }
 
-    /// Stores an auxiliary blob (checkpoint metadata, parser state)
-    /// atomically and durably, CRC-framed like every other record.
-    pub fn put_blob(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut framed = Vec::with_capacity(bytes.len() + 16);
-        append_record(&mut framed, bytes);
-        write_atomic(&self.dir.join(format!("{name}.blob")), &framed)?;
-        Ok(())
-    }
-
-    /// Reads an auxiliary blob, verifying its checksum. A blob that
-    /// exists but carries an empty payload is reported as
-    /// [`BlobRead::Corrupt`], not `Ok` — every writer in this codebase
-    /// frames a non-empty serialized document, so an empty payload means
-    /// the producer was interrupted or misbehaved, and treating it as
-    /// readable used to let recovery silently degrade to a fresh state
-    /// (indistinguishable from `Missing` to the caller).
-    pub fn read_blob(dir: &Path, name: &str) -> Result<BlobRead, StoreError> {
-        let path = dir.join(format!("{name}.blob"));
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(BlobRead::Missing),
-            Err(err) => return Err(err.into()),
-        };
-        Ok(match read_single_record(&bytes) {
-            Some(payload) if payload.is_empty() => BlobRead::Corrupt,
-            Some(payload) => BlobRead::Ok(payload),
-            None => BlobRead::Corrupt,
-        })
-    }
-
-    /// Whether any shard's log has outgrown the compaction threshold
-    /// (and no compaction is already running).
+    /// Whether any shard's log has outgrown [`COMPACT_LOG_BYTES`].
     pub fn should_compact(&self) -> bool {
-        self.writers
-            .iter()
-            .any(|w| w.bytes >= self.compact_log_bytes)
-            && !self.compactor.as_ref().is_some_and(|c| c.in_flight)
+        self.writers.iter().any(|w| w.bytes >= COMPACT_LOG_BYTES)
     }
 
-    /// Rotates every shard to generation `G+1` and synchronously
-    /// folds `state` into fresh snapshots, deleting older
+    /// Folds `state` into generation `G+1` and deletes older
     /// generations. `state` must be the full map the appended deltas
-    /// built (the caller's live merge).
+    /// built (the caller's live merge). Every shard's log rotates to
+    /// `G+1` before its snapshot is written, so snapshot `G+1` pairs
+    /// with a log that holds everything after it, and generation `G`
+    /// stays valid until the new chain is complete.
     pub fn compact(&mut self, state: &TemplateMerge) -> Result<(), StoreError> {
-        self.drain_background(true)?;
-        let next = self.rotate()?;
-        write_generation(&self.dir, self.shards, next, state, &self.metrics)?;
-        Ok(())
-    }
-
-    /// Like [`TemplateStore::compact`] but the snapshot writing and
-    /// cleanup run on a background thread; rotation still happens
-    /// inline so new deltas land in the next generation immediately.
-    /// Returns `false` (and does nothing) if a compaction is already
-    /// in flight. Errors from a previous background run surface here
-    /// or at [`TemplateStore::finish`].
-    pub fn compact_background(&mut self, state: TemplateMerge) -> Result<bool, StoreError> {
-        self.drain_background(false)?;
-        if self.compactor.as_ref().is_some_and(|c| c.in_flight) {
-            return Ok(false);
-        }
-        let next = self.rotate()?;
-        let metrics = self.metrics.clone();
-        let compactor = self
-            .compactor
-            .get_or_insert_with(|| Compactor::spawn(metrics));
-        let job = CompactJob {
-            dir: self.dir.clone(),
-            shard_count: self.shards,
-            generation: next,
-            state,
-        };
-        match &compactor.jobs {
-            Some(jobs) if jobs.send(job).is_ok() => {
-                compactor.in_flight = true;
-                Ok(true)
-            }
-            _ => Err(other_error("compactor thread is gone".into())),
-        }
-    }
-
-    /// Waits for any in-flight compaction, fsyncs every log, and
-    /// shuts the compactor down. The consuming close — errors that a
-    /// background run hit are returned here.
-    pub fn finish(mut self) -> Result<(), StoreError> {
-        self.drain_background(true)?;
-        self.sync()?;
-        self.compactor = None;
-        Ok(())
-    }
-
-    /// Opens the next log generation on every shard. Logs rotate
-    /// before snapshots are written, so snapshot `G` always pairs
-    /// with a log `G` that holds everything after it.
-    fn rotate(&mut self) -> Result<u64, StoreError> {
         let next = self.generation + 1;
         for (shard, writer) in self.writers.iter_mut().enumerate() {
             writer.sync()?;
             *writer = ShardWriter::create(&shard_dir(&self.dir, shard), shard, self.shards, next)?;
-            if let Some(gauge) = self.metrics.disk_log.get(shard) {
-                gauge.set(writer.bytes as f64);
-            }
+            self.metrics.disk_log[shard].set(writer.bytes as f64);
         }
         self.generation = next;
-        Ok(next)
+        let span = logparse_obs::global().span_into(
+            self.metrics.snapshot_seconds.clone(),
+            "store_snapshot",
+            &[],
+        );
+        for shard in 0..self.shards {
+            let data = shard_portion(state, shard, self.shards);
+            let bytes = encode_snapshot(shard, self.shards, next, &data);
+            write_atomic(&shard_dir(&self.dir, shard).join(snap_name(next)), &bytes)?;
+            // Cleanup below leaves this snapshot as the shard's only one.
+            self.metrics.disk_snapshot[shard].set(bytes.len() as f64);
+        }
+        span.finish();
+        for shard in 0..self.shards {
+            cleanup_shard(&self.dir, shard, next)?;
+        }
+        self.metrics.compaction_runs.inc();
+        Ok(())
     }
 
-    /// Collects the result of an in-flight background compaction;
-    /// blocking when `wait` is set, otherwise only if one is ready.
-    fn drain_background(&mut self, wait: bool) -> Result<(), StoreError> {
-        let Some(compactor) = &mut self.compactor else {
-            return Ok(());
-        };
-        if !compactor.in_flight {
-            return Ok(());
-        }
-        let outcome = if wait {
-            match compactor.done.recv() {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    compactor.in_flight = false;
-                    return Err(other_error("compactor thread died mid-run".into()));
-                }
-            }
-        } else {
-            match compactor.done.try_recv() {
-                Ok(outcome) => outcome,
-                Err(mpsc::TryRecvError::Empty) => return Ok(()),
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    compactor.in_flight = false;
-                    return Err(other_error("compactor thread died mid-run".into()));
-                }
-            }
-        };
-        compactor.in_flight = false;
-        outcome.map_err(|msg| other_error(format!("background compaction failed: {msg}")))
+    /// Fsyncs every log and closes the store: the consuming close.
+    pub fn finish(mut self) -> Result<(), StoreError> {
+        self.sync()
     }
 }
 
 impl Drop for TemplateStore {
     fn drop(&mut self) {
         // Best-effort: push buffered appends to the kernel. finish()
-        // is the checked path; drop must not panic or block on the
-        // compactor beyond its own Drop join.
+        // is the checked path; drop must not panic.
         for writer in &mut self.writers {
             let _ = writer.flush();
         }
@@ -882,10 +718,7 @@ mod tests {
     }
 
     fn config(shards: usize) -> StoreConfig {
-        StoreConfig {
-            shards,
-            compact_log_bytes: 1 << 20,
-        }
+        StoreConfig { shards }
     }
 
     fn sample_deltas() -> Vec<MergeDelta> {
@@ -1015,18 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn background_compaction_completes_and_surfaces_at_finish() {
-        let dir = temp_store_dir("bg");
-        let (mut store, _) = TemplateStore::open(&dir, &config(2)).unwrap();
-        store.append(&sample_deltas()).unwrap();
-        assert!(store.compact_background(expected_state()).unwrap());
-        store.finish().unwrap();
-        let (_store, recovery) = TemplateStore::open(&dir, &config(2)).unwrap();
-        assert_eq!(recovery.state, expected_state());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn torn_log_tail_is_truncated_and_appendable() {
         let dir = temp_store_dir("torn");
         let (mut store, _) = TemplateStore::open(&dir, &config(1)).unwrap();
@@ -1125,24 +946,18 @@ mod tests {
     #[test]
     fn blobs_round_trip_and_detect_corruption() {
         let dir = temp_store_dir("blob");
-        let (store, _) = TemplateStore::open(&dir, &config(1)).unwrap();
+        fs::create_dir_all(&dir).unwrap();
+        assert_eq!(read_blob(&dir, "meta").unwrap(), BlobRead::Missing);
+        write_blob(&dir, "meta", b"{\"lines\":42}").unwrap();
         assert_eq!(
-            TemplateStore::read_blob(&dir, "meta").unwrap(),
-            BlobRead::Missing
-        );
-        store.put_blob("meta", b"{\"lines\":42}").unwrap();
-        assert_eq!(
-            TemplateStore::read_blob(&dir, "meta").unwrap(),
+            read_blob(&dir, "meta").unwrap(),
             BlobRead::Ok(b"{\"lines\":42}".to_vec())
         );
         let mut bytes = fs::read(dir.join("meta.blob")).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(dir.join("meta.blob"), &bytes).unwrap();
-        assert_eq!(
-            TemplateStore::read_blob(&dir, "meta").unwrap(),
-            BlobRead::Corrupt
-        );
+        assert_eq!(read_blob(&dir, "meta").unwrap(), BlobRead::Corrupt);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1158,25 +973,24 @@ mod tests {
     #[test]
     fn should_compact_tracks_log_growth() {
         let dir = temp_store_dir("threshold");
-        let (mut store, _) = TemplateStore::open(
-            &dir,
-            &StoreConfig {
-                shards: 1,
-                compact_log_bytes: 256,
-            },
-        )
-        .unwrap();
+        let (mut store, _) = TemplateStore::open(&dir, &config(1)).unwrap();
         assert!(!store.should_compact());
         let mut state = TemplateMerge::new();
-        for gid in 0..32 {
+        let padding = "x".repeat(4096);
+        let mut gid = 0;
+        while !store.should_compact() {
             let delta = MergeDelta::Insert {
                 gid,
-                key: format!("template number <{gid}> with padding <*>"),
+                key: format!("template number <{gid}> {padding}"),
             };
             state.apply(&delta);
             store.append(std::slice::from_ref(&delta)).unwrap();
+            gid += 1;
         }
-        assert!(store.should_compact());
+        assert!(
+            gid as u64 <= COMPACT_LOG_BYTES / 4096,
+            "trips at the threshold"
+        );
         store.compact(&state).unwrap();
         assert!(!store.should_compact(), "fresh log is small again");
         store.finish().unwrap();

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use logparse_core::{MergeDelta, TemplateMerge};
-use logparse_store::{StoreConfig, TemplateStore};
+use logparse_store::{write_blob, StoreConfig, TemplateStore};
 use proptest::prelude::*;
 
 const SHARDS: usize = 3;
@@ -59,10 +59,7 @@ fn decode_ops(ops: &[(u8, usize, usize)]) -> Vec<MergeDelta> {
 /// once mid-way so snapshots and logs both exist) and returns the
 /// ground-truth state.
 fn build_store(dir: &Path, deltas: &[MergeDelta]) -> TemplateMerge {
-    let config = StoreConfig {
-        shards: SHARDS,
-        ..StoreConfig::default()
-    };
+    let config = StoreConfig { shards: SHARDS };
     let (mut store, _) = TemplateStore::open(dir, &config).expect("open fresh store");
     let mut truth = TemplateMerge::new();
     let half = deltas.len() / 2;
@@ -76,7 +73,7 @@ fn build_store(dir: &Path, deltas: &[MergeDelta]) -> TemplateMerge {
             store.compact(&truth).expect("compact");
         }
     }
-    store.put_blob("meta", b"{\"version\":1}").expect("blob");
+    write_blob(dir, "meta", b"{\"version\":1}").expect("blob");
     store.finish().expect("finish");
     truth
 }
@@ -220,7 +217,7 @@ proptest! {
             // Opening (which repairs: truncates torn tails, quarantines
             // bad shards) must also succeed, and the store must keep
             // accepting appends afterwards.
-            let config = StoreConfig { shards: SHARDS, ..StoreConfig::default() };
+            let config = StoreConfig { shards: SHARDS };
             let (mut store, opened) = TemplateStore::open(&dir, &config).expect("open damaged store");
             assert_recovery_is_safe(&opened.state, &written);
             let next_gid = opened.state.id_space();

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use logparse_core::{MergeDelta, TemplateMerge};
-use logparse_store::{BlobRead, StoreConfig, TemplateStore};
+use logparse_store::{read_blob, write_blob, BlobRead, StoreConfig, TemplateStore};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("store-rt-{tag}-{}", std::process::id()));
@@ -117,11 +117,7 @@ fn dirty_drop_after_flush_loses_nothing() {
 #[test]
 fn compaction_preserves_state_and_advances_the_generation() {
     let dir = temp_store("compact");
-    let config = StoreConfig {
-        compact_log_bytes: 64, // tiny: a handful of records trips it
-        ..StoreConfig::default()
-    };
-    let (mut store, _) = TemplateStore::open(&dir, &config).unwrap();
+    let (mut store, _) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
     let mut expected = TemplateMerge::new();
     for gid in 0..200 {
         let delta = MergeDelta::Insert {
@@ -132,11 +128,9 @@ fn compaction_preserves_state_and_advances_the_generation() {
         store.append(std::slice::from_ref(&delta)).unwrap();
     }
     store.flush().unwrap();
-    assert!(store.should_compact(), "200 inserts must trip a 64B cap");
     let before = store.generation();
     store.compact(&expected).unwrap();
-    assert!(store.generation() > before);
-    assert!(!store.should_compact(), "fresh snapshot, empty logs");
+    assert_eq!(store.generation(), before + 1);
     store.finish().unwrap();
 
     let recovery = TemplateStore::recover(&dir).unwrap();
@@ -144,7 +138,7 @@ fn compaction_preserves_state_and_advances_the_generation() {
     assert_equivalent(&recovery.state, &expected);
 
     // Appends after compaction land in the new generation's logs.
-    let (mut store, _) = TemplateStore::open(&dir, &config).unwrap();
+    let (mut store, _) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
     let delta = MergeDelta::Insert {
         gid: 200,
         key: "post compaction".into(),
@@ -158,49 +152,22 @@ fn compaction_preserves_state_and_advances_the_generation() {
 }
 
 #[test]
-fn background_compaction_catches_up_on_finish() {
-    let dir = temp_store("bg");
-    let (mut store, _) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
-    let mut expected = TemplateMerge::new();
-    for gid in 0..50 {
-        let delta = MergeDelta::Insert {
-            gid,
-            key: format!("bg template {gid}"),
-        };
-        expected.apply(&delta);
-        store.append(std::slice::from_ref(&delta)).unwrap();
-    }
-    assert!(store.compact_background(expected.clone()).unwrap());
-    store.finish().unwrap(); // joins the worker
-
-    let recovery = TemplateStore::recover(&dir).unwrap();
-    assert_equivalent(&recovery.state, &expected);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn blobs_round_trip_and_flag_corruption() {
     let dir = temp_store("blob");
-    let (store, _) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_eq!(read_blob(&dir, "meta").unwrap(), BlobRead::Missing);
+    write_blob(&dir, "meta", b"{\"version\":1}").unwrap();
     assert_eq!(
-        TemplateStore::read_blob(&dir, "meta").unwrap(),
-        BlobRead::Missing
-    );
-    store.put_blob("meta", b"{\"version\":1}").unwrap();
-    assert_eq!(
-        TemplateStore::read_blob(&dir, "meta").unwrap(),
+        read_blob(&dir, "meta").unwrap(),
         BlobRead::Ok(b"{\"version\":1}".to_vec())
     );
 
     // Overwrite is atomic: the new payload fully replaces the old.
-    store
-        .put_blob("meta", b"{\"version\":1,\"lines\":9}")
-        .unwrap();
+    write_blob(&dir, "meta", b"{\"version\":1,\"lines\":9}").unwrap();
     assert_eq!(
-        TemplateStore::read_blob(&dir, "meta").unwrap(),
+        read_blob(&dir, "meta").unwrap(),
         BlobRead::Ok(b"{\"version\":1,\"lines\":9}".to_vec())
     );
-    store.finish().unwrap();
 
     // A flipped byte must read back as Corrupt, not as data.
     let path = dir.join("meta.blob");
@@ -208,10 +175,7 @@ fn blobs_round_trip_and_flag_corruption() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
-    assert_eq!(
-        TemplateStore::read_blob(&dir, "meta").unwrap(),
-        BlobRead::Corrupt
-    );
+    assert_eq!(read_blob(&dir, "meta").unwrap(), BlobRead::Corrupt);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -223,46 +187,25 @@ fn blobs_round_trip_and_flag_corruption() {
 #[test]
 fn empty_payload_blob_is_corrupt_not_ok() {
     let dir = temp_store("emptyblob");
-    let (store, _) = TemplateStore::open(&dir, &StoreConfig::default()).unwrap();
-    store.put_blob("parser-0", b"").unwrap();
-    assert_eq!(
-        TemplateStore::read_blob(&dir, "parser-0").unwrap(),
-        BlobRead::Corrupt
-    );
+    std::fs::create_dir_all(&dir).unwrap();
+    write_blob(&dir, "parser-0", b"").unwrap();
+    assert_eq!(read_blob(&dir, "parser-0").unwrap(), BlobRead::Corrupt);
     // A zero-length file (writer died before framing anything) is also
     // Corrupt, and always was — pin both shapes.
     std::fs::write(dir.join("parser-1.blob"), b"").unwrap();
-    assert_eq!(
-        TemplateStore::read_blob(&dir, "parser-1").unwrap(),
-        BlobRead::Corrupt
-    );
-    store.finish().unwrap();
+    assert_eq!(read_blob(&dir, "parser-1").unwrap(), BlobRead::Corrupt);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn shard_count_is_pinned_by_the_manifest() {
     let dir = temp_store("pin");
-    let (store, _) = TemplateStore::open(
-        &dir,
-        &StoreConfig {
-            shards: 3,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap();
+    let (store, _) = TemplateStore::open(&dir, &StoreConfig { shards: 3 }).unwrap();
     assert_eq!(store.shard_count(), 3);
     store.finish().unwrap();
 
     // Reopening with a different configured count keeps the manifest's.
-    let (store, _) = TemplateStore::open(
-        &dir,
-        &StoreConfig {
-            shards: 8,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap();
+    let (store, _) = TemplateStore::open(&dir, &StoreConfig { shards: 8 }).unwrap();
     assert_eq!(store.shard_count(), 3);
     store.finish().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();

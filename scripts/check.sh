@@ -48,7 +48,13 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   cli jobs_chaos (jobs_v1, events_v1)
 #                                    what the PR 17 binary wrote for a crashed-
 #                                    and-retried job, a poisoned one and a
-#                                    `serve` run, rewritten byte for byte
+#                                    `serve` run, rewritten byte for byte;
+#                                    a worker SIGKILL retried to `parse`'s
+#                                    bytes (with cli jobs_differential)
+#   ingest e2e checkpoint_restore_…, cli kill_restart, cli store_compact_…
+#                                    a resumed serve equals an uninterrupted
+#                                    one; `store verify` after a CLI resume
+#                                    and after `store compact`
 #   tests/preprocess_differential    mask-before-intern vs symbol-level apply
 #                                    vs goldens
 #   linalg dual_matches_primal       dual vs primal PCA
@@ -83,58 +89,6 @@ if [[ "$QUICK" == "1" ]]; then
     echo "$ALERTS_OUT"
     exit 1
   fi
-
-  # End-to-end durability smoke, the CLI-boundary twin of the ingest
-  # checkpoint-restore test: ingest half a stream into a template
-  # store, resume the other half from it, have the offline verifier
-  # re-walk every snapshot/log CRC chain, and hold the resumed store to
-  # the canonical template count of an uninterrupted run.
-  echo "=== store round-trip (serve --checkpoint, --resume, store verify|inspect|compact) ==="
-  STORE_TMP="$(mktemp -d)"
-  STORE_DIR="$STORE_TMP/store"
-  logmine() { cargo run -q --release -p logparse-cli --bin logmine -- "$@"; }
-  logmine generate --dataset hdfs --count 5000 >"$STORE_TMP/all.log"
-  head -n 2500 "$STORE_TMP/all.log" >"$STORE_TMP/first.log"
-  tail -n 2500 "$STORE_TMP/all.log" >"$STORE_TMP/second.log"
-  serve() { logmine serve "$@" --shards 2 --window 1000 --events-out /dev/null >/dev/null; }
-  serve "$STORE_TMP/first.log" --checkpoint "$STORE_DIR"
-  serve "$STORE_TMP/second.log" --checkpoint "$STORE_DIR" --resume
-  logmine store verify "$STORE_DIR"
-  serve "$STORE_TMP/all.log" --checkpoint "$STORE_TMP/uninterrupted"
-  RESUMED="$(logmine store inspect "$STORE_DIR" | grep '^canonical')"
-  WHOLE="$(logmine store inspect "$STORE_TMP/uninterrupted" | grep '^canonical')"
-  if [[ "$RESUMED" != "$WHOLE" ]]; then
-    echo "resumed store diverged from the uninterrupted run:"
-    echo "  resumed:       $RESUMED"
-    echo "  uninterrupted: $WHOLE"
-    exit 1
-  fi
-  logmine store compact "$STORE_DIR" >/dev/null
-  logmine store verify "$STORE_DIR" >/dev/null
-  unset -f logmine serve
-  rm -rf "$STORE_TMP"
-
-  # Jobs-layer chaos smoke: SIGKILL a worker mid-shard via the fault
-  # plan, prove the retry converges on output byte-identical to a
-  # plain parallel parse of the same corpus.
-  echo "=== jobs chaos smoke (worker SIGKILL + retry, byte-identical reduce) ==="
-  JOBS_DIR="$(mktemp -d)"
-  cargo run -q --release -p logparse-cli --bin logmine -- \
-    generate --dataset hdfs --count 3000 >"$JOBS_DIR/corpus.log"
-  cargo run -q --release -p logparse-cli --bin logmine -- \
-    parse --parser drain -j 4 --events-out "$JOBS_DIR/parse.events" \
-    --structured-out "$JOBS_DIR/parse.structured" \
-    "$JOBS_DIR/corpus.log" 2>/dev/null
-  LOGPARSE_FAULT="worker:1@1:crash_after:0" \
-    cargo run -q --release -p logparse-cli --bin logmine -- \
-    jobs run "$JOBS_DIR/corpus.log" --job-dir "$JOBS_DIR/job" \
-    --parser drain -j 4 --backoff-ms 5 \
-    --events-out "$JOBS_DIR/jobs.events" \
-    --structured-out "$JOBS_DIR/jobs.structured" 2>/dev/null
-  cmp "$JOBS_DIR/parse.events" "$JOBS_DIR/jobs.events"
-  cmp "$JOBS_DIR/parse.structured" "$JOBS_DIR/jobs.structured"
-  grep -q '"event":"agent_retrying"' "$JOBS_DIR/job/events.jsonl"
-  rm -rf "$JOBS_DIR"
 fi
 
 if [[ "$DEEP" == "1" ]]; then
