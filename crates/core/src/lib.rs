@@ -54,7 +54,7 @@ pub use error::ParseError;
 pub use intern::{Interner, Symbol, TokenArena};
 pub use io::{write_events_file, write_structured_file, write_structured_lines};
 pub use loader::{
-    corpus_cuts, count_corpus_lines, CorpusCuts, LineDamage, LineFramer, MAX_LINE_BYTES,
+    corpus_cuts, count_corpus_lines, CorpusCuts, FramedLine, LineDamage, LineFramer, MAX_LINE_BYTES,
 };
 pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};

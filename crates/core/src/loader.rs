@@ -596,6 +596,19 @@ pub struct LineDamage {
     pub too_long: u64,
 }
 
+/// One line a [`LineFramer`] hands over, with what its scan saw of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FramedLine<'a> {
+    /// The line without its terminator, repaired if it had to be.
+    pub text: &'a str,
+    /// The first token of `text` under the scan's byte rule (a maximal
+    /// run of bytes that are not ASCII whitespace, `\v` included); empty
+    /// when the line holds none.
+    pub first_token: &'a str,
+    /// How many such tokens `text` holds.
+    pub tokens: usize,
+}
+
 /// The streaming line cutter: bytes in as they arrive, lines out. Every
 /// `logmine serve` entry point cuts its lines here and nowhere else,
 /// under the stream column of DESIGN.md's *Line contract* table: blank
@@ -603,10 +616,13 @@ pub struct LineDamage {
 /// complete, invalid UTF-8 and over-long lines repaired and counted,
 /// never refused.
 ///
-/// Callers [`pop`](LineFramer::pop) until `None`, then
-/// [`fill_from`](LineFramer::fill_from) their reader; read that way the
-/// framer holds one capped line plus one chunk at most, whatever it is
-/// sent.
+/// Callers [`pop_lines`](LineFramer::pop_lines) until it hands over
+/// nothing, then [`fill_from`](LineFramer::fill_from) their reader; read
+/// that way the framer holds one capped line plus one chunk at most,
+/// whatever it is sent. The lines of one pop are borrowed from the
+/// framer's buffer: every complete line it holds is UTF-8-checked and
+/// scanned as one region, and only a line that fails the check or is
+/// over the cap is copied, to be repaired.
 #[derive(Debug, Default)]
 pub struct LineFramer {
     /// `buf[head..end]` is undelivered input; the rest is spare room.
@@ -644,29 +660,148 @@ impl LineFramer {
         Ok(read)
     }
 
-    /// The next complete line, or `None` until more bytes arrive.
-    pub fn pop(&mut self, damage: &mut LineDamage) -> Option<String> {
-        let Some(nl) = find_newline(&self.buf[..self.end], self.scanned) else {
+    /// Hands every complete line held to `each`, in order, and returns
+    /// how many; `0` until more bytes arrive.
+    pub fn pop_lines(
+        &mut self,
+        damage: &mut LineDamage,
+        each: impl FnMut(FramedLine<'_>),
+    ) -> usize {
+        let held = &self.buf[self.scanned..self.end];
+        let Some(last) = held.iter().rposition(|&b| b == b'\n') else {
             // Of a line already over the cap, only enough is kept for
             // `decode` to see that it is: two bytes, as the coming `\n`
             // may strip a `\r`.
             self.end = self.end.min(self.head + MAX_LINE_BYTES + 2);
             self.scanned = self.end;
-            return None;
+            return 0;
         };
-        let line = &self.buf[self.head..nl];
-        self.head = nl + 1;
-        self.scanned = self.head;
-        Some(decode(line.strip_suffix(b"\r").unwrap_or(line), damage))
+        let region_end = self.scanned + last + 1;
+        let region = &self.buf[self.head..region_end];
+        self.head = region_end;
+        self.scanned = region_end;
+        deliver(region, damage, each)
     }
 
-    /// The unterminated tail at end of stream (EOF, connection close,
-    /// rotation), trailing `\r` kept, if there is one; the framer is
-    /// empty afterwards. Call once [`pop`](LineFramer::pop) has returned
-    /// `None`.
-    pub fn finish(&mut self, damage: &mut LineDamage) -> Option<String> {
+    /// Hands the unterminated tail at end of stream (EOF, connection
+    /// close, rotation), trailing `\r` kept, to `each` if there is one,
+    /// and returns how many lines that was; the framer is empty
+    /// afterwards. Call once [`pop_lines`](LineFramer::pop_lines) has
+    /// handed over nothing.
+    pub fn finish(&mut self, damage: &mut LineDamage, each: impl FnMut(FramedLine<'_>)) -> usize {
         let LineFramer { buf, head, end, .. } = std::mem::take(self);
-        (head < end).then(|| decode(&buf[head..end], damage))
+        deliver(&buf[head..end], damage, each)
+    }
+}
+
+/// Scans `region` — whole lines, the last one perhaps unterminated —
+/// once, handing each line to `each`. The region is UTF-8-checked once;
+/// a line is checked on its own only when that fails, and copied only
+/// to be repaired.
+fn deliver(region: &[u8], damage: &mut LineDamage, each: impl FnMut(FramedLine<'_>)) -> usize {
+    let mut sink = FramerSink {
+        region,
+        text: std::str::from_utf8(region).ok(),
+        damage,
+        each,
+        shape: Shape::default(),
+        lines: 0,
+    };
+    // The sink never fails a line, so neither does the scan.
+    let _ = scan(region, &mut sink);
+    sink.lines
+}
+
+/// The first token and the token count of the line being scanned.
+#[derive(Default)]
+struct Shape {
+    first: Range<usize>,
+    tokens: usize,
+}
+
+impl Shape {
+    /// The shape of the line at `start`, relative to it; resets `self`
+    /// for the next line.
+    fn take(&mut self, start: usize) -> Shape {
+        let Shape { first, tokens } = std::mem::take(self);
+        match tokens {
+            0 => Shape::default(),
+            _ => Shape {
+                first: first.start - start..first.end - start,
+                tokens,
+            },
+        }
+    }
+
+    /// The shape of one repaired line.
+    fn of(line: &str) -> Shape {
+        let mut shape = Shape::default();
+        let _ = scan(line.as_bytes(), &mut shape);
+        shape
+    }
+
+    fn line<'a>(&self, text: &'a str) -> FramedLine<'a> {
+        FramedLine {
+            text,
+            first_token: text.get(self.first.clone()).unwrap_or_default(),
+            tokens: self.tokens,
+        }
+    }
+}
+
+impl ScanSink for Shape {
+    #[inline]
+    fn token(&mut self, start: usize, end: usize) {
+        if self.tokens == 0 {
+            self.first = start..end;
+        }
+        self.tokens += 1;
+    }
+
+    fn line(&mut self, _: usize, _: usize, _: bool, _: bool) -> Result<(), ParseError> {
+        Ok(())
+    }
+}
+
+/// The scan sink behind [`deliver`].
+struct FramerSink<'a, 'd, F> {
+    region: &'a [u8],
+    /// The whole region, when it is valid UTF-8.
+    text: Option<&'a str>,
+    damage: &'d mut LineDamage,
+    each: F,
+    shape: Shape,
+    lines: usize,
+}
+
+impl<F: FnMut(FramedLine<'_>)> ScanSink for FramerSink<'_, '_, F> {
+    #[inline]
+    fn token(&mut self, start: usize, end: usize) {
+        self.shape.token(start, end);
+    }
+
+    fn line(
+        &mut self,
+        start: usize,
+        content_end: usize,
+        _blank: bool,
+        _has_high: bool,
+    ) -> Result<(), ParseError> {
+        self.lines += 1;
+        let shape = self.shape.take(start);
+        let bytes = &self.region[start..content_end];
+        let text = match self.text {
+            Some(text) => text.get(start..content_end),
+            None => std::str::from_utf8(bytes).ok(),
+        };
+        match text.filter(|_| bytes.len() <= MAX_LINE_BYTES) {
+            Some(text) => (self.each)(shape.line(text)),
+            None => {
+                let repaired = decode(bytes, self.damage);
+                (self.each)(Shape::of(&repaired).line(&repaired));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -743,13 +878,30 @@ mod tests {
         assert_eq!((blank.lines, blank.cuts), (0, vec![0, 3]));
     }
 
+    /// Collects what the framer hands over, checking each line's shape
+    /// against a plain split of its text on the scan's whitespace set.
+    fn collect(out: &mut Vec<String>) -> impl FnMut(FramedLine<'_>) + '_ {
+        |line| {
+            let mut tokens = line
+                .text
+                .split(|c: char| matches!(c, '\t'..='\r' | ' '))
+                .filter(|t| !t.is_empty());
+            assert_eq!(line.first_token, tokens.next().unwrap_or(""));
+            assert_eq!(
+                line.tokens,
+                usize::from(!line.first_token.is_empty()) + tokens.count()
+            );
+            out.push(line.text.to_owned());
+        }
+    }
+
     /// Reads `bytes` into `framer` the way every source does — a chunk
     /// once no complete line is held — popping the lines onto `out`.
     fn feed(framer: &mut LineFramer, bytes: &[u8], damage: &mut LineDamage, out: &mut Vec<String>) {
         let mut rest = bytes;
         while !rest.is_empty() {
             framer.fill_from(&mut rest).unwrap();
-            out.extend(std::iter::from_fn(|| framer.pop(damage)));
+            while framer.pop_lines(damage, collect(out)) > 0 {}
         }
     }
 
@@ -759,7 +911,7 @@ mod tests {
         for piece in pieces {
             feed(&mut framer, piece, &mut damage, &mut lines);
         }
-        lines.extend(framer.finish(&mut damage));
+        framer.finish(&mut damage, collect(&mut lines));
         (lines, damage)
     }
 
@@ -808,8 +960,9 @@ mod tests {
             assert!(framer.buf.capacity() <= bound, "{}", framer.buf.capacity());
         }
         assert_eq!(lines, Vec::<String>::new());
-        let capped = framer.finish(&mut damage).unwrap();
-        assert_eq!((capped.len(), damage.too_long), (MAX_LINE_BYTES, 1));
+        assert_eq!(framer.finish(&mut damage, collect(&mut lines)), 1);
+        assert_eq!((lines[0].len(), damage.too_long), (MAX_LINE_BYTES, 1));
+        lines.clear();
 
         // 40-byte lines, chunk edges inside them.
         const LINES: usize = 100_000;
@@ -828,18 +981,20 @@ mod tests {
         assert!(next > TOTAL / 41);
     }
 
-    /// The one-shot statement of the contract: split at `\n`, strip one
-    /// `\r` from terminated lines, keep a non-empty tail as it is,
-    /// decode lossily.
-    fn reference_lines(bytes: &[u8]) -> Vec<String> {
+    /// The one-shot, per-line statement of the contract: split at `\n`,
+    /// strip one `\r` from terminated lines, keep a non-empty tail as it
+    /// is, and decode each line on its own, counting the repairs.
+    fn reference_lines(bytes: &[u8]) -> (Vec<String>, LineDamage) {
         let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
         let tail = pieces.pop().filter(|tail| !tail.is_empty());
-        pieces
+        let mut damage = LineDamage::default();
+        let lines = pieces
             .into_iter()
             .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
             .chain(tail)
-            .map(|line| String::from_utf8_lossy(line).into_owned())
-            .collect()
+            .map(|line| decode(line, &mut damage))
+            .collect();
+        (lines, damage)
     }
 
     /// Bytes dense in what a framer can get wrong: terminators, lone
@@ -863,13 +1018,23 @@ mod tests {
 
     proptest! {
         /// However the bytes are cut into pushes — byte by byte, inside
-        /// a character, between `\r` and `\n` — the lines are the ones
-        /// the whole buffer holds.
+        /// a character, between `\r` and `\n` — the lines and the repairs
+        /// counted are the ones the per-line reference finds in the whole
+        /// buffer, with or without a line around the cap in front.
         #[test]
         fn framer_lines_do_not_depend_on_chunking(
-            bytes in hostile_bytes(),
+            hostile in hostile_bytes(),
+            long in 0usize..8,
             cuts in proptest::collection::vec(1usize..9, 0..400),
         ) {
+            // Half the cases lead with a line from two bytes under the
+            // cap to one over it, ending in a two-byte character.
+            let mut bytes = Vec::new();
+            if long >= 4 {
+                bytes.resize(MAX_LINE_BYTES - 8 + long, b'x');
+                bytes.extend_from_slice("é".as_bytes());
+            }
+            bytes.extend_from_slice(&hostile);
             let mut pieces = Vec::new();
             let mut rest = &bytes[..];
             // Past the last cut, the remainder goes in whole.
@@ -879,10 +1044,12 @@ mod tests {
                 rest = after;
             }
             let (lines, damage) = lines_of(&pieces);
-            prop_assert_eq!(&lines, &reference_lines(&bytes));
+            let (expected, expected_damage) = reference_lines(&bytes);
+            prop_assert_eq!(&lines, &expected);
+            prop_assert_eq!(damage, expected_damage);
             let repaired = lines.iter().filter(|l| l.contains('\u{fffd}')).count();
-            prop_assert_eq!(damage, LineDamage { invalid_utf8: repaired as u64, too_long: 0 });
-            if std::str::from_utf8(&bytes).is_ok() {
+            prop_assert_eq!(damage.invalid_utf8, repaired as u64);
+            if std::str::from_utf8(&bytes).is_ok() && damage.too_long == 0 {
                 let buffered: Vec<String> = bytes.lines().map(Result::unwrap).collect();
                 prop_assert_eq!(&lines, &buffered);
             }

@@ -52,9 +52,31 @@ impl Tokenizer {
     /// first time or `row` has to grow, so a caller that keeps one row
     /// for every line it sees — a streaming parser — allocates nothing
     /// per line.
+    ///
+    /// The split is byte-level while the line is ASCII, where the rule's
+    /// whitespace is `\t`..=`\r` and space; at the first byte ≥ 0x80 it
+    /// starts over at char level. The tokens interned before that are the
+    /// char-level split's first tokens too, so the ids are the same.
     pub fn tokenize_interned(&self, content: &str, interner: &mut Interner, row: &mut Vec<Symbol>) {
         row.clear();
-        row.extend(self.token_slices(content).map(|t| interner.intern(t)));
+        let mut start = None;
+        for (at, &byte) in content.as_bytes().iter().enumerate() {
+            if byte >= 0x80 {
+                row.clear();
+                row.extend(self.token_slices(content).map(|t| interner.intern(t)));
+                return;
+            }
+            if matches!(byte, b'\t'..=b'\r' | b' ') {
+                if let Some(from) = start.take() {
+                    row.push(interner.intern(&content[from..at]));
+                }
+            } else if start.is_none() {
+                start = Some(at);
+            }
+        }
+        if let Some(from) = start {
+            row.push(interner.intern(&content[from..]));
+        }
     }
 }
 
@@ -101,9 +123,37 @@ mod tests {
         let t = Tokenizer::default();
         let mut interner = Interner::new();
         let mut row = Vec::new();
-        for line in ["src: a=1, b=xyz →ok", "b=xyz", ""] {
+        for line in [
+            "src: a=1, b=xyz →ok",
+            "b=xyz",
+            "",
+            " \x0ba\x0cb\r c\t",
+            "x\u{a0}y z\u{3000}w \u{85}v",
+        ] {
             t.tokenize_interned(line, &mut interner, &mut row);
             assert_eq!(interner.resolve_row(&row), t.tokenize(line));
+        }
+    }
+
+    proptest::proptest! {
+        /// The byte-level split with its char-level fallback interns the
+        /// same tokens, in the same order and so to the same ids, as
+        /// interning `split_whitespace` over the same lines.
+        #[test]
+        fn interned_split_matches_the_char_rule(
+            lines in proptest::collection::vec(
+                "[ a-c\t\x0b\x0c\r\u{85}\u{a0}\u{3000}é]{0,16}",
+                0..12,
+            ),
+        ) {
+            let (mut fast, mut reference) = (Interner::new(), Interner::new());
+            let mut row = Vec::new();
+            for line in &lines {
+                Tokenizer::new().tokenize_interned(line, &mut fast, &mut row);
+                let expected: Vec<Symbol> =
+                    line.split_whitespace().map(|t| reference.intern(t)).collect();
+                proptest::prop_assert_eq!(&row, &expected);
+            }
         }
     }
 }

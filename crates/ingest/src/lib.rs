@@ -59,6 +59,7 @@ mod aggregate;
 pub mod checkpoint;
 mod metrics;
 mod pipeline;
+mod router;
 pub mod signal;
 pub mod source;
 mod worker;

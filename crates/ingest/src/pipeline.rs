@@ -1,22 +1,26 @@
 //! The ingestion pipeline: source → sharded parse workers → aggregator.
 //!
 //! ```text
-//!                     bounded sync_channel (backpressure)
-//!   ┌────────┐  batches   ┌──────────┐
-//!   │ source │ ─────────► │ shard 0  │ ─┐
-//!   │ router │ ─────────► │ shard 1  │ ─┤  unbounded    ┌────────────┐
-//!   │ (this  │    ...     │   ...    │ ─┼─────────────► │ aggregator │
-//!   │ thread)│ ─────────► │ shard N  │ ─┘   results     │  (thread)  │
-//!   └────────┘            └──────────┘                  └────────────┘
-//!                        StreamingDrain /             global ids, windows,
-//!                        StreamingSpell per shard     PCA scores, checkpoints
+//!                         bounded sync_channel (backpressure)
+//!   ┌──────────────┐  LineBatch  ┌──────────┐
+//!   │ source:      │ ──────────► │ shard 0  │ ─┐
+//!   │ framer, one  │ ──────────► │ shard 1  │ ─┤  unbounded    ┌────────────┐
+//!   │ scan a block │     ...     │   ...    │ ─┼─────────────► │ aggregator │
+//!   │ router (this │ ──────────► │ shard N  │ ─┘   results     │  (thread)  │
+//!   │ thread)      │             └──────────┘                  └────────────┘
+//!   └──────────────┘             byte split →                 global ids, windows,
+//!                                StreamingDrain /             PCA scores, checkpoints
+//!                                StreamingSpell per shard
 //! ```
 //!
-//! The router runs on the calling thread: it pulls lines from the
-//! source, assigns each a global sequence number, routes it to a shard
-//! by a cheap content hash (token count + first token, so one event
-//! shape lands on one shard and routing is deterministic), and flushes
-//! per-shard batches either when full or when the flush interval
+//! The router ([`crate::router`]) runs on the calling thread. A source
+//! hands it every complete line its framer holds, borrowed from the
+//! framer's buffer and scanned once as one block; the router gives each
+//! line a global sequence number, takes its shard from the scan's first
+//! token and token count (one event shape lands on one shard, and
+//! routing is deterministic), and copies it into that shard's batch —
+//! one `String` of line text per batch plus a `(sequence, end)` pair per
+//! line. Batches go on either when full or when the flush interval
 //! expires. Shard input channels are *bounded*: a slow shard blocks the
 //! router, which stops pulling from the source — backpressure instead of
 //! unbounded buffering.
@@ -28,20 +32,19 @@
 //! every shard reports done — draining in-flight work, scoring partial
 //! windows, and writing the final checkpoint.
 
-use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use logparse_core::{LineDamage, TemplateMerge};
 use logparse_mining::{PcaDetector, PcaDetectorConfig};
-use logparse_obs::{
-    default_rules, AlertEngine, AlertRule, Fnv1a, History, HistorySampler, Journal, Json,
-};
+use logparse_obs::{default_rules, AlertEngine, AlertRule, History, HistorySampler, Journal, Json};
 use logparse_store::{StoreConfig, TemplateStore};
 
 use crate::aggregate::{run_aggregator, AggregatorConfig, QualityTelemetry};
 use crate::checkpoint::{Checkpoint, ParserSnapshot};
 use crate::metrics::StageMetrics;
+use crate::router::Router;
 use crate::signal::StopFlag;
 use crate::source::{LogSource, SourceItem};
 use crate::worker::{run_worker, ShardInput, ShardParser};
@@ -337,114 +340,24 @@ pub fn run_pipeline(
     };
 
     // The router loop (this thread).
-    let mut pending: Vec<Vec<(u64, String)>> = (0..config.shards).map(|_| Vec::new()).collect();
-    let mut batch_started: Vec<Option<Instant>> = vec![None; config.shards];
-    let mut seq = seq_base;
-    let mut last_checkpoint_at = seq_base;
-    let mut generation = 0u64;
+    let mut router = Router::new(config, &router_metrics, shard_txs, seq_base);
     let mut source_error: Option<IngestError> = None;
-
-    // Sends try a non-blocking path first so a full shard queue is
-    // observable as a backpressure stall before the router blocks on it.
-    // Queue depth is incremented here and decremented by the worker when
-    // it picks the batch up, so the gauge reads batches in flight.
-    let send = |shard_txs: &[SyncSender<ShardInput>], shard: usize, input: ShardInput| {
-        let is_batch = matches!(input, ShardInput::Batch(_));
-        if is_batch {
-            router_metrics.queue_depth[shard].add(1.0);
-            router_metrics.batches_routed[shard].inc();
+    while !config.stop.is_set() && !router.closed() {
+        let before = router.next_seq();
+        let pulled = source.pull(&mut |line| router.route(line));
+        router_metrics.lines.inc_by(router.next_seq() - before);
+        let damage = source.take_damage();
+        if damage != LineDamage::default() {
+            router_metrics
+                .invalid_utf8_lines
+                .inc_by(damage.invalid_utf8);
+            router_metrics.too_long_lines.inc_by(damage.too_long);
         }
-        let gone = || IngestError::Config(format!("shard {shard} worker exited early"));
-        match shard_txs[shard].try_send(input) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(input)) => {
-                router_metrics.backpressure_stalls[shard].inc();
-                shard_txs[shard].send(input).map_err(|_| gone())
-            }
-            Err(TrySendError::Disconnected(_)) => Err(gone()),
-        }
-    };
-
-    'ingest: loop {
-        if config.stop.is_set() {
-            break;
-        }
-        if let Some(max) = config.max_lines {
-            if seq - seq_base >= max {
-                break;
-            }
-        }
-        match source.next_item() {
-            Ok(SourceItem::Line(line)) => {
-                router_metrics.lines.inc();
-                let damage = source.take_damage();
-                if damage != LineDamage::default() {
-                    router_metrics
-                        .invalid_utf8_lines
-                        .inc_by(damage.invalid_utf8);
-                    router_metrics.too_long_lines.inc_by(damage.too_long);
-                }
-                let shard = route(&line, config.shards);
-                if pending[shard].is_empty() {
-                    // lint:allow(timing-discipline): flush-interval bookkeeping for batch aging, not a measurement — nothing is recorded from this clock
-                    batch_started[shard] = Some(Instant::now());
-                }
-                pending[shard].push((seq, line));
-                seq += 1;
-                if pending[shard].len() >= config.batch_size {
-                    let batch = std::mem::take(&mut pending[shard]);
-                    batch_started[shard] = None;
-                    if let Err(e) = send(&shard_txs, shard, ShardInput::Batch(batch)) {
-                        source_error = Some(e);
-                        break 'ingest;
-                    }
-                }
-                if config.checkpoint_every > 0
-                    && seq - last_checkpoint_at >= config.checkpoint_every
-                {
-                    last_checkpoint_at = seq;
-                    // Flush partials first so the checkpoint covers
-                    // every line routed so far.
-                    for shard in 0..config.shards {
-                        if !pending[shard].is_empty() {
-                            let batch = std::mem::take(&mut pending[shard]);
-                            batch_started[shard] = None;
-                            if let Err(e) = send(&shard_txs, shard, ShardInput::Batch(batch)) {
-                                source_error = Some(e);
-                                break 'ingest;
-                            }
-                        }
-                        if let Err(e) = send(
-                            &shard_txs,
-                            shard,
-                            ShardInput::Checkpoint {
-                                generation,
-                                lines_routed: seq,
-                            },
-                        ) {
-                            source_error = Some(e);
-                            break 'ingest;
-                        }
-                    }
-                    generation += 1;
-                }
-            }
+        match pulled {
+            Ok(SourceItem::Lines(_)) => {}
             Ok(SourceItem::Idle) => {
                 router_metrics.idle_polls.inc();
-                // Flush batches that have waited past the interval.
-                for shard in 0..config.shards {
-                    if let Some(started) = batch_started[shard] {
-                        if started.elapsed() >= config.flush_interval && !pending[shard].is_empty()
-                        {
-                            let batch = std::mem::take(&mut pending[shard]);
-                            batch_started[shard] = None;
-                            if let Err(e) = send(&shard_txs, shard, ShardInput::Batch(batch)) {
-                                source_error = Some(e);
-                                break 'ingest;
-                            }
-                        }
-                    }
-                }
+                router.flush_aged();
                 std::thread::sleep(IDLE_SLEEP);
             }
             Ok(SourceItem::Eof) => break,
@@ -456,13 +369,8 @@ pub fn run_pipeline(
     }
 
     // Graceful shutdown: flush partial batches, then Shutdown markers.
-    for (shard, batch) in pending.iter_mut().enumerate() {
-        if !batch.is_empty() {
-            let _ = send(&shard_txs, shard, ShardInput::Batch(std::mem::take(batch)));
-        }
-        let _ = send(&shard_txs, shard, ShardInput::Shutdown);
-    }
-    drop(shard_txs);
+    let (seq, router_error) = router.shutdown();
+    let source_error = router_error.or(source_error);
     for handle in shard_handles {
         let _ = handle.join();
     }
@@ -541,33 +449,11 @@ pub(crate) fn open_store(
     Ok((store, map))
 }
 
-/// Routes a raw line to a shard by event shape (first token + token
-/// count, FNV-1a). Shape routing keeps each event type on one shard —
-/// parsers see coherent streams, and routing is a pure function of
-/// content, which makes per-shard parser state deterministic and lets
-/// the checkpoint round-trip tests compare runs exactly.
-fn route(line: &str, shards: usize) -> usize {
-    if shards == 1 {
-        return 0;
-    }
-    let mut words = line.split_ascii_whitespace();
-    let first = words.next().unwrap_or("");
-    let count = if first.is_empty() {
-        0
-    } else {
-        1 + words.count()
-    };
-    let hash = Fnv1a::new()
-        .bytes(first.as_bytes())
-        .word(count as u64)
-        .finish();
-    (hash % shards as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::MemorySource;
+    use logparse_core::FramedLine;
 
     fn lines(n: usize) -> Vec<String> {
         (0..n)
@@ -577,29 +463,6 @@ mod tests {
                 _ => format!("conn from 10.0.0.{} established", i % 250),
             })
             .collect()
-    }
-
-    #[test]
-    fn routing_is_deterministic_and_covers_shards() {
-        let sample = lines(300);
-        for line in &sample {
-            assert_eq!(route(line, 4), route(line, 4));
-        }
-        let mut hit = [false; 4];
-        for line in &sample {
-            hit[route(line, 4)] = true;
-        }
-        assert!(
-            hit.iter().filter(|&&h| h).count() >= 2,
-            "shape routing collapsed to one shard"
-        );
-        // A checkpoint's per-shard parser state is only valid under the
-        // routing that built it. Values from the hand-rolled loop
-        // `Fnv1a` replaced.
-        let line = "Receiving block blk_1 src: /10.0.0.1";
-        let placed = [2, 3, 4, 5, 7, 8, 16].map(|shards| route(line, shards));
-        assert_eq!(placed, [0, 1, 0, 4, 2, 0, 0]);
-        assert_eq!((route("", 8), route("   ", 8)), (7, 7));
     }
 
     #[test]
@@ -730,9 +593,18 @@ mod tests {
         // A source that never ends: the stop flag is the only way out.
         struct Endless(u64);
         impl crate::source::LogSource for Endless {
-            fn next_item(&mut self) -> std::io::Result<crate::source::SourceItem> {
+            fn pull(
+                &mut self,
+                each: &mut dyn FnMut(FramedLine<'_>),
+            ) -> std::io::Result<SourceItem> {
                 self.0 += 1;
-                Ok(crate::source::SourceItem::Line(format!("tick {}", self.0)))
+                let text = format!("tick {}", self.0);
+                each(FramedLine {
+                    text: &text,
+                    first_token: "tick",
+                    tokens: 2,
+                });
+                Ok(SourceItem::Lines(1))
             }
             fn describe(&self) -> String {
                 "endless".into()

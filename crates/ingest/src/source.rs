@@ -1,27 +1,28 @@
 //! Pluggable log-line sources.
 //!
-//! A [`LogSource`] produces raw lines plus two control outcomes: `Idle`
-//! (nothing available right now — the pipeline flushes timers, checks
-//! the stop flag and comes back) and `Eof` (the stream is finished —
-//! drain and shut down). Long blocking waits live *outside* the trait
-//! contract so graceful shutdown stays responsive.
+//! A [`LogSource`] hands over raw lines a block at a time, plus two
+//! control outcomes: `Idle` (nothing available right now — the pipeline
+//! flushes timers, checks the stop flag and comes back) and `Eof` (the
+//! stream is finished — drain and shut down). Long blocking waits live
+//! *outside* the trait contract so graceful shutdown stays responsive.
 //!
 //! What a line is — DESIGN.md's *Line contract* table — is decided in
 //! one place, [`LineFramer`]: every source fed bytes reads one chunk
-//! into its framer when that holds no complete line, and pops otherwise.
+//! into its framer when that holds no complete line, and otherwise pops
+//! every complete line it holds, borrowed from the framer's buffer.
 
 use std::fs::File;
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, Cursor, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 
-use logparse_core::{LineDamage, LineFramer};
+use logparse_core::{FramedLine, LineDamage, LineFramer};
 
-/// One pull from a source.
+/// What one pull from a source did.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SourceItem {
-    /// A complete log line (without its newline).
-    Line(String),
+    /// This many complete lines (at least one) went to the consumer.
+    Lines(usize),
     /// Nothing available right now; poll again shortly.
     Idle,
     /// The stream is complete.
@@ -30,9 +31,10 @@ pub enum SourceItem {
 
 /// A stream of log lines.
 pub trait LogSource: Send {
-    /// Pulls the next item. `Idle` must return promptly (no unbounded
-    /// blocking) so the pipeline can honor shutdown requests.
-    fn next_item(&mut self) -> io::Result<SourceItem>;
+    /// Hands the lines available now to `each`, in order, and says what
+    /// happened. `Idle` must return promptly (no unbounded blocking) so
+    /// the pipeline can honor shutdown requests.
+    fn pull(&mut self, each: &mut dyn FnMut(FramedLine<'_>)) -> io::Result<SourceItem>;
 
     /// A short human-readable description for the event log.
     fn describe(&self) -> String;
@@ -44,31 +46,34 @@ pub trait LogSource: Send {
     }
 }
 
-/// An in-memory source — tests and benchmarks.
-#[derive(Debug)]
-pub struct MemorySource {
-    lines: std::vec::IntoIter<String>,
-}
+/// An in-memory source — tests and benchmarks. The lines are joined
+/// with `\n` and cut by a [`LineFramer`] like any other source's bytes,
+/// so a line holding `\n` arrives as two and one ending in `\r` loses it.
+pub struct MemorySource(ReaderSource<Cursor<Vec<u8>>>);
 
 impl MemorySource {
     /// Streams the given lines, then `Eof`.
     pub fn new(lines: Vec<String>) -> Self {
-        MemorySource {
-            lines: lines.into_iter(),
+        let mut bytes = Vec::with_capacity(lines.iter().map(|line| line.len() + 1).sum());
+        for line in lines {
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
         }
+        MemorySource(ReaderSource::new(Cursor::new(bytes), "memory"))
     }
 }
 
 impl LogSource for MemorySource {
-    fn next_item(&mut self) -> io::Result<SourceItem> {
-        Ok(match self.lines.next() {
-            Some(line) => SourceItem::Line(line),
-            None => SourceItem::Eof,
-        })
+    fn pull(&mut self, each: &mut dyn FnMut(FramedLine<'_>)) -> io::Result<SourceItem> {
+        self.0.pull(each)
     }
 
     fn describe(&self) -> String {
-        "memory".into()
+        self.0.describe()
+    }
+
+    fn take_damage(&mut self) -> LineDamage {
+        self.0.take_damage()
     }
 }
 
@@ -107,14 +112,17 @@ pub fn file_source(path: impl Into<PathBuf>) -> io::Result<ReaderSource<File>> {
 }
 
 impl<R: Read + Send> LogSource for ReaderSource<R> {
-    fn next_item(&mut self) -> io::Result<SourceItem> {
+    fn pull(&mut self, each: &mut dyn FnMut(FramedLine<'_>)) -> io::Result<SourceItem> {
         loop {
-            if let Some(line) = self.framer.pop(&mut self.damage) {
-                return Ok(SourceItem::Line(line));
+            let popped = self.framer.pop_lines(&mut self.damage, &mut *each);
+            if popped > 0 {
+                return Ok(SourceItem::Lines(popped));
             }
             if self.framer.fill_from(&mut self.reader)? == 0 {
-                let tail = self.framer.finish(&mut self.damage);
-                return Ok(tail.map_or(SourceItem::Eof, SourceItem::Line));
+                return Ok(match self.framer.finish(&mut self.damage, each) {
+                    0 => SourceItem::Eof,
+                    tail => SourceItem::Lines(tail),
+                });
             }
         }
     }
@@ -214,7 +222,7 @@ impl FileTailSource {
 }
 
 impl LogSource for FileTailSource {
-    fn next_item(&mut self) -> io::Result<SourceItem> {
+    fn pull(&mut self, each: &mut dyn FnMut(FramedLine<'_>)) -> io::Result<SourceItem> {
         if self.file.is_none() && !self.open()? {
             return Ok(SourceItem::Idle);
         }
@@ -222,8 +230,9 @@ impl LogSource for FileTailSource {
             return Ok(SourceItem::Idle);
         };
         loop {
-            if let Some(line) = self.framer.pop(&mut self.damage) {
-                return Ok(SourceItem::Line(line));
+            let popped = self.framer.pop_lines(&mut self.damage, &mut *each);
+            if popped > 0 {
+                return Ok(SourceItem::Lines(popped));
             }
             let read = self.framer.fill_from(file)?;
             self.offset += read as u64;
@@ -235,8 +244,9 @@ impl LogSource for FileTailSource {
         // is still appending: has it been rotated away?
         if self.rotated()? {
             self.file = None; // reopen (or idle) on the next pull
-            if let Some(line) = self.framer.finish(&mut self.damage) {
-                return Ok(SourceItem::Line(line));
+            let tail = self.framer.finish(&mut self.damage, each);
+            if tail > 0 {
+                return Ok(SourceItem::Lines(tail));
             }
         }
         Ok(SourceItem::Idle)
@@ -263,7 +273,8 @@ impl LogSource for FileTailSource {
 ///
 /// Nothing is read while a connection still holds a complete line: what
 /// the pipeline has not taken stays in the kernel's socket buffer, and
-/// that filling up is what slows the peer down.
+/// that filling up is what slows the peer down. A pull hands over every
+/// complete line one connection holds.
 pub struct TcpSource {
     listener: TcpListener,
     addr: SocketAddr,
@@ -314,25 +325,29 @@ impl TcpSource {
         }
     }
 
-    /// A complete line some connection already holds. Round-robin, a
-    /// chunk's worth at a time: the cursor moves on when its connection
-    /// runs dry, so one chatty client cannot starve the rest.
-    fn pop_held(&mut self) -> Option<String> {
+    /// Hands over the complete lines some connection already holds, and
+    /// returns how many. Round-robin, a chunk's worth at a time: the
+    /// cursor moves on when its connection runs dry, so one chatty client
+    /// cannot starve the rest.
+    fn pop_held(&mut self, each: &mut dyn FnMut(FramedLine<'_>)) -> usize {
         for _ in 0..self.conns.len() {
             self.next_conn %= self.conns.len();
-            if let Some(line) = self.conns[self.next_conn].framer.pop(&mut self.damage) {
-                return Some(line);
+            let framer = &mut self.conns[self.next_conn].framer;
+            let popped = framer.pop_lines(&mut self.damage, &mut *each);
+            if popped > 0 {
+                return popped;
             }
             self.next_conn += 1;
         }
-        None
+        0
     }
 }
 
 impl LogSource for TcpSource {
-    fn next_item(&mut self) -> io::Result<SourceItem> {
-        if let Some(line) = self.pop_held() {
-            return Ok(SourceItem::Line(line));
+    fn pull(&mut self, each: &mut dyn FnMut(FramedLine<'_>)) -> io::Result<SourceItem> {
+        let held = self.pop_held(each);
+        if held > 0 {
+            return Ok(SourceItem::Lines(held));
         }
         self.accept_new()?;
         let mut i = 0;
@@ -340,10 +355,10 @@ impl LogSource for TcpSource {
             let conn = &mut self.conns[i];
             match conn.framer.fill_from(&mut conn.stream) {
                 Ok(0) => {
-                    let tail = conn.framer.finish(&mut self.damage);
+                    let tail = conn.framer.finish(&mut self.damage, &mut *each);
                     self.conns.swap_remove(i);
-                    if let Some(line) = tail {
-                        return Ok(SourceItem::Line(line));
+                    if tail > 0 {
+                        return Ok(SourceItem::Lines(tail));
                     }
                 }
                 Ok(_) => i += 1,
@@ -351,7 +366,10 @@ impl LogSource for TcpSource {
                 Err(_) => drop(self.conns.swap_remove(i)), // reset by peer etc.
             }
         }
-        Ok(self.pop_held().map_or(SourceItem::Idle, SourceItem::Line))
+        Ok(match self.pop_held(each) {
+            0 => SourceItem::Idle,
+            held => SourceItem::Lines(held),
+        })
     }
 
     fn describe(&self) -> String {
@@ -369,34 +387,63 @@ mod tests {
     use logparse_core::MAX_LINE_BYTES;
     use std::io::Write;
 
+    /// One pull, with the text of the lines it handed over.
+    fn pull(src: &mut dyn LogSource) -> (SourceItem, Vec<String>) {
+        let mut lines = Vec::new();
+        let item = src
+            .pull(&mut |line| lines.push(line.text.to_owned()))
+            .unwrap();
+        if let SourceItem::Lines(n) = item {
+            assert_eq!(n, lines.len());
+        }
+        (item, lines)
+    }
+
+    /// Every line until `Eof`.
+    fn drain(src: &mut dyn LogSource) -> Vec<String> {
+        let mut all = Vec::new();
+        loop {
+            match pull(src) {
+                (SourceItem::Eof, _) => return all,
+                (_, lines) => all.extend(lines),
+            }
+        }
+    }
+
     #[test]
     fn memory_source_streams_then_eof() {
-        let mut s = MemorySource::new(vec!["a".into(), "b".into()]);
-        assert_eq!(s.next_item().unwrap(), SourceItem::Line("a".into()));
-        assert_eq!(s.next_item().unwrap(), SourceItem::Line("b".into()));
-        assert_eq!(s.next_item().unwrap(), SourceItem::Eof);
+        let mut s = MemorySource::new(vec!["a".into(), "".into(), "b c".into()]);
+        assert_eq!(
+            pull(&mut s),
+            (
+                SourceItem::Lines(3),
+                vec!["a".into(), "".into(), "b c".into()]
+            )
+        );
+        assert_eq!(pull(&mut s), (SourceItem::Eof, vec![]));
+        assert_eq!(s.describe(), "memory");
     }
 
     #[test]
     fn reader_source_strips_line_endings() {
         let data = io::Cursor::new(b"one\r\ntwo\nthree".to_vec());
         let mut s = ReaderSource::new(data, "cursor");
-        assert_eq!(s.next_item().unwrap(), SourceItem::Line("one".into()));
-        assert_eq!(s.next_item().unwrap(), SourceItem::Line("two".into()));
-        assert_eq!(s.next_item().unwrap(), SourceItem::Line("three".into()));
-        assert_eq!(s.next_item().unwrap(), SourceItem::Eof);
+        assert_eq!(
+            pull(&mut s),
+            (SourceItem::Lines(2), vec!["one".into(), "two".into()])
+        );
+        assert_eq!(pull(&mut s), (SourceItem::Lines(1), vec!["three".into()]));
+        assert_eq!(pull(&mut s), (SourceItem::Eof, vec![]));
     }
 
     #[test]
     fn reader_source_replaces_and_counts_invalid_utf8() {
         let data = io::Cursor::new(b"ok 1\n\xff\xfe bad\nfine 2\n".to_vec());
         let mut s = ReaderSource::new(data, "cursor");
-        for expected in ["ok 1", "\u{fffd}\u{fffd} bad", "fine 2"] {
-            assert_eq!(s.next_item().unwrap(), SourceItem::Line(expected.into()));
-        }
+        assert_eq!(drain(&mut s), ["ok 1", "\u{fffd}\u{fffd} bad", "fine 2"]);
         let damage = s.take_damage();
         assert_eq!((damage.invalid_utf8, damage.too_long), (1, 0));
-        assert_eq!(s.next_item().unwrap(), SourceItem::Eof);
+        assert_eq!(pull(&mut s), (SourceItem::Eof, vec![]));
         assert_eq!(s.take_damage(), LineDamage::default());
     }
 
@@ -408,10 +455,7 @@ mod tests {
         std::fs::write(&path, b"one\r\ntwo\n\nthree").unwrap();
         let mut s = file_source(&path).unwrap();
         assert_eq!(s.describe(), format!("file:{}", path.display()));
-        for expected in ["one", "two", "", "three"] {
-            assert_eq!(s.next_item().unwrap(), SourceItem::Line(expected.into()));
-        }
-        assert_eq!(s.next_item().unwrap(), SourceItem::Eof);
+        assert_eq!(drain(&mut s), ["one", "two", "", "three"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -421,14 +465,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("app.log");
         let _ = std::fs::remove_file(&path);
+        let idle = (SourceItem::Idle, vec![]);
 
         let mut tail = FileTailSource::new(&path);
-        assert_eq!(tail.next_item().unwrap(), SourceItem::Idle); // not created yet
+        assert_eq!(pull(&mut tail), idle); // not created yet
 
         std::fs::write(&path, "first\nsecond\n").unwrap();
-        assert_eq!(tail.next_item().unwrap(), SourceItem::Line("first".into()));
-        assert_eq!(tail.next_item().unwrap(), SourceItem::Line("second".into()));
-        assert_eq!(tail.next_item().unwrap(), SourceItem::Idle);
+        let both = vec!["first".to_string(), "second".into()];
+        assert_eq!(pull(&mut tail), (SourceItem::Lines(2), both));
+        assert_eq!(pull(&mut tail), idle);
 
         // Append while tailing.
         let mut f = std::fs::OpenOptions::new()
@@ -436,41 +481,32 @@ mod tests {
             .open(&path)
             .unwrap();
         writeln!(f, "third").unwrap();
-        assert_eq!(tail.next_item().unwrap(), SourceItem::Line("third".into()));
+        assert_eq!(
+            pull(&mut tail),
+            (SourceItem::Lines(1), vec!["third".into()])
+        );
 
         // A flush that lands inside a character: the half-written line
         // waits, undecoded, for its other half.
         f.write_all(b"caf\xc3").unwrap();
-        assert_eq!(tail.next_item().unwrap(), SourceItem::Idle);
+        assert_eq!(pull(&mut tail), idle);
         f.write_all(b"\xa9 ok\n").unwrap();
         drop(f);
         assert_eq!(
-            tail.next_item().unwrap(),
-            SourceItem::Line("caf\u{e9} ok".into())
+            pull(&mut tail),
+            (SourceItem::Lines(1), vec!["caf\u{e9} ok".into()])
         );
         assert_eq!(tail.take_damage(), LineDamage::default());
 
         // Rename rotation: old file moved away, new file at the path.
         std::fs::rename(&path, dir.join("app.log.1")).unwrap();
         std::fs::write(&path, "fresh\n").unwrap();
-        let mut saw_fresh = false;
-        for _ in 0..5 {
-            if tail.next_item().unwrap() == SourceItem::Line("fresh".into()) {
-                saw_fresh = true;
-                break;
-            }
-        }
+        let saw_fresh = (0..5).any(|_| pull(&mut tail).1 == ["fresh"]);
         assert!(saw_fresh, "tail did not pick up the rotated file");
 
         // Copy-truncate rotation: same inode, shrunk below offset.
         std::fs::write(&path, "tiny\n").unwrap();
-        let mut saw_tiny = false;
-        for _ in 0..5 {
-            if tail.next_item().unwrap() == SourceItem::Line("tiny".into()) {
-                saw_tiny = true;
-                break;
-            }
-        }
+        let saw_tiny = (0..5).any(|_| pull(&mut tail).1 == ["tiny"]);
         assert!(saw_tiny, "tail did not detect truncation");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -481,13 +517,13 @@ mod tests {
         let mut lines = Vec::new();
         let mut idle = 0;
         while lines.len() < want && idle < 5_000 {
-            match src.next_item().unwrap() {
-                SourceItem::Line(l) => lines.push(l),
-                SourceItem::Idle => {
+            match pull(src) {
+                (SourceItem::Lines(_), pulled) => lines.extend(pulled),
+                (SourceItem::Idle, _) => {
                     idle += 1;
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
-                SourceItem::Eof => unreachable!("tcp sources never EOF"),
+                (SourceItem::Eof, _) => unreachable!("tcp sources never EOF"),
             }
         }
         lines
@@ -552,7 +588,7 @@ mod tests {
         assert!(lines[0].len() == MAX_LINE_BYTES && lines[0].bytes().all(|b| b == b'A'));
         assert_eq!(lines[1], "next");
         for _ in 0..20 {
-            assert_eq!(src.next_item().unwrap(), SourceItem::Idle);
+            assert_eq!(pull(&mut src), (SourceItem::Idle, vec![]));
         }
         let damage = src.take_damage();
         assert_eq!((damage.invalid_utf8, damage.too_long), (0, 1));

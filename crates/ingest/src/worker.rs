@@ -19,11 +19,59 @@ use crate::checkpoint::ParserSnapshot;
 use crate::metrics::WorkerMetrics;
 use crate::{IngestError, ParserChoice};
 
+/// Lines bound for one shard: their text back to back in one `String`,
+/// and per line its sequence number and where its text ends. A batch is
+/// two allocations, whatever its size.
+#[derive(Debug, Default)]
+pub(crate) struct LineBatch {
+    text: String,
+    lines: Vec<(u64, usize)>,
+}
+
+impl LineBatch {
+    /// An empty batch with room for `lines` lines of `bytes` in all.
+    pub fn with_capacity(lines: usize, bytes: usize) -> LineBatch {
+        LineBatch {
+            text: String::with_capacity(bytes),
+            lines: Vec::with_capacity(lines),
+        }
+    }
+
+    /// Appends line `seq`.
+    pub fn push(&mut self, seq: u64, line: &str) {
+        self.text.push_str(line);
+        self.lines.push((seq, self.text.len()));
+    }
+
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    /// Bytes of text held.
+    pub fn bytes(&self) -> usize {
+        self.text.len()
+    }
+
+    /// `(sequence, line)` pairs, in the order pushed.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &str)> {
+        let mut start = 0;
+        self.lines.iter().map(move |&(seq, end)| {
+            let line = self.text.get(start..end).unwrap_or_default();
+            start = end;
+            (seq, line)
+        })
+    }
+}
+
 /// Messages a shard worker consumes, in channel order.
 #[derive(Debug)]
 pub(crate) enum ShardInput {
-    /// Parse these `(sequence, raw line)` pairs.
-    Batch(Vec<(u64, String)>),
+    /// Parse these lines.
+    Batch(LineBatch),
     /// Export parser state for checkpoint `generation`.
     Checkpoint { generation: u64, lines_routed: u64 },
     /// Drain and exit; everything already queued is still processed.
@@ -196,13 +244,13 @@ pub(crate) fn run_worker(
                 let parse_started = Instant::now();
                 let mut entries = Vec::with_capacity(batch.len());
                 let mut exemplars = Vec::new();
-                for (seq, line) in &batch {
+                for (seq, line) in batch.iter() {
                     let before = parser.group_count();
                     let local = parser.observe(line);
-                    entries.push((*seq, local));
+                    entries.push((seq, local));
                     if drift {
                         if parser.group_count() > before && exemplars.len() < EXEMPLAR_CAP {
-                            exemplars.push((local, line.clone()));
+                            exemplars.push((local, line.to_owned()));
                         }
                         if param_seen.len() <= local {
                             param_seen.resize_with(local + 1, FingerprintSet::default);
@@ -277,6 +325,26 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
+    /// A batch of `lines`, numbered from `first`.
+    fn batch(first: u64, lines: &[&str]) -> ShardInput {
+        let mut batch = LineBatch::default();
+        for (seq, line) in (first..).zip(lines) {
+            batch.push(seq, line);
+        }
+        ShardInput::Batch(batch)
+    }
+
+    #[test]
+    fn batch_hands_back_what_was_pushed() {
+        let mut batch = LineBatch::default();
+        for (seq, line) in [(7, "a b"), (9, ""), (12, "é \u{b}x")] {
+            batch.push(seq, line);
+        }
+        let lines: Vec<(u64, &str)> = batch.iter().collect();
+        assert_eq!(lines, [(7, "a b"), (9, ""), (12, "é \u{b}x")]);
+        assert_eq!((batch.len(), batch.bytes()), (3, 8));
+    }
+
     #[test]
     fn worker_parses_batches_and_reports_templates() {
         let (in_tx, in_rx) = mpsc::sync_channel(4);
@@ -292,10 +360,7 @@ mod tests {
             );
         });
         in_tx
-            .send(ShardInput::Batch(vec![
-                (0, "send pkt 1 ok".into()),
-                (1, "send pkt 2 ok".into()),
-            ]))
+            .send(batch(0, &["send pkt 1 ok", "send pkt 2 ok"]))
             .unwrap();
         in_tx
             .send(ShardInput::Checkpoint {
@@ -357,12 +422,8 @@ mod tests {
                 out_tx,
             );
         });
-        in_tx
-            .send(ShardInput::Batch(vec![(0, "a b c".into())]))
-            .unwrap();
-        in_tx
-            .send(ShardInput::Batch(vec![(1, "a b d".into())]))
-            .unwrap(); // same group, refined
+        in_tx.send(batch(0, &["a b c"])).unwrap();
+        in_tx.send(batch(1, &["a b d"])).unwrap(); // same group, refined
         in_tx.send(ShardInput::Shutdown).unwrap();
         handle.join().unwrap();
         let first = match out_rx.recv().unwrap() {
@@ -395,10 +456,7 @@ mod tests {
             );
         });
         in_tx
-            .send(ShardInput::Batch(vec![
-                (0, "conn from 10.0.0.1".into()),
-                (1, "conn from 10.0.0.2".into()),
-            ]))
+            .send(batch(0, &["conn from 10.0.0.1", "conn from 10.0.0.2"]))
             .unwrap();
         in_tx.send(ShardInput::Shutdown).unwrap();
         handle.join().unwrap();

@@ -18,7 +18,7 @@
 //! | `unsafe-allowlist` | error | `unsafe` only in `ingest/src/signal.rs` and `core/src/mmap.rs`; crate roots forbid `unsafe_code` |
 //! | `obs-metric-hygiene` | error | metric families: literal names, one owner site, documented in DESIGN.md |
 //! | `timing-discipline` | warning | `Instant::now()` only inside the obs substrate |
-//! | `hot-path-string-alloc` | warning | no `to_string`/`String::from`/`format!` in loop bodies of `parsers`/the parallel driver |
+//! | `hot-path-string-alloc` | warning | no `to_string`/`String::from`/`format!` in loop bodies of `parsers`/the parallel driver/the corpus build/`serve`'s line path |
 //! | `durability-discipline` | error | create/write→rename publish paths fsync file *and* directory, or name their flush tier |
 //! | `bad-pragma` | error | suppressions must name a known lint and carry a reason |
 //!

@@ -4,8 +4,8 @@
 //! The interning refactor moved every parser's hot path onto dense
 //! `Symbol` ids precisely so the per-line/per-token loops stop hashing
 //! and allocating strings. A `to_string()` / `String::from` /
-//! `format!` inside a loop body of the parsers crate or the parallel
-//! driver quietly reintroduces that cost — one allocation per
+//! `format!` inside a loop body of the parsers crate, the parallel
+//! driver or `serve`'s line path quietly reintroduces that cost — one allocation per
 //! iteration, invisible in review, visible in the throughput tables.
 //!
 //! The lint brace-tracks loop bodies (`for`/`while`/`loop`) over the
@@ -22,20 +22,25 @@ const NAME: &str = "hot-path-string-alloc";
 /// Allocation calls that have no place in a per-token loop.
 const PATTERNS: &[&str] = &[".to_string()", "String::from(", "format!("];
 
-/// Scope: the parsers crate, the parallel driver, and the zero-copy
-/// corpus loader path (scanner, masker, interner, loader) — the loops
-/// the throughput benchmark measures.
-const CORE_HOT_FILES: &[&str] = &[
+/// Scope: the parsers crate, the parallel driver, the zero-copy
+/// corpus loader path (scanner, masker, interner, loader, the token
+/// split) and `serve`'s line path (sources, router, shard workers) —
+/// the loops the throughput benchmark measures.
+const HOT_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/loader.rs",
     "crates/core/src/simd.rs",
     "crates/core/src/intern.rs",
     "crates/core/src/preprocess.rs",
+    "crates/core/src/tokenizer.rs",
+    "crates/ingest/src/source.rs",
+    "crates/ingest/src/router.rs",
+    "crates/ingest/src/worker.rs",
 ];
 
 fn in_scope(file: &SourceFile) -> bool {
     file.role == Role::Lib
-        && (file.crate_name == "parsers" || CORE_HOT_FILES.contains(&file.rel.as_str()))
+        && (file.crate_name == "parsers" || HOT_FILES.contains(&file.rel.as_str()))
 }
 
 /// Is the byte at `pos` the start of a standalone keyword `kw`?
@@ -187,12 +192,14 @@ mod tests {
     }
 
     #[test]
-    fn loader_path_files_are_in_scope() {
+    fn loader_and_serve_path_files_are_in_scope() {
         let body = "fn f(v: &[u32]) { for x in v { let _ = x.to_string(); } }\n";
         for rel in [
             "crates/core/src/loader.rs",
             "crates/core/src/simd.rs",
             "crates/core/src/intern.rs",
+            "crates/ingest/src/router.rs",
+            "crates/ingest/src/worker.rs",
         ] {
             assert_eq!(run(rel, body).len(), 1, "{rel} should be linted");
         }

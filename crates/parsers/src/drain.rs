@@ -163,6 +163,12 @@ fn similarity(template: &[Option<Symbol>], tokens: &[Symbol]) -> f64 {
     score / template.len() as f64
 }
 
+/// A message length as the first element of a `leaves` key. A line
+/// holds far fewer than `u32::MAX` tokens; saturating keeps this total.
+fn length_id(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
+}
+
 /// Drain's incremental state: the fixed-depth tree plus the dense group
 /// list. Shared by the batch parser and [`crate::StreamingDrain`].
 #[derive(Debug)]
@@ -178,8 +184,9 @@ pub(crate) struct DrainTree {
     digit_flags: Vec<bool>,
     /// The symbol of the `"*"` wildcard path token.
     star: Symbol,
-    /// Internal path `(length, generalized prefix)` → group ids.
-    leaves: HashMap<(usize, Vec<Symbol>), Vec<usize>>,
+    /// Internal path → group ids. A path is the message length, then
+    /// the symbol ids of its generalized prefix (see [`DrainTree::path_key`]).
+    leaves: HashMap<Vec<u32>, Vec<usize>>,
     /// Distinct prefix paths per message length, for the `max_children`
     /// cap: once a length bucket has that many paths, unseen token
     /// values fall through to the `*` branch instead of minting new
@@ -187,6 +194,9 @@ pub(crate) struct DrainTree {
     paths_per_length: HashMap<usize, usize>,
     groups: Vec<Group>,
     observed: usize,
+    /// The current message's path, reused so a message allocates a key
+    /// only when it opens a path.
+    key: Vec<u32>,
     /// Whether groups record their member message indices. Batch parsing
     /// needs them to build a [`Parse`]; long-running streaming must not
     /// accumulate them (memory would grow with the stream, not with the
@@ -226,6 +236,7 @@ impl DrainTree {
             paths_per_length: HashMap::new(),
             groups: Vec::new(),
             observed: 0,
+            key: Vec::new(),
             track_members: true,
         };
         tree.refresh_digit_flags();
@@ -272,7 +283,11 @@ impl DrainTree {
         let mut leaves: Vec<(usize, Vec<String>, Vec<usize>)> = self
             .leaves
             .iter()
-            .map(|((len, path), ids)| (*len, resolve_path(path), ids.clone()))
+            .map(|(key, ids)| {
+                let (len, path) = key.split_first().unwrap_or((&0, &[]));
+                let path: Vec<Symbol> = path.iter().map(|&id| Symbol::from_id(id)).collect();
+                (*len as usize, resolve_path(&path), ids.clone())
+            })
             .collect();
         leaves.sort();
         let mut paths_per_length: Vec<(usize, usize)> = self
@@ -319,7 +334,8 @@ impl DrainTree {
                 });
             }
             let path: Vec<Symbol> = path.iter().map(|t| tree.interner.intern(t)).collect();
-            tree.leaves.insert((*len, path), ids.clone());
+            tree.leaves
+                .insert(DrainTree::path_key(*len, &path), ids.clone());
         }
         tree.paths_per_length = state.paths_per_length.iter().copied().collect();
         tree.groups = state
@@ -347,29 +363,33 @@ impl DrainTree {
         self.observed += 1;
         self.refresh_digit_flags();
         let token_layers = self.config.depth - 2;
-        let mut path = Vec::with_capacity(token_layers);
+        self.key.clear();
+        self.key.push(length_id(tokens.len()));
         for &token in tokens.iter().take(token_layers) {
-            path.push(if self.digit_flags[token.id() as usize] {
+            let step = if self.digit_flags[token.id() as usize] {
                 self.star
             } else {
                 token
-            });
+            };
+            self.key.push(step.id());
         }
-        // max_children cap: a new path only opens while the length
-        // bucket has room; otherwise the message falls through to the
-        // all-wildcard branch.
-        let mut key = (tokens.len(), path);
-        if !self.leaves.contains_key(&key) {
-            let opened = self.paths_per_length.entry(key.0).or_insert(0);
-            if *opened >= self.config.max_children {
-                for slot in &mut key.1 {
-                    *slot = self.star;
+        let leaf = match self.leaves.get_mut(self.key.as_slice()) {
+            Some(leaf) => leaf,
+            None => {
+                // max_children cap: a new path only opens while the
+                // length bucket has room; otherwise the message falls
+                // through to the all-wildcard branch.
+                let opened = self.paths_per_length.entry(tokens.len()).or_insert(0);
+                if *opened >= self.config.max_children {
+                    for step in &mut self.key[1..] {
+                        *step = self.star.id();
+                    }
+                } else {
+                    *opened += 1;
                 }
-            } else {
-                *opened += 1;
+                self.leaves.entry(self.key.clone()).or_default()
             }
-        }
-        let leaf = self.leaves.entry(key).or_default();
+        };
         let best = leaf
             .iter()
             .map(|&id| (similarity(&self.groups[id].template, tokens), id))
@@ -405,6 +425,13 @@ impl DrainTree {
 
     pub(crate) fn group_count(&self) -> usize {
         self.groups.len()
+    }
+
+    /// The `leaves` key of the path `path` under messages of `len` tokens.
+    fn path_key(len: usize, path: &[Symbol]) -> Vec<u32> {
+        std::iter::once(length_id(len))
+            .chain(path.iter().map(|s| s.id()))
+            .collect()
     }
 
     pub(crate) fn group_template(&self, id: usize) -> Option<&[Option<Symbol>]> {

@@ -44,7 +44,16 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   cli loader_v1_goldens_hold_…     parent-frozen loader_v1 outputs
 #   core framer_lines_do_not_…, cli serve_entry_points_agree_…
 #                                    the stream line contract: file, stdin,
-#                                    tail and TCP agree on hostile bytes
+#                                    tail and TCP agree on hostile bytes; the
+#                                    framer's block pop gives the lines and
+#                                    damage counts of the per-line reference
+#                                    however the bytes were cut into reads
+#   ingest block_routing_equals_the_line_split
+#                                    routing from the block scan's events is
+#                                    the old `split_ascii_whitespace` routing
+#                                    (VT, FF, CR, U+00A0, U+0085, invalid
+#                                    bytes); per-shard parser state, and so
+#                                    every checkpoint, follows routing
 #   cli jobs_chaos (jobs_v1, events_v1)
 #                                    what the PR 17 binary wrote for a crashed-
 #                                    and-retried job, a poisoned one and a
