@@ -451,17 +451,23 @@ fn read(path: impl AsRef<Path>) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// Where the text of `key`'s value sits in one journal line, if the line
+/// has one.
+fn value_span(line: &str, key: &str) -> Option<std::ops::Range<usize>> {
+    let marker = format!("\"{key}\":");
+    let start = line.find(&marker)? + marker.len();
+    let len = line[start..].find([',', '}']).expect("value ends");
+    Some(start..start + len)
+}
+
 /// Replaces the value of each of `keys` with `_`, textually — the
 /// fixture's bytes are never re-serialised by the code under test.
 fn blank(text: &str, keys: &[&str]) -> Vec<String> {
     let blank_line = |line: &str| {
         let mut line = line.to_owned();
         for key in keys {
-            let marker = format!("\"{key}\":");
-            if let Some(at) = line.find(&marker) {
-                let start = at + marker.len();
-                let len = line[start..].find([',', '}']).expect("value ends");
-                line.replace_range(start..start + len, "_");
+            if let Some(span) = value_span(&line, key) {
+                line.replace_range(span, "_");
             }
         }
         line
@@ -556,6 +562,16 @@ fn jobs_v1_job_dir_with_a_pending_task_runs_it_to_completion() {
 /// One shard: every event but the first and last comes from the
 /// aggregator thread, and a file source never idles into a timed flush,
 /// so order and batch boundaries are reproducible.
+///
+/// Window scores are the exception to byte equality. The journal prints
+/// `spe` and `threshold` at full `{}` precision, and the eigensolver
+/// behind them is not the one that wrote the fixture (cyclic Jacobi then,
+/// Householder tridiagonalisation plus implicit QL now): the spectra
+/// agree to rounding, and 8 of the values moved past their 12th
+/// significant digit (0.01305707749907621 → 0.013057077499079547). Those
+/// two keys are compared within 1e-9 relative; every other value, key
+/// order included, byte for byte. Float formatting stays pinned by the
+/// drift floats (`churn`, `singleton_fraction`).
 #[test]
 fn events_v1_serve_reproduces_the_parents_journal() {
     let (dir, _) = scratch("serve");
@@ -568,8 +584,20 @@ fn events_v1_serve_reproduces_the_parents_journal() {
         .unwrap();
     assert!(out.status.success(), "{}", stderr(&out));
     let parents = golden("../../../../ingest/tests/fixtures/events_v1.jsonl");
-    assert_eq!(
-        blank(&read(dir.join("events.jsonl")), &PER_RUN),
-        blank(&read(parents), &PER_RUN)
-    );
+    let ours = blank(&read(dir.join("events.jsonl")), &PER_RUN);
+    let theirs = blank(&read(parents), &PER_RUN);
+    assert_eq!(ours.len(), theirs.len());
+    const SCORES: [&str; 2] = ["spe", "threshold"];
+    for (a, b) in ours.iter().zip(&theirs) {
+        for key in SCORES {
+            let x = value_span(a, key).map(|span| &a[span]);
+            let y = value_span(b, key).map(|span| &b[span]);
+            let close = match (x.map(str::parse::<f64>), y.map(str::parse::<f64>)) {
+                (Some(Ok(x)), Some(Ok(y))) => (x - y).abs() <= 1e-9 * y.abs(),
+                _ => x == y,
+            };
+            assert!(close, "{key}:\n{a}\n{b}");
+        }
+        assert_eq!(blank(a, &SCORES), blank(b, &SCORES));
+    }
 }

@@ -8,8 +8,9 @@
 //! [`Pca`] decomposes that side: a batch session matrix is hundreds of
 //! thousands of rows by tens of event types, a streaming window history
 //! is at most a few dozen rows by hundreds of templates, and either way
-//! the matrix handed to [`jacobi_eigen`] has at most a few hundred rows.
-//! This crate implements exactly that, with no external dependencies.
+//! the matrix handed to [`symmetric_eigen`] (Householder tridiagonalisation
+//! plus implicit QL) has at most a few hundred rows. This crate
+//! implements exactly that, with no external dependencies.
 //!
 //! # Example
 //!
@@ -35,7 +36,10 @@ mod matrix;
 mod pca;
 mod stats;
 
-pub use eigen::{jacobi_eigen, Eigen};
+/// The solver's name from when it was cyclic Jacobi; `benchmark/` still
+/// calls it by this name.
+pub use eigen::symmetric_eigen as jacobi_eigen;
+pub use eigen::{symmetric_eigen, Eigen};
 pub use matrix::Matrix;
 pub use pca::Pca;
 pub use stats::{inverse_normal_cdf, q_statistic_threshold};

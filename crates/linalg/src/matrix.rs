@@ -103,12 +103,14 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self × other`.
+    /// Matrix product `self × other` (tests only: the eigensolver's
+    /// reconstruction checks).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
-    pub fn multiply(&self, other: &Matrix) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn multiply(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "dimension mismatch: {}x{} × {}x{}",
@@ -189,28 +191,11 @@ impl Matrix {
         cov
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
+    /// Frobenius norm (tests only: the Jacobi oracle's stopping rule and
+    /// the eigensolver's error bounds).
+    #[cfg(test)]
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute off-diagonal element (square matrices only);
-    /// convergence measure for the Jacobi sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn max_off_diagonal(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "matrix must be square");
-        let mut max = 0.0f64;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if r != c {
-                    max = max.max(self[(r, c)].abs());
-                }
-            }
-        }
-        max
     }
 }
 

@@ -312,7 +312,7 @@ mod tests {
             .collect();
         let train = Matrix::from_rows(&train);
         let mean = train.column_means();
-        let eigen = logparse_linalg::jacobi_eigen(&train.covariance());
+        let eigen = logparse_linalg::symmetric_eigen(&train.covariance());
         let total: f64 = eigen.values.iter().filter(|&&v| v > 0.0).sum();
         let mut kept = 0;
         let mut acc = 0.0;

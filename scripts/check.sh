@@ -57,9 +57,12 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   cli jobs_chaos (jobs_v1, events_v1)
 #                                    what the PR 17 binary wrote for a crashed-
 #                                    and-retried job, a poisoned one and a
-#                                    `serve` run, rewritten byte for byte;
-#                                    a worker SIGKILL retried to `parse`'s
-#                                    bytes (with cli jobs_differential)
+#                                    `serve` run, rewritten byte for byte
+#                                    (the journal's `spe`/`threshold` within
+#                                    1e-9 relative: the eigensolver changed
+#                                    since); a worker SIGKILL retried to
+#                                    `parse`'s bytes (with cli
+#                                    jobs_differential)
 #   ingest e2e checkpoint_restore_…, cli kill_restart, cli store_compact_…
 #                                    a resumed serve equals an uninterrupted
 #                                    one; `store verify` after a CLI resume
@@ -67,6 +70,11 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   tests/preprocess_differential    mask-before-intern vs symbol-level apply
 #                                    vs goldens
 #   linalg dual_matches_primal       dual vs primal PCA
+#   linalg symmetric_eigen_matches_jacobi_on_count_grams
+#                                    Householder + QL vs the cyclic Jacobi
+#                                    oracle on count-history Gram matrices:
+#                                    eigenvalues, residual, orthogonality,
+#                                    leading eigenspaces
 #   eval paper_pins                  every pinned experiment's report against
 #                                    results/quick byte for byte, one assertion
 #                                    per finding; a mismatch leaves what the

@@ -1,12 +1,13 @@
 //! Property-based tests of the linear-algebra substrate: symmetric
 //! eigendecomposition invariants and PCA residual behaviour.
 
-use logmine::linalg::{jacobi_eigen, Matrix, Pca};
+use logmine::linalg::{symmetric_eigen, Matrix, Pca};
 use proptest::prelude::*;
 
-/// Arbitrary small symmetric matrices with entries in [-10, 10].
+/// Arbitrary symmetric matrices of order 1 to 70 (past `serve`'s default
+/// 64-window history) with entries in [-10, 10].
 fn symmetric_matrix() -> impl Strategy<Value = Matrix> {
-    (2usize..6).prop_flat_map(|n| {
+    (1usize..=70).prop_flat_map(|n| {
         prop::collection::vec(-10.0f64..10.0, n * (n + 1) / 2).prop_map(move |upper| {
             let mut m = Matrix::zeros(n, n);
             let mut k = 0;
@@ -42,7 +43,7 @@ proptest! {
 
     #[test]
     fn eigen_trace_equals_value_sum(m in symmetric_matrix()) {
-        let eig = jacobi_eigen(&m);
+        let eig = symmetric_eigen(&m);
         let trace: f64 = (0..m.rows()).map(|i| m[(i, i)]).sum();
         let sum: f64 = eig.values.iter().sum();
         prop_assert!((trace - sum).abs() < 1e-6 * (1.0 + trace.abs()));
@@ -50,7 +51,7 @@ proptest! {
 
     #[test]
     fn eigenvectors_are_orthonormal(m in symmetric_matrix()) {
-        let eig = jacobi_eigen(&m);
+        let eig = symmetric_eigen(&m);
         let n = m.rows();
         for i in 0..n {
             prop_assert!((dot(&eig.vectors[i], &eig.vectors[i]) - 1.0).abs() < 1e-7);
@@ -62,7 +63,7 @@ proptest! {
 
     #[test]
     fn eigenpairs_satisfy_definition(m in symmetric_matrix()) {
-        let eig = jacobi_eigen(&m);
+        let eig = symmetric_eigen(&m);
         for (value, vector) in eig.values.iter().zip(&eig.vectors) {
             let mv = m.multiply_vec(vector);
             for (a, b) in mv.iter().zip(vector) {
@@ -74,7 +75,7 @@ proptest! {
 
     #[test]
     fn eigenvalues_are_sorted_descending(m in symmetric_matrix()) {
-        let eig = jacobi_eigen(&m);
+        let eig = symmetric_eigen(&m);
         for w in eig.values.windows(2) {
             prop_assert!(w[0] >= w[1] - 1e-9);
         }
@@ -82,7 +83,7 @@ proptest! {
 
     #[test]
     fn covariance_is_positive_semidefinite(data in data_matrix()) {
-        let eig = jacobi_eigen(&data.covariance());
+        let eig = symmetric_eigen(&data.covariance());
         for &v in &eig.values {
             prop_assert!(v > -1e-6, "negative eigenvalue {v}");
         }
