@@ -6,7 +6,7 @@ use std::io::{BufWriter, Write};
 
 use logparse_core::{
     write_events_file, write_structured_file, write_structured_lines, Corpus, LogParser, MaskRule,
-    Preprocessor, Tokenizer,
+    Preprocessor,
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
@@ -189,13 +189,12 @@ fn load_corpus(
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, Box<dyn Error>> {
-    let tokenizer = Tokenizer::default();
     Ok(match path {
-        Some(path) => Corpus::from_path_masked(path, &tokenizer, preprocessor, threads)?,
+        Some(path) => Corpus::from_path_masked(path, preprocessor, threads)?,
         None => {
             let mut bytes = Vec::new();
             std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut bytes)?;
-            Corpus::from_bytes_masked(bytes, &tokenizer, preprocessor, threads)?
+            Corpus::from_bytes(bytes, preprocessor, threads)?
         }
     })
 }
@@ -343,12 +342,7 @@ fn build_ingest_config(args: &Args) -> Result<IngestConfig, Box<dyn Error>> {
     let defaults = IngestConfig::default();
     let mut detector = PcaDetectorConfig::default();
     detector.alpha = args.parsed_or("alpha", detector.alpha)?;
-    if let Some(raw) = args.option("components") {
-        detector.components = Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value `{raw}` for --components"))?,
-        );
-    }
+    detector.components = args.parsed("components")?.or(detector.components);
     let drift = !args.has_flag("no-drift");
     let alert_rules = if !drift || args.has_flag("no-alerts") {
         Vec::new()
@@ -373,11 +367,7 @@ fn build_ingest_config(args: &Args) -> Result<IngestConfig, Box<dyn Error>> {
         warmup: args.parsed_or("warmup", defaults.warmup)?,
         store_dir: args.option("checkpoint").map(std::path::PathBuf::from),
         checkpoint_every: args.parsed_or("checkpoint-every", defaults.checkpoint_every)?,
-        max_lines: args
-            .option("max-lines")
-            .map(str::parse)
-            .transpose()
-            .map_err(|_| "invalid value for --max-lines")?,
+        max_lines: args.parsed("max-lines")?,
         detector,
         ..defaults
     })

@@ -158,6 +158,16 @@ fn invalid_option_value_fails_cleanly() {
     assert!(!out.status.success());
     let text = String::from_utf8(out.stderr).unwrap();
     assert!(text.contains("invalid value"));
+
+    // Every option names the value it could not parse.
+    let out = logmine()
+        .args(["serve", "--max-lines", "x"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(text.contains("invalid value `x` for --max-lines"), "{text}");
 }
 
 #[test]

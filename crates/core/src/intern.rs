@@ -330,6 +330,38 @@ impl Interner {
     pub fn resolve_row<'a>(&'a self, row: &[Symbol]) -> Vec<&'a str> {
         row.iter().map(|&s| self.resolve(s)).collect()
     }
+
+    /// Replaces `row` with the symbols of `line`'s tokens (the token
+    /// rule of [`Corpus`](crate::Corpus)), interning each. Allocates only
+    /// when a token is seen for the first time or `row` has to grow, so
+    /// a caller that keeps one row for every line it sees — a streaming
+    /// parser — allocates nothing per line.
+    ///
+    /// The split is byte-level while the line is ASCII, where the rule's
+    /// whitespace is `\t`..=`\r` and space; at the first byte ≥ 0x80 it
+    /// starts over at char level. The tokens interned before that are the
+    /// char-level split's first tokens too, so the ids are the same.
+    pub fn intern_line(&mut self, line: &str, row: &mut Vec<Symbol>) {
+        row.clear();
+        let mut start = None;
+        for (at, &byte) in line.as_bytes().iter().enumerate() {
+            if byte >= 0x80 {
+                row.clear();
+                row.extend(line.split_whitespace().map(|t| self.intern(t)));
+                return;
+            }
+            if matches!(byte, b'\t'..=b'\r' | b' ') {
+                if let Some(from) = start.take() {
+                    row.push(self.intern(&line[from..at]));
+                }
+            } else if start.is_none() {
+                start = Some(at);
+            }
+        }
+        if let Some(from) = start {
+            row.push(self.intern(&line[from..]));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -674,6 +706,47 @@ mod tests {
         let steady = mean_insert_displacement(steady);
         for (name, mean) in [("churn", churn), ("hdfs", hdfs), ("steady", steady)] {
             assert!(mean <= 16.0, "{name}: mean insert displacement {mean:.1}");
+        }
+    }
+
+    #[test]
+    fn intern_line_splits_by_the_rule_and_reuses_its_row() {
+        let mut interner = Interner::new();
+        let mut row = Vec::new();
+        for line in [
+            "src: a=1, b=xyz →ok",
+            "b=xyz",
+            "",
+            " \x0ba\x0cb\r c\t",
+            "x\u{a0}y z\u{3000}w \u{85}v",
+        ] {
+            interner.intern_line(line, &mut row);
+            assert_eq!(
+                interner.resolve_row(&row),
+                line.split_whitespace().collect::<Vec<_>>()
+            );
+        }
+    }
+
+    proptest! {
+        /// The byte-level split with its char-level fallback interns the
+        /// same tokens, in the same order and so to the same ids, as
+        /// interning `split_whitespace` over the same lines.
+        #[test]
+        fn interned_split_matches_the_char_rule(
+            lines in prop::collection::vec(
+                "[ a-c\t\x0b\x0c\r\u{85}\u{a0}\u{3000}é]{0,16}",
+                0..12,
+            ),
+        ) {
+            let (mut fast, mut reference) = (Interner::new(), Interner::new());
+            let mut row = Vec::new();
+            for line in &lines {
+                fast.intern_line(line, &mut row);
+                let expected: Vec<Symbol> =
+                    line.split_whitespace().map(|t| reference.intern(t)).collect();
+                prop_assert_eq!(&row, &expected);
+            }
         }
     }
 

@@ -63,7 +63,7 @@ pub fn write_structured_lines<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParseBuilder, Template, Tokenizer};
+    use crate::{ParseBuilder, Template};
 
     #[test]
     fn events_file_is_one_template_per_line() {
@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn structured_file_marks_outliers_and_missing_timestamps() {
-        let corpus = Corpus::from_lines(["a b", "c d"], &Tokenizer::default());
+        let corpus = Corpus::from_lines(["a b", "c d"]);
         let mut b = ParseBuilder::new(2);
         let e = b.add_template(Template::from_pattern("a b"));
         b.assign(0, e);

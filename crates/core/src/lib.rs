@@ -16,16 +16,12 @@
 //! # Example
 //!
 //! ```
-//! use logparse_core::{Corpus, Tokenizer};
+//! use logparse_core::Corpus;
 //!
-//! let tokenizer = Tokenizer::default();
-//! let corpus = Corpus::from_lines(
-//!     [
-//!         "Receiving block blk_1 src: /10.0.0.1:5000 dest: /10.0.0.2:5001",
-//!         "Receiving block blk_2 src: /10.0.0.3:5000 dest: /10.0.0.4:5001",
-//!     ],
-//!     &tokenizer,
-//! );
+//! let corpus = Corpus::from_lines([
+//!     "Receiving block blk_1 src: /10.0.0.1:5000 dest: /10.0.0.2:5001",
+//!     "Receiving block blk_2 src: /10.0.0.3:5000 dest: /10.0.0.4:5001",
+//! ]);
 //! assert_eq!(corpus.len(), 2);
 //! assert_eq!(corpus.tokens(0)[0], "Receiving");
 //! ```
@@ -48,7 +44,6 @@ mod preprocess;
 mod record;
 mod simd;
 mod template;
-mod tokenizer;
 
 pub use error::ParseError;
 pub use intern::{Interner, Symbol, TokenArena};
@@ -60,6 +55,5 @@ pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};
 pub use parser::{EventId, LogParser, Parse, ParseBuilder};
 pub use preprocess::{MaskRule, Preprocessor};
-pub use record::{Corpus, LogRecord, RecordRef};
+pub use record::{Corpus, LogRecord, RecordRef, Tokenizer};
 pub use template::{Template, TemplateToken};
-pub use tokenizer::Tokenizer;

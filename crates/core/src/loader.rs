@@ -24,9 +24,9 @@
 //!    masker is the zero-sized [`Identity`] and the step compiles away.
 //!    Lines with high bytes take the checked slow path — UTF-8
 //!    validation (the same `InvalidData` error `BufRead::lines`
-//!    produces) and the char-level [`Tokenizer`], for which U+00A0 or
-//!    U+3000 separates tokens as a space does — and mask per token the
-//!    same way.
+//!    produces) and `split_whitespace`, for which U+00A0 or U+3000
+//!    separates tokens as a space does — and mask per token the same
+//!    way.
 //!
 //! The chunked-parallel build splits the buffer at newline boundaries,
 //! scans each chunk with a thread-local interner/arena, then merges in
@@ -56,7 +56,6 @@ use crate::parallel::ParallelDriver;
 use crate::preprocess::{MaskRule, Preprocessor};
 use crate::record::{Corpus, Span};
 use crate::simd::{count_non_blank_lines, find_newline, kept_line_starts, scan, ScanSink};
-use crate::tokenizer::Tokenizer;
 
 /// The single backing buffer of a corpus: either a private read-only
 /// mapping of the input file or bytes held in memory. Records reference
@@ -240,7 +239,7 @@ impl<M: Masker> ScanSink for BuildSink<'_, M> {
             self.scratch.clear();
             let content =
                 std::str::from_utf8(&self.buf[start..content_end]).map_err(|_| invalid_utf8())?;
-            for token in Tokenizer::new().token_slices(content) {
+            for token in content.split_whitespace() {
                 self.rows.push_token(token);
             }
         } else {
@@ -438,8 +437,7 @@ pub(crate) fn corpus_from_path(
     build_corpus(Arc::new(buffer), preprocessor, threads)
 }
 
-/// Implementation behind [`Corpus::from_bytes`] and its parallel and
-/// masked variants.
+/// Implementation behind [`Corpus::from_bytes`].
 pub(crate) fn corpus_from_bytes(
     bytes: Vec<u8>,
     preprocessor: &Preprocessor,
@@ -508,8 +506,9 @@ pub(crate) fn corpus_from_path_range(
     build_range(buffer, 0, range, file_len, lines_before)
 }
 
-/// Implementation behind [`Corpus::from_reader_range`]: one seek and one
-/// read of the range (and the byte before it), never the whole input.
+/// [`corpus_from_path_range`] for a file that cannot be mapped: one seek
+/// and one read of the range (and the byte before it), never the whole
+/// input.
 pub(crate) fn corpus_from_reader_range(
     mut reader: impl Read + Seek,
     range: Range<usize>,
@@ -876,6 +875,77 @@ mod tests {
         assert_eq!(cuts(8), cuts(3), "more chunks than lines");
         let blank = corpus_cuts(write_temp("blank.log", b" \n\n"), 4).unwrap();
         assert_eq!((blank.lines, blank.cuts), (0, vec![0, 3]));
+    }
+
+    /// A seekable input that records which of its bytes were read.
+    struct Watched {
+        inner: std::io::Cursor<Vec<u8>>,
+        /// Lowest and one past the highest offset read, and bytes in all.
+        touched: Option<(usize, usize)>,
+        read: usize,
+    }
+
+    impl Read for Watched {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let at = self.inner.position() as usize;
+            let n = self.inner.read(buf)?;
+            if n > 0 {
+                let (low, high) = self.touched.unwrap_or((at, at + n));
+                self.touched = Some((low.min(at), high.max(at + n)));
+                self.read += n;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Seek for Watched {
+        fn seek(&mut self, to: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(to)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// What a file that cannot be mapped costs: a chunk's range and
+        /// the byte before it, nothing else of the input — and the
+        /// corpus read from there is the chunk's slice of the whole
+        /// build. The text is dense in what a cut can get wrong: blank
+        /// runs, CRLF, a lone `\r`, multi-byte characters, and often no
+        /// final newline.
+        #[test]
+        fn a_range_read_from_a_reader_is_the_slice_of_the_whole_build(
+            pieces in proptest::collection::vec(
+                prop_oneof![
+                    Just("\n".to_owned()),
+                    Just("\r\n".to_owned()),
+                    Just("\r".to_owned()),
+                    Just(" \t".to_owned()),
+                    Just("é=€ ".to_owned()),
+                    "[ -~]{1,12}",
+                ],
+                0..80,
+            ),
+            shards in 1usize..10,
+        ) {
+            let bytes = pieces.concat().into_bytes();
+            let whole = corpus_from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap();
+            let measured = corpus_cuts(write_temp("reader-range.log", &bytes), shards).unwrap();
+            let ranges = ParallelDriver::chunk_ranges(whole.len(), shards);
+            for (k, range) in ranges.into_iter().enumerate() {
+                let cut = measured.cuts[k]..measured.cuts[k + 1];
+                let mut input = Watched {
+                    inner: std::io::Cursor::new(bytes.clone()),
+                    touched: None,
+                    read: 0,
+                };
+                let sought = corpus_from_reader_range(&mut input, cut.clone(), range.start).unwrap();
+                prop_assert_eq!(&sought, &whole.slice(range));
+                let (low, high) = input.touched.unwrap_or((cut.start, cut.end));
+                prop_assert!(low + 1 >= cut.start && high <= cut.end, "read {low}..{high} for {cut:?}");
+                prop_assert!(input.read <= cut.len() + 1);
+            }
+        }
     }
 
     /// Collects what the framer hands over, checking each line's shape

@@ -303,7 +303,7 @@ pub fn merge_chunks(mut chunk_parses: Vec<Parse>, ranges: &[Range<usize>], len: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParseBuilder, TemplateToken, Tokenizer};
+    use crate::{ParseBuilder, TemplateToken};
 
     /// Groups messages by their first token; templates are positionwise
     /// intersections. Simple, deterministic, chunk-friendly.
@@ -347,7 +347,7 @@ mod tests {
     }
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     #[test]

@@ -266,13 +266,9 @@ pub trait LogParser: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tokenizer;
 
     fn corpus() -> Corpus {
-        Corpus::from_lines(
-            ["open file a", "open file b", "close file a"],
-            &Tokenizer::default(),
-        )
+        Corpus::from_lines(["open file a", "open file b", "close file a"])
     }
 
     #[test]

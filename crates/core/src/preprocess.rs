@@ -229,7 +229,7 @@ fn is_path(token: &[u8]) -> bool {
 /// Two entry points share one classifier: the zero-copy loader masks
 /// each token *before* interning it
 /// ([`Corpus::from_path_masked`](crate::Corpus::from_path_masked) /
-/// [`from_bytes_masked`](crate::Corpus::from_bytes_masked) — one pass,
+/// [`from_bytes`](crate::Corpus::from_bytes) — one pass,
 /// vocabulary proportional to templates), and [`apply`](Self::apply)
 /// masks an already-built corpus at symbol level. Both produce the same
 /// corpus, symbol ids included.
@@ -237,12 +237,9 @@ fn is_path(token: &[u8]) -> bool {
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, MaskRule, Preprocessor, Tokenizer};
+/// use logparse_core::{Corpus, MaskRule, Preprocessor};
 ///
-/// let corpus = Corpus::from_lines(
-///     ["Receiving block blk_123 src: /10.0.0.1:5000"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines(["Receiving block blk_123 src: /10.0.0.1:5000"]);
 /// let pre = Preprocessor::new(vec![MaskRule::BlockId, MaskRule::IpAddress]);
 /// let masked = pre.apply(&corpus);
 /// assert_eq!(masked.tokens(0), &["Receiving", "block", "$BLK", "src:", "$IP"]);
@@ -353,7 +350,7 @@ impl Preprocessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LogRecord, Tokenizer};
+    use crate::LogRecord;
 
     #[test]
     fn ipv4_detection_accepts_adorned_addresses() {
@@ -492,10 +489,7 @@ mod tests {
 
     #[test]
     fn apply_keeps_records_and_masks_only_tokens() {
-        let corpus = Corpus::from_records(
-            [LogRecord::new(5, "delete blk_1 now")],
-            &Tokenizer::default(),
-        );
+        let corpus = Corpus::from_records([LogRecord::new(5, "delete blk_1 now")]);
         let masked = Preprocessor::new(vec![MaskRule::BlockId]).apply(&corpus);
         assert_eq!(masked.record(0).line_no, 5);
         // Content is the raw line; the variable survives for output.
@@ -507,7 +501,7 @@ mod tests {
     fn apply_numbers_symbols_by_first_occurrence_in_the_masked_stream() {
         // `$NUM` occurs raw on line 2, after the rule already produced
         // it on line 1: one symbol, claimed at its first occurrence.
-        let corpus = Corpus::from_lines(["took 7 ms", "took $NUM ms 9"], &Tokenizer::default());
+        let corpus = Corpus::from_lines(["took 7 ms", "took $NUM ms 9"]);
         let masked = Preprocessor::new(vec![MaskRule::Number]).apply(&corpus);
         let ids = |i: usize| -> Vec<u32> { masked.symbols(i).iter().map(|s| s.id()).collect() };
         assert_eq!(ids(0), [0, 1, 2]);
@@ -517,7 +511,7 @@ mod tests {
 
     #[test]
     fn identity_preprocessor_is_a_noop() {
-        let corpus = Corpus::from_lines(["a 1 2.3"], &Tokenizer::default());
+        let corpus = Corpus::from_lines(["a 1 2.3"]);
         assert_eq!(Preprocessor::identity().apply(&corpus), corpus);
     }
 }

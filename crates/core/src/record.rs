@@ -7,7 +7,6 @@ use crate::error::ParseError;
 use crate::intern::{Interner, Symbol, TokenArena};
 use crate::loader::LineBuffer;
 use crate::preprocess::Preprocessor;
-use crate::Tokenizer;
 
 /// A single raw log message.
 ///
@@ -115,6 +114,15 @@ enum LineNumbers {
 /// [`interner`](Corpus::interner) only when rendering output;
 /// [`tokens`](Corpus::tokens) remains as the resolved string view.
 ///
+/// **The token rule.** A token is a maximal run of non-whitespace
+/// characters (`char::is_whitespace`, so U+00A0, U+3000 and U+0085
+/// separate as a space does): a whitespace run yields no empty token
+/// and a blank line an empty row. There is nothing to configure.
+/// Anything specific to a dataset — the paper's §IV-B domain knowledge
+/// — is a [`MaskRule`](crate::MaskRule) over these tokens, not a
+/// different split. Every constructor and [`Interner::intern_line`]
+/// split this way.
+///
 /// Storage is one shape however the corpus was built: a single shared
 /// byte buffer and one `(start, length)` span per record into it; line
 /// numbers are the first one plus the index unless records were picked
@@ -124,15 +132,15 @@ enum LineNumbers {
 /// * [`from_path`](Corpus::from_path) / [`from_bytes`](Corpus::from_bytes)
 ///   — a log file or stream, through [`crate::loader`]: the buffer is
 ///   the mmap'd file (or the bytes as given), blank lines are skipped,
-///   tokens are interned straight into the arena. The
-///   [`from_path_masked`](Corpus::from_path_masked) /
-///   [`from_bytes_masked`](Corpus::from_bytes_masked) variants apply a
-///   [`Preprocessor`]'s rules to each token before it is interned.
+///   tokens are interned straight into the arena.
+///   [`from_path_masked`](Corpus::from_path_masked) and `from_bytes`
+///   apply a [`Preprocessor`]'s rules to each token before it is
+///   interned.
 /// * [`from_lines`](Corpus::from_lines) / [`from_records`](Corpus::from_records)
 ///   — lines already in memory (dataset generators, tests): every line
 ///   is kept, blank ones included, so caller-side arrays stay
 ///   index-aligned; the lines are copied into one owned buffer and
-///   tokenized by the char-level [`Tokenizer`].
+///   split by `str::split_whitespace`, the rule's char-level statement.
 ///
 /// The interner is shared behind an `Arc`: [`slice`](Corpus::slice),
 /// [`select`](Corpus::select) and [`take`](Corpus::take) copy symbol
@@ -142,9 +150,9 @@ enum LineNumbers {
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, Tokenizer};
+/// use logparse_core::Corpus;
 ///
-/// let corpus = Corpus::from_lines(["a b c", "a b d"], &Tokenizer::default());
+/// let corpus = Corpus::from_lines(["a b c", "a b d"]);
 /// assert_eq!(corpus.len(), 2);
 /// assert_eq!(corpus.tokens(1), &["a", "b", "d"]);
 /// // "a" and "b" are shared symbols; "c" and "d" differ.
@@ -159,6 +167,13 @@ pub struct Corpus {
     arena: TokenArena,
     interner: Arc<Interner>,
 }
+
+/// What [`Corpus::from_path`] and [`Corpus::from_path_parallel`] take
+/// and ignore: there is one token rule (see [`Corpus`]). The argument
+/// stays only while `benchmark/` pins those two signatures; it goes when
+/// the benchmark is re-baselined (ROADMAP.md).
+#[derive(Default)]
+pub struct Tokenizer;
 
 impl Default for Corpus {
     fn default() -> Self {
@@ -198,19 +213,19 @@ impl Corpus {
         )
     }
 
-    /// Builds a corpus from raw content lines, tokenizing each at char
-    /// level with `tokenizer`. Every line becomes a record (blank lines
-    /// too) and line numbers are assigned sequentially from 1.
+    /// Builds a corpus from raw content lines, splitting each at char
+    /// level. Every line becomes a record (blank lines too) and line
+    /// numbers are assigned sequentially from 1.
     ///
     /// # Panics
     ///
     /// Panics if a single line is 4 GiB or longer.
-    pub fn from_lines<I, S>(lines: I, tokenizer: &Tokenizer) -> Self
+    pub fn from_lines<I, S>(lines: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        Corpus::from_contents(lines.into_iter(), tokenizer)
+        Corpus::from_contents(lines.into_iter())
     }
 
     /// Builds a corpus from pre-constructed records, keeping their line
@@ -219,7 +234,7 @@ impl Corpus {
     /// # Panics
     ///
     /// Panics if a single record's content is 4 GiB or longer.
-    pub fn from_records<I>(records: I, tokenizer: &Tokenizer) -> Self
+    pub fn from_records<I>(records: I) -> Self
     where
         I: IntoIterator<Item = LogRecord>,
     {
@@ -228,17 +243,17 @@ impl Corpus {
             numbers.push(record.line_no);
             record.content
         });
-        let mut corpus = Corpus::from_contents(contents, tokenizer);
+        let mut corpus = Corpus::from_contents(contents);
         corpus.lines = LineNumbers::Listed(numbers);
         corpus
     }
 
     /// The body of [`from_lines`](Corpus::from_lines) and
     /// [`from_records`](Corpus::from_records), numbering from 1: appends
-    /// each line's bytes to one owned buffer and tokenizes it with the
-    /// char-level [`Tokenizer`] — not the loader's byte scanner, which
-    /// the differential suite checks against this path.
-    fn from_contents<S: AsRef<str>>(lines: impl Iterator<Item = S>, tokenizer: &Tokenizer) -> Self {
+    /// each line's bytes to one owned buffer and splits it with
+    /// `split_whitespace` — not the loader's byte scanner, which the
+    /// differential suite checks against this path.
+    fn from_contents<S: AsRef<str>>(lines: impl Iterator<Item = S>) -> Self {
         let registry = logparse_obs::global();
         let (time_hist, size_hist) = intern_histograms(registry);
         let span = registry.span_into(time_hist, "core_intern_build", &[]);
@@ -249,8 +264,8 @@ impl Corpus {
         for line in lines {
             let content = line.as_ref();
             arena.push_row(
-                tokenizer
-                    .token_slices(content)
+                content
+                    .split_whitespace()
                     .map(|token| interner.intern(token)),
             );
             let start = bytes.len();
@@ -280,17 +295,14 @@ impl Corpus {
     /// is bit-identical to [`from_lines`](Corpus::from_lines) over the
     /// remaining `BufRead::lines` of the file.
     ///
-    /// There is one token rule, so the `&Tokenizer` this and the other
-    /// loader constructors take selects nothing; the parameter stays
-    /// while `benchmark/` pins these signatures (ROADMAP, `[benchmark]`
-    /// re-baseline).
+    /// The [`Tokenizer`] is accepted and ignored.
     ///
     /// # Errors
     ///
     /// Returns [`ParseError::Io`] when the file cannot be opened or
     /// read, or when a line is not valid UTF-8.
-    pub fn from_path(path: impl AsRef<Path>, tokenizer: &Tokenizer) -> Result<Corpus, ParseError> {
-        Corpus::from_path_masked(path, tokenizer, &Preprocessor::identity(), 1)
+    pub fn from_path(path: impl AsRef<Path>, _tokenizer: &Tokenizer) -> Result<Corpus, ParseError> {
+        Corpus::from_path_masked(path, &Preprocessor::identity(), 1)
     }
 
     /// [`from_path`](Corpus::from_path) with a chunked-parallel build:
@@ -304,36 +316,10 @@ impl Corpus {
     /// As [`from_path`](Corpus::from_path).
     pub fn from_path_parallel(
         path: impl AsRef<Path>,
-        tokenizer: &Tokenizer,
+        _tokenizer: &Tokenizer,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
-        Corpus::from_path_masked(path, tokenizer, &Preprocessor::identity(), threads)
-    }
-
-    /// Builds a corpus from an in-memory buffer (e.g. stdin read to
-    /// end) with the zero-copy loader. Semantics match
-    /// [`from_path`](Corpus::from_path); the buffer is owned by the
-    /// corpus, records are views into it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError::Io`] when a line is not valid UTF-8.
-    pub fn from_bytes(bytes: Vec<u8>, tokenizer: &Tokenizer) -> Result<Corpus, ParseError> {
-        Corpus::from_bytes_masked(bytes, tokenizer, &Preprocessor::identity(), 1)
-    }
-
-    /// [`from_bytes`](Corpus::from_bytes) with the chunked-parallel
-    /// build (see [`from_path_parallel`](Corpus::from_path_parallel)).
-    ///
-    /// # Errors
-    ///
-    /// As [`from_bytes`](Corpus::from_bytes).
-    pub fn from_bytes_parallel(
-        bytes: Vec<u8>,
-        tokenizer: &Tokenizer,
-        threads: usize,
-    ) -> Result<Corpus, ParseError> {
-        Corpus::from_bytes_masked(bytes, tokenizer, &Preprocessor::identity(), threads)
+        Corpus::from_path_masked(path, &Preprocessor::identity(), threads)
     }
 
     /// [`from_path_parallel`](Corpus::from_path_parallel) with masking
@@ -351,7 +337,6 @@ impl Corpus {
     /// As [`from_path`](Corpus::from_path).
     pub fn from_path_masked(
         path: impl AsRef<Path>,
-        _tokenizer: &Tokenizer,
         preprocessor: &Preprocessor,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
@@ -359,14 +344,14 @@ impl Corpus {
     }
 
     /// [`from_path_masked`](Corpus::from_path_masked) over an in-memory
-    /// buffer (e.g. stdin read to end).
+    /// buffer (e.g. stdin read to end), which the corpus owns; records
+    /// are views into it. [`Preprocessor::identity`] masks nothing.
     ///
     /// # Errors
     ///
-    /// As [`from_bytes`](Corpus::from_bytes).
-    pub fn from_bytes_masked(
+    /// Returns [`ParseError::Io`] when a line is not valid UTF-8.
+    pub fn from_bytes(
         bytes: Vec<u8>,
-        _tokenizer: &Tokenizer,
         preprocessor: &Preprocessor,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
@@ -376,8 +361,10 @@ impl Corpus {
     /// Builds the corpus of one byte range of a log file — the kept
     /// lines of `bytes`, numbered from `lines_before + 1` — at the cost
     /// of that range alone: the file is mapped and only the range's
-    /// pages are read. When `bytes` is a chunk of [`corpus_cuts`] and
-    /// `lines_before` that chunk's first line index, the result equals
+    /// pages are read (a file that cannot be mapped costs one seek and
+    /// one read of the range and the byte before it). When `bytes` is a
+    /// chunk of [`corpus_cuts`] and `lines_before` that chunk's first
+    /// line index, the result equals
     /// `Corpus::from_path(path)?.slice(chunk)`: same records, same line
     /// numbers, same tokens (symbol ids are the range's own).
     ///
@@ -391,27 +378,10 @@ impl Corpus {
     /// end, or just past a `\n`).
     pub fn from_path_range(
         path: impl AsRef<Path>,
-        _tokenizer: &Tokenizer,
         bytes: std::ops::Range<usize>,
         lines_before: usize,
     ) -> Result<Corpus, ParseError> {
         crate::loader::corpus_from_path_range(path.as_ref(), bytes, lines_before)
-    }
-
-    /// [`from_path_range`](Corpus::from_path_range) over any seekable
-    /// input, and what it does for a file that cannot be mapped: one
-    /// seek, then one read of the range and the byte before it.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_path_range`](Corpus::from_path_range).
-    pub fn from_reader_range(
-        reader: impl std::io::Read + std::io::Seek,
-        _tokenizer: &Tokenizer,
-        bytes: std::ops::Range<usize>,
-        lines_before: usize,
-    ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_reader_range(reader, bytes, lines_before)
     }
 
     /// Assembles a corpus from a buffer, the spans of its records —
@@ -616,10 +586,7 @@ mod tests {
     use super::*;
 
     fn corpus() -> Corpus {
-        Corpus::from_lines(
-            ["alpha beta", "alpha gamma", "delta epsilon zeta"],
-            &Tokenizer::default(),
-        )
+        Corpus::from_lines(["alpha beta", "alpha gamma", "delta epsilon zeta"])
     }
 
     #[test]
@@ -631,11 +598,35 @@ mod tests {
 
     #[test]
     fn from_lines_keeps_blank_lines() {
-        let c = Corpus::from_lines(["a", "", "  ", "b"], &Tokenizer::default());
+        let c = Corpus::from_lines(["a   b\t\tc", "", "  ", "b"]);
         assert_eq!(c.len(), 4);
+        // A whitespace run yields no empty token, a blank line an empty row.
+        assert_eq!(c.tokens(0), ["a", "b", "c"]);
         assert!(c.symbols(1).is_empty());
+        assert!(c.symbols(2).is_empty());
         assert_eq!(c.record(2).content, "  ");
         assert_eq!(c.record(3).line_no, 4);
+    }
+
+    #[test]
+    fn from_lines_splits_at_every_unicode_space() {
+        let c = Corpus::from_lines([
+            "PacketResponder 1 for block blk_1 terminating",
+            "src: a=1,\u{a0}[b]\u{3000}c\u{85}d",
+        ]);
+        assert_eq!(
+            c.tokens(0),
+            [
+                "PacketResponder",
+                "1",
+                "for",
+                "block",
+                "blk_1",
+                "terminating"
+            ]
+        );
+        // Punctuation and `=` stay inside their token.
+        assert_eq!(c.tokens(1), ["src:", "a=1,", "[b]", "c", "d"]);
     }
 
     #[test]
@@ -686,22 +677,16 @@ mod tests {
     #[test]
     fn equality_is_content_equality_across_distinct_interners() {
         let c = corpus();
-        let rebuilt = Corpus::from_lines(
-            ["alpha beta", "alpha gamma", "delta epsilon zeta"],
-            &Tokenizer::default(),
-        );
+        let rebuilt = Corpus::from_lines(["alpha beta", "alpha gamma", "delta epsilon zeta"]);
         assert_eq!(c, rebuilt);
         // A slice's interner is the parent's full table, a fresh build's
         // is minimal — still equal by content. (Records carry their
         // original line numbers, so the fresh build replays them.)
         let s = c.slice(1..3);
-        let fresh = Corpus::from_records(
-            [
-                LogRecord::new(2, "alpha gamma"),
-                LogRecord::new(3, "delta epsilon zeta"),
-            ],
-            &Tokenizer::default(),
-        );
+        let fresh = Corpus::from_records([
+            LogRecord::new(2, "alpha gamma"),
+            LogRecord::new(3, "delta epsilon zeta"),
+        ]);
         assert_eq!(s.interner().len(), 6);
         assert_eq!(fresh.interner().len(), 5);
         assert_eq!(s, fresh);
@@ -718,17 +703,20 @@ mod tests {
 
     #[test]
     fn from_records_tokenizes_content() {
-        let t = Tokenizer::default();
-        let c = Corpus::from_records([LogRecord::new(7, "Receiving block blk_1")], &t);
+        let c = Corpus::from_records([LogRecord::new(7, "Receiving block blk_1")]);
         assert_eq!(c.record(0).line_no, 7);
         assert_eq!(c.tokens(0), &["Receiving", "block", "blk_1"]);
     }
 
     #[test]
     fn from_bytes_matches_from_lines() {
-        let t = Tokenizer::default();
-        let zero_copy = Corpus::from_bytes(b"alpha beta\n\nalpha gamma\n".to_vec(), &t).unwrap();
-        let owned = Corpus::from_lines(["alpha beta", "alpha gamma"], &t);
+        let zero_copy = Corpus::from_bytes(
+            b"alpha beta\n\nalpha gamma\n".to_vec(),
+            &Preprocessor::identity(),
+            1,
+        )
+        .unwrap();
+        let owned = Corpus::from_lines(["alpha beta", "alpha gamma"]);
         assert_eq!(zero_copy, owned);
         assert_eq!(zero_copy.record(1).line_no, 2);
         assert_eq!(zero_copy.record(1).content, "alpha gamma");
@@ -739,8 +727,8 @@ mod tests {
 
     #[test]
     fn zero_copy_slice_and_select_share_the_buffer() {
-        let t = Tokenizer::default();
-        let c = Corpus::from_bytes(b"a b\nc d\ne f\n".to_vec(), &t).unwrap();
+        let c =
+            Corpus::from_bytes(b"a b\nc d\ne f\n".to_vec(), &Preprocessor::identity(), 1).unwrap();
         let s = c.slice(1..3);
         assert_eq!(s.record(0).content, "c d");
         assert_eq!(s.record(0).line_no, 2, "slices keep original line numbers");
@@ -765,14 +753,14 @@ mod tests {
 
     #[test]
     fn line_numbers_follow_records_through_slice_and_select() {
-        let t = Tokenizer::default();
         let records = [9, 4, 7, 5].map(|n| LogRecord::new(n, format!("line {n}")));
-        let listed = Corpus::from_records(records, &t);
+        let listed = Corpus::from_records(records);
         let numbers = |c: &Corpus| c.records().map(|r| r.line_no).collect::<Vec<_>>();
         assert_eq!(numbers(&listed), [9, 4, 7, 5]);
         assert_eq!(numbers(&listed.slice(1..3)), [4, 7]);
         assert_eq!(numbers(&listed.select(&[3, 0])), [5, 9]);
-        let run = Corpus::from_bytes(b"a\n\nb\nc\nd\n".to_vec(), &t).unwrap();
+        let run =
+            Corpus::from_bytes(b"a\n\nb\nc\nd\n".to_vec(), &Preprocessor::identity(), 1).unwrap();
         assert_eq!(numbers(&run.slice(1..4)), [2, 3, 4]);
         assert_eq!(numbers(&run.slice(1..4).slice(1..3)), [3, 4]);
         assert_eq!(numbers(&run.slice(1..4).select(&[2, 0])), [4, 2]);

@@ -10,7 +10,7 @@
 //! compressed to 8-bit movemasks, and a small event walk over the set
 //! bits emits token and line events to a [`ScanSink`]. A token is a
 //! maximal run of non-whitespace bytes — the one token rule
-//! ([`crate::Tokenizer`]) restricted to ASCII, where the two coincide;
+//! ([`crate::Corpus`]) restricted to ASCII, where the two coincide;
 //! lines with high bytes are re-tokenized by the caller at char level.
 //!
 //! **Skip-blank contract** (the canonical statement; the corpus loader

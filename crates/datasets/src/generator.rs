@@ -1,7 +1,7 @@
 //! The dataset generator: turns a library of [`TemplateSpec`]s plus a
 //! frequency skew into a labeled corpus.
 
-use logparse_core::{Corpus, Template, Tokenizer};
+use logparse_core::{Corpus, Template};
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -176,7 +176,7 @@ impl DatasetSpec {
             labels.push(event);
         }
         LabeledCorpus {
-            corpus: Corpus::from_lines(lines, &Tokenizer::default()),
+            corpus: Corpus::from_lines(lines),
             labels,
             truth_templates: self
                 .templates

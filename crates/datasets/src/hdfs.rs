@@ -13,7 +13,7 @@
 //!   hand-labeled block operation requests (16 838 anomalies ≈ 2.9 %);
 //!   see DESIGN.md for the substitution rationale.
 
-use logparse_core::{Corpus, Tokenizer};
+use logparse_core::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -472,7 +472,7 @@ pub fn generate_sessions(blocks: usize, anomaly_rate: f64, seed: u64) -> HdfsSes
     }
 
     let data = LabeledCorpus {
-        corpus: Corpus::from_lines(&lines, &Tokenizer::default()),
+        corpus: Corpus::from_lines(&lines),
         labels,
         truth_templates: specs.iter().map(TemplateSpec::ground_truth).collect(),
     };

@@ -10,7 +10,7 @@
 //! spurious FSM branches). The runner quantifies both against the
 //! ground-truth parse.
 
-use logparse_core::{Corpus, LogParser, Tokenizer};
+use logparse_core::{Corpus, LogParser};
 use logparse_datasets::hdfs;
 use logparse_mining::{sequences_by_session, verify_deployment, FsmModel};
 
@@ -81,7 +81,7 @@ pub fn run(config: &MiningTasksConfig) -> Vec<MiningTaskRow> {
     for i in 0..prod.data.len() {
         lines.push(prod.data.corpus.record(i).content.to_owned());
     }
-    let combined = Corpus::from_lines(&lines, &Tokenizer::default());
+    let combined = Corpus::from_lines(&lines);
     let session_count = dev.block_count() + prod.block_count();
     let session_of: Vec<usize> = dev
         .block_of

@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use logparse_core::{
-    corpus_cuts, Corpus, LogParser, ParallelDriver, ParseError, Template, TemplateToken, Tokenizer,
+    corpus_cuts, Corpus, LogParser, ParallelDriver, ParseError, Template, TemplateToken,
 };
 use logparse_obs::Json;
 use logparse_parsers::batch_parser;
@@ -757,18 +757,15 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), J
         }
     }
     let bytes = manifest.cuts[task]..manifest.cuts[task + 1];
-    let piece = Corpus::from_path_range(
-        &manifest.corpus,
-        &Tokenizer::default(),
-        bytes.clone(),
-        range.start,
-    )
-    .map_err(|err| match err {
-        ParseError::InvalidConfig { reason, .. } => {
-            JobError::Config(format!("corpus {}: {reason}", manifest.corpus.display()))
-        }
-        other => other.into(),
-    })?;
+    let piece =
+        Corpus::from_path_range(&manifest.corpus, bytes.clone(), range.start).map_err(|err| {
+            match err {
+                ParseError::InvalidConfig { reason, .. } => {
+                    JobError::Config(format!("corpus {}: {reason}", manifest.corpus.display()))
+                }
+                other => other.into(),
+            }
+        })?;
     if piece.len() != range.len() {
         return Err(JobError::Config(format!(
             "bytes {}..{} of corpus {} hold {} line(s), manifest says {}",
@@ -996,7 +993,7 @@ mod tests {
         }
         persist(&dir, &manifest(&dir, 40, 4));
         run_job_worker(&dir, 3, 1).unwrap();
-        let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
+        let corpus = Corpus::from_lines(&lines);
         let ranges = ParallelDriver::chunk_ranges(40, 4);
         let parser = job_parser("drain").unwrap();
         for (task, range) in ranges.iter().enumerate() {

@@ -23,16 +23,15 @@ const NAME: &str = "hot-path-string-alloc";
 const PATTERNS: &[&str] = &[".to_string()", "String::from(", "format!("];
 
 /// Scope: the parsers crate, the parallel driver, the zero-copy
-/// corpus loader path (scanner, masker, interner, loader, the token
-/// split) and `serve`'s line path (sources, router, shard workers) —
-/// the loops the throughput benchmark measures.
+/// corpus loader path (scanner, masker, loader, the interner and its
+/// token split) and `serve`'s line path (sources, router, shard
+/// workers) — the loops the throughput benchmark measures.
 const HOT_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/loader.rs",
     "crates/core/src/simd.rs",
     "crates/core/src/intern.rs",
     "crates/core/src/preprocess.rs",
-    "crates/core/src/tokenizer.rs",
     "crates/ingest/src/source.rs",
     "crates/ingest/src/router.rs",
     "crates/ingest/src/worker.rs",
@@ -143,9 +142,15 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lints::missing_files;
 
     fn run(rel: &str, body: &str) -> Vec<Finding> {
         check(&SourceFile::new(rel, body))
+    }
+
+    #[test]
+    fn every_hot_file_exists() {
+        assert_eq!(missing_files(HOT_FILES), Vec::<&str>::new());
     }
 
     #[test]

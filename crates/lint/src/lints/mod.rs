@@ -134,3 +134,14 @@ pub fn find_all(hay: &str, pat: &str) -> Vec<usize> {
     }
     out
 }
+
+/// The entries of a path list that name no file under the workspace
+/// root. A stale entry scopes nothing, so no lint test notices it.
+#[cfg(test)]
+pub(crate) fn missing_files<'a>(list: &[&'a str]) -> Vec<&'a str> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    list.iter()
+        .copied()
+        .filter(|rel| !root.join(rel).is_file())
+        .collect()
+}

@@ -131,6 +131,17 @@ fn is_ident(b: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lints::missing_files;
+
+    #[test]
+    fn every_unsafe_allowlisted_file_exists() {
+        assert_eq!(missing_files(UNSAFE_OK), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn every_deny_allowed_crate_root_exists() {
+        assert_eq!(missing_files(DENY_OK), Vec::<&str>::new());
+    }
 
     #[test]
     fn flags_unsafe_outside_allowlist_even_in_tests() {

@@ -22,14 +22,14 @@ use logparse_core::{Corpus, LogParser, Parse, ParseBuilder, ParseError};
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::Ael;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     ["user=alice logged in from 10.0.0.1", "user=bob logged in from 10.0.0.2"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "user=alice logged in from 10.0.0.1",
+///     "user=bob logged in from 10.0.0.2",
+/// ]);
 /// let parse = Ael::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 1);
 /// # Ok(())
@@ -139,10 +139,9 @@ impl LogParser for Ael {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     #[test]

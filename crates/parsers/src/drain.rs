@@ -29,14 +29,11 @@ use logparse_core::{
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::Drain;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     ["send packet 1 to host7", "send packet 2 to host9"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines(["send packet 1 to host7", "send packet 2 to host9"]);
 /// let parse = Drain::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 1);
 /// # Ok(())
@@ -476,10 +473,9 @@ impl LogParser for Drain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     #[test]

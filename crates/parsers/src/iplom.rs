@@ -42,19 +42,16 @@ use logparse_core::{Corpus, LogParser, Parse, ParseBuilder, ParseError, Symbol};
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::Iplom;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     [
-///         "Verification succeeded for blk_1",
-///         "Verification succeeded for blk_2",
-///         "Deleting block blk_1 file /data/1",
-///         "Deleting block blk_2 file /data/2",
-///     ],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "Verification succeeded for blk_1",
+///     "Verification succeeded for blk_2",
+///     "Deleting block blk_1 file /data/1",
+///     "Deleting block blk_2 file /data/2",
+/// ]);
 /// let parse = Iplom::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 2);
 /// # Ok(())
@@ -635,13 +632,12 @@ impl<'c> Stats<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     /// The parent's statistics, kept as the oracle: cardinality through a
@@ -1151,7 +1147,7 @@ mod tests {
                     .join(" ")
             })
             .collect();
-        let c = Corpus::from_lines(&lines, &Tokenizer::default());
+        let c = Corpus::from_lines(&lines);
         let partition: Vec<usize> = (0..lines.len()).collect();
         let expected: Vec<usize> = (0..70).map(|p| p % 5 + 1).collect();
         assert_eq!(Stats::new(&c).cardinalities(&partition), expected);
@@ -1252,7 +1248,7 @@ mod tests {
             support in 0.0f64..0.15,
         ) {
             let lines = relation_corpus(seed);
-            let c = Corpus::from_lines(&lines, &Tokenizer::default());
+            let c = Corpus::from_lines(&lines);
             let iplom = Iplom::builder()
                 .lower_bound(lower)
                 .upper_bound((lower + gap).min(1.0))

@@ -15,14 +15,14 @@ use logparse_core::{Corpus, LogParser, Parse, ParseBuilder, ParseError, Symbol};
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::LenMa;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     ["accepted connection from 10.0.0.17", "accepted connection from 10.0.0.94"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "accepted connection from 10.0.0.17",
+///     "accepted connection from 10.0.0.94",
+/// ]);
 /// let parse = LenMa::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 1);
 /// # Ok(())
@@ -165,10 +165,9 @@ impl LogParser for LenMa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     #[test]

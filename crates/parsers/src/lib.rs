@@ -20,19 +20,16 @@
 //! # Example
 //!
 //! ```
-//! use logparse_core::{Corpus, LogParser, Tokenizer};
+//! use logparse_core::{Corpus, LogParser};
 //! use logparse_parsers::Slct;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let corpus = Corpus::from_lines(
-//!     [
-//!         "session opened for user root",
-//!         "session opened for user guest",
-//!         "session opened for user admin",
-//!         "connection reset by peer",
-//!     ],
-//!     &Tokenizer::default(),
-//! );
+//! let corpus = Corpus::from_lines([
+//!     "session opened for user root",
+//!     "session opened for user guest",
+//!     "session opened for user admin",
+//!     "connection reset by peer",
+//! ]);
 //! let parse = Slct::builder().support_count(2).build().parse(&corpus)?;
 //! assert_eq!(parse.templates()[0].to_string(), "session opened for user *");
 //! # Ok(())

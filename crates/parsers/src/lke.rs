@@ -38,19 +38,16 @@ pub enum DistanceThreshold {
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::Lke;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     [
-///         "Connection established to node 1",
-///         "Connection established to node 2",
-///         "Heartbeat missed on rack 7",
-///         "Heartbeat missed on rack 9",
-///     ],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "Connection established to node 1",
+///     "Connection established to node 2",
+///     "Heartbeat missed on rack 7",
+///     "Heartbeat missed on rack 9",
+/// ]);
 /// let parse = Lke::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 2);
 /// # Ok(())
@@ -389,10 +386,9 @@ impl Lke {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     fn toks(s: &str) -> Vec<String> {

@@ -17,14 +17,15 @@ use logparse_core::{Corpus, LogParser, Parse, ParseBuilder, ParseError, Symbol};
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::LogMine;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     ["fetch page 1 of 30", "fetch page 2 of 30", "cache invalidated fully now done"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "fetch page 1 of 30",
+///     "fetch page 2 of 30",
+///     "cache invalidated fully now done",
+/// ]);
 /// let parse = LogMine::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 2);
 /// # Ok(())
@@ -181,10 +182,9 @@ impl LogParser for LogMine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     fn toks(s: &str) -> Vec<String> {

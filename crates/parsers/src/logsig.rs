@@ -37,19 +37,16 @@ use rand::{Rng, SeedableRng};
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::LogSig;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     [
-///         "user alice logged in",
-///         "user bob logged in",
-///         "disk sda1 is full",
-///         "disk sdb2 is full",
-///     ],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "user alice logged in",
+///     "user bob logged in",
+///     "disk sda1 is full",
+///     "disk sdb2 is full",
+/// ]);
 /// let parse = LogSig::builder().clusters(2).seed(7).build().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 2);
 /// # Ok(())
@@ -401,10 +398,9 @@ fn cluster_signature(corpus: &Corpus, members: &[usize], threshold: f64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     #[test]
@@ -518,7 +514,7 @@ mod tests {
         // core.*` shape): no attraction signal, so the random initial
         // scatter across k=5 clusters persists.
         let lines: Vec<String> = (0..10).map(|i| format!("generating core.{i}")).collect();
-        let c = Corpus::from_lines(&lines, &logparse_core::Tokenizer::default());
+        let c = Corpus::from_lines(&lines);
         let parse = LogSig::builder()
             .clusters(5)
             .seed(3)

@@ -26,7 +26,7 @@ use logparse_core::{
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Template, Tokenizer};
+/// use logparse_core::{Corpus, LogParser, Template};
 /// use logparse_parsers::Oracle;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,10 +34,7 @@ use logparse_core::{
 ///     Template::from_pattern("job * started"),
 ///     Template::from_pattern("job * failed with *"),
 /// ]);
-/// let corpus = Corpus::from_lines(
-///     ["job 7 started", "job 9 failed with ENOSPC", "unrelated noise"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines(["job 7 started", "job 9 failed with ENOSPC", "unrelated noise"]);
 /// let parse = oracle.parse(&corpus)?;
 /// assert_eq!(parse.cluster_labels(), vec![0, 1, 2]); // 2 = outlier
 /// # Ok(())
@@ -153,10 +150,9 @@ impl LogParser for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     fn oracle(patterns: &[&str]) -> Oracle {

@@ -43,14 +43,11 @@ impl Support {
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::Slct;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     ["job 1 done", "job 2 done", "job 3 done", "unique failure"],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines(["job 1 done", "job 2 done", "job 3 done", "unique failure"]);
 /// let parse = Slct::builder().support_count(3).build().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 1);
 /// assert_eq!(parse.outlier_count(), 1);
@@ -199,10 +196,9 @@ impl LogParser for Slct {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     #[test]

@@ -24,18 +24,15 @@ use logparse_core::{
 /// # Example
 ///
 /// ```
-/// use logparse_core::{Corpus, LogParser, Tokenizer};
+/// use logparse_core::{Corpus, LogParser};
 /// use logparse_parsers::Spell;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let corpus = Corpus::from_lines(
-///     [
-///         "Command Failed on: node-127",
-///         "Command Failed on: node-234",
-///         "Boot complete in 372 ms",
-///     ],
-///     &Tokenizer::default(),
-/// );
+/// let corpus = Corpus::from_lines([
+///     "Command Failed on: node-127",
+///     "Command Failed on: node-234",
+///     "Boot complete in 372 ms",
+/// ]);
 /// let parse = Spell::default().parse(&corpus)?;
 /// assert_eq!(parse.event_count(), 2);
 /// assert_eq!(parse.templates()[0].to_string(), "Command Failed on: *");
@@ -404,10 +401,9 @@ fn skeleton_template(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::Tokenizer;
 
     fn corpus(lines: &[&str]) -> Corpus {
-        Corpus::from_lines(lines, &Tokenizer::default())
+        Corpus::from_lines(lines)
     }
 
     fn sym(interner: &mut Interner, s: &str) -> Vec<Symbol> {

@@ -21,7 +21,7 @@
 //! assert_eq!(parser.template(a).unwrap().to_string(), "send pkt *");
 //! ```
 
-use logparse_core::{ParseError, Symbol, Template, TemplateToken, Tokenizer};
+use logparse_core::{ParseError, Symbol, Template, TemplateToken};
 
 use crate::drain::{DrainTree, DrainTreeState};
 use crate::spell::{SpellState, SpellStateSnapshot};
@@ -36,9 +36,11 @@ use crate::{Drain, Spell};
 pub trait StreamingParser {
     /// Assigns the next message to a group, creating one if needed.
     ///
-    /// `line` is the message content; the parser splits it by the one
-    /// token rule ([`Tokenizer`]) and interns the tokens, so a caller
-    /// carries nothing but the line.
+    /// `line` is the message content; the parser splits it by the
+    /// corpus's token rule ([`Interner::intern_line`]) and interns the
+    /// tokens, so a caller carries nothing but the line.
+    ///
+    /// [`Interner::intern_line`]: logparse_core::Interner::intern_line
     fn observe(&mut self, line: &str) -> usize;
 
     /// Number of groups discovered so far.
@@ -123,7 +125,7 @@ impl StreamingDrain {
 
 impl StreamingParser for StreamingDrain {
     fn observe(&mut self, line: &str) -> usize {
-        Tokenizer::new().tokenize_interned(line, self.tree.interner_mut(), &mut self.row);
+        self.tree.interner_mut().intern_line(line, &mut self.row);
         self.tree.observe_symbols(&self.row)
     }
 
@@ -206,7 +208,7 @@ impl StreamingSpell {
 
 impl StreamingParser for StreamingSpell {
     fn observe(&mut self, line: &str) -> usize {
-        Tokenizer::new().tokenize_interned(line, self.state.interner_mut(), &mut self.row);
+        self.state.interner_mut().intern_line(line, &mut self.row);
         self.state.observe_symbols(&self.row)
     }
 

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use logmine::core::{write_events_file, write_structured_file, Corpus, LogParser, Tokenizer};
+use logmine::core::{write_events_file, write_structured_file, Corpus, LogParser};
 use logmine::parsers::{Iplom, Lke, LogSig, Slct};
 
 // The HDFS excerpt from the paper's Fig. 1 (timestamps dropped: only the
@@ -24,7 +24,7 @@ const RAW_LOG: &[&str] = &[
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let corpus = Corpus::from_lines(RAW_LOG, &Tokenizer::default());
+    let corpus = Corpus::from_lines(RAW_LOG);
 
     let parsers: Vec<Box<dyn LogParser>> = vec![
         Box::new(Slct::builder().support_count(2).build()),

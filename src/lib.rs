@@ -23,19 +23,16 @@
 //! # Quickstart
 //!
 //! ```
-//! use logmine::core::{Corpus, LogParser, Tokenizer};
+//! use logmine::core::{Corpus, LogParser};
 //! use logmine::parsers::Iplom;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let corpus = Corpus::from_lines(
-//!     [
-//!         "Receiving block blk_1 src: /10.0.0.1:5000 dest: /10.0.0.2:5001",
-//!         "Receiving block blk_2 src: /10.0.0.3:5000 dest: /10.0.0.4:5001",
-//!         "PacketResponder 1 for block blk_1 terminating",
-//!         "PacketResponder 0 for block blk_2 terminating",
-//!     ],
-//!     &Tokenizer::default(),
-//! );
+//! let corpus = Corpus::from_lines([
+//!     "Receiving block blk_1 src: /10.0.0.1:5000 dest: /10.0.0.2:5001",
+//!     "Receiving block blk_2 src: /10.0.0.3:5000 dest: /10.0.0.4:5001",
+//!     "PacketResponder 1 for block blk_1 terminating",
+//!     "PacketResponder 0 for block blk_2 terminating",
+//! ]);
 //! let parse = Iplom::default().parse(&corpus)?;
 //! assert_eq!(parse.event_count(), 2);
 //! # Ok(())

@@ -2,7 +2,7 @@
 //! the `logmine` facade.
 
 use logmine::core::{
-    write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor, Tokenizer,
+    write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor,
 };
 use logmine::datasets::{hdfs, zookeeper};
 use logmine::eval::{pairwise_f_measure, tune, ParserKind};
@@ -17,7 +17,7 @@ fn file_roundtrip_matches_in_memory_parse() {
         raw.push_str(data.corpus.record(i).content);
         raw.push('\n');
     }
-    let corpus = Corpus::from_bytes(raw.into_bytes(), &Tokenizer::default()).unwrap();
+    let corpus = Corpus::from_bytes(raw.into_bytes(), &Preprocessor::identity(), 1).unwrap();
     assert_eq!(corpus, data.corpus);
 
     let parse = Iplom::default().parse(&corpus).unwrap();

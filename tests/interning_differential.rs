@@ -18,33 +18,29 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use logmine::core::{Corpus, LogParser, Template, Tokenizer};
+use logmine::core::{Corpus, LogParser, Template};
 use logmine::datasets::hdfs;
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Oracle, Slct, Spell};
 
 /// The deterministic corpora the goldens cover, keyed by a stable name.
 fn corpora() -> Vec<(&'static str, Corpus)> {
-    let tokenizer = Tokenizer::default();
     let hdfs_corpus = hdfs::generate(300, 9).corpus;
-    let edges = Corpus::from_lines(
-        [
-            "Receiving block blk_-562725280853087685 src: /10.251.91.84:54106",
-            "Receiving block blk_-562725280853087685 src: /10.251.43.21:45830",
-            "PacketResponder 1 for block blk_38865049064139660 terminating",
-            "PacketResponder 0 for block blk_38865049064139660 terminating",
-            "verify",
-            "verify",
-            "",
-            "a",
-            "42",
-            "x y z",
-            "x y 9",
-            "unmittelbar daß größer",
-            "unmittelbar daß kleiner",
-        ],
-        &tokenizer,
-    );
-    let single = Corpus::from_lines(["lonely"], &tokenizer);
+    let edges = Corpus::from_lines([
+        "Receiving block blk_-562725280853087685 src: /10.251.91.84:54106",
+        "Receiving block blk_-562725280853087685 src: /10.251.43.21:45830",
+        "PacketResponder 1 for block blk_38865049064139660 terminating",
+        "PacketResponder 0 for block blk_38865049064139660 terminating",
+        "verify",
+        "verify",
+        "",
+        "a",
+        "42",
+        "x y z",
+        "x y 9",
+        "unmittelbar daß größer",
+        "unmittelbar daß kleiner",
+    ]);
+    let single = Corpus::from_lines(["lonely"]);
     vec![
         ("hdfs300", hdfs_corpus),
         ("edges", edges),

@@ -24,12 +24,12 @@
 //!   byte-range builds its workers run on them (`from_path_range`): no
 //!   cut inside a line, and each range the slice of the whole build.
 
-use std::io::{BufRead as _, Cursor, Read, Seek, SeekFrom, Write as _};
+use std::io::{BufRead as _, Write as _};
 use std::path::PathBuf;
 
 use logmine::core::{
     corpus_cuts, count_corpus_lines, write_events_file, write_structured_file, Corpus, LogParser,
-    ParallelDriver, ParseError, Tokenizer,
+    ParallelDriver, ParseError, Preprocessor, Tokenizer,
 };
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Slct, Spell};
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ fn legacy_corpus(bytes: &[u8]) -> Corpus {
         .lines()
         .map(|line| line.expect("fixtures are valid UTF-8"))
         .filter(|line| !line.bytes().all(|b| matches!(b, 0x09..=0x0d | b' ')));
-    Corpus::from_lines(lines, &Tokenizer::default())
+    Corpus::from_lines(lines)
 }
 
 /// Asserts two corpora are bit-identical: same records (line numbers,
@@ -155,34 +155,27 @@ fn chunk_straddle_bytes() -> Vec<u8> {
 }
 
 /// Tentpole bit-identity: for every fixture, `from_path`,
-/// `from_path_parallel`, `from_bytes`, and `from_bytes_parallel` all
+/// `from_path_parallel` and `from_bytes` at every thread count all
 /// reproduce the legacy `BufRead::lines` + `from_lines` corpus exactly.
 #[test]
 fn every_loader_entry_point_is_bit_identical_to_the_legacy_pipeline() {
-    let tok = Tokenizer::default();
     for (tag, bytes) in fixtures() {
         let legacy = legacy_corpus(&bytes);
         let path = fixture_file(tag, &bytes);
 
-        let mapped = Corpus::from_path(&path, &tok).unwrap();
+        let mapped = Corpus::from_path(&path, &Tokenizer).unwrap();
         assert_bit_identical(&mapped, &legacy, &format!("{tag}: from_path"));
 
-        let owned = Corpus::from_bytes(bytes.clone(), &tok).unwrap();
-        assert_bit_identical(&owned, &legacy, &format!("{tag}: from_bytes"));
-
         for threads in [1usize, 2, 3, 8] {
-            let par = Corpus::from_path_parallel(&path, &tok, threads).unwrap();
+            let par = Corpus::from_path_parallel(&path, &Tokenizer, threads).unwrap();
             assert_bit_identical(
                 &par,
                 &legacy,
                 &format!("{tag}: from_path_parallel({threads})"),
             );
-            let par_owned = Corpus::from_bytes_parallel(bytes.clone(), &tok, threads).unwrap();
-            assert_bit_identical(
-                &par_owned,
-                &legacy,
-                &format!("{tag}: from_bytes_parallel({threads})"),
-            );
+            let owned =
+                Corpus::from_bytes(bytes.clone(), &Preprocessor::identity(), threads).unwrap();
+            assert_bit_identical(&owned, &legacy, &format!("{tag}: from_bytes({threads})"));
         }
 
         assert_eq!(
@@ -199,11 +192,10 @@ fn every_loader_entry_point_is_bit_identical_to_the_legacy_pipeline() {
 /// reader or the zero-copy loader.
 #[test]
 fn parser_output_files_are_byte_identical_across_loaders() {
-    let tok = Tokenizer::default();
     for (tag, bytes) in fixtures() {
         let legacy = legacy_corpus(&bytes);
         let path = fixture_file(&format!("e2e-{tag}"), &bytes);
-        let mapped = Corpus::from_path(&path, &tok).unwrap();
+        let mapped = Corpus::from_path(&path, &Tokenizer).unwrap();
         for parser in parsers() {
             let (old, new) = match (parser.parse(&legacy), parser.parse(&mapped)) {
                 (Ok(a), Ok(b)) => (a, b),
@@ -232,43 +224,15 @@ fn parser_output_files_are_byte_identical_across_loaders() {
 /// merge must make the parallel build bit-identical to sequential.
 #[test]
 fn chunk_straddling_lines_survive_the_parallel_build() {
-    let tok = Tokenizer::default();
     let bytes = chunk_straddle_bytes();
     let legacy = legacy_corpus(&bytes);
     let path = fixture_file("straddle", &bytes);
     for threads in [1usize, 2, 3, 4, 7, 16, 64] {
-        let par = Corpus::from_path_parallel(&path, &tok, threads).unwrap();
+        let par = Corpus::from_path_parallel(&path, &Tokenizer, threads).unwrap();
         assert_bit_identical(&par, &legacy, &format!("straddle at {threads} threads"));
     }
     assert_eq!(count_corpus_lines(&path).unwrap(), legacy.len());
     std::fs::remove_file(&path).ok();
-}
-
-/// A seekable input that records which of its bytes were read.
-struct Watched {
-    inner: Cursor<Vec<u8>>,
-    /// Lowest and one past the highest offset read, and bytes in all.
-    touched: Option<(usize, usize)>,
-    read: usize,
-}
-
-impl Read for Watched {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let at = self.inner.position() as usize;
-        let n = self.inner.read(buf)?;
-        if n > 0 {
-            let (low, high) = self.touched.unwrap_or((at, at + n));
-            self.touched = Some((low.min(at), high.max(at + n)));
-            self.read += n;
-        }
-        Ok(n)
-    }
-}
-
-impl Seek for Watched {
-    fn seek(&mut self, to: SeekFrom) -> std::io::Result<u64> {
-        self.inner.seek(to)
-    }
 }
 
 /// Text dense in what a cut can get wrong: blank runs, CRLF, a lone
@@ -294,25 +258,22 @@ fn cuttable_bytes() -> impl Strategy<Value = Vec<u8>> {
 /// torn lines; an empty file (which cannot be mapped) has one range.
 #[test]
 fn a_byte_range_off_the_line_grid_is_refused() {
-    let tok = Tokenizer::default();
     let path = fixture_file("grid", b"one 1\ntwo 2\r\n\nthree 3");
     for (range, lines) in [(0..6, 1), (6..13, 1), (6..14, 1), (14..21, 1), (0..21, 3)] {
-        let built = Corpus::from_path_range(&path, &tok, range.clone(), 0).unwrap();
+        let built = Corpus::from_path_range(&path, range.clone(), 0).unwrap();
         assert_eq!(built.len(), lines, "{range:?}");
     }
     let backwards = std::ops::Range { start: 6, end: 0 };
     for range in [1..6, 0..5, 6..12, 15..21, 0..22, 22..22, backwards] {
-        let refused = Corpus::from_path_range(&path, &tok, range.clone(), 0);
+        let refused = Corpus::from_path_range(&path, range.clone(), 0);
         assert!(
             matches!(refused, Err(ParseError::InvalidConfig { .. })),
             "{range:?}"
         );
     }
     let empty = fixture_file("grid-empty", b"");
-    assert!(Corpus::from_path_range(&empty, &tok, 0..0, 0)
-        .unwrap()
-        .is_empty());
-    assert!(Corpus::from_path_range(&empty, &tok, 0..1, 0).is_err());
+    assert!(Corpus::from_path_range(&empty, 0..0, 0).unwrap().is_empty());
+    assert!(Corpus::from_path_range(&empty, 0..1, 0).is_err());
     for path in [path, empty] {
         std::fs::remove_file(path).ok();
     }
@@ -324,16 +285,15 @@ proptest! {
     /// The cuts a job is sharded by, and the builds its workers run on
     /// them: every cut a line start, chunk `k` of the line split exactly
     /// the kept lines between cuts `k` and `k + 1`, and a corpus built
-    /// from those bytes alone — mapped, or sought and read — the slice
-    /// of the whole-file build: records, line numbers, resolved tokens.
+    /// from those bytes alone the slice of the whole-file build:
+    /// records, line numbers, resolved tokens.
     #[test]
     fn byte_range_builds_are_slices_of_the_whole_build(
         bytes in cuttable_bytes(),
         shards in 1usize..10,
     ) {
-        let tok = Tokenizer::default();
         let path = fixture_file("cuts", &bytes);
-        let whole = Corpus::from_path(&path, &tok).unwrap();
+        let whole = Corpus::from_path(&path, &Tokenizer).unwrap();
         let measured = corpus_cuts(&path, shards).unwrap();
         let ranges = ParallelDriver::chunk_ranges(whole.len(), shards);
         prop_assert_eq!(measured.lines, whole.len());
@@ -348,17 +308,8 @@ proptest! {
             prop_assert_eq!(legacy_corpus(&bytes[cut.clone()]).len(), range.len());
 
             let expected = whole.slice(range.clone());
-            let mapped = Corpus::from_path_range(&path, &tok, cut.clone(), range.start).unwrap();
+            let mapped = Corpus::from_path_range(&path, cut.clone(), range.start).unwrap();
             prop_assert_eq!(&mapped, &expected);
-
-            // What a file that cannot be mapped costs: its range and the
-            // byte before it, nothing else of the file.
-            let mut input = Watched { inner: Cursor::new(bytes.clone()), touched: None, read: 0 };
-            let sought = Corpus::from_reader_range(&mut input, &tok, cut.clone(), range.start).unwrap();
-            prop_assert_eq!(&sought, &expected);
-            let (low, high) = input.touched.unwrap_or((cut.start, cut.end));
-            prop_assert!(low + 1 >= cut.start && high <= cut.end, "read {low}..{high} for {cut:?}");
-            prop_assert!(input.read <= cut.len() + 1);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -366,8 +317,8 @@ proptest! {
     /// Random printable-ASCII + whitespace soup — all six ASCII
     /// whitespace bytes (`\n` and `\r` through the separator too), and
     /// U+00A0 and U+3000, which send a line down the char-level path:
-    /// `from_bytes` (and its parallel variant at an adversarial thread
-    /// count) always reproduces the legacy pipeline bit-for-bit, and a
+    /// `from_bytes` (sequential, and at an adversarial thread count)
+    /// always reproduces the legacy pipeline bit-for-bit, and a
     /// kept line's tokens are its `split_whitespace`, whichever scanner
     /// path it took. (The class holds the characters themselves; the
     /// word ranges keep about half of a line token text.)
@@ -385,16 +336,16 @@ proptest! {
         }
         let bytes = text.into_bytes();
         let legacy = legacy_corpus(&bytes);
-        let tok = Tokenizer::default();
+        let unmasked = Preprocessor::identity();
 
-        let owned = Corpus::from_bytes(bytes.clone(), &tok).unwrap();
+        let owned = Corpus::from_bytes(bytes.clone(), &unmasked, 1).unwrap();
         prop_assert_eq!(&owned, &legacy);
         for i in 0..legacy.len() {
             let line = legacy.record(i).content;
             prop_assert_eq!(owned.tokens(i), line.split_whitespace().collect::<Vec<_>>(), "line {:?}", line);
         }
 
-        let par = Corpus::from_bytes_parallel(bytes, &tok, threads).unwrap();
+        let par = Corpus::from_bytes(bytes, &unmasked, threads).unwrap();
         prop_assert_eq!(&par, &legacy);
         prop_assert_eq!(par.interner().len(), legacy.interner().len());
     }

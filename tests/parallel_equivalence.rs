@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use logmine::core::{Corpus, LogParser, LogRecord, ParallelDriver, Parse, Template, Tokenizer};
+use logmine::core::{Corpus, LogParser, LogRecord, ParallelDriver, Parse, Template};
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Oracle, Slct, Spell};
 use proptest::prelude::*;
 
@@ -57,8 +57,7 @@ fn arbitrary_corpus() -> impl Strategy<Value = Corpus> {
         1..8,
     )
     .prop_map(|tokens| tokens.join(" "));
-    prop::collection::vec(line, 1..40)
-        .prop_map(|lines| Corpus::from_lines(&lines, &Tokenizer::default()))
+    prop::collection::vec(line, 1..40).prop_map(|lines| Corpus::from_lines(&lines))
 }
 
 fn parsers() -> Vec<Box<dyn LogParser>> {
@@ -83,11 +82,11 @@ fn parsers() -> Vec<Box<dyn LogParser>> {
 /// record interned first, then sliced off) — mirrors
 /// `parser_contracts.rs`. Text and line numbers are unchanged; only the
 /// integer representation of the tokens moved.
-fn id_shifted(corpus: &Corpus, tokenizer: &Tokenizer) -> Corpus {
+fn id_shifted(corpus: &Corpus) -> Corpus {
     let decoy = LogRecord::new(0, "qq0 qq1 qq2 qq3 qq4 qq5 qq6 qq7 qq8 qq9");
     let records =
         std::iter::once(decoy).chain((0..corpus.len()).map(|i| corpus.record(i).to_owned()));
-    let rebuilt = Corpus::from_records(records, tokenizer);
+    let rebuilt = Corpus::from_records(records);
     rebuilt.slice(1..rebuilt.len())
 }
 
@@ -256,7 +255,7 @@ proptest! {
         copies in 14usize..40,
     ) {
         let lines: Vec<&str> = std::iter::repeat_n(line.as_str(), copies).collect();
-        let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
+        let corpus = Corpus::from_lines(&lines);
         for parser in parsers() {
             if parser.name() == "LogSig" {
                 continue;
@@ -308,7 +307,7 @@ proptest! {
     fn symbol_id_shifts_are_invisible_through_the_parallel_driver(
         corpus in arbitrary_corpus(),
     ) {
-        let shifted = id_shifted(&corpus, &Tokenizer::default());
+        let shifted = id_shifted(&corpus);
         for parser in parsers() {
             for &threads in &THREADS {
                 match (
@@ -353,7 +352,7 @@ fn empty_corpus_behaves_exactly_like_sequential() {
 /// the requested thread count.
 #[test]
 fn single_line_corpus_is_sequential_at_any_thread_count() {
-    let corpus = Corpus::from_lines(["start alpha 7"], &Tokenizer::default());
+    let corpus = Corpus::from_lines(["start alpha 7"]);
     for parser in parsers() {
         let sequential = parser.parse(&corpus);
         for &threads in &THREADS {
@@ -374,7 +373,7 @@ fn chunk_boundary_sized_corpora_stay_total_and_deterministic() {
     for &k in &[2usize, 4, 7] {
         for len in [k - 1, k, k + 1, 2 * k, 2 * k + 1] {
             let lines: Vec<String> = (0..len).map(|i| format!("evt {} val {i}", i % 3)).collect();
-            let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
+            let corpus = Corpus::from_lines(&lines);
             for parser in parsers() {
                 let Ok(parse) = parser.parse_parallel(&corpus, k) else {
                     // Only legitimate when the sequential parse also
@@ -400,7 +399,7 @@ fn chunk_boundary_sized_corpora_stay_total_and_deterministic() {
 #[test]
 fn undersized_chunks_fall_back_to_the_sequential_parse() {
     let lines: Vec<String> = (0..6).map(|i| format!("evt {i} ok")).collect();
-    let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
+    let corpus = Corpus::from_lines(&lines);
     let logsig = LogSig::builder().clusters(4).seed(1).build();
     // 6 messages over 4 chunks -> chunks of 1-2 messages, all below the
     // 4-cluster minimum; sequential handles 6 >= 4 fine.

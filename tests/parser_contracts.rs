@@ -3,8 +3,7 @@
 //! output, and templates that really match their members.
 
 use logmine::core::{
-    Corpus, LogParser, LogRecord, MaskRule, Parse, ParseBuilder, ParseError, Preprocessor,
-    Template, Tokenizer,
+    Corpus, LogParser, LogRecord, MaskRule, Parse, ParseBuilder, ParseError, Preprocessor, Template,
 };
 use logmine::parsers::{
     Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Oracle, Slct, Spell, StreamingDrain,
@@ -67,8 +66,7 @@ fn arbitrary_corpus() -> impl Strategy<Value = Corpus> {
         1..8,
     )
     .prop_map(|tokens| tokens.join(" "));
-    prop::collection::vec(line, 1..40)
-        .prop_map(|lines| Corpus::from_lines(&lines, &Tokenizer::default()))
+    prop::collection::vec(line, 1..40).prop_map(|lines| Corpus::from_lines(&lines))
 }
 
 fn parsers() -> Vec<Box<dyn LogParser>> {
@@ -106,23 +104,19 @@ fn parsers() -> Vec<Box<dyn LogParser>> {
 /// identical to the input; only the integer representation moved. Any
 /// parser whose output changes under this map has let symbol ids leak
 /// from representation into semantics.
-fn id_shifted(corpus: &Corpus, tokenizer: &Tokenizer) -> Corpus {
-    id_shifted_masked(corpus, tokenizer, &Preprocessor::identity())
+fn id_shifted(corpus: &Corpus) -> Corpus {
+    id_shifted_masked(corpus, &Preprocessor::identity())
 }
 
 /// [`id_shifted`] for a masked corpus: the decoy is masked along with
 /// the records (masking renumbers symbols by first occurrence, so the
 /// decoy has to go through it to keep the low ids) and sliced off
 /// afterwards. Compare against `preprocessor.apply(corpus)`.
-fn id_shifted_masked(
-    corpus: &Corpus,
-    tokenizer: &Tokenizer,
-    preprocessor: &Preprocessor,
-) -> Corpus {
+fn id_shifted_masked(corpus: &Corpus, preprocessor: &Preprocessor) -> Corpus {
     let decoy = LogRecord::new(0, "qq0 qq1 qq2 qq3 qq4 qq5 qq6 qq7 qq8 qq9");
     let records =
         std::iter::once(decoy).chain((0..corpus.len()).map(|i| corpus.record(i).to_owned()));
-    let rebuilt = preprocessor.apply(&Corpus::from_records(records, tokenizer));
+    let rebuilt = preprocessor.apply(&Corpus::from_records(records));
     rebuilt.slice(1..rebuilt.len())
 }
 
@@ -225,7 +219,7 @@ proptest! {
         copies in 2usize..20,
     ) {
         let lines: Vec<&str> = std::iter::repeat_n(line.as_str(), copies).collect();
-        let corpus = Corpus::from_lines(&lines, &Tokenizer::default());
+        let corpus = Corpus::from_lines(&lines);
         for parser in parsers() {
             if parser.name() == "LogSig" {
                 // LogSig partitions into exactly k clusters and its
@@ -250,7 +244,7 @@ proptest! {
     /// assignments — from every parser, streaming adapters included.
     #[test]
     fn symbol_ids_are_invisible_in_parser_output(corpus in arbitrary_corpus()) {
-        let shifted = id_shifted(&corpus, &Tokenizer::default());
+        let shifted = id_shifted(&corpus);
         for parser in parsers() {
             match (parser.parse(&corpus), parser.parse(&shifted)) {
                 (Ok(a), Ok(b)) => {
@@ -269,7 +263,7 @@ proptest! {
     fn symbol_ids_are_invisible_in_parser_output_under_masking(corpus in arbitrary_corpus()) {
         let numbers = Preprocessor::new(vec![MaskRule::Number]);
         let masked = numbers.apply(&corpus);
-        let shifted = id_shifted_masked(&corpus, &Tokenizer::default(), &numbers);
+        let shifted = id_shifted_masked(&corpus, &numbers);
         prop_assert_eq!(&shifted, &masked);
         prop_assert!(masked.symbols(0).iter().zip(shifted.symbols(0)).all(|(a, b)| a != b));
         for parser in parsers() {
@@ -290,9 +284,8 @@ proptest! {
 /// symbol table and all.
 #[test]
 fn empty_corpus_parses_identically_with_and_without_interned_vocabulary() {
-    let tokenizer = Tokenizer::default();
     let empty = Corpus::new();
-    let shifted = id_shifted(&empty, &tokenizer);
+    let shifted = id_shifted(&empty);
     assert!(shifted.is_empty(), "slicing the decoy off left residue");
     assert!(
         !shifted.interner().is_empty(),
@@ -312,9 +305,8 @@ fn empty_corpus_parses_identically_with_and_without_interned_vocabulary() {
 /// verified to have actually moved the token's id before comparing.
 #[test]
 fn single_token_corpus_is_id_independent() {
-    let tokenizer = Tokenizer::default();
-    let corpus = Corpus::from_lines(["alpha"], &tokenizer);
-    let shifted = id_shifted(&corpus, &tokenizer);
+    let corpus = Corpus::from_lines(["alpha"]);
+    let shifted = id_shifted(&corpus);
     assert_eq!(shifted.len(), 1);
     assert_eq!(shifted.record(0).content, "alpha");
     assert_ne!(

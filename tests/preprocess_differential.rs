@@ -4,7 +4,7 @@
 //! `Preprocessor::apply` resolved every symbol to a string, masked it,
 //! joined a fresh line per record and re-tokenized the lot. It now runs
 //! in two places that must agree to the bit — fused into the zero-copy
-//! loader (`Corpus::from_path_masked` / `from_bytes_masked`: classify
+//! loader (`Corpus::from_path_masked` / `from_bytes`: classify
 //! each token before interning it) and at symbol level in
 //! `Preprocessor::apply` (classify each distinct symbol once, remap the
 //! rows). The goldens under `tests/fixtures/preprocess/` were written by
@@ -24,7 +24,6 @@ use std::path::PathBuf;
 
 use logmine::core::{
     write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor, Symbol,
-    Tokenizer,
 };
 use logmine::datasets::{bgl, hdfs};
 use logmine::parsers::{Drain, Iplom, Lke, LogSig, Slct};
@@ -143,17 +142,16 @@ fn fused_build_and_symbol_level_apply_match_the_goldens() {
     let dir = std::env::temp_dir().join(format!("preprocess-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut missing = Vec::new();
-    let tokenizer = Tokenizer::default();
     for (fixture, bytes) in fixtures() {
-        let raw = Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap();
+        let raw = Corpus::from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap();
         let path = dir.join(fixture);
         std::fs::write(&path, &bytes).unwrap();
         for (rules, pre) in rule_sets() {
             let context = format!("{fixture}/{rules}");
             let applied = pre.apply(&raw);
-            let fused = Corpus::from_bytes_masked(bytes.clone(), &tokenizer, &pre, 1).unwrap();
+            let fused = Corpus::from_bytes(bytes.clone(), &pre, 1).unwrap();
             assert_bit_identical(&fused, &applied, &context);
-            let mapped = Corpus::from_path_masked(&path, &tokenizer, &pre, 1).unwrap();
+            let mapped = Corpus::from_path_masked(&path, &pre, 1).unwrap();
             assert_bit_identical(&mapped, &applied, &format!("{context} (mmap)"));
             // Records are the raw lines; only the token rows are masked.
             for i in 0..raw.len() {
@@ -178,7 +176,7 @@ fn fused_build_and_symbol_level_apply_match_the_goldens() {
 #[ignore = "writes tests/fixtures/preprocess; run explicitly"]
 fn regenerate() {
     for (fixture, bytes) in fixtures() {
-        let raw = Corpus::from_bytes(bytes, &Tokenizer::default()).unwrap();
+        let raw = Corpus::from_bytes(bytes, &Preprocessor::identity(), 1).unwrap();
         for (rules, pre) in rule_sets() {
             let path = golden_path(fixture, rules);
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -210,13 +208,11 @@ fn chunk_straddle_bytes() -> Vec<u8> {
 #[test]
 fn fused_build_is_identical_at_any_thread_count() {
     let bytes = chunk_straddle_bytes();
-    let tokenizer = Tokenizer::default();
-    let raw = Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap();
+    let raw = Corpus::from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap();
     for (rules, pre) in rule_sets() {
         let applied = pre.apply(&raw);
         for threads in [1usize, 2, 7] {
-            let fused =
-                Corpus::from_bytes_masked(bytes.clone(), &tokenizer, &pre, threads).unwrap();
+            let fused = Corpus::from_bytes(bytes.clone(), &pre, threads).unwrap();
             assert_bit_identical(&fused, &applied, &format!("{rules} at {threads} threads"));
         }
     }
@@ -288,9 +284,8 @@ proptest! {
         pre in arbitrary_rules(),
         threads in 1usize..5,
     ) {
-        let tokenizer = Tokenizer::default();
-        let applied = pre.apply(&Corpus::from_bytes(bytes.clone(), &tokenizer).unwrap());
-        let fused = Corpus::from_bytes_masked(bytes, &tokenizer, &pre, threads).unwrap();
+        let applied = pre.apply(&Corpus::from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap());
+        let fused = Corpus::from_bytes(bytes, &pre, threads).unwrap();
         prop_assert_eq!(&fused, &applied);
         prop_assert!(fused.interner() == applied.interner(), "symbol numbering differs");
     }
@@ -306,9 +301,8 @@ proptest! {
         ),
         pre in arbitrary_rules(),
     ) {
-        let tokenizer = Tokenizer::default();
-        let fused = Corpus::from_bytes_masked(bytes.clone(), &tokenizer, &pre, 1);
-        match Corpus::from_bytes(bytes, &tokenizer) {
+        let fused = Corpus::from_bytes(bytes.clone(), &pre, 1);
+        match Corpus::from_bytes(bytes, &Preprocessor::identity(), 1) {
             Ok(raw) => prop_assert_eq!(&fused.unwrap(), &pre.apply(&raw)),
             Err(unmasked) => {
                 let masked = fused.expect_err("masking must not hide invalid UTF-8");
