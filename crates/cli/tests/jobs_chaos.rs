@@ -14,6 +14,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use logparse_core::corpus_cuts;
+use logparse_jobs::protocol::JobManifest;
+
 const BIN: &str = env!("CARGO_BIN_EXE_logmine");
 
 fn line(i: usize) -> String {
@@ -533,13 +536,19 @@ fn jobs_v1_job_dirs_resume_and_are_rewritten_byte_for_byte() {
 }
 
 /// The same parent-written directory with one task still to run: its
-/// `job` blob has no cuts, so the coordinator and the worker it spawns
-/// each complete it from the corpus, and the shard built from its bytes
-/// alone is the one the parent's worker sliced out of the whole file.
+/// `job` blob has no cuts, so the coordinator completes it from the
+/// corpus and saves it once, before the worker it spawns reads it; the
+/// shard built from its bytes alone is the one the parent's worker
+/// sliced out of the whole file.
 #[test]
 fn jobs_v1_job_dir_with_a_pending_task_runs_it_to_completion() {
     let dir = golden_copy("golden-pending");
     std::fs::remove_file(dir.join("job/out/task-2.json")).unwrap();
+    let cuts = || {
+        let manifest = JobManifest::load(&dir.join("job")).unwrap();
+        manifest.expect("job blob").cuts
+    };
+    assert!(cuts().is_empty(), "the fixture predates the cuts");
 
     let [corpus, events] = ["corpus.log", "jobs.events"].map(Path::new);
     let out = jobs_run(&dir, corpus, Path::new("job"), events)
@@ -557,6 +566,12 @@ fn jobs_v1_job_dir_with_a_pending_task_runs_it_to_completion() {
     let appended = appended.expect("appended");
     assert_eq!(events_of(appended, "task_recovered").len(), 3);
     assert_eq!(events_of(appended, "task_completed").len(), 1);
+    let measured = corpus_cuts(dir.join("corpus.log"), 4).unwrap();
+    assert_eq!(
+        cuts(),
+        measured.cuts,
+        "the rewritten job blob carries the cuts"
+    );
 }
 
 /// One shard: every event but the first and last comes from the

@@ -539,8 +539,13 @@ pub struct CorpusCuts {
     pub cuts: Vec<usize>,
 }
 
+/// Kept lines between two entries of the sparse index [`corpus_cuts`]
+/// finds its cuts through: 8 bytes of coordinator memory per 1024
+/// lines, and fewer than 1024 lines walked per cut.
+const CUT_INDEX_STRIDE: usize = 1024;
+
 /// Counts the kept lines of `path` and cuts it into `chunks` chunks in
-/// two SWAR passes over one mmap/read: no interning, no record
+/// one pass over one mmap/read: no interning, no record
 /// materialization, no UTF-8 check.
 ///
 /// # Errors
@@ -548,29 +553,47 @@ pub struct CorpusCuts {
 /// Returns [`ParseError::Io`] when the file cannot be opened or read.
 pub fn corpus_cuts(path: impl AsRef<Path>, chunks: usize) -> Result<CorpusCuts, ParseError> {
     let buffer = map_or_read(File::open(path.as_ref())?)?;
-    let lines = count_non_blank_lines(&buffer);
-    let mut firsts = ParallelDriver::chunk_ranges(lines, chunks)
+    Ok(cuts_through_index(&buffer, chunks, CUT_INDEX_STRIDE))
+}
+
+/// [`corpus_cuts`] of `buf`. The one pass counts the kept lines and
+/// records where every `stride`-th begins; each chunk's first kept line
+/// is then found by walking on from the index entry at or before it,
+/// fewer than `stride` lines.
+pub(crate) fn cuts_through_index(buf: &[u8], chunks: usize, stride: usize) -> CorpusCuts {
+    let stride = stride.max(1);
+    let mut index = Vec::new();
+    let mut lines = 0usize;
+    let mut until_entry = 0usize;
+    for start in kept_line_starts(buf, 0) {
+        if until_entry == 0 {
+            index.push(start);
+            until_entry = stride;
+        }
+        until_entry -= 1;
+        lines += 1;
+    }
+    let mut cuts = vec![0];
+    for chunk in ParallelDriver::chunk_ranges(lines, chunks)
         .into_iter()
         .skip(1)
-        .map(|range| range.start)
-        .peekable();
-    let mut cuts = vec![0];
-    let mut line = 0usize;
-    kept_line_starts(&buffer, |start| {
-        if firsts.next_if_eq(&line).is_some() {
-            cuts.push(start);
-        }
-        line += 1;
-    });
-    cuts.push(buffer.len());
-    Ok(CorpusCuts { lines, cuts })
+    {
+        let entry = index
+            .get(chunk.start / stride)
+            .copied()
+            .unwrap_or(buf.len());
+        let first = kept_line_starts(buf, entry).nth(chunk.start % stride);
+        cuts.push(first.unwrap_or(buf.len()));
+    }
+    cuts.push(buf.len());
+    CorpusCuts { lines, cuts }
 }
 
 /// Counts the lines of `path` a corpus build would keep (non-blank
 /// lines, per the skip-blank contract in [`crate::simd`]) without
-/// building anything: one mmap/read plus one SWAR pass, no interning, no
-/// record materialization. ([`corpus_cuts`] is this plus the byte
-/// offsets a job coordinator shards by.)
+/// building anything: one mmap/read plus one walk from newline to
+/// newline, no interning, no record materialization. ([`corpus_cuts`]
+/// is this walk plus the byte offsets a job coordinator shards by.)
 ///
 /// # Errors
 ///
@@ -877,6 +900,51 @@ mod tests {
         assert_eq!((blank.lines, blank.cuts), (0, vec![0, 3]));
     }
 
+    /// The previous `corpus_cuts`, two passes over the kept lines: count
+    /// them, then walk them again to each chunk's first. The reference
+    /// the indexed pass is held to.
+    fn two_pass_cuts(buf: &[u8], chunks: usize) -> CorpusCuts {
+        let lines = count_non_blank_lines(buf);
+        let mut firsts = ParallelDriver::chunk_ranges(lines, chunks)
+            .into_iter()
+            .skip(1)
+            .map(|range| range.start)
+            .peekable();
+        let mut cuts = vec![0];
+        for (line, start) in kept_line_starts(buf, 0).enumerate() {
+            if firsts.next_if_eq(&line).is_some() {
+                cuts.push(start);
+            }
+        }
+        cuts.push(buf.len());
+        CorpusCuts { lines, cuts }
+    }
+
+    #[test]
+    fn cuts_past_the_first_index_stride_match_the_two_pass_cuts() {
+        // Three strides and then some: blank, whitespace-only and CRLF
+        // lines among the kept ones, and no final newline.
+        let mut bytes = Vec::new();
+        for i in 0..3 * CUT_INDEX_STRIDE + 17 {
+            let line = match i % 5 {
+                0 => "\n".to_owned(),
+                1 => " \t\r\n".to_owned(),
+                2 => format!("crlf line {i}\r\n"),
+                _ => format!("line {i}\n"),
+            };
+            bytes.extend_from_slice(line.as_bytes());
+        }
+        bytes.extend_from_slice(b"unterminated");
+        let path = write_temp("strides.log", &bytes);
+        for chunks in 1..10 {
+            assert_eq!(
+                corpus_cuts(&path, chunks).unwrap(),
+                two_pass_cuts(&bytes, chunks),
+                "{chunks} chunks"
+            );
+        }
+    }
+
     /// A seekable input that records which of its bytes were read.
     struct Watched {
         inner: std::io::Cursor<Vec<u8>>,
@@ -945,6 +1013,38 @@ mod tests {
                 prop_assert!(low + 1 >= cut.start && high <= cut.end, "read {low}..{high} for {cut:?}");
                 prop_assert!(input.read <= cut.len() + 1);
             }
+        }
+
+        /// One pass through a sparse index cuts where the two passes
+        /// did, at strides small enough that a few dozen lines reach
+        /// many index entries: blank, whitespace-only, CRLF and
+        /// unterminated last lines.
+        #[test]
+        fn indexed_cuts_equal_the_two_pass_cuts(
+            lines in proptest::collection::vec(
+                prop_oneof![
+                    Just(""),
+                    Just(" \t"),
+                    Just("\x0b\x0c\r"),
+                    Just("x"),
+                    Just("crlf line\r"),
+                    Just("a longer line with several tokens"),
+                    Just("é ü"),
+                ],
+                0..60,
+            ),
+            terminated in prop_oneof![Just(false), Just(true)],
+            stride in 1usize..6,
+            chunks in 1usize..10,
+        ) {
+            let mut bytes = lines.join("\n").into_bytes();
+            if terminated {
+                bytes.push(b'\n');
+            }
+            prop_assert_eq!(
+                cuts_through_index(&bytes, chunks, stride),
+                two_pass_cuts(&bytes, chunks)
+            );
         }
     }
 

@@ -88,22 +88,36 @@ fn ws_lanes(v: u64) -> u64 {
     (ge_lanes(v, 0x09) & !ge_lanes(v, 0x0e)) | eq_lanes(v, splat(b' '))
 }
 
-/// Index of the first `\n` at or after `from`, SWAR-accelerated.
+/// The eight bytes at `buf[at..at + 8]` as one little-endian word (the
+/// caller checks `at + 8 <= buf.len()`).
+#[inline]
+fn word_at(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().unwrap_or_default())
+}
+
+/// Index of the first `\n` at or after `from`, SWAR-accelerated: two
+/// unaligned words per round from `from` itself (a log line is a few
+/// dozen to a few hundred bytes, so a per-call byte loop up to alignment
+/// would cost as much as the search), then one word, then the last
+/// bytes of the buffer.
 pub(crate) fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
-    let mut base = from.min(buf.len());
-    // Unaligned head up to the first word boundary of the slice walk.
-    while base < buf.len() && !base.is_multiple_of(8) {
-        if buf[base] == b'\n' {
-            return Some(base);
-        }
-        base += 1;
-    }
     let nl = splat(b'\n');
-    while base + 8 <= buf.len() {
-        let Ok(chunk) = buf[base..base + 8].try_into() else {
-            break;
-        };
-        let hits = eq_lanes(u64::from_le_bytes(chunk), nl);
+    let mut base = from.min(buf.len());
+    while base + 16 <= buf.len() {
+        let low = eq_lanes(word_at(buf, base), nl);
+        let high = eq_lanes(word_at(buf, base + 8), nl);
+        if low | high != 0 {
+            let (at, hits) = if low != 0 {
+                (base, low)
+            } else {
+                (base + 8, high)
+            };
+            return Some(at + (hits.trailing_zeros() / 8) as usize);
+        }
+        base += 16;
+    }
+    if base + 8 <= buf.len() {
+        let hits = eq_lanes(word_at(buf, base), nl);
         if hits != 0 {
             return Some(base + (hits.trailing_zeros() / 8) as usize);
         }
@@ -241,60 +255,34 @@ pub(crate) fn scan<S: ScanSink>(buf: &[u8], sink: &mut S) -> Result<(), ParseErr
     Ok(())
 }
 
-/// Calls `kept` with the offset at which each line of `buf` a corpus
-/// build would keep begins, in buffer order: segments between newlines
-/// (plus a non-empty EOF tail) containing at least one byte that is not
-/// ASCII whitespace. One SWAR pass, no events.
-pub(crate) fn kept_line_starts(buf: &[u8], mut kept: impl FnMut(usize)) {
-    let len = buf.len();
-    let mut line_start = 0usize;
-    let mut nonws = false;
-    let nl_splat = splat(b'\n');
-    let mut base = 0usize;
-    while base < len {
-        let n = (len - base).min(8) as u32;
-        let v = if n == 8 {
-            u64::from_le_bytes(buf[base..base + 8].try_into().unwrap_or_default())
-        } else {
-            let mut word = [0u8; 8];
-            word[..n as usize].copy_from_slice(&buf[base..]);
-            u64::from_le_bytes(word)
-        };
-        let valid: u32 = if n == 8 { 0xff } else { (1u32 << n) - 1 };
-        let nonws8 = !movemask(ws_lanes(v)) & valid;
-        let mut nls = movemask(eq_lanes(v, nl_splat)) & valid;
-        if nls == 0 {
-            nonws |= nonws8 != 0;
-            base += 8;
-            continue;
-        }
-        let mut e: u32 = 0;
-        while nls != 0 {
-            let j = nls.trailing_zeros();
-            if nonws || nonws8 & ((1u32 << j) - (1u32 << e)) != 0 {
-                kept(line_start);
+/// The offsets at which the lines of `buf[from..]` a corpus build would
+/// keep begin, in buffer order: segments between newlines (plus a
+/// non-empty EOF tail) containing at least one byte that is not ASCII
+/// whitespace. `from` must be a line start. The walk jumps from newline
+/// to newline with [`find_newline`]; whether a line is kept is settled
+/// by its first non-whitespace byte, almost always its first byte.
+pub(crate) fn kept_line_starts(buf: &[u8], from: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut next = from;
+    std::iter::from_fn(move || {
+        while next < buf.len() {
+            let start = next;
+            let end = find_newline(buf, start).unwrap_or(buf.len());
+            next = end + 1;
+            if buf[start..end]
+                .iter()
+                .any(|&b| !matches!(b, 0x09..=0x0d | b' '))
+            {
+                return Some(start);
             }
-            nonws = false;
-            e = j + 1;
-            line_start = base + e as usize;
-            nls &= nls - 1;
         }
-        if nonws8 >> e != 0 {
-            nonws = true;
-        }
-        base += 8;
-    }
-    if nonws {
-        kept(line_start);
-    }
+        None
+    })
 }
 
 /// Counts the lines of `buf` a corpus build would keep (see
 /// [`kept_line_starts`]).
 pub(crate) fn count_non_blank_lines(buf: &[u8]) -> usize {
-    let mut count = 0usize;
-    kept_line_starts(buf, |_| count += 1);
-    count
+    kept_line_starts(buf, 0).count()
 }
 
 #[cfg(test)]
@@ -372,6 +360,53 @@ mod tests {
             sink.line(line_start, buf.len(), !nonws, high)?;
         }
         Ok(())
+    }
+
+    /// The previous kept-line walk, one SWAR pass of whitespace and
+    /// newline movemasks over every word: the oracle
+    /// [`kept_line_starts`] is held to.
+    fn kept_line_starts_word_walk(buf: &[u8], mut kept: impl FnMut(usize)) {
+        let len = buf.len();
+        let mut line_start = 0usize;
+        let mut nonws = false;
+        let nl_splat = splat(b'\n');
+        let mut base = 0usize;
+        while base < len {
+            let n = (len - base).min(8) as u32;
+            let v = if n == 8 {
+                u64::from_le_bytes(buf[base..base + 8].try_into().unwrap_or_default())
+            } else {
+                let mut word = [0u8; 8];
+                word[..n as usize].copy_from_slice(&buf[base..]);
+                u64::from_le_bytes(word)
+            };
+            let valid: u32 = if n == 8 { 0xff } else { (1u32 << n) - 1 };
+            let nonws8 = !movemask(ws_lanes(v)) & valid;
+            let mut nls = movemask(eq_lanes(v, nl_splat)) & valid;
+            if nls == 0 {
+                nonws |= nonws8 != 0;
+                base += 8;
+                continue;
+            }
+            let mut e: u32 = 0;
+            while nls != 0 {
+                let j = nls.trailing_zeros();
+                if nonws || nonws8 & ((1u32 << j) - (1u32 << e)) != 0 {
+                    kept(line_start);
+                }
+                nonws = false;
+                e = j + 1;
+                line_start = base + e as usize;
+                nls &= nls - 1;
+            }
+            if nonws8 >> e != 0 {
+                nonws = true;
+            }
+            base += 8;
+        }
+        if nonws {
+            kept(line_start);
+        }
     }
 
     fn swar_events(buf: &[u8]) -> Events {
@@ -537,9 +572,16 @@ mod tests {
             let events = swar_events(&buf);
             let kept: Vec<usize> = events.lines.iter().filter(|l| !l.2).map(|l| l.0).collect();
             prop_assert_eq!(count_non_blank_lines(&buf), kept.len());
-            let mut starts = Vec::new();
-            kept_line_starts(&buf, |start| starts.push(start));
-            prop_assert_eq!(starts, kept);
+            let starts: Vec<usize> = kept_line_starts(&buf, 0).collect();
+            prop_assert_eq!(&starts, &kept);
+            let mut walked = Vec::new();
+            kept_line_starts_word_walk(&buf, |start| walked.push(start));
+            prop_assert_eq!(&starts, &walked);
+            // From any line start, the walk is the tail of the whole one.
+            for from in events.lines.iter().map(|l| l.0) {
+                let tail: Vec<usize> = kept.iter().copied().filter(|&s| s >= from).collect();
+                prop_assert_eq!(kept_line_starts(&buf, from).collect::<Vec<_>>(), tail);
+            }
         }
 
         #[test]

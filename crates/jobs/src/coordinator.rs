@@ -236,15 +236,23 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     let (manifest, resumed) = match JobManifest::load(&config.job_dir)? {
         Some(existing) => {
             validate_manifest(&existing, config)?;
+            let had_cuts = !existing.cuts.is_empty();
             // Before anything is spawned or journalled: against a corpus
             // that changed since the job began, every attempt of every
             // open task would fail the same way.
-            (existing.against_corpus()?, true)
+            let manifest = existing.against_corpus()?;
+            if !had_cuts {
+                // A directory older than the cuts: saved once completed,
+                // so each worker reads the cuts instead of repeating the
+                // pass.
+                manifest.save(&config.job_dir)?;
+            }
+            (manifest, true)
         }
         None => {
-            // Two SWAR passes over one mapping size the manifest and cut
-            // it — no record materialization, here or (past its own
-            // shard) in any worker.
+            // One pass over one mapping sizes the manifest and cuts it —
+            // no record materialization, here or (past its own shard) in
+            // any worker.
             let measured = corpus_cuts(&config.corpus, config.shards)?;
             if measured.lines == 0 {
                 return Err(JobError::Config(format!(

@@ -161,7 +161,8 @@ pub struct JobManifest {
     /// start, the last one the corpus's length in bytes when the job was
     /// created. Empty in a manifest written before workers built byte
     /// ranges, until [`against_corpus`](JobManifest::against_corpus)
-    /// fills it.
+    /// fills it; the coordinator then saves the completed manifest, so
+    /// its workers read the cuts.
     pub cuts: Vec<usize>,
     /// Number of map tasks (= chunk count; determines the result).
     pub shards: usize,

@@ -24,14 +24,16 @@ const PATTERNS: &[&str] = &[".to_string()", "String::from(", "format!("];
 
 /// Scope: the parsers crate, the parallel driver, the zero-copy
 /// corpus loader path (scanner, masker, loader, the interner and its
-/// token split) and `serve`'s line path (sources, router, shard
-/// workers) — the loops the throughput benchmark measures.
+/// token split), the structured-log writer and `serve`'s line path
+/// (sources, router, shard workers) — the loops the throughput
+/// benchmark measures.
 const HOT_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/loader.rs",
     "crates/core/src/simd.rs",
     "crates/core/src/intern.rs",
     "crates/core/src/preprocess.rs",
+    "crates/core/src/io.rs",
     "crates/ingest/src/source.rs",
     "crates/ingest/src/router.rs",
     "crates/ingest/src/worker.rs",
@@ -203,6 +205,7 @@ mod tests {
             "crates/core/src/loader.rs",
             "crates/core/src/simd.rs",
             "crates/core/src/intern.rs",
+            "crates/core/src/io.rs",
             "crates/ingest/src/router.rs",
             "crates/ingest/src/worker.rs",
         ] {

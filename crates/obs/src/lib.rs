@@ -77,7 +77,7 @@ pub use histogram::{Buckets, Histogram, HistogramSnapshot};
 pub use history::{History, HistorySampler};
 pub use http::{serve_metrics, MetricsServer};
 pub use journal::{Journal, RotatingFile};
-pub use json::Json;
+pub use json::{decimal, Json};
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, MetricKind, Registry};
 pub use rules::{default_rules, default_rules_text, parse_rules, AlertRule};

@@ -41,6 +41,19 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   tests/loader_differential        zero-copy loader vs the BufRead reference;
 #                                    job cuts (no cut splits a line, a
 #                                    byte-range build is the slice of the whole)
+#   core io byte_writer_equals_the_writeln_loop, obs json
+#   write_number_equals_display_on_finite_values,
+#   integer_text_parses_like_the_f64_parser,
+#   string_decoding_equals_the_char_at_a_time_decoder
+#                                    the coordinator's serial path against the
+#                                    code it replaced: the structured log
+#                                    against the `writeln!` loop, the JSON
+#                                    number rule against `Display` and
+#                                    `str::parse::<f64>`, string decoding
+#                                    against the char-at-a-time decoder (and
+#                                    core loader indexed_cuts_equal_the_two_
+#                                    pass_cuts: one-pass cuts past the index
+#                                    stride against the two-pass walk)
 #   cli loader_v1_goldens_hold_…     parent-frozen loader_v1 outputs
 #   core framer_lines_do_not_…, cli serve_entry_points_agree_…
 #                                    the stream line contract: file, stdin,
