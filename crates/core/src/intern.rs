@@ -728,6 +728,38 @@ mod tests {
         }
     }
 
+    /// Interns `lines` with [`Interner::intern_line`] and with
+    /// `split_whitespace` into a second table: the rows, so the ids, must
+    /// be equal.
+    fn split_like_the_char_rule<'a>(lines: impl IntoIterator<Item = &'a str>) {
+        let (mut fast, mut reference) = (Interner::new(), Interner::new());
+        let mut row = Vec::new();
+        for line in lines {
+            fast.intern_line(line, &mut row);
+            let expected: Vec<Symbol> = line
+                .split_whitespace()
+                .map(|t| reference.intern(t))
+                .collect();
+            assert_eq!(row, expected, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn interned_split_holds_past_64_and_128_bytes() {
+        let words = "ab\tcd \x0bef\x0cgh\rij  kl ".repeat(8);
+        let mut lines = Vec::new();
+        for len in (56..=72).chain(120..=136) {
+            let ascii = &words[..len];
+            lines.push(ascii.to_owned());
+            lines.push("t".repeat(len));
+            // The first high byte past 64 bytes, where the byte split
+            // starts the line over at char level.
+            lines.push(format!("{ascii}x\u{a0}y z\u{e9}"));
+            lines.push(format!("{}\u{3000}w", "q".repeat(len)));
+        }
+        split_like_the_char_rule(lines.iter().map(String::as_str));
+    }
+
     proptest! {
         /// The byte-level split with its char-level fallback interns the
         /// same tokens, in the same order and so to the same ids, as
@@ -739,14 +771,30 @@ mod tests {
                 0..12,
             ),
         ) {
-            let (mut fast, mut reference) = (Interner::new(), Interner::new());
-            let mut row = Vec::new();
-            for line in &lines {
-                fast.intern_line(line, &mut row);
-                let expected: Vec<Symbol> =
-                    line.split_whitespace().map(|t| reference.intern(t)).collect();
-                prop_assert_eq!(&row, &expected);
-            }
+            split_like_the_char_rule(lines.iter().map(String::as_str));
+        }
+
+        /// Lines of up to 192 bytes, most of them ASCII, so the split
+        /// runs past 64 and 128 bytes and meets a first high byte late.
+        #[test]
+        fn interned_split_matches_the_char_rule_on_long_lines(
+            lines in prop::collection::vec(
+                (
+                    prop::collection::vec("[ a-c\t\x0b\x0c\r]{0,16}", 0..12),
+                    "[ab\u{85}\u{a0}\u{3000}é]?",
+                    0usize..200,
+                )
+                    .prop_map(|(parts, odd, at)| {
+                        // A non-ASCII character in about one line of
+                        // three, anywhere in it.
+                        let mut line = parts.concat();
+                        line.insert_str(at.min(line.len()), &odd);
+                        line
+                    }),
+                0..12,
+            ),
+        ) {
+            split_like_the_char_rule(lines.iter().map(String::as_str));
         }
     }
 

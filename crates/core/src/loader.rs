@@ -12,7 +12,8 @@
 //!    behind an `Arc` — records are byte-range views into it, never
 //!    per-line strings.
 //! 2. **Scan** — [`crate::simd::scan`] finds newline and token
-//!    boundaries in one SWAR pass, flagging blank lines (all ASCII
+//!    boundaries in one SWAR pass, a 64-byte block of bitmasks per
+//!    step, flagging blank lines (all ASCII
 //!    whitespace; skipped, per the skip-blank contract in
 //!    [`crate::simd`]) and lines containing non-ASCII bytes.
 //! 3. **Mask, then intern** — ASCII lines (the overwhelming majority

@@ -4,14 +4,22 @@
 //! The loader's hot loop must find, in one pass over the input buffer,
 //! every newline, every token boundary, whether each line is blank,
 //! and whether it contains any non-ASCII byte (which routes the line to
-//! the checked slow path). [`scan`] does all four eight bytes at a
-//! time: each `u64` word is classified into per-byte masks (whitespace /
-//! newline / high) with branch-free lane arithmetic, the masks are
-//! compressed to 8-bit movemasks, and a small event walk over the set
-//! bits emits token and line events to a [`ScanSink`]. A token is a
-//! maximal run of non-whitespace bytes — the one token rule
-//! ([`crate::Corpus`]) restricted to ASCII, where the two coincide;
-//! lines with high bytes are re-tokenized by the caller at char level.
+//! the checked slow path). [`scan`] does all four one 64-byte block at
+//! a time: the block's eight `u64` words are classified with
+//! branch-free lane arithmetic, each class compressed to an 8-bit
+//! movemask, and the eight movemasks of a class packed into one `u64`
+//! (whitespace, newline, high byte: bit `i` describes byte `i`). Token
+//! boundaries then fall out of mask arithmetic with one carry bit
+//! between blocks, and only the set bits of token ends and newlines are
+//! walked, lowest first (`trailing_zeros`, clear-lowest-bit) to emit
+//! token and line events to a [`ScanSink`]. A token is a maximal run of
+//! non-whitespace bytes — the one token rule ([`crate::Corpus`])
+//! restricted to ASCII, where the two coincide; lines with high bytes
+//! are re-tokenized by the caller at char level. The loader's
+//! `BuildSink` and the line framer's sink and `Shape` split through this
+//! one kernel. [`Interner::intern_line`](crate::Interner::intern_line),
+//! which splits one line per call, keeps its byte loop: routed through
+//! the block scan it measured slower per line (see EXPERIMENTS.md).
 //!
 //! **Skip-blank contract** (the canonical statement; the corpus loader
 //! and [`kept_line_starts`] drop exactly the lines flagged here): a
@@ -35,7 +43,12 @@
 //!   byte is the exact 8-bit mask.
 //!
 //! The tests keep an independent byte-at-a-time `scan_scalar` as the
-//! oracle the property tests hold [`scan`] to.
+//! oracle the property tests and the block-edge test hold [`scan`] to.
+//!
+//! What the ledger times: the benchmark's `core.simd.scan_lines_per_s`
+//! row times [`count_corpus_lines`](crate::count_corpus_lines), which is
+//! the newline-to-newline walk of [`kept_line_starts`], not [`scan`].
+//! The token scan's cost shows inside `core.loader.build_lines_per_s`.
 
 use crate::error::ParseError;
 
@@ -154,105 +167,181 @@ pub(crate) trait ScanSink {
     ) -> Result<(), ParseError>;
 }
 
-/// Scans `buf` a word at a time, emitting token and line events into
-/// `sink`: classify eight bytes into movemasks, then walk only the
-/// *boundary* bits (typical log text has ~1–2 per word). State — the
-/// current line start, the open token, the line's blank/high flags —
-/// carries across words, so tokens and lines may span any number of
-/// words.
-pub(crate) fn scan<S: ScanSink>(buf: &[u8], sink: &mut S) -> Result<(), ParseError> {
-    const NONE: usize = usize::MAX;
-    let len = buf.len();
-    let mut line_start = 0usize;
-    let mut token_start = NONE;
-    let mut has_token = false;
-    let mut high = false;
-    let nl_splat = splat(b'\n');
+/// The class masks of one block of up to [`BLOCK`] bytes: bit `i` of
+/// each describes byte `i`.
+#[derive(Default)]
+struct Block {
+    /// ASCII whitespace (the skip-blank set); bytes past the end of a
+    /// short tail count as whitespace, so they open no token and close
+    /// the one running into them.
+    ws: u64,
+    /// `\n`.
+    nl: u64,
+    /// Bytes `>= 0x80`.
+    high: u64,
+}
 
-    let mut base = 0usize;
-    while base < len {
-        let n = (len - base).min(8) as u32;
-        let v = if n == 8 {
-            u64::from_le_bytes(buf[base..base + 8].try_into().unwrap_or_default())
-        } else {
-            // Tail word: zero padding, masked out of every class
-            // below (`valid`), so pad bytes emit no events.
-            let mut word = [0u8; 8];
-            word[..n as usize].copy_from_slice(&buf[base..]);
-            u64::from_le_bytes(word)
+/// Bytes classified per step of [`scan`]: one bit each in a `u64`.
+const BLOCK: usize = 64;
+
+impl Block {
+    /// Classifies one whole block, eight bytes at a time.
+    #[inline]
+    fn full(bytes: &[u8; BLOCK]) -> Block {
+        let mut block = Block::default();
+        for i in 0..BLOCK / 8 {
+            block.add_word(word_at(bytes, 8 * i), 8 * i as u32);
+        }
+        block
+    }
+
+    /// Classifies a tail of fewer than [`BLOCK`] bytes. The bytes past
+    /// its end classify as whitespace: a partial last word is the last
+    /// eight bytes of the tail shifted down (zeros above, which are
+    /// neither newline nor high), and `ws` is set past the end.
+    #[inline]
+    fn tail(bytes: &[u8]) -> Block {
+        let len = bytes.len();
+        let mut block = Block {
+            ws: u64::MAX << len,
+            ..Block::default()
         };
-        let valid: u32 = if n == 8 { 0xff } else { (1u32 << n) - 1 };
-        let ws8 = movemask(ws_lanes(v)) & valid;
-        let nl8 = movemask(eq_lanes(v, nl_splat)) & valid;
-        let high8 = movemask(v & HI) & valid;
-        let tok8 = !ws8 & valid;
-
-        // Whole word inside a token: one branch, no event walk.
-        if ws8 == 0 {
-            if token_start == NONE {
-                token_start = base;
-                has_token = true;
-            }
-            high |= high8 != 0;
-            base += 8;
-            continue;
+        let whole = len / 8 * 8;
+        for at in (0..whole).step_by(8) {
+            block.add_word(word_at(bytes, at), at as u32);
         }
-
-        let mut e: u32 = 0;
-        while e < n {
-            if token_start == NONE {
-                // Bytes from `e` to the next token bit are whitespace;
-                // a newline among them ends the line first.
-                let rest = (tok8 | nl8) >> e;
-                if rest == 0 {
-                    break;
-                }
-                let j = e + rest.trailing_zeros();
-                if nl8 >> j & 1 == 1 {
-                    let abs = base + j as usize;
-                    let mut content_end = abs;
-                    if content_end > line_start && buf[content_end - 1] == b'\r' {
-                        content_end -= 1;
-                    }
-                    sink.line(line_start, content_end, !has_token, high)?;
-                    line_start = abs + 1;
-                    has_token = false;
-                    high = false;
-                    e = j + 1;
-                } else {
-                    token_start = base + j as usize;
-                    has_token = true;
-                    e = j;
-                }
+        let rest = len - whole;
+        if rest > 0 {
+            let v = if len >= 8 {
+                word_at(bytes, len - 8) >> (8 * (8 - rest))
             } else {
-                // Token open: the next whitespace bit closes it.
-                let seps = ws8 >> e;
-                if seps == 0 {
-                    if high8 >> e != 0 {
-                        high = true;
-                    }
-                    break;
-                }
-                let j = e + seps.trailing_zeros();
-                if high8 & ((1u32 << j) - (1u32 << e)) != 0 {
-                    high = true;
-                }
-                sink.token(token_start, base + j as usize);
-                token_start = NONE;
-                e = j;
-            }
+                let mut word = [0u8; 8];
+                word[..rest].copy_from_slice(bytes);
+                u64::from_le_bytes(word)
+            };
+            block.add_word(v, whole as u32);
         }
-        base += 8;
+        block
     }
-    if token_start != NONE {
-        sink.token(token_start, len);
+
+    /// Ors the classes of the word `v`, whose first byte is byte
+    /// `shift` of the block.
+    #[inline]
+    fn add_word(&mut self, v: u64, shift: u32) {
+        self.ws |= u64::from(movemask(ws_lanes(v))) << shift;
+        self.nl |= u64::from(movemask(eq_lanes(v, splat(b'\n')))) << shift;
+        self.high |= u64::from(movemask(v & HI)) << shift;
     }
-    if line_start < len {
+}
+
+/// Scans `buf` one 64-byte block at a time, emitting token and line
+/// events into `sink`. Per block, with `tok = !ws` and `prev` the token
+/// mask shifted up one with the carry bit of the block before, token
+/// starts are `tok & !prev` and token ends `ws & prev`; the walk visits
+/// the bits of `ends | nl`, and a token's start is the highest start bit
+/// below its end, or the carried start when it began in an earlier
+/// block. State — the current line start, the open token, the line's
+/// token and high-byte flags — carries across blocks, so tokens and
+/// lines may span any number of them. A buffer shorter than a block is
+/// one padded block.
+pub(crate) fn scan<S: ScanSink>(buf: &[u8], sink: &mut S) -> Result<(), ParseError> {
+    let mut walk = Walk::default();
+    let mut blocks = buf.chunks_exact(BLOCK);
+    let mut base = 0usize;
+    for block in &mut blocks {
+        // Always a whole block; the array type lets the compiler drop
+        // the eight word loads' bounds checks.
+        let block = block
+            .try_into()
+            .map_or_else(|_| Block::tail(block), Block::full);
+        walk.block(buf, base, block, sink)?;
+        base += BLOCK;
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        walk.block(buf, base, Block::tail(tail), sink)?;
+    }
+    if walk.carry != 0 {
+        // A token running to the end of a whole number of blocks (a
+        // tail's padding closes its own).
+        sink.token(walk.token_start, buf.len());
+        walk.has_token = true;
+    }
+    if walk.line_start < buf.len() {
         // Final line without a trailing newline: content runs to
         // EOF, keeping any trailing `\r` (BufRead::lines parity).
-        sink.line(line_start, len, !has_token, high)?;
+        sink.line(walk.line_start, buf.len(), !walk.has_token, walk.high)?;
     }
     Ok(())
+}
+
+/// The state [`scan`] carries from one block to the next.
+#[derive(Default)]
+struct Walk {
+    line_start: usize,
+    /// Start of the last token begun: of the open one while `carry` is
+    /// set.
+    token_start: usize,
+    /// The current line has a token (so is not blank).
+    has_token: bool,
+    /// The current line has a byte `>= 0x80` in the blocks before.
+    high: bool,
+    /// 1 when the last byte of the block before was a token byte.
+    carry: u64,
+}
+
+impl Walk {
+    /// Walks the event bits of the block at `base`.
+    #[inline]
+    fn block<S: ScanSink>(
+        &mut self,
+        buf: &[u8],
+        base: usize,
+        block: Block,
+        sink: &mut S,
+    ) -> Result<(), ParseError> {
+        let tok = !block.ws;
+        let prev = (tok << 1) | self.carry;
+        self.carry = tok >> 63;
+        let starts = tok & !prev;
+        let ends = block.ws & prev;
+        // High bits of the current line not yet folded into `self.high`.
+        let mut high = block.high;
+        let mut events = ends | block.nl;
+        while events != 0 {
+            let bit = events & events.wrapping_neg();
+            let at = base + bit.trailing_zeros() as usize;
+            if ends & bit != 0 {
+                // The token began at the highest start bit below its end,
+                // or in an earlier block.
+                let below = starts & (bit - 1);
+                if below != 0 {
+                    self.token_start = base + 63 - below.leading_zeros() as usize;
+                }
+                sink.token(self.token_start, at);
+                self.has_token = true;
+            }
+            if block.nl & bit != 0 {
+                self.high |= high & (bit - 1) != 0;
+                high &= !(bit - 1);
+                let mut content_end = at;
+                if content_end > self.line_start && buf[content_end - 1] == b'\r' {
+                    content_end -= 1;
+                }
+                sink.line(self.line_start, content_end, !self.has_token, self.high)?;
+                self.line_start = at + 1;
+                self.has_token = false;
+                self.high = false;
+            }
+            events &= events - 1;
+        }
+        // A token still open at the block's end began at its last start.
+        if starts != 0 {
+            self.token_start = base + 63 - starts.leading_zeros() as usize;
+        }
+        self.high |= high != 0;
+        Ok(())
+    }
 }
 
 /// The offsets at which the lines of `buf[from..]` a corpus build would
@@ -409,7 +498,7 @@ mod tests {
         }
     }
 
-    fn swar_events(buf: &[u8]) -> Events {
+    fn block_events(buf: &[u8]) -> Events {
         let mut e = Events::default();
         scan(buf, &mut e).unwrap();
         e
@@ -487,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn swar_and_scalar_agree_on_handwritten_corpora() {
+    fn block_and_scalar_agree_on_handwritten_corpora() {
         let cases: &[&[u8]] = &[
             b"",
             b"\n",
@@ -507,7 +596,7 @@ mod tests {
         ];
         for case in cases {
             assert_eq!(
-                swar_events(case),
+                block_events(case),
                 scalar_events(case),
                 "case {:?}",
                 String::from_utf8_lossy(case)
@@ -515,10 +604,78 @@ mod tests {
         }
     }
 
+    /// `len` bytes of one kind: a single token, or mixed tokens,
+    /// whitespace and line ends.
+    fn filler(len: usize, token: bool) -> Vec<u8> {
+        let unit: &[u8] = if token {
+            b"x"
+        } else {
+            b"ab cd\tef\ngh \r\n\x0bi"
+        };
+        unit.iter().copied().cycle().take(len).collect()
+    }
+
+    /// Each case the block walk could get wrong at a block edge, put at
+    /// every offset from 8 bytes before to 8 bytes after the first and
+    /// the second edge, after a filler of either kind.
+    #[test]
+    fn block_edges_match_the_scalar_reference() {
+        let check = |buf: Vec<u8>, what: &str| {
+            assert_eq!(
+                block_events(&buf),
+                scalar_events(&buf),
+                "{what}, {} bytes: {:?}",
+                buf.len(),
+                String::from_utf8_lossy(&buf)
+            );
+        };
+        let at_offset = |at: usize, token: bool, case: &[u8]| {
+            let mut buf = filler(at, token);
+            buf.extend_from_slice(case);
+            buf
+        };
+        let spanning = [b"y".repeat(2 * BLOCK + 1), b"\n".to_vec()].concat();
+        for at in (56..=72).chain(120..=136) {
+            for token in [true, false] {
+                // A token boundary at `at`: an end, then a start.
+                check(at_offset(at, token, b" next\n"), "token end");
+                check(at_offset(at, token, b"\tstart\n"), "token start");
+                check(at_offset(at, false, b"start end\n"), "token start");
+                // `\r` just before the block edge, its `\n` on it.
+                check(at_offset(at - 1, token, b"\r\nnext\r\n"), "CRLF");
+                // A high byte on `at`, a bare `\n` on `at`.
+                check(at_offset(at, token, b"\xc3\xa9 x\nplain\n"), "high byte");
+                check(at_offset(at - 1, token, b"\xe9\nplain\n"), "high before");
+                check(at_offset(at, token, b"\n\nx\xa9\n"), "bare newline");
+                // A token over three blocks, starting on `at`.
+                check(at_offset(at, token, &spanning), "three blocks");
+                check(
+                    at_offset(at, false, &[b" ", &spanning[..]].concat()),
+                    "three blocks",
+                );
+            }
+        }
+        // An unterminated last line ending exactly on the first and the
+        // second block edge, begun at every offset before it.
+        for end in [BLOCK, 2 * BLOCK] {
+            for start in 0..end {
+                for last in [b'x', b' ', b'\r', b'\x0b', 0xa9] {
+                    let mut buf = filler(start, false);
+                    if let Some(newline) = buf.last_mut() {
+                        *newline = b'\n';
+                    }
+                    buf.extend(filler(end - start, true));
+                    buf[end - 1] = last;
+                    check(buf, "unterminated last line");
+                }
+            }
+        }
+    }
+
     #[test]
     fn blank_and_high_flags_are_per_line() {
         let buf = "ascii\n \t\n\u{3b1}\nmore\n".as_bytes();
-        let events = swar_events(buf);
+        let events = block_events(buf);
         let flags: Vec<(bool, bool)> = events.lines.iter().map(|l| (l.2, l.3)).collect();
         assert_eq!(
             flags,
@@ -563,13 +720,30 @@ mod tests {
 
     proptest! {
         #[test]
-        fn swar_scan_matches_scalar_reference(buf in corpus_bytes()) {
-            prop_assert_eq!(swar_events(&buf), scalar_events(&buf));
+        fn block_scan_matches_scalar_reference(buf in corpus_bytes()) {
+            prop_assert_eq!(block_events(&buf), scalar_events(&buf));
+        }
+
+        /// Up to ~1.2 KB, so lines and tokens run over many blocks.
+        #[test]
+        fn block_scan_matches_scalar_reference_over_many_blocks(
+            parts in proptest::collection::vec(corpus_bytes(), 1..7),
+            runs in proptest::collection::vec((0usize..1200, 1usize..150, 0u8..3), 0..4),
+        ) {
+            let mut buf = parts.concat();
+            // Long runs of one class, so a block can be all token, all
+            // whitespace or all high bytes.
+            for (at, len, class) in runs {
+                let fill = [b'q', b' ', 0xa9][usize::from(class)];
+                let at = at.min(buf.len());
+                buf.splice(at..at, std::iter::repeat_n(fill, len));
+            }
+            prop_assert_eq!(block_events(&buf), scalar_events(&buf));
         }
 
         #[test]
         fn count_agrees_with_line_events(buf in corpus_bytes()) {
-            let events = swar_events(&buf);
+            let events = block_events(&buf);
             let kept: Vec<usize> = events.lines.iter().filter(|l| !l.2).map(|l| l.0).collect();
             prop_assert_eq!(count_non_blank_lines(&buf), kept.len());
             let starts: Vec<usize> = kept_line_starts(&buf, 0).collect();

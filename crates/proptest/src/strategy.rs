@@ -158,8 +158,17 @@ impl_tuple_strategy!((A), (A, B), (A, B, C), (A, B, C, D), (A, B, C, D, E));
 
 /// String pattern strategies: a `&str` literal is interpreted as a small
 /// regex subset (character classes, groups, `{m,n}`/`{m}`/`?`/`*`/`+`
-/// quantifiers) and generates matching strings, mirroring proptest's
-/// regex string strategies for the patterns used in this repository.
+/// quantifiers, escapes) and generates matching strings, mirroring
+/// proptest's regex string strategies for the patterns used in this
+/// repository.
+///
+/// Inside and outside a class, `\t`, `\n`, `\r`, `\xNN` and `\u{N..}`
+/// name a character and a backslash before ASCII punctuation (`\\`,
+/// `\]`, `\-`, `\{`, …) makes it literal. What the subset does not
+/// implement panics with its name rather than drawing from a different
+/// language: `.`, `^`, `$` and `|` outside a class, a negated class
+/// `[^…]`, the class escapes `\d`, `\w`, `\s` (and their negations), and
+/// any other escaped letter or digit.
 impl Strategy for &str {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
@@ -184,6 +193,8 @@ struct Quantified {
     max: usize,
 }
 
+type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
 fn parse_pattern(pattern: &str) -> Vec<Quantified> {
     let mut chars = pattern.chars().peekable();
     let nodes = parse_seq(&mut chars, pattern);
@@ -194,7 +205,71 @@ fn parse_pattern(pattern: &str) -> Vec<Quantified> {
     nodes
 }
 
-fn parse_seq(chars: &mut std::iter::Peekable<std::str::Chars>, pattern: &str) -> Vec<Quantified> {
+/// The character an escape names; `chars` is just past the `\`.
+fn escape(chars: &mut Chars, pattern: &str) -> char {
+    let c = chars
+        .next()
+        .unwrap_or_else(|| panic!("dangling `\\` in pattern `{pattern}`"));
+    let hex = |digits: String| {
+        u32::from_str_radix(&digits, 16)
+            .ok()
+            .and_then(char::from_u32)
+            .unwrap_or_else(|| panic!("bad `\\{c}{digits}` escape in pattern `{pattern}`"))
+    };
+    match c {
+        't' => '\t',
+        'n' => '\n',
+        'r' => '\r',
+        'x' => hex(chars.by_ref().take(2).collect()),
+        'u' => {
+            assert_eq!(
+                chars.next(),
+                Some('{'),
+                "`\\u` needs braces in pattern `{pattern}`"
+            );
+            hex(chars.by_ref().take_while(|&h| h != '}').collect())
+        }
+        'd' | 'D' | 'w' | 'W' | 's' | 'S' => {
+            panic!("class escape `\\{c}` is not implemented (pattern `{pattern}`)")
+        }
+        c if c.is_ascii_punctuation() => c,
+        c => panic!("unknown escape `\\{c}` in pattern `{pattern}`"),
+    }
+}
+
+/// One member character of a class, escapes resolved; `None` at the
+/// closing `]`.
+fn class_char(chars: &mut Chars, pattern: &str) -> Option<char> {
+    match chars.next() {
+        None => panic!("unterminated `[` in pattern `{pattern}`"),
+        Some(']') => None,
+        Some('\\') => Some(escape(chars, pattern)),
+        Some(c) => Some(c),
+    }
+}
+
+fn parse_class(chars: &mut Chars, pattern: &str) -> Vec<(char, char)> {
+    assert!(
+        chars.peek() != Some(&'^'),
+        "negated class `[^` is not implemented (pattern `{pattern}`)"
+    );
+    let mut ranges = Vec::new();
+    while let Some(lo) = class_char(chars, pattern) {
+        if chars.peek() == Some(&'-') {
+            chars.next();
+            let hi = class_char(chars, pattern)
+                .filter(|&hi| hi >= lo)
+                .unwrap_or_else(|| panic!("bad range in pattern `{pattern}`"));
+            ranges.push((lo, hi));
+        } else {
+            ranges.push((lo, lo));
+        }
+    }
+    assert!(!ranges.is_empty(), "empty class in pattern `{pattern}`");
+    ranges
+}
+
+fn parse_seq(chars: &mut Chars, pattern: &str) -> Vec<Quantified> {
     let mut out = Vec::new();
     while let Some(&c) = chars.peek() {
         if c == ')' {
@@ -211,34 +286,11 @@ fn parse_seq(chars: &mut std::iter::Peekable<std::str::Chars>, pattern: &str) ->
                 );
                 Node::Group(inner)
             }
-            '[' => {
-                let mut ranges = Vec::new();
-                loop {
-                    let lo = chars
-                        .next()
-                        .unwrap_or_else(|| panic!("unterminated `[` in pattern `{pattern}`"));
-                    if lo == ']' {
-                        break;
-                    }
-                    if chars.peek() == Some(&'-') {
-                        chars.next();
-                        let hi = chars
-                            .next()
-                            .filter(|&h| h != ']')
-                            .unwrap_or_else(|| panic!("bad range in pattern `{pattern}`"));
-                        ranges.push((lo, hi));
-                    } else {
-                        ranges.push((lo, lo));
-                    }
-                }
-                assert!(!ranges.is_empty(), "empty class in pattern `{pattern}`");
-                Node::Class(ranges)
+            '[' => Node::Class(parse_class(chars, pattern)),
+            '\\' => Node::Literal(escape(chars, pattern)),
+            '.' | '^' | '$' | '|' => {
+                panic!("`{c}` is not implemented (pattern `{pattern}`)")
             }
-            '\\' => Node::Literal(
-                chars
-                    .next()
-                    .unwrap_or_else(|| panic!("dangling `\\` in pattern `{pattern}`")),
-            ),
             other => Node::Literal(other),
         };
         let (min, max) = match chars.peek() {
@@ -314,6 +366,110 @@ mod tests {
             assert!((3..=6).contains(&words.len()), "{s}");
             assert!(words.iter().all(|w| (2..=6).contains(&w.len())), "{s}");
         }
+    }
+
+    /// Draws `pattern` (one class, or one escape) 500 times: every draw
+    /// is one of `members`, and every member is drawn.
+    fn draws_exactly(pattern: &str, members: &[char]) {
+        let mut rng = TestRng::seed_from_u64(9);
+        let mut seen = vec![false; members.len()];
+        for _ in 0..500 {
+            let draw = pattern.generate(&mut rng);
+            let mut chars = draw.chars();
+            let (Some(c), None) = (chars.next(), chars.next()) else {
+                panic!("`{pattern}` drew {draw:?}, not one character");
+            };
+            let at = members.iter().position(|&m| m == c);
+            let at = at.unwrap_or_else(|| panic!("`{pattern}` drew {c:?}, not in {members:?}"));
+            seen[at] = true;
+        }
+        for (member, seen) in members.iter().zip(seen) {
+            assert!(seen, "`{pattern}` never drew {member:?} in 500 draws");
+        }
+    }
+
+    #[test]
+    fn class_escapes_name_control_characters() {
+        draws_exactly(r"[ \t]", &[' ', '\t']);
+        draws_exactly(r"[\n\r]", &['\n', '\r']);
+        draws_exactly(r"\t", &['\t']);
+    }
+
+    #[test]
+    fn class_escapes_make_metacharacters_literal() {
+        draws_exactly(r"[\\]", &['\\']);
+        draws_exactly(r"[\]a]", &[']', 'a']);
+        draws_exactly(r"[a\-c]", &['a', '-', 'c']);
+        draws_exactly(r"[\--\/]", &['-', '.', '/']);
+    }
+
+    #[test]
+    fn hex_and_unicode_escapes_name_any_character() {
+        draws_exactly(r"[\x41-\x43]", &['A', 'B', 'C']);
+        draws_exactly(r"[\x0b\x7f]", &['\x0b', '\x7f']);
+        draws_exactly(
+            r"[\u{a0}\u{3000}\u{1F600}]",
+            &['\u{a0}', '\u{3000}', '\u{1F600}'],
+        );
+        draws_exactly(r"\u{85}", &['\u{85}']);
+    }
+
+    #[test]
+    fn a_literal_backslash_in_a_class_keeps_the_tree_s_draws() {
+        // A class member written `\\` is the one backslash the old parser
+        // took from a lone `\`: the members, so the draws, are the same.
+        draws_exactly(r#"["\\ ]"#, &['"', '\\', ' ']);
+    }
+
+    #[test]
+    #[should_panic(expected = "`.` is not implemented")]
+    fn dot_is_refused() {
+        "a.b".generate(&mut TestRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "`^` is not implemented")]
+    fn caret_is_refused() {
+        "^a".generate(&mut TestRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "`$` is not implemented")]
+    fn dollar_is_refused() {
+        "a$".generate(&mut TestRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "`|` is not implemented")]
+    fn alternation_is_refused() {
+        "(a|b)".generate(&mut TestRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "negated class `[^` is not implemented")]
+    fn negated_class_is_refused() {
+        "[^a]".generate(&mut TestRng::seed_from_u64(1));
+    }
+
+    #[test]
+    fn perl_classes_are_refused_in_and_out_of_a_class() {
+        for pattern in [r"\d", r"[\w]", r"a\s", r"[a\D]", r"\W", r"[\S]"] {
+            let refused = std::panic::catch_unwind(|| {
+                pattern.generate(&mut TestRng::seed_from_u64(1));
+            });
+            let message = refused.expect_err(pattern);
+            let message = message.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.starts_with("class escape `\\") && message.contains("not implemented"),
+                "{pattern}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown escape `\\q`")]
+    fn unknown_letter_escapes_are_refused() {
+        "[\\q]".generate(&mut TestRng::seed_from_u64(1));
     }
 
     #[test]

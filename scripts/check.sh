@@ -34,6 +34,17 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 # One run of every suite. What the named ones pin, so a failure below is
 # read against the right contract:
 #   tests/parallel_equivalence       sequential vs parallel parse
+#   core simd block_scan_matches_scalar_reference(_over_many_blocks),
+#   block_edges_match_the_scalar_reference
+#                                    the 64-byte block scan against the byte-
+#                                    at-a-time `scan_scalar` oracle: drawn
+#                                    corpora up to ~1.2 KB, and every block-
+#                                    edge case (token boundary, CRLF across
+#                                    the edge, high byte, bare `\n`, a token
+#                                    over three blocks, an unterminated last
+#                                    line ending on the edge) at each offset
+#                                    56..=72 and 120..=136; the loader and
+#                                    the framer split with it
 #   core intern::tests               the token table against a HashMap over
 #                                    vocabularies built to collide, an overlay
 #                                    against a deep clone, a new token's mean

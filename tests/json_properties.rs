@@ -8,7 +8,7 @@ use proptest::strategy::boxed;
 
 /// Controls, the two escaped punctuation marks, ASCII, Latin-1, BMP and
 /// astral characters.
-const TEXT: &str = "[\u{0}-\u{1f}\"\\ a-z\u{e9}\u{4e2d}\u{1F600}-\u{1F64F}]{0,8}";
+const TEXT: &str = "[\u{0}-\u{1f}\"\\\\ a-z\u{e9}\u{4e2d}\u{1F600}-\u{1F64F}]{0,8}";
 
 /// Any finite `f64` — subnormals, huge magnitudes and `-0.0` included —
 /// plus the everyday range the raw bit patterns almost never land in.
