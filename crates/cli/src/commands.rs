@@ -173,6 +173,8 @@ fn build_preprocessor(args: &Args) -> Result<Preprocessor, Box<dyn Error>> {
     Ok(Preprocessor::new(mask_rules))
 }
 
+/// `path` buffered, or stdout. The caller flushes: a dropped
+/// `BufWriter` swallows its last write's error.
 fn open_output(path: Option<&str>) -> Result<Box<dyn Write>, Box<dyn Error>> {
     Ok(match path {
         Some(path) => Box::new(BufWriter::new(File::create(path)?)),
@@ -221,9 +223,11 @@ pub fn parse(args: &Args) -> CliResult {
     );
     let mut events_out = open_output(args.option("events-out"))?;
     write_events_file(&parse, &mut events_out)?;
+    events_out.flush()?;
     if let Some(path) = args.option("structured-out") {
         let mut structured = BufWriter::new(File::create(path)?);
         write_structured_file(&corpus, &parse, &mut structured)?;
+        structured.flush()?;
     }
     Ok(())
 }
@@ -623,11 +627,13 @@ fn run_job_and_report(config: &JobConfig, args: &Args) -> CliResult {
     );
     let mut events_out = open_output(args.option("events-out"))?;
     write_events_file(&parse, &mut events_out)?;
+    events_out.flush()?;
     if let Some(path) = args.option("structured-out") {
         // A file-built corpus numbers its kept lines from 1, so the
         // reduced parse alone says what `parse` would write.
         let mut structured = BufWriter::new(File::create(path)?);
         write_structured_lines(1..=parse.len(), &parse, &mut structured)?;
+        structured.flush()?;
     }
     Ok(())
 }

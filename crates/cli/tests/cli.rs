@@ -181,6 +181,54 @@ fn unknown_option_fails_naming_it() {
     assert!(text.contains("unknown option --loader"), "{text}");
 }
 
+/// `parse` and `jobs run` fail, naming the error, when an output file
+/// cannot take the bytes: each writer is flushed, not dropped, so the
+/// last buffered write's error reaches the exit code.
+#[test]
+fn a_full_output_device_fails_parse_and_jobs_run() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: this system has no /dev/full");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("logmine-dev-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = dir.join("corpus.log");
+    std::fs::write(&corpus, "open file a\nopen file b\nclose file a\n").unwrap();
+    let spare = dir.join("spare");
+    for command in ["parse", "jobs run"] {
+        for (full_side, spare_side) in [
+            ("--events-out", "--structured-out"),
+            ("--structured-out", "--events-out"),
+        ] {
+            let mut run = logmine();
+            run.args(command.split(' '))
+                .arg(&corpus)
+                .args(["--parser", "drain", "-j", "1"])
+                .arg(full_side)
+                .arg(full)
+                .arg(spare_side)
+                .arg(&spare)
+                .env_remove("LOGPARSE_FAULT");
+            if command == "jobs run" {
+                run.arg("--job-dir")
+                    .arg(dir.join(format!("job{full_side}")));
+            }
+            let out = run.output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !out.status.success(),
+                "{command} {full_side} /dev/full exited 0"
+            );
+            assert!(
+                stderr.contains("error:") && stderr.contains("No space left on device"),
+                "{command} {full_side} /dev/full: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `parse` over `fixtures/loader_v1/corpus.log` (300 generated hdfs
 /// lines, a UTF-8 high-byte line, a CRLF run, a whitespace-only line, no
 /// final newline) writes, from a file and from stdin, the bytes the

@@ -391,16 +391,31 @@ impl Eq for Interner {}
 
 /// Flat CSR-style storage for the token rows of a corpus: one
 /// `Vec<Symbol>` holding every token of every record back-to-back,
-/// plus an offset per record.
+/// plus a `u32` end offset per record.
 ///
 /// `row(i)` is two index loads and a slice — no pointer chasing through
 /// per-record vectors — and copying rows between arenas (corpus
-/// slicing) is a `memcpy` of `u32`s.
+/// slicing) is a `memcpy` of `u32`s. The `u32` offsets are why an arena
+/// holds fewer than `u32::MAX` tokens; sealing a row past that panics
+/// with `token arena overflow`, and the file loader reports it as
+/// `InvalidData` instead.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TokenArena {
     symbols: Vec<Symbol>,
     /// `offsets.len() == rows + 1`; row `i` is `symbols[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
+}
+
+/// The offset that ends a row after `tokens` tokens in all, or `None`
+/// once the arena reaches `u32::MAX` tokens (symbol ids stop short of
+/// `u32::MAX` the same way).
+pub(crate) fn row_end(tokens: usize) -> Option<u32> {
+    u32::try_from(tokens).ok().filter(|&end| end < u32::MAX)
+}
+
+#[cold]
+fn arena_overflow(tokens: usize) -> ! {
+    panic!("token arena overflow: {tokens} tokens do not fit u32 row offsets")
 }
 
 impl TokenArena {
@@ -413,9 +428,14 @@ impl TokenArena {
     }
 
     /// Appends one record's token row.
+    ///
+    /// # Panics
+    ///
+    /// Panics (`token arena overflow`) if the arena reaches `u32::MAX`
+    /// tokens.
     pub fn push_row<I: IntoIterator<Item = Symbol>>(&mut self, row: I) {
         self.symbols.extend(row);
-        self.offsets.push(self.symbols.len());
+        self.finish_row();
     }
 
     /// Appends one token to the row currently under construction. The
@@ -429,16 +449,41 @@ impl TokenArena {
     }
 
     /// Seals the row currently under construction (possibly empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics (`token arena overflow`) if the arena reaches `u32::MAX`
+    /// tokens.
     #[inline]
     pub fn finish_row(&mut self) {
-        self.offsets.push(self.symbols.len());
+        if self.try_finish_row().is_none() {
+            arena_overflow(self.symbols.len());
+        }
+    }
+
+    /// [`finish_row`](TokenArena::finish_row) that leaves the arena as
+    /// it was and returns `None` where that panics — the loader's form,
+    /// which reports the overflow as an error.
+    #[inline]
+    pub(crate) fn try_finish_row(&mut self) -> Option<()> {
+        self.offsets.push(row_end(self.symbols.len())?);
+        Some(())
     }
 
     /// Appends every row of `other`, translating each symbol through
     /// `remap` (indexed by the source symbol's id). The parallel corpus
     /// build merges per-chunk arenas into the global one with this.
+    ///
+    /// # Panics
+    ///
+    /// Panics (`token arena overflow`) if the arena would reach
+    /// `u32::MAX` tokens.
     pub(crate) fn append_remapped(&mut self, other: &TokenArena, remap: &[Symbol]) {
-        let base = self.symbols.len();
+        let tokens = self.symbols.len() + other.symbols.len();
+        // The total fits, so no shifted offset can wrap.
+        let (Some(_), Some(base)) = (row_end(tokens), row_end(self.symbols.len())) else {
+            arena_overflow(tokens);
+        };
         self.symbols
             .extend(other.symbols.iter().map(|s| remap[s.id() as usize]));
         self.offsets
@@ -451,7 +496,7 @@ impl TokenArena {
     ///
     /// Panics if `index >= self.rows()`.
     pub fn row(&self, index: usize) -> &[Symbol] {
-        &self.symbols[self.offsets[index]..self.offsets[index + 1]]
+        &self.symbols[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
 
     /// Number of rows (records).
@@ -811,6 +856,20 @@ mod tests {
         assert!(arena.row(1).is_empty());
         assert_eq!(arena.row(2), &[i.intern("y")]);
         assert_eq!(arena.iter().count(), 3);
+    }
+
+    #[test]
+    fn row_offsets_stop_short_of_u32_max() {
+        assert_eq!(row_end(0), Some(0));
+        assert_eq!(row_end(u32::MAX as usize - 1), Some(u32::MAX - 1));
+        assert_eq!(row_end(u32::MAX as usize), None);
+        assert_eq!(row_end(usize::MAX), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "token arena overflow: 4294967295 tokens")]
+    fn arena_overflow_panics_by_name() {
+        arena_overflow(u32::MAX as usize);
     }
 
     #[test]

@@ -164,7 +164,7 @@ mod tests {
         for events in [0, 1, 9, 10, 11, 99, 100, 101] {
             let ids = [0, 8, 9, 10, 98, 99, 100, events, events + 1, 1000];
             let mut assignments: Vec<Option<EventId>> =
-                ids.iter().map(|&i| Some(EventId(i))).collect();
+                ids.iter().map(|&i| Some(EventId::new(i))).collect();
             assignments.insert(3, None);
             assignments.truncate(line_numbers.len());
             assert_eq!(
@@ -195,7 +195,7 @@ mod tests {
             let line_numbers: Vec<usize> = (0..slots.len()).map(|i| first + i).collect();
             let assignments: Vec<Option<EventId>> = slots
                 .iter()
-                .map(|&slot| (slot != 124).then_some(EventId(slot)))
+                .map(|&slot| (slot != 124).then_some(EventId::new(slot)))
                 .collect();
             prop_assert_eq!(
                 written(&line_numbers, &assignments, events),

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use logparse_obs::{Buckets, Counter, Histogram, Registry};
 
 use crate::error::ParseError;
-use crate::intern::{Interner, Symbol, TokenArena};
+use crate::intern::{row_end, Interner, Symbol, TokenArena};
 use crate::mmap::{ascii_str, Mapping};
 use crate::parallel::ParallelDriver;
 use crate::preprocess::{MaskRule, Preprocessor};
@@ -97,6 +97,15 @@ fn invalid_utf8() -> ParseError {
     ParseError::Io(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
         "stream did not contain valid UTF-8",
+    ))
+}
+
+/// The `InvalidData` error for a corpus of `u32::MAX` tokens or more,
+/// which the arena's `u32` row offsets cannot address.
+fn too_many_tokens() -> ParseError {
+    ParseError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "corpus reaches u32::MAX tokens, past what a token arena holds",
     ))
 }
 
@@ -249,7 +258,10 @@ impl<M: Masker> ScanSink for BuildSink<'_, M> {
             }
             self.scratch.clear();
         }
-        self.rows.arena.finish_row();
+        self.rows
+            .arena
+            .try_finish_row()
+            .ok_or_else(too_many_tokens)?;
         self.spans
             .push(Span::new(self.base + start, self.base + content_end)?);
         Ok(())
@@ -332,6 +344,9 @@ fn build_parallel<M: Masker>(
             Some(Err(e)) => return Some(Err(e)),
             None => return None,
         };
+        if row_end(arena.token_count() + chunk.arena.token_count()).is_none() {
+            return Some(Err(too_many_tokens()));
+        }
         remap.clear();
         remap.extend((0..chunk.interner.len()).map(|id| {
             // Interning each chunk's vocabulary in local-id order is

@@ -293,7 +293,8 @@ pub fn merge_chunks(mut chunk_parses: Vec<Parse>, ranges: &[Range<usize>], len: 
             // Checked: a shard result read back from disk may claim a
             // range the corpus does not have.
             if let Some(slot) = assignments.get_mut(range.start + offset) {
-                *slot = assigned.and_then(|event| merge.resolve(chunk, event.index()).map(EventId));
+                *slot = assigned
+                    .and_then(|event| merge.resolve(chunk, event.index()).map(EventId::new));
             }
         }
     }

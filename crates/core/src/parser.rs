@@ -1,22 +1,44 @@
+use std::num::NonZeroU32;
+
 use crate::{Corpus, ParseError, Template};
 
 /// Identifier of a log event within one [`Parse`].
 ///
 /// Event ids are dense indices into [`Parse::templates`]; they are only
-/// meaningful relative to the parse that produced them.
+/// meaningful relative to the parse that produced them. The id stores
+/// `index + 1` in a [`NonZeroU32`], so an `Option<EventId>` — one per
+/// message in every [`Parse`] — is 4 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub usize);
+pub struct EventId(NonZeroU32);
 
 impl EventId {
+    /// The id of the template at dense index `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is `u32::MAX` or more: a parse holds fewer
+    /// than `u32::MAX` templates.
+    pub fn new(index: usize) -> Self {
+        u32::try_from(index)
+            .ok()
+            .and_then(|i| NonZeroU32::new(i.wrapping_add(1)))
+            .map_or_else(|| overflow(index), EventId)
+    }
+
     /// The underlying dense index.
     pub fn index(self) -> usize {
-        self.0
+        self.0.get() as usize - 1
     }
+}
+
+#[cold]
+fn overflow(index: usize) -> ! {
+    panic!("event id overflow: index {index} is past u32::MAX - 1")
 }
 
 impl std::fmt::Display for EventId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Event{}", self.0 + 1)
+        write!(f, "Event{}", self.0)
     }
 }
 
@@ -26,7 +48,8 @@ impl std::fmt::Display for EventId {
 ///   discovered event type;
 /// * the **structured log** — [`Parse::assignments`], one entry per input
 ///   message giving its event (or `None` for outliers, which some parsers
-///   such as SLCT produce).
+///   such as SLCT produce). An entry is 4 bytes, and it is all a parse
+///   keeps per message.
 ///
 /// For evaluation purposes all outliers are considered to form one
 /// implicit cluster, matching the reference toolkit's behaviour.
@@ -155,7 +178,7 @@ impl ParseBuilder {
     /// Registers a template and returns its event id.
     pub fn add_template(&mut self, template: Template) -> EventId {
         self.templates.push(template);
-        EventId(self.templates.len() - 1)
+        EventId::new(self.templates.len() - 1)
     }
 
     /// Assigns message `index` to `event`.
@@ -285,7 +308,7 @@ mod tests {
         b.add_cluster(&c, &[0, 1]);
         let parse = b.build();
         assert_eq!(parse.templates()[0].to_string(), "open file *");
-        assert_eq!(parse.assignments()[0], Some(EventId(0)));
+        assert_eq!(parse.assignments()[0], Some(EventId::new(0)));
         assert_eq!(parse.assignments()[2], None);
     }
 
@@ -303,7 +326,7 @@ mod tests {
         let c = corpus();
         let mut b = ParseBuilder::new(c.len());
         let e = b.add_cluster(&c, &[0, 1]);
-        assert_eq!(e, EventId(0));
+        assert_eq!(e, EventId::new(0));
         let parse = b.build();
         assert_eq!(parse.cluster_sizes(), vec![2]);
         assert_eq!(parse.outlier_count(), 1);
@@ -313,7 +336,7 @@ mod tests {
     #[should_panic(expected = "unknown event id")]
     fn assigning_foreign_event_id_panics() {
         let mut b = ParseBuilder::new(1);
-        b.assign(0, EventId(3));
+        b.assign(0, EventId::new(3));
     }
 
     #[test]
@@ -341,7 +364,29 @@ mod tests {
 
     #[test]
     fn event_id_displays_one_based() {
-        assert_eq!(EventId(0).to_string(), "Event1");
-        assert_eq!(EventId(28).to_string(), "Event29");
+        assert_eq!(EventId::new(0).to_string(), "Event1");
+        assert_eq!(EventId::new(28).to_string(), "Event29");
+        assert_eq!(
+            EventId::new(u32::MAX as usize - 1).to_string(),
+            "Event4294967295"
+        );
+    }
+
+    #[test]
+    fn an_assignment_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<Option<EventId>>(), 4);
+    }
+
+    #[test]
+    fn event_id_round_trips_its_index_at_the_edges() {
+        for index in [0, 1, u32::MAX as usize - 1] {
+            assert_eq!(EventId::new(index).index(), index);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event id overflow: index 4294967295")]
+    fn event_id_past_u32_max_minus_one_panics_by_name() {
+        EventId::new(u32::MAX as usize);
     }
 }

@@ -599,7 +599,10 @@ pub fn reduce(lines: usize, results: Vec<ShardResult>) -> Parse {
     let chunk_parses = results
         .into_iter()
         .map(|result| {
-            let assignments = result.assignments.into_iter().map(|slot| slot.map(EventId));
+            let assignments = result
+                .assignments
+                .into_iter()
+                .map(|slot| slot.map(EventId::new));
             Parse::new(result.templates, assignments.collect())
         })
         .collect();

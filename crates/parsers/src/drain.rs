@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use logparse_core::{
-    Corpus, EventId, Interner, LogParser, Parse, ParseBuilder, ParseError, Symbol,
+    Corpus, EventId, Interner, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
 };
 
 /// The Drain parser configuration. Construct via [`Drain::builder`].
@@ -107,22 +107,14 @@ impl DrainBuilder {
     }
 }
 
-/// A leaf group: the running template (`None` = wildcard) plus member
-/// observation indices.
-#[derive(Debug)]
-struct Group {
-    template: Vec<Option<Symbol>>,
-    members: Vec<usize>,
-}
-
 /// A complete, deterministic serialization of a Drain tree: the
 /// configuration plus every leaf path and group template (`None` slots
 /// are wildcards). Produced by [`crate::StreamingDrain::snapshot`] and
-/// consumed by [`crate::StreamingDrain::restore`]; member indices are
-/// deliberately not part of the state (checkpoints stay proportional to
-/// the number of templates, not the length of the stream). Snapshots
-/// carry resolved strings, not symbols — symbols are interner-local and
-/// must not cross a checkpoint boundary.
+/// consumed by [`crate::StreamingDrain::restore`]. It holds no
+/// per-message data, so checkpoints stay proportional to the number of
+/// templates, not the length of the stream. Snapshots carry resolved
+/// strings, not symbols — symbols are interner-local and must not cross
+/// a checkpoint boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrainTreeState {
     /// Tree depth (length layer + token layers).
@@ -167,7 +159,8 @@ fn length_id(len: usize) -> u32 {
 }
 
 /// Drain's incremental state: the fixed-depth tree plus the dense group
-/// list. Shared by the batch parser and [`crate::StreamingDrain`].
+/// list. Shared by the batch parser and [`crate::StreamingDrain`], which
+/// run it the same way: one [`DrainTree::observe_symbols`] per message.
 #[derive(Debug)]
 pub(crate) struct DrainTree {
     config: Drain,
@@ -189,16 +182,12 @@ pub(crate) struct DrainTree {
     /// values fall through to the `*` branch instead of minting new
     /// paths (Drain's defence against parameter-led head tokens).
     paths_per_length: HashMap<usize, usize>,
-    groups: Vec<Group>,
+    /// Group templates (`None` = wildcard), indexed by group id.
+    groups: Vec<Vec<Option<Symbol>>>,
     observed: usize,
     /// The current message's path, reused so a message allocates a key
     /// only when it opens a path.
     key: Vec<u32>,
-    /// Whether groups record their member message indices. Batch parsing
-    /// needs them to build a [`Parse`]; long-running streaming must not
-    /// accumulate them (memory would grow with the stream, not with the
-    /// number of templates).
-    track_members: bool,
 }
 
 impl DrainTree {
@@ -234,17 +223,8 @@ impl DrainTree {
             groups: Vec::new(),
             observed: 0,
             key: Vec::new(),
-            track_members: true,
         };
         tree.refresh_digit_flags();
-        Ok(tree)
-    }
-
-    /// A tree that does not record member indices — bounded memory for
-    /// unbounded streams (group state only).
-    pub(crate) fn new_untracked(config: Drain) -> Result<Self, ParseError> {
-        let mut tree = DrainTree::new(config)?;
-        tree.track_members = false;
         Ok(tree)
     }
 
@@ -301,8 +281,8 @@ impl DrainTree {
             groups: self
                 .groups
                 .iter()
-                .map(|g| {
-                    g.template
+                .map(|template| {
+                    template
                         .iter()
                         .map(|slot| slot.map(|s| self.interner.resolve(s).to_owned()))
                         .collect()
@@ -313,15 +293,15 @@ impl DrainTree {
         }
     }
 
-    /// Rebuilds a (member-untracked) tree from an exported state,
-    /// re-interning the snapshot's strings into a fresh symbol table.
+    /// Rebuilds a tree from an exported state, re-interning the
+    /// snapshot's strings into a fresh symbol table.
     pub(crate) fn from_state(state: &DrainTreeState) -> Result<Self, ParseError> {
         let config = Drain {
             depth: state.depth,
             similarity: state.similarity,
             max_children: state.max_children,
         };
-        let mut tree = DrainTree::new_untracked(config)?;
+        let mut tree = DrainTree::new(config)?;
         for (len, path, ids) in &state.leaves {
             if let Some(&bad) = ids.iter().find(|&&id| id >= state.groups.len()) {
                 return Err(ParseError::InvalidConfig {
@@ -338,12 +318,11 @@ impl DrainTree {
         tree.groups = state
             .groups
             .iter()
-            .map(|template| Group {
-                template: template
+            .map(|template| {
+                template
                     .iter()
                     .map(|slot| slot.as_deref().map(|t| tree.interner.intern(t)))
-                    .collect(),
-                members: Vec::new(),
+                    .collect()
             })
             .collect();
         tree.refresh_digit_flags();
@@ -356,7 +335,6 @@ impl DrainTree {
     /// symbols must come from this tree's interner (or the interner it
     /// was seeded with).
     pub(crate) fn observe_symbols(&mut self, tokens: &[Symbol]) -> usize {
-        let message_index = self.observed;
         self.observed += 1;
         self.refresh_digit_flags();
         let token_layers = self.config.depth - 2;
@@ -389,31 +367,20 @@ impl DrainTree {
         };
         let best = leaf
             .iter()
-            .map(|&id| (similarity(&self.groups[id].template, tokens), id))
+            .map(|&id| (similarity(&self.groups[id], tokens), id))
             .max_by(|a, b| a.0.total_cmp(&b.0));
         match best {
             Some((score, id)) if score >= self.config.similarity => {
-                let group = &mut self.groups[id];
-                for (slot, &token) in group.template.iter_mut().zip(tokens) {
+                for (slot, &token) in self.groups[id].iter_mut().zip(tokens) {
                     if *slot != Some(token) {
                         *slot = None;
                     }
-                }
-                if self.track_members {
-                    group.members.push(message_index);
                 }
                 id
             }
             _ => {
                 let id = self.groups.len();
-                self.groups.push(Group {
-                    template: tokens.iter().map(|&t| Some(t)).collect(),
-                    members: if self.track_members {
-                        vec![message_index]
-                    } else {
-                        Vec::new()
-                    },
-                });
+                self.groups.push(tokens.iter().map(|&t| Some(t)).collect());
                 leaf.push(id);
                 id
             }
@@ -431,8 +398,19 @@ impl DrainTree {
             .collect()
     }
 
-    pub(crate) fn group_template(&self, id: usize) -> Option<&[Option<Symbol>]> {
-        self.groups.get(id).map(|g| g.template.as_slice())
+    /// The current template of group `id`, or `None` if out of range.
+    pub(crate) fn template(&self, id: usize) -> Option<Template> {
+        self.groups.get(id).map(|slots| {
+            Template::new(
+                slots
+                    .iter()
+                    .map(|slot| match slot {
+                        Some(sym) => TemplateToken::literal(self.interner.resolve(*sym)),
+                        None => TemplateToken::Wildcard,
+                    })
+                    .collect(),
+            )
+        })
     }
 }
 
@@ -446,27 +424,15 @@ impl LogParser for Drain {
         // the corpus's own symbols with zero per-token hashing.
         let interner = Interner::over(corpus.shared_interner());
         let mut tree = DrainTree::with_interner(self.clone(), interner)?;
-        for idx in 0..corpus.len() {
-            tree.observe_symbols(corpus.symbols(idx));
-        }
-        let mut builder = ParseBuilder::new(corpus.len());
-        for group in tree.groups {
-            let template = logparse_core::Template::new(
-                group
-                    .template
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some(sym) => logparse_core::TemplateToken::literal(
-                            tree.interner.resolve(sym).to_owned(),
-                        ),
-                        None => logparse_core::TemplateToken::Wildcard,
-                    })
-                    .collect(),
-            );
-            let event: EventId = builder.add_template(template);
-            builder.assign_cluster(&group.members, event);
-        }
-        Ok(builder.build())
+        // Group ids and event ids both count in creation order, so a
+        // message's group id is its event's index.
+        let assignments = (0..corpus.len())
+            .map(|idx| Some(EventId::new(tree.observe_symbols(corpus.symbols(idx)))))
+            .collect();
+        let templates = (0..tree.group_count())
+            .filter_map(|id| tree.template(id))
+            .collect();
+        Ok(Parse::new(templates, assignments))
     }
 }
 
@@ -570,8 +536,8 @@ mod tests {
         assert_eq!(observe("c d e"), 1);
         assert_eq!(observe("a b"), 0);
         assert_eq!(tree.group_count(), 2);
-        assert!(tree.group_template(0).is_some());
-        assert!(tree.group_template(9).is_none());
+        assert!(tree.template(0).is_some());
+        assert!(tree.template(9).is_none());
     }
 
     #[test]

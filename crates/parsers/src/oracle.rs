@@ -140,7 +140,7 @@ impl LogParser for Oracle {
                             .cmp(&b.1.literal_count)
                             .then(b.0.cmp(&a.0))
                     })
-                    .map(|&(i, _)| EventId(i))
+                    .map(|&(i, _)| EventId::new(i))
             })
             .collect();
         Ok(Parse::new(self.templates.clone(), assignments))
@@ -197,7 +197,7 @@ mod tests {
         // Every message must land on its generating template (templates
         // in the HDFS library are mutually exclusive by construction).
         let correct = (0..data.len())
-            .filter(|&i| parse.assignments()[i] == Some(EventId(data.labels[i])))
+            .filter(|&i| parse.assignments()[i] == Some(EventId::new(data.labels[i])))
             .count();
         assert!(
             correct as f64 / data.len() as f64 > 0.99,

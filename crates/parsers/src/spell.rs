@@ -16,7 +16,7 @@
 //! the streaming path interns each incoming token once.
 
 use logparse_core::{
-    Corpus, Interner, LogParser, Parse, ParseBuilder, ParseError, Symbol, Template, TemplateToken,
+    Corpus, EventId, Interner, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
 };
 
 /// The Spell parser. Construct via [`Spell::builder`].
@@ -144,23 +144,20 @@ fn lcs_sequence<T: PartialEq + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     out
 }
 
-/// A streaming LCS object: the event's constant-token skeleton plus its
-/// member message indices.
+/// A streaming LCS object: the event's constant-token skeleton.
 #[derive(Debug)]
 struct LcsObject {
     /// Constant tokens in order (wildcard positions are implicit gaps).
     skeleton: Vec<Symbol>,
-    members: Vec<usize>,
 }
 
 /// A complete, deterministic serialization of Spell's incremental state:
 /// the configuration plus every LCS object's skeleton. Produced by
 /// [`crate::StreamingSpell::snapshot`] and consumed by
-/// [`crate::StreamingSpell::restore`]; member indices are deliberately
-/// not part of the state (checkpoints stay proportional to the number of
-/// templates, not the length of the stream). Snapshots carry resolved
-/// strings — symbols are interner-local and never cross a checkpoint
-/// boundary.
+/// [`crate::StreamingSpell::restore`]. It holds no per-message data, so
+/// checkpoints stay proportional to the number of templates, not the
+/// length of the stream. Snapshots carry resolved strings — symbols are
+/// interner-local and never cross a checkpoint boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpellStateSnapshot {
     /// LCS acceptance threshold.
@@ -172,7 +169,8 @@ pub struct SpellStateSnapshot {
 }
 
 /// Spell's incremental state: the LCS object list. Shared by the batch
-/// parser and [`crate::StreamingSpell`].
+/// parser and [`crate::StreamingSpell`], which run it the same way: one
+/// [`SpellState::observe_symbols`] per message.
 #[derive(Debug)]
 pub(crate) struct SpellState {
     tau: f64,
@@ -180,9 +178,6 @@ pub(crate) struct SpellState {
     interner: Interner,
     objects: Vec<LcsObject>,
     observed: usize,
-    /// Whether objects record their member message indices (batch mode
-    /// only; streaming keeps memory bounded by dropping them).
-    track_members: bool,
     /// Reused DP rows for the per-message LCS scan.
     scratch: (Vec<usize>, Vec<usize>),
 }
@@ -208,17 +203,8 @@ impl SpellState {
             interner,
             objects: Vec::new(),
             observed: 0,
-            track_members: true,
             scratch: (Vec::new(), Vec::new()),
         })
-    }
-
-    /// A state that does not record member indices — bounded memory for
-    /// unbounded streams.
-    pub(crate) fn new_untracked(config: Spell) -> Result<Self, ParseError> {
-        let mut state = SpellState::new(config)?;
-        state.track_members = false;
-        Ok(state)
     }
 
     /// The symbol table backing this state's skeletons.
@@ -250,10 +236,10 @@ impl SpellState {
         }
     }
 
-    /// Rebuilds a (member-untracked) state from an exported snapshot,
-    /// re-interning the snapshot's strings into a fresh symbol table.
+    /// Rebuilds a state from an exported snapshot, re-interning the
+    /// snapshot's strings into a fresh symbol table.
     pub(crate) fn from_state(state: &SpellStateSnapshot) -> Result<Self, ParseError> {
-        let mut rebuilt = SpellState::new_untracked(Spell { tau: state.tau })?;
+        let mut rebuilt = SpellState::new(Spell { tau: state.tau })?;
         rebuilt.objects = state
             .skeletons
             .iter()
@@ -262,7 +248,6 @@ impl SpellState {
                     .iter()
                     .map(|t| rebuilt.interner.intern(t))
                     .collect(),
-                members: Vec::new(),
             })
             .collect();
         rebuilt.observed = state.observed;
@@ -274,7 +259,6 @@ impl SpellState {
     /// in creation order. The symbols must come from this state's
     /// interner (or the interner it was seeded with).
     pub(crate) fn observe_symbols(&mut self, tokens: &[Symbol]) -> usize {
-        let message_index = self.observed;
         self.observed += 1;
         // Find the object with the longest LCS that clears the `tau`
         // bar. `best_len` starts just under the bar, so one comparison
@@ -301,20 +285,12 @@ impl SpellState {
                 if best_len < object.skeleton.len() {
                     object.skeleton = lcs_sequence(&object.skeleton, tokens);
                 }
-                if self.track_members {
-                    object.members.push(message_index);
-                }
                 id
             }
             None => {
                 let id = self.objects.len();
                 self.objects.push(LcsObject {
                     skeleton: tokens.to_vec(),
-                    members: if self.track_members {
-                        vec![message_index]
-                    } else {
-                        Vec::new()
-                    },
                 });
                 id
             }
@@ -340,35 +316,29 @@ impl LogParser for Spell {
         // run on the corpus's own symbols with zero token hashing.
         let interner = Interner::over(corpus.shared_interner());
         let mut state = SpellState::with_interner(self.clone(), interner)?;
-        let mut assignment: Vec<Option<usize>> = Vec::with_capacity(corpus.len());
-        for idx in 0..corpus.len() {
-            let tokens = corpus.symbols(idx);
-            if tokens.is_empty() {
-                assignment.push(None); // empty messages stay outliers
-            } else {
-                assignment.push(Some(state.observe_symbols(tokens)));
-            }
-        }
-        // Collect per-object members in corpus index space.
+        // Object ids and event ids both count in creation order, so a
+        // message's object id is its event's index. Empty messages stay
+        // outliers.
+        let assignments: Vec<Option<EventId>> = (0..corpus.len())
+            .map(|idx| {
+                let tokens = corpus.symbols(idx);
+                (!tokens.is_empty()).then(|| EventId::new(state.observe_symbols(tokens)))
+            })
+            .collect();
+        // Every object has a member: the message that created it.
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); state.group_count()];
-        for (idx, a) in assignment.iter().enumerate() {
-            if let Some(id) = a {
-                members[*id].push(idx);
+        for (idx, event) in assignments.iter().enumerate() {
+            if let Some(event) = event {
+                members[event.index()].push(idx);
             }
         }
-        let mut builder = ParseBuilder::new(corpus.len());
-        for (id, m) in members.iter().enumerate() {
-            if m.is_empty() {
-                continue;
-            }
-            let Some(skeleton) = state.group_skeleton(id) else {
-                continue;
-            };
-            let template = skeleton_template(skeleton, state.interner(), m, corpus);
-            let event = builder.add_template(template);
-            builder.assign_cluster(m, event);
-        }
-        Ok(builder.build())
+        let templates = state
+            .objects
+            .iter()
+            .zip(&members)
+            .map(|(object, m)| skeleton_template(&object.skeleton, state.interner(), m, corpus))
+            .collect();
+        Ok(Parse::new(templates, assignments))
     }
 }
 

@@ -84,9 +84,10 @@ impl Default for StreamingDrain {
 impl StreamingDrain {
     /// Creates a streaming parser with the given Drain configuration.
     ///
-    /// Unlike the batch parser, the streaming tree does **not** record
-    /// member message indices: memory stays proportional to the number
-    /// of discovered templates, never to the length of the stream.
+    /// The tree keeps nothing per message (a caller that wants
+    /// per-message ids keeps what `observe` returns, as the batch parser
+    /// does), so memory follows the templates and the vocabulary, never
+    /// the length of the stream.
     ///
     /// # Panics
     ///
@@ -96,7 +97,7 @@ impl StreamingDrain {
     pub fn new(config: Drain) -> Self {
         StreamingDrain {
             // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
-            tree: DrainTree::new_untracked(config).expect("valid Drain configuration"),
+            tree: DrainTree::new(config).expect("valid Drain configuration"),
             row: Vec::new(),
         }
     }
@@ -138,18 +139,7 @@ impl StreamingParser for StreamingDrain {
     }
 
     fn template(&self, id: usize) -> Option<Template> {
-        self.tree.group_template(id).map(|slots| {
-            let interner = self.tree.interner();
-            Template::new(
-                slots
-                    .iter()
-                    .map(|slot| match slot {
-                        Some(sym) => TemplateToken::literal(interner.resolve(*sym).to_owned()),
-                        None => TemplateToken::Wildcard,
-                    })
-                    .collect(),
-            )
-        })
+        self.tree.template(id)
     }
 }
 
@@ -170,9 +160,10 @@ impl Default for StreamingSpell {
 impl StreamingSpell {
     /// Creates a streaming parser with the given Spell configuration.
     ///
-    /// Unlike the batch parser, the streaming state does **not** record
-    /// member message indices: memory stays proportional to the number
-    /// of discovered templates, never to the length of the stream.
+    /// The state keeps nothing per message (a caller that wants
+    /// per-message ids keeps what `observe` returns, as the batch parser
+    /// does), so memory follows the templates and the vocabulary, never
+    /// the length of the stream.
     ///
     /// # Panics
     ///
@@ -180,7 +171,7 @@ impl StreamingSpell {
     pub fn new(config: Spell) -> Self {
         StreamingSpell {
             // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
-            state: SpellState::new_untracked(config).expect("valid Spell configuration"),
+            state: SpellState::new(config).expect("valid Spell configuration"),
             row: Vec::new(),
         }
     }
@@ -236,6 +227,7 @@ impl StreamingParser for StreamingSpell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logparse_core::EventId;
 
     #[test]
     fn drain_streams_consistent_ids() {
@@ -273,18 +265,26 @@ mod tests {
         let corpus = logparse_datasets::hdfs::generate(300, 7).corpus;
         let batch = Drain::default().parse(&corpus).unwrap();
         let mut stream = StreamingDrain::default();
-        let ids: Vec<usize> = (0..corpus.len())
-            .map(|i| stream.observe(corpus.record(i).content))
-            .collect();
-        // Same grouping structure (up to id naming).
-        for i in 0..corpus.len() {
-            for j in 0..corpus.len() {
-                assert_eq!(
-                    batch.assignments()[i] == batch.assignments()[j],
-                    ids[i] == ids[j],
-                    "messages {i} and {j} grouped differently"
-                );
-            }
+        // Both count ids in creation order, so they agree id for id.
+        for (i, assigned) in batch.assignments().iter().enumerate() {
+            let id = stream.observe(corpus.record(i).content);
+            assert_eq!(assigned.map(EventId::index), Some(id), "message {i}");
+        }
+        assert_eq!(batch.event_count(), stream.group_count());
+        assert_eq!(batch.templates(), stream.templates());
+    }
+
+    #[test]
+    fn streaming_spell_matches_batch_spell() {
+        use logparse_core::LogParser;
+        let corpus = logparse_datasets::hdfs::generate(300, 7).corpus;
+        let batch = Spell::default().parse(&corpus).unwrap();
+        let mut stream = StreamingSpell::default();
+        // No generated line is empty, so batch leaves no outlier and
+        // both count ids in creation order.
+        for (i, assigned) in batch.assignments().iter().enumerate() {
+            let id = stream.observe(corpus.record(i).content);
+            assert_eq!(assigned.map(EventId::index), Some(id), "message {i}");
         }
         assert_eq!(batch.event_count(), stream.group_count());
     }

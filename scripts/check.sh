@@ -93,6 +93,22 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    and after `store compact`
 #   tests/preprocess_differential    mask-before-intern vs symbol-level apply
 #                                    vs goldens
+#   core parser an_assignment_is_four_bytes, event_id_…, record
+#   a_span_is_twelve_bytes_…, intern row_offsets_stop_short_of_u32_max
+#                                    the per-line sizes `parse_steady`'s peak
+#                                    follows (4-byte `Option<EventId>`, 12-byte
+#                                    `Span`), `EventId::new`'s index round trip
+#                                    and named panic at `u32::MAX`, the arena's
+#                                    `u32` offset check at its boundary
+#   parsers streaming_drain_matches_batch_drain,
+#   streaming_spell_matches_batch_spell
+#                                    batch Drain/Spell assign from the ids the
+#                                    streaming parser returns: equal id for id
+#   cli a_full_output_device_fails_parse_and_jobs_run
+#                                    `parse` and `jobs run` exit non-zero,
+#                                    naming the error, when `--events-out` or
+#                                    `--structured-out` is /dev/full (skipped
+#                                    with a message where it does not exist)
 #   linalg dual_matches_primal       dual vs primal PCA
 #   linalg symmetric_eigen_matches_jacobi_on_count_grams
 #                                    Householder + QL vs the cyclic Jacobi

@@ -20,7 +20,7 @@ proptest! {
             let oracle = Oracle::new(data.truth_templates.clone());
             let parse = oracle.parse(&data.corpus).unwrap();
             let correct = (0..n)
-                .filter(|&i| parse.assignments()[i] == Some(EventId(data.labels[i])))
+                .filter(|&i| parse.assignments()[i] == Some(EventId::new(data.labels[i])))
                 .count();
             // Rare cross-template ambiguity (a rendered message matching a
             // second, more specific template) is tolerated at < 2 %.
