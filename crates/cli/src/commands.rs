@@ -402,7 +402,7 @@ pub fn serve(args: &Args) -> CliResult {
             if max_mb > 0 {
                 Journal::rotating(std::path::Path::new(path), max_mb * 1024 * 1024, 3)?
             } else {
-                Journal::new(Box::new(BufWriter::new(File::create(path)?)))
+                Journal::create(std::path::Path::new(path))?
             }
         }
         None => Journal::new(Box::new(std::io::stderr())),

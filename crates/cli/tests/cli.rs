@@ -183,7 +183,9 @@ fn unknown_option_fails_naming_it() {
 
 /// `parse` and `jobs run` fail, naming the error, when an output file
 /// cannot take the bytes: each writer is flushed, not dropped, so the
-/// last buffered write's error reaches the exit code.
+/// last buffered write's error reaches the exit code. `serve` fails the
+/// same way when its event journal cannot, once the run has drained,
+/// naming the journal's file.
 #[test]
 fn a_full_output_device_fails_parse_and_jobs_run() {
     let full = std::path::Path::new("/dev/full");
@@ -225,6 +227,26 @@ fn a_full_output_device_fails_parse_and_jobs_run() {
                 "{command} {full_side} /dev/full: {stderr}"
             );
         }
+    }
+    for shards in ["1", "2"] {
+        let out = logmine()
+            .arg("serve")
+            .arg(&corpus)
+            .args(["--shards", shards, "--events-out"])
+            .arg(full)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "serve --events-out /dev/full exited 0"
+        );
+        assert!(
+            stderr.contains("error:")
+                && stderr.contains("/dev/full")
+                && stderr.contains("No space left on device"),
+            "serve --events-out /dev/full: {stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

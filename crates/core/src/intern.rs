@@ -21,6 +21,8 @@ use std::sync::Arc;
 
 use logparse_obs::word_fold;
 
+use crate::loader::TokenSpan;
+
 /// A dense id for an interned token string.
 ///
 /// Equality of symbols from the *same* [`Interner`] is equivalent to
@@ -246,9 +248,12 @@ impl Interner {
     }
 
     /// [`intern`](Interner::intern), inlined unconditionally. For the
-    /// corpus build's per-token call only: left to the inliner's
-    /// heuristics the probe goes out of line as soon as the loader has
-    /// more than one sink instantiation, which costs the build ~1.5 %.
+    /// per-token calls of the corpus build and [`intern_spans`] only:
+    /// left to the inliner's heuristics the probe goes out of line as
+    /// soon as the loader has more than one sink instantiation, which
+    /// costs the build ~1.5 %.
+    ///
+    /// [`intern_spans`]: Interner::intern_spans
     #[inline(always)]
     pub(crate) fn intern_inlined(&mut self, token: &str) -> Symbol {
         let tag = tag_of(token.as_bytes());
@@ -332,35 +337,37 @@ impl Interner {
     }
 
     /// Replaces `row` with the symbols of `line`'s tokens (the token
-    /// rule of [`Corpus`](crate::Corpus)), interning each. Allocates only
-    /// when a token is seen for the first time or `row` has to grow, so
-    /// a caller that keeps one row for every line it sees — a streaming
-    /// parser — allocates nothing per line.
-    ///
-    /// The split is byte-level while the line is ASCII, where the rule's
-    /// whitespace is `\t`..=`\r` and space; at the first byte ≥ 0x80 it
-    /// starts over at char level. The tokens interned before that are the
-    /// char-level split's first tokens too, so the ids are the same.
-    pub fn intern_line(&mut self, line: &str, row: &mut Vec<Symbol>) {
+    /// rule of [`Corpus`](crate::Corpus)), interning each. `spans` are
+    /// the tokens a scan of the line already found — a
+    /// [`FramedLine`](crate::FramedLine)'s, or
+    /// [`line_spans`](crate::line_spans)'s — and are interned as they
+    /// are; without them (`None`: a line with a byte ≥ 0x80, repaired or
+    /// too long) the line is split here by `split_whitespace`. Spans that
+    /// do not cut `line` on character boundaries are not its spans: the
+    /// line is split as without them. Allocates only when a token is
+    /// seen for the first time or `row` has to grow, so a caller that
+    /// keeps one row for every line it sees — a streaming parser —
+    /// allocates nothing per line.
+    pub fn intern_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>, row: &mut Vec<Symbol>) {
         row.clear();
-        let mut start = None;
-        for (at, &byte) in line.as_bytes().iter().enumerate() {
-            if byte >= 0x80 {
-                row.clear();
-                row.extend(line.split_whitespace().map(|t| self.intern(t)));
+        if let Some(spans) = spans {
+            for &(start, end) in spans {
+                match line.get(usize::from(start)..usize::from(end)) {
+                    Some(token) => row.push(self.intern_inlined(token)),
+                    None => {
+                        row.clear();
+                        break;
+                    }
+                }
+            }
+            if row.len() == spans.len() {
                 return;
             }
-            if matches!(byte, b'\t'..=b'\r' | b' ') {
-                if let Some(from) = start.take() {
-                    row.push(self.intern(&line[from..at]));
-                }
-            } else if start.is_none() {
-                start = Some(at);
-            }
         }
-        if let Some(from) = start {
-            row.push(self.intern(&line[from..]));
-        }
+        row.extend(
+            line.split_whitespace()
+                .map(|token| self.intern_inlined(token)),
+        );
     }
 }
 
@@ -754,8 +761,16 @@ mod tests {
         }
     }
 
+    /// Interns `line` as a streaming parser does: the spans of one scan
+    /// of it, then [`Interner::intern_spans`].
+    fn intern_line(interner: &mut Interner, line: &str, row: &mut Vec<Symbol>) {
+        let mut spans = Vec::new();
+        let spans = crate::line_spans(line, &mut spans);
+        interner.intern_spans(line, spans, row);
+    }
+
     #[test]
-    fn intern_line_splits_by_the_rule_and_reuses_its_row() {
+    fn interned_spans_split_by_the_rule_and_reuse_their_row() {
         let mut interner = Interner::new();
         let mut row = Vec::new();
         for line in [
@@ -765,7 +780,7 @@ mod tests {
             " \x0ba\x0cb\r c\t",
             "x\u{a0}y z\u{3000}w \u{85}v",
         ] {
-            interner.intern_line(line, &mut row);
+            intern_line(&mut interner, line, &mut row);
             assert_eq!(
                 interner.resolve_row(&row),
                 line.split_whitespace().collect::<Vec<_>>()
@@ -773,14 +788,36 @@ mod tests {
         }
     }
 
-    /// Interns `lines` with [`Interner::intern_line`] and with
-    /// `split_whitespace` into a second table: the rows, so the ids, must
-    /// be equal.
+    /// Spans are trusted only as far as they cut the line on character
+    /// boundaries; `None` is the char-level split.
+    #[test]
+    fn spans_that_are_not_the_lines_fall_back_to_the_char_split() {
+        let mut interner = Interner::new();
+        let mut row = Vec::new();
+        let line = "é ab cd";
+        for spans in [
+            None,
+            Some(&[(0u16, 1u16), (3, 5)][..]),
+            Some(&[(3, 5), (9, 12)][..]),
+        ] {
+            interner.intern_spans(line, spans, &mut row);
+            assert_eq!(interner.resolve_row(&row), ["é", "ab", "cd"], "{spans:?}");
+        }
+        // Spans that do cut the line are interned as given, even when
+        // they are not its tokens.
+        interner.intern_spans("abcd", Some(&[(1, 3)]), &mut row);
+        assert_eq!(interner.resolve_row(&row), ["bc"]);
+        interner.intern_spans("abcd", Some(&[]), &mut row);
+        assert!(row.is_empty());
+    }
+
+    /// Interns `lines` through their spans and with `split_whitespace`
+    /// into a second table: the rows, so the ids, must be equal.
     fn split_like_the_char_rule<'a>(lines: impl IntoIterator<Item = &'a str>) {
         let (mut fast, mut reference) = (Interner::new(), Interner::new());
         let mut row = Vec::new();
         for line in lines {
-            fast.intern_line(line, &mut row);
+            intern_line(&mut fast, line, &mut row);
             let expected: Vec<Symbol> = line
                 .split_whitespace()
                 .map(|t| reference.intern(t))
@@ -797,8 +834,8 @@ mod tests {
             let ascii = &words[..len];
             lines.push(ascii.to_owned());
             lines.push("t".repeat(len));
-            // The first high byte past 64 bytes, where the byte split
-            // starts the line over at char level.
+            // The first high byte past 64 bytes: the line has no spans
+            // and is split at char level.
             lines.push(format!("{ascii}x\u{a0}y z\u{e9}"));
             lines.push(format!("{}\u{3000}w", "q".repeat(len)));
         }
@@ -806,8 +843,8 @@ mod tests {
     }
 
     proptest! {
-        /// The byte-level split with its char-level fallback interns the
-        /// same tokens, in the same order and so to the same ids, as
+        /// The scan's spans with the char-level fallback intern the same
+        /// tokens, in the same order and so to the same ids, as
         /// interning `split_whitespace` over the same lines.
         #[test]
         fn interned_split_matches_the_char_rule(

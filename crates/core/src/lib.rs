@@ -49,7 +49,8 @@ pub use error::ParseError;
 pub use intern::{Interner, Symbol, TokenArena};
 pub use io::{write_events_file, write_structured_file, write_structured_lines};
 pub use loader::{
-    corpus_cuts, count_corpus_lines, CorpusCuts, FramedLine, LineDamage, LineFramer, MAX_LINE_BYTES,
+    corpus_cuts, count_corpus_lines, line_spans, CorpusCuts, FramedLine, LineDamage, LineFramer,
+    TokenSpan, MAX_LINE_BYTES, MAX_SPANNED_LINE_BYTES,
 };
 pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};

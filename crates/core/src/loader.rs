@@ -634,6 +634,15 @@ pub struct LineDamage {
     pub too_long: u64,
 }
 
+/// One token of a line: the byte range `[start, end)` relative to the
+/// line's first byte. Four bytes, so a line of `n` tokens carries `4n`
+/// bytes of spans.
+pub type TokenSpan = (u16, u16);
+
+/// Lines of this many bytes or more carry no [`TokenSpan`]s: a `u16`
+/// offset reaches no further.
+pub const MAX_SPANNED_LINE_BYTES: usize = 1 << 16;
+
 /// One line a [`LineFramer`] hands over, with what its scan saw of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FramedLine<'a> {
@@ -645,6 +654,42 @@ pub struct FramedLine<'a> {
     pub first_token: &'a str,
     /// How many such tokens `text` holds.
     pub tokens: usize,
+    /// Every token of `text`, in order, when the scan's byte rule is the
+    /// corpus's token rule for it: the line is all ASCII, was delivered
+    /// as sent, and is shorter than [`MAX_SPANNED_LINE_BYTES`]. `None`
+    /// otherwise, and a consumer splits `text` with `split_whitespace`.
+    pub spans: Option<&'a [TokenSpan]>,
+}
+
+/// The token spans of `line` as a [`LineFramer`] would deliver them, in
+/// `spans` (cleared first): `None` when the line holds a byte ≥ 0x80 or
+/// is [`MAX_SPANNED_LINE_BYTES`] long or longer, as for a framed line. A
+/// `\n` inside `line` separates tokens like any whitespace.
+pub fn line_spans<'s>(line: &str, spans: &'s mut Vec<TokenSpan>) -> Option<&'s [TokenSpan]> {
+    /// Tokens as spans, and whether any line event saw a high byte.
+    struct Spans<'s> {
+        spans: &'s mut Vec<TokenSpan>,
+        high: bool,
+    }
+    impl ScanSink for Spans<'_> {
+        #[inline]
+        fn token(&mut self, start: usize, end: usize) {
+            self.spans.push((start as u16, end as u16));
+        }
+
+        fn line(&mut self, _: usize, _: usize, _: bool, high: bool) -> Result<(), ParseError> {
+            self.high |= high;
+            Ok(())
+        }
+    }
+    spans.clear();
+    if line.len() >= MAX_SPANNED_LINE_BYTES {
+        return None;
+    }
+    let mut sink = Spans { spans, high: false };
+    let _ = scan(line.as_bytes(), &mut sink);
+    let Spans { spans, high } = sink;
+    (!high).then_some(&spans[..])
 }
 
 /// The streaming line cutter: bytes in as they arrive, lines out. Every
@@ -669,6 +714,9 @@ pub struct LineFramer {
     end: usize,
     /// `buf[head..scanned]` is known to hold no `\n`.
     scanned: usize,
+    /// The token spans of the line being scanned; kept between pops so a
+    /// pop allocates nothing.
+    spans: Vec<TokenSpan>,
 }
 
 impl LineFramer {
@@ -718,7 +766,7 @@ impl LineFramer {
         let region = &self.buf[self.head..region_end];
         self.head = region_end;
         self.scanned = region_end;
-        deliver(region, damage, each)
+        deliver(region, &mut self.spans, damage, each)
     }
 
     /// Hands the unterminated tail at end of stream (EOF, connection
@@ -727,8 +775,14 @@ impl LineFramer {
     /// afterwards. Call once [`pop_lines`](LineFramer::pop_lines) has
     /// handed over nothing.
     pub fn finish(&mut self, damage: &mut LineDamage, each: impl FnMut(FramedLine<'_>)) -> usize {
-        let LineFramer { buf, head, end, .. } = std::mem::take(self);
-        deliver(&buf[head..end], damage, each)
+        let LineFramer {
+            buf,
+            head,
+            end,
+            mut spans,
+            ..
+        } = std::mem::take(self);
+        deliver(&buf[head..end], &mut spans, damage, each)
     }
 }
 
@@ -736,13 +790,20 @@ impl LineFramer {
 /// once, handing each line to `each`. The region is UTF-8-checked once;
 /// a line is checked on its own only when that fails, and copied only
 /// to be repaired.
-fn deliver(region: &[u8], damage: &mut LineDamage, each: impl FnMut(FramedLine<'_>)) -> usize {
+fn deliver(
+    region: &[u8],
+    spans: &mut Vec<TokenSpan>,
+    damage: &mut LineDamage,
+    each: impl FnMut(FramedLine<'_>),
+) -> usize {
+    spans.clear();
     let mut sink = FramerSink {
         region,
         text: std::str::from_utf8(region).ok(),
         damage,
         each,
-        shape: Shape::default(),
+        spans,
+        line_start: 0,
         lines: 0,
     };
     // The sink never fails a line, so neither does the scan.
@@ -750,7 +811,8 @@ fn deliver(region: &[u8], damage: &mut LineDamage, each: impl FnMut(FramedLine<'
     sink.lines
 }
 
-/// The first token and the token count of the line being scanned.
+/// The first token and the token count of a line the scan gave no
+/// usable spans for: a repaired line, or one too long for `u16` offsets.
 #[derive(Default)]
 struct Shape {
     first: Range<usize>,
@@ -758,20 +820,7 @@ struct Shape {
 }
 
 impl Shape {
-    /// The shape of the line at `start`, relative to it; resets `self`
-    /// for the next line.
-    fn take(&mut self, start: usize) -> Shape {
-        let Shape { first, tokens } = std::mem::take(self);
-        match tokens {
-            0 => Shape::default(),
-            _ => Shape {
-                first: first.start - start..first.end - start,
-                tokens,
-            },
-        }
-    }
-
-    /// The shape of one repaired line.
+    /// The shape of one such line, scanned again on its own.
     fn of(line: &str) -> Shape {
         let mut shape = Shape::default();
         let _ = scan(line.as_bytes(), &mut shape);
@@ -783,6 +832,7 @@ impl Shape {
             text,
             first_token: text.get(self.first.clone()).unwrap_or_default(),
             tokens: self.tokens,
+            spans: None,
         }
     }
 }
@@ -802,20 +852,29 @@ impl ScanSink for Shape {
 }
 
 /// The scan sink behind [`deliver`].
-struct FramerSink<'a, 'd, F> {
+struct FramerSink<'a, 's, 'd, F> {
     region: &'a [u8],
     /// The whole region, when it is valid UTF-8.
     text: Option<&'a str>,
     damage: &'d mut LineDamage,
     each: F,
-    shape: Shape,
+    /// The current line's tokens, relative to `line_start`. A token
+    /// ending [`MAX_SPANNED_LINE_BYTES`] or more into its line is not
+    /// kept: the line's spans are dropped anyway.
+    spans: &'s mut Vec<TokenSpan>,
+    line_start: usize,
     lines: usize,
 }
 
-impl<F: FnMut(FramedLine<'_>)> ScanSink for FramerSink<'_, '_, F> {
+impl<F: FnMut(FramedLine<'_>)> ScanSink for FramerSink<'_, '_, '_, F> {
     #[inline]
     fn token(&mut self, start: usize, end: usize) {
-        self.shape.token(start, end);
+        if end - self.line_start < MAX_SPANNED_LINE_BYTES {
+            self.spans.push((
+                (start - self.line_start) as u16,
+                (end - self.line_start) as u16,
+            ));
+        }
     }
 
     fn line(
@@ -823,22 +882,39 @@ impl<F: FnMut(FramedLine<'_>)> ScanSink for FramerSink<'_, '_, F> {
         start: usize,
         content_end: usize,
         _blank: bool,
-        _has_high: bool,
+        has_high: bool,
     ) -> Result<(), ParseError> {
         self.lines += 1;
-        let shape = self.shape.take(start);
+        // The next line begins past this one's `\n`, and past a `\r`
+        // stripped before it.
+        self.line_start =
+            content_end + 1 + usize::from(self.region.get(content_end) == Some(&b'\r'));
         let bytes = &self.region[start..content_end];
         let text = match self.text {
             Some(text) => text.get(start..content_end),
             None => std::str::from_utf8(bytes).ok(),
         };
-        match text.filter(|_| bytes.len() <= MAX_LINE_BYTES) {
-            Some(text) => (self.each)(shape.line(text)),
-            None => {
+        match text {
+            Some(text) if bytes.len() < MAX_SPANNED_LINE_BYTES => {
+                let spans = &self.spans[..];
+                let first = spans.first().map_or("", |&(from, to)| {
+                    text.get(usize::from(from)..usize::from(to))
+                        .unwrap_or_default()
+                });
+                (self.each)(FramedLine {
+                    text,
+                    first_token: first,
+                    tokens: spans.len(),
+                    spans: (!has_high).then_some(spans),
+                });
+            }
+            Some(text) if bytes.len() <= MAX_LINE_BYTES => (self.each)(Shape::of(text).line(text)),
+            _ => {
                 let repaired = decode(bytes, self.damage);
                 (self.each)(Shape::of(&repaired).line(&repaired));
             }
         }
+        self.spans.clear();
         Ok(())
     }
 }
@@ -1077,8 +1153,21 @@ mod tests {
                 line.tokens,
                 usize::from(!line.first_token.is_empty()) + tokens.count()
             );
+            if let Some(spans) = line.spans {
+                assert_eq!(spans, char_split_spans(line.text), "{:?}", line.text);
+            }
             out.push(line.text.to_owned());
         }
+    }
+
+    /// The byte ranges of `text`'s `split_whitespace` tokens.
+    fn char_split_spans(text: &str) -> Vec<TokenSpan> {
+        text.split_whitespace()
+            .map(|token| {
+                let start = token.as_ptr() as usize - text.as_ptr() as usize;
+                (start as u16, (start + token.len()) as u16)
+            })
+            .collect()
     }
 
     /// Reads `bytes` into `framer` the way every source does — a chunk
@@ -1200,6 +1289,118 @@ mod tests {
             0..40,
         )
         .prop_map(|pieces| pieces.concat())
+    }
+
+    /// Lines dense in what the spans can get wrong: every ASCII
+    /// whitespace byte, CRLF, U+00A0 and U+0085 (whitespace to the char
+    /// rule, not to the byte scan), an invalid byte, and lines from just
+    /// under to just over [`MAX_SPANNED_LINE_BYTES`].
+    fn span_soup() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(b"\n".to_vec()),
+                Just(b"\r\n".to_vec()),
+                Just(b"\r".to_vec()),
+                Just(b"\x0b".to_vec()),
+                Just(b"\x0c".to_vec()),
+                Just(b"\t".to_vec()),
+                Just(b" ".to_vec()),
+                Just("\u{a0}".as_bytes().to_vec()),
+                Just("\u{85}".as_bytes().to_vec()),
+                Just(b"\xff".to_vec()),
+                "[a-d]{1,3}".prop_map(String::into_bytes),
+                (
+                    MAX_SPANNED_LINE_BYTES - 3..MAX_SPANNED_LINE_BYTES + 3,
+                    0usize..4
+                )
+                    .prop_map(|(len, gap)| {
+                        // A line of `len` bytes of tokens, the last one
+                        // ending near the `u16` limit.
+                        let mut line = b"\nword ".to_vec();
+                        line.extend(b"tok ".iter().cycle().take(len - 5 - gap));
+                        line.extend(std::iter::repeat_n(b'z', gap));
+                        line.push(b'\n');
+                        line
+                    }),
+            ],
+            0..40,
+        )
+        .prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// However the bytes are cut into reads, a line's spans are the
+        /// byte ranges of its `split_whitespace` tokens, and they are
+        /// missing exactly from lines with a high byte, repaired lines and
+        /// lines of [`MAX_SPANNED_LINE_BYTES`] or more.
+        #[test]
+        fn framer_spans_are_the_char_split_where_present(
+            bytes in span_soup(),
+            cuts in proptest::collection::vec(1usize..9, 0..200),
+        ) {
+            let mut pieces = Vec::new();
+            let mut rest = &bytes[..];
+            for cut in cuts.into_iter().chain([usize::MAX]) {
+                let (piece, after) = rest.split_at(cut.min(rest.len()));
+                pieces.push(piece);
+                rest = after;
+            }
+            let mut seen: Vec<(String, Option<Vec<TokenSpan>>)> = Vec::new();
+            let mut keep = |line: FramedLine<'_>| {
+                seen.push((line.text.to_owned(), line.spans.map(<[_]>::to_vec)));
+            };
+            let (mut framer, mut damage) = (LineFramer::default(), LineDamage::default());
+            for piece in &pieces {
+                let mut piece = *piece;
+                while !piece.is_empty() {
+                    framer.fill_from(&mut piece).unwrap();
+                    while framer.pop_lines(&mut damage, &mut keep) > 0 {}
+                }
+            }
+            framer.finish(&mut damage, &mut keep);
+
+            let mut raw: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+            let tail = raw.pop().filter(|tail| !tail.is_empty());
+            let raw: Vec<&[u8]> = raw
+                .into_iter()
+                .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+                .chain(tail)
+                .collect();
+            prop_assert_eq!(seen.len(), raw.len());
+            for ((text, spans), raw) in seen.iter().zip(raw) {
+                let repaired = text.as_bytes() != raw;
+                let high = raw.iter().any(|&b| b >= 0x80);
+                let long = raw.len() >= MAX_SPANNED_LINE_BYTES;
+                prop_assert_eq!(spans.is_some(), !(repaired || high || long), "{:?}", raw.len());
+                if let Some(spans) = spans {
+                    prop_assert_eq!(spans, &char_split_spans(text));
+                }
+            }
+        }
+
+        /// A streaming parser's [`line_spans`] are a framed line's.
+        #[test]
+        fn line_spans_are_the_framers(bytes in span_soup()) {
+            let mut framed: Vec<(String, Option<Vec<TokenSpan>>)> = Vec::new();
+            let mut keep = |line: FramedLine<'_>| {
+                framed.push((line.text.to_owned(), line.spans.map(<[_]>::to_vec)));
+            };
+            let (mut framer, mut damage) = (LineFramer::default(), LineDamage::default());
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                framer.fill_from(&mut rest).unwrap();
+                while framer.pop_lines(&mut damage, &mut keep) > 0 {}
+            }
+            framer.finish(&mut damage, &mut keep);
+            let mut spans = Vec::new();
+            for (text, expected) in &framed {
+                let found = line_spans(text, &mut spans).map(<[_]>::to_vec);
+                // A repaired line holds U+FFFD, so neither side has spans.
+                prop_assert_eq!(&found, expected, "{:?}", text.len());
+            }
+        }
     }
 
     proptest! {

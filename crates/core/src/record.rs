@@ -120,7 +120,7 @@ enum LineNumbers {
 /// and a blank line an empty row. There is nothing to configure.
 /// Anything specific to a dataset — the paper's §IV-B domain knowledge
 /// — is a [`MaskRule`](crate::MaskRule) over these tokens, not a
-/// different split. Every constructor and [`Interner::intern_line`]
+/// different split. Every constructor and [`Interner::intern_spans`]
 /// split this way.
 ///
 /// Storage is one shape however the corpus was built: a single shared

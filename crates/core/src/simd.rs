@@ -16,10 +16,11 @@
 //! non-whitespace bytes — the one token rule ([`crate::Corpus`])
 //! restricted to ASCII, where the two coincide; lines with high bytes
 //! are re-tokenized by the caller at char level. The loader's
-//! `BuildSink` and the line framer's sink and `Shape` split through this
-//! one kernel. [`Interner::intern_line`](crate::Interner::intern_line),
-//! which splits one line per call, keeps its byte loop: routed through
-//! the block scan it measured slower per line (see EXPERIMENTS.md).
+//! `BuildSink`, the line framer's sink and `Shape`, and
+//! [`line_spans`](crate::line_spans) split through this one kernel, so
+//! the ASCII whitespace rule is written here and nowhere else: the
+//! framer's token spans travel with each line to `serve`'s workers, and
+//! a streaming parser handed one line scans it here.
 //!
 //! **Skip-blank contract** (the canonical statement; the corpus loader
 //! and [`kept_line_starts`] drop exactly the lines flagged here): a

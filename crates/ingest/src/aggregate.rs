@@ -328,10 +328,162 @@ pub(crate) struct AggregatorOutcome {
     pub batches: u64,
 }
 
-#[derive(Debug, Default)]
-struct WindowAcc {
-    counts: HashMap<usize, u32>,
+/// A shard-local id not yet looked up in the map since it last changed.
+const UNRESOLVED: usize = usize::MAX;
+/// A shard-local id the map does not bind.
+const UNBOUND: usize = usize::MAX - 1;
+
+/// The open windows and how parsed entries reach them: each batch's
+/// `(shard, local)` ids resolved to global ids once, then counted run by
+/// run into dense per-window arrays.
+///
+/// The map changes only in a merge, and a batch's merge runs before its
+/// entries are counted, so a local id resolves to the same global id
+/// from one merge to the next: the resolutions are kept per shard until
+/// [`map_changed`](Windows::map_changed). Counts are keyed by the global
+/// id an entry resolved to when it was counted; scoring canonicalizes
+/// them, since a later union may re-root it.
+struct Windows {
+    size: u64,
+    /// Per shard, local id → global id, [`UNRESOLVED`] or [`UNBOUND`].
+    resolved: Vec<Vec<usize>>,
+    /// The batch being counted: `(sequence, global id)`.
+    batch: Vec<(u64, usize)>,
+    open: HashMap<u64, OpenWindow>,
+    /// Count arrays (all zero) and id lists (empty) of closed windows,
+    /// for the windows that open next.
+    spare: Vec<(Vec<u32>, Vec<usize>)>,
+}
+
+/// One open window: its count per global id, dense, and the ids whose
+/// count is not zero, so closing it costs the distinct ids, not the id
+/// space.
+struct OpenWindow {
+    counts: Vec<u32>,
+    touched: Vec<usize>,
     seen: usize,
+}
+
+/// A window whose counting is over: its id, its `(global id, count)`
+/// pairs in id order, and how many lines it counted.
+#[derive(Debug, PartialEq, Eq)]
+struct WindowCounts {
+    id: u64,
+    counts: Vec<(usize, u32)>,
+    lines: usize,
+}
+
+impl Windows {
+    fn new(window_size: usize, shards: usize) -> Windows {
+        Windows {
+            size: window_size as u64,
+            resolved: vec![Vec::new(); shards],
+            batch: Vec::new(),
+            open: HashMap::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Forgets every resolution: the map merged.
+    fn map_changed(&mut self) {
+        for resolved in &mut self.resolved {
+            resolved.clear();
+        }
+    }
+
+    /// Counts one batch of `shard`'s `(sequence, local id)` entries,
+    /// pushing the windows they complete onto `closed` in the order they
+    /// complete. An entry whose local id `map` does not bind is skipped.
+    fn count(
+        &mut self,
+        map: &mut TemplateMerge,
+        shard: usize,
+        entries: &[(u64, usize)],
+        closed: &mut Vec<WindowCounts>,
+    ) {
+        let resolved = &mut self.resolved[shard];
+        self.batch.clear();
+        for &(seq, local) in entries {
+            if local >= resolved.len() {
+                resolved.resize(local + 1, UNRESOLVED);
+            }
+            if resolved[local] == UNRESOLVED {
+                resolved[local] = map.resolve(shard, local).unwrap_or(UNBOUND);
+            }
+            if resolved[local] != UNBOUND {
+                self.batch.push((seq, resolved[local]));
+            }
+        }
+        let mut rest = &self.batch[..];
+        while let Some(&(seq, _)) = rest.first() {
+            let id = seq / self.size;
+            let window = self.open.entry(id).or_insert_with(|| {
+                let (counts, touched) = self.spare.pop().unwrap_or_default();
+                OpenWindow {
+                    counts,
+                    touched,
+                    seen: 0,
+                }
+            });
+            // The run of entries in window `id`; it ends early when the
+            // window does, and a later entry for it opens it again.
+            let mut run = 0;
+            for &(seq, gid) in rest {
+                if seq / self.size != id || window.seen as u64 == self.size {
+                    break;
+                }
+                if gid >= window.counts.len() {
+                    window.counts.resize(gid + 1, 0);
+                }
+                if window.counts[gid] == 0 {
+                    window.touched.push(gid);
+                }
+                window.counts[gid] += 1;
+                window.seen += 1;
+                run += 1;
+            }
+            rest = &rest[run..];
+            if window.seen as u64 == self.size {
+                if let Some(window) = self.open.remove(&id) {
+                    closed.push(close(id, window, &mut self.spare));
+                }
+            }
+        }
+    }
+
+    /// Closes every open window, oldest first: the stream ended.
+    fn close_all(&mut self) -> Vec<WindowCounts> {
+        let mut ids: Vec<u64> = self.open.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
+            .filter_map(|id| {
+                let window = self.open.remove(&id)?;
+                Some(close(id, window, &mut self.spare))
+            })
+            .collect()
+    }
+}
+
+/// The rows of window `id`, its arrays zeroed and kept in `spare` for
+/// the next.
+fn close(id: u64, window: OpenWindow, spare: &mut Vec<(Vec<u32>, Vec<usize>)>) -> WindowCounts {
+    let OpenWindow {
+        mut counts,
+        mut touched,
+        seen,
+    } = window;
+    touched.sort_unstable();
+    let rows = touched
+        .iter()
+        .map(|&gid| (gid, std::mem::take(&mut counts[gid])))
+        .collect();
+    touched.clear();
+    spare.push((counts, touched));
+    WindowCounts {
+        id,
+        counts: rows,
+        lines: seen,
+    }
 }
 
 /// A closed window: id, sorted `(global id, count)` pairs, and whether
@@ -380,7 +532,10 @@ pub(crate) fn run_aggregator(
     } = config;
 
     let mut deltas: Vec<MergeDelta> = Vec::new();
-    let mut open: HashMap<u64, WindowAcc> = HashMap::new();
+    let mut open = Windows::new(window_size, shards);
+    let mut completed: Vec<WindowCounts> = Vec::new();
+    // Recounted only when a merge may have changed it.
+    let mut canonical = map.canonical_count();
     let mut closed: VecDeque<ClosedWindow> = VecDeque::new();
     let mut windows: Vec<WindowScore> = Vec::new();
     let mut anomalies: Vec<u64> = Vec::new();
@@ -392,8 +547,7 @@ pub(crate) fn run_aggregator(
     let mut done = 0usize;
     let mut drift = DriftTracker::new(quality, shards);
 
-    let mut score_window = |window_id: u64,
-                            acc: WindowAcc,
+    let mut score_window = |window: WindowCounts,
                             map: &mut TemplateMerge,
                             closed: &mut VecDeque<ClosedWindow>,
                             drift: &mut DriftTracker| {
@@ -402,8 +556,11 @@ pub(crate) fn run_aggregator(
         // the trace ring when it drops at the end of this closure.
         let _span =
             logparse_obs::global().span_into(metrics.score_seconds.clone(), "window_score", &[]);
-        let mut counts: Vec<(usize, u32)> = acc.counts.into_iter().collect();
-        counts.sort_unstable();
+        let WindowCounts {
+            id: window_id,
+            counts,
+            lines,
+        } = window;
         // Drift stats come from the raw counts, before they move into
         // the scoring history below.
         let drift_stats = drift.window_stats(&counts, map);
@@ -451,7 +608,7 @@ pub(crate) fn run_aggregator(
             let anomalous = peak > RESIDUAL_FLOOR && spe > threshold;
             WindowScore {
                 window: window_id,
-                lines: acc.seen,
+                lines,
                 spe: Some(spe),
                 threshold: Some(threshold),
                 anomalous,
@@ -459,7 +616,7 @@ pub(crate) fn run_aggregator(
         } else {
             WindowScore {
                 window: window_id,
-                lines: acc.seen,
+                lines,
                 spe: None,
                 threshold: None,
                 anomalous: false,
@@ -510,11 +667,12 @@ pub(crate) fn run_aggregator(
                 if let Some(templates) = &batch.templates {
                     merge_durably(&mut map, batch.shard, templates, &mut store, &mut deltas)?;
                     metrics.merges.inc();
+                    open.map_changed();
+                    canonical = map.canonical_count();
                 }
                 drift.absorb_batch(batch.shard, batch.param_cardinality_max);
                 drift.absorb_exemplars(batch.shard, batch.exemplars);
                 shard_observed[batch.shard] += batch.entries.len();
-                let canonical = map.canonical_count();
                 metrics.global_templates.set(canonical as f64);
                 events.emit(
                     "batch_parsed",
@@ -524,22 +682,13 @@ pub(crate) fn run_aggregator(
                         ("groups", Json::usize(canonical)),
                     ],
                 );
-                for (seq, local) in batch.entries {
-                    let Some(gid) = map.resolve(batch.shard, local) else {
-                        // Cannot happen with well-behaved workers (they
-                        // always announce new groups with the batch),
-                        // but an unknown id must not sink the pipeline.
-                        continue;
-                    };
-                    let window_id = seq / window_size as u64;
-                    let acc = open.entry(window_id).or_default();
-                    *acc.counts.entry(gid).or_insert(0) += 1;
-                    acc.seen += 1;
-                    if acc.seen == window_size {
-                        if let Some(acc) = open.remove(&window_id) {
-                            score_window(window_id, acc, &mut map, &mut closed, &mut drift);
-                        }
-                    }
+                // An entry the map does not bind is skipped: that cannot
+                // happen with well-behaved workers (they always announce
+                // new groups with the batch), but an unknown id must not
+                // sink the pipeline.
+                open.count(&mut map, batch.shard, &batch.entries, &mut completed);
+                for window in completed.drain(..) {
+                    score_window(window, &mut map, &mut closed, &mut drift);
                 }
             }
             ShardOutput::Snapshot {
@@ -575,7 +724,9 @@ pub(crate) fn run_aggregator(
             } => {
                 merge_durably(&mut map, shard, &templates, &mut store, &mut deltas)?;
                 metrics.merges.inc();
-                metrics.global_templates.set(map.canonical_count() as f64);
+                open.map_changed();
+                canonical = map.canonical_count();
+                metrics.global_templates.set(canonical as f64);
                 final_snapshots[shard] = Some(state);
                 shard_observed[shard] = observed;
                 done += 1;
@@ -584,12 +735,8 @@ pub(crate) fn run_aggregator(
     }
 
     // Flush partial windows (stream ended mid-window), oldest first.
-    let mut partial: Vec<u64> = open.keys().copied().collect();
-    partial.sort_unstable();
-    for window_id in partial {
-        if let Some(acc) = open.remove(&window_id) {
-            score_window(window_id, acc, &mut map, &mut closed, &mut drift);
-        }
+    for window in open.close_all() {
+        score_window(window, &mut map, &mut closed, &mut drift);
     }
 
     // The loop above exits only after every shard reported Done, so
@@ -675,11 +822,9 @@ fn write_checkpoint(
             &[],
         );
         for (shard, snapshot) in shards.iter().enumerate() {
-            write_blob(
-                store.dir(),
-                &format!("parser-{shard}"),
-                snapshot.to_json().to_string().as_bytes(),
-            )?;
+            // lint:allow(hot-path-string-alloc): once per shard per checkpoint, not per line — a blob's name and its JSON text are strings
+            let (name, blob) = (format!("parser-{shard}"), snapshot.to_json().to_string());
+            write_blob(store.dir(), &name, blob.as_bytes())?;
         }
         let meta = Json::Obj(vec![
             ("version".into(), Json::usize(1)),
@@ -713,8 +858,219 @@ mod tests {
     use crate::checkpoint::Checkpoint;
     use crate::metrics::StageMetrics;
     use crate::pipeline::open_store;
+    use crate::worker::ParsedBatch;
     use logparse_parsers::StreamingDrain;
     use logparse_store::COMPACT_LOG_BYTES;
+    use proptest::prelude::*;
+    use std::io::Write;
+    use std::sync::{mpsc, Mutex};
+
+    /// The aggregator's counting before [`Windows`]: every entry resolved
+    /// on its own, each window's counts in a hash map. The oracle the
+    /// dense windows are held to.
+    struct HashWindows {
+        size: u64,
+        open: HashMap<u64, (HashMap<usize, u32>, usize)>,
+    }
+
+    impl HashWindows {
+        fn count(
+            &mut self,
+            map: &mut TemplateMerge,
+            shard: usize,
+            entries: &[(u64, usize)],
+            closed: &mut Vec<WindowCounts>,
+        ) {
+            for &(seq, local) in entries {
+                let Some(gid) = map.resolve(shard, local) else {
+                    continue;
+                };
+                let id = seq / self.size;
+                let (counts, seen) = self.open.entry(id).or_default();
+                *counts.entry(gid).or_insert(0) += 1;
+                *seen += 1;
+                if *seen as u64 == self.size {
+                    closed.extend(self.take(id));
+                }
+            }
+        }
+
+        fn take(&mut self, id: u64) -> Option<WindowCounts> {
+            let (counts, lines) = self.open.remove(&id)?;
+            let mut counts: Vec<(usize, u32)> = counts.into_iter().collect();
+            counts.sort_unstable();
+            Some(WindowCounts { id, counts, lines })
+        }
+
+        fn close_all(&mut self) -> Vec<WindowCounts> {
+            let mut ids: Vec<u64> = self.open.keys().copied().collect();
+            ids.sort_unstable();
+            ids.into_iter().filter_map(|id| self.take(id)).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random batches of `(sequence, local id)` from up to three
+        /// shards, with merges between them that bind, refine and union
+        /// (keys from a five-word vocabulary collide often), and local
+        /// ids the map does not bind: the dense windows close the same
+        /// windows, in the same order, with the same rows, as the hash
+        /// map oracle.
+        #[test]
+        fn dense_windows_count_like_a_hash_map(
+            size in 1usize..7,
+            owners in proptest::collection::vec(0usize..3, 0..200),
+            locals in proptest::collection::vec(0usize..7, 200),
+            steps in proptest::collection::vec(
+                (0u8..3, 0usize..3, 1usize..12, proptest::collection::vec(0u8..5, 1..7)),
+                0..60,
+            ),
+        ) {
+            // Each shard's lines in sequence order, as a worker sends them.
+            let mut queues: Vec<VecDeque<(u64, usize)>> = vec![Default::default(); 3];
+            for (seq, &shard) in owners.iter().enumerate() {
+                queues[shard].push_back((seq as u64, locals[seq]));
+            }
+            let (mut dense_map, mut hash_map) = (TemplateMerge::new(), TemplateMerge::new());
+            let mut dense = Windows::new(size, 3);
+            let mut hash = HashWindows { size: size as u64, open: HashMap::new() };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let batch_of = |queue: &mut VecDeque<(u64, usize)>, lines: usize| {
+                let lines = lines.min(queue.len());
+                queue.drain(..lines).collect::<Vec<_>>()
+            };
+            for (kind, shard, lines, keys) in steps {
+                if kind == 0 {
+                    let keys: Vec<String> = keys.iter().map(|k| format!("key {k}")).collect();
+                    dense_map.merge_shard(shard, &keys);
+                    hash_map.merge_shard(shard, &keys);
+                    dense.map_changed();
+                } else {
+                    let entries = batch_of(&mut queues[shard], lines);
+                    dense.count(&mut dense_map, shard, &entries, &mut got);
+                    hash.count(&mut hash_map, shard, &entries, &mut want);
+                    prop_assert_eq!(&got, &want);
+                }
+            }
+            for (shard, queue) in queues.iter_mut().enumerate() {
+                let entries = batch_of(queue, usize::MAX);
+                dense.count(&mut dense_map, shard, &entries, &mut got);
+                hash.count(&mut hash_map, shard, &entries, &mut want);
+            }
+            got.extend(dense.close_all());
+            want.extend(hash.close_all());
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A journal sink tests can read back.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The canonical count the aggregator reports with every batch is
+    /// kept, not recounted, and recomputed only after a merge: on a
+    /// stream whose templates are born, refined and unioned batch after
+    /// batch, each `batch_parsed` event's `groups` equals the full
+    /// count of a map merged the same way.
+    #[test]
+    fn the_kept_canonical_count_is_the_full_count_after_every_batch() {
+        let shards = 2;
+        let (tx, rx) = mpsc::channel();
+        let mut oracle = TemplateMerge::new();
+        let mut expected = Vec::new();
+        let mut keys: Vec<Vec<String>> = vec![Vec::new(); shards];
+        let mut seq = 0u64;
+        for batch in 0..60usize {
+            let shard = batch % shards;
+            let known = &mut keys[shard];
+            // A birth most batches; every fifth batch refines an older
+            // local id onto another's key (a union once both are bound).
+            let templates = match batch % 5 {
+                4 if known.len() >= 2 => {
+                    let onto = known[known.len() - 1].clone();
+                    known[0] = onto;
+                    Some(known.clone())
+                }
+                3 => None,
+                _ => {
+                    known.push(format!("event {}", batch / 3));
+                    Some(known.clone())
+                }
+            };
+            if let Some(templates) = &templates {
+                oracle.merge_shard(shard, templates);
+            }
+            expected.push(oracle.canonical_count());
+            let entries: Vec<(u64, usize)> = (0..8)
+                .map(|i| {
+                    seq += 1;
+                    (seq, i % keys[shard].len().max(1))
+                })
+                .collect();
+            tx.send(ShardOutput::Parsed(ParsedBatch {
+                shard,
+                entries,
+                templates,
+                exemplars: Vec::new(),
+                param_cardinality_max: 0,
+            }))
+            .unwrap();
+        }
+        for (shard, templates) in keys.into_iter().enumerate() {
+            tx.send(ShardOutput::Done {
+                shard,
+                state: ParserSnapshot::Drain(StreamingDrain::default().snapshot()),
+                templates,
+                observed: 0,
+            })
+            .unwrap();
+        }
+        let sink = Shared::default();
+        let config = AggregatorConfig {
+            shards,
+            parser: ParserChoice::Drain,
+            window_size: 50,
+            history: 16,
+            warmup: 4,
+            detector: PcaDetector::new(Default::default()),
+            store: None,
+            events: Arc::new(Journal::new(Box::new(sink.clone()))),
+            metrics: StageMetrics::new(shards, "drain").aggregator,
+            quality: None,
+            map: TemplateMerge::new(),
+            seq_base: 0,
+        };
+        let events = Arc::clone(&config.events);
+        run_aggregator(config, rx).unwrap();
+        events.flush().unwrap();
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let groups: Vec<usize> = text
+            .lines()
+            .filter(|line| line.contains("\"event\":\"batch_parsed\""))
+            .map(|line| {
+                let at = line.find("\"groups\":").unwrap() + "\"groups\":".len();
+                let digits: String = line[at..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect();
+                digits.parse().unwrap()
+            })
+            .collect();
+        assert_eq!(groups, expected);
+        assert!(oracle.union_count() > 0, "the stream never unioned");
+    }
 
     /// `store_compaction_runs_total` in the process registry.
     fn compaction_runs() -> u64 {

@@ -3,14 +3,15 @@
 //! ```text
 //!                         bounded sync_channel (backpressure)
 //!   ┌──────────────┐  LineBatch  ┌──────────┐
-//!   │ source:      │ ──────────► │ shard 0  │ ─┐
+//!   │ source:      │ text+spans  │ shard 0  │ ─┐
 //!   │ framer, one  │ ──────────► │ shard 1  │ ─┤  unbounded    ┌────────────┐
 //!   │ scan a block │     ...     │   ...    │ ─┼─────────────► │ aggregator │
 //!   │ router (this │ ──────────► │ shard N  │ ─┘   results     │  (thread)  │
 //!   │ thread)      │             └──────────┘                  └────────────┘
-//!   └──────────────┘             byte split →                 global ids, windows,
-//!                                StreamingDrain /             PCA scores, checkpoints
-//!                                StreamingSpell per shard
+//!   └──────────────┘             intern the                   ids resolved per
+//!                                framer's spans →             batch, dense window
+//!                                StreamingDrain /             counts, PCA scores,
+//!                                StreamingSpell per shard     checkpoints
 //! ```
 //!
 //! The router ([`crate::router`]) runs on the calling thread. A source
@@ -19,8 +20,10 @@
 //! line a global sequence number, takes its shard from the scan's first
 //! token and token count (one event shape lands on one shard, and
 //! routing is deterministic), and copies it into that shard's batch —
-//! one `String` of line text per batch plus a `(sequence, end)` pair per
-//! line. Batches go on either when full or when the flush interval
+//! one `String` of line text and one `Vec` of the scan's token spans per
+//! batch, plus a `(sequence, text end, spans end)` entry per line, so a
+//! worker interns the tokens the scan found instead of splitting the
+//! line again. Batches go on either when full or when the flush interval
 //! expires. Shard input channels are *bounded*: a slow shard blocks the
 //! router, which stops pulling from the source — backpressure instead of
 //! unbounded buffering.
@@ -211,7 +214,9 @@ pub struct IngestSummary {
 /// | `shutdown_complete` | all shards drained and the pipeline exited         |
 ///
 /// The journal is flushed after `shutdown_complete`, so a
-/// SIGTERM-drained run always ends with a complete log on disk.
+/// SIGTERM-drained run always ends with a complete log on disk; a
+/// journal that failed to write (a full disk, `/dev/full`) fails the run
+/// there, once everything is drained, with an error naming its file.
 pub fn run_pipeline(
     source: &mut dyn LogSource,
     config: &IngestConfig,
@@ -396,8 +401,18 @@ pub fn run_pipeline(
     );
     // The journal buffers; push the tail out so a drained shutdown
     // (including the SIGTERM path) leaves a complete event log on disk
-    // even though callers may hold the log alive past this return.
-    events.flush();
+    // even though callers may hold the log alive past this return. A
+    // journal that could not write fails the run here, after the drain,
+    // naming its file: events lost are an error, not a silent gap.
+    if let Err(e) = events.flush() {
+        let sink = events
+            .path()
+            .map_or_else(|| "sink".to_owned(), |path| path.display().to_string());
+        return Err(IngestError::Io(std::io::Error::new(
+            e.kind(),
+            format!("event journal {sink}: {e}"),
+        )));
+    }
 
     Ok(IngestSummary {
         source: source.describe(),
@@ -603,6 +618,7 @@ mod tests {
                     text: &text,
                     first_token: "tick",
                     tokens: 2,
+                    spans: None,
                 });
                 Ok(SourceItem::Lines(1))
             }

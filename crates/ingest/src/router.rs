@@ -67,9 +67,10 @@ impl<'a> Router<'a> {
                 .is_some_and(|max| self.seq - self.seq_base >= max)
     }
 
-    /// Numbers `line` and copies it into its shard's batch — the one
-    /// copy a line gets between the source's buffer and its parser. A
-    /// line that arrives once the router is closed is dropped.
+    /// Numbers `line` and copies it, with its token spans, into its
+    /// shard's batch — the one copy a line gets between the source's
+    /// buffer and its parser. A line that arrives once the router is
+    /// closed is dropped.
     pub fn route(&mut self, line: FramedLine<'_>) {
         if self.closed() {
             return;
@@ -85,7 +86,7 @@ impl<'a> Router<'a> {
             // lint:allow(timing-discipline): flush-interval bookkeeping for batch aging, not a measurement — nothing is recorded from this clock
             self.batch_started[shard] = Some(Instant::now());
         }
-        self.pending[shard].push(self.seq, line.text);
+        self.pending[shard].push(self.seq, line.text, line.spans);
         self.seq += 1;
         if self.pending[shard].len() >= self.config.batch_size {
             self.flush(shard)?;
@@ -115,7 +116,12 @@ impl<'a> Router<'a> {
         if self.pending[shard].is_empty() {
             return Ok(());
         }
-        let room = LineBatch::with_capacity(self.config.batch_size, self.pending[shard].bytes());
+        let pending = &self.pending[shard];
+        let room = LineBatch::with_capacity(
+            self.config.batch_size,
+            pending.bytes(),
+            pending.span_count(),
+        );
         let batch = std::mem::replace(&mut self.pending[shard], room);
         self.batch_started[shard] = None;
         self.send(shard, ShardInput::Batch(batch))

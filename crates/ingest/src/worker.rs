@@ -12,6 +12,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
+use logparse_core::TokenSpan;
 use logparse_obs::{word_fold, Fnv1a};
 use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
 
@@ -20,27 +21,36 @@ use crate::metrics::WorkerMetrics;
 use crate::{IngestError, ParserChoice};
 
 /// Lines bound for one shard: their text back to back in one `String`,
-/// and per line its sequence number and where its text ends. A batch is
-/// two allocations, whatever its size.
+/// their token spans back to back in one `Vec`, and per line its
+/// sequence number, where its text ends and where its spans end (`None`
+/// for a line the framer gave none). A batch is three allocations,
+/// whatever its size.
 #[derive(Debug, Default)]
 pub(crate) struct LineBatch {
     text: String,
-    lines: Vec<(u64, usize)>,
+    spans: Vec<TokenSpan>,
+    lines: Vec<(u64, usize, Option<usize>)>,
 }
 
 impl LineBatch {
-    /// An empty batch with room for `lines` lines of `bytes` in all.
-    pub fn with_capacity(lines: usize, bytes: usize) -> LineBatch {
+    /// An empty batch with room for `lines` lines of `bytes` and `spans`
+    /// token spans in all.
+    pub fn with_capacity(lines: usize, bytes: usize, spans: usize) -> LineBatch {
         LineBatch {
             text: String::with_capacity(bytes),
+            spans: Vec::with_capacity(spans),
             lines: Vec::with_capacity(lines),
         }
     }
 
-    /// Appends line `seq`.
-    pub fn push(&mut self, seq: u64, line: &str) {
+    /// Appends line `seq` with the token spans its scan found, if any.
+    pub fn push(&mut self, seq: u64, line: &str, spans: Option<&[TokenSpan]>) {
         self.text.push_str(line);
-        self.lines.push((seq, self.text.len()));
+        let spans_end = spans.map(|spans| {
+            self.spans.extend_from_slice(spans);
+            self.spans.len()
+        });
+        self.lines.push((seq, self.text.len(), spans_end));
     }
 
     pub fn len(&self) -> usize {
@@ -56,13 +66,23 @@ impl LineBatch {
         self.text.len()
     }
 
-    /// `(sequence, line)` pairs, in the order pushed.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &str)> {
-        let mut start = 0;
-        self.lines.iter().map(move |&(seq, end)| {
+    /// Token spans held.
+    pub fn span_count(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// `(sequence, line, spans)` triples, in the order pushed.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &str, Option<&[TokenSpan]>)> {
+        let (mut start, mut spans_start) = (0, 0);
+        self.lines.iter().map(move |&(seq, end, spans_end)| {
             let line = self.text.get(start..end).unwrap_or_default();
             start = end;
-            (seq, line)
+            let spans = spans_end.map(|spans_end| {
+                let spans = self.spans.get(spans_start..spans_end).unwrap_or_default();
+                spans_start = spans_end;
+                spans
+            });
+            (seq, line, spans)
         })
     }
 }
@@ -153,10 +173,11 @@ impl ShardParser {
         })
     }
 
-    pub fn observe(&mut self, line: &str) -> usize {
+    /// Parses one line through the token spans the framer found in it.
+    pub fn observe(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
         match self {
-            ShardParser::Drain(p) => p.observe(line),
-            ShardParser::Spell(p) => p.observe(line),
+            ShardParser::Drain(p) => p.observe_spans(line, spans),
+            ShardParser::Spell(p) => p.observe_spans(line, spans),
         }
     }
 
@@ -235,6 +256,9 @@ pub(crate) fn run_worker(
     let mut lines_since_refresh = 0usize;
     // Per-group distinct-line fingerprints; index = shard-local group id.
     let mut param_seen: Vec<FingerprintSet> = Vec::new();
+    // The largest of those sets: they only grow, so a running maximum is
+    // the maximum over every group without a scan per batch.
+    let mut param_cardinality_max = 0usize;
 
     while let Ok(message) = input.recv() {
         match message {
@@ -244,9 +268,9 @@ pub(crate) fn run_worker(
                 let parse_started = Instant::now();
                 let mut entries = Vec::with_capacity(batch.len());
                 let mut exemplars = Vec::new();
-                for (seq, line) in batch.iter() {
+                for (seq, line, spans) in batch.iter() {
                     let before = parser.group_count();
-                    let local = parser.observe(line);
+                    let local = parser.observe(line, spans);
                     entries.push((seq, local));
                     if drift {
                         if parser.group_count() > before && exemplars.len() < EXEMPLAR_CAP {
@@ -256,8 +280,8 @@ pub(crate) fn run_worker(
                             param_seen.resize_with(local + 1, FingerprintSet::default);
                         }
                         let seen = &mut param_seen[local];
-                        if seen.len() < PARAM_CARD_CAP {
-                            seen.insert(word_fold(line.as_bytes()));
+                        if seen.len() < PARAM_CARD_CAP && seen.insert(word_fold(line.as_bytes())) {
+                            param_cardinality_max = param_cardinality_max.max(seen.len());
                         }
                     }
                 }
@@ -277,7 +301,6 @@ pub(crate) fn run_worker(
                 } else {
                     None
                 };
-                let param_cardinality_max = param_seen.iter().map(HashSet::len).max().unwrap_or(0);
                 if output
                     .send(ShardOutput::Parsed(ParsedBatch {
                         shard,
@@ -325,11 +348,13 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    /// A batch of `lines`, numbered from `first`.
+    /// A batch of `lines`, numbered from `first`, with the spans a
+    /// framer would give them.
     fn batch(first: u64, lines: &[&str]) -> ShardInput {
         let mut batch = LineBatch::default();
+        let mut spans = Vec::new();
         for (seq, line) in (first..).zip(lines) {
-            batch.push(seq, line);
+            batch.push(seq, line, logparse_core::line_spans(line, &mut spans));
         }
         ShardInput::Batch(batch)
     }
@@ -337,12 +362,18 @@ mod tests {
     #[test]
     fn batch_hands_back_what_was_pushed() {
         let mut batch = LineBatch::default();
-        for (seq, line) in [(7, "a b"), (9, ""), (12, "é \u{b}x")] {
-            batch.push(seq, line);
+        let pushed: [(u64, &str, Option<&[TokenSpan]>); 4] = [
+            (7, "a b", Some(&[(0, 1), (2, 3)])),
+            (9, "", Some(&[])),
+            (12, "é \u{b}x", None),
+            (13, "cd", Some(&[(0, 2)])),
+        ];
+        for (seq, line, spans) in pushed {
+            batch.push(seq, line, spans);
         }
-        let lines: Vec<(u64, &str)> = batch.iter().collect();
-        assert_eq!(lines, [(7, "a b"), (9, ""), (12, "é \u{b}x")]);
-        assert_eq!((batch.len(), batch.bytes()), (3, 8));
+        let lines: Vec<_> = batch.iter().collect();
+        assert_eq!(lines, pushed);
+        assert_eq!((batch.len(), batch.bytes(), batch.span_count()), (4, 10, 3));
     }
 
     #[test]
@@ -406,6 +437,77 @@ mod tests {
             }
             other => panic!("expected Done, got {other:?}"),
         }
+    }
+
+    /// The running maximum the worker reports is the maximum over every
+    /// group's distinct-line set, recounted here after every batch of a
+    /// churn stream: groups born all the way through, some lines
+    /// repeated, and one group past [`PARAM_CARD_CAP`].
+    #[test]
+    fn the_running_cardinality_maximum_is_the_full_scan_after_every_batch() {
+        let (in_tx, in_rx) = mpsc::sync_channel(4);
+        let (out_tx, out_rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            run_worker(
+                0,
+                ShardParser::new(ParserChoice::Drain),
+                true,
+                WorkerMetrics::new(0, "drain"),
+                in_rx,
+                out_tx,
+            );
+        });
+        // Letters only: a digit would make Drain route every shape alike.
+        let name = |round: usize| {
+            format!(
+                "{}{}",
+                (b'a' + (round / 26) as u8) as char,
+                (b'a' + (round % 26) as u8) as char
+            )
+        };
+        let mut sent: Vec<Vec<String>> = Vec::new();
+        let mut seq = 0;
+        for round in 0..72usize {
+            let lines: Vec<String> = (0..256usize)
+                .map(|i| match i % 4 {
+                    // One shape whose parameter never repeats: it
+                    // reaches the cap in the 65th batch.
+                    0 | 2 => format!("flood token {}", round * 128 + i / 2),
+                    // A new shape every batch, its lines repeated.
+                    1 => format!("shape{} seen {} times", name(round), i % 3),
+                    // A shape with few distinct lines.
+                    _ => format!("tick {} of {}", i % 5, i % 2),
+                })
+                .collect();
+            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+            in_tx.send(batch(seq, &refs)).unwrap();
+            seq += refs.len() as u64;
+            sent.push(lines);
+        }
+        in_tx.send(ShardInput::Shutdown).unwrap();
+        handle.join().unwrap();
+
+        let mut sets: Vec<HashSet<u64>> = Vec::new();
+        let mut reported = Vec::new();
+        let mut scanned = Vec::new();
+        for lines in &sent {
+            let ShardOutput::Parsed(parsed) = out_rx.recv().unwrap() else {
+                panic!("expected Parsed");
+            };
+            for (line, &(_, local)) in lines.iter().zip(&parsed.entries) {
+                if sets.len() <= local {
+                    sets.resize_with(local + 1, HashSet::new);
+                }
+                if sets[local].len() < PARAM_CARD_CAP {
+                    sets[local].insert(word_fold(line.as_bytes()));
+                }
+            }
+            reported.push(parsed.param_cardinality_max);
+            scanned.push(sets.iter().map(HashSet::len).max().unwrap_or(0));
+        }
+        assert_eq!(reported, scanned);
+        assert_eq!(scanned.last(), Some(&PARAM_CARD_CAP));
+        assert!(sets.len() > 72, "{} groups", sets.len());
     }
 
     #[test]

@@ -451,7 +451,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
                         // Injected coordinator crash: die like SIGKILL,
                         // after flushing the journal so the chaos tests
                         // can assert on the event trail so far.
-                        journal.flush();
+                        let _ = journal.flush();
                         kill_self();
                     }
                 }
@@ -574,7 +574,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
             ("retries", Json::Num(retries_this_run as f64)),
         ],
     );
-    journal.flush();
+    journal.flush()?;
     Ok(JobOutcome {
         job_id: manifest.job_id,
         resumed,

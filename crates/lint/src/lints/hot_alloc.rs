@@ -25,8 +25,9 @@ const PATTERNS: &[&str] = &[".to_string()", "String::from(", "format!("];
 /// Scope: the parsers crate, the parallel driver, the zero-copy
 /// corpus loader path (scanner, masker, loader, the interner and its
 /// token split), the structured-log writer and `serve`'s line path
-/// (sources, router, shard workers) — the loops the throughput
-/// benchmark measures.
+/// (sources, router, shard workers, and the aggregator, whose
+/// per-entry counting loop runs once per line) — the loops the
+/// throughput benchmark measures.
 const HOT_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/loader.rs",
@@ -37,6 +38,7 @@ const HOT_FILES: &[&str] = &[
     "crates/ingest/src/source.rs",
     "crates/ingest/src/router.rs",
     "crates/ingest/src/worker.rs",
+    "crates/ingest/src/aggregate.rs",
 ];
 
 fn in_scope(file: &SourceFile) -> bool {
@@ -208,6 +210,7 @@ mod tests {
             "crates/core/src/io.rs",
             "crates/ingest/src/router.rs",
             "crates/ingest/src/worker.rs",
+            "crates/ingest/src/aggregate.rs",
         ] {
             assert_eq!(run(rel, body).len(), 1, "{rel} should be linted");
         }

@@ -56,25 +56,41 @@ impl Fnv1a {
 /// with the length: the token interner's and the drift worker's hash.
 /// In-process only — the value is not a format.
 ///
+/// The last one to eight bytes are one word read in at most two loads:
+/// from four bytes up, the four at the front of that tail and the four
+/// at its end (they overlap below eight); under four, its first, middle
+/// and last byte. For a given length either word is a one-to-one
+/// function of the tail, and every round is one-to-one in the state
+/// before it, so two inputs of one length that differ in any one byte
+/// fold apart.
+///
 /// **Index with the high bits** (`hash >> (64 - k)`). The last step is
 /// one `wrapping_mul`, and the low `k` bits of a product depend only on
-/// the low `k` bits of its operands, so `hash & mask` is decided by the
-/// last two or three bytes of the input: tokens like `id=<hex>` then
-/// share a few hundred home slots. As a whole word (set membership, a
-/// tag compare) every bit counts and the fold is sound.
+/// the low `k` bits of its operands, so `hash & mask` is decided by a
+/// few bytes of the input: tokens like `id=<hex>` then share a few
+/// hundred home slots. As a whole word (set membership, a tag compare)
+/// every bit counts and the fold is sound.
 #[inline]
 pub fn word_fold(bytes: &[u8]) -> u64 {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    fn load<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+        bytes[at..at + N].try_into().unwrap_or([0; N])
+    }
     let mut hash = bytes.len() as u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap_or_default());
-        hash = (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    // Whole words up to a tail of one to eight bytes (none when empty).
+    let (words, tail) = bytes.split_at(bytes.len().saturating_sub(1) / 8 * 8);
+    for word in words.chunks_exact(8) {
+        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(load(word, 0))).wrapping_mul(SEED);
     }
-    let mut tail = 0u64;
-    for &b in chunks.remainder() {
-        tail = tail << 8 | u64::from(b);
-    }
+    let len = tail.len();
+    let tail = if len >= 4 {
+        let (lo, hi) = (load(tail, 0), load(tail, len - 4));
+        u64::from(u32::from_le_bytes(lo)) | u64::from(u32::from_le_bytes(hi)) << 32
+    } else if let Some(&first) = tail.first() {
+        u64::from(first) << 16 | u64::from(tail[len / 2]) << 8 | u64::from(tail[len - 1])
+    } else {
+        0
+    };
     (hash.rotate_left(5) ^ tail).wrapping_mul(SEED)
 }
 
@@ -119,5 +135,41 @@ mod tests {
         };
         assert_eq!(distinct(|h| h & 0xff), 1);
         assert!(distinct(|h| h >> 56) > 128);
+    }
+
+    /// The tail's two loads lose no byte: at every length from the
+    /// empty token to three words, changing any one byte changes the
+    /// fold, and neither do trailing zero bytes (which a zero-padded
+    /// tail word would hide but for the length seed) go unseen.
+    #[test]
+    fn word_fold_sees_every_byte_and_every_length() {
+        let base: Vec<u8> = (0..24u8).map(|i| b'a' + i).collect();
+        for len in 0..=base.len() {
+            let token = &base[..len];
+            let folded = word_fold(token);
+            for at in 0..len {
+                for flip in [0x01, 0x20, 0x80, 0xff] {
+                    let mut changed = token.to_vec();
+                    changed[at] ^= flip;
+                    assert_ne!(
+                        word_fold(&changed),
+                        folded,
+                        "len {len}, byte {at}, ^{flip:#x}"
+                    );
+                }
+            }
+            let mut padded = token.to_vec();
+            for zeros in 1..=9 {
+                padded.push(0);
+                assert_ne!(word_fold(&padded), folded, "len {len} + {zeros} zero bytes");
+            }
+        }
+        // Zero bytes alone, at every length: the length seed keeps them
+        // apart.
+        let zeros: Vec<u64> = (0..=24).map(|len| word_fold(&vec![0; len])).collect();
+        let mut distinct = zeros.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), zeros.len());
     }
 }

@@ -137,6 +137,24 @@ struct Sink {
     pending: u64,
     last_flush: Instant,
     seq: u64,
+    /// The first write or flush error. Once the sink has failed nothing
+    /// more is written, so the log on disk is a clean prefix of the run.
+    error: Option<io::Error>,
+}
+
+impl Sink {
+    /// Runs one write or flush unless the sink has already failed, and
+    /// keeps its error if it fails now.
+    fn attempt(
+        &mut self,
+        op: impl FnOnce(&mut io::BufWriter<Box<dyn Write + Send>>) -> io::Result<()>,
+    ) {
+        if self.error.is_none() {
+            if let Err(e) = op(&mut self.out) {
+                self.error = Some(e);
+            }
+        }
+    }
 }
 
 /// A thread-safe JSONL event journal.
@@ -147,6 +165,8 @@ pub struct Journal {
     /// Rotation sequence of the underlying sink, mirrored into each
     /// event's `rot` field. Stays 0 for non-rotating sinks.
     rotation: Arc<AtomicU64>,
+    /// The file the journal writes, when it opened one.
+    path: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -188,10 +208,12 @@ impl Journal {
                 pending: 0,
                 last_flush: Instant::now(),
                 seq: 0,
+                error: None,
             }),
             start: Instant::now(),
             run_id,
             rotation: Arc::new(AtomicU64::new(0)),
+            path: None,
         }
     }
 
@@ -211,7 +233,12 @@ impl Journal {
             .create(true)
             .append(true)
             .open(path)?;
-        Ok(Journal::new(Box::new(file)))
+        Ok(Journal::new(Box::new(file)).at(path))
+    }
+
+    /// A journal writing to `path`, created or truncated.
+    pub fn create(path: &Path) -> io::Result<Journal> {
+        Ok(Journal::new(Box::new(File::create(path)?)).at(path))
     }
 
     /// A journal writing to a size-rotated file: see [`RotatingFile`].
@@ -219,9 +246,14 @@ impl Journal {
     pub fn rotating(path: &Path, max_bytes: u64, keep: usize) -> io::Result<Journal> {
         let file = RotatingFile::create(path, max_bytes, keep)?;
         let rotation = file.rotation_seq();
-        let mut journal = Journal::new(Box::new(file));
+        let mut journal = Journal::new(Box::new(file)).at(path);
         journal.rotation = rotation;
         Ok(journal)
+    }
+
+    fn at(mut self, path: &Path) -> Journal {
+        self.path = Some(path.to_path_buf());
+        self
     }
 
     /// This journal's run id.
@@ -229,9 +261,18 @@ impl Journal {
         &self.run_id
     }
 
-    /// Appends one event; `fields` follow the header fields. Sink errors
-    /// are swallowed — the monitored program must not die because
-    /// monitoring went away.
+    /// The file this journal writes, when it was opened on one
+    /// ([`create`](Journal::create), [`appending`](Journal::appending),
+    /// [`rotating`](Journal::rotating)).
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
+    }
+
+    /// Appends one event; `fields` follow the header fields. A sink
+    /// error does not stop the caller — the monitored program must not
+    /// die mid-run because monitoring went away — but it is kept, the
+    /// journal writes nothing after it, and [`flush`](Journal::flush)
+    /// returns it.
     pub fn emit(&self, event: &str, fields: &[(&str, Json)]) {
         let mut line = String::with_capacity(128);
         line.push_str("{\"event\":");
@@ -264,30 +305,40 @@ impl Journal {
             value.write(&mut line);
         }
         line.push_str("}\n");
-        let _ = sink.out.write_all(line.as_bytes());
+        sink.attempt(|out| out.write_all(line.as_bytes()));
         sink.pending += 1;
         if sink.pending >= FLUSH_EVERY || sink.last_flush.elapsed() >= FLUSH_INTERVAL {
-            let _ = sink.out.flush();
+            sink.attempt(Write::flush);
             sink.pending = 0;
             sink.last_flush = Instant::now();
         }
     }
 
     /// Flushes any buffered events to the sink.
-    pub fn flush(&self) {
+    ///
+    /// # Errors
+    ///
+    /// The first error any write or flush of this journal met, now or
+    /// earlier; every call after it returns it again.
+    pub fn flush(&self) -> io::Result<()> {
         let mut sink = self
             .sink
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = sink.out.flush();
+        sink.attempt(Write::flush);
         sink.pending = 0;
         sink.last_flush = Instant::now();
+        match &sink.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
     }
 }
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        self.flush();
+        // Whoever wanted the error asked `flush` for it before the drop.
+        let _ = self.flush();
     }
 }
 
@@ -323,7 +374,7 @@ mod tests {
                 ("missing", Json::Null),
             ],
         );
-        journal.flush();
+        journal.flush().unwrap();
         let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -358,7 +409,7 @@ mod tests {
         ] {
             let nested = Json::Arr(vec![Json::Num(n)]);
             journal.emit("n", &[("top", Json::Num(n)), ("in", nested)]);
-            journal.flush();
+            journal.flush().unwrap();
             let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
             let tail = format!("\"top\":{printed},\"in\":[{printed}]}}\n");
             assert!(text.ends_with(&tail), "{text}");
@@ -382,7 +433,7 @@ mod tests {
         for _ in 0..5 {
             journal.emit("tick", &[]);
         }
-        journal.flush();
+        journal.flush().unwrap();
         let events = parsed_lines(&sink);
         for event in &events {
             let run_id = event.get("run_id").unwrap().as_str();
@@ -453,7 +504,7 @@ mod tests {
         for _ in 0..64 {
             journal.emit("tick", &[("pad", Json::str("some event payload text"))]);
         }
-        journal.flush();
+        journal.flush().unwrap();
         drop(journal);
         assert!(
             numbered(&path, 1).exists(),
@@ -487,7 +538,7 @@ mod tests {
         let journal = Journal::rotating(&path, 256, 4).unwrap();
         for i in 0..48 {
             journal.emit("tick", &[("n", Json::usize(i))]);
-            journal.flush();
+            journal.flush().unwrap();
         }
         drop(journal);
         // Stitch every surviving file back together.
@@ -545,7 +596,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        journal.flush();
+        journal.flush().unwrap();
         let mut events: Vec<(usize, usize)> = parsed_lines(&sink)
             .iter()
             .map(|l| (header_num(l, "seq"), header_num(l, "ts_mono_ns")))
@@ -584,7 +635,7 @@ mod tests {
         let sink = Shared::default();
         let journal = Journal::new(Box::new(sink.clone()));
         journal.emit("tick", &[]);
-        journal.flush();
+        journal.flush().unwrap();
         assert_eq!(header_num(&parsed_lines(&sink)[0], "rot"), 0);
     }
 

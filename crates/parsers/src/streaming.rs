@@ -21,7 +21,7 @@
 //! assert_eq!(parser.template(a).unwrap().to_string(), "send pkt *");
 //! ```
 
-use logparse_core::{ParseError, Symbol, Template, TemplateToken};
+use logparse_core::{line_spans, ParseError, Symbol, Template, TemplateToken, TokenSpan};
 
 use crate::drain::{DrainTree, DrainTreeState};
 use crate::spell::{SpellState, SpellStateSnapshot};
@@ -37,10 +37,12 @@ pub trait StreamingParser {
     /// Assigns the next message to a group, creating one if needed.
     ///
     /// `line` is the message content; the parser splits it by the
-    /// corpus's token rule ([`Interner::intern_line`]) and interns the
-    /// tokens, so a caller carries nothing but the line.
+    /// corpus's token rule — one scan of the line for its token spans
+    /// ([`line_spans`]), then [`Interner::intern_spans`] — and interns
+    /// the tokens, so a caller carries nothing but the line.
     ///
-    /// [`Interner::intern_line`]: logparse_core::Interner::intern_line
+    /// [`line_spans`]: logparse_core::line_spans
+    /// [`Interner::intern_spans`]: logparse_core::Interner::intern_spans
     fn observe(&mut self, line: &str) -> usize;
 
     /// Number of groups discovered so far.
@@ -73,6 +75,10 @@ pub struct StreamingDrain {
     tree: DrainTree,
     /// The current line's symbols; reused, so a line allocates nothing.
     row: Vec<Symbol>,
+    /// The current line's token spans when [`observe`] scans it; reused.
+    ///
+    /// [`observe`]: StreamingParser::observe
+    spans: Vec<TokenSpan>,
 }
 
 impl Default for StreamingDrain {
@@ -99,6 +105,7 @@ impl StreamingDrain {
             // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
             tree: DrainTree::new(config).expect("valid Drain configuration"),
             row: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -120,13 +127,31 @@ impl StreamingDrain {
         Ok(StreamingDrain {
             tree: DrainTree::from_state(state)?,
             row: Vec::new(),
+            spans: Vec::new(),
         })
+    }
+
+    /// [`observe`](StreamingParser::observe) of a line whose token spans
+    /// a scan already found — a [`FramedLine`]'s: the same group as
+    /// `observe(line)`, without scanning the line again. `None` splits
+    /// the line by `split_whitespace`, as for a framed line without
+    /// spans.
+    ///
+    /// [`FramedLine`]: logparse_core::FramedLine
+    pub fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
+        self.tree
+            .interner_mut()
+            .intern_spans(line, spans, &mut self.row);
+        self.tree.observe_symbols(&self.row)
     }
 }
 
 impl StreamingParser for StreamingDrain {
     fn observe(&mut self, line: &str) -> usize {
-        self.tree.interner_mut().intern_line(line, &mut self.row);
+        let spans = line_spans(line, &mut self.spans);
+        self.tree
+            .interner_mut()
+            .intern_spans(line, spans, &mut self.row);
         self.tree.observe_symbols(&self.row)
     }
 
@@ -149,6 +174,10 @@ pub struct StreamingSpell {
     state: SpellState,
     /// The current line's symbols; reused, so a line allocates nothing.
     row: Vec<Symbol>,
+    /// The current line's token spans when [`observe`] scans it; reused.
+    ///
+    /// [`observe`]: StreamingParser::observe
+    spans: Vec<TokenSpan>,
 }
 
 impl Default for StreamingSpell {
@@ -173,6 +202,7 @@ impl StreamingSpell {
             // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
             state: SpellState::new(config).expect("valid Spell configuration"),
             row: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -193,13 +223,31 @@ impl StreamingSpell {
         Ok(StreamingSpell {
             state: SpellState::from_state(state)?,
             row: Vec::new(),
+            spans: Vec::new(),
         })
+    }
+
+    /// [`observe`](StreamingParser::observe) of a line whose token spans
+    /// a scan already found — a [`FramedLine`]'s: the same group as
+    /// `observe(line)`, without scanning the line again. `None` splits
+    /// the line by `split_whitespace`, as for a framed line without
+    /// spans.
+    ///
+    /// [`FramedLine`]: logparse_core::FramedLine
+    pub fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
+        self.state
+            .interner_mut()
+            .intern_spans(line, spans, &mut self.row);
+        self.state.observe_symbols(&self.row)
     }
 }
 
 impl StreamingParser for StreamingSpell {
     fn observe(&mut self, line: &str) -> usize {
-        self.state.interner_mut().intern_line(line, &mut self.row);
+        let spans = line_spans(line, &mut self.spans);
+        self.state
+            .interner_mut()
+            .intern_spans(line, spans, &mut self.row);
         self.state.observe_symbols(&self.row)
     }
 
@@ -227,7 +275,107 @@ impl StreamingParser for StreamingSpell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::EventId;
+    use logparse_core::{EventId, FramedLine, LineDamage, LineFramer};
+    use proptest::prelude::*;
+
+    /// Cuts `bytes` into lines as `serve` does, a framer read at a time,
+    /// and hands each line to `each` with its spans.
+    fn framed(bytes: &[u8], mut each: impl FnMut(&str, Option<&[TokenSpan]>)) {
+        let (mut framer, mut damage) = (LineFramer::default(), LineDamage::default());
+        let mut hand = |line: FramedLine<'_>| each(line.text, line.spans);
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            framer.fill_from(&mut rest).unwrap();
+            while framer.pop_lines(&mut damage, &mut hand) > 0 {}
+        }
+        framer.finish(&mut damage, &mut hand);
+    }
+
+    /// Three parsers of each kind over the lines of `bytes`: fed the
+    /// framer's spans, fed the line (`observe` scans it), and fed no
+    /// spans (`split_whitespace`, the corpus's rule): same id for every
+    /// line, and the same templates and snapshot at the end.
+    fn spans_observe_like_the_line(bytes: &[u8]) {
+        let mut drains: [StreamingDrain; 3] = Default::default();
+        let mut spells: [StreamingSpell; 3] = Default::default();
+        let mut lines = 0;
+        framed(bytes, |line, spans| {
+            lines += 1;
+            let drain = [
+                drains[0].observe_spans(line, spans),
+                drains[1].observe(line),
+                drains[2].observe_spans(line, None),
+            ];
+            assert_eq!([drain[0]; 3], drain, "{line:?}");
+            let spell = [
+                spells[0].observe_spans(line, spans),
+                spells[1].observe(line),
+                spells[2].observe_spans(line, None),
+            ];
+            assert_eq!([spell[0]; 3], spell, "{line:?}");
+        });
+        assert!(bytes.is_empty() || lines > 0);
+        for other in &drains[1..] {
+            assert_eq!(drains[0].templates(), other.templates());
+            assert_eq!(drains[0].snapshot(), other.snapshot());
+        }
+        for other in &spells[1..] {
+            assert_eq!(spells[0].templates(), other.templates());
+            assert_eq!(spells[0].snapshot(), other.snapshot());
+        }
+    }
+
+    #[test]
+    fn spans_observe_like_the_line_on_hdfs() {
+        let corpus = logparse_datasets::hdfs::generate(2_000, 7).corpus;
+        let mut bytes = Vec::new();
+        for i in 0..corpus.len() {
+            bytes.extend_from_slice(corpus.record(i).content.as_bytes());
+            bytes.push(b'\n');
+        }
+        spans_observe_like_the_line(&bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Lines of few words in many spellings of whitespace: every
+        /// ASCII one, CRLF, U+00A0 and U+0085 (which only the char rule
+        /// splits at), an invalid byte, and now and then a line past the
+        /// spans' 64 KiB.
+        #[test]
+        fn spans_observe_like_the_line_on_hostile_bytes(
+            pieces in proptest::collection::vec(
+                prop_oneof![
+                    Just(b"\n".to_vec()),
+                    Just(b"\r\n".to_vec()),
+                    Just(b"\x0b".to_vec()),
+                    Just(b"\x0c".to_vec()),
+                    Just(b"\r".to_vec()),
+                    Just(b" ".to_vec()),
+                    Just(b"  \t".to_vec()),
+                    Just("\u{a0}".as_bytes().to_vec()),
+                    Just("\u{85}".as_bytes().to_vec()),
+                    Just(b"\xff".to_vec()),
+                    Just(b"open file".to_vec()),
+                    Just(b"close".to_vec()),
+                    "[0-9]{1,2}".prop_map(String::into_bytes),
+                    "blk_[a-c]".prop_map(String::into_bytes),
+                    (65_528usize..65_534).prop_map(|n| {
+                        // Just under to just over the spans' limit, in
+                        // few tokens (Spell's LCS is quadratic in them).
+                        let mut long = b"long ".to_vec();
+                        long.resize(n, b'q');
+                        long.extend_from_slice(b" tail");
+                        long
+                    }),
+                ],
+                0..60,
+            ),
+        ) {
+            spans_observe_like_the_line(&pieces.concat());
+        }
+    }
 
     #[test]
     fn drain_streams_consistent_ids() {

@@ -72,6 +72,29 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    framer's block pop gives the lines and
 #                                    damage counts of the per-line reference
 #                                    however the bytes were cut into reads
+#   core framer_spans_are_the_char_split_where_present,
+#   line_spans_are_the_framers, parsers spans_observe_like_the_line_…
+#                                    the framer's token spans, where a line
+#                                    has them, are its `split_whitespace`
+#                                    tokens, and are missing exactly from
+#                                    high-byte, repaired and ≥ 64 KiB lines
+#                                    (VT, FF, CR, CRLF, U+00A0, U+0085,
+#                                    `\xff`, any chunking); Drain and Spell
+#                                    fed the spans give `observe(line)`'s ids,
+#                                    templates and snapshot on hdfs and
+#                                    hostile streams
+#   ingest dense_windows_count_like_a_hash_map,
+#   the_kept_canonical_count_…, the_running_cardinality_maximum_…
+#                                    the aggregator's dense window counts and
+#                                    per-batch resolution against the per-line
+#                                    hash map they replaced (unions between
+#                                    batches); the kept canonical count and the
+#                                    worker's running cardinality maximum
+#                                    against full scans after every batch
+#   obs word_fold_sees_every_byte_and_every_length
+#                                    the fold's two-load tail loses no byte
+#                                    at any length 0..=24, and trailing zero
+#                                    bytes fold apart
 #   ingest block_routing_equals_the_line_split
 #                                    routing from the block scan's events is
 #                                    the old `split_ascii_whitespace` routing
@@ -107,8 +130,10 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   cli a_full_output_device_fails_parse_and_jobs_run
 #                                    `parse` and `jobs run` exit non-zero,
 #                                    naming the error, when `--events-out` or
-#                                    `--structured-out` is /dev/full (skipped
-#                                    with a message where it does not exist)
+#                                    `--structured-out` is /dev/full, and
+#                                    `serve` when its `--events-out` journal
+#                                    is (skipped with a message where
+#                                    /dev/full does not exist)
 #   linalg dual_matches_primal       dual vs primal PCA
 #   linalg symmetric_eigen_matches_jacobi_on_count_grams
 #                                    Householder + QL vs the cyclic Jacobi
