@@ -10,7 +10,11 @@
 //!    syscall) the bytes are read once into a single `Vec<u8>`. Either
 //!    way there is exactly one buffer for the whole corpus, shared
 //!    behind an `Arc` — records are byte-range views into it, never
-//!    per-line strings.
+//!    per-line strings. Every walk over it goes a window of about
+//!    4 MiB at a time ([`walk_windows`]), and a mapping's window is
+//!    released once walked: a build keeps one window of the file
+//!    resident per thread, and a later read of a record faults its page
+//!    back in. An owned buffer stays whole.
 //! 2. **Scan** — [`crate::simd::scan`] finds newline and token
 //!    boundaries in one SWAR pass, a 64-byte block of bitmasks per
 //!    step, flagging blank lines (all ASCII
@@ -56,7 +60,7 @@ use crate::mmap::{ascii_str, Mapping};
 use crate::parallel::ParallelDriver;
 use crate::preprocess::{MaskRule, Preprocessor};
 use crate::record::{Corpus, Span};
-use crate::simd::{count_non_blank_lines, find_newline, kept_line_starts, scan, ScanSink};
+use crate::simd::{find_newline, kept_line_starts, scan, ScanSink};
 
 /// The single backing buffer of a corpus: either a private read-only
 /// mapping of the input file or bytes held in memory. Records reference
@@ -79,6 +83,51 @@ impl std::ops::Deref for LineBuffer {
             LineBuffer::Mapped(map) => map.bytes(),
         }
     }
+}
+
+impl LineBuffer {
+    /// Drops bytes `range` of a mapping from the resident set (see
+    /// [`Mapping::release`]); an owned buffer is anonymous memory with
+    /// no file to fault back from, and keeps them.
+    fn release(&self, range: Range<usize>) {
+        if let LineBuffer::Mapped(map) = self {
+            map.release(range);
+        }
+    }
+}
+
+/// Bytes a walk over a buffer covers between two releases: what of a
+/// mapped input is resident at once, per walking thread, whatever the
+/// file's size.
+const WINDOW: usize = 4 << 20;
+
+/// Walks bytes `range` of `buffer` window by window, handing each
+/// window to `each` and then releasing it. A window ends just past the
+/// first newline at least `window` bytes into it, or at the range's end,
+/// so windows hold whole lines when `range` starts at a line start, and
+/// a line longer than `window` is one window of its own.
+fn walk_windows<E>(
+    buffer: &LineBuffer,
+    range: Range<usize>,
+    window: usize,
+    mut each: impl FnMut(Range<usize>) -> Result<(), E>,
+) -> Result<(), E> {
+    let bytes = &buffer[..range.end];
+    let mut start = range.start;
+    while start < range.end {
+        let end = match start.checked_add(window.max(1)) {
+            // Searching from the window's last byte keeps an end already
+            // sitting just past a newline where it is.
+            Some(target) if target < range.end => {
+                find_newline(bytes, target - 1).map_or(range.end, |nl| nl + 1)
+            }
+            _ => range.end,
+        };
+        each(start..end)?;
+        buffer.release(start..end);
+        start = end;
+    }
+    Ok(())
 }
 
 /// Maps `file` when possible, otherwise reads it whole.
@@ -198,7 +247,7 @@ impl<M: Masker> Rows<M> {
 /// skips the UTF-8 walk the scanner already did) or discarded in favor
 /// of the checked slow path (line with high bytes).
 struct BuildSink<'a, M> {
-    /// The chunk being scanned (a sub-slice of the full buffer).
+    /// The window being scanned (a sub-slice of the full buffer).
     buf: &'a [u8],
     /// Absolute offset of `buf[0]` in the full buffer.
     base: usize,
@@ -209,10 +258,10 @@ struct BuildSink<'a, M> {
 }
 
 impl<'a, M: Masker> BuildSink<'a, M> {
-    fn new(buf: &'a [u8], base: usize, masker: M, lines_hint: usize) -> BuildSink<'a, M> {
+    fn new(masker: M, lines_hint: usize) -> BuildSink<'a, M> {
         BuildSink {
-            buf,
-            base,
+            buf: &[],
+            base: 0,
             rows: Rows::new(masker),
             spans: Vec::with_capacity(lines_hint),
             scratch: Vec::new(),
@@ -268,17 +317,26 @@ impl<M: Masker> ScanSink for BuildSink<'_, M> {
     }
 }
 
-/// Scans one byte range of the full buffer into a chunk-local output.
+/// Scans one byte range of the full buffer into a chunk-local output,
+/// `window` bytes at a time (see [`walk_windows`]). Windows hold whole
+/// lines and a line's tokens are interned before its window is
+/// released, so the output is the one-window scan's whatever `window`.
 fn build_chunk<M: Masker>(
-    bytes: &[u8],
+    buffer: &LineBuffer,
     range: Range<usize>,
     masker: M,
+    window: usize,
 ) -> Result<ChunkOut, ParseError> {
     // ~40 bytes/line is typical machine-log density; the hint only
     // sizes the first allocation.
     let lines_hint = range.len() / 40 + 1;
-    let mut sink = BuildSink::new(&bytes[range.clone()], range.start, masker, lines_hint);
-    scan(&bytes[range], &mut sink)?;
+    let mut sink = BuildSink::new(masker, lines_hint);
+    walk_windows(buffer, range, window, |window| {
+        let bytes = &buffer[window.clone()];
+        sink.buf = bytes;
+        sink.base = window.start;
+        scan(bytes, &mut sink)
+    })?;
     Ok(sink.into_out())
 }
 
@@ -312,9 +370,10 @@ fn chunk_byte_ranges(bytes: &[u8], threads: usize) -> Vec<Range<usize>> {
 /// order. `None` means a worker died (panicked): the caller falls back
 /// to the sequential build rather than guessing at partial output.
 fn build_parallel<M: Masker>(
-    bytes: &[u8],
+    buffer: &LineBuffer,
     ranges: &[Range<usize>],
     masker: M,
+    window: usize,
 ) -> Option<Result<ChunkOut, ParseError>> {
     let mut slots: Vec<Option<Result<ChunkOut, ParseError>>> = Vec::new();
     slots.resize_with(ranges.len(), || None);
@@ -323,7 +382,7 @@ fn build_parallel<M: Masker>(
             .iter()
             .map(|r| {
                 let range = r.clone();
-                scope.spawn(move || build_chunk(bytes, range, masker))
+                scope.spawn(move || build_chunk(buffer, range, masker, window))
             })
             .collect();
         for (slot, handle) in slots.iter_mut().zip(handles) {
@@ -388,16 +447,22 @@ fn build_metrics(registry: &Registry) -> (Histogram, Counter) {
     )
 }
 
-/// Scans and interns `bytes` under one masker: chunk-parallel when the
-/// input splits, sequential otherwise (and when a worker died).
-fn build<M: Masker>(bytes: &[u8], masker: M, threads: usize) -> Result<ChunkOut, ParseError> {
-    let ranges = chunk_byte_ranges(bytes, threads);
+/// Scans and interns `buffer` under one masker, each thread `window`
+/// bytes at a time: chunk-parallel when the input splits, sequential
+/// otherwise (and when a worker died).
+fn build<M: Masker>(
+    buffer: &LineBuffer,
+    masker: M,
+    threads: usize,
+    window: usize,
+) -> Result<ChunkOut, ParseError> {
+    let ranges = chunk_byte_ranges(buffer, threads);
     if ranges.len() > 1 {
-        if let Some(result) = build_parallel(bytes, &ranges, masker) {
+        if let Some(result) = build_parallel(buffer, &ranges, masker, window) {
             return result;
         }
     }
-    build_chunk(bytes, 0..bytes.len(), masker)
+    build_chunk(buffer, 0..buffer.len(), masker, window)
 }
 
 /// The shared build entry: one buffer in, one corpus out. Tokens are
@@ -408,11 +473,11 @@ fn build_corpus(
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
-    measured_build(buffer, preprocessor, 0, |bytes| {
+    measured_build(buffer, preprocessor, 0, |buffer| {
         if preprocessor.rules().is_empty() {
-            build(bytes, Identity, threads)
+            build(buffer, Identity, threads, WINDOW)
         } else {
-            build(bytes, preprocessor, threads)
+            build(buffer, preprocessor, threads, WINDOW)
         }
     })
 }
@@ -424,7 +489,7 @@ fn measured_build(
     buffer: Arc<LineBuffer>,
     preprocessor: &Preprocessor,
     lines_before: usize,
-    build: impl FnOnce(&[u8]) -> Result<ChunkOut, ParseError>,
+    build: impl FnOnce(&LineBuffer) -> Result<ChunkOut, ParseError>,
 ) -> Result<Corpus, ParseError> {
     let registry = logparse_obs::global();
     let (time_hist, lines_total) = build_metrics(registry);
@@ -477,15 +542,17 @@ fn check_range(range: &Range<usize>, file_len: usize) -> Result<(), ParseError> 
 }
 
 /// Builds the kept lines of bytes `range` of a file `file_len` long,
-/// numbered from `lines_before + 1`. `buffer` holds the file from byte
-/// `offset` on — at least from the byte before the range, which says
-/// whether the range begins a line — and spans index into it.
+/// numbered from `lines_before + 1`, `window` bytes at a time. `buffer`
+/// holds the file from byte `offset` on — at least from the byte before
+/// the range, which says whether the range begins a line — and spans
+/// index into it.
 fn build_range(
     buffer: LineBuffer,
     offset: usize,
     range: Range<usize>,
     file_len: usize,
     lines_before: usize,
+    window: usize,
 ) -> Result<Corpus, ParseError> {
     let local = range.start - offset..range.end - offset;
     let line_start = |at: usize| at == 0 || buffer[at - 1] == b'\n';
@@ -499,8 +566,8 @@ fn build_range(
         });
     }
     let unmasked = &Preprocessor::identity();
-    measured_build(Arc::new(buffer), unmasked, lines_before, |bytes| {
-        build_chunk(bytes, local, Identity)
+    measured_build(Arc::new(buffer), unmasked, lines_before, |buffer| {
+        build_chunk(buffer, local, Identity, window)
     })
 }
 
@@ -519,7 +586,7 @@ pub(crate) fn corpus_from_path_range(
     let file_len = map.len();
     check_range(&range, file_len)?;
     let buffer = LineBuffer::Mapped(map);
-    build_range(buffer, 0, range, file_len, lines_before)
+    build_range(buffer, 0, range, file_len, lines_before, WINDOW)
 }
 
 /// [`corpus_from_path_range`] for a file that cannot be mapped: one seek
@@ -537,7 +604,7 @@ pub(crate) fn corpus_from_reader_range(
     let mut bytes = vec![0; range.end - offset];
     reader.read_exact(&mut bytes)?;
     let buffer = LineBuffer::Owned(bytes);
-    build_range(buffer, offset, range, file_len, lines_before)
+    build_range(buffer, offset, range, file_len, lines_before, WINDOW)
 }
 
 /// Where a corpus file splits into chunks of whole lines: what a job
@@ -569,26 +636,41 @@ const CUT_INDEX_STRIDE: usize = 1024;
 /// Returns [`ParseError::Io`] when the file cannot be opened or read.
 pub fn corpus_cuts(path: impl AsRef<Path>, chunks: usize) -> Result<CorpusCuts, ParseError> {
     let buffer = map_or_read(File::open(path.as_ref())?)?;
-    Ok(cuts_through_index(&buffer, chunks, CUT_INDEX_STRIDE))
+    Ok(cuts_through_index(
+        &buffer,
+        chunks,
+        CUT_INDEX_STRIDE,
+        WINDOW,
+    ))
 }
 
-/// [`corpus_cuts`] of `buf`. The one pass counts the kept lines and
-/// records where every `stride`-th begins; each chunk's first kept line
-/// is then found by walking on from the index entry at or before it,
-/// fewer than `stride` lines.
-pub(crate) fn cuts_through_index(buf: &[u8], chunks: usize, stride: usize) -> CorpusCuts {
+/// [`corpus_cuts`] of `buffer`. The one pass, `window` bytes at a time,
+/// counts the kept lines and records where every `stride`-th begins;
+/// each chunk's first kept line is then found by walking on from the
+/// index entry at or before it, fewer than `stride` lines. Every walk
+/// releases what it read.
+pub(crate) fn cuts_through_index(
+    buffer: &LineBuffer,
+    chunks: usize,
+    stride: usize,
+    window: usize,
+) -> CorpusCuts {
     let stride = stride.max(1);
     let mut index = Vec::new();
     let mut lines = 0usize;
     let mut until_entry = 0usize;
-    for start in kept_line_starts(buf, 0) {
-        if until_entry == 0 {
-            index.push(start);
-            until_entry = stride;
+    let Ok(()) = walk_windows(buffer, 0..buffer.len(), window, |window| {
+        for start in kept_line_starts(&buffer[..window.end], window.start) {
+            if until_entry == 0 {
+                index.push(start);
+                until_entry = stride;
+            }
+            until_entry -= 1;
+            lines += 1;
         }
-        until_entry -= 1;
-        lines += 1;
-    }
+        Ok::<(), std::convert::Infallible>(())
+    });
+    let buf = &buffer[..];
     let mut cuts = vec![0];
     for chunk in ParallelDriver::chunk_ranges(lines, chunks)
         .into_iter()
@@ -600,6 +682,9 @@ pub(crate) fn cuts_through_index(buf: &[u8], chunks: usize, stride: usize) -> Co
             .unwrap_or(buf.len());
         let first = kept_line_starts(buf, entry).nth(chunk.start % stride);
         cuts.push(first.unwrap_or(buf.len()));
+        // The walk is short, but a fault may map a whole large folio
+        // around it: release the lot, not just the bytes walked.
+        buffer.release(0..buf.len());
     }
     cuts.push(buf.len());
     CorpusCuts { lines, cuts }
@@ -607,16 +692,14 @@ pub(crate) fn cuts_through_index(buf: &[u8], chunks: usize, stride: usize) -> Co
 
 /// Counts the lines of `path` a corpus build would keep (non-blank
 /// lines, per the skip-blank contract in [`crate::simd`]) without
-/// building anything: one mmap/read plus one walk from newline to
-/// newline, no interning, no record materialization. ([`corpus_cuts`]
-/// is this walk plus the byte offsets a job coordinator shards by.)
+/// building anything: [`corpus_cuts`]' one walk from newline to
+/// newline, cutting nothing — no interning, no record materialization.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError::Io`] when the file cannot be opened or read.
 pub fn count_corpus_lines(path: impl AsRef<Path>) -> Result<usize, ParseError> {
-    let buffer = map_or_read(File::open(path.as_ref())?)?;
-    Ok(count_non_blank_lines(&buffer))
+    Ok(corpus_cuts(path, 1)?.lines)
 }
 
 /// The longest line, in bytes, a [`LineFramer`] delivers whole.
@@ -996,7 +1079,7 @@ mod tests {
     /// them, then walk them again to each chunk's first. The reference
     /// the indexed pass is held to.
     fn two_pass_cuts(buf: &[u8], chunks: usize) -> CorpusCuts {
-        let lines = count_non_blank_lines(buf);
+        let lines = kept_line_starts(buf, 0).count();
         let mut firsts = ParallelDriver::chunk_ranges(lines, chunks)
             .into_iter()
             .skip(1)
@@ -1134,10 +1217,242 @@ mod tests {
                 bytes.push(b'\n');
             }
             prop_assert_eq!(
-                cuts_through_index(&bytes, chunks, stride),
+                cuts_through_index(&LineBuffer::Owned(bytes.clone()), chunks, stride, WINDOW),
                 two_pass_cuts(&bytes, chunks)
             );
         }
+    }
+
+    /// A build's output in the terms two builds of one input must agree
+    /// on: the vocabulary in id order, the token rows, the spans and the
+    /// masked counts — or the first error.
+    type Parts = Result<(Vec<String>, TokenArena, Vec<Span>, Vec<u64>), String>;
+
+    fn parts(out: Result<ChunkOut, ParseError>) -> Parts {
+        let out = out.map_err(|e| e.to_string())?;
+        Ok((vocabulary(&out.interner), out.arena, out.spans, out.masked))
+    }
+
+    /// The same, for a corpus: spans show as its records.
+    type CorpusParts = Result<(Vec<String>, TokenArena, Vec<(usize, String)>), String>;
+
+    fn corpus_parts(corpus: Result<Corpus, ParseError>) -> CorpusParts {
+        let corpus = corpus.map_err(|e| e.to_string())?;
+        let records = corpus
+            .records()
+            .map(|record| (record.line_no, record.content.to_owned()))
+            .collect();
+        Ok((
+            vocabulary(corpus.interner()),
+            corpus.arena().clone(),
+            records,
+        ))
+    }
+
+    /// Every token of `interner`, in id order.
+    fn vocabulary(interner: &Interner) -> Vec<String> {
+        (0..interner.len() as u32)
+            .map(|id| interner.resolve(Symbol::from_id(id)).to_owned())
+            .collect()
+    }
+
+    /// Lines dense in what a window edge can get wrong: CRLF, blank and
+    /// whitespace-only runs (whole windows of them at small sizes), high
+    /// bytes, maskable tokens, lines longer than any window drawn, and
+    /// now and then an invalid byte.
+    fn window_soup() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(b"\n".to_vec()),
+                Just(b"\r\n".to_vec()),
+                Just(b" \t \x0b\x0c \n".to_vec()),
+                Just("é=€ ü\u{a0}x".as_bytes().to_vec()),
+                Just(b"blk_-42 10.0.0.1 7 /var/log".to_vec()),
+                "[ -~]{1,12}".prop_map(String::into_bytes),
+                (300usize..700).prop_map(|len| b"long ".repeat(len / 5)),
+                // One draw in 40 of this variant breaks UTF-8.
+                (0u8..40).prop_map(|roll| match roll {
+                    0 => b"\xfe\n".to_vec(),
+                    _ => b"x y\n".to_vec(),
+                }),
+            ],
+            0..60,
+        )
+        .prop_map(|pieces| pieces.concat())
+    }
+
+    /// Splits `bytes` into `threads` ranges at line starts, the way
+    /// `chunk_byte_ranges` does past its 64 KiB floor.
+    fn line_ranges(bytes: &[u8], threads: usize) -> Vec<Range<usize>> {
+        let mut ranges = Vec::new();
+        let mut start = 0;
+        for ideal in ParallelDriver::chunk_ranges(bytes.len(), threads) {
+            let end = match find_newline(bytes, ideal.end.max(1) - 1) {
+                Some(nl) if ideal.end < bytes.len() => nl + 1,
+                _ => bytes.len(),
+            };
+            if end > start {
+                ranges.push(start..end);
+                start = end;
+            }
+        }
+        ranges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the window — 1 to 300 bytes, so windows of one line,
+        /// of blank lines only, and lines longer than a window all occur —
+        /// a build, sequential or on 1 to 4 threads, masked or not, is the
+        /// one-window build: same vocabulary order, rows, spans, masked
+        /// counts, or the same first error. The input is a mapped file, so
+        /// every window is released and the one-window reference reads
+        /// pages faulted back in.
+        #[test]
+        fn windowed_builds_equal_the_one_window_build(
+            bytes in window_soup(),
+            terminated in prop_oneof![Just(false), Just(true)],
+            window in 1usize..=300,
+            threads in 1usize..=4,
+        ) {
+            let mut bytes = bytes;
+            if terminated {
+                bytes.push(b'\n');
+            }
+            let path = write_temp("windows.log", &bytes);
+            let buffer = map_or_read(File::open(&path).unwrap()).unwrap();
+            let masker = &Preprocessor::new(MaskRule::ALL.to_vec());
+            let whole = parts(build_chunk(&buffer, 0..bytes.len(), masker, usize::MAX));
+            prop_assert_eq!(&parts(build_chunk(&buffer, 0..bytes.len(), masker, window)), &whole);
+            let ranges = line_ranges(&bytes, threads);
+            let parallel = build_parallel(&buffer, &ranges, masker, window).unwrap();
+            prop_assert_eq!(&parts(parallel), &whole);
+            let unmasked = parts(build_chunk(&buffer, 0..bytes.len(), Identity, usize::MAX));
+            prop_assert_eq!(&parts(build(&buffer, Identity, threads, window)), &unmasked);
+        }
+
+        /// A jobs worker's range build and a coordinator's cuts do not
+        /// depend on the window either: each chunk of the cuts builds to
+        /// the one-window corpus, and the windowed cut walk cuts where
+        /// the one-window walk does — both over a mapped file.
+        #[test]
+        fn windowed_ranges_and_cuts_equal_the_one_window_ones(
+            bytes in window_soup(),
+            window in 1usize..=300,
+            chunks in 1usize..=4,
+            stride in 1usize..6,
+        ) {
+            let path = write_temp("window-ranges.log", &bytes);
+            let mapped = || map_or_read(File::open(&path).unwrap()).unwrap();
+            let whole = cuts_through_index(&mapped(), chunks, stride, usize::MAX);
+            prop_assert_eq!(&cuts_through_index(&mapped(), chunks, stride, window), &whole);
+            prop_assert_eq!(
+                corpus_cuts(&path, chunks).unwrap(),
+                cuts_through_index(&mapped(), chunks, CUT_INDEX_STRIDE, usize::MAX)
+            );
+            let mut lines_before = 0;
+            for cut in whole.cuts.windows(2) {
+                let range = cut[0]..cut[1];
+                let build = |window| {
+                    build_range(mapped(), 0, range.clone(), bytes.len(), lines_before, window)
+                };
+                let one = corpus_parts(build(usize::MAX));
+                prop_assert_eq!(&corpus_parts(build(window)), &one);
+                lines_before += one.map_or(0, |(_, _, records)| records.len());
+            }
+        }
+    }
+
+    /// The `Rss` and `KernelPageSize` of the mapping holding `at`, both
+    /// in KiB, from `/proc/self/smaps`; `None` where that file does not
+    /// exist.
+    fn resident_kib(at: *const u8) -> Option<(u64, u64)> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let at = at as u64;
+        let mut inside = false;
+        let (mut rss, mut page) = (None, None);
+        for line in smaps.lines() {
+            let mut fields = line.split_whitespace();
+            let first = fields.next().unwrap_or("");
+            if let Some((low, high)) = first.split_once('-') {
+                if let (Ok(low), Ok(high)) =
+                    (u64::from_str_radix(low, 16), u64::from_str_radix(high, 16))
+                {
+                    if inside {
+                        break;
+                    }
+                    inside = (low..high).contains(&at);
+                    continue;
+                }
+            }
+            let kib = fields.next().and_then(|n| n.parse().ok());
+            match first {
+                "Rss:" if inside => rss = kib,
+                "KernelPageSize:" if inside => page = kib,
+                _ => {}
+            }
+        }
+        Some((
+            rss.expect("the mapping's Rss"),
+            page.expect("its page size"),
+        ))
+    }
+
+    /// A build and a cut walk over a mapped file leave at most one
+    /// window of it resident, and a record read afterwards faults its
+    /// page back in with the file's bytes. The file is 24 MiB, six
+    /// windows.
+    #[test]
+    fn a_walk_keeps_one_window_of_a_mapped_file_resident() {
+        if !Path::new("/proc/self/smaps").exists() {
+            eprintln!("skipped: no /proc/self/smaps to read residency from");
+            return;
+        }
+        let line = |i: usize| format!("{i:08} worker {} took {} ms\n", i % 7, i % 13);
+        let mut bytes = Vec::with_capacity(25 << 20);
+        let mut lines = 0;
+        while bytes.len() < 24 << 20 {
+            bytes.extend_from_slice(line(lines).as_bytes());
+            lines += 1;
+        }
+        let path = write_temp("resident.log", &bytes);
+        drop(bytes);
+        let bound = |page: u64| (WINDOW as u64 >> 10) + 2 * page;
+
+        let corpus = Corpus::from_path(&path, &crate::Tokenizer).unwrap();
+        assert_eq!(corpus.len(), lines);
+        let (rss, page) = resident_kib(corpus.record(0).content.as_ptr()).unwrap();
+        assert!(
+            rss <= bound(page),
+            "{rss} KiB of the mapping resident after the build"
+        );
+        for i in [0, lines / 2, lines - 1] {
+            let record = corpus.record(i);
+            assert_eq!(format!("{}\n", record.content), line(i));
+            assert_eq!(record.line_no, i + 1);
+        }
+        drop(corpus);
+
+        // One chunk is the counting walk alone; four add the walks to
+        // each chunk's first line.
+        for chunks in [1, 4] {
+            let buffer = map_or_read(File::open(&path).unwrap()).unwrap();
+            assert!(matches!(buffer, LineBuffer::Mapped(_)));
+            let cuts = cuts_through_index(&buffer, chunks, CUT_INDEX_STRIDE, WINDOW);
+            let (rss, page) = resident_kib(buffer.as_ptr()).unwrap();
+            assert!(
+                rss <= bound(page),
+                "{rss} KiB of the mapping resident after the cuts into {chunks}"
+            );
+            assert_eq!(cuts.lines, lines);
+            let parts = ParallelDriver::chunk_ranges(lines, chunks);
+            for (cut, part) in cuts.cuts.iter().zip(&parts) {
+                let text = line(part.start);
+                assert_eq!(&buffer[*cut..*cut + text.len()], text.as_bytes());
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Collects what the framer hands over, checking each line's shape

@@ -6,12 +6,16 @@
 //! and the unsafe-allowlist lint admits exactly this file, requiring a
 //! `SAFETY` comment on every unsafe block). The FFI surface is
 //! hand-declared — the workspace builds offline with no `libc` crate —
-//! and deliberately tiny: `mmap`, `munmap`, nothing else.
+//! and deliberately tiny: `mmap`, `munmap` and `madvise` (plus
+//! `getpagesize` to align the last).
 //!
 //! A mapping is always `PROT_READ` + `MAP_PRIVATE`: the kernel hands
 //! out copy-on-write pages we never write, so the mapped bytes are
 //! immutable for the mapping's lifetime and safe to share across
-//! threads. Callers that can't map (stdin, zero-length files,
+//! threads. [`Mapping::release`] hands pages a walk has passed back to
+//! the kernel (`MADV_DONTNEED`); as none was ever written, a later read
+//! of one faults the same file bytes in again, so a release changes
+//! what is resident, never what is read. Callers that can't map (stdin, zero-length files,
 //! non-unix targets, or a failing `mmap` call) fall back to reading
 //! the whole file into a `Vec<u8>`; [`crate::loader`] owns that
 //! policy.
@@ -26,6 +30,7 @@ mod ffi {
     pub const PROT_READ: c_int = 1;
     pub const MAP_PRIVATE: c_int = 2;
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    pub const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         pub fn mmap(
@@ -37,6 +42,8 @@ mod ffi {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        pub fn getpagesize() -> c_int;
     }
 }
 
@@ -113,6 +120,55 @@ impl Mapping {
     pub fn bytes(&self) -> &[u8] {
         &[]
     }
+
+    /// Drops the pages wholly inside bytes `range` from this process's
+    /// resident set (`MADV_DONTNEED`): the range's start is rounded up
+    /// to a page and its end down, except that the end of the mapping
+    /// takes its last, partial page along. A later read of a released
+    /// byte faults the file's page in again. The result is ignored: it
+    /// is advice, and nothing read depends on it.
+    #[cfg(unix)]
+    pub fn release(&self, range: std::ops::Range<usize>) {
+        // SAFETY: getpagesize has no preconditions.
+        let page = usize::try_from(unsafe { ffi::getpagesize() })
+            .ok()
+            .filter(|p| p.is_power_of_two())
+            .unwrap_or(4096);
+        let end = range.end.min(self.len);
+        let end = if end == self.len {
+            end.next_multiple_of(page)
+        } else {
+            end / page * page
+        };
+        let Some(start) = range.start.checked_next_multiple_of(page) else {
+            return;
+        };
+        if start >= end {
+            return;
+        }
+        // SAFETY: mmap returns a page-aligned `addr`, so `addr + start`
+        // is page-aligned, and `start..end` lies inside the pages of the
+        // mapping (`end` rounds up only at the mapping's end, to the
+        // page the kernel mapped there). MADV_DONTNEED on a PROT_READ,
+        // MAP_PRIVATE file mapping never written discards no data: no
+        // page holds a private copy, so the next access maps the same
+        // file bytes again. The pages stay mapped, so every `&[u8]`
+        // borrowed from `bytes` stays valid and reads what it read
+        // before (a concurrent writer to the file is the hazard
+        // `of_file` already names, no new one).
+        unsafe {
+            ffi::madvise(
+                self.addr.cast::<u8>().add(start).cast(),
+                end - start,
+                ffi::MADV_DONTNEED,
+            );
+        }
+    }
+
+    /// Nothing to release off unix (unreachable: `of_file` returns
+    /// None).
+    #[cfg(not(unix))]
+    pub fn release(&self, _range: std::ops::Range<usize>) {}
 }
 
 impl Drop for Mapping {
@@ -171,6 +227,31 @@ mod tests {
             assert_eq!(&*map, payload.as_slice());
         } else if cfg!(unix) {
             panic!("mapping a regular file must work on unix");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn released_pages_read_back_the_file() {
+        let dir =
+            std::env::temp_dir().join(format!("logparse-mmap-release-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pages.log");
+        let payload: Vec<u8> = (0..3 * 4096 + 100).map(|i| b'a' + (i % 26) as u8).collect();
+        std::fs::write(&path, &payload).unwrap();
+        let file = File::open(&path).unwrap();
+        if let Some(map) = Mapping::of_file(&file) {
+            let before = map.bytes();
+            // Unaligned ends, an empty range, one past the end, the whole.
+            for range in [
+                5..4097,
+                4096..4096,
+                8000..payload.len() + 9,
+                0..payload.len(),
+            ] {
+                map.release(range);
+                assert_eq!(before, payload.as_slice());
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

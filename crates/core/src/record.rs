@@ -427,7 +427,10 @@ impl Corpus {
         self.len() == 0
     }
 
-    /// The record at `index`, as a borrowed view.
+    /// The record at `index`, as a borrowed view. A corpus built from a
+    /// mapped file released the mapping's pages as its build passed
+    /// them, so the first read of a record after the build may fault its
+    /// page back in from the file (the same bytes; a build reads none).
     ///
     /// # Panics
     ///

@@ -369,12 +369,6 @@ pub(crate) fn kept_line_starts(buf: &[u8], from: usize) -> impl Iterator<Item = 
     })
 }
 
-/// Counts the lines of `buf` a corpus build would keep (see
-/// [`kept_line_starts`]).
-pub(crate) fn count_non_blank_lines(buf: &[u8]) -> usize {
-    kept_line_starts(buf, 0).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,7 +690,7 @@ mod tests {
             (b"  \r\n x \r\n", 1),
         ];
         for &(buf, expect) in cases {
-            assert_eq!(count_non_blank_lines(buf), expect, "{buf:?}");
+            assert_eq!(kept_line_starts(buf, 0).count(), expect, "{buf:?}");
         }
     }
 
@@ -746,7 +740,7 @@ mod tests {
         fn count_agrees_with_line_events(buf in corpus_bytes()) {
             let events = block_events(&buf);
             let kept: Vec<usize> = events.lines.iter().filter(|l| !l.2).map(|l| l.0).collect();
-            prop_assert_eq!(count_non_blank_lines(&buf), kept.len());
+            prop_assert_eq!(kept_line_starts(&buf, 0).count(), kept.len());
             let starts: Vec<usize> = kept_line_starts(&buf, 0).collect();
             prop_assert_eq!(&starts, &kept);
             let mut walked = Vec::new();

@@ -1,13 +1,15 @@
 //! Metric handles for the template store.
 //!
-//! Resolved once per open store against the process-global
-//! [`logparse_obs`] registry, so `logmine serve --metrics-addr`
-//! scrapes show store activity alongside the pipeline stages. Family
+//! Resolved once per open store against a registry — the
+//! process-global [`logparse_obs`] one for every store
+//! [`TemplateStore::open`](crate::TemplateStore::open) opens, so
+//! `logmine serve --metrics-addr` scrapes show store activity alongside
+//! the pipeline stages; tests pass a private one. Family
 //! names stay string literals at their registration call so the
 //! obs-metric-hygiene lint can cross-check them against DESIGN.md's
 //! Observability table.
 
-use logparse_obs::{global, Buckets, Counter, Gauge, Histogram};
+use logparse_obs::{Buckets, Counter, Gauge, Histogram, Registry};
 
 /// Store-wide metric handles.
 #[derive(Debug)]
@@ -33,10 +35,9 @@ pub(crate) struct StoreMetrics {
 }
 
 impl StoreMetrics {
-    /// Resolves (and thereby pre-registers) every store family for a
-    /// store with `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        let registry = global();
+    /// Resolves (and thereby pre-registers) in `registry` every store
+    /// family for a store with `shards` shards.
+    pub fn new(registry: &Registry, shards: usize) -> Self {
         let disk = |kind: &str, help: &str| -> Vec<Gauge> {
             (0..shards)
                 .map(|shard| {
@@ -88,8 +89,11 @@ mod tests {
 
     #[test]
     fn store_metrics_pre_register_every_family() {
-        let metrics = StoreMetrics::new(2);
-        let text = global().render();
+        // A private registry: every parallel test's store sets the
+        // global one's gauges too.
+        let registry = Registry::new();
+        let metrics = StoreMetrics::new(&registry, 2);
+        let text = registry.render();
         for family in [
             "store_snapshot_seconds",
             "store_replay_records_total",
@@ -105,7 +109,7 @@ mod tests {
         assert_eq!(metrics.disk_snapshot.len(), 2);
         assert_eq!(metrics.disk_log.len(), 2);
         metrics.disk_log[1].set(128.0);
-        let text = global().render();
+        let text = registry.render();
         assert!(
             text.contains("store_shard_disk_bytes{kind=\"log\",shard=\"1\"} 128")
                 || text.contains("store_shard_disk_bytes{shard=\"1\",kind=\"log\"} 128"),

@@ -490,8 +490,20 @@ impl TemplateStore {
     /// whatever state its snapshots and logs hold. Quarantines
     /// unrecoverable shards, truncates torn log tails, removes temp
     /// files a killed writer left, and leaves every shard ready for
-    /// appends.
+    /// appends. Its metrics go to the process-global registry.
     pub fn open(dir: &Path, config: &StoreConfig) -> Result<(TemplateStore, Recovery), StoreError> {
+        TemplateStore::open_in(dir, config, logparse_obs::global())
+    }
+
+    /// [`open`](TemplateStore::open), with the store's metrics resolved
+    /// in `registry`: a test that reads them back opens its store on a
+    /// private one, as every store in the process sets the global
+    /// registry's per-shard gauges.
+    pub(crate) fn open_in(
+        dir: &Path,
+        config: &StoreConfig,
+        registry: &logparse_obs::Registry,
+    ) -> Result<(TemplateStore, Recovery), StoreError> {
         if config.shards == 0 {
             return Err(StoreError::Config("store needs at least one shard".into()));
         }
@@ -516,7 +528,7 @@ impl TemplateStore {
         }
         let generation = plans.iter().map(|p| p.max_generation).max().unwrap_or(0);
         let state = replay(&mut plans);
-        let metrics = StoreMetrics::new(shards);
+        let metrics = StoreMetrics::new(registry, shards);
 
         let mut writers = Vec::with_capacity(shards);
         for plan in &plans {
@@ -782,7 +794,10 @@ mod tests {
     #[test]
     fn disk_usage_reaches_reports_and_gauges() {
         let dir = temp_store_dir("diskusage");
-        let (mut store, _) = TemplateStore::open(&dir, &config(2)).unwrap();
+        // A private registry: every parallel test's store sets the
+        // global one's `store_shard_disk_bytes` gauges too.
+        let registry = logparse_obs::Registry::new();
+        let (mut store, _) = TemplateStore::open_in(&dir, &config(2), &registry).unwrap();
         store.append(&sample_deltas()).unwrap();
         store.flush().unwrap();
         // The flush refreshed the live-log gauges from writer state.

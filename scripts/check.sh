@@ -134,6 +134,27 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    `serve` when its `--events-out` journal
 #                                    is (skipped with a message where
 #                                    /dev/full does not exist)
+#   core loader windowed_builds_equal_the_one_window_build,
+#   windowed_ranges_and_cuts_equal_the_one_window_ones
+#                                    a corpus build walked in windows of
+#                                    1..=300 bytes over a mapped file —
+#                                    sequential, 1-4 threads, masked, a
+#                                    jobs worker's range build, the cut
+#                                    walk — equals the one-window build:
+#                                    vocabulary order, rows, spans, masked
+#                                    counts, cuts, or the same first error
+#   core loader a_walk_keeps_one_window_of_a_mapped_file_resident
+#                                    after a 24 MiB build and after the cut
+#                                    walk, the mapping's `Rss` in
+#                                    /proc/self/smaps is at most one window
+#                                    plus two pages, and records read after
+#                                    the release equal the file's lines
+#                                    (skipped with a message without smaps)
+#   store disk_usage_reaches_reports_and_gauges,
+#   store_metrics_pre_register_every_family
+#                                    read their gauges from a private
+#                                    `Registry`: every parallel test's store
+#                                    sets the global one's per-shard gauges
 #   linalg dual_matches_primal       dual vs primal PCA
 #   linalg symmetric_eigen_matches_jacobi_on_count_grams
 #                                    Householder + QL vs the cyclic Jacobi
