@@ -52,6 +52,9 @@ pub use loader::{
     corpus_cuts, count_corpus_lines, line_spans, CorpusCuts, FramedLine, LineDamage, LineFramer,
     TokenSpan, MAX_LINE_BYTES, MAX_SPANNED_LINE_BYTES,
 };
+/// The JSON document type streaming parsers snapshot into and restore from;
+/// re-exported so parser crates need no direct `logparse-obs` edge.
+pub use logparse_obs::Json;
 pub use merge::{MergeDelta, TemplateMerge};
 pub use parallel::{merge_chunks, ParallelDriver, ParallelReport};
 pub use parser::{EventId, LogParser, Parse, ParseBuilder};

@@ -38,7 +38,6 @@ use logparse_mining::PcaDetector;
 use logparse_obs::{AlertEngine, History, HistorySampler, Journal, Json};
 use logparse_store::{write_blob, TemplateStore};
 
-use crate::checkpoint::ParserSnapshot;
 use crate::metrics::{AggregatorMetrics, DriftMetrics, TOP_K};
 use crate::worker::ShardOutput;
 use crate::{IngestError, ParserChoice, WindowScore};
@@ -323,7 +322,7 @@ pub(crate) struct AggregatorOutcome {
     pub windows: Vec<WindowScore>,
     pub anomalies: Vec<u64>,
     pub checkpoints_written: u64,
-    pub final_snapshots: Vec<ParserSnapshot>,
+    pub final_snapshots: Vec<Json>,
     pub shard_observed: Vec<usize>,
     pub batches: u64,
 }
@@ -539,9 +538,9 @@ pub(crate) fn run_aggregator(
     let mut closed: VecDeque<ClosedWindow> = VecDeque::new();
     let mut windows: Vec<WindowScore> = Vec::new();
     let mut anomalies: Vec<u64> = Vec::new();
-    let mut pending_checkpoints: HashMap<u64, (u64, Vec<Option<ParserSnapshot>>)> = HashMap::new();
+    let mut pending_checkpoints: HashMap<u64, (u64, Vec<Option<Json>>)> = HashMap::new();
     let mut checkpoints_written = 0u64;
-    let mut final_snapshots: Vec<Option<ParserSnapshot>> = (0..shards).map(|_| None).collect();
+    let mut final_snapshots: Vec<Option<Json>> = (0..shards).map(|_| None).collect();
     let mut shard_observed = vec![0usize; shards];
     let mut batches = 0u64;
     let mut done = 0usize;
@@ -707,7 +706,7 @@ pub(crate) fn run_aggregator(
                     };
                     // All slots were just verified Some; flatten drops
                     // nothing.
-                    let snapshots: Vec<ParserSnapshot> = slots.into_iter().flatten().collect();
+                    let snapshots: Vec<Json> = slots.into_iter().flatten().collect();
                     if let Some(store) = store.as_mut() {
                         write_checkpoint(
                             store, parser, generation, lines, &snapshots, &map, &events, &metrics,
@@ -741,7 +740,7 @@ pub(crate) fn run_aggregator(
 
     // The loop above exits only after every shard reported Done, so
     // every slot is Some and flatten preserves the shard count.
-    let final_snapshots: Vec<ParserSnapshot> = final_snapshots.into_iter().flatten().collect();
+    let final_snapshots: Vec<Json> = final_snapshots.into_iter().flatten().collect();
 
     // Final checkpoint at shutdown, generation after any periodic ones.
     if let Some(store) = store.as_mut() {
@@ -810,7 +809,7 @@ fn write_checkpoint(
     parser: ParserChoice,
     generation: u64,
     lines: u64,
-    shards: &[ParserSnapshot],
+    shards: &[Json],
     map: &TemplateMerge,
     events: &Journal,
     metrics: &AggregatorMetrics,
@@ -823,7 +822,7 @@ fn write_checkpoint(
         );
         for (shard, snapshot) in shards.iter().enumerate() {
             // lint:allow(hot-path-string-alloc): once per shard per checkpoint, not per line — a blob's name and its JSON text are strings
-            let (name, blob) = (format!("parser-{shard}"), snapshot.to_json().to_string());
+            let (name, blob) = (format!("parser-{shard}"), snapshot.to_string());
             write_blob(store.dir(), &name, blob.as_bytes())?;
         }
         let meta = Json::Obj(vec![
@@ -859,7 +858,6 @@ mod tests {
     use crate::metrics::StageMetrics;
     use crate::pipeline::open_store;
     use crate::worker::ParsedBatch;
-    use logparse_parsers::StreamingDrain;
     use logparse_store::COMPACT_LOG_BYTES;
     use proptest::prelude::*;
     use std::io::Write;
@@ -1031,7 +1029,7 @@ mod tests {
         for (shard, templates) in keys.into_iter().enumerate() {
             tx.send(ShardOutput::Done {
                 shard,
-                state: ParserSnapshot::Drain(StreamingDrain::default().snapshot()),
+                state: ParserChoice::Drain.build().snapshot(),
                 templates,
                 observed: 0,
             })
@@ -1105,9 +1103,12 @@ mod tests {
 
         // A parser snapshot that knows every local id, so a resume keeps
         // every binding.
-        let mut drain = StreamingDrain::default().snapshot();
-        drain.groups = vec![Vec::new(); keys.len()];
-        let snapshots = vec![ParserSnapshot::Drain(drain)];
+        let Json::Obj(mut drain) = ParserChoice::Drain.build().snapshot() else {
+            panic!("a parser blob is an object");
+        };
+        let groups = drain.iter_mut().find(|(key, _)| key == "groups").unwrap();
+        groups.1 = Json::Arr(vec![Json::Arr(Vec::new()); keys.len()]);
+        let snapshots = vec![Json::Obj(drain)];
         let metrics = StageMetrics::new(1, "drain").aggregator;
         let (generation, runs) = (store.generation(), compaction_runs());
         write_checkpoint(
@@ -1130,7 +1131,7 @@ mod tests {
             .unwrap()
             .expect("the store holds a checkpoint");
         assert_eq!(checkpoint.shards, snapshots);
-        let (store, resumed) = open_store(&dir, Some(&checkpoint)).unwrap();
+        let (store, resumed) = open_store(&dir, Some(&[keys.len()])).unwrap();
         store.finish().unwrap();
         assert_eq!(resumed.canonical_templates(), map.canonical_templates());
         assert_eq!(bindings(&resumed), bindings(&map));

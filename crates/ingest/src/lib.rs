@@ -64,7 +64,7 @@ pub mod signal;
 pub mod source;
 mod worker;
 
-pub use checkpoint::{Checkpoint, ParserSnapshot};
+pub use checkpoint::Checkpoint;
 pub use pipeline::{run_pipeline, IngestConfig, IngestSummary, WindowScore};
 pub use signal::StopFlag;
 pub use source::{
@@ -73,6 +73,8 @@ pub use source::{
 };
 
 use logparse_core::ParseError;
+use logparse_obs::Json;
+use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
 
 /// Which streaming parser the shards run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +92,29 @@ impl ParserChoice {
             ParserChoice::Drain => "drain",
             ParserChoice::Spell => "spell",
         }
+    }
+
+    /// A fresh parser of this kind, with its default configuration.
+    pub fn build(self) -> Box<dyn StreamingParser + Send> {
+        match self {
+            ParserChoice::Drain => Box::new(StreamingDrain::default()),
+            ParserChoice::Spell => Box::new(StreamingSpell::default()),
+        }
+    }
+
+    /// A parser of this kind restored from the checkpoint blob document
+    /// its [`StreamingParser::snapshot`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// The parser's `from_json` error when the document does not
+    /// restore: a field missing or malformed, an invalid configuration,
+    /// a group id out of range, or the other parser's blob.
+    pub fn restore(self, blob: &Json) -> Result<Box<dyn StreamingParser + Send>, ParseError> {
+        Ok(match self {
+            ParserChoice::Drain => Box::new(StreamingDrain::from_json(blob)?),
+            ParserChoice::Spell => Box::new(StreamingSpell::from_json(blob)?),
+        })
     }
 }
 
@@ -115,8 +140,6 @@ pub enum IngestError {
     Config(String),
     /// A missing, corrupt, or incompatible checkpoint.
     Checkpoint(String),
-    /// A parser error (invalid restored state).
-    Parse(ParseError),
 }
 
 impl std::fmt::Display for IngestError {
@@ -125,7 +148,6 @@ impl std::fmt::Display for IngestError {
             IngestError::Io(e) => write!(f, "I/O error: {e}"),
             IngestError::Config(msg) => write!(f, "configuration error: {msg}"),
             IngestError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
-            IngestError::Parse(e) => write!(f, "parser error: {e}"),
         }
     }
 }
@@ -134,7 +156,6 @@ impl std::error::Error for IngestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IngestError::Io(e) => Some(e),
-            IngestError::Parse(e) => Some(e),
             _ => None,
         }
     }
@@ -143,12 +164,6 @@ impl std::error::Error for IngestError {
 impl From<std::io::Error> for IngestError {
     fn from(e: std::io::Error) -> Self {
         IngestError::Io(e)
-    }
-}
-
-impl From<ParseError> for IngestError {
-    fn from(e: ParseError) -> Self {
-        IngestError::Parse(e)
     }
 }
 

@@ -45,12 +45,12 @@ use logparse_obs::{default_rules, AlertEngine, AlertRule, History, HistorySample
 use logparse_store::{StoreConfig, TemplateStore};
 
 use crate::aggregate::{run_aggregator, AggregatorConfig, QualityTelemetry};
-use crate::checkpoint::{Checkpoint, ParserSnapshot};
+use crate::checkpoint::Checkpoint;
 use crate::metrics::StageMetrics;
 use crate::router::Router;
 use crate::signal::StopFlag;
 use crate::source::{LogSource, SourceItem};
-use crate::worker::{run_worker, ShardInput, ShardParser};
+use crate::worker::{run_worker, ShardInput};
 use crate::{IngestError, ParserChoice};
 
 /// Pipeline configuration. `Default` is sized for interactive use;
@@ -182,8 +182,8 @@ pub struct IngestSummary {
     pub anomalies: Vec<u64>,
     /// Checkpoints written (periodic + final).
     pub checkpoints_written: u64,
-    /// Each shard's final parser state.
-    pub final_snapshots: Vec<ParserSnapshot>,
+    /// Each shard's final parser state, as its checkpoint blob document.
+    pub final_snapshots: Vec<Json>,
 }
 
 /// Runs the pipeline to completion on the calling thread.
@@ -192,7 +192,8 @@ pub struct IngestSummary {
 /// `config.stop` (or a signal, if [`crate::signal::install_handlers`]
 /// was called) requests shutdown — in every case after draining all
 /// in-flight batches. `resume` restarts from a checkpoint written by a
-/// previous run with the same parser and shard count.
+/// previous run with the same parser and shard count; a shard whose
+/// blob does not restore starts empty.
 ///
 /// Every operational transition is appended to `events` as one JSON
 /// object per line, after the journal's own header fields (`event`,
@@ -246,9 +247,15 @@ pub fn run_pipeline(
             ));
         }
     }
+    let parsers = match resume {
+        Some(checkpoint) => checkpoint.parsers(),
+        None => (0..config.shards).map(|_| config.parser.build()).collect(),
+    };
+    let resumed_groups: Option<Vec<usize>> =
+        resume.map(|_| parsers.iter().map(|parser| parser.group_count()).collect());
     let (store, map) = match &config.store_dir {
         Some(dir) => {
-            let (store, map) = open_store(dir, resume)?;
+            let (store, map) = open_store(dir, resumed_groups.as_deref())?;
             (Some(store), map)
         }
         None => (None, TemplateMerge::new()),
@@ -304,11 +311,7 @@ pub fn run_pipeline(
     let mut shard_txs: Vec<SyncSender<ShardInput>> = Vec::with_capacity(config.shards);
     let mut shard_handles = Vec::with_capacity(config.shards);
     let (result_tx, result_rx) = mpsc::channel();
-    for (shard, metrics) in worker_metrics.into_iter().enumerate() {
-        let parser = match resume {
-            Some(checkpoint) => ShardParser::restore(&checkpoint.shards[shard])?,
-            None => ShardParser::new(config.parser),
-        };
+    for (shard, (metrics, parser)) in worker_metrics.into_iter().zip(parsers).enumerate() {
         let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         shard_txs.push(tx);
         let out = result_tx.clone();
@@ -434,22 +437,20 @@ pub fn run_pipeline(
 ///
 /// * fresh run, non-empty store — refused: silently appending a new
 ///   run's ids onto another run's template history would corrupt both.
-/// * resumed run — bindings are pruned to the local ids the restored
-///   parsers actually have; anything beyond (a shard restored empty,
-///   or groups learned after the last blob write) is re-learned and
-///   re-unified by key onto its old global id.
+/// * resumed run — `resumed_groups` holds each restored shard parser's
+///   group count, and bindings are pruned to the local ids below it;
+///   anything beyond (a shard restored empty, or groups learned after
+///   the last blob write) is re-learned and re-unified by key onto its
+///   old global id.
 pub(crate) fn open_store(
     dir: &std::path::Path,
-    resume: Option<&Checkpoint>,
+    resumed_groups: Option<&[usize]>,
 ) -> Result<(TemplateStore, TemplateMerge), IngestError> {
     let (store, recovery) = TemplateStore::open(dir, &StoreConfig::default())?;
     let mut map = recovery.state;
-    match resume {
-        Some(checkpoint) => map.retain_bindings(|shard, local| {
-            checkpoint
-                .shards
-                .get(shard)
-                .is_some_and(|snapshot| local < snapshot.group_count())
+    match resumed_groups {
+        Some(groups) => map.retain_bindings(|shard, local| {
+            groups.get(shard).is_some_and(|&groups| local < groups)
         }),
         None if map.id_space() > 0 => {
             return Err(IngestError::Config(format!(

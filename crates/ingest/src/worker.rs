@@ -13,12 +13,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use logparse_core::TokenSpan;
-use logparse_obs::{word_fold, Fnv1a};
-use logparse_parsers::{StreamingDrain, StreamingParser, StreamingSpell};
+use logparse_obs::{word_fold, Fnv1a, Json};
+use logparse_parsers::StreamingParser;
 
-use crate::checkpoint::ParserSnapshot;
 use crate::metrics::WorkerMetrics;
-use crate::{IngestError, ParserChoice};
 
 /// Lines bound for one shard: their text back to back in one `String`,
 /// their token spans back to back in one `Vec`, and per line its
@@ -106,11 +104,11 @@ pub(crate) enum ShardOutput {
         shard: usize,
         generation: u64,
         lines_routed: u64,
-        state: ParserSnapshot,
+        state: Json,
     },
     Done {
         shard: usize,
-        state: ParserSnapshot,
+        state: Json,
         templates: Vec<String>,
         observed: usize,
     },
@@ -151,63 +149,9 @@ pub(crate) struct ParsedBatch {
     pub param_cardinality_max: usize,
 }
 
-/// A shard's streaming parser, behind the configured algorithm.
-#[derive(Debug)]
-pub(crate) enum ShardParser {
-    Drain(StreamingDrain),
-    Spell(StreamingSpell),
-}
-
-impl ShardParser {
-    pub fn new(choice: ParserChoice) -> Self {
-        match choice {
-            ParserChoice::Drain => ShardParser::Drain(StreamingDrain::default()),
-            ParserChoice::Spell => ShardParser::Spell(StreamingSpell::default()),
-        }
-    }
-
-    pub fn restore(snapshot: &ParserSnapshot) -> Result<Self, IngestError> {
-        Ok(match snapshot {
-            ParserSnapshot::Drain(s) => ShardParser::Drain(StreamingDrain::restore(s)?),
-            ParserSnapshot::Spell(s) => ShardParser::Spell(StreamingSpell::restore(s)?),
-        })
-    }
-
-    /// Parses one line through the token spans the framer found in it.
-    pub fn observe(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
-        match self {
-            ShardParser::Drain(p) => p.observe_spans(line, spans),
-            ShardParser::Spell(p) => p.observe_spans(line, spans),
-        }
-    }
-
-    pub fn group_count(&self) -> usize {
-        match self {
-            ShardParser::Drain(p) => p.group_count(),
-            ShardParser::Spell(p) => p.group_count(),
-        }
-    }
-
-    pub fn vocabulary(&self) -> usize {
-        match self {
-            ShardParser::Drain(p) => p.vocabulary(),
-            ShardParser::Spell(p) => p.vocabulary(),
-        }
-    }
-
-    pub fn template_strings(&self) -> Vec<String> {
-        match self {
-            ShardParser::Drain(p) => p.templates().iter().map(|t| t.to_string()).collect(),
-            ShardParser::Spell(p) => p.templates().iter().map(|t| t.to_string()).collect(),
-        }
-    }
-
-    pub fn snapshot(&self) -> ParserSnapshot {
-        match self {
-            ShardParser::Drain(p) => ParserSnapshot::Drain(p.snapshot()),
-            ShardParser::Spell(p) => ParserSnapshot::Spell(p.snapshot()),
-        }
-    }
+/// The parser's current templates, rendered, in group-id order.
+fn template_strings(parser: &dyn StreamingParser) -> Vec<String> {
+    parser.templates().iter().map(|t| t.to_string()).collect()
 }
 
 /// Pass-through hasher for [`FingerprintSet`]: the keys are already
@@ -245,7 +189,7 @@ type FingerprintSet = HashSet<u64, BuildHasherDefault<FingerprintHasher>>;
 /// one exemplar raw line per newborn group for the journal.
 pub(crate) fn run_worker(
     shard: usize,
-    mut parser: ShardParser,
+    mut parser: Box<dyn StreamingParser + Send>,
     drift: bool,
     metrics: WorkerMetrics,
     input: Receiver<ShardInput>,
@@ -270,7 +214,7 @@ pub(crate) fn run_worker(
                 let mut exemplars = Vec::new();
                 for (seq, line, spans) in batch.iter() {
                     let before = parser.group_count();
-                    let local = parser.observe(line, spans);
+                    let local = parser.observe_spans(line, spans);
                     entries.push((seq, local));
                     if drift {
                         if parser.group_count() > before && exemplars.len() < EXEMPLAR_CAP {
@@ -297,7 +241,7 @@ pub(crate) fn run_worker(
                 let templates = if grew || lines_since_refresh >= REFRESH_EVERY {
                     sent_groups = parser.group_count();
                     lines_since_refresh = 0;
-                    Some(parser.template_strings())
+                    Some(template_strings(parser.as_ref()))
                 } else {
                     None
                 };
@@ -338,7 +282,7 @@ pub(crate) fn run_worker(
     let _ = output.send(ShardOutput::Done {
         shard,
         state: parser.snapshot(),
-        templates: parser.template_strings(),
+        templates: template_strings(parser.as_ref()),
         observed,
     });
 }
@@ -346,6 +290,7 @@ pub(crate) fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParserChoice;
     use std::sync::mpsc;
 
     /// A batch of `lines`, numbered from `first`, with the spans a
@@ -383,7 +328,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             run_worker(
                 1,
-                ShardParser::new(ParserChoice::Drain),
+                ParserChoice::Drain.build(),
                 true,
                 WorkerMetrics::new(1, "drain"),
                 in_rx,
@@ -422,7 +367,8 @@ mod tests {
                 ..
             } => {
                 assert_eq!((shard, generation), (1, 0));
-                assert_eq!(state.group_count(), 1);
+                let restored = ParserChoice::Drain.restore(&state).unwrap();
+                assert_eq!(restored.group_count(), 1);
             }
             other => panic!("expected Snapshot, got {other:?}"),
         }
@@ -450,7 +396,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             run_worker(
                 0,
-                ShardParser::new(ParserChoice::Drain),
+                ParserChoice::Drain.build(),
                 true,
                 WorkerMetrics::new(0, "drain"),
                 in_rx,
@@ -517,7 +463,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             run_worker(
                 0,
-                ShardParser::new(ParserChoice::Drain),
+                ParserChoice::Drain.build(),
                 true,
                 WorkerMetrics::new(0, "drain"),
                 in_rx,
@@ -550,7 +496,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             run_worker(
                 0,
-                ShardParser::new(ParserChoice::Drain),
+                ParserChoice::Drain.build(),
                 false,
                 WorkerMetrics::new(0, "drain"),
                 in_rx,

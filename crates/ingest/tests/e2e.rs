@@ -103,11 +103,8 @@ fn hundred_thousand_lines_through_four_shards() {
     // Memory stayed bounded by template state, not stream length: the
     // per-shard snapshots carry groups, not the 100k member messages.
     for snapshot in &summary.final_snapshots {
-        assert!(
-            snapshot.group_count() < 200,
-            "snapshot grew to {}",
-            snapshot.group_count()
-        );
+        let groups = ParserChoice::Drain.restore(snapshot).unwrap().group_count();
+        assert!(groups < 200, "snapshot grew to {groups}");
     }
 
     // Every window closed and, after warmup, was scored.
@@ -158,9 +155,30 @@ fn hundred_thousand_lines_through_four_shards() {
 
 #[test]
 fn checkpoint_restore_reproduces_the_uninterrupted_run() {
+    checkpoint_restore_reproduces(ParserChoice::Drain, 4);
+}
+
+#[test]
+fn spell_checkpoint_restore_reproduces_the_uninterrupted_run() {
+    checkpoint_restore_reproduces(ParserChoice::Spell, 2);
+}
+
+/// A `parser` run over `shards` shards, checkpointed after half the
+/// stream and resumed from its store, ends where one uninterrupted run
+/// does: the same parser state shard by shard, the same templates.
+fn checkpoint_restore_reproduces(parser: ParserChoice, shards: usize) {
     let lines: Vec<String> = synthetic_stream().into_iter().take(30_000).collect();
     let half = lines.len() / 2;
-    let dir = std::env::temp_dir().join(format!("ingest-e2e-{}", std::process::id()));
+    let config = || IngestConfig {
+        parser,
+        shards,
+        ..config()
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "ingest-e2e-{}-{shards}-{}",
+        parser.name(),
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let store_dir = dir.join("store");
@@ -182,7 +200,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
 
     // …then recover from the store and stream the second half,
     // checkpointing into the same store (the restart path).
-    let checkpoint = Checkpoint::recover(&store_dir, ParserChoice::Drain, 4)
+    let checkpoint = Checkpoint::recover(&store_dir, parser, shards)
         .unwrap()
         .expect("store holds a checkpoint");
     assert_eq!(checkpoint.lines, half as u64);
@@ -219,7 +237,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
     // Global ids are stable across the restart: the id space only
     // grows (a slot, once allocated, is never reused or dropped), and
     // the store's final recovery carries the whole run's line count.
-    let final_cp = Checkpoint::recover(&store_dir, ParserChoice::Drain, 4)
+    let final_cp = Checkpoint::recover(&store_dir, parser, shards)
         .unwrap()
         .unwrap();
     assert_eq!(final_cp.lines, lines.len() as u64);
@@ -229,7 +247,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_run() {
     );
 
     // Checkpoint blobs are template-sized, not stream-sized.
-    for shard in 0..4 {
+    for shard in 0..shards {
         let size = std::fs::metadata(store_dir.join(format!("parser-{shard}.blob")))
             .unwrap()
             .len();

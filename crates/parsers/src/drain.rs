@@ -21,8 +21,10 @@
 use std::collections::HashMap;
 
 use logparse_core::{
-    Corpus, EventId, Interner, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
+    Corpus, EventId, Interner, Json, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
 };
+
+use crate::streaming::{blob_field, malformed};
 
 /// The Drain parser configuration. Construct via [`Drain::builder`].
 ///
@@ -107,33 +109,6 @@ impl DrainBuilder {
     }
 }
 
-/// A complete, deterministic serialization of a Drain tree: the
-/// configuration plus every leaf path and group template (`None` slots
-/// are wildcards). Produced by [`crate::StreamingDrain::snapshot`] and
-/// consumed by [`crate::StreamingDrain::restore`]. It holds no
-/// per-message data, so checkpoints stay proportional to the number of
-/// templates, not the length of the stream. Snapshots carry resolved
-/// strings, not symbols — symbols are interner-local and must not cross
-/// a checkpoint boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrainTreeState {
-    /// Tree depth (length layer + token layers).
-    pub depth: usize,
-    /// Leaf-join similarity threshold.
-    pub similarity: f64,
-    /// `max_children` cap per internal node.
-    pub max_children: usize,
-    /// Messages observed so far.
-    pub observed: usize,
-    /// Group templates indexed by dense group id.
-    pub groups: Vec<Vec<Option<String>>>,
-    /// Leaves as `(message length, generalized prefix, group ids)`,
-    /// sorted by `(length, prefix)`.
-    pub leaves: Vec<(usize, Vec<String>, Vec<usize>)>,
-    /// Distinct prefix paths opened per message length, sorted.
-    pub paths_per_length: Vec<(usize, usize)>,
-}
-
 /// Positionwise similarity between a group template and a message of the
 /// same length: wildcards count as half a match, mirroring Drain's
 /// `seqDist` treatment that discourages all-wildcard templates.
@@ -175,7 +150,8 @@ pub(crate) struct DrainTree {
     /// The symbol of the `"*"` wildcard path token.
     star: Symbol,
     /// Internal path → group ids. A path is the message length, then
-    /// the symbol ids of its generalized prefix (see [`DrainTree::path_key`]).
+    /// the symbol ids of its generalized prefix (see
+    /// [`DrainTree::observe_symbols`]).
     leaves: HashMap<Vec<u32>, Vec<usize>>,
     /// Distinct prefix paths per message length, for the `max_children`
     /// cap: once a length bucket has that many paths, unseen token
@@ -249,84 +225,125 @@ impl DrainTree {
         &mut self.interner
     }
 
-    /// Exports the complete incremental state, deterministically ordered
-    /// (leaves sorted by `(length, path)`), for checkpointing.
-    pub(crate) fn export_state(&self) -> DrainTreeState {
-        let resolve_path = |path: &[Symbol]| -> Vec<String> {
-            path.iter()
-                .map(|&s| self.interner.resolve(s).to_owned())
-                .collect()
-        };
-        let mut leaves: Vec<(usize, Vec<String>, Vec<usize>)> = self
+    /// The tree as its checkpoint blob document: the configuration,
+    /// the messages observed, every group template (`null` slots are
+    /// wildcards), every leaf as `[length, path, group ids]` sorted by
+    /// `(length, path)`, and the paths opened per length, sorted. Tokens
+    /// are written as strings — symbols are interner-local and never
+    /// cross a checkpoint — and nothing is kept per message, so a blob
+    /// follows the templates, not the length of the stream.
+    pub(crate) fn to_json(&self) -> Json {
+        let mut leaves: Vec<(u32, Vec<&str>, &[usize])> = self
             .leaves
             .iter()
             .map(|(key, ids)| {
                 let (len, path) = key.split_first().unwrap_or((&0, &[]));
-                let path: Vec<Symbol> = path.iter().map(|&id| Symbol::from_id(id)).collect();
-                (*len as usize, resolve_path(&path), ids.clone())
+                let path = path
+                    .iter()
+                    .map(|&id| self.interner.resolve(Symbol::from_id(id)));
+                (*len, path.collect(), &ids[..])
             })
             .collect();
-        leaves.sort();
-        let mut paths_per_length: Vec<(usize, usize)> = self
+        leaves.sort_unstable();
+        let mut paths: Vec<(usize, usize)> = self
             .paths_per_length
             .iter()
-            .map(|(&k, &v)| (k, v))
+            .map(|(&len, &opened)| (len, opened))
             .collect();
-        paths_per_length.sort_unstable();
-        DrainTreeState {
-            depth: self.config.depth,
-            similarity: self.config.similarity,
-            max_children: self.config.max_children,
-            observed: self.observed,
-            groups: self
-                .groups
-                .iter()
-                .map(|template| {
-                    template
-                        .iter()
-                        .map(|slot| slot.map(|s| self.interner.resolve(s).to_owned()))
-                        .collect()
-                })
-                .collect(),
-            leaves,
-            paths_per_length,
-        }
+        paths.sort_unstable();
+        let numbers = |ns: &[usize]| Json::Arr(ns.iter().map(|&n| Json::usize(n)).collect());
+        let groups = self.groups.iter().map(|slots| {
+            Json::Arr(
+                slots
+                    .iter()
+                    .map(|slot| slot.map_or(Json::Null, |s| Json::str(self.interner.resolve(s))))
+                    .collect(),
+            )
+        });
+        let leaves = leaves.into_iter().map(|(len, path, ids)| {
+            let path = Json::Arr(path.into_iter().map(Json::str).collect());
+            Json::Arr(vec![Json::usize(len as usize), path, numbers(ids)])
+        });
+        Json::Obj(vec![
+            ("depth".into(), Json::usize(self.config.depth)),
+            ("similarity".into(), Json::num(self.config.similarity)),
+            ("max_children".into(), Json::usize(self.config.max_children)),
+            ("observed".into(), Json::usize(self.observed)),
+            ("groups".into(), Json::Arr(groups.collect())),
+            ("leaves".into(), Json::Arr(leaves.collect())),
+            (
+                "paths".into(),
+                Json::Arr(paths.iter().map(|&(len, n)| numbers(&[len, n])).collect()),
+            ),
+        ])
     }
 
-    /// Rebuilds a tree from an exported state, re-interning the
-    /// snapshot's strings into a fresh symbol table.
-    pub(crate) fn from_state(state: &DrainTreeState) -> Result<Self, ParseError> {
-        let config = Drain {
-            depth: state.depth,
-            similarity: state.similarity,
-            max_children: state.max_children,
-        };
-        let mut tree = DrainTree::new(config)?;
-        for (len, path, ids) in &state.leaves {
-            if let Some(&bad) = ids.iter().find(|&&id| id >= state.groups.len()) {
-                return Err(ParseError::InvalidConfig {
-                    parameter: "snapshot",
-                    // lint:allow(hot-path-string-alloc): snapshot-restore error path, never the parse loop
-                    reason: format!("leaf references group {bad} of {}", state.groups.len()),
-                });
+    /// Rebuilds a tree from its [`to_json`](DrainTree::to_json) document,
+    /// interning its tokens into a fresh symbol table, leaf paths first.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::InvalidConfig`] when the configuration is invalid,
+    /// a field is missing or malformed, or a leaf names a group the
+    /// document does not hold.
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, ParseError> {
+        let mut tree = DrainTree::new(Drain {
+            depth: blob_field(doc, "depth", Json::as_usize)?,
+            similarity: blob_field(doc, "similarity", Json::as_f64)?,
+            max_children: blob_field(doc, "max_children", Json::as_usize)?,
+        })?;
+        let groups = blob_field(doc, "groups", Json::as_arr)?;
+        for leaf in blob_field(doc, "leaves", Json::as_arr)? {
+            let Some([len, path, ids]) = leaf.as_arr() else {
+                return Err(malformed("leaf"));
+            };
+            let len = len.as_usize().ok_or_else(|| malformed("leaf length"))?;
+            let ids = ids
+                .as_arr()
+                .ok_or_else(|| malformed("leaf groups"))?
+                .iter()
+                .map(|id| match id.as_usize() {
+                    Some(id) if id < groups.len() => Ok(id),
+                    Some(id) => Err(ParseError::InvalidConfig {
+                        parameter: "snapshot",
+                        // lint:allow(hot-path-string-alloc): snapshot-restore error path, never the parse loop
+                        reason: format!("leaf references group {id} of {}", groups.len()),
+                    }),
+                    None => Err(malformed("leaf group id")),
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut key = vec![length_id(len)];
+            for token in path.as_arr().ok_or_else(|| malformed("leaf path"))? {
+                let token = token.as_str().ok_or_else(|| malformed("leaf token"))?;
+                key.push(tree.interner.intern(token).id());
             }
-            let path: Vec<Symbol> = path.iter().map(|t| tree.interner.intern(t)).collect();
-            tree.leaves
-                .insert(DrainTree::path_key(*len, &path), ids.clone());
+            tree.leaves.insert(key, ids);
         }
-        tree.paths_per_length = state.paths_per_length.iter().copied().collect();
-        tree.groups = state
-            .groups
+        for pair in blob_field(doc, "paths", Json::as_arr)? {
+            let (len, opened) = match pair.as_arr() {
+                Some([len, opened]) => len.as_usize().zip(opened.as_usize()),
+                _ => None,
+            }
+            .ok_or_else(|| malformed("path pair"))?;
+            tree.paths_per_length.insert(len, opened);
+        }
+        let interner = &mut tree.interner;
+        tree.groups = groups
             .iter()
-            .map(|template| {
-                template
+            .map(|slots| {
+                let slots = slots.as_arr().ok_or_else(|| malformed("group"))?;
+                slots
                     .iter()
-                    .map(|slot| slot.as_deref().map(|t| tree.interner.intern(t)))
+                    .map(|slot| match slot {
+                        Json::Null => Ok(None),
+                        Json::Str(token) => Ok(Some(interner.intern(token))),
+                        _ => Err(malformed("group token")),
+                    })
                     .collect()
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
+        tree.observed = blob_field(doc, "observed", Json::as_usize)?;
         tree.refresh_digit_flags();
-        tree.observed = state.observed;
         Ok(tree)
     }
 
@@ -389,13 +406,6 @@ impl DrainTree {
 
     pub(crate) fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// The `leaves` key of the path `path` under messages of `len` tokens.
-    fn path_key(len: usize, path: &[Symbol]) -> Vec<u32> {
-        std::iter::once(length_id(len))
-            .chain(path.iter().map(|s| s.id()))
-            .collect()
     }
 
     /// The current template of group `id`, or `None` if out of range.

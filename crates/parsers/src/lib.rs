@@ -52,7 +52,7 @@ mod spell;
 mod streaming;
 
 pub use ael::{Ael, AelBuilder};
-pub use drain::{Drain, DrainBuilder, DrainTreeState};
+pub use drain::{Drain, DrainBuilder};
 pub use iplom::{Iplom, IplomBuilder};
 pub use lenma::{LenMa, LenMaBuilder};
 pub use lke::{DistanceThreshold, Lke, LkeBuilder};
@@ -60,7 +60,7 @@ pub use logmine_parser::{LogMine, LogMineBuilder};
 pub use logsig::{LogSig, LogSigBuilder};
 pub use oracle::Oracle;
 pub use slct::{Slct, SlctBuilder, Support};
-pub use spell::{Spell, SpellBuilder, SpellStateSnapshot};
+pub use spell::{Spell, SpellBuilder};
 pub use streaming::{StreamingDrain, StreamingParser, StreamingSpell};
 
 use logparse_core::LogParser;

@@ -16,8 +16,10 @@
 //! the streaming path interns each incoming token once.
 
 use logparse_core::{
-    Corpus, EventId, Interner, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
+    Corpus, EventId, Interner, Json, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
 };
+
+use crate::streaming::{blob_field, malformed};
 
 /// The Spell parser. Construct via [`Spell::builder`].
 ///
@@ -151,23 +153,6 @@ struct LcsObject {
     skeleton: Vec<Symbol>,
 }
 
-/// A complete, deterministic serialization of Spell's incremental state:
-/// the configuration plus every LCS object's skeleton. Produced by
-/// [`crate::StreamingSpell::snapshot`] and consumed by
-/// [`crate::StreamingSpell::restore`]. It holds no per-message data, so
-/// checkpoints stay proportional to the number of templates, not the
-/// length of the stream. Snapshots carry resolved strings — symbols are
-/// interner-local and never cross a checkpoint boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpellStateSnapshot {
-    /// LCS acceptance threshold.
-    pub tau: f64,
-    /// Messages observed so far.
-    pub observed: usize,
-    /// Object skeletons indexed by dense object id.
-    pub skeletons: Vec<Vec<String>>,
-}
-
 /// Spell's incremental state: the LCS object list. Shared by the batch
 /// parser and [`crate::StreamingSpell`], which run it the same way: one
 /// [`SpellState::observe_symbols`] per message.
@@ -218,40 +203,52 @@ impl SpellState {
         &mut self.interner
     }
 
-    /// Exports the complete incremental state for checkpointing.
-    pub(crate) fn export_state(&self) -> SpellStateSnapshot {
-        SpellStateSnapshot {
-            tau: self.tau,
-            observed: self.observed,
-            skeletons: self
-                .objects
-                .iter()
-                .map(|o| {
-                    o.skeleton
-                        .iter()
-                        .map(|&s| self.interner.resolve(s).to_owned())
-                        .collect()
-                })
-                .collect(),
-        }
+    /// The state as its checkpoint blob document: `tau`, the messages
+    /// observed and every object's skeleton in id order. Tokens are
+    /// written as strings — symbols are interner-local and never cross a
+    /// checkpoint — and nothing is kept per message.
+    pub(crate) fn to_json(&self) -> Json {
+        let skeletons = self.objects.iter().map(|o| {
+            Json::Arr(
+                o.skeleton
+                    .iter()
+                    .map(|&s| Json::str(self.interner.resolve(s)))
+                    .collect(),
+            )
+        });
+        Json::Obj(vec![
+            ("tau".into(), Json::num(self.tau)),
+            ("observed".into(), Json::usize(self.observed)),
+            ("skeletons".into(), Json::Arr(skeletons.collect())),
+        ])
     }
 
-    /// Rebuilds a state from an exported snapshot, re-interning the
-    /// snapshot's strings into a fresh symbol table.
-    pub(crate) fn from_state(state: &SpellStateSnapshot) -> Result<Self, ParseError> {
-        let mut rebuilt = SpellState::new(Spell { tau: state.tau })?;
-        rebuilt.objects = state
-            .skeletons
+    /// Rebuilds a state from its [`to_json`](SpellState::to_json)
+    /// document, interning its tokens into a fresh symbol table.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::InvalidConfig`] when `tau` is invalid or a field is
+    /// missing or malformed.
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, ParseError> {
+        let mut state = SpellState::new(Spell {
+            tau: blob_field(doc, "tau", Json::as_f64)?,
+        })?;
+        let interner = &mut state.interner;
+        state.objects = blob_field(doc, "skeletons", Json::as_arr)?
             .iter()
-            .map(|skeleton| LcsObject {
-                skeleton: skeleton
+            .map(|skeleton| {
+                let tokens = skeleton.as_arr().ok_or_else(|| malformed("skeleton"))?;
+                let skeleton = tokens
                     .iter()
-                    .map(|t| rebuilt.interner.intern(t))
-                    .collect(),
+                    .map(|t| t.as_str().map(|t| interner.intern(t)))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| malformed("skeleton token"))?;
+                Ok(LcsObject { skeleton })
             })
-            .collect();
-        rebuilt.observed = state.observed;
-        Ok(rebuilt)
+            .collect::<Result<_, ParseError>>()?;
+        state.observed = blob_field(doc, "observed", Json::as_usize)?;
+        Ok(state)
     }
 
     /// Assigns the next message to an LCS object (creating one if

@@ -8,6 +8,14 @@
 //! get a stable group id back immediately, and snapshot the templates at
 //! any point.
 //!
+//! A streaming parser's state has two forms: the live one (Drain's tree,
+//! Spell's LCS objects, on interned symbols) and its checkpoint blob, a
+//! [`Json`] document of resolved strings. [`StreamingParser::snapshot`]
+//! writes the blob; each parser's `from_json` ([`StreamingDrain::from_json`],
+//! [`StreamingSpell::from_json`]) is the one decoder that reads it back.
+//! Neither form keeps anything per message, so a blob follows the
+//! templates, not the length of the stream.
+//!
 //! # Example
 //!
 //! ```
@@ -19,12 +27,18 @@
 //! assert_eq!(a, b); // same event, recognized online
 //! assert_eq!(parser.group_count(), 1);
 //! assert_eq!(parser.template(a).unwrap().to_string(), "send pkt *");
+//!
+//! // Checkpoint and restore: the restored parser carries on alike.
+//! let blob = parser.snapshot().to_string();
+//! let doc = logparse_core::Json::parse(&blob).unwrap();
+//! let mut restored = StreamingDrain::from_json(&doc).unwrap();
+//! assert_eq!(restored.observe("send pkt 11"), a);
 //! ```
 
-use logparse_core::{line_spans, ParseError, Symbol, Template, TemplateToken, TokenSpan};
+use logparse_core::{line_spans, Json, ParseError, Symbol, Template, TemplateToken, TokenSpan};
 
-use crate::drain::{DrainTree, DrainTreeState};
-use crate::spell::{SpellState, SpellStateSnapshot};
+use crate::drain::DrainTree;
+use crate::spell::SpellState;
 use crate::{Drain, Spell};
 
 /// An online log parser: messages stream in, group ids stream out.
@@ -44,6 +58,15 @@ pub trait StreamingParser {
     /// [`line_spans`]: logparse_core::line_spans
     /// [`Interner::intern_spans`]: logparse_core::Interner::intern_spans
     fn observe(&mut self, line: &str) -> usize;
+
+    /// [`observe`](StreamingParser::observe) of a line whose token spans
+    /// a scan already found — a [`FramedLine`]'s: the same group as
+    /// `observe(line)`, without scanning the line again. `None` splits
+    /// the line by `split_whitespace`, as for a framed line without
+    /// spans.
+    ///
+    /// [`FramedLine`]: logparse_core::FramedLine
+    fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize;
 
     /// Number of groups discovered so far.
     fn group_count(&self) -> usize;
@@ -66,6 +89,29 @@ pub trait StreamingParser {
         (0..self.group_count())
             .filter_map(|id| self.template(id))
             .collect()
+    }
+
+    /// The parser's complete state as its checkpoint blob document.
+    /// Deterministic: equal states write equal documents, and the
+    /// parser's `from_json` restores one that groups future messages
+    /// exactly as this parser would.
+    fn snapshot(&self) -> Json;
+}
+
+/// A snapshot document's field `key`, read by `read`.
+pub(crate) fn blob_field<'a, T>(
+    doc: &'a Json,
+    key: &'static str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, ParseError> {
+    doc.get(key).and_then(read).ok_or_else(|| malformed(key))
+}
+
+/// A snapshot document whose `what` is missing or of the wrong shape.
+pub(crate) fn malformed(what: &str) -> ParseError {
+    ParseError::InvalidConfig {
+        parameter: "snapshot",
+        reason: format!("missing or malformed {what}"),
     }
 }
 
@@ -101,54 +147,42 @@ impl StreamingDrain {
     /// `[0, 1]` or `depth < 2`) — the batch API reports the same
     /// conditions as [`logparse_core::ParseError`].
     pub fn new(config: Drain) -> Self {
-        StreamingDrain {
-            // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
-            tree: DrainTree::new(config).expect("valid Drain configuration"),
-            row: Vec::new(),
-            spans: Vec::new(),
-        }
+        // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
+        StreamingDrain::with_tree(DrainTree::new(config).expect("valid Drain configuration"))
     }
 
-    /// Exports the parser's complete incremental state for
-    /// checkpointing. Deterministic: equal states produce equal
-    /// snapshots.
-    pub fn snapshot(&self) -> DrainTreeState {
-        self.tree.export_state()
-    }
-
-    /// Rebuilds a parser from a snapshot; the restored parser groups
-    /// future messages exactly as the original would have.
+    /// Restores a parser from its [`snapshot`](StreamingParser::snapshot)
+    /// document; the restored parser groups future messages exactly as
+    /// the original would have.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError::InvalidConfig`] when the snapshot carries
-    /// an invalid configuration or internally inconsistent group ids.
-    pub fn restore(state: &DrainTreeState) -> Result<Self, ParseError> {
-        Ok(StreamingDrain {
-            tree: DrainTree::from_state(state)?,
-            row: Vec::new(),
-            spans: Vec::new(),
-        })
+    /// Returns [`ParseError::InvalidConfig`] when the document carries
+    /// an invalid configuration, misses a field or has one of the wrong
+    /// shape, or names a group it does not hold.
+    pub fn from_json(doc: &Json) -> Result<Self, ParseError> {
+        DrainTree::from_json(doc).map(StreamingDrain::with_tree)
     }
 
-    /// [`observe`](StreamingParser::observe) of a line whose token spans
-    /// a scan already found — a [`FramedLine`]'s: the same group as
-    /// `observe(line)`, without scanning the line again. `None` splits
-    /// the line by `split_whitespace`, as for a framed line without
-    /// spans.
-    ///
-    /// [`FramedLine`]: logparse_core::FramedLine
-    pub fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
-        self.tree
-            .interner_mut()
-            .intern_spans(line, spans, &mut self.row);
-        self.tree.observe_symbols(&self.row)
+    fn with_tree(tree: DrainTree) -> Self {
+        StreamingDrain {
+            tree,
+            row: Vec::new(),
+            spans: Vec::new(),
+        }
     }
 }
 
 impl StreamingParser for StreamingDrain {
     fn observe(&mut self, line: &str) -> usize {
         let spans = line_spans(line, &mut self.spans);
+        self.tree
+            .interner_mut()
+            .intern_spans(line, spans, &mut self.row);
+        self.tree.observe_symbols(&self.row)
+    }
+
+    fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
         self.tree
             .interner_mut()
             .intern_spans(line, spans, &mut self.row);
@@ -165,6 +199,10 @@ impl StreamingParser for StreamingDrain {
 
     fn template(&self, id: usize) -> Option<Template> {
         self.tree.template(id)
+    }
+
+    fn snapshot(&self) -> Json {
+        self.tree.to_json()
     }
 }
 
@@ -198,53 +236,41 @@ impl StreamingSpell {
     ///
     /// Panics if `tau` lies outside `[0, 1]`.
     pub fn new(config: Spell) -> Self {
-        StreamingSpell {
-            // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
-            state: SpellState::new(config).expect("valid Spell configuration"),
-            row: Vec::new(),
-            spans: Vec::new(),
-        }
+        // lint:allow(panic-freedom): documented constructor contract — invalid configuration panics here, the streaming twin of the batch API's ParseError
+        StreamingSpell::with_state(SpellState::new(config).expect("valid Spell configuration"))
     }
 
-    /// Exports the parser's complete incremental state for
-    /// checkpointing.
-    pub fn snapshot(&self) -> SpellStateSnapshot {
-        self.state.export_state()
-    }
-
-    /// Rebuilds a parser from a snapshot; the restored parser groups
-    /// future messages exactly as the original would have.
+    /// Restores a parser from its [`snapshot`](StreamingParser::snapshot)
+    /// document; the restored parser groups future messages exactly as
+    /// the original would have.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError::InvalidConfig`] when the snapshot carries
-    /// an invalid `tau`.
-    pub fn restore(state: &SpellStateSnapshot) -> Result<Self, ParseError> {
-        Ok(StreamingSpell {
-            state: SpellState::from_state(state)?,
-            row: Vec::new(),
-            spans: Vec::new(),
-        })
+    /// Returns [`ParseError::InvalidConfig`] when the document carries
+    /// an invalid `tau`, or misses a field or has one of the wrong shape.
+    pub fn from_json(doc: &Json) -> Result<Self, ParseError> {
+        SpellState::from_json(doc).map(StreamingSpell::with_state)
     }
 
-    /// [`observe`](StreamingParser::observe) of a line whose token spans
-    /// a scan already found — a [`FramedLine`]'s: the same group as
-    /// `observe(line)`, without scanning the line again. `None` splits
-    /// the line by `split_whitespace`, as for a framed line without
-    /// spans.
-    ///
-    /// [`FramedLine`]: logparse_core::FramedLine
-    pub fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
-        self.state
-            .interner_mut()
-            .intern_spans(line, spans, &mut self.row);
-        self.state.observe_symbols(&self.row)
+    fn with_state(state: SpellState) -> Self {
+        StreamingSpell {
+            state,
+            row: Vec::new(),
+            spans: Vec::new(),
+        }
     }
 }
 
 impl StreamingParser for StreamingSpell {
     fn observe(&mut self, line: &str) -> usize {
         let spans = line_spans(line, &mut self.spans);
+        self.state
+            .interner_mut()
+            .intern_spans(line, spans, &mut self.row);
+        self.state.observe_symbols(&self.row)
+    }
+
+    fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
         self.state
             .interner_mut()
             .intern_spans(line, spans, &mut self.row);
@@ -269,6 +295,10 @@ impl StreamingParser for StreamingSpell {
                     .collect(),
             )
         })
+    }
+
+    fn snapshot(&self) -> Json {
+        self.state.to_json()
     }
 }
 
@@ -464,6 +494,9 @@ mod tests {
             fn observe(&mut self, _line: &str) -> usize {
                 0
             }
+            fn observe_spans(&mut self, _line: &str, _spans: Option<&[TokenSpan]>) -> usize {
+                0
+            }
             fn group_count(&self) -> usize {
                 3 // over-reported: only id 1 actually has a template
             }
@@ -473,10 +506,30 @@ mod tests {
             fn template(&self, id: usize) -> Option<Template> {
                 (id == 1).then(|| Template::from_pattern("only *"))
             }
+            fn snapshot(&self) -> Json {
+                Json::Null
+            }
         }
         let templates = Sparse.templates();
         assert_eq!(templates.len(), 1);
         assert_eq!(templates[0].to_string(), "only *");
+    }
+
+    /// `parser`'s blob through its text form, as a checkpoint stores it.
+    fn blob(parser: &dyn StreamingParser) -> Json {
+        let text = parser.snapshot().to_string();
+        // Deterministic: a second encode is byte-identical.
+        assert_eq!(parser.snapshot().to_string(), text);
+        Json::parse(&text).unwrap()
+    }
+
+    /// `doc` with its top-level field `key` replaced by `value`.
+    fn with_field(doc: Json, key: &str, value: &str) -> Json {
+        let Json::Obj(mut fields) = doc else {
+            panic!("a snapshot is an object");
+        };
+        fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::parse(value).unwrap();
+        Json::Obj(fields)
     }
 
     #[test]
@@ -490,8 +543,8 @@ mod tests {
         ] {
             p.observe(line);
         }
-        let snap = p.snapshot();
-        let mut q = StreamingDrain::restore(&snap).unwrap();
+        let snap = blob(&p);
+        let mut q = StreamingDrain::from_json(&snap).unwrap();
         assert_eq!(p.templates(), q.templates());
         assert_eq!(q.snapshot(), snap);
         // The restored parser routes future messages identically.
@@ -499,18 +552,37 @@ mod tests {
             assert_eq!(p.observe(line), q.observe(line), "{line}");
         }
         assert_eq!(p.templates(), q.templates());
+        assert_eq!(p.snapshot(), q.snapshot());
     }
 
     #[test]
     fn drain_restore_rejects_corrupt_snapshots() {
         let mut p = StreamingDrain::default();
         p.observe("a b c");
-        let mut snap = p.snapshot();
-        snap.leaves[0].2.push(99); // dangling group id
-        assert!(StreamingDrain::restore(&snap).is_err());
-        let mut bad_config = p.snapshot();
-        bad_config.similarity = 7.0;
-        assert!(StreamingDrain::restore(&bad_config).is_err());
+        let snap = blob(&p);
+        assert!(StreamingDrain::from_json(&snap).is_ok());
+        let dangling = with_field(snap.clone(), "leaves", r#"[[3,["a","b"],[0,99]]]"#);
+        assert_eq!(
+            StreamingDrain::from_json(&dangling)
+                .unwrap_err()
+                .to_string(),
+            "invalid configuration for `snapshot`: leaf references group 99 of 1"
+        );
+        let bad_config = with_field(snap.clone(), "similarity", "7");
+        assert!(StreamingDrain::from_json(&bad_config).is_err());
+        for (key, value) in [
+            ("groups", r#"[["a",7,"c"]]"#),
+            ("leaves", r#"[[3,["a"]]]"#),
+            ("paths", "[[3]]"),
+            ("observed", "-1"),
+            ("depth", r#""4""#),
+        ] {
+            let broken = with_field(snap.clone(), key, value);
+            assert!(
+                StreamingDrain::from_json(&broken).is_err(),
+                "{key}: {value}"
+            );
+        }
     }
 
     #[test]
@@ -519,13 +591,30 @@ mod tests {
         for line in ["job 17 finished ok", "job 23 finished ok", "mount sda1 ro"] {
             p.observe(line);
         }
-        let snap = p.snapshot();
-        let mut q = StreamingSpell::restore(&snap).unwrap();
+        let snap = blob(&p);
+        let mut q = StreamingSpell::from_json(&snap).unwrap();
         assert_eq!(p.templates(), q.templates());
         assert_eq!(q.snapshot(), snap);
         for line in ["job 31 finished ok", "umount sda1"] {
             assert_eq!(p.observe(line), q.observe(line), "{line}");
         }
+        assert_eq!(p.snapshot(), q.snapshot());
+        let bad_tau = with_field(snap.clone(), "tau", "1.5");
+        assert!(StreamingSpell::from_json(&bad_tau).is_err());
+        let bad_token = with_field(snap, "skeletons", r#"[["job",null]]"#);
+        assert!(StreamingSpell::from_json(&bad_token).is_err());
+    }
+
+    /// A blob of one parser's shape is refused by the other, not misread.
+    #[test]
+    fn each_parser_refuses_the_others_blob() {
+        let (mut drain, mut spell) = (StreamingDrain::default(), StreamingSpell::default());
+        for line in ["job 1 done", "job 2 done", "link up"] {
+            drain.observe(line);
+            spell.observe(line);
+        }
+        assert!(StreamingDrain::from_json(&spell.snapshot()).is_err());
+        assert!(StreamingSpell::from_json(&drain.snapshot()).is_err());
     }
 
     #[test]
@@ -538,7 +627,10 @@ mod tests {
         }
         assert_eq!(p.group_count(), 1);
         let snap = p.snapshot();
-        assert_eq!(snap.observed, 100_000);
-        assert_eq!(snap.groups.len(), 1);
+        assert_eq!(snap.get("observed").and_then(Json::as_usize), Some(100_000));
+        assert_eq!(
+            snap.get("groups").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
     }
 }

@@ -114,6 +114,17 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    a resumed serve equals an uninterrupted
 #                                    one; `store verify` after a CLI resume
 #                                    and after `store compact`
+#   ingest store_v1_parser_blobs_restore_to_their_own_bytes,
+#   recover_degrades_a_blob_that_does_not_restore_…,
+#   e2e spell_checkpoint_restore_…
+#                                    the frozen store_v1 parser blobs restore
+#                                    and snapshot again to their own bytes
+#                                    (the blob format has not moved); a
+#                                    CRC-valid blob that decodes but does not
+#                                    restore (`similarity` 1.5, a leaf naming
+#                                    a missing group) resumes with that shard
+#                                    empty; Spell at 2 shards, like Drain,
+#                                    resumes to the uninterrupted run's state
 #   tests/preprocess_differential    mask-before-intern vs symbol-level apply
 #                                    vs goldens
 #   core parser an_assignment_is_four_bytes, event_id_…, record
