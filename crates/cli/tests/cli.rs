@@ -476,3 +476,49 @@ fn serve_entry_points_agree_on_hostile_bytes() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Out of file descriptors, `serve --listen` stops accepting until a
+/// connection closes instead of ending the run with "Too many open
+/// files": under a limit of 20 descriptors, 40 clients that each send
+/// one line and close are all served.
+#[cfg(unix)]
+#[test]
+fn serve_listen_outlives_running_out_of_file_descriptors() {
+    use std::io::{BufRead, BufReader};
+
+    // The limit applies to the child shell, and through `exec` to
+    // `serve`, only.
+    let mut child = Command::new("sh")
+        .args(["-c", r#"ulimit -n 20 && exec "$0" "$@""#])
+        .arg(env!("CARGO_BIN_EXE_logmine"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--max-lines", "40"])
+        .args(["--shards", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    let addr = line.trim().strip_prefix("listening on ").expect(&line);
+    let clients: Vec<std::net::TcpStream> = (0..40)
+        .map(|i| {
+            let mut client = std::net::TcpStream::connect(addr).unwrap();
+            writeln!(client, "client {i} says hello").unwrap();
+            client
+        })
+        .collect();
+    drop(clients);
+    let out = child.wait_with_output().unwrap();
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut rest).unwrap();
+    assert!(out.status.success(), "{rest}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.split_whitespace().eq(["lines", "40"])),
+        "{stdout}"
+    );
+}

@@ -336,6 +336,16 @@ impl Interner {
         row.iter().map(|&s| self.resolve(s)).collect()
     }
 
+    /// Starts rebuilding this table down to the tokens a caller still
+    /// holds: see [`Compaction`].
+    pub fn compaction(&self) -> Compaction<'_> {
+        Compaction {
+            old: self,
+            new: Interner::new(),
+            map: vec![u32::MAX; self.len()],
+        }
+    }
+
     /// Replaces `row` with the symbols of `line`'s tokens (the token
     /// rule of [`Corpus`](crate::Corpus)), interning each. `spans` are
     /// the tokens a scan of the line already found — a
@@ -368,6 +378,45 @@ impl Interner {
             line.split_whitespace()
                 .map(|token| self.intern_inlined(token)),
         );
+    }
+}
+
+/// A rebuild of an [`Interner`] that keeps only the tokens its owner
+/// still stores: a fresh table plus an old → new id map.
+///
+/// The owner walks its state in a fixed order and passes every stored
+/// symbol through [`keep`](Compaction::keep), which interns the token
+/// into the fresh table the first time it is met and returns its new
+/// symbol; [`finish`](Compaction::finish) hands the fresh table over. A
+/// token never kept is gone: interned again later, it gets a new id that
+/// equals no kept symbol, exactly as a token never seen does. That is
+/// what lets a streaming parser, whose state compares a line's symbols
+/// only with the ones it keeps, bound its table by its state.
+#[derive(Debug)]
+pub struct Compaction<'a> {
+    old: &'a Interner,
+    new: Interner,
+    /// `map[old id]` is the kept token's new id; `u32::MAX` until kept.
+    map: Vec<u32>,
+}
+
+impl Compaction<'_> {
+    /// The symbol of `symbol`'s token in the fresh table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `symbol` did not come from the table being rebuilt.
+    pub fn keep(&mut self, symbol: Symbol) -> Symbol {
+        let new = &mut self.map[symbol.0 as usize];
+        if *new == u32::MAX {
+            *new = self.new.intern(self.old.resolve(symbol)).0;
+        }
+        Symbol(*new)
+    }
+
+    /// The fresh table: every kept token, in the order first kept.
+    pub fn finish(self) -> Interner {
+        self.new
     }
 }
 
@@ -684,6 +733,22 @@ mod tests {
         assert_eq!(i.resolve(a), "alpha");
         assert_eq!(i.get("beta"), Some(b));
         assert_eq!(i.get("gamma"), None);
+    }
+
+    /// The fresh table holds the kept tokens in the order first kept; a
+    /// dropped token interned again gets a new id that equals no kept one.
+    #[test]
+    fn a_compaction_keeps_only_what_is_kept_in_the_order_kept() {
+        let mut old = Interner::new();
+        let [_, b, _, d] = ["a", "b", "c", "d"].map(|t| old.intern(t));
+        let mut rebuild = old.compaction();
+        let kept = [d, b, d, b].map(|s| rebuild.keep(s));
+        let mut new = rebuild.finish();
+        assert_eq!(kept.map(Symbol::id), [0, 1, 0, 1]);
+        assert_eq!(new.resolve_row(&kept[..2]), ["d", "b"]);
+        assert_eq!((new.len(), new.get("a"), new.get("c")), (2, None, None));
+        assert!(!kept.contains(&new.intern("a")));
+        assert_eq!(new.intern("d"), kept[0]);
     }
 
     #[test]

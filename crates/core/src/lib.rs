@@ -46,7 +46,7 @@ mod simd;
 mod template;
 
 pub use error::ParseError;
-pub use intern::{Interner, Symbol, TokenArena};
+pub use intern::{Compaction, Interner, Symbol, TokenArena};
 pub use io::{write_events_file, write_structured_file, write_structured_lines};
 pub use loader::{
     corpus_cuts, count_corpus_lines, line_spans, CorpusCuts, FramedLine, LineDamage, LineFramer,

@@ -308,7 +308,13 @@ impl TcpSource {
         self.addr
     }
 
+    /// Accepts every pending connection. Out of file descriptors, it
+    /// stops for this pull: the open connections keep streaming, and the
+    /// kernel holds the backlog until a pull after one of them closes.
     fn accept_new(&mut self) -> io::Result<()> {
+        // EMFILE (per process) and ENFILE (system-wide): the same numbers
+        // on Linux, macOS and the BSDs.
+        const OUT_OF_DESCRIPTORS: [i32; 2] = [24, 23];
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -319,7 +325,18 @@ impl TcpSource {
                     });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if OUT_OF_DESCRIPTORS.contains(&e.raw_os_error().unwrap_or(0)) => {
+                    return Ok(())
+                }
+                // A peer that gave up before its turn costs nothing.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -362,7 +379,9 @@ impl LogSource for TcpSource {
                     }
                 }
                 Ok(_) => i += 1,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => i += 1,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    i += 1
+                }
                 Err(_) => drop(self.conns.swap_remove(i)), // reset by peer etc.
             }
         }

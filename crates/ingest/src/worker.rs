@@ -156,11 +156,15 @@ fn template_strings(parser: &dyn StreamingParser) -> Vec<String> {
 
 /// Pass-through hasher for [`FingerprintSet`]: the keys are already
 /// 64-bit line fingerprints from [`word_fold`] (eight bytes a round, not
-/// byte-at-a-time FNV: it runs once per line on the parse hot path, and
-/// that keeps the drift family's throughput cost inside the ≤5% budget,
-/// `obs.drift_overhead_pct` on `serve_file_churn` in
-/// `benchmark/run.sh`), so running them through SipHash again would
-/// double the per-line hashing cost for no dispersion gain.
+/// byte-at-a-time FNV: it runs once per line on the parse hot path), so
+/// running them through SipHash again would double the per-line hashing
+/// cost for no dispersion gain.
+///
+/// The drift family is still not inside its 5 % budget:
+/// `obs.drift_overhead_pct` on `serve_file_churn` in `benchmark/run.sh`
+/// reads 5–16 %, and the sets (up to [`PARAM_CARD_CAP`] × 8 B per group)
+/// cost ~0.8–1.1 MiB of the peak on that workload's first half (7.3 MiB
+/// with drift, 6.2–6.5 with `--no-drift`).
 #[derive(Debug, Default)]
 struct FingerprintHasher(u64);
 

@@ -155,19 +155,65 @@ fn hundred_thousand_lines_through_four_shards() {
 
 #[test]
 fn checkpoint_restore_reproduces_the_uninterrupted_run() {
-    checkpoint_restore_reproduces(ParserChoice::Drain, 4);
+    let lines = synthetic_stream().into_iter().take(30_000).collect();
+    checkpoint_restore_reproduces(ParserChoice::Drain, 4, lines);
 }
 
 #[test]
 fn spell_checkpoint_restore_reproduces_the_uninterrupted_run() {
-    checkpoint_restore_reproduces(ParserChoice::Spell, 2);
+    let lines = synthetic_stream().into_iter().take(30_000).collect();
+    checkpoint_restore_reproduces(ParserChoice::Spell, 2, lines);
 }
 
-/// A `parser` run over `shards` shards, checkpointed after half the
-/// stream and resumed from its store, ends where one uninterrupted run
+/// Lines of six shapes, each with two tokens no earlier line carried.
+fn fresh_id_stream(lines: usize) -> Vec<String> {
+    (0..lines)
+        .map(|n| {
+            let (a, b) = (n, 1_000_000 + n);
+            match n % 6 {
+                0 => format!("session id={a} opened for req={b}"),
+                1 => format!("worker {a} finished task {b} ok"),
+                2 => format!("cache miss key=k{a} fill={b}"),
+                3 => format!("GET /item/{a}?v={b} 200"),
+                4 => format!("lease {a} renewed until {b}"),
+                _ => format!("blk_{a} replicated to {b}"),
+            }
+        })
+        .collect()
+}
+
+/// A streaming parser compacts its symbol table once it holds more than
+/// twice the tokens it kept plus 4 096, and these shapes keep a few
+/// dozen, so 2 fresh tokens a line over 7 500 lines is at least three
+/// compactions.
+const LINES_FOR_THREE_COMPACTIONS: usize = 7_500;
+
+/// Resume across compactions: each shard's table is rebuilt at least
+/// three times before the checkpoint and three times after it, and the
+/// resumed run still ends where the uninterrupted one does.
+#[test]
+fn checkpoint_restore_reproduces_the_uninterrupted_run_across_compactions() {
+    for parser in [ParserChoice::Drain, ParserChoice::Spell] {
+        let halves = checkpoint_restore_reproduces(parser, 2, fresh_id_stream(40_000));
+        for shard_lines in halves.iter().flatten() {
+            assert!(
+                *shard_lines >= LINES_FOR_THREE_COMPACTIONS,
+                "{}: {halves:?}",
+                parser.name()
+            );
+        }
+    }
+}
+
+/// A `parser` run over `shards` shards, checkpointed after half of
+/// `lines` and resumed from its store, ends where one uninterrupted run
 /// does: the same parser state shard by shard, the same templates.
-fn checkpoint_restore_reproduces(parser: ParserChoice, shards: usize) {
-    let lines: Vec<String> = synthetic_stream().into_iter().take(30_000).collect();
+/// Returns each half's lines per shard.
+fn checkpoint_restore_reproduces(
+    parser: ParserChoice,
+    shards: usize,
+    lines: Vec<String>,
+) -> [Vec<usize>; 2] {
     let half = lines.len() / 2;
     let config = || IngestConfig {
         parser,
@@ -175,8 +221,9 @@ fn checkpoint_restore_reproduces(parser: ParserChoice, shards: usize) {
         ..config()
     };
     let dir = std::env::temp_dir().join(format!(
-        "ingest-e2e-{}-{shards}-{}",
+        "ingest-e2e-{}-{shards}-{}-{}",
         parser.name(),
+        lines.len(),
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -257,6 +304,7 @@ fn checkpoint_restore_reproduces(parser: ParserChoice, shards: usize) {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+    [part1.shard_lines, resumed.shard_lines]
 }
 
 #[test]

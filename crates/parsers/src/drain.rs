@@ -14,9 +14,12 @@
 //! [`DrainTree`] state machine. The tree works on interned
 //! [`Symbol`]s throughout: leaf paths are symbol vectors, group
 //! templates are `Option<Symbol>` slots, and similarity is integer
-//! compares. The batch parser clones the corpus interner (corpus
-//! symbols stay valid in the clone), so its hot loop never hashes a
-//! token string; the streaming path interns each incoming token once.
+//! compares. The batch parser lays its table over the corpus interner
+//! (corpus symbols stay valid in it), so its hot loop never hashes a
+//! token string; the streaming path interns each incoming token once
+//! and compacts the table to the tokens the tree retains —
+//! [`DrainTree::compact`] — whenever [`crate::StreamingDrain`]'s budget
+//! runs out. The batch table never compacts.
 
 use std::collections::HashMap;
 
@@ -141,7 +144,7 @@ pub(crate) struct DrainTree {
     config: Drain,
     /// The token table behind every symbol in the tree. Batch parsing
     /// lays it over the corpus interner; streaming grows it one token
-    /// at a time.
+    /// at a time and compacts it to the tokens the tree retains.
     interner: Interner,
     /// Cached "contains an ASCII digit" flag per symbol id; extended
     /// lazily as the interner grows, so the digit scan runs once per
@@ -223,6 +226,35 @@ impl DrainTree {
     /// into before [`observe_symbols`](DrainTree::observe_symbols).
     pub(crate) fn interner_mut(&mut self) -> &mut Interner {
         &mut self.interner
+    }
+
+    /// Rebuilds the symbol table down to the tokens the tree retains —
+    /// `*`, then the group templates' literals in group and slot order,
+    /// then the leaf path tokens in path order — and remaps every stored
+    /// symbol. Returns the tokens kept.
+    ///
+    /// Groupings cannot change: a message's symbols are only compared
+    /// with retained ones (template slots, path keys, `*`), and a dropped
+    /// token seen again gets a fresh id that matches none of them, as an
+    /// unseen token does.
+    pub(crate) fn compact(&mut self) -> usize {
+        let mut keep = self.interner.compaction();
+        self.star = keep.keep(self.star);
+        for literal in self.groups.iter_mut().flatten().flatten() {
+            *literal = keep.keep(*literal);
+        }
+        let mut leaves: Vec<(Vec<u32>, Vec<usize>)> = self.leaves.drain().collect();
+        leaves.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (key, _) in &mut leaves {
+            for step in &mut key[1..] {
+                *step = keep.keep(Symbol::from_id(*step)).id();
+            }
+        }
+        self.leaves = leaves.into_iter().collect();
+        self.interner = keep.finish();
+        self.digit_flags.clear();
+        self.refresh_digit_flags();
+        self.interner.len()
     }
 
     /// The tree as its checkpoint blob document: the configuration,

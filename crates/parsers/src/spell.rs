@@ -12,8 +12,11 @@
 //!
 //! Skeletons are interned [`Symbol`] sequences, so the LCS dynamic
 //! programs compare `u32`s instead of token bytes. The batch parser
-//! clones the corpus interner (corpus symbols stay valid in the clone);
-//! the streaming path interns each incoming token once.
+//! lays its table over the corpus interner (corpus symbols stay valid
+//! in it) and never compacts it; the streaming path interns each
+//! incoming token once and compacts the table to the skeleton tokens —
+//! [`SpellState::compact`] — whenever [`crate::StreamingSpell`]'s budget
+//! runs out.
 
 use logparse_core::{
     Corpus, EventId, Interner, Json, LogParser, Parse, ParseError, Symbol, Template, TemplateToken,
@@ -201,6 +204,20 @@ impl SpellState {
     /// into before [`observe_symbols`](SpellState::observe_symbols).
     pub(crate) fn interner_mut(&mut self) -> &mut Interner {
         &mut self.interner
+    }
+
+    /// Rebuilds the symbol table down to the skeleton tokens, in object
+    /// and skeleton order, and remaps every skeleton. Returns the tokens
+    /// kept. Groupings cannot change: the LCS compares a message only
+    /// with skeletons, and a dropped token seen again gets a fresh id
+    /// that matches none of them, as an unseen token does.
+    pub(crate) fn compact(&mut self) -> usize {
+        let mut keep = self.interner.compaction();
+        for symbol in self.objects.iter_mut().flat_map(|o| &mut o.skeleton) {
+            *symbol = keep.keep(*symbol);
+        }
+        self.interner = keep.finish();
+        self.interner.len()
     }
 
     /// The state as its checkpoint blob document: `tau`, the messages

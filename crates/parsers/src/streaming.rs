@@ -16,6 +16,22 @@
 //! Neither form keeps anything per message, so a blob follows the
 //! templates, not the length of the stream.
 //!
+//! Nor does the live symbol table follow the stream. A template keeps
+//! literals, not parameters, so most tokens a parser interns are never
+//! stored: once the table holds more than twice the tokens its last
+//! compaction kept plus a fixed slack of 4 096, the parser rebuilds it
+//! with only the tokens its state retains (Drain: `*`, template literals
+//! and leaf-path tokens; Spell: skeleton tokens) through
+//! [`Interner::compaction`], and remaps every stored symbol. Groupings
+//! cannot change — the state compares a line's symbols only with
+//! retained ones, and a dropped token seen again gets a fresh id that
+//! matches none of them, as an unseen token does — and blobs, written
+//! as strings, are byte-identical with or without compactions. On a
+//! closed vocabulary the table never reaches the slack and no
+//! compaction runs.
+//!
+//! [`Interner::compaction`]: logparse_core::Interner::compaction
+//!
 //! # Example
 //!
 //! ```
@@ -71,9 +87,12 @@ pub trait StreamingParser {
     /// Number of groups discovered so far.
     fn group_count(&self) -> usize;
 
-    /// Distinct tokens the parser has interned so far. Nothing is ever
-    /// forgotten, so on a stream with fresh parameters in every line
-    /// this — not the group count — is what the parser's memory follows.
+    /// Distinct tokens in the parser's symbol table: those its state
+    /// retains (template literals and path tokens, or skeletons) plus
+    /// those seen since its last compaction. Drain and Spell compact once
+    /// this passes twice what the last compaction kept plus a fixed
+    /// slack (see the module docs), so on a stream with fresh parameters
+    /// in every line it follows the templates, not the stream.
     fn vocabulary(&self) -> usize;
 
     /// The current template of group `id`, or `None` if out of range.
@@ -115,10 +134,43 @@ pub(crate) fn malformed(what: &str) -> ParseError {
     }
 }
 
+/// Tokens a streaming parser's symbol table may hold beyond twice what
+/// its last compaction kept before it compacts again. It keeps a parser
+/// whose state retains few tokens from compacting every few lines; on a
+/// closed vocabulary (a few hundred tokens) the table never reaches it.
+const COMPACTION_SLACK: usize = 4_096;
+
+/// When a streaming parser rebuilds its symbol table: once the table
+/// holds more than twice the tokens the last compaction kept (or the
+/// parser started with) plus [`COMPACTION_SLACK`]. Each rebuild walks
+/// the state once, so its cost is paid for by the tokens interned since
+/// the last one, and the table stays within `2 × kept + slack`.
+#[derive(Debug)]
+struct Budget {
+    kept: usize,
+    /// [`COMPACTION_SLACK`]; the equivalence tests set a few tokens, to
+    /// compact every few lines, or `usize::MAX`, never to compact.
+    slack: usize,
+}
+
+impl Budget {
+    fn new(kept: usize) -> Self {
+        Budget {
+            kept,
+            slack: COMPACTION_SLACK,
+        }
+    }
+
+    fn exceeded_by(&self, vocabulary: usize) -> bool {
+        vocabulary > self.kept.saturating_mul(2).saturating_add(self.slack)
+    }
+}
+
 /// Streaming version of [`Drain`] (fixed-depth parse tree).
 #[derive(Debug)]
 pub struct StreamingDrain {
     tree: DrainTree,
+    budget: Budget,
     /// The current line's symbols; reused, so a line allocates nothing.
     row: Vec<Symbol>,
     /// The current line's token spans when [`observe`] scans it; reused.
@@ -138,8 +190,9 @@ impl StreamingDrain {
     ///
     /// The tree keeps nothing per message (a caller that wants
     /// per-message ids keeps what `observe` returns, as the batch parser
-    /// does), so memory follows the templates and the vocabulary, never
-    /// the length of the stream.
+    /// does), and its symbol table is compacted to the tokens the tree
+    /// retains, so memory follows the templates, never the length of the
+    /// stream.
     ///
     /// # Panics
     ///
@@ -166,10 +219,21 @@ impl StreamingDrain {
 
     fn with_tree(tree: DrainTree) -> Self {
         StreamingDrain {
+            budget: Budget::new(tree.interner().len()),
             tree,
             row: Vec::new(),
             spans: Vec::new(),
         }
+    }
+
+    /// Routes the interned row, then compacts the table if it is over
+    /// budget; the row's symbols are dead by then.
+    fn observe_row(&mut self) -> usize {
+        let id = self.tree.observe_symbols(&self.row);
+        if self.budget.exceeded_by(self.tree.interner().len()) {
+            self.budget.kept = self.tree.compact();
+        }
+        id
     }
 }
 
@@ -179,14 +243,14 @@ impl StreamingParser for StreamingDrain {
         self.tree
             .interner_mut()
             .intern_spans(line, spans, &mut self.row);
-        self.tree.observe_symbols(&self.row)
+        self.observe_row()
     }
 
     fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
         self.tree
             .interner_mut()
             .intern_spans(line, spans, &mut self.row);
-        self.tree.observe_symbols(&self.row)
+        self.observe_row()
     }
 
     fn group_count(&self) -> usize {
@@ -210,6 +274,7 @@ impl StreamingParser for StreamingDrain {
 #[derive(Debug)]
 pub struct StreamingSpell {
     state: SpellState,
+    budget: Budget,
     /// The current line's symbols; reused, so a line allocates nothing.
     row: Vec<Symbol>,
     /// The current line's token spans when [`observe`] scans it; reused.
@@ -229,8 +294,8 @@ impl StreamingSpell {
     ///
     /// The state keeps nothing per message (a caller that wants
     /// per-message ids keeps what `observe` returns, as the batch parser
-    /// does), so memory follows the templates and the vocabulary, never
-    /// the length of the stream.
+    /// does), and its symbol table is compacted to the skeleton tokens,
+    /// so memory follows the templates, never the length of the stream.
     ///
     /// # Panics
     ///
@@ -254,10 +319,21 @@ impl StreamingSpell {
 
     fn with_state(state: SpellState) -> Self {
         StreamingSpell {
+            budget: Budget::new(state.interner().len()),
             state,
             row: Vec::new(),
             spans: Vec::new(),
         }
+    }
+
+    /// Assigns the interned row, then compacts the table if it is over
+    /// budget; the row's symbols are dead by then.
+    fn observe_row(&mut self) -> usize {
+        let id = self.state.observe_symbols(&self.row);
+        if self.budget.exceeded_by(self.state.interner().len()) {
+            self.budget.kept = self.state.compact();
+        }
+        id
     }
 }
 
@@ -267,14 +343,14 @@ impl StreamingParser for StreamingSpell {
         self.state
             .interner_mut()
             .intern_spans(line, spans, &mut self.row);
-        self.state.observe_symbols(&self.row)
+        self.observe_row()
     }
 
     fn observe_spans(&mut self, line: &str, spans: Option<&[TokenSpan]>) -> usize {
         self.state
             .interner_mut()
             .intern_spans(line, spans, &mut self.row);
-        self.state.observe_symbols(&self.row)
+        self.observe_row()
     }
 
     fn group_count(&self) -> usize {
@@ -437,10 +513,15 @@ mod tests {
         assert!(t.contains("job") && t.contains("finished"), "{t}");
     }
 
+    /// Enough `hdfs` lines (fresh block ids and addresses in most) for
+    /// the streaming table to compact at its default budget several
+    /// times, while the batch table never does.
+    const MATCH_LINES: usize = 20_000;
+
     #[test]
     fn streaming_drain_matches_batch_drain() {
         use logparse_core::LogParser;
-        let corpus = logparse_datasets::hdfs::generate(300, 7).corpus;
+        let corpus = logparse_datasets::hdfs::generate(MATCH_LINES, 7).corpus;
         let batch = Drain::default().parse(&corpus).unwrap();
         let mut stream = StreamingDrain::default();
         // Both count ids in creation order, so they agree id for id.
@@ -450,12 +531,13 @@ mod tests {
         }
         assert_eq!(batch.event_count(), stream.group_count());
         assert_eq!(batch.templates(), stream.templates());
+        assert!(corpus.interner().len() > 2 * COMPACTION_SLACK + stream.vocabulary());
     }
 
     #[test]
     fn streaming_spell_matches_batch_spell() {
         use logparse_core::LogParser;
-        let corpus = logparse_datasets::hdfs::generate(300, 7).corpus;
+        let corpus = logparse_datasets::hdfs::generate(MATCH_LINES, 7).corpus;
         let batch = Spell::default().parse(&corpus).unwrap();
         let mut stream = StreamingSpell::default();
         // No generated line is empty, so batch leaves no outlier and
@@ -465,6 +547,172 @@ mod tests {
             assert_eq!(assigned.map(EventId::index), Some(id), "message {i}");
         }
         assert_eq!(batch.event_count(), stream.group_count());
+        assert!(corpus.interner().len() > 2 * COMPACTION_SLACK + stream.vocabulary());
+    }
+
+    /// One line of a compaction stream; its fresh tokens are numbered
+    /// when the stream is written out.
+    #[derive(Debug, Clone)]
+    enum Piece {
+        /// A line of a small `hdfs` corpus (fresh block ids in most).
+        Hdfs(usize),
+        /// A fixed shape with a fresh digit-bearing id in the middle.
+        FreshId,
+        /// A fresh digit-free head token: a new Drain path per line until
+        /// `max_children` sends the rest down the `*` branch.
+        FreshHead,
+        /// A literal `*`, which shares the wildcard's path symbol.
+        Star,
+        /// Whitespace and bytes the framer repairs or splits oddly.
+        Hostile(&'static [u8]),
+    }
+
+    fn piece() -> impl Strategy<Value = Piece> {
+        prop_oneof![
+            (0usize..200).prop_map(Piece::Hdfs),
+            Just(Piece::FreshId),
+            Just(Piece::FreshHead),
+            Just(Piece::Star),
+            prop_oneof![
+                Just(&b"\xff open \xfe"[..]),
+                Just("a\u{a0}b c\u{85}d".as_bytes()),
+                Just(&b"\r"[..]),
+                Just(&b" \x0b\x0c "[..]),
+                Just(&b""[..]),
+                Just(&b"* * *"[..]),
+            ]
+            .prop_map(Piece::Hostile),
+        ]
+    }
+
+    /// The lines of `pieces`, newline-terminated, each fresh token new.
+    fn compaction_stream(pieces: &[Piece]) -> Vec<u8> {
+        let hdfs = logparse_datasets::hdfs::generate(200, 11).corpus;
+        let mut bytes = Vec::new();
+        for (n, piece) in pieces.iter().enumerate() {
+            match piece {
+                Piece::Hdfs(i) => bytes.extend_from_slice(hdfs.record(*i).content.as_bytes()),
+                Piece::FreshId => bytes.extend(format!("req id={n:x} served ok").bytes()),
+                Piece::FreshHead => {
+                    // `n` in base 26, as letters: digit-free, so Drain
+                    // keeps it as a path token.
+                    let mut head = vec![b'h'];
+                    let mut rest = n;
+                    while rest > 0 {
+                        head.push(b'a' + (rest % 26) as u8);
+                        rest /= 26;
+                    }
+                    bytes.extend_from_slice(&head);
+                    bytes.extend_from_slice(b" opened a session");
+                }
+                Piece::Star => bytes.extend_from_slice(b"* fixed tail here"),
+                Piece::Hostile(raw) => bytes.extend_from_slice(raw),
+            }
+            bytes.push(b'\n');
+        }
+        bytes
+    }
+
+    /// A parser with a budget slack of `slack` tokens against one that
+    /// never compacts, over `bytes` as `serve` frames them: the same id
+    /// for every line, and the same templates and snapshot bytes at the
+    /// end. Returns the compacting parser's vocabulary.
+    fn compacts_like_it_never_does<P: StreamingParser>(
+        bytes: &[u8],
+        new: impl Fn(usize) -> P,
+        slack: usize,
+    ) -> usize {
+        let (mut compacting, mut keeping) = (new(slack), new(usize::MAX));
+        framed(bytes, |line, spans| {
+            assert_eq!(
+                compacting.observe_spans(line, spans),
+                keeping.observe_spans(line, spans),
+                "{line:?}"
+            );
+        });
+        assert_eq!(compacting.templates(), keeping.templates());
+        assert_eq!(
+            compacting.snapshot().to_string(),
+            keeping.snapshot().to_string()
+        );
+        compacting.vocabulary()
+    }
+
+    fn drain_with_slack(config: Drain) -> impl Fn(usize) -> StreamingDrain {
+        move |slack| {
+            let mut drain = StreamingDrain::new(config.clone());
+            drain.budget.slack = slack;
+            drain
+        }
+    }
+
+    fn spell_with_slack(slack: usize) -> StreamingSpell {
+        let mut spell = StreamingSpell::default();
+        spell.budget.slack = slack;
+        spell
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Compacting a few tokens past the budget changes nothing a
+        /// caller can see, at Drain's default `max_children` and at one
+        /// that fresh head tokens exceed within a few lines.
+        #[test]
+        fn compaction_is_invisible(
+            pieces in proptest::collection::vec(piece(), 0..300),
+            slack in 0usize..6,
+        ) {
+            let bytes = compaction_stream(&pieces);
+            for config in [Drain::default(), Drain::builder().max_children(3).build()] {
+                compacts_like_it_never_does(&bytes, drain_with_slack(config), slack);
+            }
+            compacts_like_it_never_does(&bytes, spell_with_slack, slack);
+        }
+    }
+
+    /// The distinct literal tokens of `parser`'s templates.
+    fn literals(parser: &dyn StreamingParser) -> std::collections::BTreeSet<String> {
+        let mut literals = std::collections::BTreeSet::new();
+        for template in parser.templates() {
+            for token in template.tokens() {
+                if let TemplateToken::Literal(text) = token {
+                    literals.insert(text.clone());
+                }
+            }
+        }
+        literals
+    }
+
+    /// 100 000 lines with a fresh token each: the table stays within
+    /// twice what the state retains plus the slack (without compaction
+    /// it would hold more than 100 000 tokens).
+    #[test]
+    fn the_vocabulary_follows_the_templates_not_the_stream() {
+        let shapes = [
+            "session id={} opened",
+            "worker started job {} on node-3",
+            "request {} served from cache",
+        ];
+        let mut drain = StreamingDrain::default();
+        let mut spell = StreamingSpell::default();
+        for n in 0..100_000usize {
+            let line = shapes[n % shapes.len()].replace("{}", &n.to_string());
+            drain.observe(&line);
+            spell.observe(&line);
+        }
+        // Drain retains `*` besides its literals.
+        let retained = [literals(&drain).len() + 1, literals(&spell).len()];
+        for (vocabulary, retained) in [drain.vocabulary(), spell.vocabulary()]
+            .into_iter()
+            .zip(retained)
+        {
+            assert!(retained < 20, "{retained} retained");
+            assert!(
+                vocabulary <= 2 * retained + COMPACTION_SLACK,
+                "{vocabulary} tokens for {retained} retained"
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! appear mid-stream. Halfway through, the Drain parser is checkpointed
 //! (its state written as a JSON blob) and restored into a second parser,
 //! which then groups the rest of the stream exactly as the original does.
+//! Last, both parsers read a stream with a fresh id in every line: their
+//! symbol tables keep the tokens the templates retain and drop the ids,
+//! so the vocabulary stays bounded however long the stream runs.
 //!
 //! ```sh
 //! cargo run --release --example streaming_parse
@@ -64,4 +67,22 @@ fn main() {
         "\nground truth: {} event types exercised",
         data.distinct_events()
     );
+
+    println!("\na fresh id in every line:");
+    let mut drain = StreamingDrain::default();
+    let mut spell = StreamingSpell::default();
+    for n in 1..=200_000u64 {
+        let line = format!("session id={n} opened for tenant-{}", n % 3);
+        drain.observe(&line);
+        spell.observe(&line);
+        if [1_000, 10_000, 100_000, 200_000].contains(&n) {
+            println!(
+                "after {n:6} lines: Drain holds {:4} tokens for {} events, Spell {:4} for {}",
+                drain.vocabulary(),
+                drain.group_count(),
+                spell.vocabulary(),
+                spell.group_count()
+            );
+        }
+    }
 }

@@ -137,7 +137,30 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   parsers streaming_drain_matches_batch_drain,
 #   streaming_spell_matches_batch_spell
 #                                    batch Drain/Spell assign from the ids the
-#                                    streaming parser returns: equal id for id
+#                                    streaming parser returns: equal id for id,
+#                                    over 20 000 `hdfs` lines, so the streaming
+#                                    table compacts at its default budget
+#   parsers compaction_is_invisible, core intern
+#   a_compaction_keeps_only_what_is_kept_in_the_order_kept
+#                                    compaction ≡ no compaction: Drain (two
+#                                    `max_children`) and Spell compacting a few
+#                                    tokens past their budget give the ids,
+#                                    templates and snapshot bytes of a parser
+#                                    that never compacts, on `hdfs` lines, fresh
+#                                    ids, fresh digit-free heads, a literal `*`
+#                                    and hostile bytes
+#   parsers the_vocabulary_follows_the_templates_not_the_stream
+#                                    the vocabulary bound: after 100 000 lines
+#                                    with a fresh token each, a streaming
+#                                    table holds ≤ 2 × retained + 4 096 tokens
+#   ingest e2e …_across_compactions  resume across compactions: Drain and Spell
+#                                    at 2 shards, ≥ 3 compactions per shard
+#                                    before the checkpoint and after it, resumed
+#                                    state equal to the uninterrupted run's
+#   cli serve_listen_outlives_running_out_of_file_descriptors
+#                                    fd exhaustion: under `ulimit -n 20`, 40
+#                                    clients of `serve --listen` are all served
+#                                    and it exits 0, not 1 on EMFILE
 #   cli a_full_output_device_fails_parse_and_jobs_run
 #                                    `parse` and `jobs run` exit non-zero,
 #                                    naming the error, when `--events-out` or
