@@ -5,8 +5,8 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use logparse_core::{
-    write_events_file, write_structured_file, write_structured_lines, Corpus, LogParser, MaskRule,
-    Preprocessor,
+    walk_kept_lines, write_events_file, write_structured_file, write_structured_lines, Corpus,
+    EventId, LineSource, LogParser, MaskRule, Parse, Preprocessor, TokenSpan,
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
@@ -18,7 +18,7 @@ use logparse_jobs::protocol as jobproto;
 use logparse_jobs::{run_job, JobConfig};
 use logparse_mining::{event_count_matrix, truth_count_matrix, PcaDetector, PcaDetectorConfig};
 use logparse_obs::Journal;
-use logparse_parsers::{batch_parser, Lke, LogSig, Slct};
+use logparse_parsers::{batch_parser, Drain, Lke, LogSig, Slct, StreamingDrain, StreamingParser};
 use logparse_store::{StoreConfig, TemplateStore};
 
 use crate::args::Args;
@@ -59,6 +59,14 @@ USAGE:
 PARSERS:   slct iplom lke logsig drain spell ael lenma logmine
 DATASETS:  bgl hpc hdfs zookeeper proxifier
 RULES:     comma-separated from ip,blk,core,num,hex,path
+
+parse reads FILE, or stdin, skipping blank lines and refusing invalid
+UTF-8, and writes the events file (stdout by default) and, with
+--structured-out, the structured log; neither is written when the input
+is refused. --parser drain at -j 1 streams the input through Drain's
+tree in one pass and builds no corpus, so it holds the templates, one
+read window and 4 bytes a line; every other parser, and -j N, loads the
+whole corpus first.
 
 serve ingests a live stream — stdin by default, FILE (with --follow to
 tail it through rotations), or a TCP line protocol via --listen — parses
@@ -201,18 +209,44 @@ fn load_corpus(
     })
 }
 
-/// `logmine parse`.
+/// Drain's parse of `path`, or of stdin, without a corpus: each kept line
+/// goes from one scan straight into a [`StreamingDrain`], whose group ids
+/// are the batch parse's event ids (both count in creation order), so the
+/// run holds the tree, one read window and 4 bytes a line.
+fn stream_drain(path: Option<&str>, preprocessor: &Preprocessor) -> Result<Parse, Box<dyn Error>> {
+    let mut drain = StreamingDrain::new(Drain::default());
+    let mut assignments = Vec::new();
+    let mut assign = |line: &str, spans: Option<&[TokenSpan]>| {
+        assignments.push(Some(EventId::new(drain.observe_spans(line, spans))));
+    };
+    match path {
+        Some(path) => walk_kept_lines(LineSource::Path(path.as_ref()), preprocessor, &mut assign)?,
+        None => {
+            let mut stdin = std::io::stdin().lock();
+            walk_kept_lines(LineSource::Reader(&mut stdin), preprocessor, &mut assign)?
+        }
+    };
+    Ok(Parse::new(drain.templates(), assignments))
+}
+
+/// `logmine parse`. Drain at `-j 1` streams its input (see
+/// [`stream_drain`]); every other parser, and `-j N`, parses a corpus.
 pub fn parse(args: &Args) -> CliResult {
     let threads: usize = args.parsed_or("threads", 1)?;
     let preprocessor = build_preprocessor(args)?;
     let path = args.positional().first().map(String::as_str);
-    // Before the corpus: a mistyped name should not cost the load.
+    // Before the input: a mistyped name should not cost the load.
     let parser = build_parser(args)?;
-    let corpus = load_corpus(path, &preprocessor, threads)?;
-    let parse = if threads > 1 {
-        parser.parse_parallel(&corpus, threads)?
+    let (parse, corpus) = if threads == 1 && parser.name() == Drain::default().name() {
+        (stream_drain(path, &preprocessor)?, None)
     } else {
-        parser.parse(&corpus)?
+        let corpus = load_corpus(path, &preprocessor, threads)?;
+        let parse = if threads > 1 {
+            parser.parse_parallel(&corpus, threads)?
+        } else {
+            parser.parse(&corpus)?
+        };
+        (parse, Some(corpus))
     };
     eprintln!(
         "{}: {} messages -> {} events, {} outliers",
@@ -226,7 +260,12 @@ pub fn parse(args: &Args) -> CliResult {
     events_out.flush()?;
     if let Some(path) = args.option("structured-out") {
         let mut structured = BufWriter::new(File::create(path)?);
-        write_structured_file(&corpus, &parse, &mut structured)?;
+        match &corpus {
+            Some(corpus) => write_structured_file(corpus, &parse, &mut structured)?,
+            // The walk numbers the kept lines from 1, as a file-built
+            // corpus does.
+            None => write_structured_lines(1..=parse.len(), &parse, &mut structured)?,
+        }
         structured.flush()?;
     }
     Ok(())
@@ -1281,7 +1320,8 @@ mod tests {
     /// What `logmine metrics dump` prints after a masked parse: one
     /// `core_preprocess_masked_tokens_total` series per configured rule,
     /// a rule that never fired included (at zero) — so an operator can
-    /// tell a silent rule from a missing one.
+    /// tell a silent rule from a missing one. Drain at `-j 1` streams and
+    /// IPLoM builds a corpus; each publishes the same counts.
     #[test]
     fn parse_publishes_masked_token_counts_per_rule() {
         let dir = std::env::temp_dir().join(format!("logmine-masked-{}", std::process::id()));
@@ -1303,24 +1343,30 @@ mod tests {
             let labels = format!("{{rule=\"{rule}\"}}");
             series.iter().find(|(l, _)| *l == labels).map(|&(_, v)| v)
         };
-        let before = masked();
-        parse(&args(&[
-            "--parser",
-            "iplom",
-            "--preprocess",
-            "blk,core,num",
-            "--events-out",
-            dir.join("events").to_str().unwrap(),
-            log.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let after = masked();
-        let delta = |rule| count(&after, rule).unwrap() - count(&before, rule).unwrap_or(0.0);
-        // One build of two lines.
-        assert_eq!(delta("blk"), 2.0);
-        assert_eq!(delta("num"), 2.0);
-        assert_eq!(delta("core"), 0.0, "a silent rule still has a series");
-        assert_eq!(count(&after, "ip"), None, "unconfigured rules have none");
+        for parser in ["iplom", "drain"] {
+            let before = masked();
+            parse(&args(&[
+                "--parser",
+                parser,
+                "--preprocess",
+                "blk,core,num",
+                "--events-out",
+                dir.join("events").to_str().unwrap(),
+                log.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let after = masked();
+            let delta = |rule| count(&after, rule).unwrap() - count(&before, rule).unwrap_or(0.0);
+            // One pass over two lines.
+            assert_eq!(delta("blk"), 2.0, "{parser}");
+            assert_eq!(delta("num"), 2.0, "{parser}");
+            assert_eq!(
+                delta("core"),
+                0.0,
+                "{parser}: a silent rule still has a series"
+            );
+            assert_eq!(count(&after, "ip"), None, "unconfigured rules have none");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -301,6 +301,126 @@ fn loader_v1_goldens_hold_from_file_and_stdin() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// `parse --parser drain -j 1` streams its input into Drain's tree and
+/// builds no corpus; from a file and from stdin, unmasked and masked, it
+/// writes the bytes of Drain's batch parse of the corpus, and prints the
+/// same summary line.
+#[test]
+fn parse_drain_streams_to_the_corpus_paths_bytes() {
+    use logparse_core::{
+        write_events_file, write_structured_file, Corpus, LogParser, MaskRule, Preprocessor,
+    };
+
+    let dir = std::env::temp_dir().join(format!("logmine-fused-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = logparse_datasets::hdfs::generate(5_000, 5);
+    let mut log = b"\n  \r\n".to_vec();
+    for i in 0..data.len() {
+        log.extend_from_slice(data.corpus.record(i).content.as_bytes());
+        log.extend_from_slice(if i % 7 == 0 { b"\r\n" } else { b"\n" });
+    }
+    log.extend_from_slice("na\u{ef}ve \u{a0}caf\u{e9} 7".as_bytes());
+    let input = dir.join("input.log");
+    std::fs::write(&input, &log).unwrap();
+    let masks = [
+        (None, Preprocessor::identity()),
+        (
+            Some("ip,blk,num"),
+            Preprocessor::new(vec![
+                MaskRule::IpAddress,
+                MaskRule::BlockId,
+                MaskRule::Number,
+            ]),
+        ),
+    ];
+    for (rules, preprocessor) in masks {
+        let corpus = Corpus::from_path_masked(&input, &preprocessor, 1).unwrap();
+        let parse = logparse_parsers::Drain::default().parse(&corpus).unwrap();
+        let (mut events, mut structured) = (Vec::new(), Vec::new());
+        write_events_file(&parse, &mut events).unwrap();
+        write_structured_file(&corpus, &parse, &mut structured).unwrap();
+        let summary = format!(
+            "Drain: {} messages -> {} events, 0 outliers\n",
+            parse.len(),
+            parse.event_count()
+        );
+        for from_stdin in [false, true] {
+            let (events_out, structured_out) = (dir.join("events"), dir.join("structured"));
+            let mut command = logmine();
+            command.args(["parse", "--parser", "drain", "-j", "1"]);
+            if let Some(rules) = rules {
+                command.args(["--preprocess", rules]);
+            }
+            command
+                .arg("--events-out")
+                .arg(&events_out)
+                .arg("--structured-out")
+                .arg(&structured_out);
+            if from_stdin {
+                command.stdin(std::fs::File::open(&input).unwrap());
+            } else {
+                command.arg(&input);
+            }
+            let out = command.output().unwrap();
+            let case = format!("{rules:?} (stdin: {from_stdin})");
+            assert!(out.status.success(), "{case}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), summary, "{case}");
+            assert!(
+                std::fs::read(&events_out).unwrap() == events,
+                "{case}: events"
+            );
+            assert!(
+                std::fs::read(&structured_out).unwrap() == structured,
+                "{case}: structured"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Input that the batch line contract refuses — a last line that is not
+/// UTF-8 — fails `parse` whether the parser streams (Drain at `-j 1`) or
+/// parses a corpus (IPLoM), with one error, and before any output file
+/// is created or truncated: a structured file already at that path keeps
+/// its bytes.
+#[test]
+fn refused_input_fails_parse_and_leaves_the_outputs_alone() {
+    let dir = std::env::temp_dir().join(format!("logmine-refused-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("input.log");
+    std::fs::write(&input, b"open file a\nopen file b\n\xff").unwrap();
+    let (events, structured) = (dir.join("events"), dir.join("structured"));
+    let mut errors = Vec::new();
+    for parser in ["drain", "iplom"] {
+        for existing in [false, true] {
+            let _ = std::fs::remove_file(&events);
+            let _ = std::fs::remove_file(&structured);
+            if existing {
+                std::fs::write(&structured, b"1\t-\tEvent1\n").unwrap();
+            }
+            let out = logmine()
+                .args(["parse", "--parser", parser, "-j", "1", "--events-out"])
+                .arg(&events)
+                .arg("--structured-out")
+                .arg(&structured)
+                .arg(&input)
+                .output()
+                .unwrap();
+            assert!(!out.status.success(), "{parser} exited 0");
+            assert!(!events.exists(), "{parser} created the events file");
+            if existing {
+                assert_eq!(std::fs::read(&structured).unwrap(), b"1\t-\tEvent1\n");
+            } else {
+                assert!(!structured.exists(), "{parser} created the structured file");
+            }
+            errors.push(String::from_utf8(out.stderr).unwrap());
+        }
+    }
+    assert!(errors[0].contains("valid UTF-8"), "{}", errors[0]);
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `store inspect|verify` over the committed parent-written store
 /// (see `crates/store/tests/format_frozen.rs`) print what the commit
 /// that wrote it printed, byte for byte.

@@ -49,8 +49,8 @@ pub use error::ParseError;
 pub use intern::{Compaction, Interner, Symbol, TokenArena};
 pub use io::{write_events_file, write_structured_file, write_structured_lines};
 pub use loader::{
-    corpus_cuts, count_corpus_lines, line_spans, CorpusCuts, FramedLine, LineDamage, LineFramer,
-    TokenSpan, MAX_LINE_BYTES, MAX_SPANNED_LINE_BYTES,
+    corpus_cuts, count_corpus_lines, line_spans, walk_kept_lines, CorpusCuts, FramedLine,
+    LineDamage, LineFramer, LineSource, TokenSpan, MAX_LINE_BYTES, MAX_SPANNED_LINE_BYTES,
 };
 /// The JSON document type streaming parsers snapshot into and restore from;
 /// re-exported so parser crates need no direct `logparse-obs` edge.

@@ -22,7 +22,7 @@
 //!    [`crate::simd`]) and lines containing non-ASCII bytes.
 //! 3. **Mask, then intern** — ASCII lines (the overwhelming majority
 //!    of machine logs) hand each token slice to the build's
-//!    [`Masker`]: a token a [`MaskRule`](crate::MaskRule) claims becomes
+//!    [`Masker`]: a token a [`MaskRule`] claims becomes
 //!    the rule's fixed placeholder symbol and is never interned; every
 //!    other token is interned straight into the open [`TokenArena`] row
 //!    — one hash probe per token, no row vector. Without rules the
@@ -45,6 +45,11 @@
 //! chunk's table at its first occurrence like any other token, so ids
 //! are first-occurrence-ordered over the *masked* stream — the corpus
 //! [`Preprocessor::apply`] derives from the unmasked build.
+//!
+//! [`walk_kept_lines`] is the same buffer-and-scan under the same line
+//! contract with no corpus at the end: each kept line, with its token
+//! spans, goes to a consumer (`logmine parse --parser drain -j 1` feeds a
+//! streaming Drain), and nothing is kept per line.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -691,7 +696,7 @@ pub(crate) fn cuts_through_index(
 }
 
 /// Counts the lines of `path` a corpus build would keep (non-blank
-/// lines, per the skip-blank contract in [`crate::simd`]) without
+/// lines, per the skip-blank contract in the `simd` module) without
 /// building anything: [`corpus_cuts`]' one walk from newline to
 /// newline, cutting nothing — no interning, no record materialization.
 ///
@@ -700,6 +705,274 @@ pub(crate) fn cuts_through_index(
 /// Returns [`ParseError::Io`] when the file cannot be opened or read.
 pub fn count_corpus_lines(path: impl AsRef<Path>) -> Result<usize, ParseError> {
     Ok(corpus_cuts(path, 1)?.lines)
+}
+
+/// Where [`walk_kept_lines`] reads a log from.
+pub enum LineSource<'a> {
+    /// A file: mapped and walked a window of about 4 MiB at a time, each
+    /// window released once walked, as a corpus build walks it; a file
+    /// that cannot be mapped is read as a [`Reader`](LineSource::Reader)
+    /// is.
+    Path(&'a Path),
+    /// Any reader — stdin — read into one reused window of about 4 MiB,
+    /// grown only for a line longer than it.
+    Reader(&'a mut dyn Read),
+}
+
+/// Hands each line a corpus build of `source` would keep to `each`, in
+/// order, and returns how many — without building the corpus: one scan
+/// per byte, and nothing held per line. The batch column of DESIGN.md's
+/// *Line contract* holds: blank lines are skipped and not counted, one
+/// `\r` before `\n` is stripped, and a line with invalid UTF-8 fails the
+/// walk with the error a corpus build gives, after `each` has seen the
+/// lines before it.
+///
+/// `each` gets the line and its token spans, as a [`FramedLine`] carries
+/// them: `None` for a line with a byte ≥ 0x80 or of
+/// [`MAX_SPANNED_LINE_BYTES`] or more, which a consumer splits by
+/// `split_whitespace`. With `preprocessor` rules, each line is rebuilt
+/// with every token a rule claims replaced by the rule's placeholder, its
+/// tokens one space apart, so the line's tokens are the symbols the
+/// masked corpus build interns; the per-rule counts are published as a
+/// masked build publishes them.
+///
+/// # Errors
+///
+/// Returns [`ParseError::Io`] when the source cannot be opened or read,
+/// or holds a line that is not valid UTF-8.
+pub fn walk_kept_lines(
+    source: LineSource<'_>,
+    preprocessor: &Preprocessor,
+    each: impl FnMut(&str, Option<&[TokenSpan]>),
+) -> Result<usize, ParseError> {
+    let registry = logparse_obs::global();
+    let (seconds, lines_total) = walk_metrics(registry);
+    let span = registry.span_into(seconds, "core_kept_line_walk", &[]);
+    let (lines, masked) = if preprocessor.rules().is_empty() {
+        walk_kept_lines_in(source, Identity, WINDOW, each)?
+    } else {
+        walk_kept_lines_in(source, preprocessor, WINDOW, each)?
+    };
+    span.finish();
+    lines_total.inc_by(lines as u64);
+    preprocessor.publish_masked(registry, &masked);
+    Ok(lines)
+}
+
+/// Resolves the kept-line walk's metric handles, the walk's stand-ins
+/// for the corpus build's.
+fn walk_metrics(registry: &Registry) -> (Histogram, Counter) {
+    (
+        registry.histogram(
+            "core_kept_line_walk_seconds",
+            "Time for a kept-line walk (read + scan + mask + the consumer's work per line)",
+            &Buckets::durations(),
+            &[],
+        ),
+        registry.counter(
+            "core_kept_line_walk_lines_total",
+            "Log lines kept-line walks handed to their consumer",
+            &[],
+        ),
+    )
+}
+
+/// [`walk_kept_lines`] under one masker, `window` bytes at a time;
+/// returns the kept lines and the tokens each rule replaced.
+fn walk_kept_lines_in<M: Masker>(
+    source: LineSource<'_>,
+    masker: M,
+    window: usize,
+    each: impl FnMut(&str, Option<&[TokenSpan]>),
+) -> Result<(usize, Vec<u64>), ParseError> {
+    let mut kept = KeptLines {
+        masked: vec![0; masker.rules().len()],
+        masker,
+        each,
+        line: String::new(),
+        line_spans: Vec::new(),
+        lines: 0,
+    };
+    match source {
+        LineSource::Path(path) => {
+            let mut file = File::open(path)?;
+            match Mapping::of_file(&file) {
+                Some(map) => {
+                    let buffer = LineBuffer::Mapped(map);
+                    walk_windows(&buffer, 0..buffer.len(), window, |range| {
+                        kept.region(&buffer[range])
+                    })?;
+                }
+                None => walk_reader(&mut file, window, &mut kept)?,
+            }
+        }
+        LineSource::Reader(reader) => walk_reader(reader, window, &mut kept)?,
+    }
+    Ok((kept.lines, kept.masked))
+}
+
+/// Reads `reader` to its end into one buffer of `window` bytes, doubled
+/// only while a single line fills it, and hands `kept` every run of
+/// whole lines as it arrives: each byte is scanned once, and only the
+/// partial line at the buffer's end moves, to its front, when the buffer
+/// is full.
+fn walk_reader<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)>(
+    reader: &mut (impl Read + ?Sized),
+    window: usize,
+    kept: &mut KeptLines<M, F>,
+) -> Result<(), ParseError> {
+    let mut buf = vec![0; window.max(1)];
+    // `buf[start..end]` is read and not yet scanned: part of one line.
+    let (mut start, mut end) = (0, 0);
+    loop {
+        if end == buf.len() {
+            if start == 0 {
+                buf.resize(buf.len() * 2, 0);
+            } else {
+                buf.copy_within(start..end, 0);
+                end -= start;
+                start = 0;
+            }
+        }
+        let read = match reader.read(&mut buf[end..]) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            result => result?,
+        };
+        if read == 0 {
+            return kept.region(&buf[start..end]);
+        }
+        let filled = end + read;
+        if let Some(last) = buf[end..filled].iter().rposition(|&b| b == b'\n') {
+            let cut = end + last + 1;
+            kept.region(&buf[start..cut])?;
+            start = cut;
+        }
+        end = filled;
+    }
+}
+
+/// What a kept-line walk carries from one region to the next.
+struct KeptLines<M, F> {
+    masker: M,
+    each: F,
+    /// The current line masked, and its token spans; reused.
+    line: String,
+    line_spans: Vec<TokenSpan>,
+    /// Tokens each of the masker's rules replaced.
+    masked: Vec<u64>,
+    lines: usize,
+}
+
+impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> KeptLines<M, F> {
+    /// Scans `region` — whole lines, the last one perhaps unterminated —
+    /// once, handing on each kept line.
+    fn region(&mut self, region: &[u8]) -> Result<(), ParseError> {
+        scan(
+            region,
+            &mut RegionSink {
+                region,
+                line_start: 0,
+                spans: Vec::new(),
+                kept: self,
+            },
+        )
+    }
+
+    /// Hands on one kept line, `text` with `spans` where it has them.
+    fn hand_on(&mut self, text: &str, spans: Option<&[TokenSpan]>) {
+        self.lines += 1;
+        if self.masker.rules().is_empty() {
+            (self.each)(text, spans);
+            return;
+        }
+        let KeptLines {
+            masker,
+            each,
+            line,
+            line_spans,
+            masked,
+            ..
+        } = self;
+        line.clear();
+        line_spans.clear();
+        let mut push = |token: &str| {
+            let token = match masker.classify(token.as_bytes()) {
+                Some(rule) => {
+                    masked[rule] += 1;
+                    masker.rules()[rule].tag()
+                }
+                None => token,
+            };
+            if !line.is_empty() {
+                line.push(' ');
+            }
+            let start = line.len();
+            line.push_str(token);
+            if line.len() < MAX_SPANNED_LINE_BYTES {
+                line_spans.push((start as u16, line.len() as u16));
+            }
+        };
+        match spans {
+            Some(spans) => {
+                for &(start, end) in spans {
+                    push(&text[usize::from(start)..usize::from(end)]);
+                }
+            }
+            None => text.split_whitespace().for_each(push),
+        }
+        let spans = (line.len() < MAX_SPANNED_LINE_BYTES).then_some(&line_spans[..]);
+        each(line, spans);
+    }
+}
+
+/// The scan sink of one region of a kept-line walk.
+struct RegionSink<'r, 'k, M, F> {
+    region: &'r [u8],
+    /// Where the current line begins in `region`.
+    line_start: usize,
+    /// The current line's token spans; a token ending
+    /// [`MAX_SPANNED_LINE_BYTES`] or more into its line is not kept, as
+    /// the line's spans are dropped anyway.
+    spans: Vec<TokenSpan>,
+    kept: &'k mut KeptLines<M, F>,
+}
+
+impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> ScanSink for RegionSink<'_, '_, M, F> {
+    #[inline]
+    fn token(&mut self, start: usize, end: usize) {
+        if end - self.line_start < MAX_SPANNED_LINE_BYTES {
+            self.spans.push((
+                (start - self.line_start) as u16,
+                (end - self.line_start) as u16,
+            ));
+        }
+    }
+
+    fn line(
+        &mut self,
+        start: usize,
+        content_end: usize,
+        blank: bool,
+        has_high: bool,
+    ) -> Result<(), ParseError> {
+        // The next line begins past this one's `\n`, and past a `\r`
+        // stripped before it.
+        self.line_start =
+            content_end + 1 + usize::from(self.region.get(content_end) == Some(&b'\r'));
+        if !blank {
+            let bytes = &self.region[start..content_end];
+            if has_high {
+                let text = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
+                self.kept.hand_on(text, None);
+            } else {
+                let whole = bytes.len() < MAX_SPANNED_LINE_BYTES;
+                self.kept
+                    .hand_on(ascii_str(bytes), whole.then_some(&self.spans[..]));
+            }
+        }
+        self.spans.clear();
+        Ok(())
+    }
 }
 
 /// The longest line, in bytes, a [`LineFramer`] delivers whole.
@@ -1360,6 +1633,136 @@ mod tests {
                 let one = corpus_parts(build(usize::MAX));
                 prop_assert_eq!(&corpus_parts(build(window)), &one);
                 lines_before += one.map_or(0, |(_, _, records)| records.len());
+            }
+        }
+    }
+
+    /// A reader that hands over at most `step` bytes a read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Token rows and masked counts, or the first error: what a kept-line
+    /// walk and a corpus build of one input must agree on.
+    type Rowed = Result<(Vec<Vec<String>>, Vec<u64>), String>;
+
+    /// The rows a walk hands over, each line's spans checked on the way:
+    /// where a line has them they are its `split_whitespace` tokens, and
+    /// an unmasked line has them exactly when it is ASCII and shorter
+    /// than [`MAX_SPANNED_LINE_BYTES`].
+    fn walked_rows<M: Masker>(source: LineSource<'_>, masker: M, window: usize) -> Rowed {
+        let mut rows = Vec::new();
+        let walked = walk_kept_lines_in(source, masker, window, |line, spans| {
+            let split: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            if let Some(spans) = spans {
+                let spanned: Vec<String> = spans
+                    .iter()
+                    .map(|&(a, b)| line[usize::from(a)..usize::from(b)].to_owned())
+                    .collect();
+                assert_eq!(spanned, split, "spans of {line:?}");
+            }
+            if masker.rules().is_empty() {
+                let spanned = line.is_ascii() && line.len() < MAX_SPANNED_LINE_BYTES;
+                assert_eq!(spans.is_some(), spanned, "{line:?}");
+            }
+            rows.push(split);
+        });
+        let (lines, masked) = walked.map_err(|e| e.to_string())?;
+        assert_eq!(lines, rows.len());
+        Ok((rows, masked))
+    }
+
+    /// The rows of the one-window corpus build of `bytes`.
+    fn built_rows<M: Masker>(bytes: &[u8], masker: M) -> Rowed {
+        let buffer = LineBuffer::Owned(bytes.to_vec());
+        let out =
+            build_chunk(&buffer, 0..bytes.len(), masker, usize::MAX).map_err(|e| e.to_string())?;
+        let rows = out
+            .arena
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&s| out.interner.resolve(s).to_owned())
+                    .collect()
+            })
+            .collect();
+        Ok((rows, out.masked))
+    }
+
+    /// Lines dense in what a kept-line walk can get wrong: every ASCII
+    /// whitespace byte, CRLF, blank and whitespace-only lines, U+00A0 and
+    /// U+0085, maskable tokens, lines of 65 530–70 000 bytes and, one
+    /// draw in 40 of its variant, an invalid byte.
+    fn walk_soup() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(b"\n".to_vec()),
+                Just(b"\r\n".to_vec()),
+                Just(b"\r".to_vec()),
+                Just(b" \t \x0b\x0c \n".to_vec()),
+                Just("\u{a0}".as_bytes().to_vec()),
+                Just("\u{85}".as_bytes().to_vec()),
+                Just(b"blk_-42 10.0.0.1 7 /var/log".to_vec()),
+                "[ -~]{1,12}".prop_map(String::into_bytes),
+                (65_530usize..70_000).prop_map(|len| {
+                    let mut line = b"\nlong ".repeat(len / 6);
+                    line.push(b'\n');
+                    line
+                }),
+                (0u8..40).prop_map(|roll| match roll {
+                    0 => b"\xff\n".to_vec(),
+                    _ => b"x 1\n".to_vec(),
+                }),
+            ],
+            0..40,
+        )
+        .prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A kept-line walk hands over the lines a corpus build keeps, each
+        /// with the tokens the build interns for it — placeholders where
+        /// masked — and the build's masked counts, or fails with its first
+        /// error: from a mapped file walked in windows of 1 to 300 bytes,
+        /// and from a reader of 1 to 300 bytes a read into a buffer of 1 to
+        /// 300 bytes, grown for longer lines.
+        #[test]
+        fn kept_line_walks_hand_over_the_builds_rows(
+            bytes in walk_soup(),
+            terminated in prop_oneof![Just(false), Just(true)],
+            window in 1usize..=300,
+            step in 1usize..=300,
+        ) {
+            let mut bytes = bytes;
+            if terminated {
+                bytes.push(b'\n');
+            }
+            let path = write_temp("kept-walk.log", &bytes);
+            let masker = &Preprocessor::new(MaskRule::ALL.to_vec());
+            for (built, walk) in [
+                (built_rows(&bytes, Identity), None),
+                (built_rows(&bytes, masker), Some(masker)),
+            ] {
+                let walked = |source: LineSource<'_>, window| match walk {
+                    Some(masker) => walked_rows(source, masker, window),
+                    None => walked_rows(source, Identity, window),
+                };
+                prop_assert_eq!(&walked(LineSource::Path(&path), window), &built);
+                prop_assert_eq!(&walked(LineSource::Path(&path), WINDOW), &built);
+                let mut reader = Trickle { bytes: &bytes, step };
+                prop_assert_eq!(&walked(LineSource::Reader(&mut reader), window), &built);
             }
         }
     }

@@ -97,7 +97,7 @@ pub enum MergeDelta {
 }
 
 /// Stable `(shard, local) → global` template-id mapping with union-find
-/// canonicalization. See the [module docs](self) for the merge
+/// canonicalization. The `merge` module docs set out the merge
 /// semantics.
 #[derive(Debug, Default, Clone)]
 pub struct TemplateMerge {
@@ -145,7 +145,7 @@ impl TemplateMerge {
 
     /// Replays one recorded mutation: the write path a restart rebuilds
     /// the map through, for delta-log records and snapshot slots alike.
-    /// Total — see the [module docs](self#replay). The union/refine
+    /// Total — see *Replay* in the `merge` module docs. The union/refine
     /// counters do not move: they count this process's merges, not
     /// history.
     pub fn apply(&mut self, delta: &MergeDelta) {

@@ -12,7 +12,7 @@
 //!    (work-stealing without a dependency).
 //! 3. **Merge** — per-chunk templates are folded, *in chunk order*,
 //!    into globally stable event ids via the shared
-//!    [`TemplateMerge`](crate::TemplateMerge) union-find (the same
+//!    [`TemplateMerge`] union-find (the same
 //!    implementation the streaming ingest aggregator uses), and chunk
 //!    assignments are rewritten onto the global ids.
 //!

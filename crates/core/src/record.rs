@@ -130,7 +130,7 @@ enum LineNumbers {
 /// There are two ways in:
 ///
 /// * [`from_path`](Corpus::from_path) / [`from_bytes`](Corpus::from_bytes)
-///   — a log file or stream, through [`crate::loader`]: the buffer is
+///   — a log file or stream, through the `loader` module: the buffer is
 ///   the mmap'd file (or the bytes as given), blank lines are skipped,
 ///   tokens are interned straight into the arena.
 ///   [`from_path_masked`](Corpus::from_path_masked) and `from_bytes`
@@ -291,7 +291,7 @@ impl Corpus {
     /// is unavailable), scanned with the SWAR line/token scanner, and
     /// interned directly into the token arena — no per-line `String`,
     /// no per-row `Vec`. A line is skipped iff every byte of it is ASCII
-    /// whitespace (the skip-blank contract in [`crate::simd`]); output
+    /// whitespace (the skip-blank contract in the `simd` module); output
     /// is bit-identical to [`from_lines`](Corpus::from_lines) over the
     /// remaining `BufRead::lines` of the file.
     ///

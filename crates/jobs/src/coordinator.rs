@@ -207,7 +207,7 @@ fn validate_manifest(manifest: &JobManifest, config: &JobConfig) -> Result<(), J
 /// task ends either completed or dead-lettered. Returns the reduced
 /// [`Parse`] when the whole corpus was covered; a job with dead
 /// letters returns `parse: None` and the caller decides how loudly to
-/// fail. See the [module docs](self) for the crash-safety contract.
+/// fail. The `coordinator` module docs state the crash-safety contract.
 pub fn run_job(config: &JobConfig) -> Result<JobOutcome, JobError> {
     if config.shards == 0 {
         return Err(JobError::Config("shards must be at least 1".into()));

@@ -106,7 +106,8 @@ pub enum FailureDisposition {
     },
 }
 
-/// The scheduling state machine. See the [module docs](self).
+/// The scheduling state machine, as the `scheduler` module docs set
+/// it out.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     tasks: Vec<TaskState>,

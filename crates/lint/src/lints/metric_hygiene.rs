@@ -19,7 +19,7 @@
 //! the series they feed, so those names are literal, single-owner, and
 //! cross-checked against the section's table whose header cell is
 //! `series` (families live in the table headed `family`).
-//! [`History::replay`] is deliberately exempt — it is the *import*
+//! `logparse_obs::History::replay` is deliberately exempt — it is the *import*
 //! surface for runtime names (fixture replay, `logmine alerts check`).
 //!
 //! Scope: library code outside test regions. Binaries, examples and

@@ -1,5 +1,5 @@
 //! Invariant mining over session event counts (Lou, Fu, Yang, Xu, Li —
-//! USENIX ATC 2010), the study's reference [25] and the natural
+//! USENIX ATC 2010), the study's reference \[25\] and the natural
 //! companion to the PCA detector: instead of a subspace, it learns
 //! *linear invariants* between event counts — e.g. every block should
 //! see `count(Receiving) = count(Received) = count(PacketResponder)` —

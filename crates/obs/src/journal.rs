@@ -17,11 +17,12 @@
 //!   `.1`, and the live file back together can order the pieces without
 //!   trusting file mtimes.
 //!
-//! Writes are buffered and flushed every [`FLUSH_EVERY`] events or
-//! [`FLUSH_INTERVAL`], whichever comes first — high-rate emitters do not
-//! pay a syscall per event. The final buffered tail is guaranteed to
-//! reach the sink by [`Journal::flush`] and by `Drop`, so a drained
-//! shutdown (including the SIGTERM path) never truncates the log.
+//! Writes are buffered and flushed every `FLUSH_EVERY` (32) events or
+//! `FLUSH_INTERVAL` (200 ms), whichever comes first — high-rate
+//! emitters do not pay a syscall per event. The final buffered tail is
+//! guaranteed to reach the sink by [`Journal::flush`] and by `Drop`, so
+//! a drained shutdown (including the SIGTERM path) never truncates the
+//! log.
 
 use std::fs::File;
 use std::io::{self, Write};

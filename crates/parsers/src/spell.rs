@@ -91,9 +91,10 @@ fn lcs_length<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     lcs_length_into(a, b, &mut Vec::new(), &mut Vec::new())
 }
 
-/// [`lcs_length`] writing its two DP rows into caller-owned scratch —
-/// the match loop calls this once per candidate object per message, so
-/// the rows must not be reallocated per call.
+/// Length of the longest common subsequence of two token slices, its two
+/// DP rows written into caller-owned scratch — the match loop calls this
+/// once per candidate object per message, so the rows must not be
+/// reallocated per call.
 fn lcs_length_into<T: PartialEq>(
     a: &[T],
     b: &[T],

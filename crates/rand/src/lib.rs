@@ -246,7 +246,7 @@ pub mod rngs {
     }
 }
 
-/// Distributions over values (subset: [`WeightedIndex`]).
+/// Distributions over values (subset: [`WeightedIndex`](crate::distributions::WeightedIndex)).
 pub mod distributions {
     use super::{RngCore, Standard};
 

@@ -13,7 +13,7 @@
 //!
 //! Framing cannot tell a torn tail from mid-file corruption by
 //! itself — it always stops at the first bad record. The layer above
-//! ([`crate::shard`]) decides whether what follows the valid prefix
+//! (the `shard` module) decides whether what follows the valid prefix
 //! is tolerable (final log, tail truncation) or quarantinable
 //! (snapshot or non-final log).
 

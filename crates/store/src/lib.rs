@@ -12,7 +12,7 @@
 //!   the store keeps serving.
 //! * **Snapshot + delta log** — each shard owns a checksummed snapshot
 //!   file (`snap-<gen>.snap`) plus an append-only delta log
-//!   (`delta-<gen>.log`) of template mutations ([`MergeDelta`]:
+//!   (`delta-<gen>.log`) of template mutations ([`MergeDelta`](logparse_core::MergeDelta):
 //!   insert / assign / refinement / union). Restart = load the newest
 //!   valid snapshot, replay the logs.
 //! * **Compaction** — once a shard's log passes [`COMPACT_LOG_BYTES`],

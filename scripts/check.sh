@@ -28,6 +28,11 @@ cargo fmt --all --check
 echo "=== cargo clippy (warnings denied) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every rustdoc warning — a broken or private intra-doc link, an
+# ambiguous one — fails here, private items included.
+echo "=== cargo doc (rustdoc warnings denied) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
+
 echo "=== logparse-lint (project invariants, warnings denied) ==="
 cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 
@@ -177,6 +182,22 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    walk — equals the one-window build:
 #                                    vocabulary order, rows, spans, masked
 #                                    counts, cuts, or the same first error
+#   core loader kept_line_walks_hand_over_the_builds_rows,
+#   tests/fused_parse_differential, cli parse_drain_streams_to_the_
+#   corpus_paths_bytes, refused_input_fails_parse_and_leaves_the_
+#   outputs_alone
+#                                    `parse --parser drain -j 1` builds no
+#                                    corpus: the kept-line walk hands over
+#                                    the build's lines, tokens and masked
+#                                    counts (mapped windows and reads of
+#                                    1..=300 bytes), and walk + StreamingDrain
+#                                    write the corpus path's events and
+#                                    structured bytes on hostile soup (VT,
+#                                    FF, CR, CRLF, U+00A0, U+0085, `\xff`,
+#                                    65 530–70 000-byte lines), steady and
+#                                    hdfs, masked or not, file or stdin;
+#                                    refused input fails both paths alike
+#                                    and creates or truncates no output
 #   core loader a_walk_keeps_one_window_of_a_mapped_file_resident
 #                                    after a 24 MiB build and after the cut
 #                                    walk, the mapping's `Rss` in
