@@ -5,8 +5,8 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use logparse_core::{
-    walk_kept_lines, write_events_file, write_structured_file, write_structured_lines, Corpus,
-    EventId, LineSource, LogParser, MaskRule, Parse, Preprocessor, TokenSpan,
+    walk_kept_lines, write_events_file, write_structured_lines, Corpus, EventId, LineSource,
+    LogParser, MaskRule, Parse, Preprocessor, TokenSpan,
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
@@ -63,10 +63,10 @@ RULES:     comma-separated from ip,blk,core,num,hex,path
 parse reads FILE, or stdin, skipping blank lines and refusing invalid
 UTF-8, and writes the events file (stdout by default) and, with
 --structured-out, the structured log; neither is written when the input
-is refused. --parser drain at -j 1 streams the input through Drain's
-tree in one pass and builds no corpus, so it holds the templates, one
-read window and 4 bytes a line; every other parser, and -j N, loads the
-whole corpus first.
+is refused. --parser drain at -j 1 (or -j 0) streams the input through
+Drain's tree in one pass and builds no corpus, so it holds the templates,
+one read window and 4 bytes a line; every other parser, and -j N above
+1, loads the whole corpus first.
 
 serve ingests a live stream — stdin by default, FILE (with --follow to
 tail it through rotations), or a TCP line protocol via --listen — parses
@@ -229,24 +229,25 @@ fn stream_drain(path: Option<&str>, preprocessor: &Preprocessor) -> Result<Parse
     Ok(Parse::new(drain.templates(), assignments))
 }
 
-/// `logmine parse`. Drain at `-j 1` streams its input (see
-/// [`stream_drain`]); every other parser, and `-j N`, parses a corpus.
+/// `logmine parse`. Drain at `-j 1` (or `-j 0`, which is 1) streams its
+/// input (see [`stream_drain`]); every other parser, and `-j N`, parses a
+/// corpus. Either way the kept lines are numbered from 1, so the parse
+/// alone says what the structured log holds.
 pub fn parse(args: &Args) -> CliResult {
     let threads: usize = args.parsed_or("threads", 1)?;
     let preprocessor = build_preprocessor(args)?;
     let path = args.positional().first().map(String::as_str);
     // Before the input: a mistyped name should not cost the load.
     let parser = build_parser(args)?;
-    let (parse, corpus) = if threads == 1 && parser.name() == Drain::default().name() {
-        (stream_drain(path, &preprocessor)?, None)
+    let parse = if threads <= 1 && parser.name() == Drain::default().name() {
+        stream_drain(path, &preprocessor)?
     } else {
         let corpus = load_corpus(path, &preprocessor, threads)?;
-        let parse = if threads > 1 {
+        if threads > 1 {
             parser.parse_parallel(&corpus, threads)?
         } else {
             parser.parse(&corpus)?
-        };
-        (parse, Some(corpus))
+        }
     };
     eprintln!(
         "{}: {} messages -> {} events, {} outliers",
@@ -260,12 +261,7 @@ pub fn parse(args: &Args) -> CliResult {
     events_out.flush()?;
     if let Some(path) = args.option("structured-out") {
         let mut structured = BufWriter::new(File::create(path)?);
-        match &corpus {
-            Some(corpus) => write_structured_file(corpus, &parse, &mut structured)?,
-            // The walk numbers the kept lines from 1, as a file-built
-            // corpus does.
-            None => write_structured_lines(1..=parse.len(), &parse, &mut structured)?,
-        }
+        write_structured_lines(1..=parse.len(), &parse, &mut structured)?;
         structured.flush()?;
     }
     Ok(())

@@ -302,9 +302,9 @@ fn loader_v1_goldens_hold_from_file_and_stdin() {
 }
 
 /// `parse --parser drain -j 1` streams its input into Drain's tree and
-/// builds no corpus; from a file and from stdin, unmasked and masked, it
-/// writes the bytes of Drain's batch parse of the corpus, and prints the
-/// same summary line.
+/// builds no corpus, and so does `-j 0`, which is one thread; from a file
+/// and from stdin, unmasked and masked, either writes the bytes of
+/// Drain's batch parse of the corpus, and prints the same summary line.
 #[test]
 fn parse_drain_streams_to_the_corpus_paths_bytes() {
     use logparse_core::{
@@ -344,10 +344,10 @@ fn parse_drain_streams_to_the_corpus_paths_bytes() {
             parse.len(),
             parse.event_count()
         );
-        for from_stdin in [false, true] {
+        for (threads, from_stdin) in [("1", false), ("1", true), ("0", false), ("0", true)] {
             let (events_out, structured_out) = (dir.join("events"), dir.join("structured"));
             let mut command = logmine();
-            command.args(["parse", "--parser", "drain", "-j", "1"]);
+            command.args(["parse", "--parser", "drain", "-j", threads]);
             if let Some(rules) = rules {
                 command.args(["--preprocess", rules]);
             }
@@ -362,7 +362,7 @@ fn parse_drain_streams_to_the_corpus_paths_bytes() {
                 command.arg(&input);
             }
             let out = command.output().unwrap();
-            let case = format!("{rules:?} (stdin: {from_stdin})");
+            let case = format!("{rules:?} -j {threads} (stdin: {from_stdin})");
             assert!(out.status.success(), "{case}");
             assert_eq!(String::from_utf8_lossy(&out.stderr), summary, "{case}");
             assert!(

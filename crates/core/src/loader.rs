@@ -17,21 +17,22 @@
 //!    back in. An owned buffer stays whole.
 //! 2. **Scan** — [`crate::simd::scan`] finds newline and token
 //!    boundaries in one SWAR pass, a 64-byte block of bitmasks per
-//!    step, flagging blank lines (all ASCII
-//!    whitespace; skipped, per the skip-blank contract in
-//!    [`crate::simd`]) and lines containing non-ASCII bytes.
-//! 3. **Mask, then intern** — ASCII lines (the overwhelming majority
-//!    of machine logs) hand each token slice to the build's
-//!    [`Masker`]: a token a [`MaskRule`] claims becomes
-//!    the rule's fixed placeholder symbol and is never interned; every
+//!    step, flagging blank lines (all ASCII whitespace) and lines
+//!    containing non-ASCII bytes. Its one sink, [`SpanSink`], tracks
+//!    where each line begins and stages the line's tokens as `u16`
+//!    [`TokenSpan`]s; [`scan_kept`] applies the batch line contract to
+//!    what it hands over: blank lines skipped (the skip-blank contract
+//!    in [`crate::simd`]), and a line with high bytes UTF-8-checked —
+//!    the same `InvalidData` error `BufRead::lines` produces — and left
+//!    without spans, as is a line of [`MAX_SPANNED_LINE_BYTES`] or more.
+//! 3. **Mask, then intern** — each token of a kept line, cut by its
+//!    spans or, without them, by `split_whitespace` (for which U+00A0
+//!    or U+3000 separates tokens as a space does), goes through the
+//!    build's [`Masker`]: a token a [`MaskRule`] claims becomes the
+//!    rule's fixed placeholder symbol and is never interned; every
 //!    other token is interned straight into the open [`TokenArena`] row
 //!    — one hash probe per token, no row vector. Without rules the
 //!    masker is the zero-sized [`Identity`] and the step compiles away.
-//!    Lines with high bytes take the checked slow path — UTF-8
-//!    validation (the same `InvalidData` error `BufRead::lines`
-//!    produces) and `split_whitespace`, for which U+00A0 or U+3000
-//!    separates tokens as a space does — and mask per token the same
-//!    way.
 //!
 //! The chunked-parallel build splits the buffer at newline boundaries,
 //! scans each chunk with a thread-local interner/arena, then merges in
@@ -46,10 +47,13 @@
 //! are first-occurrence-ordered over the *masked* stream — the corpus
 //! [`Preprocessor::apply`] derives from the unmasked build.
 //!
-//! [`walk_kept_lines`] is the same buffer-and-scan under the same line
-//! contract with no corpus at the end: each kept line, with its token
-//! spans, goes to a consumer (`logmine parse --parser drain -j 1` feeds a
-//! streaming Drain), and nothing is kept per line.
+//! [`walk_kept_lines`] is the other consumer of [`scan_kept`]: each kept
+//! line, with its token spans, goes to a caller (`logmine parse --parser
+//! drain -j 1` feeds a streaming Drain), rebuilt with placeholders when
+//! masked, and nothing is kept per line. The stream cutter,
+//! [`LineFramer`], scans through the same [`SpanSink`] under the stream
+//! column instead: blank lines kept, invalid UTF-8 and over-long lines
+//! repaired, each line's first token named.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -164,8 +168,8 @@ fn too_many_tokens() -> ParseError {
 }
 
 /// What a build does with a token before interning it. A
-/// generic parameter of the sink, so the unmasked build carries no
-/// trace of it.
+/// generic parameter of the build and the walk, so the unmasked ones
+/// carry no trace of it.
 trait Masker: Copy + Send {
     /// The rules [`classify`](Masker::classify) indexes into.
     fn rules(&self) -> &[MaskRule];
@@ -242,107 +246,69 @@ impl<M: Masker> Rows<M> {
         };
         self.arena.push_symbol(symbol);
     }
-}
 
-/// The scan sink that performs arena-direct interning.
-///
-/// Token runs are staged as byte ranges in a reusable scratch vector
-/// (never a per-row allocation); at each `line` event they are either
-/// pushed straight into the arena row (pure-ASCII line — `ascii_str`
-/// skips the UTF-8 walk the scanner already did) or discarded in favor
-/// of the checked slow path (line with high bytes).
-struct BuildSink<'a, M> {
-    /// The window being scanned (a sub-slice of the full buffer).
-    buf: &'a [u8],
-    /// Absolute offset of `buf[0]` in the full buffer.
-    base: usize,
-    rows: Rows<M>,
-    spans: Vec<Span>,
-    /// Raw token runs of the line currently being scanned.
-    scratch: Vec<(usize, usize)>,
-}
-
-impl<'a, M: Masker> BuildSink<'a, M> {
-    fn new(masker: M, lines_hint: usize) -> BuildSink<'a, M> {
-        BuildSink {
-            buf: &[],
-            base: 0,
-            rows: Rows::new(masker),
-            spans: Vec::with_capacity(lines_hint),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn into_out(self) -> ChunkOut {
-        ChunkOut {
-            interner: self.rows.interner,
-            arena: self.rows.arena,
-            spans: self.spans,
-            masked: self.rows.masked,
-        }
-    }
-}
-
-impl<M: Masker> ScanSink for BuildSink<'_, M> {
-    #[inline]
-    fn token(&mut self, start: usize, end: usize) {
-        self.scratch.push((start, end));
-    }
-
-    fn line(
-        &mut self,
-        start: usize,
-        content_end: usize,
-        blank: bool,
-        has_high: bool,
-    ) -> Result<(), ParseError> {
-        if blank {
-            return Ok(());
-        }
-        if has_high {
-            self.scratch.clear();
-            let content =
-                std::str::from_utf8(&self.buf[start..content_end]).map_err(|_| invalid_utf8())?;
-            for token in content.split_whitespace() {
-                self.rows.push_token(token);
+    /// Seals one kept line of [`scan_kept`] as a row: its tokens cut by
+    /// its spans where it has them, by `split_whitespace` otherwise.
+    #[inline(always)]
+    fn push_line(&mut self, text: &str, spans: Option<&[TokenSpan]>) -> Result<(), ParseError> {
+        // Inlined, and plain loops, so that a line's tokens are interned
+        // in the one call the scan makes per line (behind an iterator
+        // adapter's closure `push_token` stayed a call per token); cut
+        // without a char-boundary check, as `scan_kept` gives spans to
+        // ASCII lines only. Each of the three slowed the masked build.
+        match spans {
+            Some(spans) => {
+                let bytes = text.as_bytes();
+                for &(start, end) in spans {
+                    self.push_token(ascii_str(&bytes[usize::from(start)..usize::from(end)]));
+                }
             }
-        } else {
-            for &(ts, te) in &self.scratch {
-                self.rows.push_token(ascii_str(&self.buf[ts..te]));
+            None => {
+                for token in text.split_whitespace() {
+                    self.push_token(token);
+                }
             }
-            self.scratch.clear();
         }
-        self.rows
-            .arena
-            .try_finish_row()
-            .ok_or_else(too_many_tokens)?;
-        self.spans
-            .push(Span::new(self.base + start, self.base + content_end)?);
-        Ok(())
+        self.arena.try_finish_row().ok_or_else(too_many_tokens)
     }
 }
 
 /// Scans one byte range of the full buffer into a chunk-local output,
-/// `window` bytes at a time (see [`walk_windows`]). Windows hold whole
-/// lines and a line's tokens are interned before its window is
-/// released, so the output is the one-window scan's whatever `window`.
+/// `window` bytes at a time (see [`walk_windows`]), each window through
+/// [`scan_kept`]. Windows hold whole lines and a line's tokens are
+/// interned before its window is released, so the output is the
+/// one-window scan's whatever `window`.
 fn build_chunk<M: Masker>(
     buffer: &LineBuffer,
     range: Range<usize>,
     masker: M,
     window: usize,
 ) -> Result<ChunkOut, ParseError> {
+    let mut rows = Rows::new(masker);
     // ~40 bytes/line is typical machine-log density; the hint only
     // sizes the first allocation.
-    let lines_hint = range.len() / 40 + 1;
-    let mut sink = BuildSink::new(masker, lines_hint);
+    let mut spans = Vec::with_capacity(range.len() / 40 + 1);
+    let mut staged = Vec::new();
     walk_windows(buffer, range, window, |window| {
-        let bytes = &buffer[window.clone()];
-        sink.buf = bytes;
-        sink.base = window.start;
-        scan(bytes, &mut sink)
+        scan_kept(
+            &buffer[window.clone()],
+            &mut staged,
+            |line, text, tokens| {
+                rows.push_line(text, tokens)?;
+                spans.push(Span::new(
+                    window.start + line.start,
+                    window.start + line.end,
+                )?);
+                Ok(())
+            },
+        )
     })?;
-    Ok(sink.into_out())
+    Ok(ChunkOut {
+        interner: rows.interner,
+        arena: rows.arena,
+        spans,
+        masked: rows.masked,
+    })
 }
 
 /// Splits `bytes` into up to `threads` ranges, each starting at a line
@@ -721,8 +687,9 @@ pub enum LineSource<'a> {
 
 /// Hands each line a corpus build of `source` would keep to `each`, in
 /// order, and returns how many — without building the corpus: one scan
-/// per byte, and nothing held per line. The batch column of DESIGN.md's
-/// *Line contract* holds: blank lines are skipped and not counted, one
+/// per byte, the corpus build's own line scan, and nothing held per line.
+/// The batch column of DESIGN.md's *Line contract* holds: blank lines are
+/// skipped and not counted, one
 /// `\r` before `\n` is stripped, and a line with invalid UTF-8 fails the
 /// walk with the error a corpus build gives, after `each` has seen the
 /// lines before it.
@@ -867,15 +834,10 @@ impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> KeptLines<M, F> {
     /// Scans `region` — whole lines, the last one perhaps unterminated —
     /// once, handing on each kept line.
     fn region(&mut self, region: &[u8]) -> Result<(), ParseError> {
-        scan(
-            region,
-            &mut RegionSink {
-                region,
-                line_start: 0,
-                spans: Vec::new(),
-                kept: self,
-            },
-        )
+        scan_kept(region, &mut Vec::new(), |_, text, spans| {
+            self.hand_on(text, spans);
+            Ok(())
+        })
     }
 
     /// Hands on one kept line, `text` with `spans` where it has them.
@@ -925,19 +887,28 @@ impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> KeptLines<M, F> {
     }
 }
 
-/// The scan sink of one region of a kept-line walk.
-struct RegionSink<'r, 'k, M, F> {
+/// The one scan sink behind every line cutter, the batch build and walk
+/// ([`scan_kept`]) and the stream framer ([`deliver`]) alike: it tracks
+/// where each line of `region` begins, stages the line's tokens as
+/// [`TokenSpan`]s relative to that start, and hands the line — its
+/// content range in `region`, whether it is blank, whether it holds a
+/// byte ≥ 0x80, and its spans — to `each`. A token ending
+/// [`MAX_SPANNED_LINE_BYTES`] or more into its line is not staged: such a
+/// line's spans are dropped anyway.
+struct SpanSink<'r, F> {
     region: &'r [u8],
     /// Where the current line begins in `region`.
     line_start: usize,
-    /// The current line's token spans; a token ending
-    /// [`MAX_SPANNED_LINE_BYTES`] or more into its line is not kept, as
-    /// the line's spans are dropped anyway.
+    /// Owned, not borrowed, for the scan: a push through a `&mut Vec`
+    /// per token slowed the corpus build.
     spans: Vec<TokenSpan>,
-    kept: &'k mut KeptLines<M, F>,
+    each: F,
 }
 
-impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> ScanSink for RegionSink<'_, '_, M, F> {
+impl<F> ScanSink for SpanSink<'_, F>
+where
+    F: FnMut(Range<usize>, bool, bool, &[TokenSpan]) -> Result<(), ParseError>,
+{
     #[inline]
     fn token(&mut self, start: usize, end: usize) {
         if end - self.line_start < MAX_SPANNED_LINE_BYTES {
@@ -948,6 +919,9 @@ impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> ScanSink for RegionSink<'_
         }
     }
 
+    // Inlined into the scan's block walk, so that a line costs one call,
+    // into `each`: a second call per line slowed the corpus build.
+    #[inline(always)]
     fn line(
         &mut self,
         start: usize,
@@ -959,20 +933,55 @@ impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> ScanSink for RegionSink<'_
         // stripped before it.
         self.line_start =
             content_end + 1 + usize::from(self.region.get(content_end) == Some(&b'\r'));
-        if !blank {
-            let bytes = &self.region[start..content_end];
-            if has_high {
-                let text = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
-                self.kept.hand_on(text, None);
-            } else {
-                let whole = bytes.len() < MAX_SPANNED_LINE_BYTES;
-                self.kept
-                    .hand_on(ascii_str(bytes), whole.then_some(&self.spans[..]));
-            }
-        }
+        let handed = (self.each)(start..content_end, blank, has_high, &self.spans);
         self.spans.clear();
-        Ok(())
+        handed
     }
+}
+
+/// Scans `region` — whole lines, the last one perhaps unterminated —
+/// once through a [`SpanSink`], `spans` its staging vector.
+fn scan_lines(
+    region: &[u8],
+    spans: &mut Vec<TokenSpan>,
+    each: impl FnMut(Range<usize>, bool, bool, &[TokenSpan]) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let mut sink = SpanSink {
+        region,
+        line_start: 0,
+        spans: std::mem::take(spans),
+        each,
+    };
+    let scanned = scan(region, &mut sink);
+    *spans = sink.spans;
+    scanned
+}
+
+/// [`scan_lines`] under the batch column of DESIGN.md's *Line contract*,
+/// the one place the corpus build and the kept-line walk apply it: blank
+/// lines are skipped, and a line with invalid UTF-8 fails the scan with
+/// the error `BufRead::lines` gives. Each kept line goes to `each` with
+/// its content range in `region`, its text, and its spans where they are
+/// the token rule's: `None` for a line with a byte ≥ 0x80 or of
+/// [`MAX_SPANNED_LINE_BYTES`] or more, which is split by
+/// `split_whitespace` instead.
+fn scan_kept(
+    region: &[u8],
+    spans: &mut Vec<TokenSpan>,
+    mut each: impl FnMut(Range<usize>, &str, Option<&[TokenSpan]>) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    scan_lines(region, spans, |line, blank, has_high, spans| {
+        let bytes = &region[line.clone()];
+        if blank {
+            Ok(())
+        } else if has_high {
+            let text = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
+            each(line, text, None)
+        } else {
+            let whole = bytes.len() < MAX_SPANNED_LINE_BYTES;
+            each(line, ascii_str(bytes), whole.then_some(spans))
+        }
+    })
 }
 
 /// The longest line, in bytes, a [`LineFramer`] delivers whole.
@@ -1143,28 +1152,48 @@ impl LineFramer {
 }
 
 /// Scans `region` — whole lines, the last one perhaps unterminated —
-/// once, handing each line to `each`. The region is UTF-8-checked once;
-/// a line is checked on its own only when that fails, and copied only
-/// to be repaired.
+/// once, handing each line to `each` under the stream column of the
+/// *Line contract*: blank lines kept, and a line repaired rather than
+/// refused. The region is UTF-8-checked once; a line is checked on its
+/// own only when that fails, and copied only to be repaired.
 fn deliver(
     region: &[u8],
     spans: &mut Vec<TokenSpan>,
     damage: &mut LineDamage,
-    each: impl FnMut(FramedLine<'_>),
+    mut each: impl FnMut(FramedLine<'_>),
 ) -> usize {
-    spans.clear();
-    let mut sink = FramerSink {
-        region,
-        text: std::str::from_utf8(region).ok(),
-        damage,
-        each,
-        spans,
-        line_start: 0,
-        lines: 0,
-    };
-    // The sink never fails a line, so neither does the scan.
-    let _ = scan(region, &mut sink);
-    sink.lines
+    let whole = std::str::from_utf8(region).ok();
+    let mut lines = 0;
+    // No line fails, so neither does the scan.
+    let _ = scan_lines(region, spans, |line, _blank, has_high, spans| {
+        lines += 1;
+        let bytes = &region[line.clone()];
+        let text = match whole {
+            Some(whole) => whole.get(line),
+            None => std::str::from_utf8(bytes).ok(),
+        };
+        match text {
+            Some(text) if bytes.len() < MAX_SPANNED_LINE_BYTES => {
+                let first = spans.first().map_or("", |&(from, to)| {
+                    text.get(usize::from(from)..usize::from(to))
+                        .unwrap_or_default()
+                });
+                each(FramedLine {
+                    text,
+                    first_token: first,
+                    tokens: spans.len(),
+                    spans: (!has_high).then_some(spans),
+                });
+            }
+            Some(text) if bytes.len() <= MAX_LINE_BYTES => each(Shape::of(text).line(text)),
+            _ => {
+                let repaired = decode(bytes, damage);
+                each(Shape::of(&repaired).line(&repaired));
+            }
+        }
+        Ok(())
+    });
+    lines
 }
 
 /// The first token and the token count of a line the scan gave no
@@ -1203,74 +1232,6 @@ impl ScanSink for Shape {
     }
 
     fn line(&mut self, _: usize, _: usize, _: bool, _: bool) -> Result<(), ParseError> {
-        Ok(())
-    }
-}
-
-/// The scan sink behind [`deliver`].
-struct FramerSink<'a, 's, 'd, F> {
-    region: &'a [u8],
-    /// The whole region, when it is valid UTF-8.
-    text: Option<&'a str>,
-    damage: &'d mut LineDamage,
-    each: F,
-    /// The current line's tokens, relative to `line_start`. A token
-    /// ending [`MAX_SPANNED_LINE_BYTES`] or more into its line is not
-    /// kept: the line's spans are dropped anyway.
-    spans: &'s mut Vec<TokenSpan>,
-    line_start: usize,
-    lines: usize,
-}
-
-impl<F: FnMut(FramedLine<'_>)> ScanSink for FramerSink<'_, '_, '_, F> {
-    #[inline]
-    fn token(&mut self, start: usize, end: usize) {
-        if end - self.line_start < MAX_SPANNED_LINE_BYTES {
-            self.spans.push((
-                (start - self.line_start) as u16,
-                (end - self.line_start) as u16,
-            ));
-        }
-    }
-
-    fn line(
-        &mut self,
-        start: usize,
-        content_end: usize,
-        _blank: bool,
-        has_high: bool,
-    ) -> Result<(), ParseError> {
-        self.lines += 1;
-        // The next line begins past this one's `\n`, and past a `\r`
-        // stripped before it.
-        self.line_start =
-            content_end + 1 + usize::from(self.region.get(content_end) == Some(&b'\r'));
-        let bytes = &self.region[start..content_end];
-        let text = match self.text {
-            Some(text) => text.get(start..content_end),
-            None => std::str::from_utf8(bytes).ok(),
-        };
-        match text {
-            Some(text) if bytes.len() < MAX_SPANNED_LINE_BYTES => {
-                let spans = &self.spans[..];
-                let first = spans.first().map_or("", |&(from, to)| {
-                    text.get(usize::from(from)..usize::from(to))
-                        .unwrap_or_default()
-                });
-                (self.each)(FramedLine {
-                    text,
-                    first_token: first,
-                    tokens: spans.len(),
-                    spans: (!has_high).then_some(spans),
-                });
-            }
-            Some(text) if bytes.len() <= MAX_LINE_BYTES => (self.each)(Shape::of(text).line(text)),
-            _ => {
-                let repaired = decode(bytes, self.damage);
-                (self.each)(Shape::of(&repaired).line(&repaired));
-            }
-        }
-        self.spans.clear();
         Ok(())
     }
 }
@@ -1653,7 +1614,8 @@ mod tests {
     }
 
     /// Token rows and masked counts, or the first error: what a kept-line
-    /// walk and a corpus build of one input must agree on.
+    /// walk, a corpus build and the buffered reference of one input must
+    /// agree on.
     type Rowed = Result<(Vec<Vec<String>>, Vec<u64>), String>;
 
     /// The rows a walk hands over, each line's spans checked on the way:
@@ -1682,11 +1644,10 @@ mod tests {
         Ok((rows, masked))
     }
 
-    /// The rows of the one-window corpus build of `bytes`.
-    fn built_rows<M: Masker>(bytes: &[u8], masker: M) -> Rowed {
-        let buffer = LineBuffer::Owned(bytes.to_vec());
+    /// The rows of the corpus build of `buffer`, `window` bytes at a time.
+    fn built_rows<M: Masker>(buffer: &LineBuffer, masker: M, window: usize) -> Rowed {
         let out =
-            build_chunk(&buffer, 0..bytes.len(), masker, usize::MAX).map_err(|e| e.to_string())?;
+            build_chunk(buffer, 0..buffer.len(), masker, window).map_err(|e| e.to_string())?;
         let rows = out
             .arena
             .iter()
@@ -1697,6 +1658,34 @@ mod tests {
             })
             .collect();
         Ok((rows, out.masked))
+    }
+
+    /// The rows of `bytes` by the buffered reference, which shares no
+    /// scan with the loader: the non-blank lines of `BufRead::lines` into
+    /// [`Corpus::from_lines`], then [`Preprocessor::apply`], each rule's
+    /// hits counted over the unmasked tokens — or the first line's error.
+    fn reference_rows(bytes: &[u8], preprocessor: &Preprocessor) -> Rowed {
+        let mut kept = Vec::new();
+        for line in bytes.lines() {
+            let line = line.map_err(|e| ParseError::from(e).to_string())?;
+            if !line.bytes().all(|b| matches!(b, b'\t'..=b'\r' | b' ')) {
+                kept.push(line);
+            }
+        }
+        let corpus = Corpus::from_lines(&kept);
+        let mut masked = vec![0; preprocessor.rules().len()];
+        for i in 0..corpus.len() {
+            for token in corpus.tokens(i) {
+                if let Some(rule) = preprocessor.classify(token.as_bytes()) {
+                    masked[rule] += 1;
+                }
+            }
+        }
+        let corpus = preprocessor.apply(&corpus);
+        let rows = (0..corpus.len())
+            .map(|i| corpus.tokens(i).into_iter().map(str::to_owned).collect())
+            .collect();
+        Ok((rows, masked))
     }
 
     /// Lines dense in what a kept-line walk can get wrong: every ASCII
@@ -1715,7 +1704,8 @@ mod tests {
                 Just(b"blk_-42 10.0.0.1 7 /var/log".to_vec()),
                 "[ -~]{1,12}".prop_map(String::into_bytes),
                 (65_530usize..70_000).prop_map(|len| {
-                    let mut line = b"\nlong ".repeat(len / 6);
+                    let mut line = b"\n".to_vec();
+                    line.extend(b"long ".iter().cycle().take(len));
                     line.push(b'\n');
                     line
                 }),
@@ -1732,14 +1722,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A kept-line walk hands over the lines a corpus build keeps, each
-        /// with the tokens the build interns for it — placeholders where
-        /// masked — and the build's masked counts, or fails with its first
-        /// error: from a mapped file walked in windows of 1 to 300 bytes,
-        /// and from a reader of 1 to 300 bytes a read into a buffer of 1 to
-        /// 300 bytes, grown for longer lines.
+        /// A kept-line walk and a corpus build both hand over the lines the
+        /// buffered reference keeps, each with the reference's tokens —
+        /// placeholders where masked — and its masked counts, or fail with
+        /// its first error: the walk from a mapped file in windows of 1 to
+        /// 300 bytes and of [`WINDOW`], and from a reader of 1 to 300 bytes
+        /// a read into a buffer of 1 to 300 bytes, grown for longer lines;
+        /// the build over the mapped file in windows of 1 to 300 bytes.
         #[test]
-        fn kept_line_walks_hand_over_the_builds_rows(
+        fn kept_line_walks_and_builds_hand_over_the_line_readers_rows(
             bytes in walk_soup(),
             terminated in prop_oneof![Just(false), Just(true)],
             window in 1usize..=300,
@@ -1750,19 +1741,24 @@ mod tests {
                 bytes.push(b'\n');
             }
             let path = write_temp("kept-walk.log", &bytes);
-            let masker = &Preprocessor::new(MaskRule::ALL.to_vec());
-            for (built, walk) in [
-                (built_rows(&bytes, Identity), None),
-                (built_rows(&bytes, masker), Some(masker)),
-            ] {
-                let walked = |source: LineSource<'_>, window| match walk {
-                    Some(masker) => walked_rows(source, masker, window),
-                    None => walked_rows(source, Identity, window),
+            let mapped = map_or_read(File::open(&path).unwrap()).unwrap();
+            let all = Preprocessor::new(MaskRule::ALL.to_vec());
+            for preprocessor in [&Preprocessor::identity(), &all] {
+                let reference = reference_rows(&bytes, preprocessor);
+                let masked = !preprocessor.rules().is_empty();
+                let walked = |source: LineSource<'_>, window| match masked {
+                    true => walked_rows(source, preprocessor, window),
+                    false => walked_rows(source, Identity, window),
                 };
-                prop_assert_eq!(&walked(LineSource::Path(&path), window), &built);
-                prop_assert_eq!(&walked(LineSource::Path(&path), WINDOW), &built);
+                prop_assert_eq!(&walked(LineSource::Path(&path), window), &reference);
+                prop_assert_eq!(&walked(LineSource::Path(&path), WINDOW), &reference);
                 let mut reader = Trickle { bytes: &bytes, step };
-                prop_assert_eq!(&walked(LineSource::Reader(&mut reader), window), &built);
+                prop_assert_eq!(&walked(LineSource::Reader(&mut reader), window), &reference);
+                let built = match masked {
+                    true => built_rows(&mapped, preprocessor, window),
+                    false => built_rows(&mapped, Identity, window),
+                };
+                prop_assert_eq!(&built, &reference);
             }
         }
     }

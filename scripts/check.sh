@@ -54,7 +54,9 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    vocabularies built to collide, an overlay
 #                                    against a deep clone, a new token's mean
 #                                    walk as a count
-#   tests/loader_differential        zero-copy loader vs the BufRead reference;
+#   tests/loader_differential        zero-copy loader vs the BufRead reference
+#                                    (ASCII lines past 64 KiB included, which
+#                                    the build splits without spans);
 #                                    job cuts (no cut splits a line, a
 #                                    byte-range build is the slice of the whole)
 #   core io byte_writer_equals_the_writeln_loop, obs json
@@ -182,15 +184,19 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    walk — equals the one-window build:
 #                                    vocabulary order, rows, spans, masked
 #                                    counts, cuts, or the same first error
-#   core loader kept_line_walks_hand_over_the_builds_rows,
-#   tests/fused_parse_differential, cli parse_drain_streams_to_the_
-#   corpus_paths_bytes, refused_input_fails_parse_and_leaves_the_
-#   outputs_alone
-#                                    `parse --parser drain -j 1` builds no
-#                                    corpus: the kept-line walk hands over
-#                                    the build's lines, tokens and masked
-#                                    counts (mapped windows and reads of
-#                                    1..=300 bytes), and walk + StreamingDrain
+#   core loader kept_line_walks_and_builds_hand_over_the_line_
+#   readers_rows, tests/fused_parse_differential, cli parse_drain_
+#   streams_to_the_corpus_paths_bytes, refused_input_fails_parse_and_
+#   leaves_the_outputs_alone
+#                                    `parse --parser drain -j 1` (and -j 0)
+#                                    builds no corpus: the kept-line walk
+#                                    and the corpus build, one line scan,
+#                                    both hand over the lines, tokens and
+#                                    masked counts of the non-blank
+#                                    `BufRead::lines` + `Corpus::from_lines`
+#                                    + `Preprocessor::apply` reference
+#                                    (mapped windows and reads of 1..=300
+#                                    bytes), and walk + StreamingDrain
 #                                    write the corpus path's events and
 #                                    structured bytes on hostile soup (VT,
 #                                    FF, CR, CRLF, U+00A0, U+0085, `\xff`,

@@ -316,15 +316,29 @@ proptest! {
 
     /// Random printable-ASCII + whitespace soup — all six ASCII
     /// whitespace bytes (`\n` and `\r` through the separator too), and
-    /// U+00A0 and U+3000, which send a line down the char-level path:
-    /// `from_bytes` (sequential, and at an adversarial thread count)
-    /// always reproduces the legacy pipeline bit-for-bit, and a
-    /// kept line's tokens are its `split_whitespace`, whichever scanner
-    /// path it took. (The class holds the characters themselves; the
-    /// word ranges keep about half of a line token text.)
+    /// U+00A0 and U+3000, which send a line down the char-level path —
+    /// and, one line in 40, an ASCII line of 65 530–70 000 bytes, past
+    /// the `u16` token spans, which the build splits by
+    /// `split_whitespace`: `from_bytes` (sequential, and at an adversarial
+    /// thread count) always reproduces the legacy pipeline bit-for-bit,
+    /// and a kept line's tokens are its `split_whitespace`, whichever
+    /// scanner path it took. (The class holds the characters themselves;
+    /// the word ranges keep about half of a line token text.)
     #[test]
     fn from_bytes_matches_the_legacy_pipeline_on_arbitrary_text(
-        lines in prop::collection::vec("[ -~a-zA-Z0-9_\t\x0b\x0c\r\u{a0}\u{3000}]{0,40}", 0..60),
+        lines in prop::collection::vec(
+            (
+                0u8..40,
+                "[ -~a-zA-Z0-9_\t\x0b\x0c\r\u{a0}\u{3000}]{0,40}",
+                65_530usize..70_000,
+                "[ -~]{1,8}",
+            )
+                .prop_map(|(roll, line, len, word)| match roll {
+                    0 => word.chars().cycle().take(len).collect(),
+                    _ => line,
+                }),
+            0..60,
+        ),
         crlf in prop_oneof![Just(false), Just(true)],
         trailing in prop_oneof![Just(false), Just(true)],
         threads in 1usize..9,
