@@ -5,8 +5,8 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use logparse_core::{
-    walk_kept_lines, write_events_file, write_structured_lines, Corpus, EventId, LineSource,
-    LogParser, MaskRule, Parse, Preprocessor, TokenSpan,
+    write_events_file, write_structured_lines, Corpus, LineSource, LogParser, MaskRule,
+    Preprocessor,
 };
 use logparse_datasets::{study_datasets, DatasetSpec, LabeledCorpus};
 use logparse_eval::{grouping_accuracy, pairwise_f_measure, purity, rand_index, tune, ParserKind};
@@ -18,7 +18,7 @@ use logparse_jobs::protocol as jobproto;
 use logparse_jobs::{run_job, JobConfig};
 use logparse_mining::{event_count_matrix, truth_count_matrix, PcaDetector, PcaDetectorConfig};
 use logparse_obs::Journal;
-use logparse_parsers::{batch_parser, Drain, Lke, LogSig, Slct, StreamingDrain, StreamingParser};
+use logparse_parsers::{batch_parser, stream_drain, Drain, Lke, LogSig, Slct};
 use logparse_store::{StoreConfig, TemplateStore};
 
 use crate::args::Args;
@@ -96,8 +96,10 @@ alert_resolved edges. --alert-rules replaces the built-in rule set,
 
 jobs run shards FILE into -j chunks and parses them across --workers
 worker *processes* (default: one per chunk), with per-task retry,
-exponential backoff and a dead-letter queue under DIR/dlq. The merged
-result is byte-identical to `logmine parse -j N`. The job directory is
+exponential backoff and a dead-letter queue under DIR/dlq. A worker
+reads only its chunk's bytes; with --parser drain it streams them
+through Drain's tree, as parse -j 1 does, and builds no corpus. The
+merged result is byte-identical to `logmine parse -j N`. The job directory is
 durable: re-running the same command after a crash (coordinator or
 worker, SIGKILL included) resumes from completed shards without
 re-parsing or duplicating them. `jobs status` shows per-task state,
@@ -209,26 +211,6 @@ fn load_corpus(
     })
 }
 
-/// Drain's parse of `path`, or of stdin, without a corpus: each kept line
-/// goes from one scan straight into a [`StreamingDrain`], whose group ids
-/// are the batch parse's event ids (both count in creation order), so the
-/// run holds the tree, one read window and 4 bytes a line.
-fn stream_drain(path: Option<&str>, preprocessor: &Preprocessor) -> Result<Parse, Box<dyn Error>> {
-    let mut drain = StreamingDrain::new(Drain::default());
-    let mut assignments = Vec::new();
-    let mut assign = |line: &str, spans: Option<&[TokenSpan]>| {
-        assignments.push(Some(EventId::new(drain.observe_spans(line, spans))));
-    };
-    match path {
-        Some(path) => walk_kept_lines(LineSource::Path(path.as_ref()), preprocessor, &mut assign)?,
-        None => {
-            let mut stdin = std::io::stdin().lock();
-            walk_kept_lines(LineSource::Reader(&mut stdin), preprocessor, &mut assign)?
-        }
-    };
-    Ok(Parse::new(drain.templates(), assignments))
-}
-
 /// `logmine parse`. Drain at `-j 1` (or `-j 0`, which is 1) streams its
 /// input (see [`stream_drain`]); every other parser, and `-j N`, parses a
 /// corpus. Either way the kept lines are numbered from 1, so the parse
@@ -240,7 +222,12 @@ pub fn parse(args: &Args) -> CliResult {
     // Before the input: a mistyped name should not cost the load.
     let parser = build_parser(args)?;
     let parse = if threads <= 1 && parser.name() == Drain::default().name() {
-        stream_drain(path, &preprocessor)?
+        let stdin = &mut std::io::stdin().lock();
+        let source = match path {
+            Some(path) => LineSource::Path(path.as_ref()),
+            None => LineSource::Reader(stdin),
+        };
+        stream_drain(source, &preprocessor)?
     } else {
         let corpus = load_corpus(path, &preprocessor, threads)?;
         if threads > 1 {

@@ -11,7 +11,7 @@
 //!    way there is exactly one buffer for the whole corpus, shared
 //!    behind an `Arc` — records are byte-range views into it, never
 //!    per-line strings. Every walk over it goes a window of about
-//!    4 MiB at a time ([`walk_windows`]), and a mapping's window is
+//!    1 MiB at a time ([`walk_windows`]), and a mapping's window is
 //!    released once walked: a build keeps one window of the file
 //!    resident per thread, and a later read of a record faults its page
 //!    back in. An owned buffer stays whole.
@@ -49,8 +49,9 @@
 //!
 //! [`walk_kept_lines`] is the other consumer of [`scan_kept`]: each kept
 //! line, with its token spans, goes to a caller (`logmine parse --parser
-//! drain -j 1` feeds a streaming Drain), rebuilt with placeholders when
-//! masked, and nothing is kept per line. The stream cutter,
+//! drain -j 1` and a `jobs` worker's Drain chunk feed a streaming Drain),
+//! rebuilt with placeholders when masked, and nothing is kept per line:
+//! the input, a file too, is read through one reused window. The stream cutter,
 //! [`LineFramer`], scans through the same [`SpanSink`] under the stream
 //! column instead: blank lines kept, invalid UTF-8 and over-long lines
 //! repaired, each line's first token named.
@@ -107,8 +108,11 @@ impl LineBuffer {
 
 /// Bytes a walk over a buffer covers between two releases: what of a
 /// mapped input is resident at once, per walking thread, whatever the
-/// file's size.
-const WINDOW: usize = 4 << 20;
+/// file's size; and the size of the one buffer a kept-line walk reads
+/// into. A streamed parse, a `jobs` worker's streamed chunk and the
+/// coordinator's cut walk hold little else, so this window sets their
+/// peak; a smaller one costs one more release, or read, per window.
+const WINDOW: usize = 1 << 20;
 
 /// Walks bytes `range` of `buffer` window by window, handing each
 /// window to `each` and then releasing it. A window ends just past the
@@ -512,6 +516,27 @@ fn check_range(range: &Range<usize>, file_len: usize) -> Result<(), ParseError> 
     })
 }
 
+/// Refuses a byte range, inside a file of `file_len` bytes, that does
+/// not start and end at a line start; `byte_before(at)` reads the byte
+/// before offset `at` of the file, for `at` > 0.
+fn check_line_starts(
+    range: &Range<usize>,
+    file_len: usize,
+    mut byte_before: impl FnMut(usize) -> Result<u8, ParseError>,
+) -> Result<(), ParseError> {
+    let mut line_start = |at: usize| Ok::<_, ParseError>(at == 0 || byte_before(at)? == b'\n');
+    if line_start(range.start)? && (range.end == file_len || line_start(range.end)?) {
+        return Ok(());
+    }
+    Err(ParseError::InvalidConfig {
+        parameter: "bytes",
+        reason: format!(
+            "range {}..{} does not start and end at a line start",
+            range.start, range.end
+        ),
+    })
+}
+
 /// Builds the kept lines of bytes `range` of a file `file_len` long,
 /// numbered from `lines_before + 1`, `window` bytes at a time. `buffer`
 /// holds the file from byte `offset` on — at least from the byte before
@@ -525,17 +550,8 @@ fn build_range(
     lines_before: usize,
     window: usize,
 ) -> Result<Corpus, ParseError> {
+    check_line_starts(&range, file_len, |at| Ok(buffer[at - 1 - offset]))?;
     let local = range.start - offset..range.end - offset;
-    let line_start = |at: usize| at == 0 || buffer[at - 1] == b'\n';
-    if !line_start(local.start) || !(range.end == file_len || line_start(local.end)) {
-        return Err(ParseError::InvalidConfig {
-            parameter: "bytes",
-            reason: format!(
-                "range {}..{} does not start and end at a line start",
-                range.start, range.end
-            ),
-        });
-    }
     let unmasked = &Preprocessor::identity();
     measured_build(Arc::new(buffer), unmasked, lines_before, |buffer| {
         build_chunk(buffer, local, Identity, window)
@@ -673,15 +689,22 @@ pub fn count_corpus_lines(path: impl AsRef<Path>) -> Result<usize, ParseError> {
     Ok(corpus_cuts(path, 1)?.lines)
 }
 
-/// Where [`walk_kept_lines`] reads a log from.
+/// Where [`walk_kept_lines`] reads a log from. Every source is read into
+/// one reused window of about 1 MiB, grown only for a line longer than
+/// it, so a walk holds that window of its input and nothing else. A file
+/// is read, not mapped as a corpus build maps it: a walk keeps no line,
+/// and a mapping's resident pages follow the page cache's folios (a
+/// fault may map 2 MiB of a file cached in large folios), not the window.
 pub enum LineSource<'a> {
-    /// A file: mapped and walked a window of about 4 MiB at a time, each
-    /// window released once walked, as a corpus build walks it; a file
-    /// that cannot be mapped is read as a [`Reader`](LineSource::Reader)
-    /// is.
+    /// A file.
     Path(&'a Path),
-    /// Any reader — stdin — read into one reused window of about 4 MiB,
-    /// grown only for a line longer than it.
+    /// Bytes `range` of a file, as [`Corpus::from_path_range`] builds
+    /// them (a `jobs` worker's chunk): sought, and read no further than
+    /// the range. The walk refuses, before it hands on any line, a range
+    /// that is not inside the file or does not start and end at a line
+    /// start, with the error the range build gives.
+    PathRange(&'a Path, Range<usize>),
+    /// Any reader — stdin.
     Reader(&'a mut dyn Read),
 }
 
@@ -706,7 +729,9 @@ pub enum LineSource<'a> {
 /// # Errors
 ///
 /// Returns [`ParseError::Io`] when the source cannot be opened or read,
-/// or holds a line that is not valid UTF-8.
+/// or holds a line that is not valid UTF-8, and
+/// [`ParseError::InvalidConfig`] for a [`LineSource::PathRange`] that is
+/// not inside its file or does not start and end at a line start.
 pub fn walk_kept_lines(
     source: LineSource<'_>,
     preprocessor: &Preprocessor,
@@ -752,30 +777,37 @@ fn walk_kept_lines_in<M: Masker>(
     window: usize,
     each: impl FnMut(&str, Option<&[TokenSpan]>),
 ) -> Result<(usize, Vec<u64>), ParseError> {
-    let mut kept = KeptLines {
-        masked: vec![0; masker.rules().len()],
-        masker,
-        each,
-        line: String::new(),
-        line_spans: Vec::new(),
-        lines: 0,
-    };
+    let mut kept = KeptLines::new(masker, each);
     match source {
-        LineSource::Path(path) => {
-            let mut file = File::open(path)?;
-            match Mapping::of_file(&file) {
-                Some(map) => {
-                    let buffer = LineBuffer::Mapped(map);
-                    walk_windows(&buffer, 0..buffer.len(), window, |range| {
-                        kept.region(&buffer[range])
-                    })?;
-                }
-                None => walk_reader(&mut file, window, &mut kept)?,
-            }
+        LineSource::Path(path) => walk_reader(&mut File::open(path)?, window, &mut kept)?,
+        LineSource::PathRange(path, range) => {
+            walk_reader_range(File::open(path)?, range, window, &mut kept)?
         }
         LineSource::Reader(reader) => walk_reader(reader, window, &mut kept)?,
     }
     Ok((kept.lines, kept.masked))
+}
+
+/// Walks bytes `range` of a seekable input: refuses the range as the
+/// range build does, reading the byte before each end of it, then seeks
+/// to it and reads it through [`walk_reader`]'s one window — never the
+/// whole input, nor the whole range at once.
+fn walk_reader_range<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)>(
+    mut reader: impl Read + Seek,
+    range: Range<usize>,
+    window: usize,
+    kept: &mut KeptLines<M, F>,
+) -> Result<(), ParseError> {
+    let file_len = usize::try_from(reader.seek(SeekFrom::End(0))?).unwrap_or(usize::MAX);
+    check_range(&range, file_len)?;
+    check_line_starts(&range, file_len, |at| {
+        let mut byte = [0];
+        reader.seek(SeekFrom::Start(at as u64 - 1))?;
+        reader.read_exact(&mut byte)?;
+        Ok(byte[0])
+    })?;
+    reader.seek(SeekFrom::Start(range.start as u64))?;
+    walk_reader(&mut reader.take(range.len() as u64), window, kept)
 }
 
 /// Reads `reader` to its end into one buffer of `window` bytes, doubled
@@ -831,6 +863,17 @@ struct KeptLines<M, F> {
 }
 
 impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> KeptLines<M, F> {
+    fn new(masker: M, each: F) -> Self {
+        KeptLines {
+            masked: vec![0; masker.rules().len()],
+            masker,
+            each,
+            line: String::new(),
+            line_spans: Vec::new(),
+            lines: 0,
+        }
+    }
+
     /// Scans `region` — whole lines, the last one perhaps unterminated —
     /// once, handing on each kept line.
     fn region(&mut self, region: &[u8]) -> Result<(), ParseError> {
@@ -1354,18 +1397,32 @@ mod tests {
         }
     }
 
-    /// A seekable input that records which of its bytes were read.
+    /// A seekable input that records which of its bytes were read, and
+    /// hands over at most `step` bytes a read.
     struct Watched {
         inner: std::io::Cursor<Vec<u8>>,
+        step: usize,
         /// Lowest and one past the highest offset read, and bytes in all.
         touched: Option<(usize, usize)>,
         read: usize,
     }
 
+    impl Watched {
+        fn new(bytes: &[u8], step: usize) -> Watched {
+            Watched {
+                inner: std::io::Cursor::new(bytes.to_vec()),
+                step,
+                touched: None,
+                read: 0,
+            }
+        }
+    }
+
     impl Read for Watched {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             let at = self.inner.position() as usize;
-            let n = self.inner.read(buf)?;
+            let n = buf.len().min(self.step);
+            let n = self.inner.read(&mut buf[..n])?;
             if n > 0 {
                 let (low, high) = self.touched.unwrap_or((at, at + n));
                 self.touched = Some((low.min(at), high.max(at + n)));
@@ -1411,11 +1468,7 @@ mod tests {
             let ranges = ParallelDriver::chunk_ranges(whole.len(), shards);
             for (k, range) in ranges.into_iter().enumerate() {
                 let cut = measured.cuts[k]..measured.cuts[k + 1];
-                let mut input = Watched {
-                    inner: std::io::Cursor::new(bytes.clone()),
-                    touched: None,
-                    read: 0,
-                };
+                let mut input = Watched::new(&bytes, usize::MAX);
                 let sought = corpus_from_reader_range(&mut input, cut.clone(), range.start).unwrap();
                 prop_assert_eq!(&sought, &whole.slice(range));
                 let (low, high) = input.touched.unwrap_or((cut.start, cut.end));
@@ -1725,7 +1778,7 @@ mod tests {
         /// A kept-line walk and a corpus build both hand over the lines the
         /// buffered reference keeps, each with the reference's tokens —
         /// placeholders where masked — and its masked counts, or fail with
-        /// its first error: the walk from a mapped file in windows of 1 to
+        /// its first error: the walk from a file through a window of 1 to
         /// 300 bytes and of [`WINDOW`], and from a reader of 1 to 300 bytes
         /// a read into a buffer of 1 to 300 bytes, grown for longer lines;
         /// the build over the mapped file in windows of 1 to 300 bytes.
@@ -1759,6 +1812,81 @@ mod tests {
                     false => built_rows(&mapped, Identity, window),
                 };
                 prop_assert_eq!(&built, &reference);
+            }
+        }
+    }
+
+    /// The rows of a corpus, for [`Rowed`]: no rule masked anything.
+    fn corpus_rows(corpus: Result<Corpus, ParseError>) -> Rowed {
+        let corpus = corpus.map_err(|e| e.to_string())?;
+        let rows = (0..corpus.len())
+            .map(|i| corpus.tokens(i).into_iter().map(str::to_owned).collect())
+            .collect();
+        Ok((rows, Vec::new()))
+    }
+
+    /// The rows a range walk of `input` hands over.
+    fn reader_range_rows(input: &mut Watched, range: Range<usize>, window: usize) -> Rowed {
+        let mut rows = Vec::new();
+        let mut kept = KeptLines::new(Identity, |line: &str, _: Option<&[TokenSpan]>| {
+            rows.push(line.split_whitespace().map(str::to_owned).collect());
+        });
+        walk_reader_range(input, range, window, &mut kept).map_err(|e| e.to_string())?;
+        assert_eq!(kept.lines, rows.len());
+        Ok((rows, Vec::new()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A range walk — what a `jobs` worker streams — hands over the
+        /// rows of the range builds of the same bytes (mapped, and read
+        /// from a reader), or fails with their error: from a file read
+        /// through a window of 1 to 300 bytes and of [`WINDOW`], and from
+        /// a reader of 1 to 300 bytes a read, which it reads no further
+        /// than the range and the byte before each end. The ranges are a job's cuts at 1 to 5 shards (blank runs
+        /// at a cut, CRLF, `\xff` lines, lines of 65 530–70 000 bytes,
+        /// often no final newline), each with its start moved by up to
+        /// 4 KiB, most often off the line grid, and one range past the
+        /// file's end.
+        #[test]
+        fn range_walks_hand_over_the_range_builds_rows(
+            soups in (walk_soup(), walk_soup(), walk_soup()),
+            terminated in prop_oneof![Just(false), Just(true)],
+            shards in 1usize..6,
+            nudge in 0usize..4096,
+            window in 1usize..=300,
+            step in 1usize..=300,
+        ) {
+            let (a, b, c) = soups;
+            let mut bytes = [a, b, c].join(&b"\n \n\r\n\n"[..]);
+            if terminated {
+                bytes.push(b'\n');
+            }
+            let path = write_temp("range-walk.log", &bytes);
+            let cuts = corpus_cuts(&path, shards).unwrap().cuts;
+            let mut ranges: Vec<Range<usize>> = cuts.windows(2).map(|cut| cut[0]..cut[1]).collect();
+            let moved: Vec<_> = ranges
+                .iter()
+                .map(|range| (range.start + nudge).min(range.end)..range.end)
+                .collect();
+            ranges.extend(moved);
+            ranges.push(bytes.len().saturating_sub(3)..bytes.len() + 1);
+            for range in ranges {
+                let source = || LineSource::PathRange(&path, range.clone());
+                let built = corpus_rows(corpus_from_path_range(&path, range.clone(), 0));
+                prop_assert_eq!(&walked_rows(source(), Identity, window), &built, "{:?}", range);
+                prop_assert_eq!(&walked_rows(source(), Identity, WINDOW), &built, "{:?}", range);
+                let mut input = Watched::new(&bytes, step);
+                let read = corpus_rows(corpus_from_reader_range(&mut input, range.clone(), 0));
+                prop_assert_eq!(&read, &built, "{:?}", range);
+                let mut input = Watched::new(&bytes, step);
+                prop_assert_eq!(&reader_range_rows(&mut input, range.clone(), window), &built);
+                if let Some((low, high)) = input.touched {
+                    let near = range.start.saturating_sub(1)..range.end;
+                    prop_assert!(near.start <= low && high <= near.end, "read {low}..{high} for {range:?}");
+                    prop_assert!(input.read <= range.len() + 2);
+                }
             }
         }
     }
@@ -1800,7 +1928,7 @@ mod tests {
 
     /// A build and a cut walk over a mapped file leave at most one
     /// window of it resident, and a record read afterwards faults its
-    /// page back in with the file's bytes. The file is 24 MiB, six
+    /// page back in with the file's bytes. The file is 24 MiB, 24
     /// windows.
     #[test]
     fn a_walk_keeps_one_window_of_a_mapped_file_resident() {
@@ -1819,9 +1947,14 @@ mod tests {
         drop(bytes);
         let bound = |page: u64| (WINDOW as u64 >> 10) + 2 * page;
 
-        let corpus = Corpus::from_path(&path, &crate::Tokenizer).unwrap();
+        // `corpus_from_path`, keeping a handle on the buffer: reading a
+        // record to find the mapping would fault its page in, and the
+        // kernel may map a whole large folio (2 MiB) around it.
+        let buffer = Arc::new(map_or_read(File::open(&path).unwrap()).unwrap());
+        let corpus = build_corpus(Arc::clone(&buffer), &Preprocessor::identity(), 1).unwrap();
         assert_eq!(corpus.len(), lines);
-        let (rss, page) = resident_kib(corpus.record(0).content.as_ptr()).unwrap();
+        let (rss, page) = resident_kib(buffer.as_ptr()).unwrap();
+        drop(buffer);
         assert!(
             rss <= bound(page),
             "{rss} KiB of the mapping resident after the build"

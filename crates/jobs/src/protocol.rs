@@ -37,9 +37,10 @@
 //! shards)` — and, so that a worker need not build the file to find it,
 //! the manifest also carries where each chunk's bytes begin
 //! ([`JobManifest::cuts`], from [`logparse_core::corpus_cuts`]). A worker
-//! builds `cuts[k]..cuts[k + 1]` and nothing else, and checks what it can
-//! see of the corpus against the manifest: the file's length, that its
-//! range starts and ends at a line start, the range's kept-line count.
+//! reads `cuts[k]..cuts[k + 1]` and nothing else — a Drain worker streams
+//! it, any other builds its corpus — and checks what it can see of the
+//! corpus against the manifest: the file's length, that its range starts
+//! and ends at a line start, the range's kept-line count.
 //!
 //! # Fault injection
 //!
@@ -57,10 +58,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use logparse_core::{
-    corpus_cuts, Corpus, LogParser, ParallelDriver, ParseError, Template, TemplateToken,
+    corpus_cuts, Corpus, EventId, LineSource, LogParser, ParallelDriver, ParseError, Preprocessor,
+    Template, TemplateToken,
 };
-use logparse_obs::Json;
-use logparse_parsers::batch_parser;
+use logparse_obs::{decimal, Json};
+use logparse_parsers::{batch_parser, stream_drain, Drain};
 use logparse_store::{read_blob, sweep_temps, sync_dir, write_atomic, write_blob, BlobRead};
 
 use crate::JobError;
@@ -360,6 +362,57 @@ fn template_from_json(doc: &Json) -> Result<Template, String> {
     })
 }
 
+/// The canonical JSON text of a shard result: what
+/// `ShardResult::to_json().to_string()` gives for these fields, written
+/// straight from them — one JSON value per template, none per line.
+fn result_text(
+    task: usize,
+    start: usize,
+    templates: &[Template],
+    assignments: impl ExactSizeIterator<Item = Option<usize>>,
+) -> String {
+    let mut digits = [0; 20];
+    // Ids below 100 000 take at most six bytes with their comma.
+    let mut out = String::with_capacity(64 + 6 * assignments.len());
+    out.push_str("{\"task\":");
+    out.push_str(decimal(task as u64, &mut digits));
+    out.push_str(",\"start\":");
+    out.push_str(decimal(start as u64, &mut digits));
+    out.push_str(",\"templates\":[");
+    for (i, template) in templates.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&template_to_json(template).to_string());
+    }
+    out.push_str("],\"assignments\":[");
+    for (i, slot) in assignments.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match slot {
+            Some(id) => out.push_str(decimal(id as u64, &mut digits)),
+            None => out.push_str("null"),
+        }
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Atomically publishes the result of `task` — its first line `start`,
+/// its parser's `templates` and each line's template id — as
+/// `out/task-<i>.json`.
+fn publish_result(
+    job_dir: &Path,
+    task: usize,
+    start: usize,
+    templates: &[Template],
+    assignments: impl ExactSizeIterator<Item = Option<usize>>,
+) -> Result<(), JobError> {
+    let text = result_text(task, start, templates, assignments);
+    publish(job_dir, &result_path(job_dir, task), text.as_bytes())
+}
+
 /// What reading a task's result file found.
 #[derive(Debug)]
 pub enum ResultRead {
@@ -373,21 +426,9 @@ pub enum ResultRead {
 }
 
 impl ShardResult {
-    /// Builds the result from a chunk parse.
-    pub fn from_parse(task: usize, start: usize, parse: &logparse_core::Parse) -> ShardResult {
-        ShardResult {
-            task,
-            start,
-            templates: parse.templates().to_vec(),
-            assignments: parse
-                .assignments()
-                .iter()
-                .map(|slot| slot.map(|event| event.index()))
-                .collect(),
-        }
-    }
-
-    /// Serializes to the canonical JSON object form.
+    /// Serializes to the canonical JSON object form: the tree
+    /// [`result_text`] writes without building.
+    #[cfg(test)]
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("task".into(), Json::usize(self.task)),
@@ -460,8 +501,8 @@ impl ShardResult {
 
     /// Atomically publishes the result as `out/task-<i>.json`.
     pub fn write(&self, job_dir: &Path) -> Result<(), JobError> {
-        let bytes = self.to_json().to_string();
-        publish(job_dir, &result_path(job_dir, self.task), bytes.as_bytes())
+        let assignments = self.assignments.iter().copied();
+        publish_result(job_dir, self.task, self.start, &self.templates, assignments)
     }
 
     /// Reads and validates `task`'s result against the manifest: the
@@ -721,11 +762,13 @@ pub fn kill_self() -> ! {
     std::process::abort();
 }
 
-/// The `logmine worker` entry point: builds one chunk of the job's
-/// corpus from its bytes alone, parses it and atomically publishes the
-/// [`ShardResult`]. The lines built and the parser built are exactly
-/// those of the in-process [`ParallelDriver`], so the published result
-/// is byte-equivalent to the corresponding chunk of `parse_parallel`.
+/// The `logmine worker` entry point: parses one chunk of the job's
+/// corpus from its bytes alone and atomically publishes the
+/// [`ShardResult`]. A Drain chunk streams through [`stream_drain`] and
+/// builds no corpus; every other parser parses the chunk's corpus. The
+/// lines parsed and the parser are exactly those of the in-process
+/// [`ParallelDriver`], so the published result is byte-equivalent to the
+/// corresponding chunk of `parse_parallel`.
 ///
 /// Faults from [`FAULT_ENV`] matching `(task, attempt)` are applied
 /// here: a crash bound inside the chunk SIGKILLs the process before
@@ -757,39 +800,45 @@ pub fn run_job_worker(job_dir: &Path, task: usize, attempt: u32) -> Result<(), J
             kill_self();
         }
     }
+    let parser = job_parser(&manifest.parser)?;
+    let corpus = &manifest.corpus;
     let bytes = manifest.cuts[task]..manifest.cuts[task + 1];
-    let piece =
-        Corpus::from_path_range(&manifest.corpus, bytes.clone(), range.start).map_err(|err| {
-            match err {
-                ParseError::InvalidConfig { reason, .. } => {
-                    JobError::Config(format!("corpus {}: {reason}", manifest.corpus.display()))
-                }
-                other => other.into(),
-            }
-        })?;
-    if piece.len() != range.len() {
+    let refused = |err| match err {
+        ParseError::InvalidConfig { reason, .. } => {
+            JobError::Config(format!("corpus {}: {reason}", corpus.display()))
+        }
+        other => other.into(),
+    };
+    let parse = if parser.name() == Drain::default().name() {
+        let source = LineSource::PathRange(corpus, bytes.clone());
+        stream_drain(source, &Preprocessor::identity()).map_err(refused)?
+    } else {
+        // The chunk's corpus (mapping, arena, token table) drops with
+        // this block, before the result is written.
+        let piece = Corpus::from_path_range(corpus, bytes.clone(), range.start).map_err(refused)?;
+        parser.parse(&piece)?
+    };
+    if parse.len() != range.len() {
         return Err(JobError::Config(format!(
             "bytes {}..{} of corpus {} hold {} line(s), manifest says {}",
             bytes.start,
             bytes.end,
-            manifest.corpus.display(),
-            piece.len(),
+            corpus.display(),
+            parse.len(),
             range.len()
         )));
     }
-    let parse = job_parser(&manifest.parser)?.parse(&piece)?;
-    // The result is built from the parse alone. With the chunk's corpus
-    // (mapping, arena, token table) released first, serializing reuses
-    // that memory: the worker is at its peak from here to its exit
-    // instead of climbing a further ~2.3 MiB in its last few ms.
-    drop(piece);
-    ShardResult::from_parse(task, range.start, &parse).write(job_dir)?;
-    Ok(())
+    let assignments = parse
+        .assignments()
+        .iter()
+        .map(|slot| slot.map(EventId::index));
+    publish_result(job_dir, task, range.start, parse.templates(), assignments)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_job(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("jobs-proto-{tag}-{}", std::process::id()));
@@ -800,9 +849,14 @@ mod tests {
 
     /// A manifest as a directory older than the cuts holds it.
     fn manifest(dir: &Path, lines: usize, shards: usize) -> JobManifest {
+        parsed_by("drain", dir, lines, shards)
+    }
+
+    /// [`manifest`] of a job parsed by `parser`.
+    fn parsed_by(parser: &str, dir: &Path, lines: usize, shards: usize) -> JobManifest {
         JobManifest {
             job_id: "cafe0123cafe0123".into(),
-            parser: "drain".into(),
+            parser: parser.into(),
             corpus: dir.join("corpus.log"),
             lines,
             cuts: Vec::new(),
@@ -901,6 +955,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The direct writer gives the bytes of the `Json` tree it
+        /// replaced: literals with quotes, backslashes, control and
+        /// multi-byte characters, wildcards, open tails, outliers, ids
+        /// of any width.
+        #[test]
+        fn the_result_writer_writes_the_json_trees_bytes(
+            templates in prop::collection::vec(
+                (
+                    prop::collection::vec(
+                        prop_oneof![
+                            Just(None),
+                            "[ -~\t\n\r\u{1}\u{1f}\u{7f}é€\u{10348}]{0,8}".prop_map(Some),
+                        ],
+                        0..6,
+                    ),
+                    prop_oneof![Just(false), Just(true)],
+                ),
+                0..5,
+            ),
+            assignments in prop::collection::vec(
+                prop_oneof![
+                    Just(None),
+                    (0usize..10).prop_map(Some),
+                    (0usize..usize::MAX >> 12).prop_map(Some),
+                ],
+                0..60,
+            ),
+            task in 0usize..1_000_000,
+            start in 0usize..usize::MAX >> 12,
+        ) {
+            let templates: Vec<Template> = templates
+                .into_iter()
+                .map(|(tokens, open)| {
+                    let tokens = tokens
+                        .into_iter()
+                        .map(|token| token.map_or(TemplateToken::Wildcard, TemplateToken::literal))
+                        .collect();
+                    match open {
+                        true => Template::with_open_tail(tokens),
+                        false => Template::new(tokens),
+                    }
+                })
+                .collect();
+            let result = ShardResult { task, start, templates, assignments };
+            prop_assert_eq!(
+                result_text(task, start, &result.templates, result.assignments.iter().copied()),
+                result.to_json().to_string()
+            );
+        }
+    }
+
     #[test]
     fn templates_round_trip_with_literal_star_and_open_tail() {
         let original = vec![
@@ -978,57 +1086,82 @@ mod tests {
         }
     }
 
+    /// Drain streams its chunk, IPLoM parses the chunk's corpus: each
+    /// worker publishes what its parser gives for its slice of the
+    /// whole corpus. The two parsers group these lines apart (Drain by
+    /// the first token, IPLoM by the least varied position), so a worker
+    /// that ran the wrong one fails.
     #[test]
     fn worker_parses_its_chunk_like_the_parallel_driver() {
-        let dir = temp_job("worker");
         let lines: Vec<String> = (0..40)
-            .map(|i| format!("send pkt {i} to node {}", i % 3))
+            .map(|i| {
+                format!(
+                    "{} pkt {i} to node {}",
+                    ["send", "recv", "drop"][i % 3],
+                    i % 2
+                )
+            })
             .collect();
-        std::fs::write(dir.join("corpus.log"), lines.join("\n") + "\n").unwrap();
-        // Cut, and as a directory older than the cuts left it.
-        let m = manifest(&dir, 40, 4).against_corpus().unwrap();
-        assert_eq!((m.cuts.len(), m.cuts[0]), (5, 0));
-        persist(&dir, &m);
-        for task in 0..3 {
-            run_job_worker(&dir, task, 1).unwrap();
-        }
-        persist(&dir, &manifest(&dir, 40, 4));
-        run_job_worker(&dir, 3, 1).unwrap();
         let corpus = Corpus::from_lines(&lines);
         let ranges = ParallelDriver::chunk_ranges(40, 4);
-        let parser = job_parser("drain").unwrap();
-        for (task, range) in ranges.iter().enumerate() {
-            let ResultRead::Ok(result) = ShardResult::load(&dir, &m, task) else {
-                panic!("task {task} did not complete");
-            };
-            let expected = parser.parse(&corpus.slice(range.clone())).unwrap();
-            assert_eq!(result.templates, expected.templates());
-            assert_eq!(
-                result.assignments,
-                expected
-                    .assignments()
-                    .iter()
-                    .map(|slot| slot.map(|e| e.index()))
-                    .collect::<Vec<_>>()
-            );
+        let slice = corpus.slice(ranges[0].clone());
+        let [drain, iplom] = ["drain", "iplom"].map(|name| job_parser(name).unwrap().parse(&slice));
+        assert_ne!(drain.unwrap().templates(), iplom.unwrap().templates());
+        for parser in ["drain", "iplom"] {
+            let dir = temp_job(&format!("worker-{parser}"));
+            std::fs::write(dir.join("corpus.log"), lines.join("\n") + "\n").unwrap();
+            // Cut, and as a directory older than the cuts left it.
+            let m = parsed_by(parser, &dir, 40, 4).against_corpus().unwrap();
+            assert_eq!((m.cuts.len(), m.cuts[0]), (5, 0));
+            persist(&dir, &m);
+            for task in 0..3 {
+                run_job_worker(&dir, task, 1).unwrap();
+            }
+            persist(&dir, &parsed_by(parser, &dir, 40, 4));
+            run_job_worker(&dir, 3, 1).unwrap();
+            let reference = job_parser(parser).unwrap();
+            for (task, range) in ranges.iter().enumerate() {
+                let ResultRead::Ok(result) = ShardResult::load(&dir, &m, task) else {
+                    panic!("{parser}: task {task} did not complete");
+                };
+                let expected = reference.parse(&corpus.slice(range.clone())).unwrap();
+                assert_eq!(result.templates, expected.templates(), "{parser}");
+                assert_eq!(
+                    result.assignments,
+                    expected
+                        .assignments()
+                        .iter()
+                        .map(|slot| slot.map(|e| e.index()))
+                        .collect::<Vec<_>>(),
+                    "{parser}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Drain's streamed chunk and IPLoM's chunk corpus are refused
+    /// alike.
     #[test]
     fn worker_refuses_a_corpus_that_is_not_the_manifests() {
-        let dir = temp_job("refuse");
+        for parser in ["drain", "iplom"] {
+            refuses_a_corpus_that_is_not_the_manifests(parser);
+        }
+    }
+
+    fn refuses_a_corpus_that_is_not_the_manifests(parser: &str) {
+        let dir = temp_job(&format!("refuse-{parser}"));
         let corpus = dir.join("corpus.log");
         let text: String = (0..8).map(|i| format!("send pkt {i} ok\n")).collect();
         std::fs::write(&corpus, &text).unwrap();
-        let m = manifest(&dir, 8, 2).against_corpus().unwrap();
+        let m = parsed_by(parser, &dir, 8, 2).against_corpus().unwrap();
         assert_eq!(m.cuts, [0, text.len() / 2, text.len()]);
         persist(&dir, &m);
         let refusal = |text: &str, task: usize| {
             std::fs::write(&corpus, text).unwrap();
             match run_job_worker(&dir, task, 1) {
                 Err(JobError::Config(reason)) => reason,
-                other => panic!("expected a refusal, got {other:?}"),
+                other => panic!("{parser}: expected a refusal, got {other:?}"),
             }
         };
 
@@ -1042,23 +1175,37 @@ mod tests {
         // As long as it was, but the second cut is inside a line now...
         let shifted = text.replacen("send pkt 3 ok\nsend pkt", "send pkt 3 ok send\npkt", 1);
         for task in 0..2 {
-            assert!(refusal(&shifted, task).contains("does not start and end at a line start"));
+            let reason = refusal(&shifted, task);
+            assert!(
+                reason.contains("does not start and end at a line start"),
+                "{parser}: {reason}"
+            );
         }
         // ...or the cuts hold and a line between them went blank.
         let blanked = text.replacen("send pkt 1 ok", "             ", 1);
         let reason = refusal(&blanked, 0);
         assert!(
             reason.contains("hold 3 line(s), manifest says 4"),
-            "{reason}"
+            "{parser}: {reason}"
         );
         run_job_worker(&dir, 1, 1).expect("the other shard is as it was");
+        // A byte that is not UTF-8 fails its shard with the read error.
+        let mut bytes = text.clone().into_bytes();
+        bytes[text.find("pkt 6").unwrap()] = 0xff;
+        std::fs::write(&corpus, &bytes).unwrap();
+        match run_job_worker(&dir, 1, 1) {
+            Err(JobError::Protocol(reason)) => {
+                assert!(reason.contains("valid UTF-8"), "{parser}: {reason}")
+            }
+            other => panic!("{parser}: expected the UTF-8 error, got {other:?}"),
+        }
 
         // An older directory is held to the line count it recorded.
-        persist(&dir, &manifest(&dir, 8, 2));
+        persist(&dir, &parsed_by(parser, &dir, 8, 2));
         let reason = refusal(&longer, 0);
         assert!(
             reason.contains("has 9 line(s), manifest says 8"),
-            "{reason}"
+            "{parser}: {reason}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

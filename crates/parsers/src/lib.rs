@@ -61,7 +61,7 @@ pub use logsig::{LogSig, LogSigBuilder};
 pub use oracle::Oracle;
 pub use slct::{Slct, SlctBuilder, Support};
 pub use spell::{Spell, SpellBuilder};
-pub use streaming::{StreamingDrain, StreamingParser, StreamingSpell};
+pub use streaming::{stream_drain, StreamingDrain, StreamingParser, StreamingSpell};
 
 use logparse_core::LogParser;
 

@@ -51,7 +51,10 @@
 //! assert_eq!(restored.observe("send pkt 11"), a);
 //! ```
 
-use logparse_core::{line_spans, Json, ParseError, Symbol, Template, TemplateToken, TokenSpan};
+use logparse_core::{
+    line_spans, walk_kept_lines, EventId, Json, LineSource, Parse, ParseError, Preprocessor,
+    Symbol, Template, TemplateToken, TokenSpan,
+};
 
 use crate::drain::DrainTree;
 use crate::spell::SpellState;
@@ -270,6 +273,31 @@ impl StreamingParser for StreamingDrain {
     }
 }
 
+/// Drain's parse of the kept lines of `source`, each token masked by
+/// `preprocessor`, without a corpus: each line goes from the walk's one
+/// scan ([`walk_kept_lines`]) straight into a [`StreamingDrain`] at
+/// [`Drain::default`], whose group ids are the batch parse's event ids
+/// (both count in creation order). The parse equals `Drain::default()`'s
+/// of the corpus a build of `source` gives, and the run holds the tree,
+/// one read window and 4 bytes a line. `logmine parse --parser drain` at
+/// `-j 1` and a `jobs` worker's Drain chunk both parse this way.
+///
+/// # Errors
+///
+/// As [`walk_kept_lines`]: the source cannot be read, holds a line that
+/// is not valid UTF-8, or is a byte range the range build refuses.
+pub fn stream_drain(
+    source: LineSource<'_>,
+    preprocessor: &Preprocessor,
+) -> Result<Parse, ParseError> {
+    let mut drain = StreamingDrain::default();
+    let mut assignments = Vec::new();
+    walk_kept_lines(source, preprocessor, |line, spans| {
+        assignments.push(Some(EventId::new(drain.observe_spans(line, spans))));
+    })?;
+    Ok(Parse::new(drain.templates(), assignments))
+}
+
 /// Streaming version of [`Spell`] (LCS objects).
 #[derive(Debug)]
 pub struct StreamingSpell {
@@ -381,7 +409,7 @@ impl StreamingParser for StreamingSpell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logparse_core::{EventId, FramedLine, LineDamage, LineFramer};
+    use logparse_core::{FramedLine, LineDamage, LineFramer};
     use proptest::prelude::*;
 
     /// Cuts `bytes` into lines as `serve` does, a framer read at a time,

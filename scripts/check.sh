@@ -204,6 +204,28 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    hdfs, masked or not, file or stdin;
 #                                    refused input fails both paths alike
 #                                    and creates or truncates no output
+#   core loader range_walks_hand_over_the_range_builds_rows,
+#   tests/fused_parse_differential a_streamed_chunk_…, jobs protocol
+#   worker_parses_its_chunk_…, worker_refuses_a_corpus_…,
+#   the_result_writer_writes_the_json_trees_bytes
+#                                    a `jobs` worker's Drain chunk builds
+#                                    no corpus: the range walk hands over
+#                                    the range build's rows at a job's cuts
+#                                    (blank runs at a cut, CRLF, `\xff`,
+#                                    65 530–70 000-byte lines, no final
+#                                    newline), from a file and from a
+#                                    reader it reads no further than the
+#                                    range, and refuses a misaligned or
+#                                    out-of-file range with the build's
+#                                    error; walk + StreamingDrain write
+#                                    Drain's bytes for the chunk corpus;
+#                                    workers for Drain (streamed) and IPLoM
+#                                    (chunk corpus), on lines the two group
+#                                    apart, publish their slice's parse and
+#                                    refuse a corpus that is not the
+#                                    manifest's alike; the direct
+#                                    result writer writes the `Json` tree's
+#                                    bytes
 #   core loader a_walk_keeps_one_window_of_a_mapped_file_resident
 #                                    after a 24 MiB build and after the cut
 #                                    walk, the mapping's `Rss` in

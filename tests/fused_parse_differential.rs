@@ -1,24 +1,25 @@
-//! Differential suite for `logmine parse --parser drain -j 1`'s fused
-//! path.
+//! Differential suite for the fused Drain path of `logmine parse
+//! --parser drain -j 1` and of a `jobs` worker's Drain chunk.
 //!
-//! That path builds no corpus: `walk_kept_lines` scans the input once and
-//! hands each kept line, with its token spans, to a `StreamingDrain`, and
-//! the parse is the ids it returns. The corpus path — `Corpus::from_bytes`
-//! / `from_path_masked`, then `Drain::parse` — is the reference: the
-//! events file and the structured log written from either must be equal
-//! byte for byte, and input one refuses the other refuses with the same
-//! error. Inputs come from a file and from a reader, whose reads are cut
-//! anywhere, as a pipe cuts them.
+//! That path builds no corpus: `stream_drain` walks the input once
+//! (`walk_kept_lines`) and hands each kept line, with its token spans, to
+//! a `StreamingDrain`, and the parse is the ids it returns. The corpus
+//! path — `Corpus::from_bytes` / `from_path_masked` / `from_path_range`,
+//! then `Drain::parse` — is the reference: the events file and the
+//! structured log written from either must be equal byte for byte, and
+//! input one refuses the other refuses with the same error. Inputs come
+//! from a file, from a reader, whose reads are cut anywhere, as a pipe
+//! cuts them, and from byte ranges of a file, as a job cuts it.
 
 use std::io::Read;
 use std::path::PathBuf;
 
 use logmine::core::{
-    walk_kept_lines, write_events_file, write_structured_file, write_structured_lines, Corpus,
-    EventId, LineSource, LogParser, MaskRule, Parse, Preprocessor,
+    corpus_cuts, write_events_file, write_structured_file, write_structured_lines, Corpus,
+    LineSource, LogParser, MaskRule, Preprocessor,
 };
 use logmine::datasets::hdfs;
-use logmine::parsers::{Drain, StreamingDrain, StreamingParser};
+use logmine::parsers::{stream_drain, Drain};
 use proptest::prelude::*;
 
 /// The events file and the structured log of one parse, or its error.
@@ -34,16 +35,10 @@ fn corpus_path(bytes: &[u8], preprocessor: &Preprocessor) -> Written {
     Ok((events, structured))
 }
 
-/// The fused path, as `logmine parse` runs it: the kept lines of
-/// `source` into a `StreamingDrain`, the structured log numbered from 1.
+/// The fused path, as `logmine parse` runs it: `stream_drain` of
+/// `source`, the structured log numbered from 1.
 fn fused_path(source: LineSource<'_>, preprocessor: &Preprocessor) -> Written {
-    let mut drain = StreamingDrain::new(Drain::default());
-    let mut assignments = Vec::new();
-    walk_kept_lines(source, preprocessor, |line, spans| {
-        assignments.push(Some(EventId::new(drain.observe_spans(line, spans))));
-    })
-    .map_err(|e| e.to_string())?;
-    let parse = Parse::new(drain.templates(), assignments);
+    let parse = stream_drain(source, preprocessor).map_err(|e| e.to_string())?;
     let (mut events, mut structured) = (Vec::new(), Vec::new());
     write_events_file(&parse, &mut events).unwrap();
     write_structured_lines(1..=parse.len(), &parse, &mut structured).unwrap();
@@ -208,4 +203,80 @@ fn fused_and_corpus_paths_refuse_invalid_utf8_alike() {
         "{expected:?}"
     );
     assert_paths_agree("invalid", &bytes, &Preprocessor::identity(), 3);
+}
+
+/// What a `jobs` worker's Drain chunk of bytes `range` publishes, by the
+/// range build and by the range walk: the events file and the per-line
+/// event ids (the structured log of a chunk is its ids), or the error.
+fn range_paths(path: &std::path::Path, range: std::ops::Range<usize>) -> [Written; 2] {
+    let ids = |parse: &logmine::core::Parse| {
+        let (mut events, mut structured) = (Vec::new(), Vec::new());
+        write_events_file(parse, &mut events).unwrap();
+        write_structured_lines(1..=parse.len(), parse, &mut structured).unwrap();
+        (events, structured)
+    };
+    let built = Corpus::from_path_range(path, range.clone(), 0)
+        .and_then(|corpus| Drain::default().parse(&corpus))
+        .map(|parse| ids(&parse))
+        .map_err(|e| e.to_string());
+    let source = LineSource::PathRange(path, range);
+    let walked = stream_drain(source, &Preprocessor::identity())
+        .map(|parse| ids(&parse))
+        .map_err(|e| e.to_string());
+    [built, walked]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A worker's streamed Drain chunk writes what Drain's parse of the
+    /// chunk's corpus writes, at a job's cuts into 1 to 6 shards of
+    /// hostile soup (blank runs at a cut among them), and with a start
+    /// moved off the line grid, which both refuse alike, as they refuse a
+    /// chunk holding a `\xff` line.
+    #[test]
+    fn a_streamed_chunk_writes_the_chunk_corpus_paths_bytes(
+        soups in (hostile_soup(), hostile_soup()),
+        terminated in prop_oneof![Just(false), Just(true)],
+        shards in 1usize..=6,
+        nudge in 1usize..200,
+    ) {
+        let mut bytes = [soups.0, soups.1].join(&b"\n\n \r\n"[..]);
+        if terminated {
+            bytes.push(b'\n');
+        }
+        let path = fixture_file("range", &bytes);
+        let cuts = corpus_cuts(&path, shards).unwrap().cuts;
+        for cut in cuts.windows(2) {
+            let [built, walked] = range_paths(&path, cut[0]..cut[1]);
+            prop_assert_eq!(&walked, &built);
+            let moved = (cut[0] + nudge).min(cut[1])..cut[1];
+            let [built, walked] = range_paths(&path, moved);
+            prop_assert_eq!(&walked, &built);
+        }
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// A chunk off the line grid and a chunk with a `\xff` line are refused
+/// by the range walk with the range build's error.
+#[test]
+fn a_streamed_chunk_is_refused_as_the_chunk_corpus_is() {
+    let path = fixture_file("range-refused", b"send pkt 7\nsend \xff 8\nsend pkt 9\n");
+    for (range, error) in [
+        (1..11, "line start"),
+        (11..20, "valid UTF-8"),
+        (0..99, "inside"),
+    ] {
+        let [built, walked] = range_paths(&path, range.clone());
+        assert!(
+            built.as_ref().is_err_and(|e| e.contains(error)),
+            "{range:?}: {built:?}"
+        );
+        assert_eq!(walked, built, "{range:?}");
+    }
+    let [built, walked] = range_paths(&path, 20..31);
+    assert!(built.is_ok());
+    assert_eq!(walked, built);
+    let _ = std::fs::remove_file(path);
 }
