@@ -6,8 +6,8 @@
 //! [`Symbol`] (`u32`) once, at corpus construction, so those loops
 //! become integer compares and dense-array indexing instead of repeated
 //! byte-string hashing — and token storage collapses from one heap
-//! allocation per token (`Vec<Vec<String>>`) into one flat symbol
-//! buffer plus a per-record offset table ([`TokenArena`], CSR layout).
+//! allocation per token (`Vec<Vec<String>>`) into one shared store of
+//! distinct symbol rows plus a row id per record ([`TokenArena`]).
 //!
 //! Symbols are **interner-local**: a `Symbol` is meaningless without
 //! the [`Interner`] that produced it, and symbols from different
@@ -445,21 +445,100 @@ impl PartialEq for Interner {
 
 impl Eq for Interner {}
 
-/// Flat CSR-style storage for the token rows of a corpus: one
-/// `Vec<Symbol>` holding every token of every record back-to-back,
-/// plus a `u32` end offset per record.
+/// The token rows of a corpus, each distinct row stored once: a shared
+/// store of rows plus one `u32` stored-row id per record.
 ///
-/// `row(i)` is two index loads and a slice — no pointer chasing through
-/// per-record vectors — and copying rows between arenas (corpus
-/// slicing) is a `memcpy` of `u32`s. The `u32` offsets are why an arena
-/// holds fewer than `u32::MAX` tokens; sealing a row past that panics
-/// with `token arena overflow`, and the file loader reports it as
-/// `InvalidData` instead.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// `row(i)` is three index loads and a slice. A record whose row equals
+/// one already stored costs its 4-byte id and nothing else: sealing a row
+/// ([`finish_row`](TokenArena::finish_row)) hashes it and looks it up in a
+/// table of 8 192 stored-row ids in sets of two, each beside an 8-bit
+/// tag of its row's hash (40 KiB, allocated on the first seal, never
+/// grown); a slot whose tag matches and whose row is equal is reused.
+/// The table is a cache, not an index: a row missing from its set is
+/// stored again and takes the set's first slot, the first slot's row
+/// moving to the second, so an arena may store one row more than once,
+/// and what it stores is bounded by its records, never by the table.
+/// Masked logs repeat a few hundred rows over every line, so their
+/// arenas store under 1 % of their tokens.
+///
+/// The store sits behind an `Arc`: [`Corpus::slice`](crate::Corpus::slice),
+/// [`select`](crate::Corpus::select) and [`take`](crate::Corpus::take)
+/// copy record ids, not rows, and a corpus and its chunks share one
+/// store. Appending to an arena whose store is shared copies the store
+/// first.
+///
+/// Row offsets are `u32`, so an arena holds fewer than `u32::MAX`
+/// tokens over all its records, however few it stores; sealing a row
+/// past that panics with `token arena overflow`, and the file loader
+/// reports it as `InvalidData` instead.
+#[derive(Debug, Clone, Default)]
 pub struct TokenArena {
+    store: Arc<RowStore>,
+    /// `ids[i]` is the stored row of record `i`.
+    ids: Vec<u32>,
+    /// Tokens over all records, each record counting its whole row.
+    tokens: usize,
+    /// The row under construction.
+    open: Vec<Symbol>,
+    /// `table[slot]` is one plus the id of the stored row last sealed
+    /// into `slot`, 0 when none was; empty until the first seal.
+    table: Vec<u32>,
+    /// `tags[slot]` is the tag of `table[slot]`'s row: a row whose tag
+    /// differs is not read to be compared.
+    tags: Vec<u8>,
+}
+
+/// Distinct token rows back to back, the layout of the [`Interner`]'s
+/// strings: a new row is an append, and row `r` ends at `ends[r]` and
+/// starts where row `r - 1` ends.
+#[derive(Debug, Clone, Default)]
+struct RowStore {
     symbols: Vec<Symbol>,
-    /// `offsets.len() == rows + 1`; row `i` is `symbols[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl RowStore {
+    #[inline]
+    fn row(&self, id: u32) -> &[Symbol] {
+        let start = match id.checked_sub(1) {
+            Some(prev) => self.ends[prev as usize],
+            None => 0,
+        };
+        &self.symbols[start as usize..self.ends[id as usize] as usize]
+    }
+}
+
+/// Slots of an arena's dedup table, in sets of two.
+const SLOTS: usize = 1 << 13;
+
+/// The first of the two dedup table slots `row` may sit in, and its
+/// tag: a multiply-xor fold of its length and symbols, finished by
+/// MurmurHash3's 64-bit mixer, whose top bits index the table and whose
+/// low byte is the tag. The mixer is what makes that byte a hash: a
+/// product's low bits depend only on its operands' low bits, so the
+/// fold's low byte is a function of the symbols' low bytes alone.
+///
+/// The tag spares a compare: on rows that never repeat (unmasked
+/// `hdfs`), reading each set's stored rows, which sit anywhere in the
+/// store, to find them unequal made the build ~30 % slower than the
+/// layout that stored every row; with the tag it is ~4–8 % slower
+/// (EXPERIMENTS.md, one pinned CPU of a 2-vCPU box).
+/// Eight bits spare 255 compares in 256; a wider tag would spare hardly
+/// more, and would put a row that shares its set and tag out of a
+/// test's reach (2^20 draws find one here), and with it the compare.
+#[inline]
+fn set_and_tag(row: &[Symbol]) -> (usize, u8) {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (row.len() as u64).wrapping_mul(K);
+    for symbol in row {
+        h = (h ^ u64::from(symbol.0)).wrapping_mul(K);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    ((h >> (64 - SLOTS.trailing_zeros())) as usize & !1, h as u8)
 }
 
 /// The offset that ends a row after `tokens` tokens in all, or `None`
@@ -477,10 +556,7 @@ fn arena_overflow(tokens: usize) -> ! {
 impl TokenArena {
     /// An empty arena.
     pub fn new() -> Self {
-        TokenArena {
-            symbols: Vec::new(),
-            offsets: vec![0],
-        }
+        TokenArena::default()
     }
 
     /// Appends one record's token row.
@@ -490,7 +566,7 @@ impl TokenArena {
     /// Panics (`token arena overflow`) if the arena reaches `u32::MAX`
     /// tokens.
     pub fn push_row<I: IntoIterator<Item = Symbol>>(&mut self, row: I) {
-        self.symbols.extend(row);
+        self.open.extend(row);
         self.finish_row();
     }
 
@@ -501,10 +577,12 @@ impl TokenArena {
     /// [`finish_row`]: TokenArena::finish_row
     #[inline]
     pub fn push_symbol(&mut self, symbol: Symbol) {
-        self.symbols.push(symbol);
+        self.open.push(symbol);
     }
 
-    /// Seals the row currently under construction (possibly empty).
+    /// Seals the row currently under construction (possibly empty) as
+    /// the next record's: a stored row in its table set when one is
+    /// equal, a newly stored one otherwise.
     ///
     /// # Panics
     ///
@@ -513,7 +591,7 @@ impl TokenArena {
     #[inline]
     pub fn finish_row(&mut self) {
         if self.try_finish_row().is_none() {
-            arena_overflow(self.symbols.len());
+            arena_overflow(self.tokens + self.open.len());
         }
     }
 
@@ -522,28 +600,93 @@ impl TokenArena {
     /// which reports the overflow as an error.
     #[inline]
     pub(crate) fn try_finish_row(&mut self) -> Option<()> {
-        self.offsets.push(row_end(self.symbols.len())?);
+        let tokens = self.tokens + self.open.len();
+        row_end(tokens)?;
+        if self.table.is_empty() {
+            self.table = vec![0; SLOTS];
+            self.tags = vec![0; SLOTS];
+        }
+        let (set, tag) = set_and_tag(&self.open);
+        let equal = |slot: usize| {
+            (self.tags[slot] == tag)
+                .then_some(self.table[slot])
+                .and_then(|entry| entry.checked_sub(1))
+                .filter(|&held| self.store.row(held) == self.open.as_slice())
+        };
+        let id = match equal(set).or_else(|| equal(set + 1)) {
+            Some(held) => held,
+            None => {
+                let store = Arc::make_mut(&mut self.store);
+                // Ids stay below `u32::MAX`, so `id + 1` fits the table.
+                let id = u32::try_from(store.ends.len())
+                    .ok()
+                    .filter(|&id| id < u32::MAX)?;
+                let end = row_end(store.symbols.len() + self.open.len())?;
+                store.symbols.extend_from_slice(&self.open);
+                store.ends.push(end);
+                self.table[set + 1] = self.table[set];
+                self.tags[set + 1] = self.tags[set];
+                self.table[set] = id + 1;
+                self.tags[set] = tag;
+                id
+            }
+        };
+        self.ids.push(id);
+        self.tokens = tokens;
+        self.open.clear();
         Some(())
     }
 
-    /// Appends every row of `other`, translating each symbol through
+    /// Appends every record of `other`, translating each symbol through
     /// `remap` (indexed by the source symbol's id). The parallel corpus
-    /// build merges per-chunk arenas into the global one with this.
+    /// build merges per-chunk arenas into the global one with this:
+    /// `other`'s store is appended whole, remapped, and its record ids
+    /// shifted past this store's rows; no row is hashed again, so a row
+    /// two chunks both hold is stored twice.
     ///
     /// # Panics
     ///
     /// Panics (`token arena overflow`) if the arena would reach
     /// `u32::MAX` tokens.
     pub(crate) fn append_remapped(&mut self, other: &TokenArena, remap: &[Symbol]) {
-        let tokens = self.symbols.len() + other.symbols.len();
-        // The total fits, so no shifted offset can wrap.
-        let (Some(_), Some(base)) = (row_end(tokens), row_end(self.symbols.len())) else {
-            arena_overflow(tokens);
-        };
-        self.symbols
-            .extend(other.symbols.iter().map(|s| remap[s.id() as usize]));
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|o| o + base));
+        debug_assert!(self.open.is_empty() && other.open.is_empty());
+        let tokens = self.tokens + other.tokens;
+        let store = Arc::make_mut(&mut self.store);
+        let stored = store.symbols.len() + other.store.symbols.len();
+        let rows = store.ends.len() + other.store.ends.len();
+        // The totals fit, so no shifted offset or id can wrap.
+        if [tokens, stored, rows]
+            .iter()
+            .any(|&total| row_end(total).is_none())
+        {
+            arena_overflow(tokens.max(stored));
+        }
+        let (base, shift) = (store.symbols.len() as u32, store.ends.len() as u32);
+        store
+            .symbols
+            .extend(other.store.symbols.iter().map(|s| remap[s.id() as usize]));
+        store
+            .ends
+            .extend(other.store.ends.iter().map(|end| end + base));
+        self.ids.extend(other.ids.iter().map(|id| id + shift));
+        self.tokens = tokens;
+    }
+
+    /// The records at `indices`, in that order, over this arena's store:
+    /// the ids are copied, the rows shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is `>= self.rows()`.
+    pub(crate) fn select(&self, indices: impl IntoIterator<Item = usize>) -> TokenArena {
+        let ids: Vec<u32> = indices.into_iter().map(|i| self.ids[i]).collect();
+        let tokens = ids.iter().map(|&id| self.store.row(id).len()).sum();
+        TokenArena {
+            store: Arc::clone(&self.store),
+            ids,
+            tokens,
+            ..TokenArena::default()
+        }
     }
 
     /// The symbol row of record `index`.
@@ -551,30 +694,51 @@ impl TokenArena {
     /// # Panics
     ///
     /// Panics if `index >= self.rows()`.
+    #[inline]
     pub fn row(&self, index: usize) -> &[Symbol] {
-        &self.symbols[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+        self.store.row(self.ids[index])
     }
 
     /// Number of rows (records).
     pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
+        self.ids.len()
     }
 
-    /// Total number of tokens across all rows.
+    /// Total number of tokens across all rows — every record's row
+    /// counted whole, however often it is stored — and the row under
+    /// construction.
     pub fn token_count(&self) -> usize {
-        self.symbols.len()
+        self.tokens + self.open.len()
+    }
+
+    /// Tokens the store holds: each distinct row once (more when rows
+    /// crowded a table set or came from different chunks), and the rows
+    /// of every arena sharing the store.
+    pub fn stored_token_count(&self) -> usize {
+        self.store.symbols.len()
     }
 
     /// Iterates over the rows in record order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Symbol]> {
-        (0..self.rows()).map(|i| self.row(i))
+        self.ids.iter().map(|&id| self.store.row(id))
     }
 }
+
+impl PartialEq for TokenArena {
+    /// Equal rows in record order and an equal row under construction;
+    /// how the rows are stored, and with whom, is representation.
+    fn eq(&self, other: &Self) -> bool {
+        self.rows() == other.rows() && self.open == other.open && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TokenArena {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::collections::HashMap;
 
     /// Tokens built to collide: equal lengths with only the last two
@@ -958,6 +1122,361 @@ mod tests {
         assert!(arena.row(1).is_empty());
         assert_eq!(arena.row(2), &[i.intern("y")]);
         assert_eq!(arena.iter().count(), 3);
+    }
+
+    /// The arena before rows were stored once, kept as the oracle of the
+    /// one that stores them once: every record's row back to back, and a
+    /// `rows + 1` table of `u32` end offsets (CSR).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct CsrArena {
+        symbols: Vec<Symbol>,
+        offsets: Vec<u32>,
+    }
+
+    impl CsrArena {
+        fn new() -> Self {
+            CsrArena {
+                symbols: Vec::new(),
+                offsets: vec![0],
+            }
+        }
+
+        fn push_row<I: IntoIterator<Item = Symbol>>(&mut self, row: I) {
+            self.symbols.extend(row);
+            self.finish_row();
+        }
+
+        fn push_symbol(&mut self, symbol: Symbol) {
+            self.symbols.push(symbol);
+        }
+
+        fn finish_row(&mut self) {
+            self.offsets
+                .push(row_end(self.symbols.len()).expect("fits"));
+        }
+
+        fn append_remapped(&mut self, other: &CsrArena, remap: &[Symbol]) {
+            let base = row_end(self.symbols.len()).expect("fits");
+            self.symbols
+                .extend(other.symbols.iter().map(|s| remap[s.id() as usize]));
+            self.offsets
+                .extend(other.offsets[1..].iter().map(|o| o + base));
+        }
+
+        /// What `Corpus::select` and `Corpus::slice` did: copy each row.
+        fn select(&self, indices: impl IntoIterator<Item = usize>) -> CsrArena {
+            let mut arena = CsrArena::new();
+            for i in indices {
+                arena.push_row(self.row(i).iter().copied());
+            }
+            arena
+        }
+
+        fn row(&self, index: usize) -> &[Symbol] {
+            &self.symbols[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+        }
+
+        fn rows(&self) -> usize {
+            self.offsets.len() - 1
+        }
+
+        fn token_count(&self) -> usize {
+            self.symbols.len()
+        }
+
+        fn iter(&self) -> impl ExactSizeIterator<Item = &[Symbol]> {
+            (0..self.rows()).map(|i| self.row(i))
+        }
+    }
+
+    /// Rows built to meet in the dedup table, found by search, three to a
+    /// set and tag so that each set also evicts and every probe reaches
+    /// the row compare: the empty row with two one-token rows, `[a]` with
+    /// two `[a, k]` (a prefix of its set mates, so a compare that skips
+    /// the length passes them), and three one-token rows (equal lengths,
+    /// so only the symbols tell them apart).
+    fn set_mates() -> &'static [Vec<Symbol>] {
+        static MATES: std::sync::OnceLock<Vec<Vec<Symbol>>> = std::sync::OnceLock::new();
+        MATES.get_or_init(|| {
+            let with_mates = |row: Vec<Symbol>, extend: &dyn Fn(u32) -> Vec<Symbol>| {
+                let mates = (1u32..1 << 26)
+                    .map(extend)
+                    .filter(|candidate| {
+                        set_and_tag(candidate) == set_and_tag(&row) && *candidate != row
+                    })
+                    .take(2);
+                std::iter::once(row.clone())
+                    .chain(mates)
+                    .collect::<Vec<_>>()
+            };
+            [
+                with_mates(vec![], &|k| vec![Symbol(k)]),
+                with_mates(vec![Symbol(7)], &|k| vec![Symbol(7), Symbol(k)]),
+                with_mates(vec![Symbol(3)], &|k| vec![Symbol(k)]),
+            ]
+            .concat()
+        })
+    }
+
+    /// A row stream from `seed`, of one of four shapes: repeats of a
+    /// few dozen short rows with empty rows among them; those mixed with
+    /// the set mates; more distinct rows than the table has slots; and
+    /// rows of 70 000 tokens, some repeated.
+    fn row_stream(seed: u64, shape: u8) -> Vec<Vec<Symbol>> {
+        let mut state = seed;
+        let mut draw = |below: u64| lcg(&mut state) % below;
+        let short: Vec<Vec<Symbol>> = (0..40)
+            .map(|_| {
+                let len = draw(12) as usize;
+                (0..len).map(|_| Symbol(draw(30) as u32)).collect()
+            })
+            .collect();
+        let rows = draw(3000) as usize;
+        match shape {
+            0 => (0..rows)
+                .map(|_| short[draw(40) as usize].clone())
+                .collect(),
+            1 => (0..rows)
+                .map(|_| match draw(2) {
+                    0 => short[draw(40) as usize].clone(),
+                    _ => set_mates()[draw(9) as usize].clone(),
+                })
+                .collect(),
+            2 => (0..SLOTS + 2000)
+                .map(|i| match draw(8) {
+                    0 => short[draw(40) as usize].clone(),
+                    _ => vec![Symbol(i as u32 & 0xffff), Symbol(i as u32 >> 16)],
+                })
+                .collect(),
+            _ => {
+                let giants: Vec<Vec<Symbol>> = (0..2)
+                    .map(|_| (0..70_000).map(|_| Symbol(draw(1 << 16) as u32)).collect())
+                    .collect();
+                (0..draw(40) + 1)
+                    .map(|_| match draw(4) {
+                        0 => giants[draw(2) as usize].clone(),
+                        _ => short[draw(40) as usize].clone(),
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Feeds `rows` to both arenas alike, each row by `push_row` or by
+    /// `push_symbol`s and `finish_row` as `how` picks; `open` is left
+    /// unsealed after them.
+    fn feed(
+        arena: &mut TokenArena,
+        oracle: &mut CsrArena,
+        rows: &[Vec<Symbol>],
+        how: u64,
+        open: &[Symbol],
+    ) {
+        for (i, row) in rows.iter().enumerate() {
+            if how >> (i % 64) & 1 == 0 {
+                arena.push_row(row.iter().copied());
+                oracle.push_row(row.iter().copied());
+            } else {
+                for &symbol in row {
+                    arena.push_symbol(symbol);
+                    oracle.push_symbol(symbol);
+                }
+                arena.finish_row();
+                oracle.finish_row();
+            }
+        }
+        for &symbol in open {
+            arena.push_symbol(symbol);
+            oracle.push_symbol(symbol);
+        }
+    }
+
+    fn arena_of(rows: &[Vec<Symbol>], how: u64) -> (TokenArena, CsrArena) {
+        let (mut arena, mut oracle) = (TokenArena::new(), CsrArena::new());
+        feed(&mut arena, &mut oracle, rows, how, &[]);
+        (arena, oracle)
+    }
+
+    /// Holds `arena` to `oracle` on every read.
+    fn same_as(arena: &TokenArena, oracle: &CsrArena) -> Result<(), TestCaseError> {
+        prop_assert_eq!(arena.rows(), oracle.rows());
+        prop_assert_eq!(arena.token_count(), oracle.token_count());
+        for i in 0..oracle.rows() {
+            prop_assert_eq!(arena.row(i), oracle.row(i), "row {}", i);
+        }
+        prop_assert!(arena.iter().eq(oracle.iter()));
+        prop_assert_eq!(arena.iter().len(), oracle.iter().len());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The stored-once arena ≡ the CSR oracle: built row by row or
+        /// symbol by symbol, with a row left open, sliced, selected,
+        /// taken, appended to after slicing, and merged from chunks;
+        /// and two arenas are equal exactly when their oracles are.
+        #[test]
+        fn the_arena_reads_as_the_csr_arena(
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+            cuts in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+        ) {
+            let rows = row_stream(seed, shape);
+            let (how, pick, edit) = cuts;
+            let (mut arena, mut oracle) = (TokenArena::new(), CsrArena::new());
+            let first = rows.first().cloned().unwrap_or_default();
+            let open = &first[..(pick as usize % 3).min(first.len())];
+            feed(&mut arena, &mut oracle, &rows, how, open);
+            same_as(&arena, &oracle)?;
+            prop_assert!(arena.stored_token_count() <= arena.token_count());
+            arena.finish_row();
+            oracle.finish_row();
+            same_as(&arena, &oracle)?;
+
+            // Equality follows the oracle's: the same rows fed the other
+            // way, one row changed, one row dropped.
+            let mut edited = rows.clone();
+            match (edit % 3, edited.len()) {
+                (_, 0) => edited.push(vec![]),
+                (0, _) => {}
+                (1, n) => edited[(edit >> 8) as usize % n].push(Symbol(1)),
+                (_, n) => {
+                    edited.remove((edit >> 8) as usize % n);
+                }
+            }
+            let (mut other, mut other_oracle) = arena_of(&edited, !how);
+            feed(&mut other, &mut other_oracle, &[], 0, open);
+            other.finish_row();
+            other_oracle.finish_row();
+            prop_assert_eq!(arena == other, oracle == other_oracle);
+
+            // Slices, selections and takes copy ids, and read as copies.
+            let n = oracle.rows();
+            let start = (pick >> 8) as usize % (n + 1);
+            let end = start + (pick >> 24) as usize % (n - start + 1);
+            let slice = arena.select(start..end);
+            same_as(&slice, &oracle.select(start..end))?;
+            let take = arena.select(0..((pick >> 40) as usize).min(n));
+            same_as(&take, &oracle.select(0..((pick >> 40) as usize).min(n)))?;
+            let indices: Vec<usize> = (0..(edit >> 16) % 64)
+                .map(|k| (edit.rotate_left(k as u32) as usize) % n.max(1))
+                .filter(|_| n > 0)
+                .collect();
+            let selected = arena.select(indices.iter().copied());
+            let selected_oracle = oracle.select(indices.iter().copied());
+            same_as(&selected, &selected_oracle)?;
+            let inner = (indices.len() / 3)..indices.len();
+            same_as(&selected.select(inner.clone()), &selected_oracle.select(inner))?;
+            let copied: Vec<Vec<Symbol>> = selected_oracle.iter().map(<[Symbol]>::to_vec).collect();
+            prop_assert!(selected == arena_of(&copied, how).0);
+            // Appending to a slice copies the shared store and leaves the
+            // parent as it was.
+            let (mut grown, mut grown_oracle) = (slice, oracle.select(start..end));
+            feed(&mut grown, &mut grown_oracle, &rows[..rows.len().min(50)], how, &[]);
+            same_as(&grown, &grown_oracle)?;
+            same_as(&arena, &oracle)?;
+
+            // A merge of chunk arenas, each remapped, ≡ the oracle's.
+            let chunks = 1 + (how % 8) as usize;
+            let (mut merged, mut merged_oracle) = (TokenArena::new(), CsrArena::new());
+            let step = rows.len().div_ceil(chunks).max(1);
+            let ids = rows.iter().flatten().map(|s| s.0 + 1).max().unwrap_or(0);
+            for (c, piece) in rows.chunks(step).enumerate() {
+                let remap: Vec<Symbol> = (0..ids)
+                    .map(|id| Symbol((id + c as u32 * 7919) % ids))
+                    .collect();
+                let (chunk, chunk_oracle) = arena_of(piece, how.rotate_left(c as u32));
+                merged.append_remapped(&chunk, &remap);
+                merged_oracle.append_remapped(&chunk_oracle, &remap);
+            }
+            same_as(&merged, &merged_oracle)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The corpus build at 1..=8 threads, each chunk's arena merged
+        /// into one, reads as the oracle over the stream's lines
+        /// (symbols in first-occurrence order, as the build numbers
+        /// them; blank lines, which the loader skips, left out).
+        #[test]
+        fn the_parallel_build_reads_as_the_csr_arena(
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+        ) {
+            let rows: Vec<Vec<Symbol>> = row_stream(seed, shape)
+                .into_iter()
+                .filter(|row| !row.is_empty())
+                .collect();
+            let mut text = String::new();
+            let (mut interner, mut oracle) = (Interner::new(), CsrArena::new());
+            for row in &rows {
+                let tokens: Vec<String> = row.iter().map(|s| format!("t{}", s.0)).collect();
+                text.push_str(&tokens.join(" "));
+                text.push('\n');
+                oracle.push_row(tokens.iter().map(|t| interner.intern(t)));
+            }
+            for threads in 1..=8 {
+                let corpus = crate::Corpus::from_bytes(
+                    text.clone().into_bytes(),
+                    &crate::Preprocessor::identity(),
+                    threads,
+                )
+                .expect("valid UTF-8");
+                same_as(corpus.arena(), &oracle)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_default_arena_is_a_new_one() {
+        let mut arena = TokenArena::default();
+        assert_eq!(arena, TokenArena::new());
+        assert_eq!((arena.rows(), arena.token_count()), (0, 0));
+        assert_eq!(arena.iter().count(), 0);
+        arena.push_row([]);
+        arena.push_row([Symbol(4)]);
+        assert_eq!((arena.rows(), arena.token_count()), (2, 1));
+        assert_eq!(arena.row(1), &[Symbol(4)]);
+    }
+
+    /// Masked logs repeat a few hundred rows: 50 000 rows drawn from 171
+    /// ten-token templates (a third of each template's tokens shared
+    /// placeholders) store at most 1 % of their tokens.
+    #[test]
+    fn repeated_rows_store_under_one_percent_of_their_tokens() {
+        let templates: Vec<Vec<Symbol>> = (0..171u32)
+            .map(|t| {
+                (0..10u32)
+                    .map(|p| Symbol(if p % 3 == 2 { p } else { 16 + t * 10 + p }))
+                    .collect()
+            })
+            .collect();
+        let mut state = 0x5eed;
+        let mut arena = TokenArena::new();
+        for _ in 0..50_000 {
+            arena.push_row(templates[(lcg(&mut state) % 171) as usize].iter().copied());
+        }
+        assert_eq!(arena.token_count(), 500_000);
+        let stored = arena.stored_token_count();
+        assert!(
+            stored * 100 <= arena.token_count(),
+            "stored {stored} tokens"
+        );
+    }
+
+    /// Rows that never repeat are each stored once, more of them than the
+    /// table has slots.
+    #[test]
+    fn distinct_rows_are_each_stored_once() {
+        let mut arena = TokenArena::new();
+        for i in 0..3 * SLOTS as u32 {
+            arena.push_row([Symbol(i), Symbol(i % 7)]);
+        }
+        assert_eq!(arena.stored_token_count(), arena.token_count());
+        assert_eq!(arena.store.ends.len(), arena.rows());
     }
 
     #[test]

@@ -142,10 +142,11 @@ enum LineNumbers {
 ///   index-aligned; the lines are copied into one owned buffer and
 ///   split by `str::split_whitespace`, the rule's char-level statement.
 ///
-/// The interner is shared behind an `Arc`: [`slice`](Corpus::slice),
-/// [`select`](Corpus::select) and [`take`](Corpus::take) copy symbol
-/// rows (plain `u32` memcpy) and reuse the parent's table, which is how
-/// parallel chunk workers avoid cloning token strings.
+/// The interner and the arena's store of distinct rows are shared behind
+/// `Arc`s: [`slice`](Corpus::slice), [`select`](Corpus::select) and
+/// [`take`](Corpus::take) copy one `u32` row id per record and reuse the
+/// parent's table and rows, which is how parallel chunk workers avoid
+/// copying token strings or rows.
 ///
 /// # Example
 ///
@@ -491,7 +492,8 @@ impl Corpus {
         Arc::clone(&self.interner)
     }
 
-    /// The flat token arena (all rows, CSR layout).
+    /// The token arena: each distinct row stored once, one row id per
+    /// record.
     pub fn arena(&self) -> &TokenArena {
         &self.arena
     }
@@ -503,17 +505,14 @@ impl Corpus {
 
     /// Returns a new corpus containing only the messages at `indices`
     /// (in the given order). Useful for the paper's 2 000-message samples.
-    /// The token table and the backing buffer are shared, symbol rows
-    /// are copied.
+    /// The token table, the stored rows and the backing buffer are
+    /// shared; row ids and spans are copied.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn select(&self, indices: &[usize]) -> Corpus {
-        let mut arena = TokenArena::new();
-        for &i in indices {
-            arena.push_row(self.arena.row(i).iter().copied());
-        }
+        let arena = self.arena.select(indices.iter().copied());
         Corpus {
             buffer: Arc::clone(&self.buffer),
             spans: indices.iter().map(|&i| self.spans[i]).collect(),
@@ -525,17 +524,14 @@ impl Corpus {
 
     /// Returns a new corpus holding the contiguous `range` of messages.
     /// Used by the parallel driver to hand each worker its chunk; the
-    /// token table and the backing buffer are shared (no string
-    /// cloning), symbol rows are copied.
+    /// token table, the stored rows and the backing buffer are shared
+    /// (no string or row copied); row ids and spans are copied.
     ///
     /// # Panics
     ///
     /// Panics if the range extends past `self.len()`.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Corpus {
-        let mut arena = TokenArena::new();
-        for i in range.clone() {
-            arena.push_row(self.arena.row(i).iter().copied());
-        }
+        let arena = self.arena.select(range.clone());
         Corpus {
             buffer: Arc::clone(&self.buffer),
             lines: match &self.lines {

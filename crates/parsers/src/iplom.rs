@@ -139,8 +139,10 @@ impl IplomBuilder {
 /// A partition is a set of message indices, all of equal token count after
 /// step 1, in ascending order: every split keeps its input's order, so the
 /// group a value first appears in is also the group with the smallest
-/// first index.
-type Partition = Vec<usize>;
+/// first index. Indices are `u32`, half the bytes of the partitions that
+/// all exist at once; [`Iplom::parse`] refuses a corpus of `u32::MAX`
+/// records or more.
+type Partition = Vec<u32>;
 
 /// Outcome of the step-3 rank-position decision for a 1–M relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,6 +186,12 @@ impl LogParser for Iplom {
         }
 
         let n = corpus.len();
+        if u32::try_from(n).is_err() {
+            return Err(ParseError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "IPLoM indexes records as u32, and the corpus has u32::MAX or more",
+            )));
+        }
         let mut builder = ParseBuilder::new(n);
         if n == 0 {
             return Ok(builder.build());
@@ -203,8 +211,11 @@ impl LogParser for Iplom {
             }
         }
         leaves.sort_by_key(|p| p.first().copied());
+        let mut indices = Vec::new();
         for leaf in leaves {
-            builder.add_cluster(corpus, &leaf);
+            indices.clear();
+            indices.extend(leaf.iter().map(|&i| i as usize));
+            builder.add_cluster(corpus, &indices);
         }
         Ok(builder.build())
     }
@@ -223,7 +234,8 @@ fn partition_by_event_size(corpus: &Corpus) -> Vec<Partition> {
         if len >= by_len.len() {
             by_len.resize(len + 1, None);
         }
-        push_to_group(&mut partitions, &mut by_len[len], idx);
+        // `parse` checked that every index fits.
+        push_to_group(&mut partitions, &mut by_len[len], idx as u32);
     }
     partitions
 }
@@ -459,7 +471,7 @@ struct Value {
 
 /// Appends `line` to the group `slot` names, opening the group on first
 /// use; groups therefore come out in order of their first line.
-fn push_to_group(groups: &mut Vec<Partition>, slot: &mut Option<usize>, line: usize) {
+fn push_to_group(groups: &mut Vec<Partition>, slot: &mut Option<usize>, line: u32) {
     let g = *slot.get_or_insert_with(|| {
         groups.push(Vec::new());
         groups.len() - 1
@@ -498,16 +510,16 @@ impl<'c> Stats<'c> {
     }
 
     /// Tokens per message in the partition (0 when it is empty).
-    fn width(&self, partition: &[usize]) -> usize {
+    fn width(&self, partition: &[u32]) -> usize {
         partition
             .first()
-            .map_or(0, |&i| self.corpus.symbols(i).len())
+            .map_or(0, |&i| self.corpus.symbols(i as usize).len())
     }
 
     /// The number of distinct tokens at each position of the partition,
     /// in one pass over its rows per 32 positions: a symbol's slot holds
     /// the positions of the current block it has been met at.
-    fn cardinalities(&mut self, partition: &[usize]) -> Vec<usize> {
+    fn cardinalities(&mut self, partition: &[u32]) -> Vec<usize> {
         let width = self.width(partition);
         let seen = &mut self.p1.slots;
         let mut cards = vec![0; width];
@@ -515,7 +527,7 @@ impl<'c> Stats<'c> {
             let positions = block..width.min(block + 32);
             seen.clear();
             for &i in partition {
-                let row = &self.corpus.symbols(i)[positions.clone()];
+                let row = &self.corpus.symbols(i as usize)[positions.clone()];
                 for (bit, &symbol) in row.iter().enumerate() {
                     let mask = seen.slot(symbol).0;
                     if *mask & 1 << bit == 0 {
@@ -529,11 +541,11 @@ impl<'c> Stats<'c> {
     }
 
     /// Step 2's split: one group per token value at `position`.
-    fn split(&mut self, partition: &[usize], position: usize) -> Vec<Partition> {
+    fn split(&mut self, partition: &[u32], position: usize) -> Vec<Partition> {
         self.p1.clear();
         let mut groups: Vec<Partition> = Vec::new();
         for &i in partition {
-            let (g, fresh) = self.p1.number(self.corpus.symbols(i)[position]);
+            let (g, fresh) = self.p1.number(self.corpus.symbols(i as usize)[position]);
             if fresh {
                 groups.push(Vec::new());
             }
@@ -548,7 +560,7 @@ impl<'c> Stats<'c> {
     /// a counting sort buckets the p2 values by p1 value, and in one walk
     /// over the buckets a pair is new exactly when its p2 value was last
     /// met under another p1 value.
-    fn relate(&mut self, partition: &[usize], p1: usize, p2: usize) -> (Vec<Value>, Vec<Value>) {
+    fn relate(&mut self, partition: &[u32], p1: usize, p2: usize) -> (Vec<Value>, Vec<Value>) {
         let corpus = self.corpus;
         let (n1, n2) = (&mut self.p1, &mut self.p2);
         n1.clear();
@@ -556,7 +568,7 @@ impl<'c> Stats<'c> {
         let mut ones: Vec<Value> = Vec::new();
         let mut twos: Vec<Value> = Vec::new();
         for &i in partition {
-            let row = corpus.symbols(i);
+            let row = corpus.symbols(i as usize);
             count_line(n1, &mut ones, row[p1]);
             count_line(n2, &mut twos, row[p2]);
         }
@@ -566,17 +578,18 @@ impl<'c> Stats<'c> {
             a.mark = start;
             start += a.lines;
         }
-        let mut bucket = vec![0; partition.len()];
+        // Numbers stay below the partition's lines, which fit a `u32`.
+        let mut bucket = vec![0u32; partition.len()];
         for &i in partition {
-            let row = corpus.symbols(i);
+            let row = corpus.symbols(i as usize);
             let a = &mut ones[n1.number(row[p1]).0];
-            bucket[a.mark] = n2.number(row[p2]).0;
+            bucket[a.mark] = n2.number(row[p2]).0 as u32;
             a.mark += 1;
         }
         let mut start = 0;
         for (ka, a) in ones.iter_mut().enumerate() {
             for &kb in &bucket[start..start + a.lines] {
-                let b = &mut twos[kb];
+                let b = &mut twos[kb as usize];
                 if b.mark != ka + 1 {
                     b.mark = ka + 1;
                     b.images += 1;
@@ -594,7 +607,7 @@ impl<'c> Stats<'c> {
     /// lines of its one side.
     fn split_by_relation(
         &mut self,
-        partition: &[usize],
+        partition: &[u32],
         p1: usize,
         p2: usize,
         rank: impl Fn(usize, usize) -> SplitSide,
@@ -604,7 +617,7 @@ impl<'c> Stats<'c> {
         let mut groups = Vec::new();
         let mut many_to_many = None;
         for &i in partition {
-            let row = corpus.symbols(i);
+            let row = corpus.symbols(i as usize);
             let (ka, kb) = (n1.number(row[p1]).0, n2.number(row[p2]).0);
             let (a, b) = (ones[ka], twos[kb]);
             let slot = match (a.images, b.images) {
@@ -648,6 +661,10 @@ mod tests {
     mod reference {
         use super::super::*;
         use std::collections::HashSet;
+
+        /// `usize` indices: the `u32` partitions are held to an oracle
+        /// that does not share their width.
+        type Partition = Vec<usize>;
 
         pub(super) fn reference_parse(iplom: &Iplom, corpus: &Corpus) -> Parse {
             let n = corpus.len();
@@ -1148,7 +1165,7 @@ mod tests {
             })
             .collect();
         let c = Corpus::from_lines(&lines);
-        let partition: Vec<usize> = (0..lines.len()).collect();
+        let partition: Vec<u32> = (0..lines.len() as u32).collect();
         let expected: Vec<usize> = (0..70).map(|p| p % 5 + 1).collect();
         assert_eq!(Stats::new(&c).cardinalities(&partition), expected);
         let parse = Iplom::default().parse(&c).unwrap();

@@ -134,6 +134,27 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    resumes to the uninterrupted run's state
 #   tests/preprocess_differential    mask-before-intern vs symbol-level apply
 #                                    vs goldens
+#   core intern the_arena_reads_as_the_csr_arena,
+#   the_parallel_build_reads_as_the_csr_arena, repeated_rows_store_…,
+#   distinct_rows_are_each_stored_once, a_default_arena_is_a_new_one
+#                                    the arena that stores each distinct row
+#                                    once against the CSR arena it replaced,
+#                                    kept as the oracle: rows, iteration,
+#                                    counts and equality over empty rows,
+#                                    rows sharing a table set and tag (prefix
+#                                    pairs among them), more distinct rows
+#                                    than slots and 70 000-token rows, built
+#                                    by `push_row` or `push_symbol` +
+#                                    `finish_row`, sliced, selected, grown
+#                                    after slicing, merged from remapped
+#                                    chunks, and built by the loader at
+#                                    1..=8 threads; 50 000 rows of 171
+#                                    ten-token templates store ≤ 1 % of
+#                                    their tokens, distinct rows once;
+#                                    `default()` is `new()`
+#   parsers iplom parse_matches_the_reference
+#                                    IPLoM's `u32` partitions against the
+#                                    `usize`, per-position-`HashSet` oracle
 #   core parser an_assignment_is_four_bytes, event_id_…, record
 #   a_span_is_twelve_bytes_…, intern row_offsets_stop_short_of_u32_max
 #                                    the per-line sizes `parse_steady`'s peak
@@ -257,6 +278,28 @@ cargo test --workspace -q
 # run (it writes only the git-ignored benchmark/target/).
 echo "=== benchmark harness builds against the pinned API ==="
 cargo check -q --offline --locked --manifest-path benchmark/Cargo.toml
+
+# The pairs script runs no benchmark here: its syntax, and a reprint
+# (`--pairs 0`) of a made-up two-workload run directory, whose table must
+# hold a row per workload and end-to-end metric and pass.
+echo "=== scripts/pairs.sh (syntax, two-workload reprint) ==="
+bash -n scripts/pairs.sh
+PAIRS_DIR="$(mktemp -d)"
+jq -c '.end_to_end | map({key: .name, value: {value: 1}}) | from_entries as $metrics
+  | ["parse_hdfs_masked", "jobs_hdfs"][] as $w | range(1; 3) as $p | ("base", "head") as $s
+  | {workload: $w, side: $s, pair: $p, result: {correct: true, metrics: $metrics}}' \
+  BENCHMARK.json > "$PAIRS_DIR/runs.jsonl"
+PAIRS_OUT="$(scripts/pairs.sh HEAD --workload parse_hdfs_masked,jobs_hdfs \
+  --pairs 0 --work "$PAIRS_DIR")"
+rm -rf "$PAIRS_DIR"
+METRICS="$(jq '.end_to_end | length' BENCHMARK.json)"
+for w in parse_hdfs_masked jobs_hdfs; do
+  if [[ "$(grep -c "^$w " <<<"$PAIRS_OUT")" != "$METRICS" ]]; then
+    echo "pairs.sh --pairs 0 did not reprint $METRICS rows for $w:"
+    echo "$PAIRS_OUT"
+    exit 1
+  fi
+done
 
 if [[ "$QUICK" == "0" ]]; then
   # The pins again at paper scale against results/ (about six minutes).

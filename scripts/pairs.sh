@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating pairs of benchmark runs: REV against the working tree.
 #
-#   scripts/pairs.sh REV [--workload W|all] [--pairs N] [--seed S]
+#   scripts/pairs.sh REV [--workload W[,W...]|all] [--pairs N] [--seed S]
 #                        [--quick] [--work DIR]
 #
 # REV is exported (`git archive`) into DIR/base, and each side is built by
@@ -10,9 +10,10 @@
 # the binary's file-backed pages and a copied file reads higher than the
 # same code linked in place. Each pair runs `benchmark/run.sh` once per
 # side and workload, REV first on odd pairs and the working tree first on
-# even ones. Defaults: every workload of BENCHMARK.json, 10 pairs, seed 1,
-# DIR a fresh temporary directory (pass one to reuse its builds).
-# `--pairs 0 --work DIR` runs nothing and reprints the table of DIR's runs.
+# even ones. `--workload` takes one name, a comma list, or `all`.
+# Defaults: every workload of BENCHMARK.json, 10 pairs, seed 1, DIR a
+# fresh temporary directory (pass one to reuse its builds). `--pairs 0
+# --work DIR` builds and runs nothing and reprints the table of DIR's runs.
 #
 # Prints, per workload and end-to-end metric, each side's median
 # [q1 – q3], the ratio (working tree / REV) and the pairs the working tree
@@ -24,7 +25,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 usage() {
-    sed -n '2,22s/^# \{0,1\}//p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,23s/^# \{0,1\}//p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 
@@ -52,17 +53,24 @@ commit=$(git -C "$ROOT" rev-parse --verify --quiet "$rev^{commit}") || {
     echo "pairs.sh: $rev names no commit" >&2
     exit 2
 }
+mapfile -t known < <(jq -r '.workloads[].name' "$ROOT/BENCHMARK.json")
 if [[ "$workload" == all ]]; then
-    mapfile -t workloads < <(jq -r '.workloads[].name' "$ROOT/BENCHMARK.json")
+    workloads=("${known[@]}")
 else
-    workloads=("$workload")
+    IFS=, read -r -a workloads <<<"$workload"
+    for name in "${workloads[@]}"; do
+        [[ " ${known[*]} " == *" $name "* ]] || {
+            echo "pairs.sh: no workload $name in BENCHMARK.json" >&2
+            exit 2
+        }
+    done
 fi
 [[ -n "$work" ]] || work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
 mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
 # The REV side: exported once per commit, so a reused DIR keeps its build.
-if [[ "$(cat "$work/base.commit" 2>/dev/null)" != "$commit" ]]; then
+if ((pairs > 0)) && [[ "$(cat "$work/base.commit" 2>/dev/null)" != "$commit" ]]; then
     rm -rf "$work/base"
     mkdir -p "$work/base"
     git -C "$ROOT" archive "$commit" | tar -x -C "$work/base"
