@@ -192,10 +192,11 @@ fn open_output(path: Option<&str>) -> Result<Box<dyn Write>, Box<dyn Error>> {
     })
 }
 
-/// Loads the input corpus for parsing — `path`, or stdin read to end —
-/// masking each token by `preprocessor` before it is interned. The
-/// build is chunk-parallel when `threads` > 1, with output bit-identical
-/// to the sequential build.
+/// Loads the input corpus for parsing — `path`, or stdin — masking each
+/// token by `preprocessor` before it is interned. A file's build is
+/// chunk-parallel when `threads` > 1, with output bit-identical to the
+/// sequential build; stdin is read through one buffer on one thread,
+/// whatever `threads`, and its text is not kept.
 fn load_corpus(
     path: Option<&str>,
     preprocessor: &Preprocessor,
@@ -203,11 +204,7 @@ fn load_corpus(
 ) -> Result<Corpus, Box<dyn Error>> {
     Ok(match path {
         Some(path) => Corpus::from_path_masked(path, preprocessor, threads)?,
-        None => {
-            let mut bytes = Vec::new();
-            std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut bytes)?;
-            Corpus::from_bytes(bytes, preprocessor, threads)?
-        }
+        None => Corpus::from_reader(std::io::stdin().lock(), preprocessor)?,
     })
 }
 
@@ -261,13 +258,12 @@ pub fn generate(args: &Args) -> CliResult {
     let seed: u64 = args.parsed_or("seed", 42)?;
     let data: LabeledCorpus = dataset.generate(count, seed);
     let mut out = std::io::stdout().lock();
-    let with_labels = args.has_flag("labels");
-    for i in 0..data.len() {
-        if with_labels {
-            writeln!(out, "{}\t{}", data.labels[i], data.corpus.record(i).content)?;
-        } else {
-            writeln!(out, "{}", data.corpus.record(i).content)?;
-        }
+    if !args.has_flag("labels") {
+        out.write_all(data.text().as_bytes())?;
+        return Ok(());
+    }
+    for (i, &label) in data.labels.iter().enumerate() {
+        writeln!(out, "{label}\t{}", data.line(i))?;
     }
     Ok(())
 }
@@ -1275,10 +1271,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let log = dir.join("input.log");
         let data = logparse_datasets::hdfs::generate(400, 7);
-        let lines: Vec<String> = (0..data.len())
-            .map(|i| data.corpus.record(i).content.to_owned())
-            .collect();
-        std::fs::write(&log, lines.join("\n") + "\n").unwrap();
+        std::fs::write(&log, data.text()).unwrap();
 
         let sequential = dir.join("seq.events");
         let parallel = dir.join("par.events");
@@ -1360,10 +1353,7 @@ mod tests {
         let log = dir.join("input.log");
         let events = dir.join("events.jsonl");
         let data = logparse_datasets::hdfs::generate(2_000, 42);
-        let lines: Vec<String> = (0..data.len())
-            .map(|i| data.corpus.record(i).content.to_owned())
-            .collect();
-        std::fs::write(&log, lines.join("\n") + "\n").unwrap();
+        std::fs::write(&log, data.text()).unwrap();
 
         serve(&args(&[
             "--shards",

@@ -316,7 +316,7 @@ fn parse_drain_streams_to_the_corpus_paths_bytes() {
     let data = logparse_datasets::hdfs::generate(5_000, 5);
     let mut log = b"\n  \r\n".to_vec();
     for i in 0..data.len() {
-        log.extend_from_slice(data.corpus.record(i).content.as_bytes());
+        log.extend_from_slice(data.line(i).as_bytes());
         log.extend_from_slice(if i % 7 == 0 { b"\r\n" } else { b"\n" });
     }
     log.extend_from_slice("na\u{ef}ve \u{a0}caf\u{e9} 7".as_bytes());

@@ -1,20 +1,20 @@
-//! Zero-copy corpus construction: mmap'd (or whole-buffer) input, one
-//! SWAR scan, arena-direct interning.
+//! Corpus construction: one read loop, one SWAR scan, arena-direct
+//! interning, and no text kept.
 //!
 //! This module is how a log file or stream becomes a [`Corpus`], behind
-//! [`Corpus::from_path`] / [`Corpus::from_bytes`] — no `String` per
-//! line, no `Vec<Symbol>` per row:
+//! [`Corpus::from_path`], [`Corpus::from_reader`] and
+//! [`Corpus::from_bytes`] — no `String` per line, no `Vec<Symbol>` per
+//! row, and no byte of the input once its line is interned:
 //!
-//! 1. **Buffer** — the file is mapped read-only ([`crate::mmap`]); when
-//!    mapping is unavailable (stdin, empty files, non-unix, a failing
-//!    syscall) the bytes are read once into a single `Vec<u8>`. Either
-//!    way there is exactly one buffer for the whole corpus, shared
-//!    behind an `Arc` — records are byte-range views into it, never
-//!    per-line strings. Every walk over it goes a window of about
-//!    1 MiB at a time ([`walk_windows`]), and a mapping's window is
-//!    released once walked: a build keeps one window of the file
-//!    resident per thread, and a later read of a record faults its page
-//!    back in. An owned buffer stays whole.
+//! 1. **Read** — the input is read into one reused buffer of [`WINDOW`]
+//!    bytes (1 MiB), doubled only while a single line fills it, and each
+//!    run of whole lines a read completes goes on as one region
+//!    ([`walk_reader`]); only the partial line at the buffer's end moves,
+//!    to its front. A file built on N threads is cut into up to N byte
+//!    ranges at line starts, each cut found by a short read past its ideal
+//!    offset ([`chunk_byte_ranges`]), and each thread reads its own range
+//!    through a buffer of its own, by offset through the one handle the
+//!    build opened ([`ReadAt`]).
 //! 2. **Scan** — [`crate::simd::scan`] finds newline and token
 //!    boundaries in one SWAR pass, a 64-byte block of bitmasks per
 //!    step, flagging blank lines (all ASCII whitespace) and lines
@@ -34,27 +34,27 @@
 //!    — one hash probe per token, no row vector. Without rules the
 //!    masker is the zero-sized [`Identity`] and the step compiles away.
 //!
-//! The chunked-parallel build splits the buffer at newline boundaries,
-//! scans each chunk with a thread-local interner/arena, then merges in
-//! chunk order: each chunk's vocabulary is interned into the global
-//! table in local-id order and its arena appended through the resulting
-//! symbol remap. Because local ids are first-occurrence-ordered and
-//! chunks merge in corpus order, the merged table assigns every token
-//! the same id the sequential build would — the parallel corpus is
-//! **bit-identical**, not merely equivalent (the differential suite
-//! asserts this). Masking changes nothing here: a placeholder enters a
-//! chunk's table at its first occurrence like any other token, so ids
-//! are first-occurrence-ordered over the *masked* stream — the corpus
-//! [`Preprocessor::apply`] derives from the unmasked build.
+//! The chunked-parallel build scans each range with a thread-local
+//! interner/arena, then merges in range order: each chunk's vocabulary
+//! is interned into the global table in local-id order and its arena
+//! appended through the resulting symbol remap. Because local ids are
+//! first-occurrence-ordered and chunks merge in corpus order, the merged
+//! table assigns every token the same id the sequential build would —
+//! the parallel corpus is **bit-identical**, not merely equivalent (the
+//! differential suite asserts this). Masking changes nothing here: a
+//! placeholder enters a chunk's table at its first occurrence like any
+//! other token, so ids are first-occurrence-ordered over the *masked*
+//! stream — the corpus [`Preprocessor::apply`] derives from the
+//! unmasked build.
 //!
-//! [`walk_kept_lines`] is the other consumer of [`scan_kept`]: each kept
-//! line, with its token spans, goes to a caller (`logmine parse --parser
-//! drain -j 1` and a `jobs` worker's Drain chunk feed a streaming Drain),
-//! rebuilt with placeholders when masked, and nothing is kept per line:
-//! the input, a file too, is read through one reused window. The stream cutter,
-//! [`LineFramer`], scans through the same [`SpanSink`] under the stream
-//! column instead: blank lines kept, invalid UTF-8 and over-long lines
-//! repaired, each line's first token named.
+//! [`walk_kept_lines`] is the other consumer of [`scan_kept`] and of the
+//! same read loop: each kept line, with its token spans, goes to a caller
+//! (`logmine parse --parser drain -j 1` and a `jobs` worker's Drain chunk
+//! feed a streaming Drain), rebuilt with placeholders when masked, and
+//! nothing is kept per line. The stream cutter, [`LineFramer`], scans
+//! through the same [`SpanSink`] under the stream column instead: blank
+//! lines kept, invalid UTF-8 and over-long lines repaired, each line's
+//! first token named.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -64,97 +64,75 @@ use std::sync::Arc;
 
 use logparse_obs::{Buckets, Counter, Histogram, Registry};
 
+use crate::ascii_str::ascii_str;
 use crate::error::ParseError;
 use crate::intern::{row_end, Interner, Symbol, TokenArena};
-use crate::mmap::{ascii_str, Mapping};
 use crate::parallel::ParallelDriver;
 use crate::preprocess::{MaskRule, Preprocessor};
-use crate::record::{Corpus, Span};
+use crate::record::Corpus;
 use crate::simd::{find_newline, kept_line_starts, scan, ScanSink};
 
-/// The single backing buffer of a corpus: either a private read-only
-/// mapping of the input file or bytes held in memory. Records reference
-/// ranges of it.
-#[derive(Debug)]
-pub(crate) enum LineBuffer {
-    /// Bytes owned in memory (stdin, fallback reads, `from_bytes`,
-    /// `from_lines`).
-    Owned(Vec<u8>),
-    /// A read-only file mapping.
-    Mapped(Mapping),
-}
-
-impl std::ops::Deref for LineBuffer {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            LineBuffer::Owned(bytes) => bytes,
-            LineBuffer::Mapped(map) => map.bytes(),
-        }
-    }
-}
-
-impl LineBuffer {
-    /// Drops bytes `range` of a mapping from the resident set (see
-    /// [`Mapping::release`]); an owned buffer is anonymous memory with
-    /// no file to fault back from, and keeps them.
-    fn release(&self, range: Range<usize>) {
-        if let LineBuffer::Mapped(map) = self {
-            map.release(range);
-        }
-    }
-}
-
-/// Bytes a walk over a buffer covers between two releases: what of a
-/// mapped input is resident at once, per walking thread, whatever the
-/// file's size; and the size of the one buffer a kept-line walk reads
-/// into. A streamed parse, a `jobs` worker's streamed chunk and the
-/// coordinator's cut walk hold little else, so this window sets their
-/// peak; a smaller one costs one more release, or read, per window.
+/// Bytes of the one buffer a read walk — a corpus build, a kept-line
+/// walk, a cut walk — reads its input into, per reading thread. A
+/// streamed parse, a `jobs` worker's chunk, the coordinator's cuts and a
+/// corpus build hold nothing else of their input, so this sets what of
+/// it they hold; a smaller one costs more reads.
 const WINDOW: usize = 1 << 20;
 
-/// Walks bytes `range` of `buffer` window by window, handing each
-/// window to `each` and then releasing it. A window ends just past the
-/// first newline at least `window` bytes into it, or at the range's end,
-/// so windows hold whole lines when `range` starts at a line start, and
-/// a line longer than `window` is one window of its own.
-fn walk_windows<E>(
-    buffer: &LineBuffer,
-    range: Range<usize>,
-    window: usize,
-    mut each: impl FnMut(Range<usize>) -> Result<(), E>,
-) -> Result<(), E> {
-    let bytes = &buffer[..range.end];
-    let mut start = range.start;
-    while start < range.end {
-        let end = match start.checked_add(window.max(1)) {
-            // Searching from the window's last byte keeps an end already
-            // sitting just past a newline where it is.
-            Some(target) if target < range.end => {
-                find_newline(bytes, target - 1).map_or(range.end, |nl| nl + 1)
-            }
-            _ => range.end,
-        };
-        each(start..end)?;
-        buffer.release(start..end);
-        start = end;
+/// One `read` of `reader` into `buf`, `Interrupted` retried.
+fn read_some(reader: &mut (impl Read + ?Sized), buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            result => return result,
+        }
     }
-    Ok(())
 }
 
-/// Maps `file` when possible, otherwise reads it whole.
-fn map_or_read(mut file: File) -> Result<LineBuffer, ParseError> {
-    if let Some(map) = Mapping::of_file(&file) {
-        return Ok(LineBuffer::Mapped(map));
+/// Reads `reader` to its end into one buffer of `window` bytes, doubled
+/// only while a single line fills it, and hands `region` every run of
+/// whole lines as it arrives, the last run ending where the input does
+/// (perhaps in an unterminated line): each byte is read and scanned
+/// once, and only the partial line at the buffer's end moves, to its
+/// front, when the buffer is full. `region` returns whether to read on;
+/// the walk ends at its first `false`.
+fn walk_reader(
+    reader: &mut (impl Read + ?Sized),
+    window: usize,
+    mut region: impl FnMut(&[u8]) -> Result<bool, ParseError>,
+) -> Result<(), ParseError> {
+    let mut buf = vec![0; window.max(1)];
+    // `buf[start..end]` is read and not yet scanned: part of one line.
+    let (mut start, mut end) = (0, 0);
+    loop {
+        if end == buf.len() {
+            if start == 0 {
+                buf.resize(buf.len() * 2, 0);
+            } else {
+                buf.copy_within(start..end, 0);
+                end -= start;
+                start = 0;
+            }
+        }
+        let read = read_some(reader, &mut buf[end..])?;
+        if read == 0 {
+            region(&buf[start..end])?;
+            return Ok(());
+        }
+        let filled = end + read;
+        if let Some(last) = buf[end..filled].iter().rposition(|&b| b == b'\n') {
+            let cut = end + last + 1;
+            if !region(&buf[start..cut])? {
+                return Ok(());
+            }
+            start = cut;
+        }
+        end = filled;
     }
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    Ok(LineBuffer::Owned(bytes))
 }
 
 /// The `InvalidData` error `BufRead::lines` produces for non-UTF-8
-/// input; the zero-copy path reports byte-identical failures.
+/// input; the loader reports byte-identical failures.
 fn invalid_utf8() -> ParseError {
     ParseError::Io(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -174,7 +152,7 @@ fn too_many_tokens() -> ParseError {
 /// What a build does with a token before interning it. A
 /// generic parameter of the build and the walk, so the unmasked ones
 /// carry no trace of it.
-trait Masker: Copy + Send {
+trait Masker: Copy + Send + Sync {
     /// The rules [`classify`](Masker::classify) indexes into.
     fn rules(&self) -> &[MaskRule];
 
@@ -208,23 +186,17 @@ impl Masker for &Preprocessor {
     }
 }
 
-/// One chunk's build output (the sequential build is the 1-chunk case).
-struct ChunkOut {
-    interner: Interner,
-    arena: TokenArena,
-    spans: Vec<Span>,
-    /// Tokens each of the masker's rules replaced.
-    masked: Vec<u64>,
-}
-
-/// The token rows under construction: mask-or-intern each token into
-/// the open arena row.
+/// The token rows under construction — mask-or-intern each token into
+/// the open arena row — and what a build, of a whole input or of one
+/// chunk of it, hands back.
 struct Rows<M> {
     masker: M,
     interner: Interner,
     arena: TokenArena,
     /// Tokens each of the masker's rules replaced.
     masked: Vec<u64>,
+    /// The scan's staging vector for a line's token spans; reused.
+    staged: Vec<TokenSpan>,
 }
 
 impl<M: Masker> Rows<M> {
@@ -234,7 +206,19 @@ impl<M: Masker> Rows<M> {
             interner: Interner::new(),
             arena: TokenArena::new(),
             masked: vec![0; masker.rules().len()],
+            staged: Vec::new(),
         }
+    }
+
+    /// Seals the kept lines of `region` — whole lines, the last one
+    /// perhaps unterminated — as rows, through [`scan_kept`].
+    fn region(&mut self, region: &[u8]) -> Result<(), ParseError> {
+        let mut staged = std::mem::take(&mut self.staged);
+        let scanned = scan_kept(region, &mut staged, |text, spans| {
+            self.push_line(text, spans)
+        });
+        self.staged = staged;
+        scanned
     }
 
     #[inline(always)]
@@ -277,87 +261,181 @@ impl<M: Masker> Rows<M> {
     }
 }
 
-/// Scans one byte range of the full buffer into a chunk-local output,
-/// `window` bytes at a time (see [`walk_windows`]), each window through
-/// [`scan_kept`]. Windows hold whole lines and a line's tokens are
-/// interned before its window is released, so the output is the
-/// one-window scan's whatever `window`.
-fn build_chunk<M: Masker>(
-    buffer: &LineBuffer,
+/// Builds the kept lines `reader` holds, to its end, read `window` bytes
+/// at a time through [`walk_reader`]. Regions hold whole lines and a
+/// line is interned before the buffer moves on, so the rows are the
+/// one-region scan's whatever `window`.
+fn build_reader<M: Masker>(
+    reader: &mut (impl Read + ?Sized),
+    masker: M,
+    window: usize,
+) -> Result<Rows<M>, ParseError> {
+    let mut rows = Rows::new(masker);
+    walk_reader(reader, window, |region| rows.region(region).map(|()| true))?;
+    Ok(rows)
+}
+
+/// An input read by offset — a file, or bytes in memory — so that the
+/// threads building ranges of one file share the handle it was opened
+/// with: none reopens the path, and a log renamed away and replaced
+/// under the build is still read whole, from the file first opened.
+trait ReadAt {
+    /// Reads into `buf` from offset `at`; 0 at or past the input's end.
+    fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<usize>;
+}
+
+#[cfg(unix)]
+impl ReadAt for File {
+    fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<usize> {
+        std::os::unix::fs::FileExt::read_at(self, buf, at)
+    }
+}
+
+#[cfg(windows)]
+impl ReadAt for File {
+    fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<usize> {
+        std::os::windows::fs::FileExt::seek_read(self, buf, at)
+    }
+}
+
+impl ReadAt for &[u8] {
+    fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<usize> {
+        let rest = usize::try_from(at)
+            .ok()
+            .and_then(|at| self.get(at..))
+            .unwrap_or(&[]);
+        let read = rest.len().min(buf.len());
+        buf[..read].copy_from_slice(&rest[..read]);
+        Ok(read)
+    }
+}
+
+/// Bytes `at..end` of a [`ReadAt`] input, read in order.
+struct RangeReader<'a, I: ?Sized> {
+    input: &'a I,
+    at: u64,
+    end: u64,
+}
+
+impl<'a, I: ReadAt + ?Sized> RangeReader<'a, I> {
+    fn new(input: &'a I, range: Range<usize>) -> Self {
+        RangeReader {
+            input,
+            at: range.start as u64,
+            end: range.end as u64,
+        }
+    }
+}
+
+impl<I: ReadAt + ?Sized> Read for RangeReader<'_, I> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = usize::try_from(self.end.saturating_sub(self.at)).unwrap_or(usize::MAX);
+        let want = left.min(buf.len());
+        if want == 0 {
+            return Ok(0);
+        }
+        let read = self.input.read_at(&mut buf[..want], self.at)?;
+        self.at += read as u64;
+        Ok(read)
+    }
+}
+
+/// The `UnexpectedEof` error for an input that ends before a range a
+/// build reads — a file truncated under the build: the build fails
+/// rather than drop the lines it lost.
+fn shrank() -> ParseError {
+    ParseError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "input ended inside the bytes a corpus build was reading: it shrank during the build",
+    ))
+}
+
+/// [`build_reader`] over bytes `range` of `input`, read no further than
+/// the range and to its end ([`shrank`] otherwise).
+fn build_range<M: Masker>(
+    input: &(impl ReadAt + ?Sized),
     range: Range<usize>,
     masker: M,
     window: usize,
-) -> Result<ChunkOut, ParseError> {
-    let mut rows = Rows::new(masker);
-    // ~40 bytes/line is typical machine-log density; the hint only
-    // sizes the first allocation.
-    let mut spans = Vec::with_capacity(range.len() / 40 + 1);
-    let mut staged = Vec::new();
-    walk_windows(buffer, range, window, |window| {
-        scan_kept(
-            &buffer[window.clone()],
-            &mut staged,
-            |line, text, tokens| {
-                rows.push_line(text, tokens)?;
-                spans.push(Span::new(
-                    window.start + line.start,
-                    window.start + line.end,
-                )?);
-                Ok(())
-            },
-        )
-    })?;
-    Ok(ChunkOut {
-        interner: rows.interner,
-        arena: rows.arena,
-        spans,
-        masked: rows.masked,
-    })
+) -> Result<Rows<M>, ParseError> {
+    let mut reader = RangeReader::new(input, range);
+    let rows = build_reader(&mut reader, masker, window)?;
+    if reader.at < reader.end {
+        return Err(shrank());
+    }
+    Ok(rows)
 }
 
-/// Splits `bytes` into up to `threads` ranges, each starting at a line
-/// start (boundaries snap forward to just past the next newline).
-fn chunk_byte_ranges(bytes: &[u8], threads: usize) -> Vec<Range<usize>> {
+/// Splits an input of `len` bytes into up to `threads` ranges, each
+/// starting at a line start: every cut but the last moves forward to
+/// just past the first newline at or after the byte before it, found by
+/// reading `input` from there ([`next_line_start`]).
+fn chunk_byte_ranges(
+    input: &(impl ReadAt + ?Sized),
+    len: usize,
+    threads: usize,
+) -> Result<Vec<Range<usize>>, ParseError> {
     // Below ~64 KiB the thread spawn/merge overhead dominates.
-    if threads <= 1 || bytes.len() < 1 << 16 {
-        return std::iter::once(0..bytes.len()).collect();
+    if threads <= 1 || len < 1 << 16 {
+        return Ok(std::iter::once(0..len).collect());
     }
-    let ideal = ParallelDriver::chunk_ranges(bytes.len(), threads);
+    let ideal = ParallelDriver::chunk_ranges(len, threads);
     let mut ranges = Vec::with_capacity(ideal.len());
     let mut start = 0usize;
     for r in &ideal[..ideal.len() - 1] {
         // Searching from `r.end - 1` keeps a boundary already sitting
         // just past a newline where it is.
-        let end = match find_newline(bytes, r.end - 1) {
-            Some(nl) => nl + 1,
-            None => bytes.len(),
-        };
-        if end > start && end < bytes.len() {
+        let end = next_line_start(input, r.end - 1, len)?.unwrap_or(len);
+        if end > start && end < len {
             ranges.push(start..end);
             start = end;
         }
     }
-    ranges.push(start..bytes.len());
-    ranges
+    ranges.push(start..len);
+    Ok(ranges)
 }
 
-/// Runs the per-chunk builds on scoped threads and merges in chunk
-/// order. `None` means a worker died (panicked): the caller falls back
-/// to the sequential build rather than guessing at partial output.
+/// The offset just past the first `\n` in bytes `from..len` of `input`,
+/// or `None` when there is none: read a few KiB at a time, as far as
+/// that newline.
+fn next_line_start(
+    input: &(impl ReadAt + ?Sized),
+    from: usize,
+    len: usize,
+) -> Result<Option<usize>, ParseError> {
+    let mut reader = RangeReader::new(input, from..len);
+    let mut buf = [0; 4096];
+    let mut at = from;
+    loop {
+        let read = read_some(&mut reader, &mut buf)?;
+        if read == 0 {
+            return Ok(None);
+        }
+        if let Some(nl) = find_newline(&buf[..read], 0) {
+            return Ok(Some(at + nl + 1));
+        }
+        at += read;
+    }
+}
+
+/// Runs `build` over each of `ranges` on its own scoped thread and
+/// merges the outputs in range order. `None` means a worker died
+/// (panicked): the caller falls back to the sequential build rather
+/// than guessing at partial output.
 fn build_parallel<M: Masker>(
-    buffer: &LineBuffer,
     ranges: &[Range<usize>],
     masker: M,
-    window: usize,
-) -> Option<Result<ChunkOut, ParseError>> {
-    let mut slots: Vec<Option<Result<ChunkOut, ParseError>>> = Vec::new();
+    build: impl Fn(Range<usize>) -> Result<Rows<M>, ParseError> + Sync,
+) -> Option<Result<Rows<M>, ParseError>> {
+    let build = &build;
+    let mut slots: Vec<Option<Result<Rows<M>, ParseError>>> = Vec::new();
     slots.resize_with(ranges.len(), || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .iter()
             .map(|r| {
                 let range = r.clone();
-                scope.spawn(move || build_chunk(buffer, range, masker, window))
+                scope.spawn(move || build(range))
             })
             .collect();
         for (slot, handle) in slots.iter_mut().zip(handles) {
@@ -365,10 +443,7 @@ fn build_parallel<M: Masker>(
         }
     });
 
-    let mut interner = Interner::new();
-    let mut arena = TokenArena::new();
-    let mut spans = Vec::new();
-    let mut masked = vec![0u64; masker.rules().len()];
+    let mut merged = Rows::new(masker);
     let mut remap: Vec<Symbol> = Vec::new();
     for slot in slots {
         let chunk = match slot {
@@ -378,7 +453,7 @@ fn build_parallel<M: Masker>(
             Some(Err(e)) => return Some(Err(e)),
             None => return None,
         };
-        if row_end(arena.token_count() + chunk.arena.token_count()).is_none() {
+        if row_end(merged.arena.token_count() + chunk.arena.token_count()).is_none() {
             return Some(Err(too_many_tokens()));
         }
         remap.clear();
@@ -388,20 +463,48 @@ fn build_parallel<M: Masker>(
             // build's: local ids are first-occurrence-ordered, and
             // earlier chunks have already claimed every token that
             // first occurred before this chunk.
-            interner.intern(chunk.interner.resolve(Symbol::from_id(id as u32)))
+            merged
+                .interner
+                .intern(chunk.interner.resolve(Symbol::from_id(id as u32)))
         }));
-        arena.append_remapped(&chunk.arena, &remap);
-        for (total, hits) in masked.iter_mut().zip(chunk.masked) {
+        merged.arena.append_remapped(&chunk.arena, &remap);
+        for (total, hits) in merged.masked.iter_mut().zip(chunk.masked) {
             *total += hits;
         }
-        spans.extend(chunk.spans);
     }
-    Some(Ok(ChunkOut {
-        interner,
-        arena,
-        spans,
-        masked,
-    }))
+    Some(Ok(merged))
+}
+
+/// What a corpus build reads.
+enum Input<'a> {
+    /// The first `len` bytes of an input read by offset, split among the
+    /// build's threads, all reading through this one handle.
+    At(&'a (dyn ReadAt + Sync + 'a), usize),
+    /// A stream (stdin, a pipe), read to its end on one thread.
+    Stream(&'a mut (dyn Read + 'a)),
+}
+
+/// Builds `input`, `window` bytes at a time: an [`Input::At`]
+/// chunk-parallel when it splits, sequentially otherwise (and when a
+/// worker died).
+fn build_input<M: Masker>(
+    input: Input<'_>,
+    masker: M,
+    threads: usize,
+    window: usize,
+) -> Result<Rows<M>, ParseError> {
+    let (input, len) = match input {
+        Input::At(input, len) => (input, len),
+        Input::Stream(reader) => return build_reader(reader, masker, window),
+    };
+    let ranges = chunk_byte_ranges(input, len, threads)?;
+    if ranges.len() > 1 {
+        let read = |range| build_range(input, range, masker, window);
+        if let Some(result) = build_parallel(&ranges, masker, read) {
+            return result;
+        }
+    }
+    build_range(input, 0..len, masker, window)
 }
 
 /// Resolves the corpus-build metric handles (one registry probe per
@@ -410,76 +513,58 @@ fn build_metrics(registry: &Registry) -> (Histogram, Counter) {
     (
         registry.histogram(
             "core_corpus_build_seconds",
-            "Time for a zero-copy corpus build (map/read + scan + intern)",
+            "Time for a corpus build (read + scan + intern)",
             &Buckets::durations(),
             &[],
         ),
         registry.counter(
             "core_corpus_build_lines_total",
-            "Log lines materialized as records by zero-copy corpus builds",
+            "Log lines materialized as records by corpus builds",
             &[],
         ),
     )
 }
 
-/// Scans and interns `buffer` under one masker, each thread `window`
-/// bytes at a time: chunk-parallel when the input splits, sequential
-/// otherwise (and when a worker died).
-fn build<M: Masker>(
-    buffer: &LineBuffer,
-    masker: M,
-    threads: usize,
-    window: usize,
-) -> Result<ChunkOut, ParseError> {
-    let ranges = chunk_byte_ranges(buffer, threads);
-    if ranges.len() > 1 {
-        if let Some(result) = build_parallel(buffer, &ranges, masker, window) {
-            return result;
-        }
-    }
-    build_chunk(buffer, 0..buffer.len(), masker, window)
-}
-
-/// The shared build entry: one buffer in, one corpus out. Tokens are
-/// masked by `preprocessor` before they are interned; with no rules
-/// the build is instantiated over [`Identity`] and masks nothing.
-fn build_corpus(
-    buffer: Arc<LineBuffer>,
-    preprocessor: &Preprocessor,
-    threads: usize,
-) -> Result<Corpus, ParseError> {
-    measured_build(buffer, preprocessor, 0, |buffer| {
-        if preprocessor.rules().is_empty() {
-            build(buffer, Identity, threads, WINDOW)
-        } else {
-            build(buffer, preprocessor, threads, WINDOW)
-        }
-    })
-}
-
-/// Runs `build` over `buffer` under the corpus-build span and counters
-/// and wraps its output and the buffer into the corpus, whose lines are
-/// numbered from `lines_before + 1`.
-fn measured_build(
-    buffer: Arc<LineBuffer>,
+/// Runs `build` under the corpus-build span and counters and wraps the
+/// rows it returns into a corpus whose lines are numbered from
+/// `lines_before + 1`; `preprocessor` names the rules whose masked
+/// counts it publishes.
+fn measured_build<M: Masker>(
     preprocessor: &Preprocessor,
     lines_before: usize,
-    build: impl FnOnce(&LineBuffer) -> Result<ChunkOut, ParseError>,
+    build: impl FnOnce() -> Result<Rows<M>, ParseError>,
 ) -> Result<Corpus, ParseError> {
     let registry = logparse_obs::global();
     let (time_hist, lines_total) = build_metrics(registry);
     let span = registry.span_into(time_hist, "core_corpus_build", &[]);
-    let out = build(&buffer)?;
+    let rows = build()?;
     span.finish();
-    lines_total.inc_by(out.spans.len() as u64);
-    preprocessor.publish_masked(registry, &out.masked);
-    Ok(Corpus::assemble_mapped(
-        buffer,
-        out.spans,
+    lines_total.inc_by(rows.arena.rows() as u64);
+    preprocessor.publish_masked(registry, &rows.masked);
+    Ok(Corpus::assemble(
         lines_before + 1,
-        out.arena,
-        Arc::new(out.interner),
+        rows.arena,
+        Arc::new(rows.interner),
     ))
+}
+
+/// [`build_input`] under the masker `preprocessor` needs — [`Identity`]
+/// when it has no rules — as a corpus numbered from 1. Every build of a
+/// whole input, from a path, bytes or a reader, goes through here.
+fn corpus_from_input(
+    input: Input<'_>,
+    preprocessor: &Preprocessor,
+    threads: usize,
+) -> Result<Corpus, ParseError> {
+    if preprocessor.rules().is_empty() {
+        measured_build(preprocessor, 0, || {
+            build_input(input, Identity, threads, WINDOW)
+        })
+    } else {
+        measured_build(preprocessor, 0, || {
+            build_input(input, preprocessor, threads, WINDOW)
+        })
+    }
 }
 
 /// Implementation behind [`Corpus::from_path`] and its parallel and
@@ -489,17 +574,42 @@ pub(crate) fn corpus_from_path(
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
-    let buffer = map_or_read(File::open(path)?)?;
-    build_corpus(Arc::new(buffer), preprocessor, threads)
+    corpus_from_file(&mut File::open(path)?, preprocessor, threads)
+}
+
+/// The build of an open file: the bytes it held when the build began,
+/// read by offset through this one handle on every thread. A file of no
+/// length — a pipe, a device, a procfs file, or an empty file — is read
+/// to its end on one thread.
+fn corpus_from_file(
+    file: &mut File,
+    preprocessor: &Preprocessor,
+    threads: usize,
+) -> Result<Corpus, ParseError> {
+    let meta = file.metadata()?;
+    if !meta.is_file() || meta.len() == 0 {
+        return corpus_from_input(Input::Stream(file), preprocessor, threads);
+    }
+    let len = usize::try_from(meta.len()).unwrap_or(usize::MAX);
+    corpus_from_input(Input::At(&*file, len), preprocessor, threads)
 }
 
 /// Implementation behind [`Corpus::from_bytes`].
 pub(crate) fn corpus_from_bytes(
-    bytes: Vec<u8>,
+    bytes: &[u8],
     preprocessor: &Preprocessor,
     threads: usize,
 ) -> Result<Corpus, ParseError> {
-    build_corpus(Arc::new(LineBuffer::Owned(bytes)), preprocessor, threads)
+    corpus_from_input(Input::At(&bytes, bytes.len()), preprocessor, threads)
+}
+
+/// Implementation behind [`Corpus::from_reader`]: one thread, reading to
+/// the end.
+pub(crate) fn corpus_from_reader(
+    reader: &mut dyn Read,
+    preprocessor: &Preprocessor,
+) -> Result<Corpus, ParseError> {
+    corpus_from_input(Input::Stream(reader), preprocessor, 1)
 }
 
 /// Refuses a byte range that is not inside a file of `file_len` bytes.
@@ -516,16 +626,9 @@ fn check_range(range: &Range<usize>, file_len: usize) -> Result<(), ParseError> 
     })
 }
 
-/// Refuses a byte range, inside a file of `file_len` bytes, that does
-/// not start and end at a line start; `byte_before(at)` reads the byte
-/// before offset `at` of the file, for `at` > 0.
-fn check_line_starts(
-    range: &Range<usize>,
-    file_len: usize,
-    mut byte_before: impl FnMut(usize) -> Result<u8, ParseError>,
-) -> Result<(), ParseError> {
-    let mut line_start = |at: usize| Ok::<_, ParseError>(at == 0 || byte_before(at)? == b'\n');
-    if line_start(range.start)? && (range.end == file_len || line_start(range.end)?) {
+/// Refuses a byte range whose ends were not both found at line starts.
+fn check_line_starts(range: &Range<usize>, at_line_starts: bool) -> Result<(), ParseError> {
+    if at_line_starts {
         return Ok(());
     }
     Err(ParseError::InvalidConfig {
@@ -537,61 +640,87 @@ fn check_line_starts(
     })
 }
 
-/// Builds the kept lines of bytes `range` of a file `file_len` long,
-/// numbered from `lines_before + 1`, `window` bytes at a time. `buffer`
-/// holds the file from byte `offset` on — at least from the byte before
-/// the range, which says whether the range begins a line — and spans
-/// index into it.
-fn build_range(
-    buffer: LineBuffer,
-    offset: usize,
-    range: Range<usize>,
-    file_len: usize,
-    lines_before: usize,
-    window: usize,
-) -> Result<Corpus, ParseError> {
-    check_line_starts(&range, file_len, |at| Ok(buffer[at - 1 - offset]))?;
-    let local = range.start - offset..range.end - offset;
-    let unmasked = &Preprocessor::identity();
-    measured_build(Arc::new(buffer), unmasked, lines_before, |buffer| {
-        build_chunk(buffer, local, Identity, window)
-    })
+/// Whether offset `at` of a seekable input is a line start: 0, or just
+/// past a `\n`, read as the one byte before it.
+fn is_line_start(reader: &mut (impl Read + Seek), at: usize) -> Result<bool, ParseError> {
+    if at == 0 {
+        return Ok(true);
+    }
+    let mut byte = [0];
+    reader.seek(SeekFrom::Start(at as u64 - 1))?;
+    reader.read_exact(&mut byte)?;
+    Ok(byte[0] == b'\n')
 }
 
-/// Implementation behind [`Corpus::from_path_range`]: the file is
-/// mapped and only the range's pages are touched; a file that cannot be
-/// mapped goes through [`corpus_from_reader_range`].
+/// Refuses bytes `range` of a seekable input when they are not inside
+/// it or do not start at a line start — the end is the caller's to
+/// check — and returns the input's length.
+fn check_range_start(
+    reader: &mut (impl Read + Seek),
+    range: &Range<usize>,
+) -> Result<usize, ParseError> {
+    let file_len = usize::try_from(reader.seek(SeekFrom::End(0))?).unwrap_or(usize::MAX);
+    check_range(range, file_len)?;
+    let starts = is_line_start(reader, range.start)?;
+    check_line_starts(range, starts)?;
+    Ok(file_len)
+}
+
+/// Implementation behind [`Corpus::from_path_range`].
 pub(crate) fn corpus_from_path_range(
     path: &Path,
     range: Range<usize>,
     lines_before: usize,
 ) -> Result<Corpus, ParseError> {
-    let file = File::open(path)?;
-    let Some(map) = Mapping::of_file(&file) else {
-        return corpus_from_reader_range(file, range, lines_before);
-    };
-    let file_len = map.len();
-    check_range(&range, file_len)?;
-    let buffer = LineBuffer::Mapped(map);
-    build_range(buffer, 0, range, file_len, lines_before, WINDOW)
+    corpus_from_reader_range(File::open(path)?, range, lines_before, WINDOW)
 }
 
-/// [`corpus_from_path_range`] for a file that cannot be mapped: one seek
-/// and one read of the range (and the byte before it), never the whole
-/// input.
+/// The corpus of the kept lines of bytes `range` of a seekable input,
+/// numbered from `lines_before + 1`, read `window` bytes at a time: the
+/// range, and the byte before its start, never the rest of the input. A
+/// range that is not inside the input or does not start and end at a
+/// line start is refused as [`walk_reader_range`] refuses it. A build
+/// hands on nothing before it ends, so the byte before the range's end
+/// is checked as the build reads it, not by a read of its own; only a
+/// build that fails before reaching the end reads that byte again, so
+/// that a range off the line grid is refused before the build's error.
 pub(crate) fn corpus_from_reader_range(
     mut reader: impl Read + Seek,
     range: Range<usize>,
     lines_before: usize,
+    window: usize,
 ) -> Result<Corpus, ParseError> {
-    let file_len = usize::try_from(reader.seek(SeekFrom::End(0))?).unwrap_or(usize::MAX);
-    check_range(&range, file_len)?;
-    let offset = range.start.saturating_sub(1);
-    reader.seek(SeekFrom::Start(offset as u64))?;
-    let mut bytes = vec![0; range.end - offset];
-    reader.read_exact(&mut bytes)?;
-    let buffer = LineBuffer::Owned(bytes);
-    build_range(buffer, offset, range, file_len, lines_before, WINDOW)
+    let file_len = check_range_start(&mut reader, &range)?;
+    let unmasked = &Preprocessor::identity();
+    measured_build(unmasked, lines_before, || {
+        reader.seek(SeekFrom::Start(range.start as u64))?;
+        let mut rows = Rows::new(Identity);
+        // The last byte read and bytes read in all; an empty range reads
+        // none and ends where it starts, at a line start.
+        let (mut last, mut read) = (b'\n', 0);
+        let built = walk_reader(
+            &mut (&mut reader).take(range.len() as u64),
+            window,
+            |region| {
+                if let Some(&byte) = region.last() {
+                    last = byte;
+                }
+                read += region.len();
+                rows.region(region).map(|()| true)
+            },
+        );
+        if built.is_ok() && read < range.len() {
+            return Err(shrank());
+        }
+        let ends = range.end == file_len
+            || match built {
+                Ok(()) => last == b'\n',
+                Err(_) => is_line_start(&mut reader, range.end)?,
+            };
+        check_line_starts(&range, ends)?;
+        built?;
+        Ok(rows)
+    })
 }
 
 /// Where a corpus file splits into chunks of whole lines: what a job
@@ -615,66 +744,79 @@ pub struct CorpusCuts {
 const CUT_INDEX_STRIDE: usize = 1024;
 
 /// Counts the kept lines of `path` and cuts it into `chunks` chunks in
-/// one pass over one mmap/read: no interning, no record
-/// materialization, no UTF-8 check.
+/// one read pass and one short, sought read per cut: no interning, no
+/// record materialization, no UTF-8 check.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError::Io`] when the file cannot be opened or read.
 pub fn corpus_cuts(path: impl AsRef<Path>, chunks: usize) -> Result<CorpusCuts, ParseError> {
-    let buffer = map_or_read(File::open(path.as_ref())?)?;
-    Ok(cuts_through_index(
-        &buffer,
-        chunks,
-        CUT_INDEX_STRIDE,
-        WINDOW,
-    ))
+    cuts_through_index(File::open(path.as_ref())?, chunks, CUT_INDEX_STRIDE, WINDOW)
 }
 
-/// [`corpus_cuts`] of `buffer`. The one pass, `window` bytes at a time,
-/// counts the kept lines and records where every `stride`-th begins;
-/// each chunk's first kept line is then found by walking on from the
-/// index entry at or before it, fewer than `stride` lines. Every walk
-/// releases what it read.
+/// [`corpus_cuts`] of a seekable input. The one pass, read `window`
+/// bytes at a time, counts the kept lines and records where every
+/// `stride`-th begins; each chunk's first kept line is then found by
+/// seeking to the index entry at or before it and reading on, fewer than
+/// `stride` lines.
 pub(crate) fn cuts_through_index(
-    buffer: &LineBuffer,
+    mut input: impl Read + Seek,
     chunks: usize,
     stride: usize,
     window: usize,
-) -> CorpusCuts {
+) -> Result<CorpusCuts, ParseError> {
     let stride = stride.max(1);
     let mut index = Vec::new();
-    let mut lines = 0usize;
-    let mut until_entry = 0usize;
-    let Ok(()) = walk_windows(buffer, 0..buffer.len(), window, |window| {
-        for start in kept_line_starts(&buffer[..window.end], window.start) {
+    let (mut lines, mut len, mut until_entry) = (0usize, 0usize, 0usize);
+    walk_reader(&mut input, window, |region| {
+        for start in kept_line_starts(region, 0) {
             if until_entry == 0 {
-                index.push(start);
+                index.push(len + start);
                 until_entry = stride;
             }
             until_entry -= 1;
             lines += 1;
         }
-        Ok::<(), std::convert::Infallible>(())
-    });
-    let buf = &buffer[..];
+        len += region.len();
+        Ok(true)
+    })?;
     let mut cuts = vec![0];
     for chunk in ParallelDriver::chunk_ranges(lines, chunks)
         .into_iter()
         .skip(1)
     {
-        let entry = index
-            .get(chunk.start / stride)
-            .copied()
-            .unwrap_or(buf.len());
-        let first = kept_line_starts(buf, entry).nth(chunk.start % stride);
-        cuts.push(first.unwrap_or(buf.len()));
-        // The walk is short, but a fault may map a whole large folio
-        // around it: release the lot, not just the bytes walked.
-        buffer.release(0..buf.len());
+        let first = match index.get(chunk.start / stride) {
+            Some(&entry) => nth_kept_line_start(&mut input, entry, chunk.start % stride, window)?,
+            None => None,
+        };
+        cuts.push(first.unwrap_or(len));
     }
-    cuts.push(buf.len());
-    CorpusCuts { lines, cuts }
+    cuts.push(len);
+    Ok(CorpusCuts { lines, cuts })
+}
+
+/// Where the kept line `n` lines past the one at offset `from` begins,
+/// read from `input` no further than that line's region.
+fn nth_kept_line_start(
+    input: &mut (impl Read + Seek),
+    from: usize,
+    n: usize,
+    window: usize,
+) -> Result<Option<usize>, ParseError> {
+    input.seek(SeekFrom::Start(from as u64))?;
+    let (mut at, mut left, mut found) = (from, n, None);
+    walk_reader(input, window, |region| {
+        for start in kept_line_starts(region, 0) {
+            if left == 0 {
+                found = Some(at + start);
+                return Ok(false);
+            }
+            left -= 1;
+        }
+        at += region.len();
+        Ok(true)
+    })?;
+    Ok(found)
 }
 
 /// Counts the lines of `path` a corpus build would keep (non-blank
@@ -689,12 +831,10 @@ pub fn count_corpus_lines(path: impl AsRef<Path>) -> Result<usize, ParseError> {
     Ok(corpus_cuts(path, 1)?.lines)
 }
 
-/// Where [`walk_kept_lines`] reads a log from. Every source is read into
-/// one reused window of about 1 MiB, grown only for a line longer than
-/// it, so a walk holds that window of its input and nothing else. A file
-/// is read, not mapped as a corpus build maps it: a walk keeps no line,
-/// and a mapping's resident pages follow the page cache's folios (a
-/// fault may map 2 MiB of a file cached in large folios), not the window.
+/// Where [`walk_kept_lines`] reads a log from. Every source is read
+/// through the corpus build's read loop, one reused buffer of 1 MiB grown
+/// only for a line longer than it, so a walk holds that buffer of its
+/// input and nothing else.
 pub enum LineSource<'a> {
     /// A file.
     Path(&'a Path),
@@ -709,13 +849,12 @@ pub enum LineSource<'a> {
 }
 
 /// Hands each line a corpus build of `source` would keep to `each`, in
-/// order, and returns how many — without building the corpus: one scan
-/// per byte, the corpus build's own line scan, and nothing held per line.
-/// The batch column of DESIGN.md's *Line contract* holds: blank lines are
-/// skipped and not counted, one
-/// `\r` before `\n` is stripped, and a line with invalid UTF-8 fails the
-/// walk with the error a corpus build gives, after `each` has seen the
-/// lines before it.
+/// order, and returns how many — without building the corpus: the
+/// corpus build's own read loop and line scan, and nothing held per
+/// line. The batch column of DESIGN.md's *Line contract* holds: blank
+/// lines are skipped and not counted, one `\r` before `\n` is stripped,
+/// and a line with invalid UTF-8 fails the walk with the error a corpus
+/// build gives, after `each` has seen the lines before it.
 ///
 /// `each` gets the line and its token spans, as a [`FramedLine`] carries
 /// them: `None` for a line with a byte ≥ 0x80 or of
@@ -778,76 +917,35 @@ fn walk_kept_lines_in<M: Masker>(
     each: impl FnMut(&str, Option<&[TokenSpan]>),
 ) -> Result<(usize, Vec<u64>), ParseError> {
     let mut kept = KeptLines::new(masker, each);
+    let mut region = |region: &[u8]| kept.region(region).map(|()| true);
     match source {
-        LineSource::Path(path) => walk_reader(&mut File::open(path)?, window, &mut kept)?,
+        LineSource::Path(path) => walk_reader(&mut File::open(path)?, window, &mut region)?,
         LineSource::PathRange(path, range) => {
-            walk_reader_range(File::open(path)?, range, window, &mut kept)?
+            walk_reader_range(File::open(path)?, range, window, &mut region)?
         }
-        LineSource::Reader(reader) => walk_reader(reader, window, &mut kept)?,
+        LineSource::Reader(reader) => walk_reader(reader, window, &mut region)?,
     }
     Ok((kept.lines, kept.masked))
 }
 
-/// Walks bytes `range` of a seekable input: refuses the range as the
-/// range build does, reading the byte before each end of it, then seeks
-/// to it and reads it through [`walk_reader`]'s one window — never the
-/// whole input, nor the whole range at once.
-fn walk_reader_range<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)>(
+/// Walks bytes `range` of a seekable input: refuses a range that is not
+/// inside the input or does not start and end at a line start, reading
+/// the byte before each end of it — before any line is handed on — then
+/// seeks to it and reads it through [`walk_reader`]'s one window — never
+/// the whole input, nor the whole range at once.
+fn walk_reader_range(
     mut reader: impl Read + Seek,
     range: Range<usize>,
     window: usize,
-    kept: &mut KeptLines<M, F>,
+    region: impl FnMut(&[u8]) -> Result<bool, ParseError>,
 ) -> Result<(), ParseError> {
-    let file_len = usize::try_from(reader.seek(SeekFrom::End(0))?).unwrap_or(usize::MAX);
-    check_range(&range, file_len)?;
-    check_line_starts(&range, file_len, |at| {
-        let mut byte = [0];
-        reader.seek(SeekFrom::Start(at as u64 - 1))?;
-        reader.read_exact(&mut byte)?;
-        Ok(byte[0])
-    })?;
-    reader.seek(SeekFrom::Start(range.start as u64))?;
-    walk_reader(&mut reader.take(range.len() as u64), window, kept)
-}
-
-/// Reads `reader` to its end into one buffer of `window` bytes, doubled
-/// only while a single line fills it, and hands `kept` every run of
-/// whole lines as it arrives: each byte is scanned once, and only the
-/// partial line at the buffer's end moves, to its front, when the buffer
-/// is full.
-fn walk_reader<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)>(
-    reader: &mut (impl Read + ?Sized),
-    window: usize,
-    kept: &mut KeptLines<M, F>,
-) -> Result<(), ParseError> {
-    let mut buf = vec![0; window.max(1)];
-    // `buf[start..end]` is read and not yet scanned: part of one line.
-    let (mut start, mut end) = (0, 0);
-    loop {
-        if end == buf.len() {
-            if start == 0 {
-                buf.resize(buf.len() * 2, 0);
-            } else {
-                buf.copy_within(start..end, 0);
-                end -= start;
-                start = 0;
-            }
-        }
-        let read = match reader.read(&mut buf[end..]) {
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            result => result?,
-        };
-        if read == 0 {
-            return kept.region(&buf[start..end]);
-        }
-        let filled = end + read;
-        if let Some(last) = buf[end..filled].iter().rposition(|&b| b == b'\n') {
-            let cut = end + last + 1;
-            kept.region(&buf[start..cut])?;
-            start = cut;
-        }
-        end = filled;
+    let file_len = check_range_start(&mut reader, &range)?;
+    if range.end != file_len {
+        let ends = is_line_start(&mut reader, range.end)?;
+        check_line_starts(&range, ends)?;
     }
+    reader.seek(SeekFrom::Start(range.start as u64))?;
+    walk_reader(&mut reader.take(range.len() as u64), window, region)
 }
 
 /// What a kept-line walk carries from one region to the next.
@@ -877,7 +975,7 @@ impl<M: Masker, F: FnMut(&str, Option<&[TokenSpan]>)> KeptLines<M, F> {
     /// Scans `region` — whole lines, the last one perhaps unterminated —
     /// once, handing on each kept line.
     fn region(&mut self, region: &[u8]) -> Result<(), ParseError> {
-        scan_kept(region, &mut Vec::new(), |_, text, spans| {
+        scan_kept(region, &mut Vec::new(), |text, spans| {
             self.hand_on(text, spans);
             Ok(())
         })
@@ -1004,25 +1102,24 @@ fn scan_lines(
 /// the one place the corpus build and the kept-line walk apply it: blank
 /// lines are skipped, and a line with invalid UTF-8 fails the scan with
 /// the error `BufRead::lines` gives. Each kept line goes to `each` with
-/// its content range in `region`, its text, and its spans where they are
-/// the token rule's: `None` for a line with a byte ≥ 0x80 or of
-/// [`MAX_SPANNED_LINE_BYTES`] or more, which is split by
-/// `split_whitespace` instead.
+/// its text and its spans where they are the token rule's: `None` for a
+/// line with a byte ≥ 0x80 or of [`MAX_SPANNED_LINE_BYTES`] or more,
+/// which is split by `split_whitespace` instead.
 fn scan_kept(
     region: &[u8],
     spans: &mut Vec<TokenSpan>,
-    mut each: impl FnMut(Range<usize>, &str, Option<&[TokenSpan]>) -> Result<(), ParseError>,
+    mut each: impl FnMut(&str, Option<&[TokenSpan]>) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
     scan_lines(region, spans, |line, blank, has_high, spans| {
-        let bytes = &region[line.clone()];
+        let bytes = &region[line];
         if blank {
             Ok(())
         } else if has_high {
             let text = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
-            each(line, text, None)
+            each(text, None)
         } else {
             let whole = bytes.len() < MAX_SPANNED_LINE_BYTES;
-            each(line, ascii_str(bytes), whole.then_some(spans))
+            each(ascii_str(bytes), whole.then_some(spans))
         }
     })
 }
@@ -1144,12 +1241,7 @@ impl LineFramer {
         let len = self.end + READ_CHUNK;
         self.buf.reserve_exact(len.saturating_sub(self.buf.len()));
         self.buf.resize(len, 0);
-        let read = loop {
-            match reader.read(&mut self.buf[self.end..]) {
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                result => break result?,
-            }
-        };
+        let read = read_some(reader, &mut self.buf[self.end..])?;
         self.end += read;
         Ok(read)
     }
@@ -1303,6 +1395,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::io::BufRead as _;
+    use std::io::Cursor;
 
     fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("logparse-loader-{}", std::process::id()));
@@ -1318,8 +1411,10 @@ mod tests {
         for i in 0..9000 {
             corpus.extend_from_slice(format!("line number {i} with some padding\n").as_bytes());
         }
+        let ranges_of =
+            |bytes: &[u8], threads| chunk_byte_ranges(&bytes, bytes.len(), threads).unwrap();
         for threads in [2, 3, 7] {
-            let ranges = chunk_byte_ranges(&corpus, threads);
+            let ranges = ranges_of(&corpus, threads);
             assert!(ranges.len() >= 2, "expected a real split at {threads}");
             assert_eq!(ranges[0].start, 0);
             assert_eq!(ranges.last().unwrap().end, corpus.len());
@@ -1329,7 +1424,102 @@ mod tests {
             }
         }
         // Tiny inputs never split.
-        assert_eq!(chunk_byte_ranges(b"a\nb\n", 8), vec![0..4]);
+        assert_eq!(ranges_of(b"a\nb\n", 8), vec![0..4]);
+    }
+
+    /// Lines enough for a build to split at four threads.
+    fn splittable_log() -> Vec<u8> {
+        (0..9000)
+            .flat_map(|i| format!("opened line {i} of the log\n").into_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn a_build_reads_the_file_it_opened() {
+        // A log rotated by rename-and-create between the open and the
+        // build: every thread reads the file first opened, not the one
+        // now at its path.
+        let bytes = splittable_log();
+        let path = write_temp("opened.log", &bytes);
+        let mut file = File::open(&path).unwrap();
+        let rotated = write_temp(
+            "rotated-in.log",
+            &bytes.to_ascii_uppercase()[..bytes.len() / 2],
+        );
+        std::fs::rename(&rotated, &path).unwrap();
+        let identity = Preprocessor::identity();
+        let expected = corpus_from_bytes(&bytes, &identity, 1).unwrap();
+        for threads in [1, 4] {
+            let built = corpus_from_file(&mut file, &identity, threads).unwrap();
+            assert!(built == expected, "{threads} thread(s)");
+        }
+    }
+
+    /// A seekable input that claims `len` bytes and holds fewer: a file
+    /// truncated after a build took its length.
+    struct Shrunk<'a> {
+        inner: Cursor<&'a [u8]>,
+        len: u64,
+    }
+
+    impl Read for Shrunk<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.read(buf)
+        }
+    }
+
+    impl Seek for Shrunk<'_> {
+        fn seek(&mut self, to: SeekFrom) -> std::io::Result<u64> {
+            match to {
+                SeekFrom::End(0) => Ok(self.len),
+                to => self.inner.seek(to),
+            }
+        }
+    }
+
+    fn ended_early<T>(built: Result<T, ParseError>) -> bool {
+        matches!(built, Err(ParseError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof)
+    }
+
+    #[test]
+    fn an_input_that_ends_inside_a_build_fails_it() {
+        // Lines lost to a truncation under the build fail it; none is
+        // dropped in silence.
+        let bytes = splittable_log();
+        let short = &bytes[..bytes.len() / 3];
+        for threads in [1, 4] {
+            let built = build_input(Input::At(&short, bytes.len()), Identity, threads, WINDOW);
+            assert!(ended_early(built), "{threads} thread(s)");
+        }
+        let len = bytes.len() as u64;
+        let shrunk = Shrunk {
+            inner: Cursor::new(short),
+            len,
+        };
+        assert!(ended_early(corpus_from_reader_range(
+            shrunk,
+            0..bytes.len(),
+            0,
+            WINDOW
+        )));
+    }
+
+    #[test]
+    fn a_range_build_refuses_an_end_off_the_line_grid_first() {
+        // The build checks its end from the bytes it read; a range that
+        // ends inside a line is refused as the walk refuses it, also when
+        // the build failed first on a `\xff` byte of the range.
+        let bytes = &b"send pkt 7\nsend \xff 8\nsend pkt 9\n"[..];
+        for range in [0..13, 0..17, 11..17] {
+            let walked = walk_reader_range(Cursor::new(bytes), range.clone(), WINDOW, |_| Ok(true));
+            let built = corpus_from_reader_range(Cursor::new(bytes), range.clone(), 0, WINDOW);
+            let built = built.map(|_| ()).map_err(|e| e.to_string());
+            assert!(
+                built.as_ref().is_err_and(|e| e.contains("line start")),
+                "{range:?}: {built:?}"
+            );
+            assert_eq!(walked.map_err(|e| e.to_string()), built, "{range:?}");
+        }
     }
 
     #[test]
@@ -1397,6 +1587,37 @@ mod tests {
         }
     }
 
+    /// The cuts the mapped walk gave on the `jobs_v1` fixture's corpus
+    /// (300 `hdfs` lines) at 1 to 8 chunks, which a resumed job measures
+    /// again: the read walk gives them too, whatever its window and
+    /// index stride.
+    #[test]
+    fn cuts_of_the_jobs_v1_corpus_are_the_mapped_walks() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../jobs/tests/fixtures/jobs_v1/corpus.log"
+        );
+        let pinned: [&[usize]; 8] = [
+            &[0, 26412],
+            &[0, 13354, 26412],
+            &[0, 8789, 17804, 26412],
+            &[0, 6708, 13354, 19872, 26412],
+            &[0, 5425, 10585, 15942, 21093, 26412],
+            &[0, 4542, 8789, 13354, 17804, 21944, 26412],
+            &[0, 3826, 7630, 11433, 15241, 19127, 22627, 26412],
+            &[0, 3398, 6834, 10074, 13528, 16786, 19949, 23088, 26412],
+        ];
+        for (chunks, cuts) in (1..).zip(pinned) {
+            let measured = corpus_cuts(path, chunks).unwrap();
+            assert_eq!((measured.lines, &measured.cuts[..]), (300, cuts));
+            for (stride, window) in [(1, 1), (7, 100), (64, 4096)] {
+                let file = File::open(path).unwrap();
+                let walked = cuts_through_index(file, chunks, stride, window).unwrap();
+                assert_eq!(walked, measured, "stride {stride}, window {window}");
+            }
+        }
+    }
+
     /// A seekable input that records which of its bytes were read, and
     /// hands over at most `step` bytes a read.
     struct Watched {
@@ -1441,12 +1662,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// What a file that cannot be mapped costs: a chunk's range and
-        /// the byte before it, nothing else of the input — and the
-        /// corpus read from there is the chunk's slice of the whole
-        /// build. The text is dense in what a cut can get wrong: blank
-        /// runs, CRLF, a lone `\r`, multi-byte characters, and often no
-        /// final newline.
+        /// What a range build costs: a chunk's range and the byte before
+        /// it, nothing else of the input — and the corpus
+        /// read from there is the chunk's slice of the whole build. The
+        /// text is dense in what a cut can get wrong: blank runs, CRLF, a
+        /// lone `\r`, multi-byte characters, and often no final newline.
         #[test]
         fn a_range_read_from_a_reader_is_the_slice_of_the_whole_build(
             pieces in proptest::collection::vec(
@@ -1463,13 +1683,14 @@ mod tests {
             shards in 1usize..10,
         ) {
             let bytes = pieces.concat().into_bytes();
-            let whole = corpus_from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap();
+            let whole = corpus_from_bytes(&bytes, &Preprocessor::identity(), 1).unwrap();
             let measured = corpus_cuts(write_temp("reader-range.log", &bytes), shards).unwrap();
             let ranges = ParallelDriver::chunk_ranges(whole.len(), shards);
             for (k, range) in ranges.into_iter().enumerate() {
                 let cut = measured.cuts[k]..measured.cuts[k + 1];
                 let mut input = Watched::new(&bytes, usize::MAX);
-                let sought = corpus_from_reader_range(&mut input, cut.clone(), range.start).unwrap();
+                let sought =
+                    corpus_from_reader_range(&mut input, cut.clone(), range.start, WINDOW).unwrap();
                 prop_assert_eq!(&sought, &whole.slice(range));
                 let (low, high) = input.touched.unwrap_or((cut.start, cut.end));
                 prop_assert!(low + 1 >= cut.start && high <= cut.end, "read {low}..{high} for {cut:?}");
@@ -1504,35 +1725,32 @@ mod tests {
                 bytes.push(b'\n');
             }
             prop_assert_eq!(
-                cuts_through_index(&LineBuffer::Owned(bytes.clone()), chunks, stride, WINDOW),
+                cuts_through_index(Cursor::new(&bytes), chunks, stride, WINDOW).unwrap(),
                 two_pass_cuts(&bytes, chunks)
             );
         }
     }
 
     /// A build's output in the terms two builds of one input must agree
-    /// on: the vocabulary in id order, the token rows, the spans and the
-    /// masked counts — or the first error.
-    type Parts = Result<(Vec<String>, TokenArena, Vec<Span>, Vec<u64>), String>;
+    /// on: the vocabulary in id order, the token rows and the masked
+    /// counts — or the first error.
+    type Parts = Result<(Vec<String>, TokenArena, Vec<u64>), String>;
 
-    fn parts(out: Result<ChunkOut, ParseError>) -> Parts {
-        let out = out.map_err(|e| e.to_string())?;
-        Ok((vocabulary(&out.interner), out.arena, out.spans, out.masked))
+    fn parts<M>(rows: Result<Rows<M>, ParseError>) -> Parts {
+        let rows = rows.map_err(|e| e.to_string())?;
+        Ok((vocabulary(&rows.interner), rows.arena, rows.masked))
     }
 
-    /// The same, for a corpus: spans show as its records.
-    type CorpusParts = Result<(Vec<String>, TokenArena, Vec<(usize, String)>), String>;
+    /// The same, for a corpus: its line numbers stand where a build's
+    /// masked counts do.
+    type CorpusParts = Result<(Vec<String>, TokenArena, Vec<usize>), String>;
 
     fn corpus_parts(corpus: Result<Corpus, ParseError>) -> CorpusParts {
         let corpus = corpus.map_err(|e| e.to_string())?;
-        let records = corpus
-            .records()
-            .map(|record| (record.line_no, record.content.to_owned()))
-            .collect();
         Ok((
             vocabulary(corpus.interner()),
             corpus.arena().clone(),
-            records,
+            corpus.line_numbers().collect(),
         ))
     }
 
@@ -1589,40 +1807,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Whatever the window — 1 to 300 bytes, so windows of one line,
-        /// of blank lines only, and lines longer than a window all occur —
-        /// a build, sequential or on 1 to 4 threads, masked or not, is the
-        /// one-window build: same vocabulary order, rows, spans, masked
-        /// counts, or the same first error. The input is a mapped file, so
-        /// every window is released and the one-window reference reads
-        /// pages faulted back in.
-        #[test]
-        fn windowed_builds_equal_the_one_window_build(
-            bytes in window_soup(),
-            terminated in prop_oneof![Just(false), Just(true)],
-            window in 1usize..=300,
-            threads in 1usize..=4,
-        ) {
-            let mut bytes = bytes;
-            if terminated {
-                bytes.push(b'\n');
-            }
-            let path = write_temp("windows.log", &bytes);
-            let buffer = map_or_read(File::open(&path).unwrap()).unwrap();
-            let masker = &Preprocessor::new(MaskRule::ALL.to_vec());
-            let whole = parts(build_chunk(&buffer, 0..bytes.len(), masker, usize::MAX));
-            prop_assert_eq!(&parts(build_chunk(&buffer, 0..bytes.len(), masker, window)), &whole);
-            let ranges = line_ranges(&bytes, threads);
-            let parallel = build_parallel(&buffer, &ranges, masker, window).unwrap();
-            prop_assert_eq!(&parts(parallel), &whole);
-            let unmasked = parts(build_chunk(&buffer, 0..bytes.len(), Identity, usize::MAX));
-            prop_assert_eq!(&parts(build(&buffer, Identity, threads, window)), &unmasked);
-        }
-
         /// A jobs worker's range build and a coordinator's cuts do not
-        /// depend on the window either: each chunk of the cuts builds to
-        /// the one-window corpus, and the windowed cut walk cuts where
-        /// the one-window walk does — both over a mapped file.
+        /// depend on the read buffer either: each chunk of the cuts
+        /// builds to the one-window corpus, and the windowed cut walk
+        /// cuts where the one-window walk does.
         #[test]
         fn windowed_ranges_and_cuts_equal_the_one_window_ones(
             bytes in window_soup(),
@@ -1631,23 +1819,69 @@ mod tests {
             stride in 1usize..6,
         ) {
             let path = write_temp("window-ranges.log", &bytes);
-            let mapped = || map_or_read(File::open(&path).unwrap()).unwrap();
-            let whole = cuts_through_index(&mapped(), chunks, stride, usize::MAX);
-            prop_assert_eq!(&cuts_through_index(&mapped(), chunks, stride, window), &whole);
+            let file = || File::open(&path).unwrap();
+            let one = bytes.len() + 1;
+            let whole = cuts_through_index(file(), chunks, stride, one).unwrap();
+            prop_assert_eq!(&cuts_through_index(file(), chunks, stride, window).unwrap(), &whole);
             prop_assert_eq!(
                 corpus_cuts(&path, chunks).unwrap(),
-                cuts_through_index(&mapped(), chunks, CUT_INDEX_STRIDE, usize::MAX)
+                cuts_through_index(file(), chunks, CUT_INDEX_STRIDE, one).unwrap()
             );
             let mut lines_before = 0;
             for cut in whole.cuts.windows(2) {
                 let range = cut[0]..cut[1];
                 let build = |window| {
-                    build_range(mapped(), 0, range.clone(), bytes.len(), lines_before, window)
+                    corpus_from_reader_range(file(), range.clone(), lines_before, window)
                 };
-                let one = corpus_parts(build(usize::MAX));
-                prop_assert_eq!(&corpus_parts(build(window)), &one);
-                lines_before += one.map_or(0, |(_, _, records)| records.len());
+                let whole = corpus_parts(build(one));
+                prop_assert_eq!(&corpus_parts(build(window)), &whole);
+                lines_before += whole.map_or(0, |(_, _, lines)| lines.len());
             }
+        }
+
+        /// The read build of a file — sequential, or on 1 to 8 threads
+        /// each reading its own range through the one handle — is the build
+        /// of the same bytes in memory ([`Corpus::from_bytes`]), masked
+        /// or not: same vocabulary order, rows and line numbers, or the
+        /// same error (a `\xff` line is refused alike). So is the build
+        /// of a reader handing over 1 to 300 bytes a read, and, masked
+        /// counts included, a build through a read buffer of 1 to 300
+        /// bytes, so that regions of one line, of blank lines only, and
+        /// lines longer than the buffer all occur. The soup holds CRLF,
+        /// blank lines, lines of 65 530–70 000 bytes, and often no final
+        /// newline; an input past 64 KiB splits at the threads' cuts, and
+        /// any input at line starts by hand.
+        #[test]
+        fn read_builds_equal_the_in_memory_build(
+            bytes in walk_soup(),
+            terminated in prop_oneof![Just(false), Just(true)],
+            window in 1usize..=300,
+            threads in 1usize..=8,
+        ) {
+            let mut bytes = bytes;
+            if terminated {
+                bytes.push(b'\n');
+            }
+            let path = write_temp("read-build.log", &bytes);
+            let all = Preprocessor::new(MaskRule::ALL.to_vec());
+            for preprocessor in [&Preprocessor::identity(), &all] {
+                let reference = corpus_parts(corpus_from_bytes(&bytes, preprocessor, 1));
+                let read = corpus_from_path(&path, preprocessor, threads);
+                prop_assert_eq!(&corpus_parts(read), &reference);
+                let mut reader = Trickle { bytes: &bytes, step: window };
+                let read = corpus_from_reader(&mut reader, preprocessor);
+                prop_assert_eq!(&corpus_parts(read), &reference);
+            }
+            let masker = &all;
+            let whole = parts(build_reader(&mut &bytes[..], masker, bytes.len() + 1));
+            let file = File::open(&path).unwrap();
+            let read = build_input(Input::At(&file, bytes.len()), masker, threads, window);
+            prop_assert_eq!(&parts(read), &whole);
+            let ranges = line_ranges(&bytes, threads);
+            let split = build_parallel(&ranges, masker, |range| {
+                build_range(&file, range, masker, window)
+            });
+            prop_assert_eq!(&parts(split.unwrap()), &whole);
         }
     }
 
@@ -1697,10 +1931,9 @@ mod tests {
         Ok((rows, masked))
     }
 
-    /// The rows of the corpus build of `buffer`, `window` bytes at a time.
-    fn built_rows<M: Masker>(buffer: &LineBuffer, masker: M, window: usize) -> Rowed {
-        let out =
-            build_chunk(buffer, 0..buffer.len(), masker, window).map_err(|e| e.to_string())?;
+    /// The rows of the corpus build of `reader`, `window` bytes at a time.
+    fn built_rows<M: Masker>(reader: &mut impl Read, masker: M, window: usize) -> Rowed {
+        let out = build_reader(reader, masker, window).map_err(|e| e.to_string())?;
         let rows = out
             .arena
             .iter()
@@ -1781,7 +2014,7 @@ mod tests {
         /// its first error: the walk from a file through a window of 1 to
         /// 300 bytes and of [`WINDOW`], and from a reader of 1 to 300 bytes
         /// a read into a buffer of 1 to 300 bytes, grown for longer lines;
-        /// the build over the mapped file in windows of 1 to 300 bytes.
+        /// the build from the file through a buffer of 1 to 300 bytes.
         #[test]
         fn kept_line_walks_and_builds_hand_over_the_line_readers_rows(
             bytes in walk_soup(),
@@ -1794,7 +2027,6 @@ mod tests {
                 bytes.push(b'\n');
             }
             let path = write_temp("kept-walk.log", &bytes);
-            let mapped = map_or_read(File::open(&path).unwrap()).unwrap();
             let all = Preprocessor::new(MaskRule::ALL.to_vec());
             for preprocessor in [&Preprocessor::identity(), &all] {
                 let reference = reference_rows(&bytes, preprocessor);
@@ -1807,9 +2039,10 @@ mod tests {
                 prop_assert_eq!(&walked(LineSource::Path(&path), WINDOW), &reference);
                 let mut reader = Trickle { bytes: &bytes, step };
                 prop_assert_eq!(&walked(LineSource::Reader(&mut reader), window), &reference);
+                let file = &mut File::open(&path).unwrap();
                 let built = match masked {
-                    true => built_rows(&mapped, preprocessor, window),
-                    false => built_rows(&mapped, Identity, window),
+                    true => built_rows(file, preprocessor, window),
+                    false => built_rows(file, Identity, window),
                 };
                 prop_assert_eq!(&built, &reference);
             }
@@ -1831,7 +2064,10 @@ mod tests {
         let mut kept = KeptLines::new(Identity, |line: &str, _: Option<&[TokenSpan]>| {
             rows.push(line.split_whitespace().map(str::to_owned).collect());
         });
-        walk_reader_range(input, range, window, &mut kept).map_err(|e| e.to_string())?;
+        walk_reader_range(input, range, window, |region| {
+            kept.region(region).map(|()| true)
+        })
+        .map_err(|e| e.to_string())?;
         assert_eq!(kept.lines, rows.len());
         Ok((rows, Vec::new()))
     }
@@ -1840,15 +2076,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// A range walk — what a `jobs` worker streams — hands over the
-        /// rows of the range builds of the same bytes (mapped, and read
+        /// rows of the range builds of the same bytes (from the file, and
         /// from a reader), or fails with their error: from a file read
         /// through a window of 1 to 300 bytes and of [`WINDOW`], and from
         /// a reader of 1 to 300 bytes a read, which it reads no further
-        /// than the range and the byte before each end. The ranges are a job's cuts at 1 to 5 shards (blank runs
-        /// at a cut, CRLF, `\xff` lines, lines of 65 530–70 000 bytes,
-        /// often no final newline), each with its start moved by up to
-        /// 4 KiB, most often off the line grid, and one range past the
-        /// file's end.
+        /// than the range and the byte before each end. The ranges are a
+        /// job's cuts at 1 to 5 shards (blank runs at a cut, CRLF, `\xff`
+        /// lines, lines of 65 530–70 000 bytes, often no final newline),
+        /// each with its start moved by up to 4 KiB, most often off the
+        /// line grid, and one range past the file's end.
         #[test]
         fn range_walks_hand_over_the_range_builds_rows(
             soups in (walk_soup(), walk_soup(), walk_soup()),
@@ -1878,7 +2114,8 @@ mod tests {
                 prop_assert_eq!(&walked_rows(source(), Identity, window), &built, "{:?}", range);
                 prop_assert_eq!(&walked_rows(source(), Identity, WINDOW), &built, "{:?}", range);
                 let mut input = Watched::new(&bytes, step);
-                let read = corpus_rows(corpus_from_reader_range(&mut input, range.clone(), 0));
+                let read =
+                    corpus_rows(corpus_from_reader_range(&mut input, range.clone(), 0, window));
                 prop_assert_eq!(&read, &built, "{:?}", range);
                 let mut input = Watched::new(&bytes, step);
                 prop_assert_eq!(&reader_range_rows(&mut input, range.clone(), window), &built);
@@ -1889,102 +2126,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The `Rss` and `KernelPageSize` of the mapping holding `at`, both
-    /// in KiB, from `/proc/self/smaps`; `None` where that file does not
-    /// exist.
-    fn resident_kib(at: *const u8) -> Option<(u64, u64)> {
-        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
-        let at = at as u64;
-        let mut inside = false;
-        let (mut rss, mut page) = (None, None);
-        for line in smaps.lines() {
-            let mut fields = line.split_whitespace();
-            let first = fields.next().unwrap_or("");
-            if let Some((low, high)) = first.split_once('-') {
-                if let (Ok(low), Ok(high)) =
-                    (u64::from_str_radix(low, 16), u64::from_str_radix(high, 16))
-                {
-                    if inside {
-                        break;
-                    }
-                    inside = (low..high).contains(&at);
-                    continue;
-                }
-            }
-            let kib = fields.next().and_then(|n| n.parse().ok());
-            match first {
-                "Rss:" if inside => rss = kib,
-                "KernelPageSize:" if inside => page = kib,
-                _ => {}
-            }
-        }
-        Some((
-            rss.expect("the mapping's Rss"),
-            page.expect("its page size"),
-        ))
-    }
-
-    /// A build and a cut walk over a mapped file leave at most one
-    /// window of it resident, and a record read afterwards faults its
-    /// page back in with the file's bytes. The file is 24 MiB, 24
-    /// windows.
-    #[test]
-    fn a_walk_keeps_one_window_of_a_mapped_file_resident() {
-        if !Path::new("/proc/self/smaps").exists() {
-            eprintln!("skipped: no /proc/self/smaps to read residency from");
-            return;
-        }
-        let line = |i: usize| format!("{i:08} worker {} took {} ms\n", i % 7, i % 13);
-        let mut bytes = Vec::with_capacity(25 << 20);
-        let mut lines = 0;
-        while bytes.len() < 24 << 20 {
-            bytes.extend_from_slice(line(lines).as_bytes());
-            lines += 1;
-        }
-        let path = write_temp("resident.log", &bytes);
-        drop(bytes);
-        let bound = |page: u64| (WINDOW as u64 >> 10) + 2 * page;
-
-        // `corpus_from_path`, keeping a handle on the buffer: reading a
-        // record to find the mapping would fault its page in, and the
-        // kernel may map a whole large folio (2 MiB) around it.
-        let buffer = Arc::new(map_or_read(File::open(&path).unwrap()).unwrap());
-        let corpus = build_corpus(Arc::clone(&buffer), &Preprocessor::identity(), 1).unwrap();
-        assert_eq!(corpus.len(), lines);
-        let (rss, page) = resident_kib(buffer.as_ptr()).unwrap();
-        drop(buffer);
-        assert!(
-            rss <= bound(page),
-            "{rss} KiB of the mapping resident after the build"
-        );
-        for i in [0, lines / 2, lines - 1] {
-            let record = corpus.record(i);
-            assert_eq!(format!("{}\n", record.content), line(i));
-            assert_eq!(record.line_no, i + 1);
-        }
-        drop(corpus);
-
-        // One chunk is the counting walk alone; four add the walks to
-        // each chunk's first line.
-        for chunks in [1, 4] {
-            let buffer = map_or_read(File::open(&path).unwrap()).unwrap();
-            assert!(matches!(buffer, LineBuffer::Mapped(_)));
-            let cuts = cuts_through_index(&buffer, chunks, CUT_INDEX_STRIDE, WINDOW);
-            let (rss, page) = resident_kib(buffer.as_ptr()).unwrap();
-            assert!(
-                rss <= bound(page),
-                "{rss} KiB of the mapping resident after the cuts into {chunks}"
-            );
-            assert_eq!(cuts.lines, lines);
-            let parts = ParallelDriver::chunk_ranges(lines, chunks);
-            for (cut, part) in cuts.cuts.iter().zip(&parts) {
-                let text = line(part.start);
-                assert_eq!(&buffer[*cut..*cut + text.len()], text.as_bytes());
-            }
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Collects what the framer hands over, checking each line's shape

@@ -5,91 +5,7 @@ use logparse_obs::{Buckets, Histogram, Registry};
 
 use crate::error::ParseError;
 use crate::intern::{Interner, Symbol, TokenArena};
-use crate::loader::LineBuffer;
 use crate::preprocess::Preprocessor;
-
-/// A single raw log message.
-///
-/// Only the free-text *content* field participates in parsing, matching the
-/// paper's setup ("only the parts of free-text log message contents are
-/// used in evaluating the log parsing methods").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// 1-based position of the message in its source file.
-    pub line_no: usize,
-    /// Free-text message content (the part that is parsed).
-    pub content: String,
-}
-
-impl LogRecord {
-    /// Creates a record.
-    pub fn new(line_no: usize, content: impl Into<String>) -> Self {
-        LogRecord {
-            line_no,
-            content: content.into(),
-        }
-    }
-}
-
-/// A borrowed view of one record: a line number and a byte range of the
-/// corpus's buffer.
-///
-/// This is what [`Corpus::record`] and [`Corpus::records`] hand out.
-/// Call [`to_owned`](RecordRef::to_owned) when an owned [`LogRecord`]
-/// is genuinely needed (it allocates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordRef<'a> {
-    /// 1-based position of the message in its source file.
-    pub line_no: usize,
-    /// Free-text message content (the part that is parsed). Always the
-    /// raw text: masking ([`crate::Preprocessor`]) replaces tokens in
-    /// the corpus's symbol rows, never here, so the variables a
-    /// placeholder stands for stay available to structured output.
-    pub content: &'a str,
-}
-
-impl RecordRef<'_> {
-    /// Materializes an owned record (allocates).
-    pub fn to_owned(&self) -> LogRecord {
-        LogRecord::new(self.line_no, self.content)
-    }
-}
-
-/// Byte range of one kept line in a shared [`LineBuffer`]: 12 bytes a
-/// record (a 64-bit start for files past 4 GiB, a 32-bit length), which
-/// is why a single line stops short of 4 GiB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C, packed(4))]
-pub(crate) struct Span {
-    start: u64,
-    len: u32,
-}
-
-impl Span {
-    /// The span of bytes `start..end`.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData`, naming `start`, when the line is 4 GiB or longer.
-    #[inline]
-    pub(crate) fn new(start: usize, end: usize) -> Result<Span, ParseError> {
-        match u32::try_from(end - start) {
-            Ok(len) => Ok(Span {
-                start: start as u64,
-                len,
-            }),
-            Err(_) => Err(ParseError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line at byte offset {start} is 4 GiB or longer"),
-            ))),
-        }
-    }
-
-    fn range(self) -> std::ops::Range<usize> {
-        let start = self.start as usize;
-        start..start + self.len as usize
-    }
-}
 
 /// The line numbers of a corpus's records. Every loader-built corpus
 /// numbers its kept lines consecutively, and so does every contiguous
@@ -98,21 +14,25 @@ impl Span {
 enum LineNumbers {
     /// Record `i` is line `first + i`.
     From(usize),
-    /// Record `i` is line `listed[i]` ([`Corpus::select`],
-    /// [`Corpus::from_records`]).
+    /// Record `i` is line `listed[i]` ([`Corpus::select`]).
     Listed(Vec<usize>),
 }
 
-/// An in-memory log corpus: raw records plus their interned tokenizations.
+/// An in-memory log corpus: its messages' line numbers and interned
+/// tokenizations, and no text.
 ///
 /// A `Corpus` is what parsers consume. Tokenization *and interning*
 /// happen once at construction: every distinct token string is mapped to
-/// a dense [`Symbol`] and the rows live in one flat [`TokenArena`], so
-/// the (potentially many) parser runs of an evaluation sweep share both
-/// the split work and the integer token representation. Parsers read
+/// a dense [`Symbol`] and the rows live in one [`TokenArena`], so the
+/// (potentially many) parser runs of an evaluation sweep share both the
+/// split work and the integer token representation. Parsers read
 /// [`symbols`](Corpus::symbols) on their hot paths and resolve through
 /// [`interner`](Corpus::interner) only when rendering output;
-/// [`tokens`](Corpus::tokens) remains as the resolved string view.
+/// [`tokens`](Corpus::tokens) remains as the resolved string view. The
+/// paper's output contract (§II-C) is a line number and an event per
+/// message, so nothing reads a message's text once it is interned, and
+/// a corpus keeps none: whoever needs the lines keeps them (a dataset
+/// generator's `LabeledCorpus` does).
 ///
 /// **The token rule.** A token is a maximal run of non-whitespace
 /// characters (`char::is_whitespace`, so U+00A0, U+3000 and U+0085
@@ -123,24 +43,22 @@ enum LineNumbers {
 /// different split. Every constructor and [`Interner::intern_spans`]
 /// split this way.
 ///
-/// Storage is one shape however the corpus was built: a single shared
-/// byte buffer and one `(start, length)` span per record into it; line
-/// numbers are the first one plus the index unless records were picked
-/// by hand.
-/// There are two ways in:
+/// Line numbers are the first one plus the index unless records were
+/// picked by hand ([`select`](Corpus::select)). There are two ways in:
 ///
-/// * [`from_path`](Corpus::from_path) / [`from_bytes`](Corpus::from_bytes)
-///   — a log file or stream, through the `loader` module: the buffer is
-///   the mmap'd file (or the bytes as given), blank lines are skipped,
-///   tokens are interned straight into the arena.
-///   [`from_path_masked`](Corpus::from_path_masked) and `from_bytes`
-///   apply a [`Preprocessor`]'s rules to each token before it is
-///   interned.
-/// * [`from_lines`](Corpus::from_lines) / [`from_records`](Corpus::from_records)
-///   — lines already in memory (dataset generators, tests): every line
-///   is kept, blank ones included, so caller-side arrays stay
-///   index-aligned; the lines are copied into one owned buffer and
-///   split by `str::split_whitespace`, the rule's char-level statement.
+/// * [`from_path`](Corpus::from_path) / [`from_reader`](Corpus::from_reader)
+///   / [`from_bytes`](Corpus::from_bytes) — a log file or stream, through
+///   the `loader` module: the input is read through one 1 MiB buffer (or
+///   scanned as given), blank lines are skipped, tokens are interned
+///   straight into the arena, and no byte of it is kept.
+///   [`from_path_masked`](Corpus::from_path_masked), `from_reader` and
+///   `from_bytes` apply a [`Preprocessor`]'s rules to each token before
+///   it is interned.
+/// * [`from_lines`](Corpus::from_lines) — lines already in memory
+///   (dataset generators, tests): every line is kept, blank ones
+///   included, so caller-side arrays stay index-aligned; each line is
+///   split by `str::split_whitespace`, the rule's char-level statement,
+///   and interned, not copied.
 ///
 /// The interner and the arena's store of distinct rows are shared behind
 /// `Arc`s: [`slice`](Corpus::slice), [`select`](Corpus::select) and
@@ -162,8 +80,6 @@ enum LineNumbers {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Corpus {
-    buffer: Arc<LineBuffer>,
-    spans: Vec<Span>,
     lines: LineNumbers,
     arena: TokenArena,
     interner: Arc<Interner>,
@@ -205,112 +121,67 @@ fn intern_histograms(registry: &Registry) -> (Histogram, Histogram) {
 impl Corpus {
     /// Creates an empty corpus.
     pub fn new() -> Self {
-        Corpus::assemble_mapped(
-            Arc::new(LineBuffer::Owned(Vec::new())),
-            Vec::new(),
-            1,
-            TokenArena::new(),
-            Arc::new(Interner::new()),
-        )
+        Corpus::assemble(1, TokenArena::new(), Arc::new(Interner::new()))
     }
 
     /// Builds a corpus from raw content lines, splitting each at char
-    /// level. Every line becomes a record (blank lines too) and line
-    /// numbers are assigned sequentially from 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a single line is 4 GiB or longer.
+    /// level with `split_whitespace` — not the loader's byte scanner,
+    /// which the differential suite checks against this path. Every line
+    /// becomes a record (blank lines too) and line numbers are assigned
+    /// sequentially from 1. The lines are interned, not copied.
     pub fn from_lines<I, S>(lines: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        Corpus::from_contents(lines.into_iter())
-    }
-
-    /// Builds a corpus from pre-constructed records, keeping their line
-    /// numbers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a single record's content is 4 GiB or longer.
-    pub fn from_records<I>(records: I) -> Self
-    where
-        I: IntoIterator<Item = LogRecord>,
-    {
-        let mut numbers = Vec::new();
-        let contents = records.into_iter().map(|record| {
-            numbers.push(record.line_no);
-            record.content
-        });
-        let mut corpus = Corpus::from_contents(contents);
-        corpus.lines = LineNumbers::Listed(numbers);
-        corpus
-    }
-
-    /// The body of [`from_lines`](Corpus::from_lines) and
-    /// [`from_records`](Corpus::from_records), numbering from 1: appends
-    /// each line's bytes to one owned buffer and splits it with
-    /// `split_whitespace` — not the loader's byte scanner, which the
-    /// differential suite checks against this path.
-    fn from_contents<S: AsRef<str>>(lines: impl Iterator<Item = S>) -> Self {
         let registry = logparse_obs::global();
         let (time_hist, size_hist) = intern_histograms(registry);
         let span = registry.span_into(time_hist, "core_intern_build", &[]);
-        let mut bytes = Vec::new();
-        let mut spans = Vec::new();
         let mut interner = Interner::new();
         let mut arena = TokenArena::new();
         for line in lines {
-            let content = line.as_ref();
             arena.push_row(
-                content
+                line.as_ref()
                     .split_whitespace()
                     .map(|token| interner.intern(token)),
             );
-            let start = bytes.len();
-            bytes.extend_from_slice(content.as_bytes());
-            match Span::new(start, bytes.len()) {
-                Ok(kept) => spans.push(kept),
-                Err(e) => panic!("{e}"),
-            }
         }
         span.finish();
         size_hist.observe(arena.token_count() as f64);
-        Corpus::assemble_mapped(
-            Arc::new(LineBuffer::Owned(bytes)),
-            spans,
-            1,
-            arena,
-            Arc::new(interner),
-        )
+        Corpus::assemble(1, arena, Arc::new(interner))
     }
 
-    /// Builds a corpus from a log file with the zero-copy loader: the
-    /// file is mmap'd (or read once into a single buffer when mapping
-    /// is unavailable), scanned with the SWAR line/token scanner, and
-    /// interned directly into the token arena — no per-line `String`,
-    /// no per-row `Vec`. A line is skipped iff every byte of it is ASCII
-    /// whitespace (the skip-blank contract in the `simd` module); output
-    /// is bit-identical to [`from_lines`](Corpus::from_lines) over the
-    /// remaining `BufRead::lines` of the file.
+    /// Builds a corpus from a log file: the file is read through one
+    /// reused 1 MiB buffer, scanned with the SWAR line/token scanner, and
+    /// interned directly into the token arena — no per-line `String`, no
+    /// per-row `Vec`, and nothing of the file kept. The build reads the
+    /// bytes the file holds when it begins, as far as its length then (a
+    /// pipe, to its end). A line is skipped iff
+    /// every byte of it is ASCII whitespace (the skip-blank contract in
+    /// the `simd` module); output is bit-identical to
+    /// [`from_lines`](Corpus::from_lines) over the remaining
+    /// `BufRead::lines` of the file.
     ///
     /// The [`Tokenizer`] is accepted and ignored.
     ///
     /// # Errors
     ///
     /// Returns [`ParseError::Io`] when the file cannot be opened or
-    /// read, or when a line is not valid UTF-8.
+    /// read, when it ends short of that length (it was truncated during
+    /// the build), or when a line is not valid UTF-8.
     pub fn from_path(path: impl AsRef<Path>, _tokenizer: &Tokenizer) -> Result<Corpus, ParseError> {
         Corpus::from_path_masked(path, &Preprocessor::identity(), 1)
     }
 
     /// [`from_path`](Corpus::from_path) with a chunked-parallel build:
-    /// the buffer is split at newline boundaries into up to `threads`
-    /// chunks, each scanned on its own thread, and the chunk outputs
-    /// merged in order. The result is bit-identical to the sequential
-    /// build (symbol ids included). Small inputs build sequentially.
+    /// the file is cut at line starts into up to `threads` byte ranges,
+    /// each read on its own thread through a buffer of its own — by
+    /// offset, through the one handle the build opened, so a file renamed
+    /// onto `path` meanwhile is not read — and the chunk outputs merged
+    /// in order. The result is
+    /// bit-identical to the sequential build (symbol ids included).
+    /// Small inputs, and inputs whose length is unknown (a pipe), build
+    /// sequentially.
     ///
     /// # Errors
     ///
@@ -329,9 +200,8 @@ impl Corpus {
     /// becomes its rule's placeholder symbol without ever entering the
     /// table — one pass, vocabulary proportional to templates rather
     /// than to variables. The result is bit-identical (symbol ids
-    /// included) to `preprocessor.apply(&Corpus::from_path(..)?)`:
-    /// tokens are masked, [`record`](Corpus::record) content is the raw
-    /// line. A preprocessor without rules costs nothing.
+    /// included) to `preprocessor.apply(&Corpus::from_path(..)?)`. A
+    /// preprocessor without rules costs nothing.
     ///
     /// # Errors
     ///
@@ -345,8 +215,8 @@ impl Corpus {
     }
 
     /// [`from_path_masked`](Corpus::from_path_masked) over an in-memory
-    /// buffer (e.g. stdin read to end), which the corpus owns; records
-    /// are views into it. [`Preprocessor::identity`] masks nothing.
+    /// buffer, which is scanned as given and dropped once the build is
+    /// done. [`Preprocessor::identity`] masks nothing.
     ///
     /// # Errors
     ///
@@ -356,18 +226,34 @@ impl Corpus {
         preprocessor: &Preprocessor,
         threads: usize,
     ) -> Result<Corpus, ParseError> {
-        crate::loader::corpus_from_bytes(bytes, preprocessor, threads)
+        crate::loader::corpus_from_bytes(&bytes, preprocessor, threads)
+    }
+
+    /// [`from_path_masked`](Corpus::from_path_masked) over any reader
+    /// (stdin), read to its end on one thread through the same reused
+    /// 1 MiB buffer: a corpus from a stream holds no more of it than one
+    /// from a file does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError::Io`] when the reader fails or a line is not
+    /// valid UTF-8.
+    pub fn from_reader(
+        mut reader: impl std::io::Read,
+        preprocessor: &Preprocessor,
+    ) -> Result<Corpus, ParseError> {
+        crate::loader::corpus_from_reader(&mut reader, preprocessor)
     }
 
     /// Builds the corpus of one byte range of a log file — the kept
     /// lines of `bytes`, numbered from `lines_before + 1` — at the cost
-    /// of that range alone: the file is mapped and only the range's
-    /// pages are read (a file that cannot be mapped costs one seek and
-    /// one read of the range and the byte before it). When `bytes` is a
+    /// of that range alone: the file is sought, and the range and the
+    /// byte before it are read through one reused 1 MiB buffer. When
+    /// `bytes` is a
     /// chunk of [`corpus_cuts`] and `lines_before` that chunk's first
     /// line index, the result equals
-    /// `Corpus::from_path(path)?.slice(chunk)`: same records, same line
-    /// numbers, same tokens (symbol ids are the range's own).
+    /// `Corpus::from_path(path)?.slice(chunk)`: same line numbers, same
+    /// tokens (symbol ids are the range's own).
     ///
     /// [`corpus_cuts`]: crate::corpus_cuts
     ///
@@ -385,19 +271,14 @@ impl Corpus {
         crate::loader::corpus_from_path_range(path.as_ref(), bytes, lines_before)
     }
 
-    /// Assembles a corpus from a buffer, the spans of its records —
-    /// lines `first_line`, `first_line + 1`, … — and their token rows
-    /// (one row per span).
-    pub(crate) fn assemble_mapped(
-        buffer: Arc<LineBuffer>,
-        spans: Vec<Span>,
+    /// Assembles a corpus from its token rows, the records of lines
+    /// `first_line`, `first_line + 1`, ….
+    pub(crate) fn assemble(
         first_line: usize,
         arena: TokenArena,
         interner: Arc<Interner>,
     ) -> Corpus {
         Corpus {
-            buffer,
-            spans,
             lines: LineNumbers::From(first_line),
             arena,
             interner,
@@ -410,8 +291,6 @@ impl Corpus {
     pub(crate) fn with_tokens(&self, arena: TokenArena, interner: Interner) -> Corpus {
         debug_assert_eq!(arena.rows(), self.len());
         Corpus {
-            buffer: Arc::clone(&self.buffer),
-            spans: self.spans.clone(),
             lines: self.lines.clone(),
             arena,
             interner: Arc::new(interner),
@@ -420,7 +299,7 @@ impl Corpus {
 
     /// Number of messages in the corpus.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.arena.rows()
     }
 
     /// Returns `true` when the corpus holds no messages.
@@ -428,33 +307,25 @@ impl Corpus {
         self.len() == 0
     }
 
-    /// The record at `index`, as a borrowed view. A corpus built from a
-    /// mapped file released the mapping's pages as its build passed
-    /// them, so the first read of a record after the build may fault its
-    /// page back in from the file (the same bytes; a build reads none).
+    /// The 1-based line number of the message at `index`: its position
+    /// among the kept lines of its source.
     ///
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
-    pub fn record(&self, index: usize) -> RecordRef<'_> {
-        RecordRef {
-            line_no: self.line_no(index),
-            // Validated at build (ASCII-classified by the scanner,
-            // UTF-8-checked on its slow path, or copied from a `str`).
-            content: std::str::from_utf8(&self.buffer[self.spans[index].range()]).unwrap_or(""),
-        }
-    }
-
-    fn line_no(&self, index: usize) -> usize {
+    pub fn line_no(&self, index: usize) -> usize {
         match &self.lines {
-            LineNumbers::From(first) => first + index,
+            LineNumbers::From(first) => {
+                assert!(index < self.len(), "record {index} of {}", self.len());
+                first + index
+            }
             LineNumbers::Listed(listed) => listed[index],
         }
     }
 
-    /// Every record's line number, without touching a record's bytes
-    /// (the structured writer needs nothing else of the corpus).
-    pub(crate) fn line_numbers(&self) -> impl Iterator<Item = usize> + '_ {
+    /// Every record's line number, in record order (the structured
+    /// writer needs nothing else of the corpus).
+    pub fn line_numbers(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
         (0..self.len()).map(|index| self.line_no(index))
     }
 
@@ -498,15 +369,10 @@ impl Corpus {
         &self.arena
     }
 
-    /// Iterates over the records as borrowed views.
-    pub fn records(&self) -> impl ExactSizeIterator<Item = RecordRef<'_>> {
-        (0..self.len()).map(move |i| self.record(i))
-    }
-
     /// Returns a new corpus containing only the messages at `indices`
     /// (in the given order). Useful for the paper's 2 000-message samples.
-    /// The token table, the stored rows and the backing buffer are
-    /// shared; row ids and spans are copied.
+    /// The token table and the stored rows are shared; row ids and line
+    /// numbers are copied.
     ///
     /// # Panics
     ///
@@ -514,8 +380,6 @@ impl Corpus {
     pub fn select(&self, indices: &[usize]) -> Corpus {
         let arena = self.arena.select(indices.iter().copied());
         Corpus {
-            buffer: Arc::clone(&self.buffer),
-            spans: indices.iter().map(|&i| self.spans[i]).collect(),
             lines: LineNumbers::Listed(indices.iter().map(|&i| self.line_no(i)).collect()),
             arena,
             interner: Arc::clone(&self.interner),
@@ -524,8 +388,8 @@ impl Corpus {
 
     /// Returns a new corpus holding the contiguous `range` of messages.
     /// Used by the parallel driver to hand each worker its chunk; the
-    /// token table, the stored rows and the backing buffer are shared
-    /// (no string or row copied); row ids and spans are copied.
+    /// token table and the stored rows are shared (no string or row
+    /// copied); row ids are copied.
     ///
     /// # Panics
     ///
@@ -533,12 +397,10 @@ impl Corpus {
     pub fn slice(&self, range: std::ops::Range<usize>) -> Corpus {
         let arena = self.arena.select(range.clone());
         Corpus {
-            buffer: Arc::clone(&self.buffer),
             lines: match &self.lines {
                 LineNumbers::From(first) => LineNumbers::From(first + range.start),
                 LineNumbers::Listed(listed) => LineNumbers::Listed(listed[range.clone()].to_vec()),
             },
-            spans: self.spans[range].to_vec(),
             arena,
             interner: Arc::clone(&self.interner),
         }
@@ -552,16 +414,13 @@ impl Corpus {
 }
 
 impl PartialEq for Corpus {
-    /// Corpora compare by *content*: equal records and equal token
-    /// text. Symbol ids and buffer offsets are representation — a
-    /// corpus loaded from a file equals one built from the same lines,
-    /// and a slice shares its parent's (larger) interner, so rows are
-    /// compared resolved unless the two corpora share one table.
+    /// Corpora compare by *content*: equal line numbers and equal token
+    /// text. Symbol ids are representation — a corpus loaded from a file
+    /// equals one built from the same lines, and a slice shares its
+    /// parent's (larger) interner, so rows are compared resolved unless
+    /// the two corpora share one table.
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        if self.records().zip(other.records()).any(|(a, b)| a != b) {
+        if self.len() != other.len() || !self.line_numbers().eq(other.line_numbers()) {
             return false;
         }
         if Arc::ptr_eq(&self.interner, &other.interner) {
@@ -591,8 +450,14 @@ mod tests {
     #[test]
     fn from_lines_assigns_sequential_line_numbers() {
         let c = corpus();
-        assert_eq!(c.record(0).line_no, 1);
-        assert_eq!(c.record(2).line_no, 3);
+        assert_eq!(c.line_no(0), 1);
+        assert_eq!(c.line_no(2), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "record 3 of 3")]
+    fn a_line_number_past_the_end_panics() {
+        corpus().line_no(3);
     }
 
     #[test]
@@ -603,8 +468,7 @@ mod tests {
         assert_eq!(c.tokens(0), ["a", "b", "c"]);
         assert!(c.symbols(1).is_empty());
         assert!(c.symbols(2).is_empty());
-        assert_eq!(c.record(2).content, "  ");
-        assert_eq!(c.record(3).line_no, 4);
+        assert_eq!(c.line_no(3), 4);
     }
 
     #[test]
@@ -626,13 +490,6 @@ mod tests {
         );
         // Punctuation and `=` stay inside their token.
         assert_eq!(c.tokens(1), ["src:", "a=1,", "[b]", "c", "d"]);
-    }
-
-    #[test]
-    fn tokens_align_with_records() {
-        let c = corpus();
-        assert_eq!(c.tokens(1), &["alpha", "gamma"]);
-        assert_eq!(c.record(1).content, "alpha gamma");
     }
 
     #[test]
@@ -659,7 +516,7 @@ mod tests {
         let s = c.slice(1..3);
         assert_eq!(s.len(), 2);
         assert_eq!(s.tokens(0), &["alpha", "gamma"]);
-        assert_eq!(s.record(1).content, "delta epsilon zeta");
+        assert_eq!(s.tokens(1), &["delta", "epsilon", "zeta"]);
         assert!(c.slice(0..0).is_empty());
         assert_eq!(c.slice(0..c.len()), c);
     }
@@ -679,16 +536,15 @@ mod tests {
         let rebuilt = Corpus::from_lines(["alpha beta", "alpha gamma", "delta epsilon zeta"]);
         assert_eq!(c, rebuilt);
         // A slice's interner is the parent's full table, a fresh build's
-        // is minimal — still equal by content. (Records carry their
-        // original line numbers, so the fresh build replays them.)
+        // is minimal — still equal by content. Line numbers are content:
+        // the fresh build's records are lines 2 and 3 only once selected.
         let s = c.slice(1..3);
-        let fresh = Corpus::from_records([
-            LogRecord::new(2, "alpha gamma"),
-            LogRecord::new(3, "delta epsilon zeta"),
-        ]);
+        let fresh = Corpus::from_lines(["", "alpha gamma", "delta epsilon zeta"]);
         assert_eq!(s.interner().len(), 6);
         assert_eq!(fresh.interner().len(), 5);
-        assert_eq!(s, fresh);
+        assert_ne!(s, fresh);
+        assert_eq!(s, fresh.select(&[1, 2]));
+        assert_ne!(s, Corpus::from_lines(["alpha gamma", "delta epsilon zeta"]));
         assert_ne!(c, fresh);
     }
 
@@ -701,60 +557,38 @@ mod tests {
     }
 
     #[test]
-    fn from_records_tokenizes_content() {
-        let c = Corpus::from_records([LogRecord::new(7, "Receiving block blk_1")]);
-        assert_eq!(c.record(0).line_no, 7);
-        assert_eq!(c.tokens(0), &["Receiving", "block", "blk_1"]);
-    }
-
-    #[test]
     fn from_bytes_matches_from_lines() {
-        let zero_copy = Corpus::from_bytes(
-            b"alpha beta\n\nalpha gamma\n".to_vec(),
-            &Preprocessor::identity(),
-            1,
-        )
-        .unwrap();
+        let bytes = b"alpha beta\n\nalpha gamma\n".to_vec();
+        let zero_copy = Corpus::from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap();
         let owned = Corpus::from_lines(["alpha beta", "alpha gamma"]);
         assert_eq!(zero_copy, owned);
-        assert_eq!(zero_copy.record(1).line_no, 2);
-        assert_eq!(zero_copy.record(1).content, "alpha gamma");
+        assert_eq!(zero_copy.line_no(1), 2);
+        assert_eq!(zero_copy.tokens(1), ["alpha", "gamma"]);
         // Bit-identical representation, not just content equality.
         assert_eq!(zero_copy.symbols(1), owned.symbols(1));
         assert_eq!(zero_copy.interner().len(), owned.interner().len());
+        let read = Corpus::from_reader(&bytes[..], &Preprocessor::identity()).unwrap();
+        assert_eq!(read, owned);
+        assert_eq!(read.symbols(1), owned.symbols(1));
     }
 
     #[test]
-    fn zero_copy_slice_and_select_share_the_buffer() {
+    fn slice_and_select_keep_line_numbers() {
         let c =
             Corpus::from_bytes(b"a b\nc d\ne f\n".to_vec(), &Preprocessor::identity(), 1).unwrap();
         let s = c.slice(1..3);
-        assert_eq!(s.record(0).content, "c d");
-        assert_eq!(s.record(0).line_no, 2, "slices keep original line numbers");
+        assert_eq!(s.tokens(0), ["c", "d"]);
+        assert_eq!(s.line_no(0), 2, "slices keep original line numbers");
         let sel = c.select(&[2, 0]);
-        assert_eq!(sel.record(0).content, "e f");
-        assert_eq!(sel.record(1).line_no, 1);
-    }
-
-    #[test]
-    fn a_span_is_twelve_bytes_and_refuses_a_4_gib_line_by_offset() {
-        assert_eq!(std::mem::size_of::<Span>(), 12);
-        let far = 5usize << 32;
-        let span = Span::new(far, far + u32::MAX as usize).unwrap();
-        assert_eq!(span.range(), far..far + u32::MAX as usize);
-        let error = Span::new(far, far + (1 << 32)).unwrap_err();
-        assert!(matches!(&error, ParseError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData));
-        assert_eq!(
-            error.to_string(),
-            format!("i/o error: line at byte offset {far} is 4 GiB or longer")
-        );
+        assert_eq!(sel.tokens(0), ["e", "f"]);
+        assert_eq!(sel.line_no(1), 1);
     }
 
     #[test]
     fn line_numbers_follow_records_through_slice_and_select() {
-        let records = [9, 4, 7, 5].map(|n| LogRecord::new(n, format!("line {n}")));
-        let listed = Corpus::from_records(records);
-        let numbers = |c: &Corpus| c.records().map(|r| r.line_no).collect::<Vec<_>>();
+        let nine = Corpus::from_lines((1..=9).map(|n| format!("line {n}")));
+        let listed = nine.select(&[8, 3, 6, 4]);
+        let numbers = |c: &Corpus| c.line_numbers().collect::<Vec<_>>();
         assert_eq!(numbers(&listed), [9, 4, 7, 5]);
         assert_eq!(numbers(&listed.slice(1..3)), [4, 7]);
         assert_eq!(numbers(&listed.select(&[3, 0])), [5, 9]);
@@ -764,18 +598,5 @@ mod tests {
         assert_eq!(numbers(&run.slice(1..4).slice(1..3)), [3, 4]);
         assert_eq!(numbers(&run.slice(1..4).select(&[2, 0])), [4, 2]);
         assert_eq!(numbers(&run.select(&[3, 1]).slice(1..2)), [2]);
-    }
-
-    #[test]
-    fn record_to_owned_round_trips() {
-        let c = corpus();
-        let owned = c.record(1).to_owned();
-        assert_eq!(
-            owned,
-            LogRecord {
-                line_no: 2,
-                content: "alpha gamma".into()
-            }
-        );
     }
 }

@@ -1,29 +1,60 @@
 //! The dataset generator: turns a library of [`TemplateSpec`]s plus a
 //! frequency skew into a labeled corpus.
 
-use logparse_core::{Corpus, Template};
+use logparse_core::{Corpus, Preprocessor, Template};
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::TemplateSpec;
 
-/// A corpus with ground-truth event labels, as produced by a generator.
+/// A corpus with ground-truth event labels, as produced by a generator,
+/// and the generated lines themselves.
 ///
 /// `labels[i]` is the index (into [`LabeledCorpus::truth_templates`]) of
 /// the event that produced message `i` — the synthetic equivalent of the
-/// hand-labeled ground truth the study built for its five datasets.
+/// hand-labeled ground truth the study built for its five datasets. A
+/// [`Corpus`] keeps no text, so the lines are kept here, as one byte
+/// buffer: [`line`](LabeledCorpus::line) reads message `i`, and
+/// [`text`](LabeledCorpus::text) is the log file they make.
 #[derive(Debug, Clone)]
 pub struct LabeledCorpus {
-    /// The generated messages.
+    /// The generated messages, tokenized.
     pub corpus: Corpus,
     /// Ground-truth event index per message.
     pub labels: Vec<usize>,
     /// The ground-truth templates, indexed by label.
     pub truth_templates: Vec<Template>,
+    /// The messages, each followed by `\n`, back to back.
+    text: String,
+    /// `ends[i]` is where message `i` ends in `text`, at its `\n`.
+    ends: Vec<usize>,
 }
 
 impl LabeledCorpus {
+    /// Labels the messages of `text`, each followed by `\n`: message `i`
+    /// was produced by event `labels[i]` of `truth_templates`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `text` holds one message per label.
+    pub fn new(text: String, labels: Vec<usize>, truth_templates: Vec<Template>) -> Self {
+        let ends: Vec<usize> = text.match_indices('\n').map(|(at, _)| at).collect();
+        assert!(
+            ends.len() == labels.len() && text.len() == ends.last().map_or(0, |end| end + 1),
+            "{} label(s) for {} line(s)",
+            labels.len(),
+            ends.len()
+        );
+        LabeledCorpus {
+            corpus: Corpus::from_lines(text.split_terminator('\n')),
+            labels,
+            truth_templates,
+            text,
+            ends,
+        }
+    }
+
     /// Number of messages.
     pub fn len(&self) -> usize {
         self.corpus.len()
@@ -32,6 +63,30 @@ impl LabeledCorpus {
     /// Returns `true` when the corpus holds no messages.
     pub fn is_empty(&self) -> bool {
         self.corpus.is_empty()
+    }
+
+    /// Message `index`'s text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn line(&self, index: usize) -> &str {
+        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev] + 1);
+        &self.text[start..self.ends[index]]
+    }
+
+    /// Every message, each followed by `\n`: the log file they make.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The same messages and labels over the corpus `preprocessor`
+    /// masks ([`Preprocessor::apply`]); the text is the raw lines.
+    pub fn preprocessed(&self, preprocessor: &Preprocessor) -> LabeledCorpus {
+        LabeledCorpus {
+            corpus: preprocessor.apply(&self.corpus),
+            ..self.clone()
+        }
     }
 
     /// Number of *distinct* events that actually occur in the corpus
@@ -47,10 +102,13 @@ impl LabeledCorpus {
     /// A new labeled corpus truncated to the first `n` messages.
     pub fn take(&self, n: usize) -> LabeledCorpus {
         let n = n.min(self.len());
+        let end = n.checked_sub(1).map_or(0, |last| self.ends[last] + 1);
         LabeledCorpus {
             corpus: self.corpus.take(n),
             labels: self.labels[..n].to_vec(),
             truth_templates: self.truth_templates.clone(),
+            text: self.text[..end].to_owned(),
+            ends: self.ends[..n].to_vec(),
         }
     }
 
@@ -67,10 +125,19 @@ impl LabeledCorpus {
             indices.swap(i, j);
         }
         indices.truncate(n);
+        let mut text = String::new();
+        let mut ends = Vec::with_capacity(n);
+        for &i in &indices {
+            text.push_str(self.line(i));
+            ends.push(text.len());
+            text.push('\n');
+        }
         LabeledCorpus {
             corpus: self.corpus.select(&indices),
             labels: indices.iter().map(|&i| self.labels[i]).collect(),
             truth_templates: self.truth_templates.clone(),
+            text,
+            ends,
         }
     }
 }
@@ -168,22 +235,16 @@ impl DatasetSpec {
     pub fn generate(&self, n: usize, seed: u64) -> LabeledCorpus {
         let mut rng = StdRng::seed_from_u64(seed);
         let dist = WeightedIndex::new(&self.weights).expect("validated positive weights");
-        let mut lines = Vec::with_capacity(n);
+        let mut text = String::new();
         let mut labels = Vec::with_capacity(n);
         for _ in 0..n {
             let event = dist.sample(&mut rng);
-            lines.push(self.templates[event].render(&mut rng));
+            text.push_str(&self.templates[event].render(&mut rng));
+            text.push('\n');
             labels.push(event);
         }
-        LabeledCorpus {
-            corpus: Corpus::from_lines(lines),
-            labels,
-            truth_templates: self
-                .templates
-                .iter()
-                .map(TemplateSpec::ground_truth)
-                .collect(),
-        }
+        let truth = self.templates.iter().map(TemplateSpec::ground_truth);
+        LabeledCorpus::new(text, labels, truth.collect())
     }
 }
 
@@ -245,7 +306,14 @@ mod tests {
         let data = demo_spec().generate(200, 9);
         let sample = data.sample(50, 1);
         assert_eq!(sample.len(), 50);
-        let mut lines: Vec<usize> = (0..50).map(|i| sample.corpus.record(i).line_no).collect();
+        let mut lines: Vec<usize> = sample.corpus.line_numbers().collect();
+        for (i, &line) in lines.iter().enumerate() {
+            assert_eq!(
+                sample.line(i),
+                data.line(line - 1),
+                "sample {i} is line {line}"
+            );
+        }
         lines.sort_unstable();
         lines.dedup();
         assert_eq!(lines.len(), 50, "line numbers must be unique");
@@ -262,7 +330,11 @@ mod tests {
         let data = demo_spec().generate(30, 8);
         let head = data.take(5);
         assert_eq!(head.len(), 5);
-        assert_eq!(head.corpus.record(0), data.corpus.record(0));
+        assert_eq!(head.line(0), data.line(0));
+        assert_eq!(head.line(4), data.line(4));
+        assert_eq!(head.corpus, data.corpus.take(5));
+        assert!(data.text().starts_with(head.text()));
+        assert_eq!(head.text().lines().count(), 5);
         assert_eq!(head.labels[..], data.labels[..5]);
     }
 

@@ -13,7 +13,6 @@
 //!   hand-labeled block operation requests (16 838 anomalies ≈ 2.9 %);
 //!   see DESIGN.md for the substitution rationale.
 
-use logparse_core::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -471,11 +470,13 @@ pub fn generate_sessions(blocks: usize, anomaly_rate: f64, seed: u64) -> HdfsSes
         anomalous.push(is_anomalous);
     }
 
-    let data = LabeledCorpus {
-        corpus: Corpus::from_lines(&lines),
-        labels,
-        truth_templates: specs.iter().map(TemplateSpec::ground_truth).collect(),
-    };
+    let mut text = String::new();
+    for line in &lines {
+        text.push_str(line);
+        text.push('\n');
+    }
+    let truth = specs.iter().map(TemplateSpec::ground_truth).collect();
+    let data = LabeledCorpus::new(text, labels, truth);
     HdfsSessions {
         data,
         block_of,

@@ -74,14 +74,8 @@ pub fn run(config: &MiningTasksConfig) -> Vec<MiningTaskRow> {
 
     // One combined corpus so a single parse yields consistent event ids
     // across both environments.
-    let mut lines: Vec<String> = Vec::with_capacity(dev.data.len() + prod.data.len());
-    for i in 0..dev.data.len() {
-        lines.push(dev.data.corpus.record(i).content.to_owned());
-    }
-    for i in 0..prod.data.len() {
-        lines.push(prod.data.corpus.record(i).content.to_owned());
-    }
-    let combined = Corpus::from_lines(&lines);
+    let lines = dev.data.text().lines().chain(prod.data.text().lines());
+    let combined = Corpus::from_lines(lines);
     let session_count = dev.block_count() + prod.block_count();
     let session_of: Vec<usize> = dev
         .block_of

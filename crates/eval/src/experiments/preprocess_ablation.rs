@@ -9,7 +9,7 @@
 //! rules, core ids only, bare numbers only, both.
 
 use logparse_core::{MaskRule, Preprocessor};
-use logparse_datasets::{bgl, LabeledCorpus};
+use logparse_datasets::bgl;
 
 use super::{RunOptions, SEED};
 use crate::{fmt_f2, pairwise_f_measure, tune, ParserKind, TextTable};
@@ -43,11 +43,7 @@ pub fn run(sample_size: usize, seed: u64) -> Vec<AblationPoint> {
     let raw = bgl::generate(sample_size, seed);
     let mut points = Vec::new();
     for (label, preprocessor) in rule_subsets() {
-        let sample = LabeledCorpus {
-            corpus: preprocessor.apply(&raw.corpus),
-            labels: raw.labels.clone(),
-            truth_templates: raw.truth_templates.clone(),
-        };
+        let sample = raw.preprocessed(&preprocessor);
         for &kind in &ParserKind::ALL {
             let tuned = tune(kind, &sample);
             let f1 = tuned

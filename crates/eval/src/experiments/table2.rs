@@ -10,7 +10,6 @@
 //! * repeat on the domain-knowledge-preprocessed sample (except
 //!   Proxifier, which has nothing to preprocess — the paper prints `-`).
 
-use logparse_core::Preprocessor;
 use logparse_datasets::{study_datasets, LabeledCorpus};
 
 use super::{RunOptions, SEED};
@@ -58,14 +57,6 @@ fn average_f1(tuned: &TunedParser, sample: &LabeledCorpus, runs: usize) -> f64 {
     total / runs as f64
 }
 
-fn preprocess_sample(sample: &LabeledCorpus, preprocessor: &Preprocessor) -> LabeledCorpus {
-    LabeledCorpus {
-        corpus: preprocessor.apply(&sample.corpus),
-        labels: sample.labels.clone(),
-        truth_templates: sample.truth_templates.clone(),
-    }
-}
-
 /// Runs the Table II experiment.
 ///
 /// `sample_size` is the per-dataset sample (paper: 2 000); `runs` the
@@ -79,8 +70,8 @@ pub fn run(sample_size: usize, runs: usize, seed: u64) -> Vec<DatasetAccuracy> {
             let pool = spec.generate(sample_size * 4, seed);
             let sample = pool.sample(sample_size, seed ^ 0x5A17);
             let preprocessor = dataset_preprocessor(spec.name());
-            let preprocessed = (!preprocessor.rules().is_empty())
-                .then(|| preprocess_sample(&sample, &preprocessor));
+            let preprocessed =
+                (!preprocessor.rules().is_empty()).then(|| sample.preprocessed(&preprocessor));
 
             let cells = ParserKind::ALL
                 .iter()
@@ -176,7 +167,7 @@ mod tests {
     #[test]
     fn preprocessing_creates_masked_sample() {
         let sample = hdfs::generate(50, 3);
-        let pre = preprocess_sample(&sample, &dataset_preprocessor("HDFS"));
+        let pre = sample.preprocessed(&dataset_preprocessor("HDFS"));
         assert_eq!(pre.len(), sample.len());
         let any_masked = (0..pre.len()).any(|i| {
             pre.corpus

@@ -20,10 +20,8 @@ const ANOMALOUS_WINDOW: usize = 60;
 /// 100 windows of HDFS traffic; window 60 is replaced by an event mix
 /// that never occurs in normal operation (a burst of failed transfers).
 fn synthetic_stream() -> Vec<String> {
-    let corpus = hdfs::generate(WINDOW * WINDOWS, 42).corpus;
-    let mut lines: Vec<String> = (0..corpus.len())
-        .map(|i| corpus.record(i).content.to_owned())
-        .collect();
+    let data = hdfs::generate(WINDOW * WINDOWS, 42);
+    let mut lines: Vec<String> = data.text().lines().map(str::to_owned).collect();
     let burst_start = ANOMALOUS_WINDOW * WINDOW;
     for (offset, line) in lines[burst_start..burst_start + WINDOW]
         .iter_mut()

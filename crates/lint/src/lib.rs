@@ -15,7 +15,7 @@
 //! | lint | severity | invariant |
 //! |------|----------|-----------|
 //! | `panic-freedom` | error (index sub-check: warn) | no `unwrap`/`expect`/`panic!`/literal index in hot-path crates |
-//! | `unsafe-allowlist` | error | `unsafe` only in `ingest/src/signal.rs` and `core/src/mmap.rs`; crate roots forbid `unsafe_code` |
+//! | `unsafe-allowlist` | error | `unsafe` only in `ingest/src/signal.rs` and `core/src/ascii_str.rs`; crate roots forbid `unsafe_code` |
 //! | `obs-metric-hygiene` | error | metric families: literal names, one owner site, documented in DESIGN.md |
 //! | `timing-discipline` | warning | `Instant::now()` only inside the obs substrate |
 //! | `hot-path-string-alloc` | warning | no `to_string`/`String::from`/`format!` in loop bodies of `parsers`/the parallel driver/the corpus build/`serve`'s line path |

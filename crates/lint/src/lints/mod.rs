@@ -83,7 +83,7 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
     (
         "unsafe-allowlist",
         Severity::Error,
-        "unsafe only in ingest/src/signal.rs and core/src/mmap.rs; crate roots must forbid unsafe_code",
+        "unsafe only in ingest/src/signal.rs and core/src/ascii_str.rs; crate roots must forbid unsafe_code",
     ),
     (
         "obs-metric-hygiene",

@@ -461,13 +461,8 @@ mod tests {
 
     #[test]
     fn spans_observe_like_the_line_on_hdfs() {
-        let corpus = logparse_datasets::hdfs::generate(2_000, 7).corpus;
-        let mut bytes = Vec::new();
-        for i in 0..corpus.len() {
-            bytes.extend_from_slice(corpus.record(i).content.as_bytes());
-            bytes.push(b'\n');
-        }
-        spans_observe_like_the_line(&bytes);
+        let data = logparse_datasets::hdfs::generate(2_000, 7);
+        spans_observe_like_the_line(data.text().as_bytes());
     }
 
     proptest! {
@@ -549,12 +544,13 @@ mod tests {
     #[test]
     fn streaming_drain_matches_batch_drain() {
         use logparse_core::LogParser;
-        let corpus = logparse_datasets::hdfs::generate(MATCH_LINES, 7).corpus;
-        let batch = Drain::default().parse(&corpus).unwrap();
+        let data = logparse_datasets::hdfs::generate(MATCH_LINES, 7);
+        let corpus = &data.corpus;
+        let batch = Drain::default().parse(corpus).unwrap();
         let mut stream = StreamingDrain::default();
         // Both count ids in creation order, so they agree id for id.
         for (i, assigned) in batch.assignments().iter().enumerate() {
-            let id = stream.observe(corpus.record(i).content);
+            let id = stream.observe(data.line(i));
             assert_eq!(assigned.map(EventId::index), Some(id), "message {i}");
         }
         assert_eq!(batch.event_count(), stream.group_count());
@@ -565,13 +561,14 @@ mod tests {
     #[test]
     fn streaming_spell_matches_batch_spell() {
         use logparse_core::LogParser;
-        let corpus = logparse_datasets::hdfs::generate(MATCH_LINES, 7).corpus;
-        let batch = Spell::default().parse(&corpus).unwrap();
+        let data = logparse_datasets::hdfs::generate(MATCH_LINES, 7);
+        let corpus = &data.corpus;
+        let batch = Spell::default().parse(corpus).unwrap();
         let mut stream = StreamingSpell::default();
         // No generated line is empty, so batch leaves no outlier and
         // both count ids in creation order.
         for (i, assigned) in batch.assignments().iter().enumerate() {
-            let id = stream.observe(corpus.record(i).content);
+            let id = stream.observe(data.line(i));
             assert_eq!(assigned.map(EventId::index), Some(id), "message {i}");
         }
         assert_eq!(batch.event_count(), stream.group_count());
@@ -615,11 +612,11 @@ mod tests {
 
     /// The lines of `pieces`, newline-terminated, each fresh token new.
     fn compaction_stream(pieces: &[Piece]) -> Vec<u8> {
-        let hdfs = logparse_datasets::hdfs::generate(200, 11).corpus;
+        let hdfs = logparse_datasets::hdfs::generate(200, 11);
         let mut bytes = Vec::new();
         for (n, piece) in pieces.iter().enumerate() {
             match piece {
-                Piece::Hdfs(i) => bytes.extend_from_slice(hdfs.record(*i).content.as_bytes()),
+                Piece::Hdfs(i) => bytes.extend_from_slice(hdfs.line(*i).as_bytes()),
                 Piece::FreshId => bytes.extend(format!("req id={n:x} served ok").bytes()),
                 Piece::FreshHead => {
                     // `n` in base 26, as letters: digit-free, so Drain

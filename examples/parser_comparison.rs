@@ -15,11 +15,8 @@ fn main() {
     for spec in study_datasets() {
         let sample = spec.generate(SAMPLE, 42);
         let preprocessor = dataset_preprocessor(spec.name());
-        let preprocessed = (!preprocessor.rules().is_empty()).then(|| LabeledCorpus {
-            corpus: preprocessor.apply(&sample.corpus),
-            labels: sample.labels.clone(),
-            truth_templates: sample.truth_templates.clone(),
-        });
+        let preprocessed =
+            (!preprocessor.rules().is_empty()).then(|| sample.preprocessed(&preprocessor));
 
         for kind in ParserKind::ALL {
             let f1 = |data: &LabeledCorpus| {

@@ -25,7 +25,7 @@ fn main() {
     let mut disagreements = 0;
 
     for i in 0..data.len() {
-        let line = data.corpus.record(i).content;
+        let line = data.line(i);
         let id = drain.observe(line);
         spell.observe(line);
         if let Some(restored) = restored.as_mut() {

@@ -155,12 +155,12 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #   parsers iplom parse_matches_the_reference
 #                                    IPLoM's `u32` partitions against the
 #                                    `usize`, per-position-`HashSet` oracle
-#   core parser an_assignment_is_four_bytes, event_id_…, record
-#   a_span_is_twelve_bytes_…, intern row_offsets_stop_short_of_u32_max
+#   core parser an_assignment_is_four_bytes, event_id_…, intern
+#   row_offsets_stop_short_of_u32_max
 #                                    the per-line sizes `parse_steady`'s peak
-#                                    follows (4-byte `Option<EventId>`, 12-byte
-#                                    `Span`), `EventId::new`'s index round trip
-#                                    and named panic at `u32::MAX`, the arena's
+#                                    follows (4-byte `Option<EventId>`),
+#                                    `EventId::new`'s index round trip and
+#                                    named panic at `u32::MAX`, the arena's
 #                                    `u32` offset check at its boundary
 #   parsers streaming_drain_matches_batch_drain,
 #   streaming_spell_matches_batch_spell
@@ -196,15 +196,22 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    `serve` when its `--events-out` journal
 #                                    is (skipped with a message where
 #                                    /dev/full does not exist)
-#   core loader windowed_builds_equal_the_one_window_build,
-#   windowed_ranges_and_cuts_equal_the_one_window_ones
-#                                    a corpus build walked in windows of
-#                                    1..=300 bytes over a mapped file —
-#                                    sequential, 1-4 threads, masked, a
-#                                    jobs worker's range build, the cut
-#                                    walk — equals the one-window build:
-#                                    vocabulary order, rows, spans, masked
-#                                    counts, cuts, or the same first error
+#   core loader read_builds_equal_the_in_memory_build,
+#   windowed_ranges_and_cuts_equal_the_one_window_ones,
+#   cuts_of_the_jobs_v1_corpus_are_the_mapped_walks,
+#   tests/loader_differential a_corpus_outlives_its_input_file
+#                                    a corpus build read from a file through
+#                                    a buffer of 1..=300 bytes — sequential,
+#                                    1-8 threads each reading its own range,
+#                                    masked, stdin, a jobs worker's range
+#                                    build, the cut walk — equals the build
+#                                    of the same bytes in memory: vocabulary
+#                                    order, rows, line numbers, masked
+#                                    counts, cuts (the jobs_v1 corpus's as
+#                                    the mapped walk gave them), or the same
+#                                    first error; a corpus keeps no text, so
+#                                    truncating and overwriting its file
+#                                    leaves its rows and parses alone
 #   core loader kept_line_walks_and_builds_hand_over_the_line_
 #   readers_rows, tests/fused_parse_differential, cli parse_drain_
 #   streams_to_the_corpus_paths_bytes, refused_input_fails_parse_and_
@@ -216,7 +223,7 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    masked counts of the non-blank
 #                                    `BufRead::lines` + `Corpus::from_lines`
 #                                    + `Preprocessor::apply` reference
-#                                    (mapped windows and reads of 1..=300
+#                                    (read buffers and reads of 1..=300
 #                                    bytes), and walk + StreamingDrain
 #                                    write the corpus path's events and
 #                                    structured bytes on hostile soup (VT,
@@ -247,13 +254,6 @@ cargo run -q -p logparse-lint -- --workspace --deny warnings --stats
 #                                    manifest's alike; the direct
 #                                    result writer writes the `Json` tree's
 #                                    bytes
-#   core loader a_walk_keeps_one_window_of_a_mapped_file_resident
-#                                    after a 24 MiB build and after the cut
-#                                    walk, the mapping's `Rss` in
-#                                    /proc/self/smaps is at most one window
-#                                    plus two pages, and records read after
-#                                    the release equal the file's lines
-#                                    (skipped with a message without smaps)
 #   store disk_usage_reaches_reports_and_gauges,
 #   store_metrics_pre_register_every_family
 #                                    read their gauges from a private
@@ -289,8 +289,10 @@ jq -c '.end_to_end | map({key: .name, value: {value: 1}}) | from_entries as $met
   | ["parse_hdfs_masked", "jobs_hdfs"][] as $w | range(1; 3) as $p | ("base", "head") as $s
   | {workload: $w, side: $s, pair: $p, result: {correct: true, metrics: $metrics}}' \
   BENCHMARK.json > "$PAIRS_DIR/runs.jsonl"
-PAIRS_OUT="$(scripts/pairs.sh HEAD --workload parse_hdfs_masked,jobs_hdfs \
-  --pairs 0 --work "$PAIRS_DIR")"
+# GIT_DIR names no repository: a reprint must not need one (a tree
+# exported without `.git` runs this script too).
+PAIRS_OUT="$(GIT_DIR="$PAIRS_DIR/no-repository" scripts/pairs.sh HEAD \
+  --workload parse_hdfs_masked,jobs_hdfs --pairs 0 --work "$PAIRS_DIR")"
 rm -rf "$PAIRS_DIR"
 METRICS="$(jq '.end_to_end | length' BENCHMARK.json)"
 for w in parse_hdfs_masked jobs_hdfs; do

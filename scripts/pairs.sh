@@ -13,7 +13,8 @@
 # even ones. `--workload` takes one name, a comma list, or `all`.
 # Defaults: every workload of BENCHMARK.json, 10 pairs, seed 1, DIR a
 # fresh temporary directory (pass one to reuse its builds). `--pairs 0
-# --work DIR` builds and runs nothing and reprints the table of DIR's runs.
+# --work DIR` builds and runs nothing and reprints the table of DIR's runs;
+# it needs no git repository, and names REV's commit as DIR recorded it.
 #
 # Prints, per workload and end-to-end metric, each side's median
 # [q1 – q3], the ratio (working tree / REV) and the pairs the working tree
@@ -49,10 +50,14 @@ while [[ $# -gt 0 ]]; do
 done
 [[ -n "$rev" && "$pairs" =~ ^[0-9]+$ ]] || usage
 [[ "$pairs" != 0 || -n "$work" ]] || usage
-commit=$(git -C "$ROOT" rev-parse --verify --quiet "$rev^{commit}") || {
-    echo "pairs.sh: $rev names no commit" >&2
-    exit 2
-}
+if ((pairs > 0)); then
+    commit=$(git -C "$ROOT" rev-parse --verify --quiet "$rev^{commit}") || {
+        echo "pairs.sh: $rev names no commit" >&2
+        exit 2
+    }
+else
+    commit=$(cat "$work/base.commit" 2>/dev/null) || commit="commit not recorded"
+fi
 mapfile -t known < <(jq -r '.workloads[].name' "$ROOT/BENCHMARK.json")
 if [[ "$workload" == all ]]; then
     workloads=("${known[@]}")

@@ -12,12 +12,8 @@ use logmine::parsers::{study_parsers, Iplom};
 #[test]
 fn file_roundtrip_matches_in_memory_parse() {
     let data = zookeeper::generate(300, 5);
-    let mut raw = String::new();
-    for i in 0..data.len() {
-        raw.push_str(data.corpus.record(i).content);
-        raw.push('\n');
-    }
-    let corpus = Corpus::from_bytes(raw.into_bytes(), &Preprocessor::identity(), 1).unwrap();
+    let raw = data.text().as_bytes().to_vec();
+    let corpus = Corpus::from_bytes(raw, &Preprocessor::identity(), 1).unwrap();
     assert_eq!(corpus, data.corpus);
 
     let parse = Iplom::default().parse(&corpus).unwrap();

@@ -175,13 +175,7 @@ fn steady(lines: usize) -> Vec<u8> {
 /// `hdfs` lines: a fresh block id and addresses in most lines, so the
 /// streaming table compacts many times over unmasked.
 fn hdfs_lines(lines: usize) -> Vec<u8> {
-    let data = hdfs::generate(lines, 11);
-    let mut out = Vec::new();
-    for i in 0..data.len() {
-        out.extend_from_slice(data.corpus.record(i).content.as_bytes());
-        out.push(b'\n');
-    }
-    out
+    hdfs::generate(lines, 11).text().as_bytes().to_vec()
 }
 
 #[test]

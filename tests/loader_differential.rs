@@ -1,13 +1,16 @@
 //! Differential suite for the zero-copy corpus loader.
 //!
-//! `Corpus::from_path` (mmap + SWAR scanner + arena-direct interning)
-//! replaced `BufRead::lines` + skip-blank + `Corpus::from_lines` on
-//! every batch path, so its contract is *bit-identity*, not mere
-//! equivalence: the corpus it builds must have the same records, the
-//! same symbol ids in the same arena rows, and the same interner
-//! contents as that pipeline — kept here as `legacy_corpus`, the
-//! reference — and therefore every parser must produce byte-identical
-//! events and structured output from either.
+//! `Corpus::from_path` (one read buffer + SWAR scanner + arena-direct
+//! interning) replaced `BufRead::lines` + skip-blank +
+//! `Corpus::from_lines` on every batch path, so its contract is
+//! *bit-identity*, not mere equivalence: the corpus it builds must have
+//! the same line numbers, the same symbol ids in the same arena rows,
+//! and the same interner contents as that pipeline — kept here as
+//! `legacy_corpus`, the reference — and therefore every parser must
+//! produce byte-identical events and structured output from either. A
+//! corpus keeps no text, so the lines the loader's scan keeps are
+//! checked against the input's own, through the kept-line walk that
+//! shares the build's read loop and scan.
 //!
 //! The fixtures target the places a scanner can silently diverge from
 //! `BufRead::lines` + skip-blank semantics:
@@ -28,8 +31,8 @@ use std::io::{BufRead as _, Write as _};
 use std::path::PathBuf;
 
 use logmine::core::{
-    corpus_cuts, count_corpus_lines, write_events_file, write_structured_file, Corpus, LogParser,
-    ParallelDriver, ParseError, Preprocessor, Tokenizer,
+    corpus_cuts, count_corpus_lines, walk_kept_lines, write_events_file, write_structured_file,
+    Corpus, LineSource, LogParser, ParallelDriver, Parse, ParseError, Preprocessor, Tokenizer,
 };
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Slct, Spell};
 use proptest::prelude::*;
@@ -47,22 +50,39 @@ fn fixture_file(tag: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// The legacy pipeline: buffered line reading, lines of nothing but
-/// ASCII whitespace dropped, char-level tokenization.
-fn legacy_corpus(bytes: &[u8]) -> Corpus {
-    let lines = bytes
+/// The legacy pipeline's lines: buffered line reading, lines of nothing
+/// but ASCII whitespace dropped.
+fn legacy_lines(bytes: &[u8]) -> Vec<String> {
+    bytes
         .lines()
         .map(|line| line.expect("fixtures are valid UTF-8"))
-        .filter(|line| !line.bytes().all(|b| matches!(b, 0x09..=0x0d | b' ')));
-    Corpus::from_lines(lines)
+        .filter(|line| !line.bytes().all(|b| matches!(b, 0x09..=0x0d | b' ')))
+        .collect()
 }
 
-/// Asserts two corpora are bit-identical: same records (line numbers,
-/// content), same symbol ids row by row, same vocabulary.
+/// The legacy pipeline: [`legacy_lines`], char-level tokenization.
+fn legacy_corpus(bytes: &[u8]) -> Corpus {
+    Corpus::from_lines(legacy_lines(bytes))
+}
+
+/// The lines the loader's read loop and scan keep of `path`.
+fn kept_lines(path: &std::path::Path) -> Vec<String> {
+    let mut lines = Vec::new();
+    let walked = walk_kept_lines(
+        LineSource::Path(path),
+        &Preprocessor::identity(),
+        |line, _| lines.push(line.to_owned()),
+    );
+    assert_eq!(walked.unwrap(), lines.len());
+    lines
+}
+
+/// Asserts two corpora are bit-identical: same line numbers, same
+/// symbol ids row by row, same vocabulary.
 fn assert_bit_identical(a: &Corpus, b: &Corpus, context: &str) {
     assert_eq!(a.len(), b.len(), "{context}: corpus length");
     for i in 0..a.len() {
-        assert_eq!(a.record(i), b.record(i), "{context}: record {i}");
+        assert_eq!(a.line_no(i), b.line_no(i), "{context}: line number {i}");
         assert_eq!(
             a.symbols(i),
             b.symbols(i),
@@ -155,16 +175,20 @@ fn chunk_straddle_bytes() -> Vec<u8> {
 }
 
 /// Tentpole bit-identity: for every fixture, `from_path`,
-/// `from_path_parallel` and `from_bytes` at every thread count all
-/// reproduce the legacy `BufRead::lines` + `from_lines` corpus exactly.
+/// `from_path_parallel`, `from_reader` and `from_bytes` at every thread
+/// count all reproduce the legacy `BufRead::lines` + `from_lines` corpus
+/// exactly, and the lines the loader keeps are the legacy lines.
 #[test]
 fn every_loader_entry_point_is_bit_identical_to_the_legacy_pipeline() {
     for (tag, bytes) in fixtures() {
         let legacy = legacy_corpus(&bytes);
         let path = fixture_file(tag, &bytes);
+        assert_eq!(kept_lines(&path), legacy_lines(&bytes), "{tag}: kept lines");
 
-        let mapped = Corpus::from_path(&path, &Tokenizer).unwrap();
-        assert_bit_identical(&mapped, &legacy, &format!("{tag}: from_path"));
+        let read = Corpus::from_path(&path, &Tokenizer).unwrap();
+        assert_bit_identical(&read, &legacy, &format!("{tag}: from_path"));
+        let streamed = Corpus::from_reader(&bytes[..], &Preprocessor::identity()).unwrap();
+        assert_bit_identical(&streamed, &legacy, &format!("{tag}: from_reader"));
 
         for threads in [1usize, 2, 3, 8] {
             let par = Corpus::from_path_parallel(&path, &Tokenizer, threads).unwrap();
@@ -189,15 +213,15 @@ fn every_loader_entry_point_is_bit_identical_to_the_legacy_pipeline() {
 
 /// End-to-end differential: each parser's events file and structured
 /// file are byte-identical whether the corpus came from the legacy
-/// reader or the zero-copy loader.
+/// reader or the loader.
 #[test]
 fn parser_output_files_are_byte_identical_across_loaders() {
     for (tag, bytes) in fixtures() {
         let legacy = legacy_corpus(&bytes);
         let path = fixture_file(&format!("e2e-{tag}"), &bytes);
-        let mapped = Corpus::from_path(&path, &Tokenizer).unwrap();
+        let read = Corpus::from_path(&path, &Tokenizer).unwrap();
         for parser in parsers() {
-            let (old, new) = match (parser.parse(&legacy), parser.parse(&mapped)) {
+            let (old, new) = match (parser.parse(&legacy), parser.parse(&read)) {
                 (Ok(a), Ok(b)) => (a, b),
                 (Err(_), Err(_)) => continue, // same rejection either way
                 _ => panic!(
@@ -212,7 +236,7 @@ fn parser_output_files_are_byte_identical_across_loaders() {
 
             let (mut st_old, mut st_new) = (Vec::new(), Vec::new());
             write_structured_file(&legacy, &old, &mut st_old).unwrap();
-            write_structured_file(&mapped, &new, &mut st_new).unwrap();
+            write_structured_file(&read, &new, &mut st_new).unwrap();
             assert_eq!(st_old, st_new, "{tag}/{}: structured file", parser.name());
         }
         std::fs::remove_file(&path).ok();
@@ -231,8 +255,46 @@ fn chunk_straddling_lines_survive_the_parallel_build() {
         let par = Corpus::from_path_parallel(&path, &Tokenizer, threads).unwrap();
         assert_bit_identical(&par, &legacy, &format!("straddle at {threads} threads"));
     }
+    assert_eq!(kept_lines(&path), legacy_lines(&bytes));
     assert_eq!(count_corpus_lines(&path).unwrap(), legacy.len());
     std::fs::remove_file(&path).ok();
+}
+
+/// A corpus holds nothing of its input file: built at 1 and at 4
+/// threads, it survives a copy-truncate rotation under it (the file cut
+/// to nothing, then written over) with the rows, line numbers, and Drain
+/// and IPLoM parses of the same bytes built in memory.
+#[test]
+fn a_corpus_outlives_its_input_file() {
+    let bytes: Vec<u8> = (0..4000)
+        .flat_map(|i| format!("worker {} took {} ms on blk_{i}\n", i % 7, i % 13).into_bytes())
+        .collect();
+    assert!(bytes.len() > 1 << 16, "large enough for the build to split");
+    let reference = Corpus::from_bytes(bytes.clone(), &Preprocessor::identity(), 1).unwrap();
+    let parses = |corpus: &Corpus| -> Vec<Parse> {
+        let parsers: [Box<dyn LogParser>; 2] =
+            [Box::new(Drain::default()), Box::new(Iplom::default())];
+        parsers
+            .iter()
+            .map(|parser| parser.parse(corpus).unwrap())
+            .collect()
+    };
+    let expected = parses(&reference);
+    for threads in [1, 4] {
+        let path = fixture_file(&format!("rotated-{threads}"), &bytes);
+        let corpus = Corpus::from_path_parallel(&path, &Tokenizer, threads).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(0).unwrap();
+        drop(file);
+        std::fs::write(&path, b"rotated in\n".repeat(100)).unwrap();
+
+        let context = format!("built at {threads} thread(s), then rotated");
+        assert_bit_identical(&corpus, &reference, &context);
+        assert_eq!(corpus.arena(), reference.arena(), "{context}");
+        assert_eq!(corpus, reference, "{context}");
+        assert_eq!(parses(&corpus), expected, "{context}");
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// Text dense in what a cut can get wrong: blank runs, CRLF, a lone
@@ -255,7 +317,7 @@ fn cuttable_bytes() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// A range a worker must never be handed is an error, not a corpus of
-/// torn lines; an empty file (which cannot be mapped) has one range.
+/// torn lines; an empty file has one range.
 #[test]
 fn a_byte_range_off_the_line_grid_is_refused() {
     let path = fixture_file("grid", b"one 1\ntwo 2\r\n\nthree 3");
@@ -285,8 +347,8 @@ proptest! {
     /// The cuts a job is sharded by, and the builds its workers run on
     /// them: every cut a line start, chunk `k` of the line split exactly
     /// the kept lines between cuts `k` and `k + 1`, and a corpus built
-    /// from those bytes alone the slice of the whole-file build:
-    /// records, line numbers, resolved tokens.
+    /// from those bytes alone the slice of the whole-file build: line
+    /// numbers and resolved tokens.
     #[test]
     fn byte_range_builds_are_slices_of_the_whole_build(
         bytes in cuttable_bytes(),
@@ -308,8 +370,8 @@ proptest! {
             prop_assert_eq!(legacy_corpus(&bytes[cut.clone()]).len(), range.len());
 
             let expected = whole.slice(range.clone());
-            let mapped = Corpus::from_path_range(&path, cut.clone(), range.start).unwrap();
-            prop_assert_eq!(&mapped, &expected);
+            let read = Corpus::from_path_range(&path, cut.clone(), range.start).unwrap();
+            prop_assert_eq!(&read, &expected);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -354,8 +416,7 @@ proptest! {
 
         let owned = Corpus::from_bytes(bytes.clone(), &unmasked, 1).unwrap();
         prop_assert_eq!(&owned, &legacy);
-        for i in 0..legacy.len() {
-            let line = legacy.record(i).content;
+        for (i, line) in legacy_lines(&bytes).iter().enumerate() {
             prop_assert_eq!(owned.tokens(i), line.split_whitespace().collect::<Vec<_>>(), "line {:?}", line);
         }
 

@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use logmine::core::{Corpus, LogParser, LogRecord, ParallelDriver, Parse, Template};
+use logmine::core::{Corpus, LogParser, ParallelDriver, Parse, Template};
 use logmine::parsers::{Ael, Drain, Iplom, LenMa, Lke, LogMine, LogSig, Oracle, Slct, Spell};
 use proptest::prelude::*;
 
@@ -79,14 +79,14 @@ fn parsers() -> Vec<Box<dyn LogParser>> {
 }
 
 /// Rebuilds `corpus` with every token on a different symbol id (decoy
-/// record interned first, then sliced off) — mirrors
-/// `parser_contracts.rs`. Text and line numbers are unchanged; only the
-/// integer representation of the tokens moved.
+/// line interned first, then sliced off) — mirrors
+/// `parser_contracts.rs`. Each line is its tokens one space apart, so
+/// the tokens are unchanged; only their integer representation moved
+/// (and the line numbers, one on, which no `Parse` holds).
 fn id_shifted(corpus: &Corpus) -> Corpus {
-    let decoy = LogRecord::new(0, "qq0 qq1 qq2 qq3 qq4 qq5 qq6 qq7 qq8 qq9");
-    let records =
-        std::iter::once(decoy).chain((0..corpus.len()).map(|i| corpus.record(i).to_owned()));
-    let rebuilt = Corpus::from_records(records);
+    let decoy = "qq0 qq1 qq2 qq3 qq4 qq5 qq6 qq7 qq8 qq9".to_owned();
+    let lines = (0..corpus.len()).map(|i| corpus.tokens(i).join(" "));
+    let rebuilt = Corpus::from_lines(std::iter::once(decoy).chain(lines));
     rebuilt.slice(1..rebuilt.len())
 }
 

@@ -47,20 +47,11 @@ deadbeefcafe [core.12], \"/a/b\"; 'blk_9' $NUM\n\
 feedface defaced 1.2.3.4567 blk_ core. /tmp\n\
 last 10.0.0.9\r";
 
-fn lines_to_bytes(corpus: &Corpus) -> Vec<u8> {
-    let mut out = Vec::new();
-    for record in corpus.records() {
-        out.extend_from_slice(record.content.as_bytes());
-        out.push(b'\n');
-    }
-    out
-}
-
 /// The input files.
 fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     vec![
-        ("hdfs300", lines_to_bytes(&hdfs::generate(300, 9).corpus)),
-        ("bgl300", lines_to_bytes(&bgl::generate(300, 9).corpus)),
+        ("hdfs300", hdfs::generate(300, 9).text().as_bytes().to_vec()),
+        ("bgl300", bgl::generate(300, 9).text().as_bytes().to_vec()),
         ("edge", EDGE.to_vec()),
     ]
 }
@@ -126,12 +117,12 @@ fn golden_path(fixture: &str, rules: &str) -> PathBuf {
         .join(format!("{fixture}__{rules}.txt"))
 }
 
-/// Asserts two corpora are bit-identical: same records, same symbol
-/// ids row by row, same vocabulary in the same order.
+/// Asserts two corpora are bit-identical: same line numbers, same
+/// symbol ids row by row, same vocabulary in the same order.
 fn assert_bit_identical(a: &Corpus, b: &Corpus, context: &str) {
     assert_eq!(a.len(), b.len(), "{context}: corpus length");
     for i in 0..a.len() {
-        assert_eq!(a.record(i), b.record(i), "{context}: record {i}");
+        assert_eq!(a.line_no(i), b.line_no(i), "{context}: line number {i}");
         assert_eq!(a.symbols(i), b.symbols(i), "{context}: symbols of row {i}");
     }
     assert!(a.interner() == b.interner(), "{context}: interner contents");
@@ -151,12 +142,10 @@ fn fused_build_and_symbol_level_apply_match_the_goldens() {
             let applied = pre.apply(&raw);
             let fused = Corpus::from_bytes(bytes.clone(), &pre, 1).unwrap();
             assert_bit_identical(&fused, &applied, &context);
-            let mapped = Corpus::from_path_masked(&path, &pre, 1).unwrap();
-            assert_bit_identical(&mapped, &applied, &format!("{context} (mmap)"));
-            // Records are the raw lines; only the token rows are masked.
-            for i in 0..raw.len() {
-                assert_eq!(fused.record(i), raw.record(i), "{context}: record {i}");
-            }
+            let read = Corpus::from_path_masked(&path, &pre, 1).unwrap();
+            assert_bit_identical(&read, &applied, &format!("{context} (file)"));
+            // Only the token rows are masked.
+            assert!(fused.line_numbers().eq(raw.line_numbers()), "{context}");
 
             let Ok(golden) = std::fs::read_to_string(golden_path(fixture, rules)) else {
                 missing.push(context);
@@ -190,11 +179,11 @@ fn regenerate() {
 /// boundary, with the edge lines sprinkled through so CRLF, blank and
 /// high-byte lines land in every chunk.
 fn chunk_straddle_bytes() -> Vec<u8> {
-    let hdfs = hdfs::generate(2500, 21).corpus;
+    let hdfs = hdfs::generate(2500, 21);
     let edge_lines: Vec<&[u8]> = EDGE.split(|&b| b == b'\n').collect();
     let mut out = Vec::new();
-    for (i, record) in hdfs.records().enumerate() {
-        out.extend_from_slice(record.content.as_bytes());
+    for (i, line) in hdfs.text().lines().enumerate() {
+        out.extend_from_slice(line.as_bytes());
         out.extend_from_slice(if i % 5 == 0 { b"\r\n" } else { b"\n" });
         if i % 97 == 0 {
             out.extend_from_slice(edge_lines[(i / 97) % edge_lines.len()]);
